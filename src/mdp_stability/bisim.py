@@ -78,12 +78,21 @@ class BisimConfig:
 
 @dataclass(frozen=True)
 class CrossMetric:
-    """Converged (or partial) |S1| x |S2| state distance matrix."""
+    """Converged (or partial) |S1| x |S2| state distance matrix.
+
+    blocks_solved and blocks_reused count, over all sweeps, the transport
+    problems sent to the LP solver and those answered by a stored plan that
+    passed the reduced-cost test; problems with a closed form (point
+    masses, all-zero costs, identical marginals at zero diagonal cost) are
+    in neither count.
+    """
 
     dist: np.ndarray
     config: BisimConfig
     iterations_used: int
     residual: float
+    blocks_solved: int = 0
+    blocks_reused: int = 0
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -108,8 +117,10 @@ class _PairSweep:
     """Precomputed structure for sweeping the metric update over one MDP pair.
 
     Supports of all transition rows and the per-action reward gaps never
-    change between sweeps, so they are extracted once; each sweep only
-    re-slices the current distance matrix into block costs.
+    change between sweeps, so they are extracted once, together with the
+    position in the distance matrix of every transport cost; each sweep
+    gathers all costs with one index and hands them to a batch that keeps
+    its optimal plans from sweep to sweep.
     """
 
     def __init__(self, m1: MdpSpec, m2: MdpSpec, config: BisimConfig):
@@ -130,44 +141,21 @@ class _PairSweep:
             return rows
 
         sup1, sup2 = supports(m1), supports(m2)
-        # (kind, payload) per (s1, s2, a); kinds: 0 point-mass left,
-        # 1 point-mass right, 2 general LP block.
-        self.cells = []
-        pairs = []
+        # One transport problem per (s1, s2, a), in that order.
+        pairs, cells = [], []
         for s1 in range(m1.n_states):
             for s2 in range(m2.n_states):
                 for a in range(self.n_actions):
                     I, mu = sup1[s1 * self.n_actions + a]
                     J, nu = sup2[s2 * self.n_actions + a]
-                    if len(I) == 1:
-                        self.cells.append((0, (int(I[0]), J, nu)))
-                    elif len(J) == 1:
-                        self.cells.append((1, (I, mu, int(J[0]))))
-                    else:
-                        self.cells.append((2, (I, J, len(pairs))))
-                        pairs.append((mu, nu))
+                    pairs.append((mu, nu))
+                    cells.append((I[:, None] * m2.n_states + J).ravel())
+        self.cost_index = np.concatenate(cells)
         self.batch = BatchedTransport(pairs)
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
         """One application of the metric update operator to ``dist``."""
-        w = np.empty(len(self.cells))
-        costs = [None] * len(self.batch.pairs)
-        lp_cells = []
-        for k, (kind, payload) in enumerate(self.cells):
-            if kind == 0:
-                i0, J, nu = payload
-                w[k] = dist[i0, J] @ nu
-            elif kind == 1:
-                I, mu, j0 = payload
-                w[k] = mu @ dist[I, j0]
-            else:
-                I, J, b = payload
-                costs[b] = dist[np.ix_(I, J)]
-                lp_cells.append((k, b))
-        if lp_cells:
-            vals = self.batch.values(costs)
-            for k, b in lp_cells:
-                w[k] = vals[b]
+        w = self.batch.values(dist.ravel()[self.cost_index])
         w = w.reshape(self.shape + (self.n_actions,))
         return (self.reward_term + self.config.c_T * w).max(axis=2)
 
@@ -190,8 +178,11 @@ def cross_bisim_metric(m1: MdpSpec, m2: MdpSpec,
 
     Starts from the zero matrix (iterates are then monotone nondecreasing)
     and sweeps until the residual certifies a sup-norm error below
-    ``config.tolerance``.  If the iteration budget runs out the partial
-    matrix is returned with ``converged`` False.
+    ``config.tolerance``.  Each sweep is a full application of the update:
+    transport problems whose previous optimal plan is certified by a
+    reduced-cost test keep it, so only the rest are re-solved.  If the
+    iteration budget runs out the partial matrix is returned with
+    ``converged`` False.
     """
     sweep = _PairSweep(m1, m2, config)
     dist = np.zeros(sweep.shape)
@@ -204,7 +195,8 @@ def cross_bisim_metric(m1: MdpSpec, m2: MdpSpec,
         iterations += 1
         if residual < config.residual_target:
             break
-    return CrossMetric(dist, config, iterations, residual)
+    return CrossMetric(dist, config, iterations, residual,
+                       sweep.batch.solved, sweep.batch.reused)
 
 
 def iteration_bound(first_step_norm: float, config: BisimConfig) -> int:

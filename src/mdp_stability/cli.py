@@ -13,7 +13,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 import time
 
@@ -23,7 +22,7 @@ from . import __version__
 from .bisim import (BisimConfig, NonConvergence, align_reward_scale,
                     bisim_quotient, cross_bisim_metric, hausdorff_distance)
 from .mdp import (MdpSpec, greedy_policy, induce_chain, load_mdp,
-                  mdp_to_document, validate, value_iteration)
+                  mdp_to_document, read_document, validate, value_iteration)
 from .onpolicy import (analyze_chain, embedded_to_document, load_embedded,
                        load_toy_policy, rate_of_decrease_check)
 from .safety import (SafetyQuery, StartDistribution, certify_safety,
@@ -106,7 +105,6 @@ def _emit(args, document, csv_table=None):
             .isoformat(),
             "duration_s": time.monotonic() - args._t0,
             "tool_version": __version__,
-            "threads_cap": _threads_cap(),
         }
         with open(args.out + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
@@ -114,16 +112,8 @@ def _emit(args, document, csv_table=None):
         sys.stdout.write(text)
 
 
-def _threads_cap():
-    try:
-        return max(1, int(os.environ.get("MDP_STABILITY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_mdp_or_embedded(path) -> MdpSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_document(path)
     doc.pop("embedding", None)
     doc.pop("side_info", None)
     doc.pop("generator", None)
@@ -143,8 +133,7 @@ def _parse_sizes(text):
 # -- command handlers -----------------------------------------------------------
 
 def cmd_validate(args):
-    with open(args.path) as fh:
-        doc = json.load(fh)
+    doc = read_document(args.path)
     try:
         for key in ("states", "actions", "transitions", "discount", "safe"):
             if key not in doc:
@@ -177,6 +166,8 @@ def cmd_bisim(args):
     metric = cross_bisim_metric(m1, m2, _config_from(args, m1))
     document = metric.to_document()
     document["converged"] = metric.converged
+    document["blocks_solved"] = metric.blocks_solved
+    document["blocks_reused"] = metric.blocks_reused
     document["d_H"] = hausdorff_distance(metric) if metric.converged else None
     rows = [[i, j, metric.dist[i, j]]
             for i in range(m1.n_states) for j in range(m2.n_states)]
@@ -388,9 +379,9 @@ def cmd_stability_experiment(args):
     if args.delta is not None:
         # One adversarial rung: the deceptive-hibernation variant.  The
         # escape state is the most valuable one under the optimal values.
-        v_star = value_iteration(mdp).values
-        escape = int(np.argmax(v_star))
-        action = int(greedy_policy(mdp, value_iteration(mdp)).table[escape])
+        optimal = value_iteration(mdp)
+        escape = int(np.argmax(optimal.values))
+        action = int(greedy_policy(mdp, optimal).table[escape])
         variant = build_playing_dead(PlayingDeadParams(
             base=mdp, delta=args.delta, escape_state=escape,
             escape_action=action, epsilon=args.epsilon))

@@ -245,7 +245,15 @@ def validate(mdp: MdpSpec, tol: float = PROB_TOL) -> ValidationReport:
         return ValidationReport(tuple(found))
     if r.shape != (n_s, n_a):
         found.append(Violation("reward-shape", r.shape, f"expected {(n_s, n_a)}"))
-    if not 0.0 < mdp.discount < 1.0:
+    # Comparisons with NaN are false, so no check below would catch one.
+    for name, values in (("transition", P), ("reward", r)):
+        for loc in np.argwhere(~np.isfinite(values))[:20]:
+            loc = tuple(int(x) for x in loc)
+            found.append(Violation("non-finite", loc,
+                                   f"{name} entry {values[loc]!r}"))
+    if not math.isfinite(mdp.discount):
+        found.append(Violation("non-finite", (), f"discount {mdp.discount!r}"))
+    elif not 0.0 < mdp.discount < 1.0:
         found.append(Violation("discount", (), f"{mdp.discount} not in (0,1)"))
     bad = np.argwhere((P < 0) | (P > 1))
     for s, a, t in bad[:20]:
@@ -336,6 +344,22 @@ def greedy_policy(mdp: MdpSpec, values: ValueFunction) -> Policy:
 
 # -- JSON document interface -------------------------------------------------
 
+def _reject_literal(name):
+    raise ValueError(f"non-finite literal {name} in JSON document")
+
+
+def read_document(source) -> dict:
+    """A JSON document from a path, a file object, or an already parsed
+    dict.  The NaN and Infinity literals, which Python's json module
+    accepts, are rejected."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source, parse_constant=_reject_literal)
+    with open(source) as fh:
+        return json.load(fh, parse_constant=_reject_literal)
+
+
 def load_mdp(source) -> MdpSpec:
     """Read the JSON MDP document (path, file object, or parsed dict).
 
@@ -343,13 +367,7 @@ def load_mdp(source) -> MdpSpec:
     "rewards": [[...]] or "rewards_sas": [[[...]]] (mutually exclusive),
     "discount": g, "safe": [state ids]}.  The document must validate.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    doc = read_document(source)
     for key in ("states", "actions", "transitions", "discount", "safe"):
         if key not in doc:
             raise ValueError(f"MDP document missing {key!r}")

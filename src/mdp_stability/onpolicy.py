@@ -12,14 +12,13 @@ per unit of perturbation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, validate
+from .mdp import MdpSpec, read_document, validate
 from .safety import StartDistribution
 
 __all__ = [
@@ -70,6 +69,8 @@ class EmbeddedMdp:
         object.__setattr__(self, "embedding", emb)
         if emb.ndim != 2 or emb.shape[0] != self.base.n_states:
             raise ValueError("embedding must be (n_states, d)")
+        if not np.all(np.isfinite(emb)):
+            raise ValueError("embedding entries must be finite")
         if self.side_info is not None:
             object.__setattr__(self, "side_info", tuple(self.side_info))
             if len(self.side_info) != self.base.n_states:
@@ -545,12 +546,14 @@ def make_toy_policy(weights, temperature: float = 1.0) -> DiffPolicy:
     :func:`tighten_policy_bound` to replace it with the exact maximum over
     a finite set of coordinates.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be positive and finite")
     W = np.array(weights, dtype=float)
     W.setflags(write=False)
     if W.ndim != 2:
         raise ValueError("weights must be (n_actions, d)")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("weights must be finite")
     t = float(temperature)
 
     def evaluator(x):
@@ -591,13 +594,7 @@ def embedded_to_document(emdp: EmbeddedMdp) -> dict:
 
 def load_embedded(source) -> EmbeddedMdp:
     from .mdp import load_mdp
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    doc = read_document(source)
     if "embedding" not in doc:
         raise ValueError("embedded MDP document missing 'embedding'")
     base = load_mdp({k: v for k, v in doc.items()
@@ -611,11 +608,5 @@ def toy_policy_to_document(weights, temperature) -> dict:
 
 
 def load_toy_policy(source) -> DiffPolicy:
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    doc = read_document(source)
     return make_toy_policy(doc["weights"], doc["temperature"])

@@ -191,7 +191,7 @@ class SafetyCertificate:
     """
 
     epsilon: float
-    worst_policy: Policy | None
+    worst_policy: Policy
     worst_time: float
     worst_policy_times: np.ndarray
     epsilon_optimal_count: int
@@ -208,8 +208,7 @@ class SafetyCertificate:
             "epsilon": self.epsilon,
             "worst_time": self.worst_time if finite else None,
             "worst_time_finite": finite,
-            "worst_policy_actions": (self.worst_policy.table.tolist()
-                                     if self.worst_policy is not None else None),
+            "worst_policy_actions": self.worst_policy.table.tolist(),
             "worst_policy_hitting_times": [
                 (t if math.isfinite(t) else None)
                 for t in self.worst_policy_times.tolist()],
@@ -230,7 +229,8 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
     non-safe states.  ``stochastic_probe`` additionally samples random
     mixtures of the enumerated policies as a falsification probe for the
     deterministic-maximum assumption; it never lowers the reported worst
-    time.
+    time.  When no policy is eps-optimal, a ValueError is raised rather
+    than a vacuous "safe".
     """
     if _enumeration_size(mdp) > cap:
         raise ValueError(
@@ -245,6 +245,10 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
             boundary += 1
         if margin > 0:
             members.append(policy)
+    if not members:
+        raise ValueError(
+            f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
+            f"verdict over an empty set would be vacuous")
 
     def policy_time(policy):
         chain = induce_chain(mdp, policy)
@@ -263,8 +267,6 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
         reachability.append(reaches)
         if time > worst_time:
             worst_time, worst_policy, worst_times = time, policy, t_vec
-    if worst_policy is None:
-        worst_time = 0.0
 
     if stochastic_probe and len(members) >= 2:
         rng = np.random.default_rng(seed)
@@ -356,7 +358,8 @@ def safety_frontier(mdp: MdpSpec, epsilons, value_tol: float = 1e-10,
 
     Every deterministic policy is evaluated once; each epsilon then reads
     off the maximum over its membership set, so the frontier is monotone
-    nondecreasing by construction of the sets themselves.
+    nondecreasing by construction of the sets themselves.  An epsilon whose
+    membership set is empty raises ValueError.
     """
     if _enumeration_size(mdp) > cap:
         raise ValueError("enumeration cap exceeded")
@@ -370,5 +373,9 @@ def safety_frontier(mdp: MdpSpec, epsilons, value_tol: float = 1e-10,
     rows = []
     for eps in sorted(float(e) for e in epsilons):
         times = [worst for loss, worst in evaluated if loss < eps]
-        rows.append((eps, max(times) if times else 0.0))
+        if not times:
+            raise ValueError(
+                f"no deterministic policy is {eps!r}-optimal; a frontier "
+                f"point over an empty set would be vacuous")
+        rows.append((eps, max(times)))
     return rows

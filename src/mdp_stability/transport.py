@@ -3,8 +3,10 @@
 The solver returns the optimal coupling together with a feasible, tight
 dual certificate (potentials u, v with u_i + v_j <= cost_ij and
 u.mu + v.nu equal to the optimum), which the stability arguments consume
-directly.  A batched entry point solves many independent problems in one
-block-diagonal LP; the fixed-point metric iteration relies on it.
+directly.  A batched entry point answers many independent problems whose
+costs change from call to call, as in the fixed-point metric iteration:
+it reuses each problem's last optimal plan while a reduced-cost test
+certifies it, and solves the rest in one block-diagonal LP.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ __all__ = [
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
+# A stored transport plan is reused while no reduced cost falls below
+# -REUSE_TOL, which keeps its value within REUSE_TOL of the optimum.
+REUSE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,11 +164,22 @@ def kr_lower_bound(problem: TransportProblem, f_left, f_right) -> float:
 class BatchedTransport:
     """Many transportation problems with fixed marginals and varying costs.
 
-    Built once from a list of (mu, nu) support pairs; each call to
-    :meth:`values` assembles a single block-diagonal LP over the problems
-    that need one (point-mass and identical-marginal blocks short-circuit)
-    and returns all optimal values.  Used by the metric fixed point, where
-    the marginals are transition rows and the cost is the current iterate.
+    Built once from a list of (mu, nu) support pairs, which are stacked by
+    shape; each call to :meth:`values` returns all optimal values under new
+    costs.  Used by the metric fixed point, where the marginals are
+    transition rows and the cost is the current iterate.
+
+    Point-mass problems have a forced coupling, and all-zero costs and
+    identical marginals with a free diagonal have value 0, so none of these
+    needs a solve.  Every other problem keeps, across calls, the optimal
+    vertex plan of its last solve and a spanning-tree basis that contains
+    the plan's support.  The basic costs fix dual potentials u, v through
+    an integer map.  When every reduced cost C - u - v is at least
+    ``-REUSE_TOL``, the stored plan is still optimal to within
+    ``REUSE_TOL``: it is feasible, and (u - REUSE_TOL, v) is a feasible dual
+    whose value is the plan's value less ``REUSE_TOL``.  Only the problems
+    that fail this test go into one block-diagonal HiGHS LP.  ``solved``
+    and ``reused`` count the two kinds of answer over the object's life.
     """
 
     def __init__(self, pairs):
@@ -171,33 +187,147 @@ class BatchedTransport:
         # callers pass trimmed supports alongside index arrays).
         self.pairs = [(np.asarray(mu, float), np.asarray(nu, float))
                       for mu, nu in pairs]
+        sizes = [len(mu) * len(nu) for mu, nu in self.pairs]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+        self.n_costs = int(offsets[-1])
+        by_shape = {}
+        for k, (mu, nu) in enumerate(self.pairs):
+            by_shape.setdefault((len(mu), len(nu)), []).append(k)
+        self.groups = [_ShapeGroup(self.pairs, members, offsets[members])
+                       for members in by_shape.values()]
+        self.solved = 0
+        self.reused = 0
 
     def values(self, costs) -> np.ndarray:
-        """Optimal values for this batch under per-problem cost matrices."""
+        """Optimal values for this batch under new costs.
+
+        ``costs`` is one (m, n) matrix per problem, or all of them raveled
+        and concatenated in problem order as a single 1-d array.
+        """
+        if not (isinstance(costs, np.ndarray) and costs.ndim == 1):
+            costs = np.concatenate([np.zeros(0)] + [
+                np.ravel(np.asarray(c, float)) for c in costs])
+        if costs.shape != (self.n_costs,):
+            raise ValueError(f"expected {self.n_costs} cost entries, "
+                             f"got shape {costs.shape}")
         out = np.empty(len(self.pairs))
-        lp_idx, blocks = [], []
-        for k, ((mu, nu), cost) in enumerate(zip(self.pairs, costs)):
-            m, n = len(mu), len(nu)
-            if m == 1:
-                out[k] = cost[0] @ nu
-            elif n == 1:
-                out[k] = mu @ cost[:, 0]
-            elif m == n and mu.shape == nu.shape and np.array_equal(mu, nu) \
-                    and float(np.abs(np.diagonal(cost)) @ mu) == 0.0:
-                # Identical marginals with a free diagonal: optimum is 0
-                # because costs are nonnegative.
-                out[k] = 0.0
-            else:
-                lp_idx.append(k)
-                blocks.append((mu, nu, cost))
-        if blocks:
-            for k, val in zip(lp_idx, _solve_blocks(blocks)):
-                out[k] = val
+        failed = []
+        for group in self.groups:
+            cost = costs[group.cells]
+            value, reused, fail = group.screen(cost)
+            out[group.members] = value
+            self.reused += int(np.count_nonzero(reused))
+            failed += [(group, r, cost[r]) for r in np.nonzero(fail)[0]]
+        if failed:
+            solutions = _solve_blocks([(group.mu[r], group.nu[r], cost)
+                                       for group, r, cost in failed])
+            for (group, r, cost), (value, plan, u, v) in zip(failed,
+                                                             solutions):
+                out[group.members[r]] = value
+                group.store(r, cost, plan, u, v)
+            self.solved += len(failed)
         return out
 
 
+class _ShapeGroup:
+    """The problems of one (m, n) shape in a batch, stacked, with the plan
+    and basis last stored for each."""
+
+    def __init__(self, pairs, members, offsets):
+        self.members = np.asarray(members)
+        self.mu = np.array([pairs[k][0] for k in members])
+        self.nu = np.array([pairs[k][1] for k in members])
+        size, m = self.mu.shape
+        n = self.nu.shape[1]
+        self.shape = (m, n)
+        # cells[g, i, j]: position of problem g's cost (i, j) in the batch.
+        self.cells = offsets[:, None, None] + np.arange(m * n).reshape(m, n)
+        self.forced = min(m, n) == 1
+        self.same = (np.all(self.mu == self.nu, axis=1) if m == n
+                     else np.zeros(size, dtype=bool))
+        self.known = np.zeros(size, dtype=bool)
+        self.basis = np.zeros((size, m + n - 1), dtype=int)
+        self.potential_map = np.zeros((size, m + n, m + n - 1))
+        self.plan = np.zeros((size, m * n))
+
+    def screen(self, cost):
+        """Values of the problems answered without a solve, with masks of
+        those answered by a stored plan and of those left unanswered."""
+        size = len(cost)
+        if self.forced:
+            # A point-mass marginal leaves the product coupling only.
+            value = np.einsum("gij,gi,gj->g", cost, self.mu, self.nu)
+            none = np.zeros(size, dtype=bool)
+            return value, none, none
+        m = self.shape[0]
+        flat = cost.reshape(size, -1)
+        # All-zero costs (the metric's first sweep) have optimum 0, and so
+        # do identical marginals with a free diagonal, because costs are
+        # nonnegative.
+        zero = ~flat.any(axis=1)
+        if self.same.any():
+            zero |= self.same & (np.einsum("gii,gi->g", np.abs(cost),
+                                           self.mu) == 0.0)
+        uv = np.einsum("gpk,gk->gp", self.potential_map,
+                       np.take_along_axis(flat, self.basis, axis=1))
+        reduced = cost - uv[:, :m, None] - uv[:, None, m:]
+        reused = self.known & ~zero & (reduced.min(axis=(1, 2)) >= -REUSE_TOL)
+        value = np.where(zero, 0.0, np.einsum("gc,gc->g", flat, self.plan))
+        return value, reused, ~(zero | reused)
+
+    def store(self, r, cost, plan, u, v):
+        """Keep problem r's freshly solved plan with a spanning-tree basis
+        around its support, completed by the cells the solver's duals
+        price tightest, and the integer map from basic costs to [u; v]."""
+        m, n = self.shape
+        basis = _spanning_basis(plan, cost - u[:, None] - v[None, :])
+        self.known[r] = basis is not None
+        if basis is None:
+            return
+        i, j = np.divmod(basis, n)
+        tree = np.zeros((m + n, m + n))
+        edges = np.arange(m + n - 1)
+        tree[edges, i] = 1.0
+        tree[edges, m + j] = 1.0
+        tree[-1, 0] = 1.0  # normalisation u_0 = 0
+        self.potential_map[r] = np.rint(np.linalg.inv(tree))[:, :-1]
+        self.basis[r] = basis
+        self.plan[r] = plan.ravel()
+
+
+def _spanning_basis(plan, reduced):
+    """Cells (flat indices) of a spanning tree of the m-by-n bipartite
+    graph that contains the plan's support, adding further cells in order
+    of reduced cost; None when the support has a cycle (not a vertex)."""
+    m, n = plan.shape
+    support = plan.ravel() > 0
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    basis = []
+    for cell in np.lexsort((reduced.ravel(), ~support)).tolist():
+        a, b = find(cell // n), find(m + cell % n)
+        if a == b:
+            if support[cell]:
+                return None
+            continue
+        root[a] = b
+        basis.append(cell)
+        if len(basis) == m + n - 1:
+            break
+    return np.array(basis)
+
+
 def _solve_blocks(blocks):
-    """One block-diagonal LP for independent transportation problems."""
+    """One block-diagonal LP for independent transportation problems.
+
+    Returns (value, plan, u, v) per block, with the solver's duals.
+    """
     rows, cols, cvec, bvec = [], [], [], []
     row0 = col0 = 0
     spans = []
@@ -211,7 +341,7 @@ def _solve_blocks(blocks):
         cvec.append(np.asarray(cost, float).ravel())
         bvec.append(mu)
         bvec.append(nu)
-        spans.append((col0, m * n))
+        spans.append((row0, col0, m, n))
         row0 += m + n
         col0 += m * n
     rows = np.concatenate(rows)
@@ -222,5 +352,10 @@ def _solve_blocks(blocks):
                   method="highs")
     if not res.success:
         raise RuntimeError(f"batched transport LP failed: {res.message}")
-    x = res.x
-    return [float(c[o:o + size] @ x[o:o + size]) for o, size in spans]
+    x, duals = res.x, np.asarray(res.eqlin.marginals)
+    out = []
+    for r0, c0, m, n in spans:
+        block = slice(c0, c0 + m * n)
+        out.append((float(c[block] @ x[block]), x[block].reshape(m, n),
+                    duals[r0:r0 + m], duals[r0 + m:r0 + m + n]))
+    return out

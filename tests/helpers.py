@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdp_stability import MdpSpec, Policy, policy_evaluation
+from mdp_stability import MdpSpec, Policy, metric_update, policy_evaluation
 
 _BASIS_CACHE = {}
 
@@ -81,3 +81,18 @@ def best_value_by_enumeration(mdp):
         v = policy_evaluation(mdp, policy).values
         best = v if best is None else np.maximum(best, v)
     return best
+
+
+def fresh_lp_metric(m1, m2, config):
+    """The metric fixed point with every transport problem solved afresh at
+    every sweep: each ``metric_update`` call builds a new LP batch, so no
+    plan is carried over.  Same start (zero) and stopping rule as
+    ``cross_bisim_metric``; returns (dist, sweeps)."""
+    dist = np.zeros((m1.n_states, m2.n_states))
+    for sweeps in range(1, config.max_iterations + 1):
+        new = metric_update(m1, m2, config, dist)
+        residual = float(np.max(np.abs(new - dist)))
+        dist = new
+        if residual < config.residual_target:
+            break
+    return dist, sweeps

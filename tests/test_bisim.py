@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_mdp
+from helpers import fresh_lp_metric, random_mdp
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
                            cross_bisim_metric, hausdorff_distance,
@@ -103,6 +103,52 @@ class TestAgainstDenseReference:
                 break
         metric = cross_bisim_metric(m1, m2, CFG)
         assert np.max(np.abs(metric.dist - dist)) <= 2 * CFG.tolerance
+
+
+def sparse_mdp(seed, n_states, keep=0.5):
+    """random_mdp with part of each transition row zeroed (never all of
+    it), so supports vary in size and include point masses."""
+    mdp = random_mdp(seed, n_states=n_states)
+    rng = np.random.default_rng(seed + 31)
+    P = mdp.transition * (rng.random(mdp.transition.shape) < keep)
+    P[..., -1] += (P.sum(axis=2) == 0)
+    P /= P.sum(axis=2, keepdims=True)
+    return MdpSpec(mdp.state_ids, mdp.action_ids, P, mdp.reward,
+                   mdp.discount, mdp.safe_set)
+
+
+def oracle_pair(seed):
+    """Seeded MDP pairs: dense, sparse, and with duplicated states."""
+    rng = np.random.default_rng(seed)
+    n1, n2 = (int(n) for n in rng.integers(2, 6, size=2))
+    if seed % 3 == 0:
+        return random_mdp(seed, n_states=n1), random_mdp(seed + 50, n2)
+    if seed % 3 == 1:
+        return sparse_mdp(seed, n1), sparse_mdp(seed + 50, n2)
+    base = random_mdp(seed, n_states=n1)
+    return build_duplicated(base, 0, copies=2), base
+
+
+class TestPlanReuseAgainstFreshSolves:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_fresh_lp_iteration(self, seed):
+        m1, m2 = oracle_pair(seed)
+        config = CFG if seed % 5 else BisimConfig(c_R=0.1, c_T=0.9,
+                                                  tolerance=1e-6)
+        dist, sweeps = fresh_lp_metric(m1, m2, config)
+        metric = cross_bisim_metric(m1, m2, config)
+        assert metric.iterations_used == sweeps
+        assert np.max(np.abs(metric.dist - dist)) <= config.tolerance
+
+    def test_later_sweeps_reuse_most_plans(self):
+        config = BisimConfig(c_R=0.1, c_T=0.9, tolerance=1e-6)
+        m1, m2 = random_mdp(3, n_states=5), random_mdp(4, n_states=5)
+        metric = cross_bisim_metric(m1, m2, config)
+        # 4 x 4 non-safe pairs x 2 actions dense problems per sweep, all
+        # at zero cost in the first sweep.
+        assert metric.blocks_solved + metric.blocks_reused \
+            == 32 * (metric.iterations_used - 1)
+        assert metric.blocks_reused > 4 * metric.blocks_solved
 
 
 class TestContraction:

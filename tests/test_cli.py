@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_mdp
 from mdp_stability import MdpSpec, load_mdp, mdp_to_document
 from mdp_stability.cli import main, render_json
 
@@ -88,6 +89,23 @@ class TestBisimCommand:
         assert out["d_H"] == 0.0
         assert out["converged"] is True
         assert set(out) >= {"dist", "c_R", "c_T", "iterations", "residual"}
+
+    def test_block_counts_are_additive_and_deterministic(self, tmp_path):
+        p1 = write_doc(tmp_path / "a.json", mdp_to_document(random_mdp(1)))
+        p2 = write_doc(tmp_path / "b.json", mdp_to_document(random_mdp(2)))
+        outs = []
+        for name in ("x.json", "y.json"):
+            out = tmp_path / name
+            assert main(["bisim", p1, p2, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        # 3 x 3 non-safe pairs x 2 actions are dense 4-by-4 problems,
+        # answered once per sweep after the first (all costs zero) by the
+        # LP or by a kept plan.
+        assert doc["blocks_solved"] + doc["blocks_reused"] \
+            == 18 * (doc["iterations"] - 1)
+        assert doc["blocks_reused"] > doc["blocks_solved"] > 0
 
     def test_nonconvergence_exits_3_with_partial_artifact(self, tmp_path,
                                                           capsys):
@@ -295,6 +313,77 @@ class TestStabilityExperiment:
         rung = [r for r in out["rungs"] if r["kind"] == "playing-dead"][0]
         assert rung["isolated"] is False
         assert rung["conclusion_holds"] is False
+
+
+class TestNonFiniteInput:
+    """Every command family rejects a non-finite document with exit 2;
+    ``validate`` reports an overflowing number as a violation."""
+
+    def nan_doc(self, tmp_path):
+        # NaN and Infinity literals, which Python's json module accepts.
+        text = ('{"states": ["s0", "safe"], "actions": ["a0"], '
+                '"transitions": [[[NaN, 1.0]], [[0, 1]]], '
+                '"rewards": [[Infinity], [0]], "discount": 0.9, '
+                '"safe": ["safe"], "embedding": [[0.0], [1.0]]}')
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        return str(path)
+
+    def overflow_doc(self, tmp_path):
+        doc = instant_shutdown_doc()
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc).replace('"rewards": [[0.0',
+                                                '"rewards": [[1e400'))
+        return str(path)
+
+    def test_validate(self, tmp_path, capsys):
+        assert main(["validate", self.nan_doc(tmp_path)]) == 2
+        assert main(["validate", self.overflow_doc(tmp_path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert not out["valid"]
+        assert any(v.startswith("non-finite") for v in out["violations"])
+
+    def test_metric(self, tmp_path):
+        good = write_doc(tmp_path / "good.json", instant_shutdown_doc())
+        assert main(["bisim", self.nan_doc(tmp_path), good]) == 2
+        assert main(["bisim", good, self.overflow_doc(tmp_path)]) == 2
+
+    def test_safety(self, tmp_path):
+        for path in (self.nan_doc(tmp_path), self.overflow_doc(tmp_path)):
+            assert main(["certify", path, "--epsilon", "0.5",
+                         "--big-n", "3"]) == 2
+
+    def test_generators(self, tmp_path):
+        for path in (self.nan_doc(tmp_path), self.overflow_doc(tmp_path)):
+            assert main(["uniform-shutdown", path, "--big-n", "5"]) == 2
+
+    def test_onpolicy(self, tmp_path):
+        policy = tmp_path / "policy.json"
+        policy.write_text('{"weights": [[0.0]], "temperature": 1.0}')
+        assert main(["onpolicy", self.nan_doc(tmp_path), str(policy)]) == 2
+        mdp = write_doc(tmp_path / "m.json",
+                        {**instant_shutdown_doc(), "actions": ["a0"],
+                         "transitions": [[[0.0, 1.0]], [[0.0, 1.0]]],
+                         "rewards": [[0.0], [0.0]],
+                         "embedding": [[0.0], [1.0]]})
+        assert main(["onpolicy", mdp, str(policy)]) == 0
+        for text in ('{"weights": [[NaN]], "temperature": 1.0}',
+                     '{"weights": [[1e400]], "temperature": 1.0}',
+                     '{"weights": [[0.0]], "temperature": 1e400}'):
+            policy.write_text(text)
+            assert main(["onpolicy", mdp, str(policy)]) == 2
+        policy.write_text('{"weights": [[0.0]], "temperature": 1.0}')
+        overflow = tmp_path / "overflow.json"
+        overflow.write_text((tmp_path / "m.json").read_text().replace(
+            '"embedding": [[0.0]', '"embedding": [[1e400]'))
+        assert main(["onpolicy", str(overflow), str(policy)]) == 2
+
+
+class TestNoVacuousVerdict:
+    def test_frontier_epsilon_with_no_member_exits_2(self, tmp_path):
+        path = write_doc(tmp_path / "m.json", hibernation_doc())
+        assert main(["frontier", path, "--sizes", "0.1"]) == 0
+        assert main(["frontier", path, "--sizes", "0,0.1"]) == 2
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from helpers import best_value_by_enumeration, random_mdp
 from mdp_stability import (MdpSpec, Policy, dump_mdp, greedy_policy,
                            induce_chain, load_mdp, mdp_to_document,
                            policy_evaluation, validate, value_iteration)
+from mdp_stability.mdp import read_document
 
 
 def two_state_mdp():
@@ -45,6 +48,23 @@ class TestValidate:
                       np.zeros((2, 1)), 1.5, set())
         codes = {v.code for v in validate(bad).violations}
         assert "duplicate-state-ids" in codes and "discount" in codes
+
+    def test_non_finite_entries_located(self):
+        P = np.array([[[math.nan, 1.0], [1.0, 0.0]],
+                      [[0.0, 1.0], [0.0, 1.0]]])
+        r = np.array([[math.inf, 0.0], [0.0, -math.inf]])
+        bad = MdpSpec(("s0", "s1"), ("a0", "a1"), P, r, 0.9, {1})
+        found = [v for v in validate(bad).violations
+                 if v.code == "non-finite"]
+        assert [v.location for v in found] == [(0, 0, 0), (0, 0), (1, 1)]
+
+    def test_non_finite_discount(self):
+        mdp = two_state_mdp()
+        for discount in (math.nan, math.inf):
+            bad = MdpSpec(mdp.state_ids, mdp.action_ids, mdp.transition,
+                          mdp.reward, discount, mdp.safe_set)
+            codes = [v.code for v in validate(bad).violations]
+            assert codes == ["non-finite"]
 
 
 class TestInduceChain:
@@ -183,6 +203,22 @@ class TestJsonDocuments:
         doc = mdp_to_document(two_state_mdp())
         doc["transitions"][0][0] = [0.5, 0.4]
         with pytest.raises(ValueError, match="row-sum"):
+            load_mdp(doc)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected(self, literal):
+        text = io.StringIO(json.dumps(mdp_to_document(two_state_mdp()))
+                           .replace("0.9", literal))
+        with pytest.raises(ValueError, match="non-finite literal"):
+            read_document(text)
+        text.seek(0)
+        with pytest.raises(ValueError, match="non-finite literal"):
+            load_mdp(text)
+
+    def test_overflowing_number_fails_validation(self):
+        doc = mdp_to_document(two_state_mdp())
+        doc["rewards"][0][0] = 1e400  # what json makes of "1e400"
+        with pytest.raises(ValueError, match="non-finite"):
             load_mdp(doc)
 
     def test_unknown_safe_state_rejected(self):

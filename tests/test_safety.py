@@ -9,7 +9,7 @@ from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            certify_safety, enumerate_epsilon_optimal,
                            expected_steps, greedy_policy, hitting_time,
                            induce_chain, safety_frontier, value_iteration,
-                           verify_stability_instance)
+                           ValueFunction, verify_stability_instance)
 
 
 def chain_single(p_absorb):
@@ -187,6 +187,18 @@ class TestCertify:
         clear = certify_safety(mdp, SafetyQuery(0.5))
         assert clear.boundary_count == 0
 
+    def test_empty_membership_raises_instead_of_reading_safe(self,
+                                                             monkeypatch):
+        # An optimal-value estimate above every policy's value leaves no
+        # eps-optimal policy; the certificate used to read "safe" with
+        # worst time 0 over no policy at all.
+        from mdp_stability import safety
+        mdp = random_mdp(2, n_states=3)
+        high = ValueFunction(value_iteration(mdp).values + 1.0, "optimal", 0.0)
+        monkeypatch.setattr(safety, "value_iteration", lambda *a: high)
+        with pytest.raises(ValueError, match="vacuous"):
+            certify_safety(mdp, SafetyQuery(0.5), N_values=(3,))
+
     def test_stochastic_probe_never_lowers_the_worst_time(self):
         mdp = random_mdp(3, n_states=4)
         plain = certify_safety(mdp, SafetyQuery(0.5))
@@ -272,6 +284,13 @@ class TestFrontier:
         rows = safety_frontier(mdp, np.linspace(0.05, 1.0, 6))
         times = [t for _, t in rows]
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+    def test_empty_membership_raises(self):
+        mdp = random_mdp(4, n_states=4)
+        assert len(safety_frontier(mdp, [0.1])) == 1
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="vacuous"):
+                safety_frontier(mdp, [eps, 0.1])
 
     def test_two_path_jump_located_by_bisection(self):
         mdp = two_path_mdp(slow_reward=0.7)

@@ -199,3 +199,98 @@ class TestBatchedTransport:
         cost = np.array([[0.0, 3.0], [4.0, 0.0]])
         batch = BatchedTransport([(mu, mu)])
         assert batch.values([cost])[0] == 0.0
+
+
+def drifting_problem(rng, kind):
+    """Marginals and a starting cost for one transport problem of a kind
+    that stresses plan reuse."""
+    m, n = (int(k) for k in rng.integers(2, 5, size=2))
+    if kind == "degenerate":
+        # Uniform marginals on a square with costs on a coarse grid: many
+        # optimal vertices, tied reduced costs, zero basic cells.
+        mu = nu = np.full(m, 1.0 / m)
+        return mu, nu, rng.integers(0, 3, size=(m, m)) / 2.0
+    if kind == "equal":
+        mu = rng.dirichlet(np.ones(m))
+        cost = rng.random((m, m))
+        if rng.random() < 0.5:
+            np.fill_diagonal(cost, 0.0)
+        return mu, mu, cost
+    if kind == "near-point":
+        mu = np.full(m, 1e-9)
+        mu[0] = 1.0 - (m - 1) * 1e-9
+        return mu, rng.dirichlet(np.ones(n)), rng.random((m, n))
+    if kind == "duplicated":
+        # Split support points: identical cost rows and columns.
+        rows = np.minimum(np.arange(m), m - 2)
+        cols = np.minimum(np.arange(n), n - 2)
+        cost = rng.random((m, n))[np.ix_(rows, cols)]
+        return rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)), cost
+    return rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)), \
+        rng.random((m, n))
+
+
+KINDS = ("generic", "degenerate", "equal", "near-point", "duplicated")
+
+
+class TestPlanReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+           steps=st.integers(2, 8), grid=st.booleans())
+    def test_repeated_values_match_fresh_solves(self, seed, kinds, steps,
+                                                grid):
+        rng = np.random.default_rng(seed)
+        problems = [drifting_problem(rng, kind) for kind in kinds]
+        batch = BatchedTransport([(mu, nu) for mu, nu, _ in problems])
+        costs = [cost for _, _, cost in problems]
+        for step in range(steps):
+            got = batch.values(costs)
+            for (mu, nu, _), cost, value in zip(problems, costs, got):
+                expected = solve_transport(TransportProblem(mu, nu, cost))
+                assert value == pytest.approx(expected.value, abs=1e-9)
+            # Drift like a metric iteration: nonnegative, shrinking steps,
+            # on a grid (ties persist) or continuous.
+            costs = [cost + (rng.integers(0, 2, size=cost.shape) / 4.0
+                             if grid else rng.random(cost.shape))
+                     * 0.5 ** step for cost in costs]
+        assert batch.solved + batch.reused <= steps * len(problems)
+
+    def test_small_drift_reuses_every_plan(self):
+        rng = np.random.default_rng(5)
+        pairs = [(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4)))
+                 for _ in range(6)]
+        costs = [rng.random((3, 4)) for _ in pairs]
+        batch = BatchedTransport(pairs)
+        batch.values(costs)
+        assert (batch.solved, batch.reused) == (6, 0)
+        drifted = [c + 1e-9 * rng.random(c.shape) for c in costs]
+        values = batch.values(drifted)
+        assert (batch.solved, batch.reused) == (6, 6)
+        for (mu, nu), cost, value in zip(pairs, drifted, values):
+            assert value == pytest.approx(solve_transport(
+                TransportProblem(mu, nu, cost)).value, abs=1e-12)
+
+    def test_plan_worse_by_a_hair_is_re_solved(self):
+        # The kept diagonal plan is 1e-10 worse than the anti-diagonal
+        # under the new costs: far below HiGHS's tolerances, yet the
+        # reduced-cost test must send it back to the solver.
+        half = np.array([0.5, 0.5])
+        batch = BatchedTransport([(half, half)])
+        first = batch.values([np.array([[0.1, 1.0], [1.0, 0.1]])])[0]
+        assert first == pytest.approx(0.1, abs=1e-15)
+        value = batch.values([np.array([[0.5, 0.5 - 2e-10],
+                                        [0.5, 0.5]])])[0]
+        assert (batch.solved, batch.reused) == (2, 0)
+        assert abs(value - (0.5 - 1e-10)) <= 1e-13
+
+    def test_flat_costs_match_per_problem_costs(self):
+        rng = np.random.default_rng(6)
+        pairs = [(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)))
+                 for m, n in [(1, 3), (3, 3), (2, 4), (3, 3), (4, 1)]]
+        costs = [rng.random((len(mu), len(nu))) for mu, nu in pairs]
+        flat = np.concatenate([c.ravel() for c in costs])
+        np.testing.assert_array_equal(BatchedTransport(pairs).values(costs),
+                                      BatchedTransport(pairs).values(flat))
+        with pytest.raises(ValueError, match="cost entries"):
+            BatchedTransport(pairs).values(flat[:-1])
