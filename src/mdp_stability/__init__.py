@@ -10,8 +10,8 @@ from .bisim import (AlignmentResult, BisimConfig, CrossMetric,
                     metric_update)
 from .mdp import (InducedChain, MdpSpec, Policy, ValidationReport,
                   ValueFunction, dump_mdp, greedy_policy, induce_chain,
-                  load_mdp, mdp_to_document, policy_evaluation, validate,
-                  value_iteration)
+                  load_mdp, mdp_from_document, mdp_to_document,
+                  policy_evaluation, validate, value_iteration)
 from .onpolicy import (DiffPolicy, EmbeddedMdp, OnPolicyAnalysis,
                        Perturbation, PerturbationBoundReport, RateReport,
                        analyze_chain, apply_perturbation,

@@ -22,7 +22,8 @@ from . import __version__
 from .bisim import (BisimConfig, NonConvergence, align_reward_scale,
                     bisim_quotient, cross_bisim_metric, hausdorff_distance)
 from .mdp import (MdpSpec, greedy_policy, induce_chain, load_mdp,
-                  mdp_to_document, read_document, validate, value_iteration)
+                  mdp_from_document, mdp_to_document, validate,
+                  value_iteration)
 from .onpolicy import (analyze_chain, embedded_to_document, load_embedded,
                        load_toy_policy, rate_of_decrease_check)
 from .safety import (SafetyQuery, StartDistribution, certify_safety,
@@ -112,12 +113,8 @@ def _emit(args, document, csv_table=None):
         sys.stdout.write(text)
 
 
-def _load_mdp_or_embedded(path) -> MdpSpec:
-    doc = read_document(path)
-    doc.pop("embedding", None)
-    doc.pop("side_info", None)
-    doc.pop("generator", None)
-    return load_mdp(doc)
+# A name only, kept for the wrap point in perfbench/tracing.py.
+_load_mdp_or_embedded = load_mdp
 
 
 def _config_from(args, mdp: MdpSpec) -> BisimConfig:
@@ -133,25 +130,7 @@ def _parse_sizes(text):
 # -- command handlers -----------------------------------------------------------
 
 def cmd_validate(args):
-    doc = read_document(args.path)
-    try:
-        for key in ("states", "actions", "transitions", "discount", "safe"):
-            if key not in doc:
-                raise ValueError(f"document missing {key!r}")
-        if ("rewards" in doc) == ("rewards_sas" in doc):
-            raise ValueError("exactly one of rewards/rewards_sas required")
-        states = doc["states"]
-        safe = frozenset(states.index(s) for s in doc["safe"])
-        if "rewards" in doc:
-            mdp = MdpSpec(states, doc["actions"], doc["transitions"],
-                          doc["rewards"], float(doc["discount"]), safe)
-        else:
-            mdp = MdpSpec.from_sas_rewards(states, doc["actions"],
-                                           doc["transitions"],
-                                           doc["rewards_sas"],
-                                           float(doc["discount"]), safe)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"unparseable MDP document: {exc}") from exc
+    mdp = mdp_from_document(args.path)
     report = validate(mdp)
     document = {"valid": report.ok,
                 "violations": [str(v) for v in report.violations]}
@@ -161,8 +140,8 @@ def cmd_validate(args):
 
 
 def cmd_bisim(args):
-    m1 = _load_mdp_or_embedded(args.path1)
-    m2 = _load_mdp_or_embedded(args.path2)
+    m1 = load_mdp(args.path1)
+    m2 = load_mdp(args.path2)
     metric = cross_bisim_metric(m1, m2, _config_from(args, m1))
     document = metric.to_document()
     document["converged"] = metric.converged
@@ -176,8 +155,8 @@ def cmd_bisim(args):
 
 
 def cmd_align(args):
-    m1 = _load_mdp_or_embedded(args.path1)
-    m2 = _load_mdp_or_embedded(args.path2)
+    m1 = load_mdp(args.path1)
+    m2 = load_mdp(args.path2)
     result = align_reward_scale(m1, m2, _config_from(args, m1),
                                 grid=args.grid)
     document = {
@@ -192,7 +171,7 @@ def cmd_align(args):
 
 
 def cmd_quotient(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     result = bisim_quotient(mdp, merge_tol=args.tol)
     document = {
         "classes": [[mdp.state_ids[s] for s in members]
@@ -206,7 +185,7 @@ def cmd_quotient(args):
 
 
 def cmd_certify(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     start = None
     if args.start is not None:
         start = StartDistribution.point_mass(mdp.n_states,
@@ -226,7 +205,7 @@ def cmd_certify(args):
 
 
 def cmd_frontier(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     if args.sizes:
         epsilons = _parse_sizes(args.sizes)
     else:
@@ -244,7 +223,7 @@ def cmd_frontier(args):
 
 
 def cmd_hitting_time(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     policy = greedy_policy(mdp, value_iteration(mdp))
     chain = induce_chain(mdp, policy)
     t = expected_steps(chain)
@@ -269,7 +248,7 @@ def cmd_hitting_time(args):
 
 
 def cmd_playing_dead(args):
-    base = _load_mdp_or_embedded(args.path)
+    base = load_mdp(args.path)
     params = PlayingDeadParams(
         base=base, delta=args.delta,
         escape_state=base.state_index(args.escape_state),
@@ -281,7 +260,7 @@ def cmd_playing_dead(args):
 
 
 def cmd_uniform_shutdown(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     target = mdp.state_index(args.target) if args.target else None
     out = build_uniform_shutdown(mdp, args.big_n, target=target)
     _emit(args, mdp_to_document(out))
@@ -289,7 +268,7 @@ def cmd_uniform_shutdown(args):
 
 
 def cmd_duplicate(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     out = build_duplicated(mdp, mdp.state_index(args.state),
                            copies=args.copies)
     _emit(args, mdp_to_document(out))
@@ -358,7 +337,7 @@ def cmd_onpolicy_sweep(args):
 
 
 def cmd_stability_experiment(args):
-    mdp = _load_mdp_or_embedded(args.path)
+    mdp = load_mdp(args.path)
     config = _config_from(args, mdp)
     sizes = sorted(_parse_sizes(args.sizes)) if args.sizes \
         else [0.0, 1e-4, 1e-3, 1e-2, 1e-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "policy_evaluation",
     "greedy_policy",
     "load_mdp",
+    "mdp_from_document",
     "mdp_to_document",
     "dump_mdp",
 ]
@@ -296,7 +298,8 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10,
     """Optimal values V* by value iteration.
 
     Stops when a sweep changes the values by less than tol*(1-g)/(2g), which
-    guarantees a sup-norm error below ``tol``.
+    guarantees a sup-norm error below ``tol``.  A sweep whose change is not
+    finite (NaN or infinite rewards or transitions) raises ValueError.
     """
     if not 0.0 < mdp.discount < 1.0:
         raise ValueError("value iteration requires discount in (0,1)")
@@ -311,10 +314,24 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10,
         q = r + g * np.einsum("sat,t->sa", P, v)
         v_new = q.max(axis=1)
         change = float(np.max(np.abs(v_new - v)))
+        if not math.isfinite(change):
+            raise ValueError(f"value iteration: non-finite change {change!r}")
         v = v_new
         if change < threshold:
             break
     return ValueFunction(v, "optimal", change)
+
+
+def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mask of the states with a path (possibly empty) along the boolean
+    adjacency matrix ``adj`` into the states of the mask ``target``."""
+    steps = adj.astype(float)
+    reach = np.array(target, dtype=bool)
+    while True:
+        grown = reach | (steps @ reach > 0)
+        if not np.any(grown & ~reach):
+            return reach
+        reach = grown
 
 
 def policy_evaluation(mdp: MdpSpec, policy: Policy) -> ValueFunction:
@@ -349,42 +366,68 @@ def _reject_literal(name):
 
 
 def read_document(source) -> dict:
-    """A JSON document from a path, a file object, or an already parsed
-    dict.  The NaN and Infinity literals, which Python's json module
+    """A JSON object from a path, a file object, or an already parsed
+    document.  The NaN and Infinity literals, which Python's json module
     accepts, are rejected."""
-    if isinstance(source, dict):
-        return source
     if hasattr(source, "read"):
-        return json.load(source, parse_constant=_reject_literal)
-    with open(source) as fh:
-        return json.load(fh, parse_constant=_reject_literal)
+        source = json.load(source, parse_constant=_reject_literal)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            source = json.load(fh, parse_constant=_reject_literal)
+    if not isinstance(source, dict):
+        raise ValueError(f"a JSON document must be an object at top level, "
+                         f"not {type(source).__name__}")
+    return source
 
 
-def load_mdp(source) -> MdpSpec:
-    """Read the JSON MDP document (path, file object, or parsed dict).
+def document_field(doc: dict, key: str, types, dtype=None):
+    """``doc[key]``, which must be present and an instance of ``types``
+    (never a boolean); with ``dtype``, as an array of it."""
+    value = doc.get(key)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"document field {key!r} is missing or of type "
+                         f"{type(value).__name__}")
+    try:
+        return value if dtype is None else np.array(value, dtype=dtype)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"document field {key!r}: {exc}") from exc
+
+
+def mdp_from_document(source) -> MdpSpec:
+    """The MDP of a JSON document (see :func:`read_document`), not yet
+    validated; the inverse of :func:`mdp_to_document`.
 
     Schema: {"states": [...], "actions": [...], "transitions": [[[...]]],
     "rewards": [[...]] or "rewards_sas": [[[...]]] (mutually exclusive),
-    "discount": g, "safe": [state ids]}.  The document must validate.
+    "discount": g, "safe": [state ids]}; other keys are ignored.  A
+    document of another structure raises ValueError.
     """
     doc = read_document(source)
-    for key in ("states", "actions", "transitions", "discount", "safe"):
-        if key not in doc:
-            raise ValueError(f"MDP document missing {key!r}")
     if ("rewards" in doc) == ("rewards_sas" in doc):
         raise ValueError("exactly one of 'rewards'/'rewards_sas' is required")
-    states, actions = doc["states"], doc["actions"]
-    for s in doc["safe"]:
+    states = document_field(doc, "states", list)
+    actions = document_field(doc, "actions", list)
+    if any(isinstance(i, (list, dict)) for i in states + actions):
+        raise ValueError("state and action ids must be strings or numbers")
+    safe_ids = document_field(doc, "safe", list)
+    for s in safe_ids:
         if s not in states:
             raise ValueError(f"safe state {s!r} not among states")
-    safe = frozenset(states.index(s) for s in doc["safe"])
+    safe = frozenset(states.index(s) for s in safe_ids)
+    discount = float(document_field(doc, "discount", (int, float), float))
+    transitions = document_field(doc, "transitions", list, float)
     if "rewards" in doc:
-        mdp = MdpSpec(states, actions, doc["transitions"], doc["rewards"],
-                      float(doc["discount"]), safe)
-    else:
-        mdp = MdpSpec.from_sas_rewards(states, actions, doc["transitions"],
-                                       doc["rewards_sas"],
-                                       float(doc["discount"]), safe)
+        return MdpSpec(states, actions, transitions,
+                       document_field(doc, "rewards", list, float),
+                       discount, safe)
+    return MdpSpec.from_sas_rewards(
+        states, actions, transitions,
+        document_field(doc, "rewards_sas", list, float), discount, safe)
+
+
+def load_mdp(source) -> MdpSpec:
+    """:func:`mdp_from_document`, which must also validate."""
+    mdp = mdp_from_document(source)
     report = validate(mdp)
     if not report.ok:
         raise ValueError(f"MDP document fails validation: {report}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, read_document, validate
+from .mdp import (MdpSpec, can_reach, document_field, load_mdp,
+                  mdp_to_document, read_document, validate)
 from .safety import StartDistribution
 
 __all__ = [
@@ -152,17 +153,10 @@ def transient_set(P: np.ndarray, safe) -> frozenset:
     """Non-safe states from which the safe set is reachable with positive
     probability (entries below the support cutoff count as zero)."""
     P = np.asarray(P, dtype=float)
-    n = P.shape[0]
     safe = frozenset(int(s) for s in safe)
-    mask = np.zeros(n, dtype=bool)
-    mask[list(safe)] = True
-    adj = P > SUPPORT_TOL
-    reach = mask.copy()
-    changed = True
-    while changed:
-        grown = reach | (adj.astype(int) @ reach.astype(int) > 0)
-        changed = bool(np.any(grown & ~reach))
-        reach = grown
+    target = np.zeros(P.shape[0], dtype=bool)
+    target[list(safe)] = True
+    reach = can_reach(P > SUPPORT_TOL, target)
     return frozenset(int(i) for i in np.nonzero(reach)[0] if i not in safe)
 
 
@@ -584,7 +578,6 @@ def tighten_policy_bound(policy: DiffPolicy, points) -> DiffPolicy:
 # -- JSON documents ------------------------------------------------------------
 
 def embedded_to_document(emdp: EmbeddedMdp) -> dict:
-    from .mdp import mdp_to_document
     doc = mdp_to_document(emdp.base)
     doc["embedding"] = emdp.embedding.tolist()
     if emdp.side_info is not None:
@@ -593,13 +586,13 @@ def embedded_to_document(emdp: EmbeddedMdp) -> dict:
 
 
 def load_embedded(source) -> EmbeddedMdp:
-    from .mdp import load_mdp
+    """An MDP document with "embedding" and optional "side_info" lists."""
     doc = read_document(source)
-    if "embedding" not in doc:
-        raise ValueError("embedded MDP document missing 'embedding'")
-    base = load_mdp({k: v for k, v in doc.items()
-                     if k not in ("embedding", "side_info", "generator")})
-    return EmbeddedMdp(base, doc["embedding"], doc.get("side_info"))
+    embedding = document_field(doc, "embedding", list, float)
+    side_info = doc.get("side_info")
+    if side_info is not None and not isinstance(side_info, list):
+        raise ValueError("document field 'side_info' must be a list")
+    return EmbeddedMdp(load_mdp(doc), embedding, side_info)
 
 
 def toy_policy_to_document(weights, temperature) -> dict:
@@ -608,5 +601,8 @@ def toy_policy_to_document(weights, temperature) -> dict:
 
 
 def load_toy_policy(source) -> DiffPolicy:
+    """A {"weights": [[...]], "temperature": t} document."""
     doc = read_document(source)
-    return make_toy_policy(doc["weights"], doc["temperature"])
+    return make_toy_policy(
+        document_field(doc, "weights", list, float),
+        float(document_field(doc, "temperature", (int, float), float)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
-from .mdp import (InducedChain, MdpSpec, Policy, induce_chain,
+from .mdp import (InducedChain, MdpSpec, Policy, can_reach, induce_chain,
                   policy_evaluation, value_iteration)
 
 __all__ = [
@@ -87,17 +87,6 @@ class SafetyQuery:
             raise ValueError("epsilon must exceed 10 * value_tol")
 
 
-def _closure(adj: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """States with a path (possibly empty) along ``adj`` into ``seed``."""
-    mask = seed.copy()
-    changed = True
-    while changed:
-        grown = mask | (adj.astype(int) @ mask.astype(int) > 0)
-        changed = bool(np.any(grown & ~mask))
-        mask = grown
-    return mask
-
-
 def expected_steps(chain: InducedChain) -> np.ndarray:
     """Expected number of steps to absorption from each chain state.
 
@@ -110,10 +99,10 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
     adj = chain.Q > 0
-    can_absorb = _closure(adj, chain.absorb > 0)
+    can_absorb = can_reach(adj, chain.absorb > 0)
     # States with a path into the non-absorbing region have infinite
     # expectation too.
-    touches_bad = _closure(adj, ~can_absorb)
+    touches_bad = can_reach(adj, ~can_absorb)
     fin = np.nonzero(~touches_bad)[0]
     t = np.full(n, math.inf)
     if len(fin):
@@ -159,25 +148,39 @@ def _policy_grid(mdp: MdpSpec):
         yield Policy.deterministic(actions)
 
 
-def _enumeration_size(mdp: MdpSpec) -> int:
-    return mdp.n_actions ** len(mdp.nonsafe_indices)
+def _policy_table(mdp: MdpSpec, value_tol: float, cap: int):
+    """(loss, rows): ``loss(policy)`` is the value loss
+    max_s V*(s) - V^pi(s), and ``rows`` walks every policy of
+    :func:`_policy_grid` once as (policy, loss).  A policy is eps-optimal
+    exactly when its loss is below eps."""
+    size = mdp.n_actions ** len(mdp.nonsafe_indices)
+    if size > cap:
+        raise ValueError(f"{size} deterministic policies exceed the "
+                         f"enumeration cap {cap}; use a smaller instance")
+    v_star = value_iteration(mdp, value_tol).values
+
+    def loss(policy):
+        return float(np.max(v_star - policy_evaluation(mdp, policy).values))
+
+    return loss, ((policy, loss(policy)) for policy in _policy_grid(mdp))
+
+
+def _charged_time(mdp: MdpSpec, policy: Policy, start):
+    """(charged hitting time, expected steps per chain state) of a policy;
+    a ``start`` of None charges the slowest non-safe starting state."""
+    chain = induce_chain(mdp, policy)
+    t = expected_steps(chain)
+    if start is not None:
+        return hitting_time(chain, start), t
+    return (float(np.max(t)) if len(t) else 0.0), t
 
 
 def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery,
                               cap: int = 10 ** 6) -> list:
-    """Every deterministic stationary policy whose exact values satisfy
-    V(s) > V*(s) - epsilon at all states."""
-    if _enumeration_size(mdp) > cap:
-        raise ValueError(
-            f"{_enumeration_size(mdp)} deterministic policies exceed the "
-            f"enumeration cap {cap}; use a smaller instance")
-    v_star = value_iteration(mdp, query.value_tol).values
-    members = []
-    for policy in _policy_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
-        if np.all(v > v_star - query.epsilon):
-            members.append(policy)
-    return members
+    """Every deterministic stationary policy whose exact value loss
+    max_s V*(s) - V(s) is below epsilon."""
+    _, rows = _policy_table(mdp, query.value_tol, cap)
+    return [policy for policy, loss in rows if loss < query.epsilon]
 
 
 @dataclass(frozen=True)
@@ -232,41 +235,22 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
     time.  When no policy is eps-optimal, a ValueError is raised rather
     than a vacuous "safe".
     """
-    if _enumeration_size(mdp) > cap:
-        raise ValueError(
-            f"{_enumeration_size(mdp)} deterministic policies exceed the "
-            f"enumeration cap {cap}; use a smaller instance")
-    v_star = value_iteration(mdp, query.value_tol).values
-    members, boundary = [], 0
-    for policy in _policy_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
-        margin = np.min(v - v_star + query.epsilon)
-        if abs(margin) < 10.0 * query.value_tol:
+    loss, rows = _policy_table(mdp, query.value_tol, cap)
+    worst_time, worst_policy, worst_times = -math.inf, None, np.zeros(0)
+    members, reachability, boundary = [], [], 0
+    for policy, policy_loss in rows:
+        if abs(query.epsilon - policy_loss) < 10.0 * query.value_tol:
             boundary += 1
-        if margin > 0:
+        if policy_loss < query.epsilon:
             members.append(policy)
+            time, t_vec = _charged_time(mdp, policy, query.start)
+            reachability.append(bool(np.all(np.isfinite(t_vec))))
+            if time > worst_time:
+                worst_time, worst_policy, worst_times = time, policy, t_vec
     if not members:
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
             f"verdict over an empty set would be vacuous")
-
-    def policy_time(policy):
-        chain = induce_chain(mdp, policy)
-        t = expected_steps(chain)
-        if query.start is None:
-            worst = float(np.max(t)) if len(t) else 0.0
-        else:
-            worst = hitting_time(chain, query.start)
-        return worst, t, bool(np.all(np.isfinite(t)))
-
-    worst_time, worst_policy = -math.inf, None
-    worst_times = np.zeros(0)
-    reachability = []
-    for policy in members:
-        time, t_vec, reaches = policy_time(policy)
-        reachability.append(reaches)
-        if time > worst_time:
-            worst_time, worst_policy, worst_times = time, policy, t_vec
 
     if stochastic_probe and len(members) >= 2:
         rng = np.random.default_rng(seed)
@@ -277,10 +261,9 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
             mix = (lam * members[pa].matrix(n_a)
                    + (1.0 - lam) * members[pb].matrix(n_a))
             policy = Policy.stochastic(mix)
-            v = policy_evaluation(mdp, policy).values
-            if not np.all(v > v_star - query.epsilon):
+            if not loss(policy) < query.epsilon:
                 continue
-            time, t_vec, _ = policy_time(policy)
+            time, t_vec = _charged_time(mdp, policy, query.start)
             if time > worst_time:
                 worst_time, worst_policy, worst_times = time, policy, t_vec
 
@@ -356,26 +339,24 @@ def safety_frontier(mdp: MdpSpec, epsilons, value_tol: float = 1e-10,
                     cap: int = 10 ** 6) -> list:
     """Worst-case hitting time as a function of epsilon.
 
-    Every deterministic policy is evaluated once; each epsilon then reads
-    off the maximum over its membership set, so the frontier is monotone
-    nondecreasing by construction of the sets themselves.  An epsilon whose
-    membership set is empty raises ValueError.
+    Every deterministic policy is evaluated once, and hitting times are
+    computed for the policies eps-optimal at the largest epsilon; each
+    epsilon then reads off the maximum over its membership set, so the
+    frontier is monotone nondecreasing by construction of the sets
+    themselves.  An epsilon whose membership set is empty raises
+    ValueError.
     """
-    if _enumeration_size(mdp) > cap:
-        raise ValueError("enumeration cap exceeded")
-    v_star = value_iteration(mdp, value_tol).values
-    evaluated = []
-    for policy in _policy_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
-        t = expected_steps(induce_chain(mdp, policy))
-        worst = float(np.max(t)) if len(t) else 0.0
-        evaluated.append((float(np.max(v_star - v)), worst))
-    rows = []
-    for eps in sorted(float(e) for e in epsilons):
+    epsilons = sorted(float(e) for e in epsilons)
+    _, rows = _policy_table(mdp, value_tol, cap)
+    top = epsilons[-1] if epsilons else -math.inf
+    evaluated = [(loss, _charged_time(mdp, policy, None)[0])
+                 for policy, loss in rows if loss < top]
+    frontier = []
+    for eps in epsilons:
         times = [worst for loss, worst in evaluated if loss < eps]
         if not times:
             raise ValueError(
                 f"no deterministic policy is {eps!r}-optimal; a frontier "
                 f"point over an empty set would be vacuous")
-        rows.append((eps, max(times)))
-    return rows
+        frontier.append((eps, max(times)))
+    return frontier

@@ -1,10 +1,13 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from mdp_stability import MdpSpec, Policy, metric_update, policy_evaluation
+from mdp_stability import (MdpSpec, Policy, expected_steps, hitting_time,
+                           induce_chain, metric_update, policy_evaluation,
+                           value_iteration)
 
 _BASIS_CACHE = {}
 
@@ -96,3 +99,67 @@ def fresh_lp_metric(m1, m2, config):
         if residual < config.residual_target:
             break
     return dist, sweeps
+
+
+# -- the per-policy safety loops, each with its own membership test ----------
+
+def _reference_grid(mdp):
+    nonsafe = mdp.nonsafe_indices
+    for combo in product(range(mdp.n_actions), repeat=len(nonsafe)):
+        actions = np.zeros(mdp.n_states, dtype=int)
+        actions[nonsafe] = combo
+        yield Policy.deterministic(actions)
+
+
+def reference_enumerate(mdp, query):
+    """Members by the per-state test V(s) > V*(s) - eps."""
+    v_star = value_iteration(mdp, query.value_tol).values
+    members = []
+    for policy in _reference_grid(mdp):
+        v = policy_evaluation(mdp, policy).values
+        if np.all(v > v_star - query.epsilon):
+            members.append(policy)
+    return members
+
+
+def reference_certify(mdp, query):
+    """Certificate fields from a membership margin min_s(V - V* + eps) > 0,
+    then one hitting-time pass over the members."""
+    v_star = value_iteration(mdp, query.value_tol).values
+    members, boundary = [], 0
+    for policy in _reference_grid(mdp):
+        v = policy_evaluation(mdp, policy).values
+        margin = np.min(v - v_star + query.epsilon)
+        if abs(margin) < 10.0 * query.value_tol:
+            boundary += 1
+        if margin > 0:
+            members.append(policy)
+    worst_time, worst_policy, reachability = -math.inf, None, []
+    for policy in members:
+        chain = induce_chain(mdp, policy)
+        t = expected_steps(chain)
+        if query.start is None:
+            time = float(np.max(t)) if len(t) else 0.0
+        else:
+            time = hitting_time(chain, query.start)
+        reachability.append(bool(np.all(np.isfinite(t))))
+        if time > worst_time:
+            worst_time, worst_policy = time, policy
+    return {"worst_time": worst_time,
+            "worst_policy": tuple(worst_policy.table),
+            "epsilon_optimal_count": len(members),
+            "boundary_count": boundary,
+            "reachability": tuple(reachability)}
+
+
+def reference_frontier(mdp, epsilons, value_tol=1e-10):
+    """Frontier rows with a hitting time computed for every policy."""
+    v_star = value_iteration(mdp, value_tol).values
+    evaluated = []
+    for policy in _reference_grid(mdp):
+        v = policy_evaluation(mdp, policy).values
+        t = expected_steps(induce_chain(mdp, policy))
+        worst = float(np.max(t)) if len(t) else 0.0
+        evaluated.append((float(np.max(v_star - v)), worst))
+    return [(eps, max(w for loss, w in evaluated if loss < eps))
+            for eps in sorted(float(e) for e in epsilons)]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_mdp
 from mdp_stability import MdpSpec, load_mdp, mdp_to_document
@@ -396,3 +398,93 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# -- malformed document structure ----------------------------------------------
+
+def embedded_doc():
+    return {**hibernation_doc(), "embedding": [[0.0], [0.5], [1.0]]}
+
+
+POLICY_DOC = {"weights": [[1.0], [-1.0]], "temperature": 1.0}
+MDP_KEYS = ("states", "actions", "transitions", "rewards", "discount", "safe")
+# Values of the wrong structure for every field they replace: numbers are
+# at most 0, which no discount or temperature may be.
+WRONG_VALUES = st.one_of(
+    st.none(), st.text(max_size=4), st.integers(max_value=0),
+    st.floats(max_value=0.0),
+    st.lists(st.lists(st.text("xyz", min_size=1, max_size=2), min_size=1,
+                      max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+NON_OBJECTS = st.one_of(st.none(), st.text(max_size=4), st.integers(),
+                        st.lists(st.integers(), max_size=3))
+
+
+def mutations(keys):
+    """A function that turns a valid document into a malformed one: a
+    required key dropped, one set to a value of the wrong structure, or a
+    top level that is not an object."""
+    drop = st.sampled_from(keys).map(
+        lambda k: lambda doc: {x: v for x, v in doc.items() if x != k})
+    replace = st.tuples(st.sampled_from(keys), WRONG_VALUES).map(
+        lambda kv: lambda doc: {**doc, kv[0]: kv[1]})
+    top = NON_OBJECTS.map(lambda value: lambda doc: value)
+    return st.one_of(drop, replace, top)
+
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestMalformedDocuments:
+    """Every command answers a malformed document with exit 2 (validate
+    may also report it invalid with exit 1); none raises."""
+
+    @FUZZ
+    @given(mutate=mutations(MDP_KEYS))
+    def test_mdp_document(self, tmp_path, capsys, mutate):
+        bad = write_doc(tmp_path / "bad.json", mutate(embedded_doc()))
+        good = write_doc(tmp_path / "good.json", embedded_doc())
+        policy = write_doc(tmp_path / "policy.json", POLICY_DOC)
+        assert main(["validate", bad]) in (1, 2)
+        assert main(["certify", bad, "--epsilon", "0.5"]) == 2
+        assert main(["bisim", good, bad]) == 2
+        assert main(["onpolicy", bad, policy]) == 2
+        capsys.readouterr()
+
+    @FUZZ
+    @given(mutate_embedding=mutations(("embedding",)),
+           mutate_policy=mutations(("weights", "temperature")))
+    def test_onpolicy_documents(self, tmp_path, capsys, mutate_embedding,
+                                mutate_policy):
+        good = write_doc(tmp_path / "good.json", embedded_doc())
+        policy = write_doc(tmp_path / "policy.json", POLICY_DOC)
+        bad = write_doc(tmp_path / "bad.json", mutate_embedding(
+            embedded_doc()))
+        bad_policy = write_doc(tmp_path / "bad_policy.json",
+                               mutate_policy(POLICY_DOC))
+        assert main(["onpolicy", bad, policy]) == 2
+        assert main(["onpolicy", good, bad_policy]) == 2
+        capsys.readouterr()
+
+    def test_valid_documents_pass(self, tmp_path, capsys):
+        good = write_doc(tmp_path / "good.json", embedded_doc())
+        policy = write_doc(tmp_path / "policy.json", POLICY_DOC)
+        assert main(["validate", good]) == 0
+        assert main(["certify", good, "--epsilon", "0.5"]) == 0
+        assert main(["onpolicy", good, policy]) == 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("discount", None), ("states", 5), ("safe", {"a": 1})])
+    def test_reported_cases(self, tmp_path, field, value):
+        bad = write_doc(tmp_path / "bad.json",
+                        {**instant_shutdown_doc(), field: value})
+        assert main(["validate", bad]) == 2
+        assert main(["certify", bad, "--epsilon", "0.5"]) == 2
+
+    def test_reported_top_level_list_and_missing_temperature(self, tmp_path):
+        good = write_doc(tmp_path / "good.json", embedded_doc())
+        listed = write_doc(tmp_path / "list.json", [instant_shutdown_doc()])
+        policy = write_doc(tmp_path / "policy.json", {"weights": [[1.0]]})
+        assert main(["certify", listed, "--epsilon", "0.5"]) == 2
+        assert main(["onpolicy", good, policy]) == 2

@@ -7,8 +7,9 @@ import pytest
 
 from helpers import best_value_by_enumeration, random_mdp
 from mdp_stability import (MdpSpec, Policy, dump_mdp, greedy_policy,
-                           induce_chain, load_mdp, mdp_to_document,
-                           policy_evaluation, validate, value_iteration)
+                           induce_chain, load_mdp, mdp_from_document,
+                           mdp_to_document, policy_evaluation, validate,
+                           value_iteration)
 from mdp_stability.mdp import read_document
 
 
@@ -220,6 +221,39 @@ class TestJsonDocuments:
         doc["rewards"][0][0] = 1e400  # what json makes of "1e400"
         with pytest.raises(ValueError, match="non-finite"):
             load_mdp(doc)
+
+    def test_from_document_inverts_to_document_without_validating(self):
+        mdp = two_state_mdp()
+        back = mdp_from_document(mdp_to_document(mdp))
+        assert (back.state_ids, back.action_ids, back.discount,
+                back.safe_set) == (mdp.state_ids, mdp.action_ids,
+                                   mdp.discount, mdp.safe_set)
+        assert np.array_equal(back.transition, mdp.transition)
+        assert np.array_equal(back.reward, mdp.reward)
+        doc = mdp_to_document(mdp)
+        doc["transitions"][0][0] = [0.5, 0.4]
+        assert not validate(mdp_from_document(doc)).ok
+
+    @pytest.mark.parametrize("field,value", [
+        ("states", "s0"), ("transitions", {"a": 1}), ("rewards", [[{}]]),
+        ("discount", "0.9"), ("discount", 10 ** 400), ("safe", None),
+        ("actions", [["a0"]])])
+    def test_wrong_structure_is_a_value_error(self, field, value):
+        doc = {**mdp_to_document(two_state_mdp()), field: value}
+        with pytest.raises(ValueError):
+            mdp_from_document(doc)
+
+    @pytest.mark.parametrize("source", [[1, 2], io.StringIO("[1, 2]")])
+    def test_top_level_must_be_an_object(self, source):
+        with pytest.raises(ValueError, match="object"):
+            mdp_from_document(source)
+
+    def test_non_finite_sweep_stops_value_iteration(self):
+        mdp = two_state_mdp()
+        reward = mdp.reward.copy()
+        reward[0, 0] = math.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            value_iteration(mdp.with_rewards(reward))
 
     def test_unknown_safe_state_rejected(self):
         doc = mdp_to_document(two_state_mdp())

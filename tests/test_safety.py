@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_mdp
+from helpers import (random_mdp, reference_certify, reference_enumerate,
+                     reference_frontier)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            SafetyQuery, StartDistribution, build_duplicated,
                            certify_safety, enumerate_epsilon_optimal,
                            expected_steps, greedy_policy, hitting_time,
-                           induce_chain, safety_frontier, value_iteration,
-                           ValueFunction, verify_stability_instance)
+                           induce_chain, policy_evaluation, safety_frontier,
+                           value_iteration, ValueFunction,
+                           verify_stability_instance)
 
 
 def chain_single(p_absorb):
@@ -308,3 +310,100 @@ class TestFrontier:
         assert hi == pytest.approx(gap, abs=1e-6)
         # The jump is from the corridor walk (3 steps) vs direct exit.
         assert safety_frontier(mdp, [gap + 0.01])[0][1] == pytest.approx(3.0)
+
+
+def sparse_mdp(seed, n_states=5, n_actions=2):
+    """Each action moves to one or two random states, so some policies
+    cycle among non-safe states forever; the last state is safe."""
+    rng = np.random.default_rng(seed)
+    P = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states - 1):
+        for a in range(n_actions):
+            targets = rng.choice(n_states, size=rng.integers(1, 3),
+                                 replace=False)
+            P[s, a, targets] = rng.dirichlet(np.ones(len(targets)))
+    P[-1, :, -1] = 1.0
+    r = rng.random((n_states, n_actions))
+    r[-1] = 0.0
+    return MdpSpec(tuple(f"s{i}" for i in range(n_states)),
+                   tuple(f"a{j}" for j in range(n_actions)), P, r, 0.9,
+                   {n_states - 1})
+
+
+def boundary_mdp():
+    # The inferior action loses exactly 0.4 of value.
+    return MdpSpec(("s0", "safe"), ("good", "meh"),
+                   [[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]],
+                   [[1.0, 0.6], [0.0, 0.0]], 0.9, {1})
+
+
+ORACLE_CASES = (
+    [(f"dense{seed}", random_mdp(seed, n_states=5, n_actions=2), eps)
+     for seed in (1, 2) for eps in (0.05, 0.3, 1.0)]
+    + [(f"dense3x{seed}", random_mdp(seed, n_states=4, n_actions=3), 0.2)
+       for seed in (3, 4)]
+    + [(f"sparse{seed}", sparse_mdp(seed), eps)
+       for seed in range(6) for eps in (0.1, 0.5, 2.0)]
+    + [("boundary", boundary_mdp(), 0.4),
+       ("inside-band", boundary_mdp(), 0.4 + 5e-10),
+       ("two-path", two_path_mdp(), 0.3)]
+)
+
+
+class TestPolicyTableOracle:
+    """The one policy table against the per-policy loops it replaced
+    (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("name,mdp,eps", ORACLE_CASES,
+                             ids=[c[0] + f"-{c[2]}" for c in ORACLE_CASES])
+    @pytest.mark.parametrize("start", [None, "s0"])
+    def test_certificate_matches_reference(self, name, mdp, eps, start):
+        if start is not None:
+            start = StartDistribution.point_mass(mdp.n_states, 0)
+        query = SafetyQuery(eps, start)
+        ref = reference_certify(mdp, query)
+        cert = certify_safety(mdp, query)
+        assert cert.worst_time == ref["worst_time"]
+        assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+        assert cert.epsilon_optimal_count == ref["epsilon_optimal_count"]
+        assert cert.boundary_count == ref["boundary_count"]
+        assert cert.reachability == ref["reachability"]
+        assert len(enumerate_epsilon_optimal(mdp, query)) \
+            == cert.epsilon_optimal_count
+
+    @pytest.mark.parametrize("name,mdp,eps", ORACLE_CASES,
+                             ids=[c[0] + f"-{c[2]}" for c in ORACLE_CASES])
+    def test_frontier_matches_reference(self, name, mdp, eps):
+        epsilons = [eps * k for k in (0.5, 0.25, 2.0, 1.0)]
+        assert safety_frontier(mdp, epsilons) \
+            == reference_frontier(mdp, epsilons)
+
+    @pytest.mark.parametrize("name,mdp,eps", ORACLE_CASES,
+                             ids=[c[0] + f"-{c[2]}" for c in ORACLE_CASES])
+    def test_enumeration_differs_only_inside_the_boundary_band(self, name,
+                                                              mdp, eps):
+        query = SafetyQuery(eps)
+        new = {tuple(p.table) for p in enumerate_epsilon_optimal(mdp, query)}
+        old = {tuple(p.table) for p in reference_enumerate(mdp, query)}
+        v_star = value_iteration(mdp, query.value_tol).values
+        for table in new ^ old:
+            v = policy_evaluation(mdp, Policy.deterministic(table)).values
+            assert abs(float(np.max(v_star - v)) - eps) \
+                < 10.0 * query.value_tol
+
+    def test_cases_cover_infinite_times_and_the_boundary_band(self):
+        certs = [certify_safety(mdp, SafetyQuery(eps))
+                 for _, mdp, eps in ORACLE_CASES]
+        assert any(math.isinf(c.worst_time) for c in certs)
+        assert any(math.isfinite(c.worst_time) for c in certs)
+        assert any(not all(c.reachability) and any(c.reachability)
+                   for c in certs)
+        assert sum(c.boundary_count for c in certs) >= 3
+
+
+def test_nan_reward_stops_value_iteration_at_the_first_sweep():
+    mdp = random_mdp(1, n_states=4)
+    reward = mdp.reward.copy()
+    reward[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        certify_safety(mdp.with_rewards(reward), SafetyQuery(0.5))
