@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .mdp import MdpSpec
+from .mdp import MdpSpec, _frozen, validate
 from .transport import BatchedTransport
 
 __all__ = [
@@ -60,10 +60,12 @@ class BisimConfig:
     def __post_init__(self):
         if not 0.0 < self.c_T < 1.0:
             raise ValueError(f"c_T must lie in (0,1), got {self.c_T}")
-        if self.c_R <= 0:
-            raise ValueError("c_R must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.c_R < math.inf:
+            raise ValueError(f"c_R must be positive and finite, "
+                             f"got {self.c_R}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance}")
 
     @classmethod
     def for_discount(cls, gamma, tolerance=1e-6, max_iterations=10_000):
@@ -95,9 +97,7 @@ class CrossMetric:
     blocks_reused: int = 0
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "dist", _frozen(self.dist))
 
     @property
     def converged(self):
@@ -298,9 +298,7 @@ class QuotientResult:
     lift: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        lift = np.asarray(self.lift, dtype=int)
-        lift.setflags(write=False)
-        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "lift", _frozen(self.lift, dtype=int))
 
 
 def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9,
@@ -328,6 +326,14 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9,
     classes.sort(key=lambda members: members[0])
     lift = np.empty(mdp.n_states, dtype=int)
     for c, members in enumerate(classes):
+        # A state that never shuts down can sit within merge_tol of a safe
+        # one (both absorbing at zero reward); merging them would certify
+        # the non-safe state as safe.
+        if len({s in mdp.safe_set for s in members}) > 1:
+            raise ValueError(
+                f"states {[mdp.state_ids[s] for s in members]} are within "
+                f"{merge_tol!r} of each other but mix safe and non-safe "
+                f"states")
         for s in members:
             lift[s] = c
         for i in members:
@@ -362,12 +368,10 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9,
                     f"on rewards by {rgap!r}")
 
     safe_q = frozenset(int(lift[s]) for s in mdp.safe_set)
-    ids = tuple("+".join(mdp.state_ids[s] for s in members)
+    ids = tuple("+".join(str(mdp.state_ids[s]) for s in members)
                 for members in classes)
     quotient = MdpSpec(ids, mdp.action_ids, P_q, r_q, mdp.discount, safe_q)
-    from .mdp import validate
     report = validate(quotient)
     if not report.ok:
-        raise ValueError(f"quotient is not a valid MDP (mixed safe/non-safe "
-                         f"classes?): {report}")
+        raise ValueError(f"quotient is not a valid MDP: {report}")
     return QuotientResult(tuple(classes), quotient, lift)

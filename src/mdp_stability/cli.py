@@ -24,8 +24,9 @@ from .bisim import (BisimConfig, NonConvergence, align_reward_scale,
 from .mdp import (MdpSpec, greedy_policy, induce_chain, load_mdp,
                   mdp_from_document, mdp_to_document, validate,
                   value_iteration)
-from .onpolicy import (analyze_chain, embedded_to_document, load_embedded,
-                       load_toy_policy, rate_of_decrease_check)
+from .onpolicy import (Perturbation, analyze_chain, embedded_to_document,
+                       load_embedded, load_toy_policy,
+                       rate_of_decrease_check)
 from .safety import (SafetyQuery, StartDistribution, certify_safety,
                      expected_steps, safety_frontier,
                      verify_stability_instance)
@@ -124,7 +125,10 @@ def _config_from(args, mdp: MdpSpec) -> BisimConfig:
 
 
 def _parse_sizes(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite number in {text!r}")
+    return values
 
 
 # -- command handlers -----------------------------------------------------------
@@ -294,8 +298,7 @@ def cmd_onpolicy(args):
     policy = load_toy_policy(args.policy)
     if args.start is not None:
         start = StartDistribution.point_mass(
-            emdp.base.n_states, emdp.base.state_index(args.start),
-            allow_safe_support=True)
+            emdp.base.n_states, emdp.base.state_index(args.start))
     else:
         start = StartDistribution.uniform_over(
             emdp.base.n_states, emdp.base.nonsafe_indices)
@@ -317,7 +320,6 @@ def cmd_onpolicy_sweep(args):
     if args.big_n is not None:
         # One structured rung: blend a 1/N hop to safety into every row
         # (the canonical upward jump of the shutdown probability).
-        from .onpolicy import Perturbation
         modified = build_uniform_shutdown(emdp.base, args.big_n)
         pert = Perturbation(np.zeros_like(emdp.embedding),
                             modified.transition - emdp.base.transition)

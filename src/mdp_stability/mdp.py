@@ -33,7 +33,7 @@ __all__ = [
     "dump_mdp",
 ]
 
-# Probability bookkeeping tolerance.  Fixed; callers may only loosen it.
+# Probability bookkeeping tolerance.
 PROB_TOL = 1e-12
 
 
@@ -226,14 +226,13 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def validate(mdp: MdpSpec, tol: float = PROB_TOL) -> ValidationReport:
+def validate(mdp: MdpSpec) -> ValidationReport:
     """Check every structural invariant of an MDP spec.
 
     Returns a report listing each violation with its location; the report is
-    empty iff the MDP is valid.  ``tol`` may only be loosened, never
-    tightened below the package default.
+    empty iff the MDP is valid.  Row sums and safe-set absorption are held
+    to ``PROB_TOL``.
     """
-    tol = max(tol, PROB_TOL)
     found = []
     n_s, n_a = len(mdp.state_ids), len(mdp.action_ids)
     if len(set(mdp.state_ids)) != n_s:
@@ -262,7 +261,7 @@ def validate(mdp: MdpSpec, tol: float = PROB_TOL) -> ValidationReport:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
     rows = P.sum(axis=2)
-    off = np.argwhere(np.abs(rows - 1.0) > tol)
+    off = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)
     for s, a in off:
         found.append(Violation("row-sum", (int(s), int(a)),
                                f"sums to {rows[s, a]!r}"))
@@ -272,7 +271,7 @@ def validate(mdp: MdpSpec, tol: float = PROB_TOL) -> ValidationReport:
     else:
         for s in safe:
             inside = P[s][:, safe].sum(axis=1)  # per action, mass staying safe
-            for a in np.nonzero(np.abs(inside - 1.0) > tol)[0]:
+            for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
                 found.append(Violation(
                     "safe-not-absorbing", (int(s), int(a)),
                     f"leaks {1.0 - inside[a]!r} outside the safe set"))
@@ -293,13 +292,13 @@ def induce_chain(mdp: MdpSpec, policy: Policy) -> InducedChain:
     return InducedChain(Q, absorb, keep)
 
 
-def value_iteration(mdp: MdpSpec, tol: float = 1e-10,
-                    max_iterations: int = 1_000_000) -> ValueFunction:
+def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
     """Optimal values V* by value iteration.
 
     Stops when a sweep changes the values by less than tol*(1-g)/(2g), which
-    guarantees a sup-norm error below ``tol``.  A sweep whose change is not
-    finite (NaN or infinite rewards or transitions) raises ValueError.
+    guarantees a sup-norm error below ``tol``, or after 1,000,000 sweeps.
+    A sweep whose change is not finite (NaN or infinite rewards or
+    transitions) raises ValueError.
     """
     if not 0.0 < mdp.discount < 1.0:
         raise ValueError("value iteration requires discount in (0,1)")
@@ -310,7 +309,7 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10,
     v = np.zeros(mdp.n_states)
     P, r = mdp.transition, mdp.reward
     change = math.inf
-    for _ in range(max_iterations):
+    for _ in range(1_000_000):
         q = r + g * np.einsum("sat,t->sa", P, v)
         v_new = q.max(axis=1)
         change = float(np.max(np.abs(v_new - v)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (MdpSpec, can_reach, document_field, load_mdp,
+from .mdp import (MdpSpec, _frozen, can_reach, document_field, load_mdp,
                   mdp_to_document, read_document, validate)
 from .safety import StartDistribution
 
@@ -65,9 +65,8 @@ class EmbeddedMdp:
     side_info: tuple | None = None
 
     def __post_init__(self):
-        emb = np.array(self.embedding, dtype=float)
-        emb.setflags(write=False)
-        object.__setattr__(self, "embedding", emb)
+        object.__setattr__(self, "embedding", _frozen(self.embedding))
+        emb = self.embedding
         if emb.ndim != 2 or emb.shape[0] != self.base.n_states:
             raise ValueError("embedding must be (n_states, d)")
         if not np.all(np.isfinite(emb)):
@@ -109,12 +108,8 @@ class Perturbation:
     delta_T: np.ndarray
 
     def __post_init__(self):
-        dS = np.array(self.delta_S, dtype=float)
-        dT = np.array(self.delta_T, dtype=float)
-        dS.setflags(write=False)
-        dT.setflags(write=False)
-        object.__setattr__(self, "delta_S", dS)
-        object.__setattr__(self, "delta_T", dT)
+        object.__setattr__(self, "delta_S", _frozen(self.delta_S))
+        object.__setattr__(self, "delta_T", _frozen(self.delta_T))
 
     @classmethod
     def zero(cls, emdp: EmbeddedMdp):
@@ -228,14 +223,15 @@ def _gelfand_estimates(M: np.ndarray):
     return math.exp(log64 / 64.0), math.exp((log128 - log64) / 64.0)
 
 
-def spectral_radius(M: np.ndarray, tol: float = 1e-10,
-                    max_iterations: int = 20_000, restarts: int = 4) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     """Perron root of a nonnegative matrix by power iteration.
 
     The iteration runs on M + I so the dominant eigenvalue is simple in
-    modulus (periodic chains would otherwise oscillate).  The result is
-    cross-checked against a Gelfand norm estimate; if power iteration fails
-    to converge the Gelfand estimate is returned with a warning.
+    modulus (periodic chains would otherwise oscillate).  It stops when
+    the Rayleigh quotient moves by at most 1e-10 (relative), and the result
+    is cross-checked against a Gelfand norm estimate; if power iteration
+    fails to converge within 20,000 steps from each of four starts, the
+    Gelfand estimate is returned with a warning.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
@@ -250,15 +246,15 @@ def spectral_radius(M: np.ndarray, tol: float = 1e-10,
     n = M.shape[0]
     A = M + np.eye(n)
     rng = np.random.default_rng(0)
-    for attempt in range(restarts):
+    for attempt in range(4):
         x = np.ones(n) / n if attempt == 0 else rng.random(n) + 0.1
         x /= np.linalg.norm(x)
         lam_prev = math.inf
-        for _ in range(max_iterations):
+        for _ in range(20_000):
             y = A @ x
             lam = float(x @ y)
             x = y / np.linalg.norm(y)
-            if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+            if abs(lam - lam_prev) <= 1e-10 * max(1.0, abs(lam)):
                 rho = max(lam - 1.0, 0.0)
                 # The ratio estimate is essentially exact for diagonalizable
                 # matrices; the plain 64th root covers defective ones.
@@ -365,13 +361,14 @@ def jacobian_l1_norm(jac: np.ndarray) -> float:
     return best
 
 
-def finite_difference_jacobian(policy: DiffPolicy, x, h: float = 1e-4):
+def finite_difference_jacobian(policy: DiffPolicy, x):
     """Central-difference jacobian of the evaluator at x.
 
-    The step balances truncation against roundoff: probabilities are O(1),
-    so the difference quotient carries eps/(2h) of float noise, which h of
-    1e-4 keeps near 1e-12 while truncation stays O(h^2).
+    The step h balances truncation against roundoff: probabilities are
+    O(1), so the difference quotient carries eps/(2h) of float noise, which
+    h of 1e-4 keeps near 1e-12 while truncation stays O(h^2).
     """
+    h = 1e-4
     x = np.asarray(x, dtype=float)
     cols = []
     for k in range(len(x)):
@@ -382,10 +379,10 @@ def finite_difference_jacobian(policy: DiffPolicy, x, h: float = 1e-4):
     return np.stack(cols, axis=1)
 
 
-def validate_diff_policy(policy: DiffPolicy, points,
-                         fd_rel_tol: float = 1e-5) -> list:
+def validate_diff_policy(policy: DiffPolicy, points) -> list:
     """Check the policy contract at sample coordinates; returns a list of
-    violation descriptions (empty when clean)."""
+    violation descriptions (empty when clean).  The jacobian must match
+    central differences to a relative 1e-5."""
     problems = []
     for k, x in enumerate(points):
         row = np.asarray(policy.evaluator(np.asarray(x, dtype=float)))
@@ -399,7 +396,7 @@ def validate_diff_policy(policy: DiffPolicy, points,
             problems.append(f"jacobian columns sum to {col_sums!r} at point {k}")
         fd = finite_difference_jacobian(policy, x)
         scale = max(np.abs(fd).max(), 1e-12)
-        if np.abs(fd - jac).max() / scale > fd_rel_tol:
+        if np.abs(fd - jac).max() / scale > 1e-5:
             problems.append(f"jacobian disagrees with finite differences "
                             f"at point {k}")
         if jacobian_l1_norm(jac) > policy.bound_b + 1e-9:
@@ -429,15 +426,14 @@ class PerturbationBoundReport:
 
 
 def chain_perturbation_bound(emdp: EmbeddedMdp, policy: DiffPolicy,
-                             pert: Perturbation,
-                             linearization_threshold: float =
-                             LINEARIZATION_THRESHOLD) -> PerturbationBoundReport:
+                             pert: Perturbation) -> PerturbationBoundReport:
     """Recompute both chains exactly and compare |delta P| against
     0.5 ||grad pi(s_i)||_1 |delta s_i| + sum_a |delta T(s_i, a, s_j)|.
 
     The slack term kappa_i |delta s_i|^2 uses a finite-difference estimate
     of the jacobian's local variation.  Displacements beyond the
-    linearization threshold mark the verdicts first-order-only.
+    linearization threshold (``LINEARIZATION_THRESHOLD``) mark the verdicts
+    first-order-only.
     """
     P = realize_chain(emdp, policy)
     P_new = realize_chain(apply_perturbation(emdp, pert), policy)
@@ -462,7 +458,7 @@ def chain_perturbation_bound(emdp: EmbeddedMdp, policy: DiffPolicy,
     return PerturbationBoundReport(
         delta_p=delta_p, bound=bound, slack=slack, entry_ok=entry_ok,
         delta_p_l1=delta_p_l1, size=size, aggregate_ok=aggregate_ok,
-        first_order_only=bool(np.any(shift > linearization_threshold)))
+        first_order_only=bool(np.any(shift > LINEARIZATION_THRESHOLD)))
 
 
 @dataclass(frozen=True)
@@ -501,18 +497,15 @@ def rate_of_decrease_check(emdp: EmbeddedMdp, policy: DiffPolicy,
     if start is None:
         start = StartDistribution.uniform_over(
             emdp.base.n_states, emdp.base.nonsafe_indices)
-    P = realize_chain(emdp, policy)
-    trans, _, bound = decrease_bound(P, safe)
-    before = shutdown_probability(P, safe, start)
-    shifted = apply_perturbation(emdp, pert)
-    P_new = realize_chain(shifted, policy)
+    base = analyze_chain(emdp, policy, start)
+    P_new = realize_chain(apply_perturbation(emdp, pert), policy)
     after = shutdown_probability(P_new, safe, start)
     size = perturbation_size(emdp, policy, pert)
-    ratio = 0.0 if size == 0.0 else -(after - before) / size
+    ratio = 0.0 if size == 0.0 else -(after - base.safety) / size
     return RateReport(
-        s_pi_before=before, s_pi_after=after, size=size, ratio=ratio,
-        bound_B=bound, within_bound=ratio < bound,
-        trans_preserved=trans <= transient_set(P_new, safe))
+        s_pi_before=base.safety, s_pi_after=after, size=size, ratio=ratio,
+        bound_B=base.bound_B, within_bound=ratio < base.bound_B,
+        trans_preserved=base.s_trans <= transient_set(P_new, safe))
 
 
 def start_sensitivity(P: np.ndarray, safe, d1: StartDistribution,
@@ -542,8 +535,7 @@ def make_toy_policy(weights, temperature: float = 1.0) -> DiffPolicy:
     """
     if not 0 < temperature < math.inf:
         raise ValueError("temperature must be positive and finite")
-    W = np.array(weights, dtype=float)
-    W.setflags(write=False)
+    W = _frozen(weights)
     if W.ndim != 2:
         raise ValueError("weights must be (n_actions, d)")
     if not np.all(np.isfinite(W)):

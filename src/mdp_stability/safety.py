@@ -17,8 +17,8 @@ import numpy as np
 
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
-from .mdp import (InducedChain, MdpSpec, Policy, can_reach, induce_chain,
-                  policy_evaluation, value_iteration)
+from .mdp import (InducedChain, MdpSpec, Policy, _frozen, can_reach,
+                  induce_chain, policy_evaluation, value_iteration)
 
 __all__ = [
     "StartDistribution",
@@ -40,33 +40,34 @@ WEIGHT_TOL = 1e-12
 class StartDistribution:
     """Distribution over MDP states from which trajectories start.
 
-    Unless ``allow_safe_support`` is set, hitting-time queries reject mass
-    placed on safe states.
+    Hitting-time queries reject mass placed on safe states.
     """
 
     weights: np.ndarray
-    allow_safe_support: bool = False
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(self.weights))
+        w = self.weights
+        # Comparisons with NaN are false, so a NaN weight would pass the
+        # sign and sum tests below.
+        if not np.all(np.isfinite(w)):
+            raise ValueError("start weights must be finite")
         if np.any(w < 0):
             raise ValueError("start weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"start weights must sum to 1, got {w.sum()!r}")
 
     @classmethod
-    def point_mass(cls, n_states, state, allow_safe_support=False):
+    def point_mass(cls, n_states, state):
         w = np.zeros(n_states)
         w[state] = 1.0
-        return cls(w, allow_safe_support)
+        return cls(w)
 
     @classmethod
-    def uniform_over(cls, n_states, support, allow_safe_support=False):
+    def uniform_over(cls, n_states, support):
         w = np.zeros(n_states)
         w[list(support)] = 1.0 / len(support)
-        return cls(w, allow_safe_support)
+        return cls(w)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class SafetyQuery:
     value_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.epsilon <= 10.0 * self.value_tol:
+        if not self.epsilon > 10.0 * self.value_tol:
             raise ValueError("epsilon must exceed 10 * value_tol")
 
 
@@ -121,17 +122,22 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
 
 def hitting_time(chain: InducedChain, start: StartDistribution) -> float:
     """Expected steps to absorption from ``start`` (math.inf if any
-    positive-mass state is not almost surely absorbed)."""
+    positive-mass state is not almost surely absorbed).  A start with
+    mass on safe states is rejected."""
+    return _start_charge(chain, start, expected_steps(chain))
+
+
+def _start_charge(chain: InducedChain, start: StartDistribution,
+                  t: np.ndarray) -> float:
+    """:func:`hitting_time` of ``start`` from the chain's expected steps
+    ``t`` per chain state."""
     w = start.weights
     n_total = int(chain.index_map.max(initial=-1)) + 1
     if len(w) < n_total:
         raise ValueError("start distribution dimension mismatch")
     on_chain = w[chain.index_map] if chain.n_states else np.zeros(0)
-    off_mass = w.sum() - on_chain.sum()
-    if off_mass > WEIGHT_TOL and not start.allow_safe_support:
-        raise ValueError("start places mass on safe states; "
-                         "flag allow_safe_support to permit it")
-    t = expected_steps(chain)
+    if w.sum() - on_chain.sum() > WEIGHT_TOL:
+        raise ValueError("start places mass on safe states")
     hit = on_chain > 0
     if np.any(hit & np.isinf(t)):
         return math.inf
@@ -171,7 +177,7 @@ def _charged_time(mdp: MdpSpec, policy: Policy, start):
     chain = induce_chain(mdp, policy)
     t = expected_steps(chain)
     if start is not None:
-        return hitting_time(chain, start), t
+        return _start_charge(chain, start, t), t
     return (float(np.max(t)) if len(t) else 0.0), t
 
 

@@ -121,8 +121,8 @@ def build_uniform_shutdown(mdp: MdpSpec, N: float,
     Rows become (1 - 1/N) P + (1/N) e_target, so from any state absorption
     happens with per-step probability at least 1/N.
     """
-    if N <= 1:
-        raise ValueError("N must exceed 1")
+    if not N > 1:
+        raise ValueError(f"N must exceed 1, got {N!r}")
     if not mdp.safe_set:
         raise ValueError("MDP needs a nonempty safe set")
     if target is None:
@@ -188,6 +188,11 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
     n_states, n_actions, dim = shape
     if n_states < 2:
         raise ValueError("need at least 2 states")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0,1), got {gamma!r}")
+    lo, hi = reward_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"reward range must be finite, got {reward_range!r}")
     rng = np.random.default_rng(seed)
     safe = n_states - 1
     k = max(1, min(n_states, math.ceil(sparsity * n_states)))
@@ -198,7 +203,6 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
             w = rng.dirichlet(np.ones(k))
             P[s, a, dests] = w
     P[safe, :, safe] = 1.0
-    lo, hi = reward_range
     r = rng.uniform(lo, hi, size=(n_states, n_actions))
     r[safe] = 0.0
     emb = rng.uniform(0.0, 1.0, size=(n_states, dim))

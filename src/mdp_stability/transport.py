@@ -17,6 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from .mdp import _frozen
+
 __all__ = [
     "TransportProblem",
     "TransportSolution",
@@ -41,17 +43,16 @@ class TransportProblem:
     cost: np.ndarray
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
-        nu = np.array(self.nu, dtype=float)
-        cost = np.array(self.cost, dtype=float)
-        for a in (mu, nu, cost):
-            a.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "cost", cost)
+        for name in ("mu", "nu", "cost"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        mu, nu, cost = self.mu, self.nu, self.cost
         if cost.shape != (len(mu), len(nu)):
             raise ValueError(f"cost shape {cost.shape} does not match marginals "
                              f"({len(mu)}, {len(nu)})")
+        # Comparisons with NaN are false, so a NaN weight would pass the
+        # sign and sum tests below.
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+            raise ValueError("marginals must be finite")
         if np.any(mu < 0) or np.any(nu < 0):
             raise ValueError("marginals must be nonnegative")
         if abs(mu.sum() - 1.0) > MARGINAL_TOL or abs(nu.sum() - 1.0) > MARGINAL_TOL:
@@ -75,26 +76,6 @@ class TransportSolution:
     dual_v: np.ndarray
 
 
-def _transport_lp(mu, nu, cost):
-    """Solve one dense transportation LP, returning (value, plan, u, v)."""
-    m, n = len(mu), len(nu)
-    row_i = np.repeat(np.arange(m), n)
-    col_j = np.tile(np.arange(n), m)
-    var = np.arange(m * n)
-    A = sp.csc_matrix(
-        (np.ones(2 * m * n),
-         (np.concatenate([row_i, m + col_j]), np.concatenate([var, var]))),
-        shape=(m + n, m * n))
-    res = linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate([mu, nu]),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    duals = np.asarray(res.eqlin.marginals)
-    value = float(cost.ravel() @ res.x)
-    return value, plan, duals[:m], duals[m:]
-
-
 def solve_transport(problem: TransportProblem) -> TransportSolution:
     """Exact optimal transport between the problem's marginals.
 
@@ -106,20 +87,8 @@ def solve_transport(problem: TransportProblem) -> TransportSolution:
     keep_i = np.nonzero(mu > 0)[0]
     keep_j = np.nonzero(nu > 0)[0]
     sub_cost = cost[np.ix_(keep_i, keep_j)]
-
-    if len(keep_i) == 1:
-        # Point mass on the left: the coupling is forced.
-        value = float(sub_cost[0] @ nu[keep_j])
-        sub_plan = nu[keep_j][None, :].copy()
-        u = np.zeros(1)
-        v = sub_cost[0].copy()
-    elif len(keep_j) == 1:
-        value = float(mu[keep_i] @ sub_cost[:, 0])
-        sub_plan = mu[keep_i][:, None].copy()
-        u = sub_cost[:, 0].copy()
-        v = np.zeros(1)
-    else:
-        value, sub_plan, u, v = _transport_lp(mu[keep_i], nu[keep_j], sub_cost)
+    [(value, sub_plan, u, v)] = _solve_blocks(
+        [(mu[keep_i], nu[keep_j], sub_cost)])
 
     plan = np.zeros_like(cost)
     plan[np.ix_(keep_i, keep_j)] = sub_plan

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,28 @@ class TestQuotient:
         loose = BisimConfig.for_discount(0.5, tolerance=1e-3)
         with pytest.raises(ValueError, match="merge_tol/4"):
             bisim_quotient(mdp, 1e-9, loose)
+
+    def test_dead_state_is_not_merged_with_a_safe_one(self):
+        # work -> 1/2 dead, 1/2 off; dead and off both absorb at reward 0,
+        # so they are at distance 0, but only off is safe.  Merging them
+        # would certify a worst time of 1 where the MDP's is infinite.
+        mdp = dead_and_off_mdp()
+        with pytest.raises(ValueError, match="mix safe and non-safe"):
+            bisim_quotient(mdp)
+
+
+def dead_and_off_mdp():
+    P = np.zeros((3, 1, 3))
+    P[0, 0, 1:] = 0.5
+    P[1, 0, 1] = 1.0
+    P[2, 0, 2] = 1.0
+    return MdpSpec(("work", "dead", "off"), ("a",), P,
+                   [[1.0], [0.0], [0.0]], 0.9, {2})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"c_R": math.nan}, {"c_R": math.inf}, {"tolerance": math.nan},
+    {"tolerance": math.inf}, {"c_T": math.nan}])
+def test_config_rejects_non_finite_coefficients(kwargs):
+    with pytest.raises(ValueError):
+        BisimConfig(**{"c_R": 0.1, "c_T": 0.9, **kwargs})

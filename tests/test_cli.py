@@ -1,14 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mdp
-from mdp_stability import MdpSpec, load_mdp, mdp_to_document
+from helpers import random_mdp, reference_certify
+from mdp_stability import (MdpSpec, SafetyQuery, StartDistribution,
+                           load_embedded, load_mdp, load_toy_policy,
+                           mdp_to_document, realize_chain,
+                           shutdown_probability)
 from mdp_stability.cli import main, render_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_doc(path, doc):
@@ -173,6 +182,33 @@ class TestQuotientCommand:
         assert ["wrap", "wrap#2"] in out["classes"]
 
 
+class TestQuotientInputs:
+    def test_dead_and_safe_states_are_not_merged(self, tmp_path, capsys):
+        doc = {"states": ["work", "dead", "off"], "actions": ["a"],
+               "transitions": [[[0.0, 0.5, 0.5]], [[0.0, 1.0, 0.0]],
+                               [[0.0, 0.0, 1.0]]],
+               "rewards": [[1.0], [0.0], [0.0]], "discount": 0.9,
+               "safe": ["off"]}
+        path = write_doc(tmp_path / "m.json", doc)
+        assert main(["certify", path, "--epsilon", "0.5",
+                     "--big-n", "5"]) == 1
+        assert main(["quotient", path]) == 2
+        assert "mix safe and non-safe" in capsys.readouterr().err
+
+    def test_numeric_state_ids(self, tmp_path, capsys):
+        # Documents may name states by numbers; class names join them.
+        doc = {"states": [0, 1, 2], "actions": ["a"],
+               "transitions": [[[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]],
+                               [[0.0, 0.0, 1.0]]],
+               "rewards": [[1.0], [1.0], [0.0]], "discount": 0.9,
+               "safe": [2]}
+        path = write_doc(tmp_path / "m.json", doc)
+        assert main(["quotient", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["classes"] == [[0, 1], [2]]
+        assert out["quotient"]["states"] == ["0+1", "2"]
+
+
 class TestHittingTimeCommand:
     def test_greedy_walk(self, tmp_path, capsys):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -215,6 +251,40 @@ class TestFrontierCommand:
         times = [float(row.split(",")[1]) for row in lines[1:]
                  if row.split(",")[1]]
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+class TestStartAndGridFlags:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certify_start_matches_reference(self, tmp_path, capsys, seed):
+        mdp = random_mdp(seed, n_states=4)
+        path = write_doc(tmp_path / "m.json", mdp_to_document(mdp))
+        assert main(["certify", path, "--epsilon", "0.3",
+                     "--start", "s0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ref = reference_certify(mdp, SafetyQuery(
+            0.3, StartDistribution.point_mass(mdp.n_states, 0)))
+        assert out["worst_time"] == ref["worst_time"]
+        assert tuple(out["worst_policy_actions"]) == ref["worst_policy"]
+        assert out["epsilon_optimal_count"] == ref["epsilon_optimal_count"]
+        assert out["boundary_count"] == ref["boundary_count"]
+        assert tuple(out["reachability"]) == ref["reachability"]
+
+    def test_certify_start_on_safe_state_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "m.json", hibernation_doc())
+        assert main(["certify", path, "--epsilon", "0.5",
+                     "--start", "shutdown"]) == 2
+        assert "safe" in capsys.readouterr().err
+
+    def test_frontier_implicit_grid(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "m.json", hibernation_doc())
+        assert main(["frontier", path, "--epsilon", "1", "--grid", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [row["epsilon"] for row in out["frontier"]] == [
+            0.25, 0.5, 0.75, 1.0]
+
+    def test_random_shape_needs_three_entries(self, capsys):
+        assert main(["random", "--seed", "1", "--shape", "5,2"]) == 2
+        assert "--shape" in capsys.readouterr().err
 
 
 class TestGenerators:
@@ -260,6 +330,21 @@ class TestOnPolicyCommands:
         assert 0.0 <= out["safety"] <= 1.0
         assert out["bound_B"] >= 2.0
         assert out["lambda1"] < 1.0
+
+    @pytest.mark.parametrize("start", ["s0", "s2", "s4"])
+    def test_onpolicy_start_matches_shutdown_probability(self, tmp_path,
+                                                         capsys, start):
+        # s4 is the safe state: its shutdown probability is 1.
+        mdp_path, policy_path = self.setup_files(tmp_path)
+        assert main(["onpolicy", mdp_path, policy_path,
+                     "--start", start]) == 0
+        out = json.loads(capsys.readouterr().out)
+        emdp = load_embedded(mdp_path)
+        P = realize_chain(emdp, load_toy_policy(policy_path))
+        point = StartDistribution.point_mass(emdp.base.n_states,
+                                             emdp.base.state_index(start))
+        assert out["safety"] == shutdown_probability(P, emdp.base.safe_set,
+                                                     point)
 
     def test_sweep_rows_sorted_and_bounded(self, tmp_path, capsys):
         mdp_path, policy_path = self.setup_files(tmp_path)
@@ -379,6 +464,45 @@ class TestNonFiniteInput:
         overflow.write_text((tmp_path / "m.json").read_text().replace(
             '"embedding": [[0.0]', '"embedding": [[1e400]'))
         assert main(["onpolicy", str(overflow), str(policy)]) == 2
+
+
+# Numeric flags out of range are input errors (exit 2): never exit 1, the
+# negative-verdict code that an uncaught exception also gives, and never
+# exit 3 after a whole sweep budget spent on a NaN tolerance.
+BAD_FLAGS = [
+    ["random", "--seed", "1", "--gamma", "1.5"],
+    ["random", "--seed", "1", "--gamma", "nan"],
+    ["random", "--seed", "1", "--reward-range", "0,inf"],
+    ["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
+     "--sizes", "nan"],
+    ["uniform-shutdown", "@m", "--big-n", "nan"],
+    ["onpolicy-sweep", "@e", "@p", "--sizes", "1e-4", "--big-n", "nan"],
+    ["bisim", "@m", "@m", "--tol", "nan"],
+    ["quotient", "@m", "--tol", "nan"],
+    ["bisim", "@m", "@m", "--c-r", "nan"],
+    ["bisim", "@m", "@m", "--c-r", "inf"],
+    ["certify", "@m", "--epsilon", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=" ".join)
+def test_out_of_range_flag_exits_2(tmp_path, capsys, argv):
+    files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
+             "@e": write_doc(tmp_path / "e.json", embedded_doc()),
+             "@p": write_doc(tmp_path / "p.json", POLICY_DOC)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "Traceback" not in err
+
+
+def test_out_of_range_flag_exits_2_from_a_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "mdp_stability.cli",
+                           "random", "--seed", "1", "--gamma", "1.5"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 class TestNoVacuousVerdict:

@@ -103,9 +103,7 @@ class TestShutdownProbability:
         emdp = embedded(3)
         chain = realize_chain(emdp, uniform_policy(2, emdp.dim))
         safe = emdp.base.safe_set
-        start = StartDistribution.point_mass(emdp.base.n_states,
-                                             min(safe),
-                                             allow_safe_support=True)
+        start = StartDistribution.point_mass(emdp.base.n_states, min(safe))
         assert shutdown_probability(chain, safe, start) == pytest.approx(
             1.0, abs=1e-12)
 

@@ -52,15 +52,21 @@ class TestHittingTime:
         start = StartDistribution.point_mass(2, 0)
         assert hitting_time(chain, start) == math.inf
 
-    def test_mass_on_safe_states_needs_flag(self):
+    def test_mass_on_safe_states_is_rejected(self):
         mdp = random_mdp(0, n_states=3)
         chain = induce_chain(mdp, Policy.deterministic([0, 0, 0]))
         w = np.zeros(3)
         w[2] = 1.0  # the safe state
         with pytest.raises(ValueError, match="safe"):
             hitting_time(chain, StartDistribution(w))
-        assert hitting_time(
-            chain, StartDistribution(w, allow_safe_support=True)) == 0.0
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0, 0.0],
+                                         [math.inf, 1.0, 0.0]])
+    def test_non_finite_start_weights_are_rejected(self, weights):
+        # A NaN weight passes the sign and sum tests, and the hitting
+        # time would skip it as zero mass.
+        with pytest.raises(ValueError, match="finite"):
+            StartDistribution(weights)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_solve_agrees_with_truncated_series(self, seed):
@@ -148,6 +154,10 @@ class TestEnumeration:
     def test_query_guards_epsilon_against_value_tolerance(self):
         with pytest.raises(ValueError, match="value_tol"):
             SafetyQuery(1e-10)
+
+    def test_query_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="value_tol"):
+            SafetyQuery(math.nan)
 
 
 class TestCertify:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,15 @@ class TestSolveTransport:
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TransportProblem([0.5, 0.5], [0.5, 0.5], [[0, -1], [1, 0]])
+
+    @pytest.mark.parametrize("mu, nu", [
+        ([math.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, math.nan]),
+        ([math.inf, 1.0], [0.5, 0.5])])
+    def test_rejects_non_finite_marginals(self, mu, nu):
+        # A NaN weight passes both the sign and the sum test, and the
+        # solver would then trim it as a zero weight.
+        with pytest.raises(ValueError, match="finite"):
+            TransportProblem(mu, nu, [[0, 1], [1, 0]])
 
     def test_document_round_trip(self):
         problem = TransportProblem([0.5, 0.5], [1.0, 0.0],
