@@ -8,9 +8,9 @@ from .bisim import (AlignmentResult, BisimConfig, CrossMetric,
                     align_reward_scale, bisim_quotient, cross_bisim_metric,
                     hausdorff_distance, isolation_check, iteration_bound,
                     metric_update)
-from .mdp import (InducedChain, MdpSpec, Policy, ValidationReport,
-                  ValueFunction, dump_mdp, greedy_policy, induce_chain,
-                  load_mdp, mdp_from_document, mdp_to_document,
+from .mdp import (InducedChain, MdpSpec, Policy, StartDistribution,
+                  ValidationReport, ValueFunction, dump_mdp, greedy_policy,
+                  induce_chain, load_mdp, mdp_from_document, mdp_to_document,
                   policy_evaluation, validate, value_iteration)
 from .onpolicy import (DiffPolicy, EmbeddedMdp, OnPolicyAnalysis,
                        Perturbation, PerturbationBoundReport, RateReport,
@@ -24,9 +24,9 @@ from .onpolicy import (DiffPolicy, EmbeddedMdp, OnPolicyAnalysis,
                        toy_policy_to_document, transient_set,
                        validate_diff_policy)
 from .safety import (SafetyCertificate, SafetyQuery, StabilityReport,
-                     StartDistribution, certify_safety,
-                     enumerate_epsilon_optimal, expected_steps, hitting_time,
-                     safety_frontier, verify_stability_instance)
+                     certify_safety, enumerate_epsilon_optimal,
+                     expected_steps, hitting_time, safety_frontier,
+                     verify_stability_instance)
 from .scenarios import (PlayingDeadParams, build_duplicated,
                         build_playing_dead, build_uniform_shutdown,
                         random_family, random_family_metadata,

@@ -68,10 +68,9 @@ class BisimConfig:
                              f"got {self.tolerance}")
 
     @classmethod
-    def for_discount(cls, gamma, tolerance=1e-6, max_iterations=10_000):
+    def for_discount(cls, gamma, tolerance=1e-6):
         """The conventional choice c_T = gamma, c_R = 1 - gamma."""
-        return cls(c_R=1.0 - gamma, c_T=gamma, tolerance=tolerance,
-                   max_iterations=max_iterations)
+        return cls(c_R=1.0 - gamma, c_T=gamma, tolerance=tolerance)
 
     @property
     def residual_target(self):
@@ -301,22 +300,19 @@ class QuotientResult:
         object.__setattr__(self, "lift", _frozen(self.lift, dtype=int))
 
 
-def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9,
-                   config: BisimConfig | None = None) -> QuotientResult:
+def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     """Collapse states whose within-MDP distance is at most ``merge_tol``.
 
-    Classes are connected components of the thresholded distance graph.
-    The collapsed transition rows are class-sums from one representative;
-    every other member must agree with them (and with the representative's
-    rewards) within merge_tol, otherwise the partition is not a valid
-    bisimulation at this tolerance and the call is rejected.
+    The distance is the within-MDP metric with c_T = discount.  Classes are
+    connected components of the thresholded distance graph.  The collapsed
+    transition rows are class-sums from one representative; every other
+    member must agree with them (and with the representative's rewards)
+    within merge_tol, otherwise the partition is not a valid bisimulation
+    at this tolerance and the call is rejected.
     """
-    if config is None:
-        config = BisimConfig.for_discount(mdp.discount,
-                                          tolerance=merge_tol / 4.0)
-    if config.tolerance > merge_tol / 4.0:
-        raise ValueError("config.tolerance must be at most merge_tol/4 so "
-                         "metric error cannot blur the merge decision")
+    # A metric tolerance of merge_tol/4 keeps the metric's error from
+    # blurring the merge decision.
+    config = BisimConfig.for_discount(mdp.discount, tolerance=merge_tol / 4.0)
     metric = cross_bisim_metric(mdp, mdp, config)
     if not metric.converged:
         raise NonConvergence("within-MDP metric did not converge")

@@ -21,13 +21,13 @@ import numpy as np
 from . import __version__
 from .bisim import (BisimConfig, NonConvergence, align_reward_scale,
                     bisim_quotient, cross_bisim_metric, hausdorff_distance)
-from .mdp import (MdpSpec, greedy_policy, induce_chain, load_mdp,
-                  mdp_from_document, mdp_to_document, validate,
+from .mdp import (MdpSpec, StartDistribution, greedy_policy, induce_chain,
+                  load_mdp, mdp_from_document, mdp_to_document, validate,
                   value_iteration)
 from .onpolicy import (Perturbation, analyze_chain, embedded_to_document,
                        load_embedded, load_toy_policy,
                        rate_of_decrease_check)
-from .safety import (SafetyQuery, StartDistribution, certify_safety,
+from .safety import (SafetyQuery, _start_charge, certify_safety,
                      expected_steps, safety_frontier,
                      verify_stability_instance)
 from .scenarios import (PlayingDeadParams, build_duplicated,
@@ -242,8 +242,9 @@ def cmd_hitting_time(args):
         "worst_finite": math.isfinite(worst),
     }
     if args.start is not None:
-        i = mdp.state_index(args.start)
-        value = t[list(chain.index_map).index(i)]
+        start = StartDistribution.point_mass(mdp.n_states,
+                                             mdp.state_index(args.start))
+        value = _start_charge(chain, start, t)
         document["start"] = args.start
         document["start_value"] = value if math.isfinite(value) else None
     rows = [[k, v] for k, v in per_state.items()]
@@ -253,6 +254,8 @@ def cmd_hitting_time(args):
 
 def cmd_playing_dead(args):
     base = load_mdp(args.path)
+    if args.escape_action not in base.action_ids:
+        raise ValueError(f"unknown action id {args.escape_action!r}")
     params = PlayingDeadParams(
         base=base, delta=args.delta,
         escape_state=base.state_index(args.escape_state),

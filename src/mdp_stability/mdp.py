@@ -20,6 +20,7 @@ __all__ = [
     "Policy",
     "ValueFunction",
     "InducedChain",
+    "StartDistribution",
     "ValidationReport",
     "Violation",
     "validate",
@@ -35,6 +36,8 @@ __all__ = [
 
 # Probability bookkeeping tolerance.
 PROB_TOL = 1e-12
+# Start-distribution weight tolerance.
+WEIGHT_TOL = 1e-12
 
 
 def _frozen(a, dtype=float):
@@ -102,6 +105,8 @@ class MdpSpec:
                         dtype=int)
 
     def state_index(self, state_id):
+        if state_id not in self.state_ids:
+            raise ValueError(f"unknown state id {state_id!r}")
         return self.state_ids.index(state_id)
 
     def with_rewards(self, reward) -> "MdpSpec":
@@ -199,6 +204,40 @@ class InducedChain:
     @property
     def n_states(self):
         return len(self.index_map)
+
+
+@dataclass(frozen=True)
+class StartDistribution:
+    """Distribution over MDP states from which trajectories start.
+
+    Hitting-time queries reject mass placed on safe states.
+    """
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _frozen(self.weights))
+        w = self.weights
+        # Comparisons with NaN are false, so a NaN weight would pass the
+        # sign and sum tests below.
+        if not np.all(np.isfinite(w)):
+            raise ValueError("start weights must be finite")
+        if np.any(w < 0):
+            raise ValueError("start weights must be nonnegative")
+        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"start weights must sum to 1, got {w.sum()!r}")
+
+    @classmethod
+    def point_mass(cls, n_states, state):
+        w = np.zeros(n_states)
+        w[state] = 1.0
+        return cls(w)
+
+    @classmethod
+    def uniform_over(cls, n_states, support):
+        w = np.zeros(n_states)
+        w[list(support)] = 1.0 / len(support)
+        return cls(w)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (MdpSpec, _frozen, can_reach, document_field, load_mdp,
-                  mdp_to_document, read_document, validate)
-from .safety import StartDistribution
+from .mdp import (MdpSpec, StartDistribution, _frozen, can_reach,
+                  document_field, load_mdp, mdp_to_document, read_document,
+                  validate)
 
 __all__ = [
     "EmbeddedMdp",

@@ -12,16 +12,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
-from .mdp import (InducedChain, MdpSpec, Policy, _frozen, can_reach,
-                  induce_chain, policy_evaluation, value_iteration)
+from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
+                  StartDistribution, can_reach, induce_chain,
+                  policy_evaluation, value_iteration)
+from .onpolicy import spectral_radius
 
 __all__ = [
-    "StartDistribution",
     "SafetyQuery",
     "SafetyCertificate",
     "StabilityReport",
@@ -31,43 +33,11 @@ __all__ = [
     "certify_safety",
     "verify_stability_instance",
     "safety_frontier",
+    "POLICY_CAP",
 ]
 
-WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class StartDistribution:
-    """Distribution over MDP states from which trajectories start.
-
-    Hitting-time queries reject mass placed on safe states.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        w = self.weights
-        # Comparisons with NaN are false, so a NaN weight would pass the
-        # sign and sum tests below.
-        if not np.all(np.isfinite(w)):
-            raise ValueError("start weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("start weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"start weights must sum to 1, got {w.sum()!r}")
-
-    @classmethod
-    def point_mass(cls, n_states, state):
-        w = np.zeros(n_states)
-        w[state] = 1.0
-        return cls(w)
-
-    @classmethod
-    def uniform_over(cls, n_states, support):
-        w = np.zeros(n_states)
-        w[list(support)] = 1.0 / len(support)
-        return cls(w)
+# Most deterministic policies one certificate or frontier may enumerate.
+POLICY_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -81,7 +51,7 @@ class SafetyQuery:
 
     epsilon: float
     start: StartDistribution | None = None
-    value_tol: float = 1e-10
+    value_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if not self.epsilon > 10.0 * self.value_tol:
@@ -112,7 +82,6 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
         try:
             t[fin] = np.linalg.solve(A, np.ones(len(fin)))
         except np.linalg.LinAlgError as exc:
-            from .onpolicy import spectral_radius
             rho = spectral_radius(Q)
             raise RuntimeError(
                 f"hitting-time solve failed (spectral radius of the "
@@ -154,21 +123,19 @@ def _policy_grid(mdp: MdpSpec):
         yield Policy.deterministic(actions)
 
 
-def _policy_table(mdp: MdpSpec, value_tol: float, cap: int):
-    """(loss, rows): ``loss(policy)`` is the value loss
-    max_s V*(s) - V^pi(s), and ``rows`` walks every policy of
-    :func:`_policy_grid` once as (policy, loss).  A policy is eps-optimal
-    exactly when its loss is below eps."""
+def _policy_table(mdp: MdpSpec):
+    """Every policy of :func:`_policy_grid` once, as (policy, loss) with
+    the value loss max_s V*(s) - V^pi(s).  A policy is eps-optimal exactly
+    when its loss is below eps."""
     size = mdp.n_actions ** len(mdp.nonsafe_indices)
-    if size > cap:
+    if size > POLICY_CAP:
         raise ValueError(f"{size} deterministic policies exceed the "
-                         f"enumeration cap {cap}; use a smaller instance")
-    v_star = value_iteration(mdp, value_tol).values
-
-    def loss(policy):
-        return float(np.max(v_star - policy_evaluation(mdp, policy).values))
-
-    return loss, ((policy, loss(policy)) for policy in _policy_grid(mdp))
+                         f"enumeration cap {POLICY_CAP}; use a smaller "
+                         f"instance")
+    v_star = value_iteration(mdp, SafetyQuery.value_tol).values
+    return ((policy,
+             float(np.max(v_star - policy_evaluation(mdp, policy).values)))
+            for policy in _policy_grid(mdp))
 
 
 def _charged_time(mdp: MdpSpec, policy: Policy, start):
@@ -181,12 +148,11 @@ def _charged_time(mdp: MdpSpec, policy: Policy, start):
     return (float(np.max(t)) if len(t) else 0.0), t
 
 
-def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery,
-                              cap: int = 10 ** 6) -> list:
+def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery) -> list:
     """Every deterministic stationary policy whose exact value loss
     max_s V*(s) - V(s) is below epsilon."""
-    _, rows = _policy_table(mdp, query.value_tol, cap)
-    return [policy for policy, loss in rows if loss < query.epsilon]
+    return [policy for policy, loss in _policy_table(mdp)
+            if loss < query.epsilon]
 
 
 @dataclass(frozen=True)
@@ -228,23 +194,20 @@ class SafetyCertificate:
         }
 
 
-def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
-                   cap: int = 10 ** 6, stochastic_probe: int = 0,
-                   seed: int = 0) -> SafetyCertificate:
+def certify_safety(mdp: MdpSpec, query: SafetyQuery,
+                   N_values=()) -> SafetyCertificate:
     """Certify (N, eps)-safety by exhausting deterministic policies.
 
     With the worst-case start convention (query.start None) each policy is
     charged the maximum expected hitting time over point-mass starts on
-    non-safe states.  ``stochastic_probe`` additionally samples random
-    mixtures of the enumerated policies as a falsification probe for the
-    deterministic-maximum assumption; it never lowers the reported worst
-    time.  When no policy is eps-optimal, a ValueError is raised rather
-    than a vacuous "safe".
+    non-safe states.  When no policy is eps-optimal, a ValueError is raised
+    rather than a vacuous "safe"; so is a non-finite N.
     """
-    loss, rows = _policy_table(mdp, query.value_tol, cap)
+    if not all(math.isfinite(n) for n in N_values):
+        raise ValueError(f"N must be finite, got {tuple(N_values)!r}")
     worst_time, worst_policy, worst_times = -math.inf, None, np.zeros(0)
     members, reachability, boundary = [], [], 0
-    for policy, policy_loss in rows:
+    for policy, policy_loss in _policy_table(mdp):
         if abs(query.epsilon - policy_loss) < 10.0 * query.value_tol:
             boundary += 1
         if policy_loss < query.epsilon:
@@ -257,21 +220,6 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery, N_values=(),
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
             f"verdict over an empty set would be vacuous")
-
-    if stochastic_probe and len(members) >= 2:
-        rng = np.random.default_rng(seed)
-        n_a = mdp.n_actions
-        for _ in range(stochastic_probe):
-            pa, pb = rng.choice(len(members), size=2, replace=False)
-            lam = rng.random()
-            mix = (lam * members[pa].matrix(n_a)
-                   + (1.0 - lam) * members[pb].matrix(n_a))
-            policy = Policy.stochastic(mix)
-            if not loss(policy) < query.epsilon:
-                continue
-            time, t_vec = _charged_time(mdp, policy, query.start)
-            if time > worst_time:
-                worst_time, worst_policy, worst_times = time, policy, t_vec
 
     return SafetyCertificate(
         epsilon=query.epsilon,
@@ -341,22 +289,23 @@ def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
     )
 
 
-def safety_frontier(mdp: MdpSpec, epsilons, value_tol: float = 1e-10,
-                    cap: int = 10 ** 6) -> list:
+def safety_frontier(mdp: MdpSpec, epsilons) -> list:
     """Worst-case hitting time as a function of epsilon.
 
     Every deterministic policy is evaluated once, and hitting times are
     computed for the policies eps-optimal at the largest epsilon; each
     epsilon then reads off the maximum over its membership set, so the
     frontier is monotone nondecreasing by construction of the sets
-    themselves.  An epsilon whose membership set is empty raises
-    ValueError.
+    themselves.  An empty epsilon list, or an epsilon whose membership
+    set is empty, raises ValueError.
     """
     epsilons = sorted(float(e) for e in epsilons)
-    _, rows = _policy_table(mdp, value_tol, cap)
-    top = epsilons[-1] if epsilons else -math.inf
+    if not epsilons:
+        raise ValueError("no epsilon given; an empty frontier would be "
+                         "vacuous")
     evaluated = [(loss, _charged_time(mdp, policy, None)[0])
-                 for policy, loss in rows if loss < top]
+                 for policy, loss in _policy_table(mdp)
+                 if loss < epsilons[-1]]
     frontier = []
     for eps in epsilons:
         times = [worst for loss, worst in evaluated if loss < eps]

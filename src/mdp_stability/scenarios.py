@@ -188,6 +188,10 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
     n_states, n_actions, dim = shape
     if n_states < 2:
         raise ValueError("need at least 2 states")
+    if n_actions < 1:
+        raise ValueError("need at least 1 action")
+    if not 0.0 < sparsity <= 1.0:
+        raise ValueError(f"sparsity must lie in (0,1], got {sparsity!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma!r}")
     lo, hi = reward_range
@@ -195,7 +199,7 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
         raise ValueError(f"reward range must be finite, got {reward_range!r}")
     rng = np.random.default_rng(seed)
     safe = n_states - 1
-    k = max(1, min(n_states, math.ceil(sparsity * n_states)))
+    k = math.ceil(sparsity * n_states)
     P = np.zeros((n_states, n_actions, n_states))
     for s in range(n_states - 1):
         for a in range(n_actions):

@@ -177,8 +177,7 @@ def test_criterion_6_quotient_invariance():
         mdp = random_mdp(seed + 60, n_states=4, gamma=0.5)
         state = int(rng.choice(mdp.nonsafe_indices))
         doubled = build_duplicated(mdp, state, copies=2)
-        config = BisimConfig.for_discount(0.5, tolerance=2.5e-10)
-        result = bisim_quotient(doubled, 1e-9, config)
+        result = bisim_quotient(doubled, 1e-9)
         eps = 0.3
         t_big = certify_safety(doubled, SafetyQuery(eps)).worst_time
         t_small = certify_safety(result.quotient, SafetyQuery(eps)).worst_time

@@ -269,21 +269,20 @@ class TestQuotient:
     def test_duplicates_collapse(self):
         mdp = random_mdp(4, n_states=4, gamma=0.5)
         doubled = build_duplicated(mdp, 1, copies=2)
-        result = bisim_quotient(doubled, 1e-9,
-                                self.quotient_config(0.5))
+        result = bisim_quotient(doubled, 1e-9)
         assert result.quotient.n_states == mdp.n_states
         assert result.lift[1] == result.lift[mdp.n_states]
 
     def test_minimal_mdp_keeps_identity_partition(self):
         mdp = random_mdp(10, n_states=4, gamma=0.5)
-        result = bisim_quotient(mdp, 1e-9, self.quotient_config(0.5))
+        result = bisim_quotient(mdp, 1e-9)
         assert result.quotient.n_states == mdp.n_states
         assert all(len(c) == 1 for c in result.partition)
 
     def test_round_trip_is_isomorphic(self):
         mdp = random_mdp(12, n_states=4, gamma=0.5)
         doubled = build_duplicated(mdp, 2, copies=3)
-        result = bisim_quotient(doubled, 1e-9, self.quotient_config(0.5))
+        result = bisim_quotient(doubled, 1e-9)
         q = result.quotient
         assert q.n_states == mdp.n_states
         # Class order follows smallest member, so the quotient keeps the
@@ -304,7 +303,7 @@ class TestQuotient:
         # quotient's k-step probabilities, for a policy constant on copies.
         mdp = random_mdp(21, n_states=4, gamma=0.5)
         doubled = build_duplicated(mdp, 1, copies=2)
-        result = bisim_quotient(doubled, 1e-9, self.quotient_config(0.5))
+        result = bisim_quotient(doubled, 1e-9)
         policy_big = Policy.deterministic(np.zeros(doubled.n_states, int))
         policy_small = Policy.deterministic(
             np.zeros(result.quotient.n_states, int))
@@ -323,12 +322,6 @@ class TestQuotient:
                              if c_j == c_m)
                 assert summed == pytest.approx(
                     Pk_small[small_pos[c_i], j_small], abs=1e-10)
-
-    def test_tolerance_guard(self):
-        mdp = random_mdp(4, n_states=3, gamma=0.5)
-        loose = BisimConfig.for_discount(0.5, tolerance=1e-3)
-        with pytest.raises(ValueError, match="merge_tol/4"):
-            bisim_quotient(mdp, 1e-9, loose)
 
     def test_dead_state_is_not_merged_with_a_safe_one(self):
         # work -> 1/2 dead, 1/2 off; dead and off both absorb at reward 0,

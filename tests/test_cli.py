@@ -512,6 +512,66 @@ class TestNoVacuousVerdict:
         assert main(["frontier", path, "--sizes", "0,0.1"]) == 2
 
 
+# Input the command cannot use exits 2 with a message that names it, not
+# Python's own error text, and never after a whole enumeration.
+UNUSABLE_INPUT = [
+    (["hitting-time", "@m", "--start", "shutdown"],
+     "start places mass on safe states"),
+    (["hitting-time", "@m", "--start", "nope"], "unknown state id 'nope'"),
+    (["certify", "@m", "--epsilon", "0.5", "--start", "nope"],
+     "unknown state id 'nope'"),
+    (["duplicate", "@m", "--state", "nope"], "unknown state id 'nope'"),
+    (["uniform-shutdown", "@m", "--big-n", "5", "--target", "nope"],
+     "unknown state id 'nope'"),
+    (["playing-dead", "@m", "--delta", "1e-3", "--epsilon", "0.5",
+      "--escape-state", "nope", "--escape-action", "go"],
+     "unknown state id 'nope'"),
+    (["playing-dead", "@m", "--delta", "1e-3", "--epsilon", "0.5",
+      "--escape-state", "work", "--escape-action", "nope"],
+     "unknown action id 'nope'"),
+    (["onpolicy", "@e", "@p", "--start", "nope"], "unknown state id 'nope'"),
+    (["frontier", "@m", "--grid", "0"], "no epsilon"),
+    (["frontier", "@m", "--grid", "-3"], "no epsilon"),
+    (["frontier", "@m", "--sizes", ","], "no epsilon"),
+    (["certify", "@m", "--epsilon", "0.5", "--big-n", "nan"],
+     "N must be finite"),
+    (["certify", "@m", "--epsilon", "0.5", "--big-n", "inf"],
+     "N must be finite"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "nan",
+      "--sizes", "0"], "N must be finite"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "inf",
+      "--sizes", "0"], "N must be finite"),
+    (["random", "--seed", "1", "--shape", "5,0,3"], "at least 1 action"),
+    (["random", "--seed", "1", "--sparsity", "nan"], "sparsity"),
+    (["random", "--seed", "1", "--sparsity", "-1"], "sparsity"),
+    (["random", "--seed", "1", "--sparsity", "0"], "sparsity"),
+    (["random", "--seed", "1", "--sparsity", "1.5"], "sparsity"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNUSABLE_INPUT,
+                         ids=[" ".join(argv) for argv, _ in UNUSABLE_INPUT])
+def test_unusable_input_exits_2_with_its_message(tmp_path, capsys, argv,
+                                                 message):
+    files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
+             "@e": write_doc(tmp_path / "e.json", embedded_doc()),
+             "@p": write_doc(tmp_path / "p.json", POLICY_DOC)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hitting_time_start_reads_its_expected_steps(tmp_path, capsys, seed):
+    mdp = random_mdp(seed, n_states=4)
+    path = write_doc(tmp_path / "m.json", mdp_to_document(mdp))
+    assert main(["hitting-time", path, "--start", "s0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["start_value"] == out["expected_steps"]["s0"]
+
+
 class TestDeterminism:
     def test_same_flags_same_bytes(self, tmp_path):
         path = write_doc(tmp_path / "m.json", hibernation_doc())

@@ -147,9 +147,9 @@ class TestEnumeration:
             assert (tuple(policy.table) in member_keys) == should_belong
 
     def test_enumeration_cap(self):
-        mdp = random_mdp(2, n_states=8, n_actions=3)
+        mdp = random_mdp(2, n_states=21, n_actions=2)
         with pytest.raises(ValueError, match="cap"):
-            enumerate_epsilon_optimal(mdp, SafetyQuery(0.1), cap=10)
+            enumerate_epsilon_optimal(mdp, SafetyQuery(0.1))
 
     def test_query_guards_epsilon_against_value_tolerance(self):
         with pytest.raises(ValueError, match="value_tol"):
@@ -211,18 +211,20 @@ class TestCertify:
         with pytest.raises(ValueError, match="vacuous"):
             certify_safety(mdp, SafetyQuery(0.5), N_values=(3,))
 
-    def test_stochastic_probe_never_lowers_the_worst_time(self):
-        mdp = random_mdp(3, n_states=4)
-        plain = certify_safety(mdp, SafetyQuery(0.5))
-        probed = certify_safety(mdp, SafetyQuery(0.5), stochastic_probe=25)
-        assert probed.worst_time >= plain.worst_time - 1e-12
+    @pytest.mark.parametrize("big_n", [math.nan, math.inf, -math.inf])
+    def test_non_finite_n_is_rejected_before_enumerating(self, big_n,
+                                                         monkeypatch):
+        from mdp_stability import safety
+        monkeypatch.setattr(safety, "value_iteration", None)
+        with pytest.raises(ValueError, match="N must be finite"):
+            certify_safety(random_mdp(2, n_states=3), SafetyQuery(0.5),
+                           N_values=(3.0, big_n))
 
     def test_quotient_invariance_of_worst_time(self):
-        config = BisimConfig.for_discount(0.5, tolerance=2.5e-10)
         from mdp_stability import bisim_quotient
         mdp = random_mdp(11, n_states=4, gamma=0.5)
         doubled = build_duplicated(mdp, 1, copies=2)
-        quotient = bisim_quotient(doubled, 1e-9, config).quotient
+        quotient = bisim_quotient(doubled, 1e-9).quotient
         eps = 0.3
         t_big = certify_safety(doubled, SafetyQuery(eps)).worst_time
         t_small = certify_safety(quotient, SafetyQuery(eps)).worst_time
@@ -303,6 +305,10 @@ class TestFrontier:
         for eps in (0.0, -1.0):
             with pytest.raises(ValueError, match="vacuous"):
                 safety_frontier(mdp, [eps, 0.1])
+
+    def test_empty_epsilon_list_raises(self):
+        with pytest.raises(ValueError, match="vacuous"):
+            safety_frontier(random_mdp(4, n_states=4), [])
 
     def test_two_path_jump_located_by_bisection(self):
         mdp = two_path_mdp(slow_reward=0.7)
