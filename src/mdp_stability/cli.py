@@ -131,6 +131,16 @@ def _parse_sizes(text):
     return values
 
 
+def _parse_ladder(text, rung):
+    """Ascending rungs of a --sizes ladder: at least one, none negative."""
+    values = sorted(_parse_sizes(text))
+    if not values:
+        raise ValueError(f"no {rung} in --sizes {text!r}")
+    if values[0] < 0:
+        raise ValueError(f"negative {rung} {values[0]!r} in --sizes")
+    return values
+
+
 # -- command handlers -----------------------------------------------------------
 
 def cmd_validate(args):
@@ -210,8 +220,8 @@ def cmd_certify(args):
 
 def cmd_frontier(args):
     mdp = load_mdp(args.path)
-    if args.sizes:
-        epsilons = _parse_sizes(args.sizes)
+    if args.sizes is not None:
+        epsilons = _parse_ladder(args.sizes, "epsilon")
     else:
         top = args.epsilon if args.epsilon is not None else 1.0
         epsilons = [top * (k + 1) / args.grid for k in range(args.grid)]
@@ -313,7 +323,7 @@ def cmd_onpolicy(args):
 def cmd_onpolicy_sweep(args):
     emdp = load_embedded(args.path)
     policy = load_toy_policy(args.policy)
-    sizes = sorted(_parse_sizes(args.sizes))
+    sizes = _parse_ladder(args.sizes, "size")
     rows = []
     for k, size in enumerate(sizes):
         pert = random_perturbation(emdp, policy, size, seed=args.seed + k)
@@ -330,12 +340,9 @@ def cmd_onpolicy_sweep(args):
         rows.append({"size": report.size, "kind": "uniform-shutdown",
                      **report.to_document()})
     document = {"rows": rows, "seed": args.seed}
-    table = (["size", "kind", "s_pi_before", "s_pi_after", "ratio",
-              "bound_B", "within_bound", "trans_preserved"],
-             [[r["size"], r["kind"], r["s_pi_before"], r["s_pi_after"],
-               r["ratio"], r["bound_B"], r["within_bound"],
-               r["trans_preserved"]] for r in rows])
-    _emit(args, document, table)
+    header = ["size", "kind", "s_pi_before", "s_pi_after", "ratio",
+              "bound_B", "within_bound", "trans_preserved"]
+    _emit(args, document, (header, [[r[k] for k in header] for r in rows]))
     if any(not r["within_bound"] for r in rows):
         return EXIT_NEGATIVE
     return EXIT_OK
@@ -344,8 +351,7 @@ def cmd_onpolicy_sweep(args):
 def cmd_stability_experiment(args):
     mdp = load_mdp(args.path)
     config = _config_from(args, mdp)
-    sizes = sorted(_parse_sizes(args.sizes)) if args.sizes \
-        else [0.0, 1e-4, 1e-3, 1e-2, 1e-1]
+    sizes = _parse_ladder(args.sizes, "size")
     if sizes[0] != 0.0:
         sizes = [0.0] + sizes
     rng = np.random.default_rng(args.seed)
@@ -375,10 +381,8 @@ def cmd_stability_experiment(args):
                      **report.to_document()})
     document = {"rungs": rows, "largest_size_holding": largest_holding,
                 "seed": args.seed}
-    table = (["size", "kind", "d_H", "isolated", "conclusion_holds"],
-             [[r["size"], r["kind"], r["d_H"], r["isolated"],
-               r["conclusion_holds"]] for r in rows])
-    _emit(args, document, table)
+    header = ["size", "kind", "d_H", "isolated", "conclusion_holds"]
+    _emit(args, document, (header, [[r[k] for k in header] for r in rows]))
     return EXIT_OK if largest_holding is not None else EXIT_NEGATIVE
 
 
@@ -502,7 +506,7 @@ def build_parser():
                             "check")
     common(p)
     metric_flags(p)
-    p.add_argument("--sizes", default=None)
+    p.add_argument("--sizes", default="0,1e-4,1e-3,1e-2,1e-1")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--big-n", dest="big_n", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)

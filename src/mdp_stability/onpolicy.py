@@ -83,19 +83,15 @@ class EmbeddedMdp:
 
 @dataclass(frozen=True)
 class DiffPolicy:
-    """Differentiable policy over embedding coordinates.
-
-    evaluator(x) returns the action-probability row at coordinate x;
-    jacobian(x) its (n_actions, d) derivative; bound_b dominates the
-    L2-to-L1 operator norm of the jacobian at every relevant state.
-    """
+    """Differentiable policy over embedding coordinates, batched along the
+    last axis: evaluator(X) maps coordinates (..., d) to action
+    probabilities (..., n_actions) and jacobian(X) to (..., n_actions, d);
+    one point is the case with no leading axes.  bound_b dominates the
+    L2-to-L1 operator norm of the jacobian at every relevant state."""
 
     evaluator: object
     jacobian: object
     bound_b: float
-
-    def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,18 +122,25 @@ class Perturbation:
         return float(np.abs(self.delta_T).sum())
 
 
+def _row_faults(rows):
+    """(an entry below -1e-12, a sum off 1 by more than ROW_TOL) for each
+    row along the last axis; a NaN entry sets both."""
+    return (~np.all(rows >= -1e-12, axis=-1),
+            ~(np.abs(rows.sum(axis=-1) - 1.0) <= ROW_TOL))
+
+
 def realize_chain(emdp: EmbeddedMdp, policy: DiffPolicy) -> np.ndarray:
     """Combine policy and environment into the full transition matrix
     P[i, j] = sum_a pi(f(s_i))_a P_env[i, a, j]."""
-    n, n_a = emdp.base.n_states, emdp.base.n_actions
-    pi = np.empty((n, n_a))
-    for i in range(n):
-        row = np.asarray(policy.evaluator(emdp.embedding[i]), dtype=float)
-        if row.shape != (n_a,) or np.any(row < -1e-12) \
-                or abs(row.sum() - 1.0) > ROW_TOL:
-            raise ValueError(f"policy evaluator returned an invalid "
-                             f"distribution at state {i}: {row}")
-        pi[i] = row
+    shape = (emdp.base.n_states, emdp.base.n_actions)
+    pi = np.asarray(policy.evaluator(emdp.embedding), dtype=float)
+    if pi.shape != shape:
+        raise ValueError(f"policy evaluator returned an invalid {pi.shape} "
+                         f"array for {shape[0]} states and {shape[1]} actions")
+    bad = np.flatnonzero(np.logical_or(*_row_faults(pi)))
+    if len(bad):
+        raise ValueError(f"policy evaluator returned an invalid "
+                         f"distribution at state {bad[0]}: {pi[bad[0]]}")
     P = np.einsum("ia,iaj->ij", pi, emdp.base.transition)
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > ROW_TOL:
         raise ValueError("realized chain rows are not stochastic")
@@ -155,13 +158,6 @@ def transient_set(P: np.ndarray, safe) -> frozenset:
     return frozenset(int(i) for i in np.nonzero(reach)[0] if i not in safe)
 
 
-def _trans_projector(P, safe):
-    trans = sorted(transient_set(P, safe))
-    I_trans = np.zeros(P.shape[0])
-    I_trans[trans] = 1.0
-    return trans, I_trans
-
-
 def shutdown_probability(P: np.ndarray, safe,
                          start: StartDistribution) -> float:
     """Probability of eventually entering the safe set.
@@ -172,15 +168,14 @@ def shutdown_probability(P: np.ndarray, safe,
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
-    safe_idx = sorted(int(s) for s in safe)
     v_safe = np.zeros(n)
-    v_safe[safe_idx] = 1.0
-    _, I_trans = _trans_projector(P, safe)
-    A = np.eye(n) - P * I_trans[None, :]
+    v_safe[sorted(int(s) for s in safe)] = 1.0
+    trans = sorted(transient_set(P, safe))
+    A = np.eye(n)
+    A[:, trans] -= P[:, trans]
     try:
         z = np.linalg.solve(A, P @ v_safe)
     except np.linalg.LinAlgError as exc:
-        trans = np.nonzero(I_trans)[0]
         rho = spectral_radius(P[np.ix_(trans, trans)])
         raise RuntimeError(
             f"shutdown-probability solve failed; transient spectral radius "
@@ -275,11 +270,9 @@ def decrease_bound(P: np.ndarray, safe):
     block's spectral radius; it caps how fast the shutdown probability can
     fall per unit of perturbation size.
     """
-    trans, _ = _trans_projector(P, safe)
-    if trans:
-        lam = spectral_radius(np.asarray(P)[np.ix_(trans, trans)])
-    else:
-        lam = 0.0
+    trans = sorted(transient_set(P, safe))
+    lam = spectral_radius(np.asarray(P)[np.ix_(trans, trans)]) if trans \
+        else 0.0
     if lam >= 1.0:
         raise RuntimeError(f"transient block has spectral radius {lam!r} >= 1")
     inv = 1.0 / (1.0 - lam)
@@ -313,12 +306,10 @@ def perturbation_size(emdp: EmbeddedMdp, policy: DiffPolicy,
                       pert: Perturbation) -> float:
     """Size of a perturbation: 0.5 * |S| * b * sum_i |delta s_i|  +
     sum |delta T|, with per-state displacements measured Euclidean."""
-    if pert.delta_S.shape != emdp.embedding.shape:
-        raise ValueError("delta_S shape mismatch")
-    if pert.delta_T.shape != emdp.base.transition.shape:
-        raise ValueError("delta_T shape mismatch")
-    n = emdp.base.n_states
-    return (0.5 * n * policy.bound_b * pert.state_shift_l1
+    if pert.delta_S.shape != emdp.embedding.shape \
+            or pert.delta_T.shape != emdp.base.transition.shape:
+        raise ValueError("perturbation shape mismatch")
+    return (0.5 * emdp.base.n_states * policy.bound_b * pert.state_shift_l1
             + pert.transition_shift_l1)
 
 
@@ -343,65 +334,67 @@ def apply_perturbation(emdp: EmbeddedMdp, pert: Perturbation) -> EmbeddedMdp:
     return EmbeddedMdp(base, emdp.embedding + pert.delta_S, emdp.side_info)
 
 
-def jacobian_l1_norm(jac: np.ndarray) -> float:
-    """Exact L2-to-L1 operator norm of a policy jacobian.
+def jacobian_l1_norm(jac: np.ndarray):
+    """Exact L2-to-L1 operator norm of a policy jacobian (n_actions, d),
+    batched over leading axes (a float for one jacobian).
 
     max over unit directions u of ||J u||_1 equals max over sign vectors
     sigma of ||J^T sigma||_2, enumerable exactly for small action counts.
     """
     jac = np.asarray(jac, dtype=float)
-    n_a = jac.shape[0]
+    n_a = jac.shape[-2]
     if n_a > 16:
         # Loose fallback: ||Ju||_1 <= sqrt(A) sigma_max ||u||_2.
-        return float(math.sqrt(n_a) * np.linalg.svd(jac, compute_uv=False)[0])
-    best = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=n_a - 1):
-        sigma = np.array((1.0,) + signs)
-        best = max(best, float(np.linalg.norm(jac.T @ sigma)))
-    return best
+        norms = math.sqrt(n_a) * np.linalg.svd(jac, compute_uv=False)[..., 0]
+    else:
+        signs = np.array([(1.0,) + rest for rest in
+                          itertools.product((-1.0, 1.0), repeat=n_a - 1)])
+        # Blocks of 512 sign vectors bound the (..., 512, d) products.
+        blocks = np.split(signs, range(512, len(signs), 512))
+        norms = np.max([np.linalg.norm(b @ jac, axis=-1).max(axis=-1)
+                        for b in blocks], axis=0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
-def finite_difference_jacobian(policy: DiffPolicy, x):
-    """Central-difference jacobian of the evaluator at x.
+def finite_difference_jacobian(policy: DiffPolicy, X):
+    """Central-difference jacobian of the evaluator at coordinates
+    (..., d), shaped like ``policy.jacobian(X)``.
 
     The step h balances truncation against roundoff: probabilities are
     O(1), so the difference quotient carries eps/(2h) of float noise, which
     h of 1e-4 keeps near 1e-12 while truncation stays O(h^2).
     """
     h = 1e-4
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for k in range(len(x)):
-        e = np.zeros_like(x)
-        e[k] = h
-        cols.append((np.asarray(policy.evaluator(x + e))
-                     - np.asarray(policy.evaluator(x - e))) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    X = np.asarray(X, dtype=float)
+    return np.stack([(np.asarray(policy.evaluator(X + e))
+                      - np.asarray(policy.evaluator(X - e))) / (2.0 * h)
+                     for e in h * np.eye(X.shape[-1])], axis=-1)
 
 
 def validate_diff_policy(policy: DiffPolicy, points) -> list:
     """Check the policy contract at sample coordinates; returns a list of
-    violation descriptions (empty when clean).  The jacobian must match
-    central differences to a relative 1e-5."""
-    problems = []
-    for k, x in enumerate(points):
-        row = np.asarray(policy.evaluator(np.asarray(x, dtype=float)))
-        if np.any(row < -1e-12):
-            problems.append(f"negative probability at point {k}")
-        if abs(row.sum() - 1.0) > ROW_TOL:
-            problems.append(f"probabilities sum to {row.sum()!r} at point {k}")
-        jac = np.asarray(policy.jacobian(np.asarray(x, dtype=float)))
-        col_sums = np.abs(jac.sum(axis=0)).max() if jac.size else 0.0
-        if col_sums > 1e-8:
-            problems.append(f"jacobian columns sum to {col_sums!r} at point {k}")
-        fd = finite_difference_jacobian(policy, x)
-        scale = max(np.abs(fd).max(), 1e-12)
-        if np.abs(fd - jac).max() / scale > 1e-5:
-            problems.append(f"jacobian disagrees with finite differences "
-                            f"at point {k}")
-        if jacobian_l1_norm(jac) > policy.bound_b + 1e-9:
-            problems.append(f"bound_b violated at point {k}")
-    return problems
+    violation descriptions (empty when clean), point by point.  The
+    jacobian must match central differences to a relative 1e-5."""
+    X = np.asarray(points, dtype=float)
+    if len(X) == 0:
+        return []
+    rows = np.asarray(policy.evaluator(X))
+    negative, off_sum = _row_faults(rows)
+    jac = np.asarray(policy.jacobian(X))
+    col_sums = np.abs(jac.sum(axis=-2)).max(axis=-1, initial=0.0)
+    fd = finite_difference_jacobian(policy, X)
+    scale = np.abs(fd).max(axis=(-2, -1), initial=1e-12)
+    checks = (
+        (negative, "negative probability at point {k}"),
+        (off_sum, "probabilities sum to {total!r} at point {k}"),
+        (col_sums > 1e-8, "jacobian columns sum to {col!r} at point {k}"),
+        (np.abs(fd - jac).max(axis=(-2, -1)) / scale > 1e-5,
+         "jacobian disagrees with finite differences at point {k}"),
+        (jacobian_l1_norm(jac) > policy.bound_b + 1e-9,
+         "bound_b violated at point {k}"))
+    faults = np.stack([flags for flags, _ in checks], axis=1)
+    return [checks[j][1].format(k=k, total=rows[k].sum(), col=col_sums[k])
+            for k, j in zip(*np.nonzero(faults))]
 
 
 @dataclass(frozen=True)
@@ -436,21 +429,18 @@ def chain_perturbation_bound(emdp: EmbeddedMdp, policy: DiffPolicy,
     first-order-only.
     """
     P = realize_chain(emdp, policy)
-    P_new = realize_chain(apply_perturbation(emdp, pert), policy)
-    delta_p = P_new - P
+    delta_p = realize_chain(apply_perturbation(emdp, pert), policy) - P
     shift = np.linalg.norm(pert.delta_S, axis=1)
     n = emdp.base.n_states
-    grad_norm = np.array([jacobian_l1_norm(policy.jacobian(emdp.embedding[i]))
-                          for i in range(n)])
-    bound = (0.5 * grad_norm * shift)[:, None] \
+    jac = np.asarray(policy.jacobian(emdp.embedding))
+    bound = (0.5 * jacobian_l1_norm(jac) * shift)[:, None] \
         + np.abs(pert.delta_T).sum(axis=1)
     slack = np.zeros(n)
-    for i in np.nonzero(shift > 0)[0]:
-        jac_here = np.asarray(policy.jacobian(emdp.embedding[i]))
-        jac_there = np.asarray(policy.jacobian(emdp.embedding[i]
-                                               + pert.delta_S[i]))
-        kappa = jacobian_l1_norm(jac_there - jac_here) / shift[i]
-        slack[i] = kappa * shift[i] ** 2
+    moved = shift > 0
+    jac_there = np.asarray(policy.jacobian(emdp.embedding[moved]
+                                           + pert.delta_S[moved]))
+    kappa = jacobian_l1_norm(jac_there - jac[moved]) / shift[moved]
+    slack[moved] = kappa * shift[moved] ** 2
     entry_ok = np.abs(delta_p) <= bound + slack[:, None] + 1e-12
     size = perturbation_size(emdp, policy, pert)
     delta_p_l1 = float(np.abs(delta_p).sum())
@@ -542,29 +532,33 @@ def make_toy_policy(weights, temperature: float = 1.0) -> DiffPolicy:
         raise ValueError("weights must be finite")
     t = float(temperature)
 
-    def evaluator(x):
-        z = W @ np.asarray(x, dtype=float) / t
-        z = z - z.max()
+    def evaluator(X):
+        X = np.asarray(X, dtype=float)
+        if X.shape[-1:] != W.shape[1:]:
+            raise ValueError(f"toy policy weights {W.shape} = (n_actions, dim)"
+                             f" read dimension {W.shape[1]}, got {X.shape}")
+        # W @ x per point; X @ W.T would round differently in the last bit.
+        z = (W @ X[..., None])[..., 0] / t
+        z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
-        return e / e.sum()
+        return e / e.sum(axis=-1, keepdims=True)
 
-    def jacobian(x):
-        p = evaluator(x)
-        return (p[:, None] * (W - p @ W)) / t
+    def jacobian(X):
+        p = evaluator(X)
+        return (p[..., :, None] * (W - p[..., None, :] @ W)) / t
 
-    row_norms = np.linalg.norm(W, axis=1)
-    bound = 2.0 / t * (float(row_norms.max()) if len(row_norms) else 0.0)
+    bound = 2.0 / t * float(np.linalg.norm(W, axis=1).max(initial=0.0))
     return DiffPolicy(evaluator, jacobian, bound)
 
 
 def tighten_policy_bound(policy: DiffPolicy, points) -> DiffPolicy:
     """Replace bound_b by the exact maximum jacobian norm over the given
     coordinates (valid when those are the only states the policy visits)."""
-    tight = max((jacobian_l1_norm(policy.jacobian(np.asarray(x, dtype=float)))
-                 for x in points), default=0.0)
+    X = np.asarray(points, dtype=float)
+    tight = float(np.max(jacobian_l1_norm(policy.jacobian(X)))) \
+        if len(X) else 0.0
     return DiffPolicy(policy.evaluator, policy.jacobian,
-                      min(tight, policy.bound_b)
-                      if policy.bound_b else tight)
+                      min(tight, policy.bound_b) if policy.bound_b else tight)
 
 
 # -- JSON documents ------------------------------------------------------------

@@ -5,9 +5,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdp_stability import (MdpSpec, Policy, expected_steps, hitting_time,
+from mdp_stability import (MdpSpec, Policy, expected_steps,
+                           finite_difference_jacobian, hitting_time,
                            induce_chain, metric_update, policy_evaluation,
                            value_iteration)
+from mdp_stability.onpolicy import ROW_TOL
 
 _BASIS_CACHE = {}
 
@@ -163,3 +165,91 @@ def reference_frontier(mdp, epsilons, value_tol=1e-10):
         evaluated.append((float(np.max(v_star - v)), worst))
     return [(eps, max(w for loss, w in evaluated if loss < eps))
             for eps in sorted(float(e) for e in epsilons)]
+
+
+# -- the on-policy loops, one policy call per point ---------------------------
+
+def reference_toy_policy(weights, temperature):
+    """(evaluator, jacobian) of the softmax toy policy at one point x."""
+    W = np.asarray(weights, dtype=float)
+    t = float(temperature)
+
+    def evaluator(x):
+        z = W @ np.asarray(x, dtype=float) / t
+        z = z - z.max()
+        e = np.exp(z)
+        return e / e.sum()
+
+    def jacobian(x):
+        p = evaluator(x)
+        return (p[:, None] * (W - p @ W)) / t
+
+    return evaluator, jacobian
+
+
+def reference_realize_chain(emdp, policy):
+    """The realized chain with one evaluator call and one row check per
+    state."""
+    n, n_a = emdp.base.n_states, emdp.base.n_actions
+    pi = np.empty((n, n_a))
+    for i in range(n):
+        row = np.asarray(policy.evaluator(emdp.embedding[i]), dtype=float)
+        if row.shape != (n_a,) or np.any(row < -1e-12) \
+                or abs(row.sum() - 1.0) > ROW_TOL:
+            raise ValueError(f"policy evaluator returned an invalid "
+                             f"distribution at state {i}: {row}")
+        pi[i] = row
+    return np.einsum("ia,iaj->ij", pi, emdp.base.transition)
+
+
+def reference_jacobian_l1_norm(jac):
+    """max over sign vectors sigma (first entry +1) of ||J^T sigma||_2, one
+    sign vector at a time."""
+    best = 0.0
+    for signs in product((-1.0, 1.0), repeat=jac.shape[0] - 1):
+        sigma = np.array((1.0,) + signs)
+        best = max(best, float(np.linalg.norm(jac.T @ sigma)))
+    return best
+
+
+def reference_validate_diff_policy(policy, points):
+    """The policy contract checked one point at a time."""
+    problems = []
+    for k, x in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        row = np.asarray(policy.evaluator(x))
+        if np.any(row < -1e-12):
+            problems.append(f"negative probability at point {k}")
+        if abs(row.sum() - 1.0) > ROW_TOL:
+            problems.append(f"probabilities sum to {row.sum()!r} at point {k}")
+        jac = np.asarray(policy.jacobian(x))
+        col_sums = np.abs(jac.sum(axis=0)).max() if jac.size else 0.0
+        if col_sums > 1e-8:
+            problems.append(f"jacobian columns sum to {col_sums!r} at point {k}")
+        fd = finite_difference_jacobian(policy, x)
+        scale = max(np.abs(fd).max(), 1e-12)
+        if np.abs(fd - jac).max() / scale > 1e-5:
+            problems.append(f"jacobian disagrees with finite differences "
+                            f"at point {k}")
+        if reference_jacobian_l1_norm(jac) > policy.bound_b + 1e-9:
+            problems.append(f"bound_b violated at point {k}")
+    return problems
+
+
+def reference_bound_and_slack(emdp, policy, pert):
+    """First-order entry bound and per-state slack of
+    ``chain_perturbation_bound``, one jacobian call per state."""
+    n = emdp.base.n_states
+    shift = np.linalg.norm(pert.delta_S, axis=1)
+    grad_norm = np.array([reference_jacobian_l1_norm(
+        policy.jacobian(emdp.embedding[i])) for i in range(n)])
+    bound = (0.5 * grad_norm * shift)[:, None] \
+        + np.abs(pert.delta_T).sum(axis=1)
+    slack = np.zeros(n)
+    for i in np.nonzero(shift > 0)[0]:
+        jac_here = np.asarray(policy.jacobian(emdp.embedding[i]))
+        jac_there = np.asarray(policy.jacobian(emdp.embedding[i]
+                                               + pert.delta_S[i]))
+        kappa = reference_jacobian_l1_norm(jac_there - jac_here) / shift[i]
+        slack[i] = kappa * shift[i] ** 2
+    return bound, slack

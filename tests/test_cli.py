@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -379,6 +380,43 @@ class TestOnPolicyCommands:
         assert row["size"] <= 0.1
 
 
+class TestOnPolicyArtifactBytes:
+    """sha256 of stdout on seeded documents, pinned so that the batched
+    policy path keeps every on-policy artifact byte for byte."""
+
+    POLICY = {"weights": [[0.9, -1.3, 0.4, 0.2], [-0.5, 0.8, -1.1, 0.6],
+                          [0.3, 0.1, 0.7, -0.9]], "temperature": 0.8}
+    DOCUMENTS = {"22": ("40,3,4", "0.3"), "26": ("16,3,4", "0.15")}
+    SWEEP = ["--sizes", "1e-5,1e-4,1e-3", "--seed", "3", "--big-n", "20"]
+    GOLDEN = [
+        ("22", [], "59dc835ece89aa46baf86b015e651011"
+                   "917cbacc4511ac4a734178a065e89556"),
+        ("22", ["--start", "s0"], "7d3916180c2f2b0ea080e74dc87f8235"
+                                  "a482badc489c93e2d6ddf74e28f00033"),
+        ("22", SWEEP, "2a1b63e1c5f9a5d7900c449bcb0f43fc"
+                      "8166ec6f9e5ca40379fda3abbe96a13c"),
+        ("26", [], "e8539c49044ced0b178a45c1c9b567f3"
+                   "e171963a0f7905e5f01e6ff989190c19"),
+        ("26", ["--start", "s0"], "f1f2a553495669110ca7be1981e48814"
+                                  "adfe15ecb66469f1640e7c406ee15a1f"),
+        ("26", SWEEP, "f954459b4337d1e8002cd1a74e3cd6c5"
+                      "a7fa68bfa92573744cc6e5aa8e4395d7"),
+    ]
+
+    @pytest.mark.parametrize("seed,flags,digest", GOLDEN)
+    def test_stdout_digest(self, tmp_path, capsys, seed, flags, digest):
+        shape, sparsity = self.DOCUMENTS[seed]
+        mdp = str(tmp_path / "m.json")
+        assert main(["random", "--seed", seed, "--shape", shape,
+                     "--sparsity", sparsity, "--out", mdp]) == 0
+        policy = write_doc(tmp_path / "p.json", self.POLICY)
+        command = "onpolicy-sweep" if "--sizes" in flags else "onpolicy"
+        capsys.readouterr()
+        assert main([command, mdp, policy] + flags) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestStabilityExperiment:
     def test_ladder_reports_largest_holding_rung(self, tmp_path, capsys):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -546,6 +584,23 @@ UNUSABLE_INPUT = [
     (["random", "--seed", "1", "--sparsity", "-1"], "sparsity"),
     (["random", "--seed", "1", "--sparsity", "0"], "sparsity"),
     (["random", "--seed", "1", "--sparsity", "1.5"], "sparsity"),
+    (["frontier", "@m", "--sizes=-0.1,0.2"], "negative epsilon -0.1"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
+      "--sizes", ","], "no size"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
+      "--sizes=-0.1"], "negative size -0.1"),
+    (["onpolicy-sweep", "@e", "@p", "--sizes", ","], "no size"),
+    (["onpolicy-sweep", "@e", "@p", "--sizes", ""], "no size"),
+    (["onpolicy-sweep", "@e", "@p", "--sizes=1e-4,-1e-3"],
+     "negative size -0.001"),
+    # The embedding has dimension 1 and the MDP 2 actions.
+    (["onpolicy", "@e", "@p-dim2"], "read dimension 2, got (3, 1)"),
+    (["onpolicy-sweep", "@e", "@p-dim2", "--sizes", "1e-4"],
+     "read dimension 2, got (3, 1)"),
+    (["onpolicy", "@e", "@p-3actions"],
+     "invalid (3, 3) array for 3 states and 2 actions"),
+    (["onpolicy-sweep", "@e", "@p-3actions", "--sizes", "1e-4"],
+     "invalid (3, 3) array for 3 states and 2 actions"),
 ]
 
 
@@ -555,7 +610,13 @@ def test_unusable_input_exits_2_with_its_message(tmp_path, capsys, argv,
                                                  message):
     files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
              "@e": write_doc(tmp_path / "e.json", embedded_doc()),
-             "@p": write_doc(tmp_path / "p.json", POLICY_DOC)}
+             "@p": write_doc(tmp_path / "p.json", POLICY_DOC),
+             "@p-dim2": write_doc(tmp_path / "p2.json",
+                                  {"weights": [[1.0, 0.0], [-1.0, 0.0]],
+                                   "temperature": 1.0}),
+             "@p-3actions": write_doc(tmp_path / "p3.json",
+                                      {"weights": [[1.0], [0.0], [-1.0]],
+                                       "temperature": 1.0})}
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (reference_bound_and_slack, reference_jacobian_l1_norm,
+                     reference_realize_chain, reference_toy_policy,
+                     reference_validate_diff_policy)
 from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            StartDistribution, analyze_chain,
                            build_uniform_shutdown,
@@ -65,6 +70,19 @@ class TestRealizeChain:
         bad = DiffPolicy(lambda x: np.array([0.7, 0.7]),
                          lambda x: np.zeros((2, emdp.dim)), 0.0)
         with pytest.raises(ValueError, match="invalid"):
+            realize_chain(emdp, bad)
+
+    def test_names_the_first_invalid_row(self):
+        emdp = embedded(2)
+        rows = np.full((emdp.base.n_states, 2), 0.5)
+        rows[3] = [0.7, 0.7]
+        rows[4] = [np.nan, 0.5]
+        bad = DiffPolicy(lambda X: rows, None, 0.0)
+        with pytest.raises(ValueError, match="invalid distribution at "
+                                             "state 3"):
+            realize_chain(emdp, bad)
+        rows[3] = 0.5
+        with pytest.raises(ValueError, match=r"at state 4: \[nan 0\.5\]"):
             realize_chain(emdp, bad)
 
 
@@ -364,7 +382,8 @@ class TestToyPolicies:
     def test_validate_diff_policy_catches_a_lying_jacobian(self):
         policy = make_toy_policy(np.ones((2, 2)))
         lying = DiffPolicy(policy.evaluator,
-                           lambda x: np.ones((2, 2)), policy.bound_b)
+                           lambda X: np.ones(np.shape(X)[:-1] + (2, 2)),
+                           policy.bound_b)
         problems = validate_diff_policy(lying, [np.zeros(2)])
         assert any("jacobian" in p for p in problems)
 
@@ -388,6 +407,20 @@ class TestToyPolicies:
             sampled = max(sampled, float(np.abs(jac @ u).sum()))
         assert sampled <= exact + 1e-9
         assert sampled >= 0.95 * exact
+
+    def test_jacobian_l1_norm_batches_many_actions(self):
+        rng = np.random.default_rng(13)
+        # 13 actions: 4,096 sign vectors, enumerated in blocks.
+        jacs = rng.standard_normal((4, 13, 3))
+        np.testing.assert_allclose(
+            jacobian_l1_norm(jacs),
+            [reference_jacobian_l1_norm(jac) for jac in jacs],
+            rtol=1e-15, atol=0)
+        # 17 actions: the singular-value fallback, one jacobian at a time.
+        jacs = rng.standard_normal((4, 17, 3))
+        np.testing.assert_allclose(
+            jacobian_l1_norm(jacs), [jacobian_l1_norm(jac) for jac in jacs],
+            rtol=1e-15, atol=0)
 
 
 class TestAnalysisAndBound:
@@ -442,3 +475,118 @@ class TestDocuments:
         x = rng.standard_normal(3)
         expected = make_toy_policy(W, 0.5).evaluator(x)
         np.testing.assert_allclose(policy.evaluator(x), expected)
+
+
+# -- batched policy calls against the per-point oracles ------------------------
+
+COORDS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-50.0, 50.0]))
+
+
+@st.composite
+def policy_batches(draw, min_points=0):
+    """(weights, temperature, points): 1-4 actions, dimension 1-4, and up
+    to 30 points with saturating coordinates and duplicated rows."""
+    n_a = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+    weights = draw(st.lists(row, min_size=n_a, max_size=n_a))
+    temperature = draw(st.floats(0.05, 5.0))
+    points = draw(st.lists(st.lists(COORDS, min_size=d, max_size=d),
+                           min_size=min_points, max_size=20))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=10))
+    return (np.array(weights), temperature,
+            np.array(points, dtype=float).reshape(-1, d))
+
+
+def faulty(policy):
+    """A policy that breaks every part of the contract somewhere: rows lose
+    mass (and go negative) where the first coordinate exceeds 1, the
+    jacobian is scaled by 1.5, and bound_b is a quarter of the truth."""
+    return DiffPolicy(
+        lambda X: policy.evaluator(X)
+        - 0.3 * (np.asarray(X)[..., :1] > 1.0),
+        lambda X: 1.5 * policy.jacobian(X), policy.bound_b / 4.0)
+
+
+def embedded_at(points, n_actions, seed=0):
+    """A random embedded MDP whose states sit at the given points."""
+    base = random_family(seed, (len(points), n_actions,
+                                points.shape[1])).base
+    return EmbeddedMdp(base, points)
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+class TestBatchedPolicyMatchesPerPointOracle:
+    @PROPERTY
+    @given(case=policy_batches())
+    def test_evaluator_jacobian_and_norm(self, case):
+        W, t, X = case
+        policy = make_toy_policy(W, t)
+        evaluator, jacobian = reference_toy_policy(W, t)
+        probs, jacs = policy.evaluator(X), policy.jacobian(X)
+        norms = jacobian_l1_norm(jacs)
+        assert probs.shape == (len(X), len(W))
+        assert jacs.shape == (len(X),) + W.shape
+        for x, row, jac, norm in zip(X, probs, jacs, norms):
+            assert np.array_equal(row, evaluator(x))
+            np.testing.assert_allclose(jac, jacobian(x), rtol=1e-15, atol=0)
+            assert norm == pytest.approx(reference_jacobian_l1_norm(jac),
+                                         rel=1e-15, abs=0)
+
+    @PROPERTY
+    @given(case=policy_batches())
+    def test_validate_and_tighten(self, case):
+        W, t, X = case
+        policy = make_toy_policy(W, t)
+        for p in (policy, faulty(policy)):
+            assert validate_diff_policy(p, X) \
+                == reference_validate_diff_policy(p, X)
+        expected = max((reference_jacobian_l1_norm(policy.jacobian(x))
+                        for x in X), default=0.0)
+        tight = tighten_policy_bound(policy, X).bound_b
+        assert tight == pytest.approx(min(expected, policy.bound_b)
+                                      if policy.bound_b else expected,
+                                      rel=1e-15, abs=0)
+
+    @PROPERTY
+    @given(case=policy_batches(min_points=2), seed=st.integers(0, 2 ** 16))
+    def test_realize_chain(self, case, seed):
+        W, t, X = case
+        emdp = embedded_at(X, len(W), seed)
+        evaluator, jacobian = reference_toy_policy(W, t)
+        assert np.array_equal(
+            realize_chain(emdp, make_toy_policy(W, t)),
+            reference_realize_chain(emdp, DiffPolicy(evaluator, jacobian,
+                                                     0.0)))
+        if np.any(X[:, 0] > 1.0):
+            bad = faulty(make_toy_policy(W, t))
+            with pytest.raises(ValueError) as per_state:
+                reference_realize_chain(emdp, bad)
+            with pytest.raises(ValueError) as batched:
+                realize_chain(emdp, bad)
+            assert str(batched.value) == str(per_state.value)
+
+    @PROPERTY
+    @given(case=policy_batches(min_points=2), seed=st.integers(0, 2 ** 16))
+    def test_chain_perturbation_bound(self, case, seed):
+        W, t, X = case
+        emdp = embedded_at(X, len(W), seed)
+        policy = make_toy_policy(W, t)
+        rng = np.random.default_rng(seed)
+        pert = random_perturbation(emdp, policy, 1e-4, seed)
+        moved = rng.random(len(X)) < 0.6        # the others stay put
+        pert = Perturbation(pert.delta_S * moved[:, None], pert.delta_T)
+        report = chain_perturbation_bound(emdp, policy, pert)
+        bound, slack = reference_bound_and_slack(emdp, policy, pert)
+        np.testing.assert_allclose(report.bound, bound, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(report.slack, slack, rtol=1e-15, atol=0)
+        assert np.all(report.slack[~moved] == 0.0)
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 2))])
+    def test_empty_point_sets(self, points):
+        policy = make_toy_policy([[1.0, -2.0], [0.5, 0.0]])
+        assert validate_diff_policy(policy, points) == []
+        assert tighten_policy_bound(policy, points).bound_b == 0.0
