@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .mdp import MdpSpec, _frozen, validate
+from .mdp import MdpSpec, _frozen, can_reach, validate
 from .transport import BatchedTransport
 
 __all__ = [
@@ -300,6 +298,23 @@ class QuotientResult:
         object.__setattr__(self, "lift", _frozen(self.lift, dtype=int))
 
 
+def _components(close: np.ndarray) -> list:
+    """Connected components of the undirected graph with an edge between
+    i and j where ``close[i, j]`` or ``close[j, i]`` holds, as tuples of
+    states sorted by their first member."""
+    close = close | close.T
+    states = np.arange(len(close))
+    classes, assigned = [], np.zeros(len(close), dtype=bool)
+    for s in states:
+        if not assigned[s]:
+            # The class of the lowest unassigned state: the states that
+            # reach it.
+            members = can_reach(close, states == s)
+            assigned |= members
+            classes.append(tuple(np.nonzero(members)[0]))
+    return classes
+
+
 def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     """Collapse states whose within-MDP distance is at most ``merge_tol``.
 
@@ -316,10 +331,8 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     metric = cross_bisim_metric(mdp, mdp, config)
     if not metric.converged:
         raise NonConvergence("within-MDP metric did not converge")
-    close = sp.csr_matrix(metric.dist <= merge_tol)
-    n_classes, labels = connected_components(close, directed=False)
-    classes = [tuple(np.nonzero(labels == c)[0]) for c in range(n_classes)]
-    classes.sort(key=lambda members: members[0])
+    classes = _components(metric.dist <= merge_tol)
+    n_classes = len(classes)
     lift = np.empty(mdp.n_states, dtype=int)
     for c, members in enumerate(classes):
         # A state that never shuts down can sit within merge_tol of a safe

@@ -297,6 +297,9 @@ def cmd_random(args):
     if len(shape) != 3:
         raise SystemExit("--shape must be states,actions,dim")
     reward_range = tuple(_parse_sizes(args.reward_range))
+    if len(reward_range) != 2 or reward_range[0] > reward_range[1]:
+        raise ValueError(f"--reward-range must be low,high with low <= "
+                         f"high, got {args.reward_range!r}")
     emdp = random_family(args.seed, shape, args.sparsity, reward_range,
                          gamma=args.gamma)
     document = embedded_to_document(emdp)

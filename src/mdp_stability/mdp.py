@@ -197,13 +197,19 @@ class InducedChain:
         object.__setattr__(self, "Q", _frozen(self.Q))
         object.__setattr__(self, "absorb", _frozen(self.absorb))
         object.__setattr__(self, "index_map", _frozen(self.index_map, dtype=int))
-        rows = self.Q.sum(axis=1) + self.absorb
-        if self.Q.size and np.max(np.abs(rows - 1.0)) > PROB_TOL:
-            raise ValueError("chain rows + absorption must sum to 1")
+        check_chain_rows(self.Q, self.absorb)
 
     @property
     def n_states(self):
         return len(self.index_map)
+
+
+def check_chain_rows(Q: np.ndarray, absorb: np.ndarray) -> None:
+    """Raise ValueError unless every row of Q (..., n, n) plus its
+    absorption probability in ``absorb`` (..., n) sums to 1."""
+    rows = Q.sum(axis=-1) + absorb
+    if Q.size and np.max(np.abs(rows - 1.0)) > PROB_TOL:
+        raise ValueError("chain rows + absorption must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -362,11 +368,13 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
 
 def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Mask of the states with a path (possibly empty) along the boolean
-    adjacency matrix ``adj`` into the states of the mask ``target``."""
+    adjacency matrix ``adj`` into the states of the mask ``target``.
+    Leading axes of ``adj`` (..., n, n) and ``target`` (..., n) index a
+    batch of graphs."""
     steps = adj.astype(float)
     reach = np.array(target, dtype=bool)
     while True:
-        grown = reach | (steps @ reach > 0)
+        grown = reach | ((steps @ reach[..., None])[..., 0] > 0)
         if not np.any(grown & ~reach):
             return reach
         reach = grown

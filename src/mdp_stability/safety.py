@@ -9,7 +9,6 @@ times are decided structurally (graph reachability), never by numerics.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -19,8 +18,8 @@ import numpy as np
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
 from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
-                  StartDistribution, can_reach, induce_chain,
-                  policy_evaluation, value_iteration)
+                  StartDistribution, can_reach, check_chain_rows,
+                  value_iteration)
 from .onpolicy import spectral_radius
 
 __all__ = [
@@ -36,8 +35,12 @@ __all__ = [
     "POLICY_CAP",
 ]
 
-# Most deterministic policies one certificate or frontier may enumerate.
+# Most deterministic policies one certificate or frontier may enumerate,
+# counted before MacQueen's test prunes any.
 POLICY_CAP = 10 ** 6
+# Policies per stacked solve: at 16 states each stacked array of a chunk
+# stays near 64 KB.
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -100,59 +103,138 @@ def _start_charge(chain: InducedChain, start: StartDistribution,
                   t: np.ndarray) -> float:
     """:func:`hitting_time` of ``start`` from the chain's expected steps
     ``t`` per chain state."""
+    return float(_start_charges(chain.index_map, start, t[None])[0])
+
+
+def _start_charges(index_map: np.ndarray, start: StartDistribution,
+                   t: np.ndarray) -> np.ndarray:
+    """:func:`hitting_time` of ``start`` for each row of ``t``, the
+    expected steps (chains, chain states) of chains over the MDP states
+    ``index_map``."""
     w = start.weights
-    n_total = int(chain.index_map.max(initial=-1)) + 1
+    n_total = int(index_map.max(initial=-1)) + 1
     if len(w) < n_total:
         raise ValueError("start distribution dimension mismatch")
-    on_chain = w[chain.index_map] if chain.n_states else np.zeros(0)
+    on_chain = w[index_map]
     if w.sum() - on_chain.sum() > WEIGHT_TOL:
         raise ValueError("start places mass on safe states")
     hit = on_chain > 0
-    if np.any(hit & np.isinf(t)):
-        return math.inf
-    return float(on_chain[hit] @ t[hit]) if np.any(hit) else 0.0
+    mass = on_chain[hit]
+    # One dot product per chain, as for a single chain: a stacked product
+    # may sum in another order.
+    return np.array([math.inf if np.any(np.isinf(row)) else float(mass @ row)
+                     for row in t[:, hit]])
 
 
-def _policy_grid(mdp: MdpSpec):
-    """All deterministic policies, varying only over non-safe states
-    (actions inside safe states are pinned to 0: they cannot matter)."""
+def _stacked_expected_steps(Q: np.ndarray, absorb: np.ndarray,
+                            index_map: np.ndarray) -> np.ndarray:
+    """:func:`expected_steps` of the chains (Q[b], absorb[b]) over the MDP
+    states ``index_map``, one row per chain.
+
+    The chains that the structural test of :func:`expected_steps` finds
+    absorbed almost surely from every state share one stacked solve; a
+    chain with an infinite entry goes through :func:`expected_steps`.
+    """
+    adj = Q > 0
+    can_absorb = can_reach(adj, absorb > 0)
+    finite = ~np.any(can_reach(adj, ~can_absorb), axis=-1)
+    t = np.empty(absorb.shape)
+    n = absorb.shape[-1]
+    try:
+        t[finite] = np.linalg.solve(
+            np.eye(n) - Q[finite], np.ones((int(finite.sum()), n, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        # expected_steps names the failure with the chain's spectral radius.
+        finite[:] = False
+    for b in np.nonzero(~finite)[0]:
+        t[b] = expected_steps(InducedChain(Q[b], absorb[b], index_map))
+    return t
+
+
+def _member_times(mdp: MdpSpec, actions: np.ndarray, start):
+    """(charged hitting times, expected steps per chain state) of the
+    deterministic policies in the rows of ``actions``; a ``start`` of None
+    charges each policy its slowest non-safe starting state."""
+    keep = mdp.nonsafe_indices
+    rows = mdp.transition[keep, actions[:, keep]]
+    Q = rows[..., keep]
+    absorb = rows[..., mdp.safe_indices].sum(axis=-1)
+    check_chain_rows(Q, absorb)
+    t = _stacked_expected_steps(Q, absorb, keep)
+    if start is not None:
+        return _start_charges(keep, start, t), t
+    return np.max(t, axis=-1, initial=0.0), t
+
+
+# MacQueen's test (Puterman, Markov Decision Processes, section 6.7) drops
+# action a at a non-safe state s when V*(s) - Q*(s, a) >= eps + margin.
+# Every policy pi that takes a at s has V^pi(s) <= Q*(s, a), so its loss
+# max_s V*(s) - V^pi(s) is at least V*(s) - Q*(s, a), up to the errors
+# that the margin covers, in units of value_tol:
+#   10  the boundary band, so that a pruned policy is neither a member nor
+#       counted in boundary_count;
+#    2  value iteration's error on V* and on Q* = r + g P V* (each at most
+#       value_tol);
+#    8  per unit of max_s |V*(s)| (at least 1): rounding in Q*, in the
+#       solved V^pi and in the subtractions.
+PRUNE_BAND = 12.0
+PRUNE_ROUNDING = 8.0
+
+
+def _policy_table(mdp: MdpSpec, epsilon: float):
+    """The deterministic policies that survive MacQueen's test at
+    ``epsilon``, in chunks of at most CHUNK as (actions, loss): actions is
+    a (policies, states) table, with the actions inside safe states pinned
+    to 0 (they cannot matter), and loss the value loss
+    max_s V*(s) - V^pi(s) of each row.  A policy is eps-optimal exactly
+    when its loss is below eps; every policy left out has a loss of at
+    least epsilon + 10*value_tol.
+
+    The survivors come in the order of the product of actions over the
+    non-safe states (the last one varying fastest), so the eps-optimal
+    policies come in the same order as when every policy is evaluated.
+    """
     nonsafe = mdp.nonsafe_indices
-    for combo in itertools.product(range(mdp.n_actions), repeat=len(nonsafe)):
-        actions = np.zeros(mdp.n_states, dtype=int)
-        actions[nonsafe] = combo
-        yield Policy.deterministic(actions)
-
-
-def _policy_table(mdp: MdpSpec):
-    """Every policy of :func:`_policy_grid` once, as (policy, loss) with
-    the value loss max_s V*(s) - V^pi(s).  A policy is eps-optimal exactly
-    when its loss is below eps."""
-    size = mdp.n_actions ** len(mdp.nonsafe_indices)
+    size = mdp.n_actions ** len(nonsafe)
     if size > POLICY_CAP:
         raise ValueError(f"{size} deterministic policies exceed the "
                          f"enumeration cap {POLICY_CAP}; use a smaller "
                          f"instance")
-    v_star = value_iteration(mdp, SafetyQuery.value_tol).values
-    return ((policy,
-             float(np.max(v_star - policy_evaluation(mdp, policy).values)))
-            for policy in _policy_grid(mdp))
-
-
-def _charged_time(mdp: MdpSpec, policy: Policy, start):
-    """(charged hitting time, expected steps per chain state) of a policy;
-    a ``start`` of None charges the slowest non-safe starting state."""
-    chain = induce_chain(mdp, policy)
-    t = expected_steps(chain)
-    if start is not None:
-        return _start_charge(chain, start, t), t
-    return (float(np.max(t)) if len(t) else 0.0), t
+    tol = SafetyQuery.value_tol
+    v_star = value_iteration(mdp, tol).values
+    q_star = mdp.reward + mdp.discount * np.einsum("sat,t->sa",
+                                                   mdp.transition, v_star)
+    scale = max(1.0, float(np.max(np.abs(v_star), initial=0.0)))
+    cut = epsilon + tol * (PRUNE_BAND + PRUNE_ROUNDING * scale)
+    survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
+    shape = tuple(len(acts) for acts in survivors)
+    total = math.prod(shape)
+    states = np.arange(mdp.n_states)
+    eye = np.eye(mdp.n_states)
+    for begin in range(0, total, CHUNK):
+        flat = np.arange(begin, min(begin + CHUNK, total))
+        picks = np.unravel_index(flat, shape) if shape else ()
+        actions = np.zeros((len(flat), mdp.n_states), dtype=int)
+        for s, acts, pick in zip(nonsafe, survivors, picks):
+            actions[:, s] = acts[pick]
+        # The gathered rows are policy_evaluation's one-hot products bit
+        # for bit, and the stacked solve is one solve per policy.
+        A = eye - mdp.discount * mdp.transition[states, actions]
+        try:
+            values = np.linalg.solve(
+                A, mdp.reward[states, actions][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:  # cannot occur for discount < 1
+            raise ValueError(f"policy evaluation solve failed: {exc}") \
+                from exc
+        yield actions, np.max(v_star - values, axis=-1)
 
 
 def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery) -> list:
     """Every deterministic stationary policy whose exact value loss
     max_s V*(s) - V(s) is below epsilon."""
-    return [policy for policy, loss in _policy_table(mdp)
-            if loss < query.epsilon]
+    return [Policy.deterministic(row)
+            for actions, loss in _policy_table(mdp, query.epsilon)
+            for row in actions[loss < query.epsilon]]
 
 
 @dataclass(frozen=True)
@@ -205,28 +287,33 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
     """
     if not all(math.isfinite(n) for n in N_values):
         raise ValueError(f"N must be finite, got {tuple(N_values)!r}")
-    worst_time, worst_policy, worst_times = -math.inf, None, np.zeros(0)
-    members, reachability, boundary = [], [], 0
-    for policy, policy_loss in _policy_table(mdp):
-        if abs(query.epsilon - policy_loss) < 10.0 * query.value_tol:
-            boundary += 1
-        if policy_loss < query.epsilon:
-            members.append(policy)
-            time, t_vec = _charged_time(mdp, policy, query.start)
-            reachability.append(bool(np.all(np.isfinite(t_vec))))
-            if time > worst_time:
-                worst_time, worst_policy, worst_times = time, policy, t_vec
-    if not members:
+    worst_time, worst_actions, worst_times = -math.inf, None, None
+    count, reachability, boundary = 0, [], 0
+    for actions, loss in _policy_table(mdp, query.epsilon):
+        boundary += int(np.count_nonzero(
+            np.abs(query.epsilon - loss) < 10.0 * query.value_tol))
+        members = actions[loss < query.epsilon]
+        if not len(members):
+            continue
+        times, t = _member_times(mdp, members, query.start)
+        count += len(members)
+        reachability.extend(np.all(np.isfinite(t), axis=-1).tolist())
+        # The first slowest policy in grid order wins a tie.
+        k = int(np.argmax(times))
+        if times[k] > worst_time:
+            worst_time, worst_actions, worst_times = (float(times[k]),
+                                                      members[k], t[k].copy())
+    if not count:
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
             f"verdict over an empty set would be vacuous")
 
     return SafetyCertificate(
         epsilon=query.epsilon,
-        worst_policy=worst_policy,
+        worst_policy=Policy.deterministic(worst_actions),
         worst_time=worst_time,
         worst_policy_times=worst_times,
-        epsilon_optimal_count=len(members),
+        epsilon_optimal_count=count,
         reachability=tuple(reachability),
         boundary_count=boundary,
         is_safe_for=tuple((float(n), worst_time <= n) for n in N_values),
@@ -292,26 +379,30 @@ def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
 def safety_frontier(mdp: MdpSpec, epsilons) -> list:
     """Worst-case hitting time as a function of epsilon.
 
-    Every deterministic policy is evaluated once, and hitting times are
-    computed for the policies eps-optimal at the largest epsilon; each
-    epsilon then reads off the maximum over its membership set, so the
-    frontier is monotone nondecreasing by construction of the sets
-    themselves.  An empty epsilon list, or an epsilon whose membership
-    set is empty, raises ValueError.
+    The policies that survive MacQueen's test at the largest epsilon are
+    evaluated once, and hitting times are computed for those eps-optimal
+    at the largest epsilon; each epsilon then reads off the maximum over
+    its membership set, so the frontier is monotone nondecreasing by
+    construction of the sets themselves.  An empty epsilon list, or an
+    epsilon whose membership set is empty, raises ValueError.
     """
     epsilons = sorted(float(e) for e in epsilons)
     if not epsilons:
         raise ValueError("no epsilon given; an empty frontier would be "
                          "vacuous")
-    evaluated = [(loss, _charged_time(mdp, policy, None)[0])
-                 for policy, loss in _policy_table(mdp)
-                 if loss < epsilons[-1]]
-    frontier = []
-    for eps in epsilons:
-        times = [worst for loss, worst in evaluated if loss < eps]
-        if not times:
+    # Hitting times are nonnegative, so -inf marks an empty set.
+    worst = np.full(len(epsilons), -math.inf)
+    for actions, loss in _policy_table(mdp, epsilons[-1]):
+        inside = loss < epsilons[-1]
+        if not np.any(inside):
+            continue
+        times, _ = _member_times(mdp, actions[inside], None)
+        member = loss[inside] < np.array(epsilons)[:, None]
+        worst = np.maximum(
+            worst, np.where(member, times, -math.inf).max(axis=-1))
+    for eps, time in zip(epsilons, worst):
+        if time == -math.inf:
             raise ValueError(
                 f"no deterministic policy is {eps!r}-optimal; a frontier "
                 f"point over an empty set would be vacuous")
-        frontier.append((eps, max(times)))
-    return frontier
+    return [(eps, float(time)) for eps, time in zip(epsilons, worst)]

@@ -194,9 +194,12 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
         raise ValueError(f"sparsity must lie in (0,1], got {sparsity!r}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma!r}")
+    if len(reward_range) != 2 \
+            or not all(math.isfinite(x) for x in reward_range) \
+            or reward_range[0] > reward_range[1]:
+        raise ValueError(f"reward range must be two finite numbers "
+                         f"low <= high, got {reward_range!r}")
     lo, hi = reward_range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"reward range must be finite, got {reward_range!r}")
     rng = np.random.default_rng(seed)
     safe = n_states - 1
     k = math.ceil(sparsity * n_states)

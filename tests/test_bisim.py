@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helpers import fresh_lp_metric, random_mdp
+from mdp_stability.bisim import _components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
                            cross_bisim_metric, hausdorff_distance,
@@ -330,6 +333,28 @@ class TestQuotient:
         mdp = dead_and_off_mdp()
         with pytest.raises(ValueError, match="mix safe and non-safe"):
             bisim_quotient(mdp)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_quotient_classes_are_scipy_connected_components(seed):
+    # scipy's connected_components on the undirected thresholded graph is
+    # the oracle.  Distances are asymmetric and drawn so that some states
+    # are isolated and some classes are joined by one direction only.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    dist = rng.random((n, n)) * rng.choice([0.5, 1.0, 4.0])
+    np.fill_diagonal(dist, 0.0)
+    close = dist <= 0.3
+    n_classes, labels = connected_components(csr_matrix(close),
+                                             directed=False)
+    expected = sorted((tuple(np.nonzero(labels == c)[0])
+                       for c in range(n_classes)), key=lambda m: m[0])
+    assert _components(close) == expected
+    if seed == 0:
+        assert _components(np.eye(4, dtype=bool)) == [(0,), (1,), (2,), (3,)]
+        one_way = np.eye(3, dtype=bool)
+        one_way[2, 0] = True
+        assert _components(one_way) == [(0, 2), (1,)]
 
 
 def dead_and_off_mdp():

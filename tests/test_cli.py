@@ -417,6 +417,78 @@ class TestOnPolicyArtifactBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestCertifyArtifactBytes:
+    """sha256 of stdout on seeded documents, pinned so that the pruned,
+    stacked policy table keeps every certificate and frontier byte for
+    byte: the eps-optimal set, the order of ``reachability`` and the
+    policy that wins a tied worst time.  Documents a to c have an
+    infinite worst time and members of both kinds."""
+
+    DOCUMENTS = {  # name: (seed, shape, sparsity, epsilon)
+        "a": ("2", "9,3,2", "0.4", "0.3"),
+        "b": ("7", "11,2,2", "0.3", "1.0"),
+        "c": ("3", "10,2,2", "0.4", "3.0"),
+        "d": ("2", "11,2,2", "0.3", "1.0"),
+    }
+    BIG_N = ["certify", "--big-n", "12"]
+    START = ["certify", "--start", "s0"]
+    FRONTIER = ["frontier", "--grid", "8"]
+    GOLDEN = [
+        ("a", BIG_N, 1, "37674322cbbb95d8e5af429fc150e992"
+                        "a4c226de0da59becf29f43d9a7a04812"),
+        ("a", START, 0, "b606a15fd809f9c0d71110d01f5e392c"
+                        "dd76f50487db2191827ee34e44295232"),
+        ("a", FRONTIER, 0, "305d1af37f46a8ec89467de04aeee481"
+                           "c18c10fabd2e206f456e44cb22c09d36"),
+        ("b", BIG_N, 1, "bbd1b90641382441e60f1a1bec0eb69f"
+                        "eeb9636e25763de71c6745f4a27ea214"),
+        ("b", START, 0, "bb6a8453ee9d381da5e609b754d61e6c"
+                        "a3762ea8e4e4d1053172373b02935daf"),
+        ("b", FRONTIER, 0, "e4efad9f40c9d7bd585bd8c42c8a83b1"
+                           "5fbe6558a7fedddd4e34aaa62582b0ba"),
+        ("c", BIG_N, 1, "13eab678ba63e8c73aff06a41517c4c8"
+                        "e05abf5c2d44b3cc2ee34ab8aa23aa4a"),
+        ("c", START, 0, "0b753d2bddf5691be61bcd808b71565e"
+                        "cf092f7af9d16a53743554b107b4c01e"),
+        ("c", FRONTIER, 0, "78ea055c601ab9d1a004ab9dc35216bf"
+                           "38ebcbb3935f5a2e36a2d610c990dbfc"),
+        ("d", BIG_N, 0, "2cd88cafdf6d7fed13bb13c91531cd3c"
+                        "c0214aa384b2e2a64a0005b25cdb21ec"),
+        ("d", START, 0, "8fd9e14a08967b06cd114fb16a57e9c1"
+                        "2228607c24a2a9bbf2ff75c8e9c20605"),
+        ("d", FRONTIER, 0, "f2316ab56d15e08c3240e6ee3e523cb3"
+                           "1d0e3f37cf63af22b36e72683b26372c"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,flags,code,digest", GOLDEN,
+        ids=[f"{name}-{' '.join(flags)}" for name, flags, *_ in GOLDEN])
+    def test_stdout_digest(self, tmp_path, capsys, name, flags, code, digest):
+        seed, shape, sparsity, eps = self.DOCUMENTS[name]
+        mdp = str(tmp_path / "m.json")
+        assert main(["random", "--seed", seed, "--shape", shape,
+                     "--sparsity", sparsity, "--out", mdp]) == 0
+        capsys.readouterr()
+        assert main([flags[0], mdp, "--epsilon", eps] + flags[1:]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_documents_cover_infinite_and_finite_worst_times(self, tmp_path,
+                                                             capsys):
+        finite = {}
+        for name, (seed, shape, sparsity, eps) in self.DOCUMENTS.items():
+            mdp = str(tmp_path / f"{name}.json")
+            assert main(["random", "--seed", seed, "--shape", shape,
+                         "--sparsity", sparsity, "--out", mdp]) == 0
+            capsys.readouterr()
+            main(["certify", mdp, "--epsilon", eps])
+            doc = json.loads(capsys.readouterr().out)
+            finite[name] = doc["worst_time_finite"]
+            if not finite[name]:
+                assert any(doc["reachability"])
+        assert finite == {"a": False, "b": False, "c": False, "d": True}
+
+
 class TestStabilityExperiment:
     def test_ladder_reports_largest_holding_rung(self, tmp_path, capsys):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -584,6 +656,9 @@ UNUSABLE_INPUT = [
     (["random", "--seed", "1", "--sparsity", "-1"], "sparsity"),
     (["random", "--seed", "1", "--sparsity", "0"], "sparsity"),
     (["random", "--seed", "1", "--sparsity", "1.5"], "sparsity"),
+    (["random", "--seed", "1", "--reward-range", ","], "--reward-range"),
+    (["random", "--seed", "1", "--reward-range", "0,1,2"], "--reward-range"),
+    (["random", "--seed", "1", "--reward-range", "2,1"], "--reward-range"),
     (["frontier", "@m", "--sizes=-0.1,0.2"], "negative epsilon -0.1"),
     (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
       "--sizes", ","], "no size"),

@@ -10,7 +10,7 @@ from mdp_stability import (MdpSpec, Policy, dump_mdp, greedy_policy,
                            induce_chain, load_mdp, mdp_from_document,
                            mdp_to_document, policy_evaluation, validate,
                            value_iteration)
-from mdp_stability.mdp import read_document
+from mdp_stability.mdp import can_reach, read_document
 
 
 def two_state_mdp():
@@ -95,6 +95,32 @@ class TestInduceChain:
                 assert chain.Q[ci, cj] == pytest.approx(direct, abs=1e-12)
             rows = chain.Q[ci].sum() + chain.absorb[ci]
             assert rows == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCanReach:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_equals_one_call_per_graph(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        adj = rng.random((3, 5, n, n)) < rng.choice([0.1, 0.3, 0.6])
+        target = rng.random((3, 5, n)) < 0.2
+        batch = can_reach(adj, target)
+        assert batch.shape == target.shape and batch.dtype == bool
+        for i in range(3):
+            for j in range(5):
+                assert np.array_equal(batch[i, j],
+                                      can_reach(adj[i, j], target[i, j]))
+
+    def test_path_into_the_target(self):
+        # 0 -> 1 -> 2, 3 isolated; only 2 is a target.
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[0, 1] = adj[1, 2] = True
+        target = np.array([False, False, True, False])
+        assert can_reach(adj, target).tolist() == [True, True, True, False]
+        stacked = can_reach(np.stack([adj, adj.T]),
+                            np.stack([target, target]))
+        assert stacked.tolist() == [[True, True, True, False],
+                                    [False, False, True, False]]
 
 
 class TestValueIteration:

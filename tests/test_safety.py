@@ -1,16 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import (random_mdp, reference_certify, reference_enumerate,
-                     reference_frontier)
+from helpers import (_reference_grid, random_mdp, reference_certify,
+                     reference_enumerate, reference_frontier)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            SafetyQuery, StartDistribution, build_duplicated,
                            certify_safety, enumerate_epsilon_optimal,
                            expected_steps, greedy_policy, hitting_time,
-                           induce_chain, policy_evaluation, safety_frontier,
-                           value_iteration, ValueFunction,
+                           induce_chain, policy_evaluation, safety,
+                           safety_frontier, value_iteration, ValueFunction,
                            verify_stability_instance)
 
 
@@ -415,6 +418,147 @@ class TestPolicyTableOracle:
         assert any(not all(c.reachability) and any(c.reachability)
                    for c in certs)
         assert sum(c.boundary_count for c in certs) >= 3
+
+
+TOL = SafetyQuery.value_tol
+
+
+def grid_losses(mdp):
+    """(actions, loss) of every deterministic policy in grid order, one
+    policy_evaluation each."""
+    v_star = value_iteration(mdp, TOL).values
+    return [(tuple(policy.table),
+             float(np.max(v_star - policy_evaluation(mdp, policy).values)))
+            for policy in _reference_grid(mdp)]
+
+
+@st.composite
+def table_cases(draw):
+    """(mdp, policy index, chunk) with 1-5 non-safe states and 1-3
+    actions.  Rows have one to all states in their support (point masses
+    included), so some policies cycle among non-safe states forever; some
+    actions share another action's dynamics, which ties hitting times;
+    and a state may be duplicated."""
+    n_actions = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 6))
+    assume(n_actions ** (n - 1) <= 243)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    P = np.zeros((n, n_actions, n))
+    for s in range(n - 1):
+        for a in range(n_actions):
+            targets = rng.choice(n, size=rng.integers(1, n + 1),
+                                 replace=False)
+            P[s, a, targets] = rng.dirichlet(np.ones(len(targets)))
+        if n_actions > 1 and rng.random() < 0.3:
+            P[s, 1] = P[s, 0]
+    P[-1, :, -1] = 1.0
+    r = rng.random((n, n_actions)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    r[-1] = 0.0
+    mdp = MdpSpec(tuple(f"s{i}" for i in range(n)),
+                  tuple(f"a{j}" for j in range(n_actions)), P, r,
+                  draw(st.sampled_from([0.5, 0.9])), {n - 1})
+    if draw(st.booleans()) and n_actions ** n <= 243:
+        mdp = build_duplicated(mdp, draw(st.integers(0, n - 2)), copies=2)
+    index = draw(st.integers(0, n_actions ** len(mdp.nonsafe_indices) - 1))
+    return mdp, index, draw(st.sampled_from([1, 3, 7, safety.CHUNK]))
+
+
+class TestPrunedStackedTable:
+    """The pruned, stacked policy table against the per-policy loops of
+    tests/helpers.py, with epsilon on one policy's exact loss and
+    5*value_tol either side of it, so that membership and the boundary
+    band are decided by that policy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]),
+           start=st.booleans())
+    def test_certificate_matches_reference(self, case, offset, start):
+        mdp, index, chunk = case
+        eps = grid_losses(mdp)[index][1] + offset * TOL
+        assume(eps > 10.0 * TOL)
+        query = SafetyQuery(eps, StartDistribution.point_mass(mdp.n_states, 0)
+                            if start else None)
+        ref = reference_certify(mdp, query)
+        with mock.patch.object(safety, "CHUNK", chunk):
+            cert = certify_safety(mdp, query)
+            members = enumerate_epsilon_optimal(mdp, query)
+        assert cert.worst_time == ref["worst_time"]
+        assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+        assert cert.epsilon_optimal_count == ref["epsilon_optimal_count"]
+        assert cert.boundary_count == ref["boundary_count"]
+        assert cert.reachability == ref["reachability"]
+        chain = induce_chain(mdp, cert.worst_policy)
+        assert np.array_equal(cert.worst_policy_times, expected_steps(chain))
+        assert [tuple(p.table) for p in members] == [
+            actions for actions, loss in grid_losses(mdp) if loss < eps]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_frontier_matches_reference(self, case, offset):
+        mdp, index, chunk = case
+        eps = grid_losses(mdp)[index][1] + offset * TOL
+        epsilons = [eps / 4, eps / 2, eps]
+        ref_empty = not any(loss < min(epsilons)
+                            for _, loss in grid_losses(mdp))
+        with mock.patch.object(safety, "CHUNK", chunk):
+            if ref_empty:
+                with pytest.raises(ValueError, match="vacuous"):
+                    safety_frontier(mdp, epsilons)
+                return
+            rows = safety_frontier(mdp, epsilons)
+        assert rows == reference_frontier(mdp, epsilons)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_every_pruned_policy_is_outside_the_band(self, case, offset):
+        mdp, index, chunk = case
+        rows = grid_losses(mdp)
+        eps = rows[index][1] + offset * TOL
+        with mock.patch.object(safety, "CHUNK", chunk):
+            table = [(tuple(a), float(loss))
+                     for actions, losses in safety._policy_table(mdp, eps)
+                     for a, loss in zip(actions, losses)]
+        kept = dict(table)
+        assert [a for a, _ in table] == [a for a, _ in rows if a in kept]
+        for actions, loss in rows:
+            if actions in kept:
+                assert kept[actions] == loss
+            else:
+                assert loss >= eps + 10.0 * TOL
+
+    def test_pruning_leaves_out_policies(self):
+        # Dense 9-state MDP at a small epsilon: most of the 256 policies
+        # take an action that MacQueen's test rules out.
+        mdp = random_mdp(3, n_states=9, n_actions=2)
+        kept = sum(len(loss) for _, loss in safety._policy_table(mdp, 0.05))
+        assert 0 < kept < 2 ** 8 // 4
+        assert len(enumerate_epsilon_optimal(mdp, SafetyQuery(0.05))) \
+            == sum(loss < 0.05 for _, loss in grid_losses(mdp))
+
+    def test_failed_stacked_solve_falls_back_to_expected_steps(self):
+        # Every policy of a sparse MDP, so that finite and infinite chains
+        # share the stack; with the stacked solve failing, each chain goes
+        # through expected_steps and gets its values.
+        mdp = sparse_mdp(2)
+        actions = np.array([a for a, _ in grid_losses(mdp)])
+        keep = mdp.nonsafe_indices
+        rows = mdp.transition[keep, actions[:, keep]]
+        Q, absorb = rows[..., keep], rows[..., mdp.safe_indices].sum(axis=-1)
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return solve(a, b)
+
+        t = safety._stacked_expected_steps(Q, absorb, keep)
+        with mock.patch.object(np.linalg, "solve", failing):
+            fallback = safety._stacked_expected_steps(Q, absorb, keep)
+        for row, steps, back in zip(actions, t, fallback):
+            chain = induce_chain(mdp, Policy.deterministic(row))
+            assert np.array_equal(steps, expected_steps(chain))
+            assert np.array_equal(back, expected_steps(chain))
+        assert np.any(np.isinf(t)) and np.any(np.all(np.isfinite(t), axis=1))
 
 
 def test_nan_reward_stops_value_iteration_at_the_first_sweep():
