@@ -483,11 +483,19 @@ def rate_of_decrease_check(emdp: EmbeddedMdp, policy: DiffPolicy,
 
     ``start`` defaults to uniform over non-safe states.
     """
-    safe = emdp.base.safe_set
     if start is None:
         start = StartDistribution.uniform_over(
             emdp.base.n_states, emdp.base.nonsafe_indices)
-    base = analyze_chain(emdp, policy, start)
+    return _rate_against(analyze_chain(emdp, policy, start), emdp, policy,
+                         pert, start)
+
+
+def _rate_against(base: OnPolicyAnalysis, emdp: EmbeddedMdp,
+                  policy: DiffPolicy, pert: Perturbation,
+                  start: StartDistribution) -> RateReport:
+    """:func:`rate_of_decrease_check` given the analysis of the base chain
+    from ``start``, so that a ladder of perturbations analyses it once."""
+    safe = emdp.base.safe_set
     P_new = realize_chain(apply_perturbation(emdp, pert), policy)
     after = shutdown_probability(P_new, safe, start)
     size = perturbation_size(emdp, policy, pert)

@@ -121,6 +121,8 @@ def build_uniform_shutdown(mdp: MdpSpec, N: float,
     Rows become (1 - 1/N) P + (1/N) e_target, so from any state absorption
     happens with per-step probability at least 1/N.
     """
+    if not math.isfinite(N):
+        raise ValueError(f"N must be finite, got {N!r}")
     if not N > 1:
         raise ValueError(f"N must exceed 1, got {N!r}")
     if not mdp.safe_set:
@@ -248,24 +250,33 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     if size < 0:
         raise ValueError("size must be nonnegative")
     base = emdp.base
+    P = base.transition
     rng = np.random.default_rng(seed)
-    dT = np.zeros_like(base.transition)
-    nonsafe = set(int(s) for s in base.nonsafe_indices)
-    for s in range(base.n_states):
-        if s not in nonsafe:
-            continue
-        for a in range(base.n_actions):
-            row = base.transition[s, a]
-            sup = np.nonzero(row > 0)[0]
-            if len(sup) < 2:
-                continue
-            z = rng.standard_normal(len(sup))
-            z -= z.mean()
-            peak = np.abs(z).max()
-            if peak == 0.0:
-                continue
-            cap = 0.5 * row[sup].min()
-            dT[s, a, sup] = z * (cap / peak)
+    # Support entries of the non-safe rows with at least two of them, as
+    # flat indices in (state, action, destination) order: one draw of all
+    # their normals is the stream of consecutive per-row draws.
+    support = P > 0
+    support[base.safe_indices] = False
+    lengths = support.sum(axis=2)
+    support &= (lengths >= 2)[:, :, None]
+    cells = np.flatnonzero(support)
+    lengths = lengths[lengths >= 2]
+    z = rng.standard_normal(len(cells))
+    starts = np.cumsum(lengths) - lengths
+    noise = np.zeros(P.size)
+    # Rows of one length are centred together: the mean along the last
+    # axis of an (m, k) array sums each row as the per-row mean does,
+    # pairwise blocks included.
+    for k in np.unique(lengths):
+        at = starts[lengths == k][:, None] + np.arange(k)
+        zk = z[at]
+        zk -= zk.mean(axis=1, keepdims=True)
+        peak = np.abs(zk).max(axis=1)
+        live = peak != 0.0
+        rows = cells[at[live]]
+        cap = 0.5 * P.ravel()[rows].min(axis=1)
+        noise[rows] = zk[live] * (cap / peak[live])[:, None]
+    dT = noise.reshape(P.shape)
     dS = rng.standard_normal(emdp.embedding.shape)
 
     b = policy.bound_b

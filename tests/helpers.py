@@ -5,10 +5,10 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdp_stability import (MdpSpec, Policy, expected_steps,
+from mdp_stability import (MdpSpec, Perturbation, Policy, expected_steps,
                            finite_difference_jacobian, hitting_time,
-                           induce_chain, metric_update, policy_evaluation,
-                           value_iteration)
+                           induce_chain, metric_update, perturbation_size,
+                           policy_evaluation, value_iteration)
 from mdp_stability.onpolicy import ROW_TOL
 
 _BASIS_CACHE = {}
@@ -253,3 +253,52 @@ def reference_bound_and_slack(emdp, policy, pert):
         kappa = reference_jacobian_l1_norm(jac_there - jac_here) / shift[i]
         slack[i] = kappa * shift[i] ** 2
     return bound, slack
+
+
+def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
+    """``random_perturbation`` with one draw, centring and scatter per
+    (state, action) row of the transition noise."""
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    base = emdp.base
+    rng = np.random.default_rng(seed)
+    dT = np.zeros_like(base.transition)
+    nonsafe = set(int(s) for s in base.nonsafe_indices)
+    for s in range(base.n_states):
+        if s not in nonsafe:
+            continue
+        for a in range(base.n_actions):
+            row = base.transition[s, a]
+            sup = np.nonzero(row > 0)[0]
+            if len(sup) < 2:
+                continue
+            z = rng.standard_normal(len(sup))
+            z -= z.mean()
+            peak = np.abs(z).max()
+            if peak == 0.0:
+                continue
+            cap = 0.5 * row[sup].min()
+            dT[s, a, sup] = z * (cap / peak)
+    dS = rng.standard_normal(emdp.embedding.shape)
+
+    b = policy.bound_b
+    if b <= 0:
+        state_share = 0.0
+    t_mass = float(np.abs(dT).sum())
+    if t_mass == 0.0 and state_share == 0.0:
+        return Perturbation.zero(emdp)
+    if t_mass == 0.0:
+        state_share = 1.0
+    pert_scale_T = (1.0 - state_share) / t_mass if t_mass else 0.0
+    s_mass = 0.5 * base.n_states * b * float(np.linalg.norm(dS, axis=1).sum())
+    pert_scale_S = state_share / s_mass if (s_mass and state_share) else 0.0
+    unit = Perturbation(dS * pert_scale_S, dT * pert_scale_T)
+    unit_size = perturbation_size(emdp, policy, unit)
+    if unit_size == 0.0:
+        return Perturbation.zero(emdp)
+    scale = size / unit_size
+    if t_mass and pert_scale_T * scale > 1.0:
+        raise ValueError(
+            f"requested size {size!r} exceeds the admissible transition "
+            f"budget for this instance (support entries would be destroyed)")
+    return Perturbation(unit.delta_S * scale, unit.delta_T * scale)

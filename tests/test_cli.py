@@ -12,11 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mdp, reference_certify
-from mdp_stability import (MdpSpec, SafetyQuery, StartDistribution,
+from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
+                           StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
-                           mdp_to_document, realize_chain,
-                           shutdown_probability)
+                           mdp_to_document, rate_of_decrease_check,
+                           realize_chain, shutdown_probability)
+from mdp_stability import cli, onpolicy
 from mdp_stability.cli import main, render_json
+from mdp_stability.scenarios import random_perturbation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -356,6 +359,36 @@ class TestOnPolicyCommands:
         assert sizes == sorted(sizes)
         assert all(row["within_bound"] for row in out["rows"])
 
+    @pytest.mark.parametrize("sizes", ["1e-4", "0,1e-5,1e-4,1e-3,1e-2"])
+    @pytest.mark.parametrize("big_n", [[], ["--big-n", "20"]])
+    def test_sweep_analyses_the_base_chain_once(self, tmp_path, capsys,
+                                                monkeypatch, sizes, big_n):
+        mdp_path, policy_path = self.setup_files(tmp_path)
+        calls = []
+        real = onpolicy.spectral_radius
+        monkeypatch.setattr(onpolicy, "spectral_radius",
+                            lambda M: calls.append(M.shape) or real(M))
+        assert main(["onpolicy-sweep", mdp_path, policy_path,
+                     "--sizes", sizes, "--seed", "5"] + big_n) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(calls) == 1 and calls[0][0] > 0
+        # Each row is the library's rate check of the same perturbation.
+        emdp, policy = load_embedded(mdp_path), load_toy_policy(policy_path)
+        perts = [random_perturbation(emdp, policy, size, seed=5 + k)
+                 for k, size in enumerate(sorted(map(float,
+                                                     sizes.split(","))))]
+        if big_n:
+            modified = build_uniform_shutdown(emdp.base, 20.0)
+            perts.append(Perturbation(
+                np.zeros_like(emdp.embedding),
+                modified.transition - emdp.base.transition))
+        monkeypatch.undo()
+        assert len(rows) == len(perts)
+        for row, pert in zip(rows, perts):
+            report = rate_of_decrease_check(emdp, policy, pert)
+            assert {k: v for k, v in row.items() if k != "kind"} \
+                == json.loads(render_json(report.to_document()))
+
     def test_sweep_uniform_shutdown_row_jumps_upward(self, tmp_path, capsys):
         # A dead chain never shuts down; the appended uniform-shutdown row
         # lifts the probability to 1 at a small perturbation size.
@@ -382,11 +415,14 @@ class TestOnPolicyCommands:
 
 class TestOnPolicyArtifactBytes:
     """sha256 of stdout on seeded documents, pinned so that the batched
-    policy path keeps every on-policy artifact byte for byte."""
+    policy path, the array perturbation draw and the once-analysed base
+    keep every on-policy artifact byte for byte.  Document 31 has full
+    supports of 150 entries, past numpy's pairwise summation block."""
 
     POLICY = {"weights": [[0.9, -1.3, 0.4, 0.2], [-0.5, 0.8, -1.1, 0.6],
                           [0.3, 0.1, 0.7, -0.9]], "temperature": 0.8}
-    DOCUMENTS = {"22": ("40,3,4", "0.3"), "26": ("16,3,4", "0.15")}
+    DOCUMENTS = {"22": ("40,3,4", "0.3"), "26": ("16,3,4", "0.15"),
+                 "31": ("150,3,4", "1.0")}
     SWEEP = ["--sizes", "1e-5,1e-4,1e-3", "--seed", "3", "--big-n", "20"]
     GOLDEN = [
         ("22", [], "59dc835ece89aa46baf86b015e651011"
@@ -401,6 +437,8 @@ class TestOnPolicyArtifactBytes:
                                   "adfe15ecb66469f1640e7c406ee15a1f"),
         ("26", SWEEP, "f954459b4337d1e8002cd1a74e3cd6c5"
                       "a7fa68bfa92573744cc6e5aa8e4395d7"),
+        ("31", SWEEP, "2255e9fcc1263bfa25ca1ebb7378547b"
+                      "5cbe54cb4a54d7a6da84fee0a844cb49"),
     ]
 
     @pytest.mark.parametrize("seed,flags,digest", GOLDEN)
@@ -554,6 +592,18 @@ class TestNonFiniteInput:
         for path in (self.nan_doc(tmp_path), self.overflow_doc(tmp_path)):
             assert main(["uniform-shutdown", path, "--big-n", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_uniform_shutdown_blend(self, tmp_path, capsys, value):
+        mdp = write_doc(tmp_path / "m.json", hibernation_doc())
+        emdp = write_doc(tmp_path / "e.json", embedded_doc())
+        policy = write_doc(tmp_path / "p.json", POLICY_DOC)
+        assert main(["uniform-shutdown", mdp, f"--big-n={value}"]) == 2
+        assert main(["onpolicy-sweep", emdp, policy, "--sizes", "1e-4",
+                     f"--big-n={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("input error: N must be finite") == 2
+
     def test_onpolicy(self, tmp_path):
         policy = tmp_path / "policy.json"
         policy.write_text('{"weights": [[0.0]], "temperature": 1.0}')
@@ -615,6 +665,26 @@ def test_out_of_range_flag_exits_2_from_a_process(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_parser_is_built_once_and_survives_an_argparse_failure(
+        tmp_path, capsys):
+    path = write_doc(tmp_path / "m.json", hibernation_doc())
+    argv = ["certify", path, "--epsilon", "0.5", "--big-n", "3"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "mdp_stability.cli"]
+                           + argv, cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert main(["validate", path]) == 0
+    for broken in (["certify", path], ["certify", path, "--epsilon", "x"],
+                   ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(broken)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == fresh.returncode
+    assert capsys.readouterr().out == fresh.stdout
+    assert cli.build_parser.cache_info().misses == 1
+
+
 class TestNoVacuousVerdict:
     def test_frontier_epsilon_with_no_member_exits_2(self, tmp_path):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -651,6 +721,11 @@ UNUSABLE_INPUT = [
       "--sizes", "0"], "N must be finite"),
     (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "inf",
       "--sizes", "0"], "N must be finite"),
+    (["random", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["onpolicy-sweep", "@e", "@p", "--sizes", "1e-4", "--seed", "-2"],
+     "--seed must be non-negative, got -2"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
+      "--seed", "-3"], "--seed must be non-negative, got -3"),
     (["random", "--seed", "1", "--shape", "5,0,3"], "at least 1 action"),
     (["random", "--seed", "1", "--sparsity", "nan"], "sparsity"),
     (["random", "--seed", "1", "--sparsity", "-1"], "sparsity"),

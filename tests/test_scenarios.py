@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            SafetyQuery, build_duplicated,
@@ -12,7 +14,9 @@ from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            hausdorff_distance, induce_chain, isolation_check,
                            random_family, tighten_policy_bound, validate)
 from mdp_stability.scenarios import random_perturbation
-from mdp_stability.onpolicy import make_toy_policy
+from mdp_stability.onpolicy import EmbeddedMdp, make_toy_policy
+
+from helpers import reference_perturbation
 
 
 def hibernation_base(gamma=0.9):
@@ -244,3 +248,99 @@ class TestRandomPerturbation:
         policy = make_toy_policy(np.zeros((2, 3)))
         pert = random_perturbation(emdp, policy, 0.0, 3)
         assert pert.transition_shift_l1 == 0.0
+
+
+# -- the array draw against the per-row loop ----------------------------------
+
+def supported_mdp(gen, n, n_actions, lengths, n_safe, dim,
+                  zero_entries=False, tiny_entries=False):
+    """Embedded MDP whose rows have supports of the given lengths, drawn
+    row by row from ``gen``; the last ``n_safe`` states are safe and keep
+    rows of any support.  Zeroed entries leave a row short of its listed
+    support; tiny entries are the smallest subnormal, so their cap is 0."""
+    P = np.zeros((n, n_actions, n))
+    for s in range(n):
+        for a in range(n_actions):
+            k = lengths[gen.integers(len(lengths))]
+            dests = gen.choice(n, size=k, replace=False)
+            P[s, a, dests] = gen.dirichlet(np.ones(k))
+            if zero_entries and k > 2:
+                P[s, a, dests[gen.integers(k)]] = 0.0
+            if tiny_entries and gen.random() < 0.2:
+                P[s, a, dests[0]] = 5e-324
+    base = MdpSpec(tuple(f"s{i}" for i in range(n)),
+                   tuple(f"a{j}" for j in range(n_actions)), P,
+                   np.zeros((n, n_actions)), 0.9,
+                   frozenset(range(n - n_safe, n)))
+    return EmbeddedMdp(base, gen.uniform(0.0, 1.0, size=(n, dim)))
+
+
+def draw_outcomes(emdp, policy, size, seed, state_share):
+    """(outcome, next normal of the generator) of the array draw and of the
+    per-row oracle; an outcome is the bytes of both displacements or the
+    error message."""
+    made = []
+    real = np.random.default_rng
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        for draw in (random_perturbation, reference_perturbation):
+            try:
+                pert = draw(emdp, policy, size, seed, state_share)
+                outcomes.append((pert.delta_T.tobytes(),
+                                 pert.delta_S.tobytes()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    assert len(made) == 2
+    return [(out, gen.standard_normal(1).tobytes())
+            for out, gen in zip(outcomes, made)]
+
+
+@st.composite
+def draw_cases(draw):
+    """Point masses, zero and subnormal entries, mixed support lengths in
+    one MDP, supports past numpy's pairwise block of 128, safe rows with
+    wide supports, no safe state, a zero derivative bound and zero size."""
+    n = draw(st.one_of(st.integers(2, 9), st.integers(129, 300)))
+    lengths = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    emdp = supported_mdp(gen, n, draw(st.integers(1, 3)), lengths,
+                         n_safe=draw(st.integers(0, 2)),
+                         dim=draw(st.integers(1, 3)),
+                         zero_entries=draw(st.booleans()),
+                         tiny_entries=draw(st.booleans()))
+    weights = gen.standard_normal((emdp.base.n_actions, emdp.dim))
+    if draw(st.booleans()):
+        weights[:] = 0.0
+    policy = make_toy_policy(weights)
+    size = draw(st.sampled_from([0.0, 1e-9, 1e-5, 1e-2, 1.0, 1e3]))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return emdp, policy, size, draw(st.integers(0, 2 ** 32 - 1)), share
+
+
+class TestPerturbationDrawMatchesPerRowLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(case=draw_cases())
+    def test_same_bytes_and_same_stream(self, case):
+        ours, oracle = draw_outcomes(*case)
+        assert ours == oracle
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_length_around_the_pairwise_blocks(self, seed):
+        # One MDP mixing point masses with lengths on both sides of numpy's
+        # unrolled block of 8 and its pairwise block of 128.
+        lengths = [1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 130, 255, 256,
+                   257, 300]
+        gen = np.random.default_rng(seed)
+        emdp = supported_mdp(gen, 300, 3, lengths, n_safe=1, dim=2)
+        sizes = (emdp.base.transition > 0).sum(axis=2)
+        assert set(lengths) <= set(sizes.ravel().tolist())
+        policy = make_toy_policy(gen.standard_normal((3, 2)))
+        ours, oracle = draw_outcomes(emdp, policy, 1e-4, seed, 0.5)
+        assert ours == oracle
+        assert isinstance(ours[0], tuple)
