@@ -27,8 +27,8 @@ from .mdp import (MdpSpec, StartDistribution, greedy_policy, induce_chain,
                   value_iteration)
 from .onpolicy import (Perturbation, _rate_against, analyze_chain,
                        embedded_to_document, load_embedded, load_toy_policy)
-from .safety import (SafetyQuery, _start_charge, certify_safety,
-                     expected_steps, safety_frontier,
+from .safety import (SafetyQuery, certify_safety, expected_steps,
+                     safety_frontier, start_charge,
                      verify_stability_instance)
 from .scenarios import (PlayingDeadParams, build_duplicated,
                         build_playing_dead, build_uniform_shutdown,
@@ -112,10 +112,6 @@ def _emit(args, document, csv_table=None):
             json.dump(meta, fh, indent=2)
     else:
         sys.stdout.write(text)
-
-
-# A name only, kept for the wrap point in perfbench/tracing.py.
-_load_mdp_or_embedded = load_mdp
 
 
 def _config_from(args, mdp: MdpSpec) -> BisimConfig:
@@ -232,6 +228,10 @@ def cmd_frontier(args):
     else:
         top = args.epsilon if args.epsilon is not None else 1.0
         epsilons = [top * (k + 1) / args.grid for k in range(args.grid)]
+    # safety_frontier reports an epsilon that no policy meets as vacuous;
+    # one that no certificate accepts is an input error.
+    for eps in epsilons:
+        SafetyQuery(eps)
     rows = safety_frontier(mdp, epsilons)
     document = {"frontier": [
         {"epsilon": eps,
@@ -261,7 +261,7 @@ def cmd_hitting_time(args):
     if args.start is not None:
         start = StartDistribution.point_mass(mdp.n_states,
                                              mdp.state_index(args.start))
-        value = _start_charge(chain, start, t)
+        value = start_charge(chain, start, t)
         document["start"] = args.start
         document["start_value"] = value if math.isfinite(value) else None
     rows = [[k, v] for k, v in per_state.items()]
@@ -300,9 +300,13 @@ def cmd_duplicate(args):
 
 
 def cmd_random(args):
-    shape = tuple(int(x) for x in args.shape.split(","))
-    if len(shape) != 3:
-        raise SystemExit("--shape must be states,actions,dim")
+    try:
+        shape = tuple(int(x) for x in args.shape.split(","))
+    except ValueError:
+        shape = ()
+    if len(shape) != 3 or min(shape) < 0:
+        raise ValueError(f"--shape must be three non-negative integers "
+                         f"states,actions,dim, got {args.shape!r}")
     reward_range = tuple(_parse_sizes(args.reward_range))
     if len(reward_range) != 2 or reward_range[0] > reward_range[1]:
         raise ValueError(f"--reward-range must be low,high with low <= "
@@ -368,6 +372,17 @@ def cmd_stability_experiment(args):
     sizes = _parse_ladder(args.sizes, "size")
     if sizes[0] != 0.0:
         sizes = [0.0] + sizes
+    variant = None
+    if args.delta is not None:
+        # One adversarial rung, the deceptive-hibernation variant, built
+        # first so that an unusable delta fails before the ladder runs.  The
+        # escape state is the most valuable one under the optimal values.
+        optimal = value_iteration(mdp)
+        escape = int(np.argmax(optimal.values))
+        action = int(greedy_policy(mdp, optimal).table[escape])
+        variant = build_playing_dead(PlayingDeadParams(
+            base=mdp, delta=args.delta, escape_state=escape,
+            escape_action=action, epsilon=args.epsilon))
     rng = np.random.default_rng(_seed(args))
     rows = []
     largest_holding = None
@@ -380,15 +395,7 @@ def cmd_stability_experiment(args):
                      **report.to_document()})
         if report.conclusion_holds:
             largest_holding = size
-    if args.delta is not None:
-        # One adversarial rung: the deceptive-hibernation variant.  The
-        # escape state is the most valuable one under the optimal values.
-        optimal = value_iteration(mdp)
-        escape = int(np.argmax(optimal.values))
-        action = int(greedy_policy(mdp, optimal).table[escape])
-        variant = build_playing_dead(PlayingDeadParams(
-            base=mdp, delta=args.delta, escape_state=escape,
-            escape_action=action, epsilon=args.epsilon))
+    if variant is not None:
         report = verify_stability_instance(mdp, variant, args.big_n,
                                            args.epsilon, config)
         rows.append({"size": args.delta, "kind": "playing-dead",
@@ -546,11 +553,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"input error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"input error: {exc.code}", file=sys.stderr)
-            return EXIT_INPUT
-        raise
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

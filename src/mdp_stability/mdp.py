@@ -184,9 +184,11 @@ class ValueFunction:
 class InducedChain:
     """Markov chain over non-safe states induced by fixing a policy.
 
-    Q[i, j] is the one-step probability between non-safe states, absorb[i]
-    the one-step probability of entering the safe set; index_map[i] is the
-    MDP state index of chain state i.
+    Q[..., i, j] is the one-step probability between non-safe states,
+    absorb[..., i] the one-step probability of entering the safe set;
+    index_map[i] is the MDP state index of chain state i.  Leading axes of
+    Q and absorb index a stack of chains over the same states; one chain
+    has none.
     """
 
     Q: np.ndarray
@@ -197,19 +199,13 @@ class InducedChain:
         object.__setattr__(self, "Q", _frozen(self.Q))
         object.__setattr__(self, "absorb", _frozen(self.absorb))
         object.__setattr__(self, "index_map", _frozen(self.index_map, dtype=int))
-        check_chain_rows(self.Q, self.absorb)
+        rows = self.Q.sum(axis=-1) + self.absorb
+        if self.Q.size and np.max(np.abs(rows - 1.0)) > PROB_TOL:
+            raise ValueError("chain rows + absorption must sum to 1")
 
     @property
     def n_states(self):
         return len(self.index_map)
-
-
-def check_chain_rows(Q: np.ndarray, absorb: np.ndarray) -> None:
-    """Raise ValueError unless every row of Q (..., n, n) plus its
-    absorption probability in ``absorb`` (..., n) sums to 1."""
-    rows = Q.sum(axis=-1) + absorb
-    if Q.size and np.max(np.abs(rows - 1.0)) > PROB_TOL:
-        raise ValueError("chain rows + absorption must sum to 1")
 
 
 @dataclass(frozen=True)

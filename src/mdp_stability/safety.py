@@ -18,8 +18,7 @@ import numpy as np
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
 from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
-                  StartDistribution, can_reach, check_chain_rows,
-                  value_iteration)
+                  StartDistribution, can_reach, value_iteration)
 from .onpolicy import spectral_radius
 
 __all__ = [
@@ -28,6 +27,7 @@ __all__ = [
     "StabilityReport",
     "hitting_time",
     "expected_steps",
+    "start_charge",
     "enumerate_epsilon_optimal",
     "certify_safety",
     "verify_stability_instance",
@@ -57,98 +57,83 @@ class SafetyQuery:
     value_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        if not self.epsilon > 10.0 * self.value_tol:
-            raise ValueError("epsilon must exceed 10 * value_tol")
+        if not (math.isfinite(self.epsilon)
+                and self.epsilon > 10.0 * self.value_tol):
+            raise ValueError(f"epsilon must be finite and exceed "
+                             f"10 * value_tol, got {self.epsilon!r}")
 
 
 def expected_steps(chain: InducedChain) -> np.ndarray:
-    """Expected number of steps to absorption from each chain state.
+    """Expected number of steps to absorption from each chain state, in an
+    array shaped like ``chain.absorb`` (one row per chain of a stack).
 
     Entries are math.inf exactly when absorption is not almost sure from
     that state, which is decided on the positive-probability graph before
     any linear solve.  Finite entries solve (I - Q) t = 1 restricted to the
     closed set of states that cannot wander off to a non-absorbing class.
+    Chains that are absorbed almost surely from every state share one
+    stacked solve; if it fails, each chain is solved on its own.
     """
-    n = chain.n_states
+    shape, n = chain.absorb.shape, chain.n_states
     if n == 0:
-        return np.zeros(0)
-    adj = chain.Q > 0
-    can_absorb = can_reach(adj, chain.absorb > 0)
+        return np.zeros(shape)
+    Q = chain.Q.reshape(-1, n, n)
+    adj = Q > 0
+    can_absorb = can_reach(adj, chain.absorb.reshape(-1, n) > 0)
     # States with a path into the non-absorbing region have infinite
     # expectation too.
-    touches_bad = can_reach(adj, ~can_absorb)
-    fin = np.nonzero(~touches_bad)[0]
-    t = np.full(n, math.inf)
-    if len(fin):
-        Q = chain.Q[np.ix_(fin, fin)]
-        A = np.eye(len(fin)) - Q
+    finite = ~can_reach(adj, ~can_absorb)
+    whole = np.all(finite, axis=-1)
+    t = np.full(finite.shape, math.inf)
+    try:
+        t[whole] = np.linalg.solve(np.eye(n) - Q[whole],
+                                   np.ones((int(whole.sum()), n, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        # The chain that fails alone is named by its spectral radius.
+        whole[:] = False
+    for b in np.nonzero(~whole)[0]:
+        fin = np.nonzero(finite[b])[0]
+        if not len(fin):
+            continue
+        sub = Q[b][np.ix_(fin, fin)]
         try:
-            t[fin] = np.linalg.solve(A, np.ones(len(fin)))
+            t[b, fin] = np.linalg.solve(np.eye(len(fin)) - sub,
+                                        np.ones(len(fin)))
         except np.linalg.LinAlgError as exc:
-            rho = spectral_radius(Q)
+            rho = spectral_radius(sub)
             raise RuntimeError(
                 f"hitting-time solve failed (spectral radius of the "
                 f"transient block is {rho!r}): {exc}") from exc
-    return t
+    return t.reshape(shape)
 
 
-def hitting_time(chain: InducedChain, start: StartDistribution) -> float:
+def hitting_time(chain: InducedChain, start: StartDistribution):
     """Expected steps to absorption from ``start`` (math.inf if any
-    positive-mass state is not almost surely absorbed).  A start with
+    positive-mass state is not almost surely absorbed), a float for one
+    chain and an array over the leading axes of a stack.  A start with
     mass on safe states is rejected."""
-    return _start_charge(chain, start, expected_steps(chain))
+    return start_charge(chain, start, expected_steps(chain))
 
 
-def _start_charge(chain: InducedChain, start: StartDistribution,
-                  t: np.ndarray) -> float:
+def start_charge(chain: InducedChain, start: StartDistribution,
+                 steps: np.ndarray):
     """:func:`hitting_time` of ``start`` from the chain's expected steps
-    ``t`` per chain state."""
-    return float(_start_charges(chain.index_map, start, t[None])[0])
-
-
-def _start_charges(index_map: np.ndarray, start: StartDistribution,
-                   t: np.ndarray) -> np.ndarray:
-    """:func:`hitting_time` of ``start`` for each row of ``t``, the
-    expected steps (chains, chain states) of chains over the MDP states
-    ``index_map``."""
+    ``steps``, as :func:`expected_steps` returns them."""
     w = start.weights
-    n_total = int(index_map.max(initial=-1)) + 1
-    if len(w) < n_total:
+    if len(w) < int(chain.index_map.max(initial=-1)) + 1:
         raise ValueError("start distribution dimension mismatch")
-    on_chain = w[index_map]
+    on_chain = w[chain.index_map]
     if w.sum() - on_chain.sum() > WEIGHT_TOL:
         raise ValueError("start places mass on safe states")
     hit = on_chain > 0
     mass = on_chain[hit]
-    # One dot product per chain, as for a single chain: a stacked product
-    # may sum in another order.
-    return np.array([math.inf if np.any(np.isinf(row)) else float(mass @ row)
-                     for row in t[:, hit]])
-
-
-def _stacked_expected_steps(Q: np.ndarray, absorb: np.ndarray,
-                            index_map: np.ndarray) -> np.ndarray:
-    """:func:`expected_steps` of the chains (Q[b], absorb[b]) over the MDP
-    states ``index_map``, one row per chain.
-
-    The chains that the structural test of :func:`expected_steps` finds
-    absorbed almost surely from every state share one stacked solve; a
-    chain with an infinite entry goes through :func:`expected_steps`.
-    """
-    adj = Q > 0
-    can_absorb = can_reach(adj, absorb > 0)
-    finite = ~np.any(can_reach(adj, ~can_absorb), axis=-1)
-    t = np.empty(absorb.shape)
-    n = absorb.shape[-1]
-    try:
-        t[finite] = np.linalg.solve(
-            np.eye(n) - Q[finite], np.ones((int(finite.sum()), n, 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        # expected_steps names the failure with the chain's spectral radius.
-        finite[:] = False
-    for b in np.nonzero(~finite)[0]:
-        t[b] = expected_steps(InducedChain(Q[b], absorb[b], index_map))
-    return t
+    # One dot product of contiguous vectors per chain, as for a single
+    # chain: a stacked or strided product may sum in another order.
+    charges = [math.inf if np.any(np.isinf(row)) else float(mass @ row)
+               for row in (t[hit] for t in steps.reshape(-1, len(hit)))]
+    if steps.ndim == 1:
+        return charges[0]
+    return np.reshape(charges, steps.shape[:-1])
 
 
 def _member_times(mdp: MdpSpec, actions: np.ndarray, start):
@@ -157,12 +142,11 @@ def _member_times(mdp: MdpSpec, actions: np.ndarray, start):
     charges each policy its slowest non-safe starting state."""
     keep = mdp.nonsafe_indices
     rows = mdp.transition[keep, actions[:, keep]]
-    Q = rows[..., keep]
-    absorb = rows[..., mdp.safe_indices].sum(axis=-1)
-    check_chain_rows(Q, absorb)
-    t = _stacked_expected_steps(Q, absorb, keep)
+    chains = InducedChain(rows[..., keep],
+                          rows[..., mdp.safe_indices].sum(axis=-1), keep)
+    t = expected_steps(chains)
     if start is not None:
-        return _start_charges(keep, start, t), t
+        return start_charge(chains, start, t), t
     return np.max(t, axis=-1, initial=0.0), t
 
 
@@ -357,13 +341,13 @@ def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
     """Measure d_H(m, m'), test isolation of the perturbed safe set at
     threshold sqrt(d_H), certify both MDPs, and report whether the
     perturbed MDP came out (N+1, eps/2)-safe."""
+    base_query, pert_query = SafetyQuery(epsilon), SafetyQuery(epsilon / 2.0)
     metric = cross_bisim_metric(m, m_prime, config)
     d_h = hausdorff_distance(metric)
     isolation = isolation_check(m_prime, m_prime.safe_set, math.sqrt(d_h),
                                 config)
-    cert_base = certify_safety(m, SafetyQuery(epsilon), N_values=(N,))
-    cert_pert = certify_safety(m_prime, SafetyQuery(epsilon / 2.0),
-                               N_values=(N + 1.0,))
+    cert_base = certify_safety(m, base_query, N_values=(N,))
+    cert_pert = certify_safety(m_prime, pert_query, N_values=(N + 1.0,))
     return StabilityReport(
         d_h=d_h,
         isolation=isolation,

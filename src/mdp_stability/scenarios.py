@@ -36,7 +36,8 @@ class PlayingDeadParams:
 
     The base MDP must have a single terminal safe state (self-loop under
     every action, zero reward).  delta must lie in
-    (0, (1-gamma) epsilon / (10 |S|)) and the escape state must have
+    (0, (1-gamma) epsilon / (10 |S|)) and be at most 1 (it is the
+    hibernation state's leak probability), and the escape state must have
     positive optimal value, so that lingering near shutdown while slowly
     escaping stays attractive to near-optimal policies.
     """
@@ -62,9 +63,9 @@ class PlayingDeadParams:
         if np.any(np.abs(base.reward[term]) > 1e-12):
             raise ValueError("terminal state must earn zero reward")
         limit = (1.0 - base.discount) * self.epsilon / (10.0 * base.n_states)
-        if not 0.0 < self.delta < limit:
-            raise ValueError(
-                f"delta must lie in (0, {limit!r}), got {self.delta!r}")
+        if not 0.0 < self.delta < limit or self.delta > 1.0:
+            raise ValueError(f"delta must lie in (0, {limit!r}) and be at "
+                             f"most 1, got {self.delta!r}")
         if not 0 <= self.escape_state < base.n_states:
             raise ValueError("escape_state out of range")
         if not 0 <= self.escape_action < base.n_actions:

@@ -5,10 +5,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mdp_stability import (MdpSpec, Perturbation, Policy, expected_steps,
-                           finite_difference_jacobian, hitting_time,
-                           induce_chain, metric_update, perturbation_size,
-                           policy_evaluation, value_iteration)
+from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
+                           finite_difference_jacobian, induce_chain,
+                           metric_update, perturbation_size,
+                           policy_evaluation, spectral_radius,
+                           value_iteration)
+from mdp_stability.mdp import can_reach
 from mdp_stability.onpolicy import ROW_TOL
 
 _BASIS_CACHE = {}
@@ -105,6 +107,48 @@ def fresh_lp_metric(m1, m2, config):
 
 # -- the per-policy safety loops, each with its own membership test ----------
 
+def reference_expected_steps(chain: InducedChain) -> np.ndarray:
+    """Expected number of steps to absorption from each chain state.
+
+    Entries are math.inf exactly when absorption is not almost sure from
+    that state, which is decided on the positive-probability graph before
+    any linear solve.  Finite entries solve (I - Q) t = 1 restricted to the
+    closed set of states that cannot wander off to a non-absorbing class.
+    """
+    n = chain.n_states
+    if n == 0:
+        return np.zeros(0)
+    adj = chain.Q > 0
+    can_absorb = can_reach(adj, chain.absorb > 0)
+    # States with a path into the non-absorbing region have infinite
+    # expectation too.
+    touches_bad = can_reach(adj, ~can_absorb)
+    fin = np.nonzero(~touches_bad)[0]
+    t = np.full(n, math.inf)
+    if len(fin):
+        Q = chain.Q[np.ix_(fin, fin)]
+        A = np.eye(len(fin)) - Q
+        try:
+            t[fin] = np.linalg.solve(A, np.ones(len(fin)))
+        except np.linalg.LinAlgError as exc:
+            rho = spectral_radius(Q)
+            raise RuntimeError(
+                f"hitting-time solve failed (spectral radius of the "
+                f"transient block is {rho!r}): {exc}") from exc
+    return t
+
+
+def reference_hitting_time(chain, start):
+    """The start's mass on the chain states against their
+    :func:`reference_expected_steps`, one dot product."""
+    t = reference_expected_steps(chain)
+    mass = start.weights[chain.index_map]
+    hit = mass > 0
+    if np.any(np.isinf(t[hit])):
+        return math.inf
+    return float(mass[hit] @ t[hit])
+
+
 def _reference_grid(mdp):
     nonsafe = mdp.nonsafe_indices
     for combo in product(range(mdp.n_actions), repeat=len(nonsafe)):
@@ -139,11 +183,11 @@ def reference_certify(mdp, query):
     worst_time, worst_policy, reachability = -math.inf, None, []
     for policy in members:
         chain = induce_chain(mdp, policy)
-        t = expected_steps(chain)
+        t = reference_expected_steps(chain)
         if query.start is None:
             time = float(np.max(t)) if len(t) else 0.0
         else:
-            time = hitting_time(chain, query.start)
+            time = reference_hitting_time(chain, query.start)
         reachability.append(bool(np.all(np.isfinite(t))))
         if time > worst_time:
             worst_time, worst_policy = time, policy
@@ -160,7 +204,7 @@ def reference_frontier(mdp, epsilons, value_tol=1e-10):
     evaluated = []
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy).values
-        t = expected_steps(induce_chain(mdp, policy))
+        t = reference_expected_steps(induce_chain(mdp, policy))
         worst = float(np.max(t)) if len(t) else 0.0
         evaluated.append((float(np.max(v_star - v)), worst))
     return [(eps, max(w for loss, w in evaluated if loss < eps))

@@ -734,6 +734,20 @@ UNUSABLE_INPUT = [
     (["random", "--seed", "1", "--reward-range", ","], "--reward-range"),
     (["random", "--seed", "1", "--reward-range", "0,1,2"], "--reward-range"),
     (["random", "--seed", "1", "--reward-range", "2,1"], "--reward-range"),
+    (["random", "--seed", "1", "--shape", "5,x,3"], "--shape"),
+    (["random", "--seed", "1", "--shape", "5,2,-1"], "--shape"),
+    # At epsilon 1e6 the delta window reaches far past 1.
+    (["playing-dead", "@m", "--delta", "2", "--epsilon", "1e6",
+      "--escape-state", "work", "--escape-action", "go"],
+     "at most 1, got 2.0"),
+    (["stability-experiment", "@m", "--epsilon", "1e6", "--big-n", "5",
+      "--sizes", "0", "--delta", "2"], "at most 1, got 2.0"),
+    (["certify", "@m", "--epsilon", "inf"], "epsilon must be finite"),
+    (["stability-experiment", "@m", "--epsilon", "inf", "--big-n", "5",
+      "--sizes", "0"], "epsilon must be finite"),
+    (["frontier", "@m", "--sizes", "1e-12"], "got 1e-12"),
+    (["frontier", "@m", "--grid", "2", "--epsilon", "nan"], "got nan"),
+    (["frontier", "@m", "--grid", "2", "--epsilon", "inf"], "got inf"),
     (["frontier", "@m", "--sizes=-0.1,0.2"], "negative epsilon -0.1"),
     (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
       "--sizes", ","], "no size"),

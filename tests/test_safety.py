@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (_reference_grid, random_mdp, reference_certify,
-                     reference_enumerate, reference_frontier)
+                     reference_enumerate, reference_expected_steps,
+                     reference_frontier, reference_hitting_time)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            SafetyQuery, StartDistribution, build_duplicated,
                            certify_safety, enumerate_epsilon_optimal,
@@ -107,6 +108,57 @@ class TestHittingTime:
         blended = lam * hitting_time(chain, StartDistribution(w1)) \
             + (1 - lam) * hitting_time(chain, StartDistribution(w2))
         assert hitting_time(chain, mix) == pytest.approx(blended, abs=1e-10)
+
+
+@st.composite
+def chain_stacks(draw):
+    """(stack of chains over MDP states 1..n, start) with 0 to 4 chain
+    states and 0 to 2 leading axes.  A row's support is one (a point mass)
+    to all of the chain states and the safe state; a chain may never
+    absorb, so that every entry is infinite."""
+    lead = draw(st.sampled_from([(), (1,), (5,), (0,), (2, 3)]))
+    n = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    rows = np.zeros(lead + (n, n + 1))
+    never = rng.random(lead) < 0.2
+    for idx in np.ndindex(*lead, n):
+        width = n if never[idx[:-1]] else n + 1
+        if width == 0:
+            continue
+        k = rng.integers(1, width + 1)
+        rows[idx + (rng.choice(width, size=k, replace=False),)] = \
+            rng.dirichlet(np.ones(k))
+    chains = InducedChain(rows[..., :n], rows[..., n], np.arange(1, n + 1))
+    weights = np.zeros(n + 1)
+    if n:
+        support = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        weights[1 + support] = rng.dirichlet(np.ones(len(support)))
+    else:
+        weights[0] = 1.0
+    return chains, StartDistribution(weights)
+
+
+class TestStackedHittingTimes:
+    @settings(max_examples=150, deadline=None)
+    @given(case=chain_stacks())
+    def test_stack_matches_the_single_chain_oracle(self, case):
+        chains, start = case
+        lead = chains.absorb.shape[:-1]
+        t = expected_steps(chains)
+        assert t.shape == chains.absorb.shape
+        times = None if not chains.n_states else hitting_time(chains, start)
+        if not lead:
+            assert isinstance(times, (float, type(None)))
+        for idx in np.ndindex(*lead):
+            chain = InducedChain(chains.Q[idx], chains.absorb[idx],
+                                 chains.index_map)
+            assert np.array_equal(t[idx], reference_expected_steps(chain))
+            if times is not None:
+                assert np.asarray(times)[idx] \
+                    == reference_hitting_time(chain, start)
+        if not chains.n_states:
+            with pytest.raises(ValueError, match="safe"):
+                hitting_time(chains, start)
 
 
 class TestEnumeration:
@@ -537,13 +589,14 @@ class TestPrunedStackedTable:
 
     def test_failed_stacked_solve_falls_back_to_expected_steps(self):
         # Every policy of a sparse MDP, so that finite and infinite chains
-        # share the stack; with the stacked solve failing, each chain goes
-        # through expected_steps and gets its values.
+        # share the stack; with the stacked solve failing, each chain is
+        # solved on its own and gets its values.
         mdp = sparse_mdp(2)
         actions = np.array([a for a, _ in grid_losses(mdp)])
         keep = mdp.nonsafe_indices
         rows = mdp.transition[keep, actions[:, keep]]
-        Q, absorb = rows[..., keep], rows[..., mdp.safe_indices].sum(axis=-1)
+        chains = InducedChain(rows[..., keep],
+                              rows[..., mdp.safe_indices].sum(axis=-1), keep)
         solve = np.linalg.solve
 
         def failing(a, b):
@@ -551,14 +604,28 @@ class TestPrunedStackedTable:
                 raise np.linalg.LinAlgError("forced")
             return solve(a, b)
 
-        t = safety._stacked_expected_steps(Q, absorb, keep)
+        t = expected_steps(chains)
         with mock.patch.object(np.linalg, "solve", failing):
-            fallback = safety._stacked_expected_steps(Q, absorb, keep)
+            fallback = expected_steps(chains)
         for row, steps, back in zip(actions, t, fallback):
             chain = induce_chain(mdp, Policy.deterministic(row))
             assert np.array_equal(steps, expected_steps(chain))
             assert np.array_equal(back, expected_steps(chain))
+            assert np.array_equal(back, reference_expected_steps(chain))
         assert np.any(np.isinf(t)) and np.any(np.all(np.isfinite(t), axis=1))
+
+    def test_singular_chain_in_a_stack_names_its_spectral_radius(self):
+        # The first chain is absorbed from state 0 with probability 1e-17,
+        # which rounds away in I - Q: the structural test finds every state
+        # finite, and the solve is singular.
+        Q = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.5], [0.0, 0.5]]])
+        chains = InducedChain(Q, np.array([[1e-17, 0.0], [0.5, 0.5]]),
+                              np.array([0, 1]))
+        for chain in (chains, InducedChain(Q[0], chains.absorb[0],
+                                           chains.index_map)):
+            with pytest.raises(RuntimeError, match="spectral radius of the "
+                                                   "transient block is 1"):
+                expected_steps(chain)
 
 
 def test_nan_reward_stops_value_iteration_at_the_first_sweep():

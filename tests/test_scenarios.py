@@ -46,6 +46,13 @@ class TestPlayingDeadParams:
         with pytest.raises(ValueError, match="delta"):
             pd_params(delta=0.01)
 
+    def test_delta_is_a_probability(self):
+        # At epsilon 1e6 the window (0, 3333) admits delta = 2, a leak
+        # probability that no transition row can carry.
+        with pytest.raises(ValueError, match="at most 1, got 2.0"):
+            pd_params(delta=2.0, epsilon=1e6)
+        assert build_playing_dead(pd_params(delta=1.0, epsilon=1e6))
+
     def test_terminal_state_requirements(self):
         bad = hibernation_base()
         r = bad.reward.copy()
