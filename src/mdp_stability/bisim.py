@@ -4,7 +4,11 @@ The central object is a cross-MDP state metric computed as the fixed point
 of a contraction: the distance between two states is the worst action's
 combination of immediate-reward gap (weight c_R) and Wasserstein distance
 between next-state distributions (weight c_T < 1), the latter measured in
-the current metric itself.  On top of it sit the symmetric Hausdorff
+the current metric itself.  It is found by strategy iteration over the
+transport couplings: one application of the update picks the optimal
+coupling of every transition pair, and with those couplings held fixed the
+metric is the value of a max-over-actions MDP on state pairs, which policy
+iteration solves exactly.  On top of it sit the symmetric Hausdorff
 distance between MDPs, reward-scale alignment, isolation tests and
 quotienting by (near-)equivalence.
 """
@@ -15,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from .mdp import MdpSpec, _frozen, can_reach, validate
 from .transport import BatchedTransport
@@ -36,6 +42,13 @@ __all__ = [
 ]
 
 
+# Policy iteration on the pair MDP switches a pair's action only for a gain
+# above this share of the largest action value, so ties cannot cycle; it
+# stops after POLICY_ROUNDS evaluations in any case.
+SWITCH_MARGIN = 1e-12
+POLICY_ROUNDS = 100
+
+
 class NonConvergence(RuntimeError):
     """An iterative computation stopped before reaching its tolerance."""
 
@@ -46,8 +59,10 @@ class BisimConfig:
 
     c_R weights immediate-reward gaps, c_T the recursive transport term;
     c_T must stay below 1 for the update to contract.  Iteration stops once
-    the sweep residual drops below tolerance*(1 - c_T), which bounds the
-    sup-norm distance to the true fixed point by ``tolerance``.
+    the residual of an application of the update drops below
+    tolerance*(1 - c_T), which bounds the sup-norm distance to the true
+    fixed point by ``tolerance``; ``max_iterations`` caps the
+    applications.
     """
 
     c_R: float
@@ -79,11 +94,13 @@ class BisimConfig:
 class CrossMetric:
     """Converged (or partial) |S1| x |S2| state distance matrix.
 
-    blocks_solved and blocks_reused count, over all sweeps, the transport
-    problems sent to the LP solver and those answered by a stored plan that
-    passed the reduced-cost test; problems with a closed form (point
-    masses, all-zero costs, identical marginals at zero diagonal cost) are
-    in neither count.
+    ``dist`` is the last application of the update operator and
+    ``residual`` its sup-norm step; ``iterations_used`` counts the
+    applications.  blocks_solved and blocks_reused count, over all
+    applications, the transport problems sent to the LP solver and those
+    answered by a stored plan that passed the reduced-cost test; problems
+    with a closed form (point masses, all-zero costs, identical marginals
+    at zero diagonal cost) are in neither count.
     """
 
     dist: np.ndarray
@@ -100,6 +117,14 @@ class CrossMetric:
     def converged(self):
         return self.residual < self.config.residual_target
 
+    @property
+    def error_bound(self):
+        """A-posteriori bound on the sup-norm distance from ``dist`` to the
+        fixed point: an application that moved by ``residual`` lands within
+        residual*c_T/(1 - c_T) of it."""
+        c_T = self.config.c_T
+        return self.residual * c_T / (1.0 - c_T)
+
     def to_document(self):
         return {
             "dist": self.dist.tolist(),
@@ -111,13 +136,14 @@ class CrossMetric:
 
 
 class _PairSweep:
-    """Precomputed structure for sweeping the metric update over one MDP pair.
+    """Precomputed structure for applying the metric update over one MDP
+    pair, and for solving it exactly under fixed couplings.
 
     Supports of all transition rows and the per-action reward gaps never
-    change between sweeps, so they are extracted once, together with the
-    position in the distance matrix of every transport cost; each sweep
-    gathers all costs with one index and hands them to a batch that keeps
-    its optimal plans from sweep to sweep.
+    change between applications, so they are extracted once, together with
+    the position in the distance matrix of every transport cost; each
+    application gathers all costs with one index and hands them to a batch
+    that keeps its optimal plans from one application to the next.
     """
 
     def __init__(self, m1: MdpSpec, m2: MdpSpec, config: BisimConfig):
@@ -148,6 +174,13 @@ class _PairSweep:
                     pairs.append((mu, nu))
                     cells.append((I[:, None] * m2.n_states + J).ravel())
         self.cost_index = np.concatenate(cells)
+        # cell_problem[c]: the transport problem that owns cost cell c,
+        # which is action cell_action[c] at pair-state cell_pair[c]
+        # (s1 * |S2| + s2).
+        self.cell_problem = np.repeat(np.arange(len(cells)),
+                                      [len(c) for c in cells])
+        self.cell_pair, self.cell_action = np.divmod(self.cell_problem,
+                                                     self.n_actions)
         self.batch = BatchedTransport(pairs)
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
@@ -155,6 +188,52 @@ class _PairSweep:
         w = self.batch.values(dist.ravel()[self.cost_index])
         w = w.reshape(self.shape + (self.n_actions,))
         return (self.reward_term + self.config.c_T * w).max(axis=2)
+
+    def _action_values(self, flow, dist):
+        """(pair-state, action) values of ``dist`` under the couplings
+        ``flow``, as segment sums over the cost cells."""
+        w = np.bincount(self.cell_problem,
+                        weights=flow * dist.ravel()[self.cost_index],
+                        minlength=len(self.batch.pairs))
+        return (self.reward_term.reshape(-1, self.n_actions)
+                + self.config.c_T * w.reshape(-1, self.n_actions))
+
+    def _evaluate(self, flow, policy):
+        """Distances of the pair chain that takes action ``policy[k]`` at
+        pair-state k, from one sparse solve of (I - c_T P) d = r.
+
+        Pair-states that reach no reward gap along the chain are at
+        distance 0 exactly (as the diagonal of a within-MDP metric is), so
+        the solve's rounding there is dropped."""
+        n = len(policy)
+        take = (policy[self.cell_pair] == self.cell_action) & (flow > 0)
+        step = sp.csc_matrix((flow[take], (self.cell_pair[take],
+                                           self.cost_index[take])),
+                             shape=(n, n))
+        system = sp.identity(n, format="csc") - self.config.c_T * step
+        reward = self.reward_term.reshape(n, -1)[np.arange(n), policy]
+        dist = np.atleast_1d(spsolve(system, reward))
+        dist[~can_reach(step > 0, reward > 0)] = 0.0
+        return dist.reshape(self.shape)
+
+    def solve_fixed(self, flow: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """Fixed point of the update with every coupling held at ``flow``
+        (laid out as the batch's costs), by policy iteration on the pair
+        MDP, starting from the actions greedy for ``dist``.  Stops after
+        ``POLICY_ROUNDS`` evaluations, returning the last policy's
+        distances."""
+        q = self._action_values(flow, dist)
+        policy = q.argmax(axis=1)
+        pairs = np.arange(len(policy))
+        for _ in range(POLICY_ROUNDS):
+            dist = self._evaluate(flow, policy)
+            q = self._action_values(flow, dist)
+            gain = q.max(axis=1) - q[pairs, policy]
+            switch = gain > SWITCH_MARGIN * np.abs(q).max()
+            if not switch.any():
+                break
+            policy = np.where(switch, q.argmax(axis=1), policy)
+        return dist
 
 
 def metric_update(m1: MdpSpec, m2: MdpSpec, config: BisimConfig,
@@ -173,26 +252,38 @@ def cross_bisim_metric(m1: MdpSpec, m2: MdpSpec,
                        config: BisimConfig) -> CrossMetric:
     """Fixed point of the metric update between two MDPs sharing actions.
 
-    Starts from the zero matrix (iterates are then monotone nondecreasing)
-    and sweeps until the residual certifies a sup-norm error below
-    ``config.tolerance``.  Each sweep is a full application of the update:
-    transport problems whose previous optimal plan is certified by a
-    reduced-cost test keep it, so only the rest are re-solved.  If the
-    iteration budget runs out the partial matrix is returned with
+    Strategy iteration over the transport couplings, starting from zero.
+    Each round applies the update once, which re-solves exactly the
+    transport problems whose kept plan a reduced-cost test no longer
+    certifies, and then holds every coupling fixed and solves the metric
+    under them exactly (:meth:`_PairSweep.solve_fixed`).  Solved iterates
+    decrease towards the fixed point, but the sequence is not monotone
+    from zero.  Once an application leaves every coupling as it was, the
+    couplings are final and later rounds are plain applications.
+
+    The loop stops when an application's residual certifies a sup-norm
+    error below ``config.tolerance``; that application is the returned
+    matrix and ``iterations_used`` counts the applications.  If the
+    budget of applications runs out the partial matrix is returned with
     ``converged`` False.
     """
     sweep = _PairSweep(m1, m2, config)
-    dist = np.zeros(sweep.shape)
+    dist = new = np.zeros(sweep.shape)
     residual = math.inf
     iterations = 0
+    held, final = None, False
     while iterations < config.max_iterations:
         new = sweep.apply(dist)
         residual = float(np.max(np.abs(new - dist)))
-        dist = new
         iterations += 1
         if residual < config.residual_target:
             break
-    return CrossMetric(dist, config, iterations, residual,
+        if not final:
+            flow = sweep.batch.couplings()
+            final = held is not None and np.array_equal(flow, held)
+            held = flow
+        dist = new if final else sweep.solve_fixed(held, dist)
+    return CrossMetric(new, config, iterations, residual,
                        sweep.batch.solved, sweep.batch.reused)
 
 

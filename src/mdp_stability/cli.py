@@ -164,6 +164,7 @@ def cmd_bisim(args):
     document["converged"] = metric.converged
     document["blocks_solved"] = metric.blocks_solved
     document["blocks_reused"] = metric.blocks_reused
+    document["error_bound"] = metric.error_bound
     document["d_H"] = hausdorff_distance(metric) if metric.converged else None
     rows = [[i, j, metric.dist[i, j]]
             for i in range(m1.n_states) for j in range(m2.n_states)]

@@ -167,10 +167,16 @@ def shutdown_probability(P: np.ndarray, safe,
     1, mass on recurrent non-safe states 0.
     """
     P = np.asarray(P, dtype=float)
+    return _shutdown_probability(P, safe, transient_set(P, safe), start)
+
+
+def _shutdown_probability(P: np.ndarray, safe, trans,
+                          start: StartDistribution) -> float:
+    """:func:`shutdown_probability` given the chain's transient set."""
     n = P.shape[0]
     v_safe = np.zeros(n)
     v_safe[sorted(int(s) for s in safe)] = 1.0
-    trans = sorted(transient_set(P, safe))
+    trans = sorted(trans)
     A = np.eye(n)
     A[:, trans] -= P[:, trans]
     try:
@@ -270,7 +276,12 @@ def decrease_bound(P: np.ndarray, safe):
     block's spectral radius; it caps how fast the shutdown probability can
     fall per unit of perturbation size.
     """
-    trans = sorted(transient_set(P, safe))
+    return _decrease_bound(P, safe, transient_set(P, safe))
+
+
+def _decrease_bound(P: np.ndarray, safe, trans):
+    """:func:`decrease_bound` given the chain's transient set."""
+    trans = sorted(trans)
     lam = spectral_radius(np.asarray(P)[np.ix_(trans, trans)]) if trans \
         else 0.0
     if lam >= 1.0:
@@ -297,8 +308,9 @@ def analyze_chain(emdp: EmbeddedMdp, policy: DiffPolicy,
                   start: StartDistribution) -> OnPolicyAnalysis:
     P = realize_chain(emdp, policy)
     safe = emdp.base.safe_set
-    trans, lam, bound = decrease_bound(P, safe)
-    return OnPolicyAnalysis(trans, lam, shutdown_probability(P, safe, start),
+    trans, lam, bound = _decrease_bound(P, safe, transient_set(P, safe))
+    return OnPolicyAnalysis(trans, lam,
+                            _shutdown_probability(P, safe, trans, start),
                             bound)
 
 
@@ -497,13 +509,14 @@ def _rate_against(base: OnPolicyAnalysis, emdp: EmbeddedMdp,
     from ``start``, so that a ladder of perturbations analyses it once."""
     safe = emdp.base.safe_set
     P_new = realize_chain(apply_perturbation(emdp, pert), policy)
-    after = shutdown_probability(P_new, safe, start)
+    trans_new = transient_set(P_new, safe)
+    after = _shutdown_probability(P_new, safe, trans_new, start)
     size = perturbation_size(emdp, policy, pert)
     ratio = 0.0 if size == 0.0 else -(after - base.safety) / size
     return RateReport(
         s_pi_before=base.safety, s_pi_after=after, size=size, ratio=ratio,
         bound_B=base.bound_B, within_bound=ratio < base.bound_B,
-        trans_preserved=base.s_trans <= transient_set(P_new, safe))
+        trans_preserved=base.s_trans <= trans_new)
 
 
 def start_sensitivity(P: np.ndarray, safe, d1: StartDistribution,

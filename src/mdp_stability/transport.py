@@ -135,20 +135,27 @@ class BatchedTransport:
 
     Built once from a list of (mu, nu) support pairs, which are stacked by
     shape; each call to :meth:`values` returns all optimal values under new
-    costs.  Used by the metric fixed point, where the marginals are
-    transition rows and the cost is the current iterate.
+    costs, and :meth:`couplings` the coupling behind each value.  Used by
+    the metric fixed point, where the marginals are transition rows and the
+    cost is the current iterate.
 
     Point-mass problems have a forced coupling, and all-zero costs and
     identical marginals with a free diagonal have value 0, so none of these
     needs a solve.  Every other problem keeps, across calls, the optimal
-    vertex plan of its last solve and a spanning-tree basis that contains
-    the plan's support.  The basic costs fix dual potentials u, v through
-    an integer map.  When every reduced cost C - u - v is at least
-    ``-REUSE_TOL``, the stored plan is still optimal to within
-    ``REUSE_TOL``: it is feasible, and (u - REUSE_TOL, v) is a feasible dual
-    whose value is the plan's value less ``REUSE_TOL``.  Only the problems
-    that fail this test go into one block-diagonal HiGHS LP.  ``solved``
-    and ``reused`` count the two kinds of answer over the object's life.
+    plan of its last solve and, when that plan is a vertex, a spanning-tree
+    basis that contains the plan's support.  The basic costs fix dual
+    potentials u, v through an integer map.  When every reduced cost
+    C - u - v is at least ``-REUSE_TOL``, the stored plan is still optimal
+    to within ``REUSE_TOL``: it is feasible, and (u - REUSE_TOL, v) is a
+    feasible dual whose value is the plan's value less ``REUSE_TOL``.  Only
+    the problems that fail this test go into one block-diagonal HiGHS LP.
+    ``solved`` and ``reused`` count the two kinds of answer over the
+    object's life.
+
+    A problem's current coupling is the diagonal when its last answer was
+    the free diagonal, otherwise its stored plan; a problem never solved
+    (a point mass, or all costs zero so far) holds the product mu x nu.
+    Each is feasible, and each attains the last value returned for it.
     """
 
     def __init__(self, pairs):
@@ -197,6 +204,15 @@ class BatchedTransport:
             self.solved += len(failed)
         return out
 
+    def couplings(self) -> np.ndarray:
+        """Every problem's current coupling, raveled and concatenated in
+        the cost layout that :meth:`values` takes."""
+        flow = np.empty(self.n_costs)
+        for group in self.groups:
+            flow[group.cells.reshape(len(group.members), -1)] = \
+                group.coupling()
+        return flow
+
 
 class _ShapeGroup:
     """The problems of one (m, n) shape in a batch, stacked, with the plan
@@ -217,11 +233,13 @@ class _ShapeGroup:
         self.known = np.zeros(size, dtype=bool)
         self.basis = np.zeros((size, m + n - 1), dtype=int)
         self.potential_map = np.zeros((size, m + n, m + n - 1))
-        self.plan = np.zeros((size, m * n))
+        self.plan = np.einsum("gi,gj->gij", self.mu, self.nu).reshape(size, -1)
+        self.diagonal = np.zeros(size, dtype=bool)
 
     def screen(self, cost):
         """Values of the problems answered without a solve, with masks of
-        those answered by a stored plan and of those left unanswered."""
+        those answered by a stored plan and of those left unanswered; the
+        problems answered by the free diagonal are kept in ``diagonal``."""
         size = len(cost)
         if self.forced:
             # A point-mass marginal leaves the product coupling only.
@@ -235,8 +253,9 @@ class _ShapeGroup:
         # nonnegative.
         zero = ~flat.any(axis=1)
         if self.same.any():
-            zero |= self.same & (np.einsum("gii,gi->g", np.abs(cost),
-                                           self.mu) == 0.0)
+            self.diagonal = self.same & (np.einsum("gii,gi->g", np.abs(cost),
+                                                   self.mu) == 0.0)
+            zero |= self.diagonal
         uv = np.einsum("gpk,gk->gp", self.potential_map,
                        np.take_along_axis(flat, self.basis, axis=1))
         reduced = cost - uv[:, :m, None] - uv[:, None, m:]
@@ -245,10 +264,12 @@ class _ShapeGroup:
         return value, reused, ~(zero | reused)
 
     def store(self, r, cost, plan, u, v):
-        """Keep problem r's freshly solved plan with a spanning-tree basis
-        around its support, completed by the cells the solver's duals
-        price tightest, and the integer map from basic costs to [u; v]."""
+        """Keep problem r's freshly solved plan and, when the plan is a
+        vertex, a spanning-tree basis around its support, completed by the
+        cells the solver's duals price tightest, and the integer map from
+        basic costs to [u; v]."""
         m, n = self.shape
+        self.plan[r] = plan.ravel()
         basis = _spanning_basis(plan, cost - u[:, None] - v[None, :])
         self.known[r] = basis is not None
         if basis is None:
@@ -261,7 +282,15 @@ class _ShapeGroup:
         tree[-1, 0] = 1.0  # normalisation u_0 = 0
         self.potential_map[r] = np.rint(np.linalg.inv(tree))[:, :-1]
         self.basis[r] = basis
-        self.plan[r] = plan.ravel()
+
+    def coupling(self):
+        """The current coupling of every problem, one raveled row each."""
+        if not self.diagonal.any():
+            return self.plan
+        m = self.shape[0]
+        diagonal = np.zeros_like(self.plan)
+        diagonal[:, ::m + 1] = self.mu
+        return np.where(self.diagonal[:, None], diagonal, self.plan)
 
 
 def _spanning_basis(plan, reduced):

@@ -91,10 +91,11 @@ def best_value_by_enumeration(mdp):
 
 
 def fresh_lp_metric(m1, m2, config):
-    """The metric fixed point with every transport problem solved afresh at
-    every sweep: each ``metric_update`` call builds a new LP batch, so no
-    plan is carried over.  Same start (zero) and stopping rule as
-    ``cross_bisim_metric``; returns (dist, sweeps)."""
+    """The metric fixed point by plain sweeps from zero, with every
+    transport problem solved afresh at every sweep: each ``metric_update``
+    call builds a new LP batch, so no plan is carried over.  Same stopping
+    rule as ``cross_bisim_metric``, whose strategy iteration this checks;
+    returns (dist, sweeps)."""
     dist = np.zeros((m1.n_states, m2.n_states))
     for sweeps in range(1, config.max_iterations + 1):
         new = metric_update(m1, m2, config, dist)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helpers import fresh_lp_metric, random_mdp
+from mdp_stability import bisim
 from mdp_stability.bisim import _components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
@@ -43,8 +46,10 @@ class TestCrossMetric:
             cross_bisim_metric(m1, m2, CFG)
 
     def test_iteration_budget_flags_partial_result(self):
+        # One application from zero moves by the reward gap, far above the
+        # target, and the budget allows no second one.
         config = BisimConfig(c_R=0.3, c_T=0.7, tolerance=1e-9,
-                             max_iterations=2)
+                             max_iterations=1)
         metric = cross_bisim_metric(one_state_mdp(0.0), one_state_mdp(5.0),
                                     config)
         assert not metric.converged
@@ -142,18 +147,177 @@ class TestPlanReuseAgainstFreshSolves:
                                                   tolerance=1e-6)
         dist, sweeps = fresh_lp_metric(m1, m2, config)
         metric = cross_bisim_metric(m1, m2, config)
-        assert metric.iterations_used == sweeps
+        assert metric.iterations_used <= sweeps
         assert np.max(np.abs(metric.dist - dist)) <= config.tolerance
 
-    def test_later_sweeps_reuse_most_plans(self):
+    def test_later_applications_solve_or_reuse_every_plan(self):
         config = BisimConfig(c_R=0.1, c_T=0.9, tolerance=1e-6)
         m1, m2 = random_mdp(3, n_states=5), random_mdp(4, n_states=5)
         metric = cross_bisim_metric(m1, m2, config)
-        # 4 x 4 non-safe pairs x 2 actions dense problems per sweep, all
-        # at zero cost in the first sweep.
+        # 4 x 4 non-safe pairs x 2 actions dense problems per application,
+        # all at zero cost in the first.
         assert metric.blocks_solved + metric.blocks_reused \
             == 32 * (metric.iterations_used - 1)
-        assert metric.blocks_reused > 4 * metric.blocks_solved
+        assert metric.blocks_solved > 0
+
+
+def edge_mdp(rng, n, n_actions, keep, safe, tied):
+    """A random MDP whose rows keep each entry with probability ``keep``
+    (rows left empty become point masses); ``tied`` rewards take only the
+    values 0, 0.5 and 1, so that many state pairs tie or coincide.  With
+    ``safe`` the last state is safe and absorbing at reward 0."""
+    P = rng.dirichlet(np.ones(n), size=(n, n_actions))
+    P *= rng.random(P.shape) < keep
+    empty = P.sum(axis=2) == 0
+    P[empty] = np.eye(n)[rng.integers(n, size=int(empty.sum()))]
+    P /= P.sum(axis=2, keepdims=True)
+    r = (rng.integers(3, size=(n, n_actions)) / 2.0 if tied
+         else rng.random((n, n_actions)))
+    if safe:
+        P[-1] = np.eye(n)[-1]
+        r[-1] = 0.0
+    return MdpSpec(tuple(f"s{i}" for i in range(n)),
+                   tuple(f"a{j}" for j in range(n_actions)), P, r, 0.9,
+                   {n - 1} if safe else set())
+
+
+@st.composite
+def metric_cases(draw):
+    """(m1, m2, config, within): cross pairs, within-MDP pairs (m, m) and
+    pairs with duplicated states, over point-mass rows, zero-weight
+    support entries, one-state MDPs, MDPs without a safe state and c_T up
+    to 0.99."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_actions = draw(st.integers(1, 2))
+    keep = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    tied = draw(st.booleans())
+
+    def mdp(n):
+        safe = n > 1 and draw(st.booleans())
+        return edge_mdp(rng, n, n_actions, keep, safe, tied)
+
+    kind = draw(st.sampled_from(["cross", "within", "duplicated",
+                                 "duplicated-within"]))
+    m1 = mdp(draw(st.integers(1, 4)))
+    if kind == "cross":
+        m2 = mdp(draw(st.integers(1, 4)))
+    elif kind == "within":
+        m2 = m1
+    else:
+        m2 = build_duplicated(m1, draw(st.integers(0, m1.n_states - 1)))
+        if kind == "duplicated-within":
+            m1 = m2
+    c_T = draw(st.sampled_from([0.3, 0.6, 0.9, 0.99]))
+    config = BisimConfig(c_R=draw(st.sampled_from([0.1, 1.0])), c_T=c_T,
+                         tolerance=1e-4 if c_T == 0.99 else 1e-6)
+    return m1, m2, config, m1 is m2
+
+
+class TestStrategyIteration:
+    @settings(max_examples=60, deadline=None)
+    @given(case=metric_cases())
+    def test_matches_the_sweep_oracle_on_edge_cases(self, case):
+        m1, m2, config, within = case
+        metric = cross_bisim_metric(m1, m2, config)
+        dist, _ = fresh_lp_metric(m1, m2, config)
+        first = float(np.max(metric_update(
+            m1, m2, config, np.zeros((m1.n_states, m2.n_states)))))
+        assert metric.converged
+        assert metric.iterations_used <= iteration_bound(first, config)
+        assert np.max(np.abs(metric.dist - dist)) <= config.tolerance
+        if within:
+            assert np.max(np.abs(metric.dist - metric.dist.T)) \
+                <= config.tolerance
+            assert np.max(np.abs(np.diag(metric.dist))) <= config.tolerance
+
+    @pytest.mark.parametrize("seed", [3, 7, 10])
+    def test_capped_policy_iteration_is_still_certified(self, seed,
+                                                        monkeypatch):
+        # One policy evaluation per round leaves the couplings' fixed point
+        # unsolved, so an application can leave every coupling as it was
+        # while its residual is still above the target; plain applications
+        # then certify the result.
+        monkeypatch.setattr(bisim, "POLICY_ROUNDS", 1)
+        evaluate = bisim._PairSweep._evaluate
+        evaluations = []
+
+        def counted(self, *args):
+            evaluations.append(1)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(bisim._PairSweep, "_evaluate", counted)
+        config = BisimConfig(c_R=0.1, c_T=0.9, tolerance=1e-6)
+        m1, m2 = oracle_pair(seed)
+        metric = cross_bisim_metric(m1, m2, config)
+        dist, sweeps = fresh_lp_metric(m1, m2, config)
+        assert metric.converged
+        assert metric.iterations_used > len(evaluations) + 1
+        assert metric.iterations_used <= sweeps
+        assert np.max(np.abs(metric.dist - dist)) <= config.tolerance
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_policy_iteration_ends_before_its_cap(self, seed, monkeypatch):
+        # Within-MDP pairs and duplicated states tie many actions exactly;
+        # a switch on a tie could cycle until the cap.
+        evaluate = bisim._PairSweep._evaluate
+        solve = bisim._PairSweep.solve_fixed
+        evaluations, per_solve = [], []
+
+        def counted_evaluate(self, *args):
+            evaluations.append(1)
+            return evaluate(self, *args)
+
+        def counted_solve(self, *args):
+            before = len(evaluations)
+            result = solve(self, *args)
+            per_solve.append(len(evaluations) - before)
+            return result
+
+        monkeypatch.setattr(bisim._PairSweep, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(bisim._PairSweep, "solve_fixed", counted_solve)
+        base = random_mdp(seed, n_states=4)
+        doubled = build_duplicated(base, seed % 4, copies=2)
+        config = BisimConfig(c_R=0.1, c_T=0.9, tolerance=1e-6)
+        for m1, m2 in [(base, base), (doubled, doubled), (doubled, base)]:
+            assert cross_bisim_metric(m1, m2, config).converged
+        assert per_solve and max(per_solve) < bisim.POLICY_ROUNDS
+
+    def test_target_below_float_resolution_stops_solving(self,
+                                                          monkeypatch):
+        # The couplings settle within a few rounds; after that the budget
+        # runs out in plain applications, not in repeated exact solves.
+        # (The pair and coefficients are those of the CLI's exit-3 test: at
+        # c_R = 0.1 exactly this pair does reach a float fixed point.)
+        solve = bisim._PairSweep.solve_fixed
+        solves = []
+
+        def counted(self, *args):
+            solves.append(1)
+            return solve(self, *args)
+
+        monkeypatch.setattr(bisim._PairSweep, "solve_fixed", counted)
+        config = BisimConfig(c_R=1.0 - 0.9, c_T=0.9, tolerance=1e-300,
+                             max_iterations=300)
+        metric = cross_bisim_metric(random_mdp(1), random_mdp(2), config)
+        assert not metric.converged
+        assert metric.iterations_used == 300
+        assert 0.0 < metric.residual < 1e-12
+        assert len(solves) <= 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_error_bound_dominates_distance_to_a_tight_run(self, seed):
+        m1, m2 = oracle_pair(seed)
+        tight = BisimConfig(CFG.c_R, CFG.c_T, tolerance=1e-12)
+        for tolerance in (1e-2, 1e-4, CFG.tolerance):
+            config = BisimConfig(CFG.c_R, CFG.c_T, tolerance=tolerance,
+                                 max_iterations=2)
+            metric = cross_bisim_metric(m1, m2, config)
+            exact = cross_bisim_metric(m1, m2, tight)
+            assert exact.converged
+            assert metric.error_bound == pytest.approx(
+                metric.residual * CFG.c_T / (1 - CFG.c_T))
+            assert np.max(np.abs(metric.dist - exact.dist)) \
+                <= metric.error_bound + tight.tolerance
 
 
 class TestContraction:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mdp, reference_certify
-from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
+from mdp_stability import (BisimConfig, MdpSpec, Perturbation, SafetyQuery,
                            StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
                            mdp_to_document, rate_of_decrease_check,
@@ -116,26 +116,25 @@ class TestBisimCommand:
         assert outs[0] == outs[1]
         doc = json.loads(outs[0])
         # 3 x 3 non-safe pairs x 2 actions are dense 4-by-4 problems,
-        # answered once per sweep after the first (all costs zero) by the
-        # LP or by a kept plan.
+        # answered once per application after the first (all costs zero)
+        # by the LP or by a kept plan.
         assert doc["blocks_solved"] + doc["blocks_reused"] \
             == 18 * (doc["iterations"] - 1)
-        assert doc["blocks_reused"] > doc["blocks_solved"] > 0
+        assert doc["blocks_solved"] > 0
 
     def test_nonconvergence_exits_3_with_partial_artifact(self, tmp_path,
                                                           capsys):
-        doc = {
-            "states": ["s"], "actions": ["a"],
-            "transitions": [[[1.0]]], "rewards": [[1.0]],
-            "discount": 0.9, "safe": [],
-        }
-        doc2 = dict(doc, rewards=[[5.0]])
-        p1 = write_doc(tmp_path / "a.json", doc)
-        p2 = write_doc(tmp_path / "b.json", doc2)
-        code = main(["bisim", p1, p2, "--c-t", "0.9999", "--tol", "1e-12"])
+        # A residual target below float resolution, on a pair whose fixed
+        # point the update does not reproduce bit for bit: the couplings
+        # settle, and plain applications run out the budget.
+        p1 = write_doc(tmp_path / "a.json", mdp_to_document(random_mdp(1)))
+        p2 = write_doc(tmp_path / "b.json", mdp_to_document(random_mdp(2)))
+        code = main(["bisim", p1, p2, "--tol", "1e-300"])
         assert code == 3
         out = json.loads(capsys.readouterr().out)
         assert out["converged"] is False and out["d_H"] is None
+        assert out["iterations"] == BisimConfig(0.1, 0.9).max_iterations
+        assert 0.0 < out["residual"] < 1e-12
 
     def test_playing_dead_distance_bound_via_cli(self, tmp_path, capsys):
         base = write_doc(tmp_path / "base.json", hibernation_doc())

@@ -267,6 +267,45 @@ class TestPlanReuse:
                      * 0.5 ** step for cost in costs]
         assert batch.solved + batch.reused <= steps * len(problems)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           kinds=st.lists(st.sampled_from(KINDS + ("point",)), min_size=1,
+                          max_size=6),
+           steps=st.integers(1, 5), zero_start=st.booleans())
+    def test_couplings_are_feasible_and_attain_the_values(self, seed, kinds,
+                                                          steps, zero_start):
+        # After every call each problem's current coupling is a coupling of
+        # its marginals whose cost is the value just returned: the stored
+        # plan, the free diagonal, the forced product of a point mass, or
+        # (all costs zero so far) the product.  Rescaling the costs keeps
+        # zero diagonals at zero.
+        rng = np.random.default_rng(seed)
+        problems = []
+        for kind in kinds:
+            if kind == "point":
+                mu, nu = np.ones(1), rng.dirichlet(np.ones(rng.integers(1, 5)))
+                if rng.random() < 0.5:
+                    mu, nu = nu, mu
+                problems.append((mu, nu, rng.random((len(mu), len(nu)))))
+            else:
+                problems.append(drifting_problem(rng, kind))
+        batch = BatchedTransport([(mu, nu) for mu, nu, _ in problems])
+        costs = [cost * (0.0 if zero_start else 1.0)
+                 for _, _, cost in problems]
+        for _ in range(steps):
+            values = batch.values(costs)
+            flow = np.split(batch.couplings(),
+                            np.cumsum([c.size for c in costs])[:-1])
+            for (mu, nu, _), cost, value, plan in zip(problems, costs,
+                                                      values, flow):
+                plan = plan.reshape(cost.shape)
+                assert plan.min() >= -1e-9
+                np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-9)
+                np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-9)
+                assert np.sum(plan * cost) == pytest.approx(value, abs=1e-9)
+            costs = [base * (1.0 + rng.random(base.shape))
+                     for _, _, base in problems]
+
     def test_small_drift_reuses_every_plan(self):
         rng = np.random.default_rng(5)
         pairs = [(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4)))
