@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .mdp import MdpSpec, _frozen, can_reach, validate
+from .mdp import MdpSpec, _frozen, can_reach, policy_iteration, validate
 from .transport import BatchedTransport
 
 __all__ = [
@@ -40,13 +40,6 @@ __all__ = [
     "bisim_quotient",
     "iteration_bound",
 ]
-
-
-# Policy iteration on the pair MDP switches a pair's action only for a gain
-# above this share of the largest action value, so ties cannot cycle; it
-# stops after POLICY_ROUNDS evaluations in any case.
-SWITCH_MARGIN = 1e-12
-POLICY_ROUNDS = 100
 
 
 class NonConvergence(RuntimeError):
@@ -218,22 +211,12 @@ class _PairSweep:
 
     def solve_fixed(self, flow: np.ndarray, dist: np.ndarray) -> np.ndarray:
         """Fixed point of the update with every coupling held at ``flow``
-        (laid out as the batch's costs), by policy iteration on the pair
-        MDP, starting from the actions greedy for ``dist``.  Stops after
-        ``POLICY_ROUNDS`` evaluations, returning the last policy's
-        distances."""
-        q = self._action_values(flow, dist)
-        policy = q.argmax(axis=1)
-        pairs = np.arange(len(policy))
-        for _ in range(POLICY_ROUNDS):
-            dist = self._evaluate(flow, policy)
-            q = self._action_values(flow, dist)
-            gain = q.max(axis=1) - q[pairs, policy]
-            switch = gain > SWITCH_MARGIN * np.abs(q).max()
-            if not switch.any():
-                break
-            policy = np.where(switch, q.argmax(axis=1), policy)
-        return dist
+        (laid out as the batch's costs): the last distances of
+        :func:`mdp.policy_iteration` on the pair MDP, which starts from the
+        actions greedy for ``dist``."""
+        return policy_iteration(lambda p: self._evaluate(flow, p),
+                                lambda d: self._action_values(flow, d),
+                                self._action_values(flow, dist).argmax(1))[0]
 
 
 def metric_update(m1: MdpSpec, m2: MdpSpec, config: BisimConfig,

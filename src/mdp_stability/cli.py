@@ -1,7 +1,7 @@
 """Command-line harness over the library.
 
 Exit codes are a stable contract: 0 success, 1 negative domain verdict,
-2 input error, 3 numerical non-convergence.  JSON is the canonical output
+2 input error, 3 numerical failure.  JSON is the canonical output
 (floats printed with 17 significant digits so round-trips are lossless);
 CSV is a per-command projection.  Artifacts are deterministic given flags
 and seed; timestamps live in a side file next to --out.
@@ -371,6 +371,8 @@ def cmd_stability_experiment(args):
     mdp = load_mdp(args.path)
     config = _config_from(args, mdp)
     sizes = _parse_ladder(args.sizes, "size")
+    if not math.isfinite(2.0 * sizes[-1]):
+        raise ValueError(f"--sizes rung {sizes[-1]!r} has no finite width")
     if sizes[0] != 0.0:
         sizes = [0.0] + sizes
     variant = None
@@ -556,6 +558,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    except RuntimeError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)

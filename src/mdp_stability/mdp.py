@@ -165,8 +165,8 @@ class Policy:
 class ValueFunction:
     """Per-state values with the solver's residual.
 
-    kind is "optimal" (from value iteration) or "policy" (from exact policy
-    evaluation); residual is the sup-norm of the last iteration step or of
+    kind is "optimal" (from value_iteration) or "policy" (from exact policy
+    evaluation); residual is the final Bellman residual or the sup-norm of
     the linear-system defect respectively.
     """
 
@@ -333,33 +333,60 @@ def induce_chain(mdp: MdpSpec, policy: Policy) -> InducedChain:
     return InducedChain(Q, absorb, keep)
 
 
-def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
-    """Optimal values V* by value iteration.
+# Policy iteration switches a state's action only for a gain above this
+# share of the largest action value, so ties cannot cycle; it stops after
+# POLICY_ROUNDS evaluations in any case.
+SWITCH_MARGIN = 1e-12
+POLICY_ROUNDS = 100
 
-    Stops when a sweep changes the values by less than tol*(1-g)/(2g), which
-    guarantees a sup-norm error below ``tol``, or after 1,000,000 sweeps.
-    A sweep whose change is not finite (NaN or infinite rewards or
-    transitions) raises ValueError.
-    """
+
+def policy_iteration(evaluate, action_values, policy):
+    """Howard's loop from ``policy``: (values, Q) of the last policy."""
+    states = np.arange(len(policy))
+    for _ in range(POLICY_ROUNDS):
+        values = evaluate(policy)
+        q = action_values(values)
+        gain = q.max(axis=1) - q[states, policy]
+        switch = gain > SWITCH_MARGIN * np.abs(q).max()
+        if not switch.any():
+            break
+        policy = np.where(switch, q.argmax(axis=1), policy)
+    return values, q
+
+
+def policy_values(mdp: MdpSpec, actions: np.ndarray) -> np.ndarray:
+    """Values of the deterministic policies in the rows of ``actions``, by
+    one stacked solve; each equals policy_evaluation's solve bit for bit."""
+    states = np.arange(mdp.n_states)
+    A = np.eye(mdp.n_states) - mdp.discount * mdp.transition[states, actions]
+    return np.linalg.solve(A, mdp.reward[states, actions][..., None])[..., 0]
+
+
+def q_values(mdp: MdpSpec, values: np.ndarray) -> np.ndarray:
+    """Action values r + g P V of the state values ``values``."""
+    return mdp.reward + mdp.discount * np.einsum("sat,t->sa",
+                                                 mdp.transition, values)
+
+
+def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
+    """V* by policy iteration; ValueError unless P and r are finite and the
+    Bellman residual is within tol*(1-g) or 16 ulps of max |Q|."""
     if not 0.0 < mdp.discount < 1.0:
         raise ValueError("value iteration requires discount in (0,1)")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    g = mdp.discount
-    threshold = tol * (1.0 - g) / (2.0 * g)
-    v = np.zeros(mdp.n_states)
-    P, r = mdp.transition, mdp.reward
-    change = math.inf
-    for _ in range(1_000_000):
-        q = r + g * np.einsum("sat,t->sa", P, v)
-        v_new = q.max(axis=1)
-        change = float(np.max(np.abs(v_new - v)))
-        if not math.isfinite(change):
-            raise ValueError(f"value iteration: non-finite change {change!r}")
-        v = v_new
-        if change < threshold:
-            break
-    return ValueFunction(v, "optimal", change)
+    if not all(np.isfinite(a).all() for a in (mdp.transition, mdp.reward)):
+        raise ValueError("value iteration: non-finite transition or reward")
+    v, q = policy_iteration(lambda pi: policy_values(mdp, pi),
+                            lambda values: q_values(mdp, values),
+                            mdp.reward.argmax(axis=1))
+    residual = float(np.max(np.abs(q.max(axis=1) - v)))
+    # Float arithmetic shows no residual below a few ulps of max |Q|.
+    if not residual <= max(tol * (1.0 - mdp.discount),
+                           16 * np.finfo(float).eps * np.abs(q).max()):
+        raise ValueError(f"value iteration: Bellman residual {residual!r} "
+                         f"does not certify an error below {tol!r}")
+    return ValueFunction(v, "optimal", residual)
 
 
 def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -386,19 +413,15 @@ def policy_evaluation(mdp: MdpSpec, policy: Policy) -> ValueFunction:
     P_pi = np.einsum("sa,sat->st", pi, mdp.transition)
     r_pi = np.einsum("sa,sa->s", pi, mdp.reward)
     A = np.eye(mdp.n_states) - mdp.discount * P_pi
-    try:
-        v = np.linalg.solve(A, r_pi)
-    except np.linalg.LinAlgError as exc:  # cannot occur for discount < 1
-        raise ValueError(f"policy evaluation solve failed: {exc}") from exc
+    # Nonsingular for discount < 1 (else LinAlgError, a ValueError).
+    v = np.linalg.solve(A, r_pi)
     residual = float(np.max(np.abs(A @ v - r_pi)))
     return ValueFunction(v, "policy", residual)
 
 
 def greedy_policy(mdp: MdpSpec, values: ValueFunction) -> Policy:
     """Deterministic policy that is greedy with respect to the given values."""
-    q = mdp.reward + mdp.discount * np.einsum("sat,t->sa", mdp.transition,
-                                              values.values)
-    return Policy.deterministic(q.argmax(axis=1))
+    return Policy.deterministic(q_values(mdp, values.values).argmax(axis=1))
 
 
 # -- JSON document interface -------------------------------------------------

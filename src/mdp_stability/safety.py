@@ -18,7 +18,8 @@ import numpy as np
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
 from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
-                  StartDistribution, can_reach, value_iteration)
+                  StartDistribution, can_reach, policy_values,
+                  q_values, value_iteration)
 from .onpolicy import spectral_radius
 
 __all__ = [
@@ -48,8 +49,8 @@ class SafetyQuery:
     """Parameters of one (N, eps)-safety question.
 
     ``start`` of None means the worst case: each policy is charged its
-    slowest starting state.  epsilon must dominate the value-iteration
-    tolerance by a factor of ten so membership decisions are meaningful.
+    slowest starting state.  epsilon must exceed ten times ``value_tol``,
+    the certified error on V*, so membership decisions are meaningful.
     """
 
     epsilon: float
@@ -157,8 +158,8 @@ def _member_times(mdp: MdpSpec, actions: np.ndarray, start):
 # that the margin covers, in units of value_tol:
 #   10  the boundary band, so that a pruned policy is neither a member nor
 #       counted in boundary_count;
-#    2  value iteration's error on V* and on Q* = r + g P V* (each at most
-#       value_tol);
+#    2  the error on V* and on Q* = r + g P V* (each at most value_tol, as
+#       V*'s Bellman residual certifies, or at rounding level);
 #    8  per unit of max_s |V*(s)| (at least 1): rounding in Q*, in the
 #       solved V^pi and in the subtractions.
 PRUNE_BAND = 12.0
@@ -186,31 +187,19 @@ def _policy_table(mdp: MdpSpec, epsilon: float):
                          f"instance")
     tol = SafetyQuery.value_tol
     v_star = value_iteration(mdp, tol).values
-    q_star = mdp.reward + mdp.discount * np.einsum("sat,t->sa",
-                                                   mdp.transition, v_star)
+    q_star = q_values(mdp, v_star)
     scale = max(1.0, float(np.max(np.abs(v_star), initial=0.0)))
     cut = epsilon + tol * (PRUNE_BAND + PRUNE_ROUNDING * scale)
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
-    states = np.arange(mdp.n_states)
-    eye = np.eye(mdp.n_states)
     for begin in range(0, total, CHUNK):
         flat = np.arange(begin, min(begin + CHUNK, total))
         picks = np.unravel_index(flat, shape) if shape else ()
         actions = np.zeros((len(flat), mdp.n_states), dtype=int)
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
-        # The gathered rows are policy_evaluation's one-hot products bit
-        # for bit, and the stacked solve is one solve per policy.
-        A = eye - mdp.discount * mdp.transition[states, actions]
-        try:
-            values = np.linalg.solve(
-                A, mdp.reward[states, actions][..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:  # cannot occur for discount < 1
-            raise ValueError(f"policy evaluation solve failed: {exc}") \
-                from exc
-        yield actions, np.max(v_star - values, axis=-1)
+        yield actions, np.max(v_star - policy_values(mdp, actions), axis=-1)
 
 
 def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery) -> list:

@@ -8,9 +8,8 @@ import numpy as np
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            finite_difference_jacobian, induce_chain,
                            metric_update, perturbation_size,
-                           policy_evaluation, spectral_radius,
-                           value_iteration)
-from mdp_stability.mdp import can_reach
+                           policy_evaluation, spectral_radius)
+from mdp_stability.mdp import ValueFunction, can_reach
 from mdp_stability.onpolicy import ROW_TOL
 
 _BASIS_CACHE = {}
@@ -90,6 +89,36 @@ def best_value_by_enumeration(mdp):
     return best
 
 
+def reference_value_iteration(mdp, tol=1e-10):
+    """Optimal values V* by value iteration.
+
+    Stops when a sweep changes the values by less than tol*(1-g)/(2g), which
+    guarantees a sup-norm error below ``tol``, or after 1,000,000 sweeps.
+    A sweep whose change is not finite (NaN or infinite rewards or
+    transitions) raises ValueError.  An oracle for ``value_iteration``,
+    which runs policy iteration instead.
+    """
+    if not 0.0 < mdp.discount < 1.0:
+        raise ValueError("value iteration requires discount in (0,1)")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    g = mdp.discount
+    threshold = tol * (1.0 - g) / (2.0 * g)
+    v = np.zeros(mdp.n_states)
+    P, r = mdp.transition, mdp.reward
+    change = math.inf
+    for _ in range(1_000_000):
+        q = r + g * np.einsum("sat,t->sa", P, v)
+        v_new = q.max(axis=1)
+        change = float(np.max(np.abs(v_new - v)))
+        if not math.isfinite(change):
+            raise ValueError(f"value iteration: non-finite change {change!r}")
+        v = v_new
+        if change < threshold:
+            break
+    return ValueFunction(v, "optimal", change)
+
+
 def fresh_lp_metric(m1, m2, config):
     """The metric fixed point by plain sweeps from zero, with every
     transport problem solved afresh at every sweep: each ``metric_update``
@@ -160,7 +189,7 @@ def _reference_grid(mdp):
 
 def reference_enumerate(mdp, query):
     """Members by the per-state test V(s) > V*(s) - eps."""
-    v_star = value_iteration(mdp, query.value_tol).values
+    v_star = reference_value_iteration(mdp, query.value_tol).values
     members = []
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy).values
@@ -172,7 +201,7 @@ def reference_enumerate(mdp, query):
 def reference_certify(mdp, query):
     """Certificate fields from a membership margin min_s(V - V* + eps) > 0,
     then one hitting-time pass over the members."""
-    v_star = value_iteration(mdp, query.value_tol).values
+    v_star = reference_value_iteration(mdp, query.value_tol).values
     members, boundary = [], 0
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy).values
@@ -201,7 +230,7 @@ def reference_certify(mdp, query):
 
 def reference_frontier(mdp, epsilons, value_tol=1e-10):
     """Frontier rows with a hitting time computed for every policy."""
-    v_star = value_iteration(mdp, value_tol).values
+    v_star = reference_value_iteration(mdp, value_tol).values
     evaluated = []
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy).values

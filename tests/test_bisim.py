@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from helpers import fresh_lp_metric, random_mdp
 from mdp_stability import bisim
 from mdp_stability.bisim import _components
+from mdp_stability.mdp import POLICY_ROUNDS
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
                            cross_bisim_metric, hausdorff_distance,
@@ -237,7 +238,7 @@ class TestStrategyIteration:
         # unsolved, so an application can leave every coupling as it was
         # while its residual is still above the target; plain applications
         # then certify the result.
-        monkeypatch.setattr(bisim, "POLICY_ROUNDS", 1)
+        monkeypatch.setattr("mdp_stability.mdp.POLICY_ROUNDS", 1)
         evaluate = bisim._PairSweep._evaluate
         evaluations = []
 
@@ -280,7 +281,7 @@ class TestStrategyIteration:
         config = BisimConfig(c_R=0.1, c_T=0.9, tolerance=1e-6)
         for m1, m2 in [(base, base), (doubled, doubled), (doubled, base)]:
             assert cross_bisim_metric(m1, m2, config).converged
-        assert per_solve and max(per_solve) < bisim.POLICY_ROUNDS
+        assert per_solve and max(per_solve) < POLICY_ROUNDS
 
     def test_target_below_float_resolution_stops_solving(self,
                                                           monkeypatch):

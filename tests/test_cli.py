@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,35 @@ class TestBisimCommand:
         assert out["converged"] is False and out["d_H"] is None
         assert out["iterations"] == BisimConfig(0.1, 0.9).max_iterations
         assert 0.0 < out["residual"] < 1e-12
+
+    def test_iteration_budget_exits_3_with_partial_artifact(
+            self, tmp_path, capsys, monkeypatch):
+        # One application from zero never meets the target on a pair whose
+        # rewards differ, so this reaches exit 3 without a float accident.
+        config_from = cli._config_from
+        monkeypatch.setattr(cli, "_config_from", lambda args, mdp: replace(
+            config_from(args, mdp), max_iterations=1))
+        p1 = write_doc(tmp_path / "a.json", mdp_to_document(random_mdp(1)))
+        p2 = write_doc(tmp_path / "b.json", mdp_to_document(random_mdp(2)))
+        assert main(["bisim", p1, p2]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["converged"] is False and out["d_H"] is None
+        assert out["iterations"] == 1
+
+    def test_solver_failure_exits_3_without_an_artifact(self, tmp_path,
+                                                        capsys):
+        # Valid, finite documents whose rewards are too large for HiGHS.
+        paths = []
+        for seed in (1, 2):
+            mdp = random_mdp(seed)
+            paths.append(write_doc(tmp_path / f"{seed}.json", mdp_to_document(
+                mdp.with_rewards(mdp.reward * 1e25))))
+        assert main(["bisim", *paths]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_playing_dead_distance_bound_via_cli(self, tmp_path, capsys):
         base = write_doc(tmp_path / "base.json", hibernation_doc())
@@ -720,6 +750,8 @@ UNUSABLE_INPUT = [
       "--sizes", "0"], "N must be finite"),
     (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "inf",
       "--sizes", "0"], "N must be finite"),
+    (["stability-experiment", "@m", "--epsilon", "0.5", "--big-n", "2",
+      "--sizes", "0,1e308"], "--sizes rung 1e+308"),
     (["random", "--seed", "-1"], "--seed must be non-negative, got -1"),
     (["onpolicy-sweep", "@e", "@p", "--sizes", "1e-4", "--seed", "-2"],
      "--seed must be non-negative, got -2"),

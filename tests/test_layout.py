@@ -1,7 +1,9 @@
-"""Import layout of the package: every import sits at module level, and the
-modules of the package import each other without a cycle."""
+"""Layout of the package: every import sits at module level, the modules of
+the package import each other without a cycle, and every exception the
+package raises is one that the command line maps to an exit code."""
 
 import ast
+import builtins
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -49,3 +51,57 @@ def test_package_import_graph_is_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle between package modules: {exc.args[1]}")
+
+
+# Raised exceptions that signal a programming error, not an input or a
+# numerical outcome: (module, function, class).
+UNMAPPED_BY_DESIGN = {("cli", "render_json", "TypeError")}
+
+
+def raised_classes():
+    """(module, innermost function, class name) of every ``raise`` of a
+    class in the package; a bare re-raise names no class."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            found.add((module, function, ast.unparse(exc)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for name, tree in MODULES.items():
+        visit(tree, name, None)
+    return found
+
+
+def ancestors(name, classes):
+    """``name`` and the names of its base classes, from the package's own
+    class definitions and from the builtins."""
+    if name in classes:
+        return {name}.union(*(ancestors(base, classes)
+                              for base in classes[name]))
+    cls = getattr(builtins, name, None)
+    assert isinstance(cls, type) and issubclass(cls, BaseException), name
+    return {c.__name__ for c in cls.__mro__}
+
+
+def test_every_raised_exception_maps_to_an_exit_code():
+    classes = {node.name: [ast.unparse(base) for base in node.bases]
+               for tree in MODULES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    main = next(node for node in ast.walk(MODULES["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = {ast.unparse(handler.type).split(".")[-1]
+               for handler in ast.walk(main)
+               if isinstance(handler, ast.ExceptHandler)}
+    assert {"ValueError", "NonConvergence", "RuntimeError"} <= handled
+    unmapped = sorted(
+        (module, function, name)
+        for module, function, name in raised_classes()
+        if not ancestors(name, classes) & handled
+        and (module, function, name) not in UNMAPPED_BY_DESIGN)
+    assert unmapped == []

@@ -1,16 +1,22 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import best_value_by_enumeration, random_mdp
-from mdp_stability import (MdpSpec, Policy, dump_mdp, greedy_policy,
-                           induce_chain, load_mdp, mdp_from_document,
-                           mdp_to_document, policy_evaluation, validate,
-                           value_iteration)
-from mdp_stability.mdp import can_reach, read_document
+from helpers import (best_value_by_enumeration, random_mdp,
+                     reference_value_iteration)
+from mdp_stability import (MdpSpec, PlayingDeadParams, Policy,
+                           build_duplicated, build_playing_dead, dump_mdp,
+                           greedy_policy, induce_chain, load_mdp,
+                           mdp_from_document, mdp_to_document,
+                           policy_evaluation, validate, value_iteration)
+from mdp_stability import mdp as mdp_module
+from mdp_stability.mdp import can_reach, q_values, read_document
 
 
 def two_state_mdp():
@@ -146,6 +152,99 @@ class TestValueIteration:
             value_iteration(mdp)
 
 
+@st.composite
+def optimum_cases(draw):
+    """(mdp, tol) for V*: random sparse rows with some actions copying
+    another action's column (exact ties), duplicated states, playing-dead
+    variants and one-state MDPs, at discount 0.5 or 0.99."""
+    gamma = draw(st.sampled_from([0.5, 0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["random", "duplicated", "playing-dead",
+                                 "one-state"]))
+    n_actions = draw(st.integers(1, 3))
+    n = 1 if kind == "one-state" else draw(st.integers(2, 6))
+    if kind == "random" or kind == "one-state":
+        P = np.zeros((n, n_actions, n))
+        for s in range(n):
+            for a in range(n_actions):
+                support = rng.choice(n, size=rng.integers(1, n + 1),
+                                     replace=False)
+                P[s, a, support] = rng.dirichlet(np.ones(len(support)))
+        r = rng.normal(size=(n, n_actions))
+        for a in range(1, n_actions):
+            if rng.random() < 0.5:
+                P[:, a], r[:, a] = P[:, a - 1], r[:, a - 1]
+        safe = {n - 1} if n > 1 and rng.random() < 0.5 else set()
+        for s in safe:
+            P[s], r[s] = 0.0, 0.0
+            P[s, :, s] = 1.0
+        ids = tuple(f"s{i}" for i in range(n))
+        acts = tuple(f"a{j}" for j in range(n_actions))
+        mdp = MdpSpec(ids, acts, P, r, gamma, safe)
+    else:
+        mdp = random_mdp(int(rng.integers(2 ** 16)), n_states=n,
+                         n_actions=n_actions, gamma=gamma)
+        if kind == "duplicated":
+            mdp = build_duplicated(mdp, int(rng.integers(n)),
+                                   copies=draw(st.integers(2, 3)))
+        else:
+            epsilon = 0.5
+            escape = int(np.argmax(reference_value_iteration(mdp).values))
+            mdp = build_playing_dead(PlayingDeadParams(
+                base=mdp, delta=(1.0 - gamma) * epsilon / (20.0 * n),
+                escape_state=escape,
+                escape_action=int(rng.integers(n_actions)),
+                epsilon=epsilon))
+    assert validate(mdp).ok
+    return mdp, draw(st.sampled_from([1e-10, 1e-8]))
+
+
+class TestPolicyIterationOptimum:
+    @settings(max_examples=150, deadline=None)
+    @given(optimum_cases())
+    def test_matches_value_iteration_with_a_bellman_certificate(self, case):
+        mdp, tol = case
+        with mock.patch.object(mdp_module, "policy_values",
+                               wraps=mdp_module.policy_values) as solve:
+            v_star = value_iteration(mdp, tol)
+        # Ties switch no action, so the loop ends well before its cap.
+        assert 1 <= solve.call_count < mdp_module.POLICY_ROUNDS
+        reference = reference_value_iteration(mdp, tol).values
+        np.testing.assert_allclose(v_star.values, reference, rtol=0,
+                                   atol=tol)
+        q = q_values(mdp, v_star.values)
+        assert v_star.residual \
+            == float(np.max(np.abs(q.max(axis=1) - v_star.values)))
+        assert v_star.residual <= tol * (1.0 - mdp.discount)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e12])
+    def test_large_values_are_certified_at_rounding_level(self, scale):
+        # tol*(1-g) is below the values' rounding here; value iteration
+        # reaches a float fixed point, and policy iteration must not fail.
+        for seed in range(10):
+            mdp = random_mdp(seed, n_states=6, n_actions=3,
+                             reward_scale=scale)
+            np.testing.assert_allclose(
+                value_iteration(mdp).values,
+                reference_value_iteration(mdp).values, rtol=1e-14, atol=0)
+
+    @staticmethod
+    def patient_mdp():
+        # The reward-greedy action at s0 ends the episode with reward 1;
+        # staying for 0.5 a step is worth 5.
+        return MdpSpec(("s0", "end"), ("leave", "stay"),
+                       [[[0.0, 1.0], [1.0, 0.0]],
+                        [[0.0, 1.0], [0.0, 1.0]]],
+                       [[1.0, 0.5], [0.0, 0.0]], 0.9, {1})
+
+    def test_cap_hit_raises_instead_of_returning(self, monkeypatch):
+        mdp = self.patient_mdp()
+        assert value_iteration(mdp).values[0] == pytest.approx(5.0)
+        monkeypatch.setattr(mdp_module, "POLICY_ROUNDS", 1)
+        with pytest.raises(ValueError, match="Bellman residual"):
+            value_iteration(mdp)
+
+
 class TestPolicyEvaluation:
     def test_zero_rewards(self):
         mdp = two_state_mdp()
@@ -171,7 +270,7 @@ class TestPolicyEvaluation:
         r = np.einsum("sa,sa->s", pi, mdp.reward)[:, None]
         collapsed = MdpSpec(mdp.state_ids, ("only",), P, r, mdp.discount,
                             mdp.safe_set)
-        iterative = value_iteration(collapsed, 1e-10).values
+        iterative = reference_value_iteration(collapsed, 1e-10).values
         np.testing.assert_allclose(exact, iterative, atol=1e-8)
 
 

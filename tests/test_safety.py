@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import (_reference_grid, random_mdp, reference_certify,
                      reference_enumerate, reference_expected_steps,
-                     reference_frontier, reference_hitting_time)
+                     reference_frontier, reference_hitting_time,
+                     reference_value_iteration)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            SafetyQuery, StartDistribution, build_duplicated,
                            certify_safety, enumerate_epsilon_optimal,
@@ -197,7 +198,7 @@ class TestEnumeration:
             r = np.einsum("sa,sa->s", pi, mdp.reward)[:, None]
             collapsed = MdpSpec(mdp.state_ids, ("only",), P, r,
                                 mdp.discount, mdp.safe_set)
-            v = value_iteration(collapsed, 1e-12).values
+            v = reference_value_iteration(collapsed, 1e-12).values
             should_belong = bool(np.all(v > v_star - query.epsilon))
             assert (tuple(policy.table) in member_keys) == should_belong
 
@@ -477,8 +478,8 @@ TOL = SafetyQuery.value_tol
 
 def grid_losses(mdp):
     """(actions, loss) of every deterministic policy in grid order, one
-    policy_evaluation each."""
-    v_star = value_iteration(mdp, TOL).values
+    policy_evaluation each, against the oracle's V*."""
+    v_star = reference_value_iteration(mdp, TOL).values
     return [(tuple(policy.table),
              float(np.max(v_star - policy_evaluation(mdp, policy).values)))
             for policy in _reference_grid(mdp)]
@@ -515,6 +516,14 @@ def table_cases(draw):
     return mdp, index, draw(st.sampled_from([1, 3, 7, safety.CHUNK]))
 
 
+def table_under_test(chunk):
+    """Patches the table into chunks of ``chunk`` policies that start from
+    the oracle's V*: a policy whose loss sits on epsilon is decided alike
+    by the table and the reference loops only on the same V*."""
+    return mock.patch.multiple(safety, CHUNK=chunk,
+                               value_iteration=reference_value_iteration)
+
+
 class TestPrunedStackedTable:
     """The pruned, stacked policy table against the per-policy loops of
     tests/helpers.py, with epsilon on one policy's exact loss and
@@ -531,7 +540,7 @@ class TestPrunedStackedTable:
         query = SafetyQuery(eps, StartDistribution.point_mass(mdp.n_states, 0)
                             if start else None)
         ref = reference_certify(mdp, query)
-        with mock.patch.object(safety, "CHUNK", chunk):
+        with table_under_test(chunk):
             cert = certify_safety(mdp, query)
             members = enumerate_epsilon_optimal(mdp, query)
         assert cert.worst_time == ref["worst_time"]
@@ -552,7 +561,7 @@ class TestPrunedStackedTable:
         epsilons = [eps / 4, eps / 2, eps]
         ref_empty = not any(loss < min(epsilons)
                             for _, loss in grid_losses(mdp))
-        with mock.patch.object(safety, "CHUNK", chunk):
+        with table_under_test(chunk):
             if ref_empty:
                 with pytest.raises(ValueError, match="vacuous"):
                     safety_frontier(mdp, epsilons)
@@ -566,7 +575,7 @@ class TestPrunedStackedTable:
         mdp, index, chunk = case
         rows = grid_losses(mdp)
         eps = rows[index][1] + offset * TOL
-        with mock.patch.object(safety, "CHUNK", chunk):
+        with table_under_test(chunk):
             table = [(tuple(a), float(loss))
                      for actions, losses in safety._policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
