@@ -90,7 +90,7 @@ class CrossMetric:
     ``dist`` is the last application of the update operator and
     ``residual`` its sup-norm step; ``iterations_used`` counts the
     applications.  blocks_solved and blocks_reused count, over all
-    applications, the transport problems sent to the LP solver and those
+    applications, the transport problems sent to the simplex and those
     answered by a stored plan that passed the reduced-cost test; problems
     with a closed form (point masses, all-zero costs, identical marginals
     at zero diagonal cost) are in neither count.

@@ -1,12 +1,12 @@
 """Exact 1-Wasserstein distances between finite distributions.
 
-The solver returns the optimal coupling together with a feasible, tight
-dual certificate (potentials u, v with u_i + v_j <= cost_ij and
-u.mu + v.nu equal to the optimum), which the stability arguments consume
-directly.  A batched entry point answers many independent problems whose
-costs change from call to call, as in the fixed-point metric iteration:
-it reuses each problem's last optimal plan while a reduced-cost test
-certifies it, and solves the rest in one block-diagonal LP.
+The solver, a transportation (MODI) simplex run on stacks of problems of
+one shape, returns the optimal coupling together with a feasible, tight
+dual certificate (potentials u, v with u_i + v_j <= cost_ij, to a tolerance
+relative to the largest cost, and u.mu + v.nu equal to the optimum), which
+the stability arguments consume directly.  A batched entry point answers
+many problems whose costs change from call to call, as in the fixed-point
+metric iteration: each pivots on from its last optimal basis.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .mdp import _frozen
 
@@ -29,9 +27,15 @@ __all__ = [
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
-# A stored transport plan is reused while no reduced cost falls below
-# -REUSE_TOL, which keeps its value within REUSE_TOL of the optimum.
+# A basis is optimal once no reduced cost falls below -REUSE_TOL times
+# max(1, the problem's largest cost); its plan is then within that much of
+# the optimum.
 REUSE_TOL = 1e-12
+# After more than DEGENERATE_RUN pivots in a row that move no mass, a
+# problem pivots by Bland's rule, which cannot cycle, for the rest of its
+# solve; PIVOT_CAP bounds the pivots of one problem in one solve.
+DEGENERATE_RUN = 20
+PIVOT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,33 +83,19 @@ class TransportSolution:
 def solve_transport(problem: TransportProblem) -> TransportSolution:
     """Exact optimal transport between the problem's marginals.
 
-    Zero-weight support points are dropped before the solve and reinstated
-    as zero rows/columns of the plan; their potentials are filled in so the
-    dual certificate stays feasible over the full support.
+    The simplex prices every cell, zero-weight support points included, so
+    the potentials are a dual certificate over the full support, and the
+    plan is zero on the rows and columns of zero weight.
     """
-    mu, nu, cost = problem.mu, problem.nu, problem.cost
-    keep_i = np.nonzero(mu > 0)[0]
-    keep_j = np.nonzero(nu > 0)[0]
-    sub_cost = cost[np.ix_(keep_i, keep_j)]
-    [(value, sub_plan, u, v)] = _solve_blocks(
-        [(mu[keep_i], nu[keep_j], sub_cost)])
-
-    plan = np.zeros_like(cost)
-    plan[np.ix_(keep_i, keep_j)] = sub_plan
-    dual_u = np.empty(len(mu))
-    dual_v = np.empty(len(nu))
-    dual_u[keep_i] = u
-    dual_v[keep_j] = v
-    # Reinstated points carry the largest feasible potentials: first u over
-    # the solved v's, then v over every u, which keeps u_i + v_j <= cost_ij
-    # for all pairs including dropped-dropped ones.
-    drop_i = np.nonzero(mu <= 0)[0]
-    drop_j = np.nonzero(nu <= 0)[0]
-    for i in drop_i:
-        dual_u[i] = np.min(cost[i, keep_j] - dual_v[keep_j])
-    for j in drop_j:
-        dual_v[j] = np.min(cost[:, j] - dual_u)
-    return TransportSolution(value, plan, dual_u, dual_v)
+    m, n = problem.cost.shape
+    cost = problem.cost.reshape(1, -1)
+    basis, potential_map, flow = _northwest_corner(problem.mu[None],
+                                                   problem.nu[None])
+    _simplex(cost, basis, potential_map, flow, m, np.arange(1))
+    uv = potential_map[0] @ cost[0, basis[0]]
+    return TransportSolution(float(cost[0, basis[0]] @ flow[0]),
+                             _scatter(basis, flow, m * n).reshape(m, n),
+                             uv[:m], uv[m:])
 
 
 def kr_lower_bound(problem: TransportProblem, f_left, f_right) -> float:
@@ -141,16 +131,16 @@ class BatchedTransport:
 
     Point-mass problems have a forced coupling, and all-zero costs and
     identical marginals with a free diagonal have value 0, so none of these
-    needs a solve.  Every other problem keeps, across calls, the optimal
-    plan of its last solve and, when that plan is a vertex, a spanning-tree
-    basis that contains the plan's support.  The basic costs fix dual
-    potentials u, v through an integer map.  When every reduced cost
-    C - u - v is at least ``-REUSE_TOL``, the stored plan is still optimal
-    to within ``REUSE_TOL``: it is feasible, and (u - REUSE_TOL, v) is a
-    feasible dual whose value is the plan's value less ``REUSE_TOL``.  Only
-    the problems that fail this test go into one block-diagonal HiGHS LP.
-    ``solved`` and ``reused`` count the two kinds of answer over the
-    object's life.
+    goes to the simplex.  Every other problem keeps, across calls, the
+    spanning-tree basis and plan of its last solve (a northwest-corner
+    basis before its first).  The basic costs fix dual potentials u, v
+    through the basis's integer potential map.  When every reduced cost
+    C - u - v is at least -``REUSE_TOL`` times max(1, largest cost), the
+    stored plan is reused: it is feasible, and lowering u by that amount
+    gives a feasible dual within it of the plan's value.  The problems that
+    fail this test pivot on from their stored basis, all of one shape
+    together, until it holds.  ``solved`` and ``reused`` count the two
+    kinds of answer over the object's life.
 
     A problem's current coupling is the diagonal when its last answer was
     the free diagonal, otherwise its stored plan; a problem never solved
@@ -187,21 +177,11 @@ class BatchedTransport:
             raise ValueError(f"expected {self.n_costs} cost entries, "
                              f"got shape {costs.shape}")
         out = np.empty(len(self.pairs))
-        failed = []
         for group in self.groups:
-            cost = costs[group.cells]
-            value, reused, fail = group.screen(cost)
+            value, solved, reused = group.answer(costs[group.cells])
             out[group.members] = value
-            self.reused += int(np.count_nonzero(reused))
-            failed += [(group, r, cost[r]) for r in np.nonzero(fail)[0]]
-        if failed:
-            solutions = _solve_blocks([(group.mu[r], group.nu[r], cost)
-                                       for group, r, cost in failed])
-            for (group, r, cost), (value, plan, u, v) in zip(failed,
-                                                             solutions):
-                out[group.members[r]] = value
-                group.store(r, cost, plan, u, v)
-            self.solved += len(failed)
+            self.solved += solved
+            self.reused += reused
         return out
 
     def couplings(self) -> np.ndarray:
@@ -215,8 +195,8 @@ class BatchedTransport:
 
 
 class _ShapeGroup:
-    """The problems of one (m, n) shape in a batch, stacked, with the plan
-    and basis last stored for each."""
+    """The problems of one (m, n) shape in a batch, stacked, with the basis
+    and basic flows last stored for each."""
 
     def __init__(self, pairs, members, offsets):
         self.members = np.asarray(members)
@@ -233,127 +213,147 @@ class _ShapeGroup:
         self.known = np.zeros(size, dtype=bool)
         self.basis = np.zeros((size, m + n - 1), dtype=int)
         self.potential_map = np.zeros((size, m + n, m + n - 1))
-        self.plan = np.einsum("gi,gj->gij", self.mu, self.nu).reshape(size, -1)
+        self.flow = np.zeros((size, m + n - 1))
         self.diagonal = np.zeros(size, dtype=bool)
 
-    def screen(self, cost):
-        """Values of the problems answered without a solve, with masks of
-        those answered by a stored plan and of those left unanswered; the
-        problems answered by the free diagonal are kept in ``diagonal``."""
-        size = len(cost)
+    def answer(self, cost):
+        """Optimal values under ``cost`` (stacked (m, n) matrices), with the
+        number of problems solved and of those whose stored plan passed
+        the optimality test unchanged; the problems answered by the free
+        diagonal are kept in ``diagonal``."""
         if self.forced:
             # A point-mass marginal leaves the product coupling only.
-            value = np.einsum("gij,gi,gj->g", cost, self.mu, self.nu)
-            none = np.zeros(size, dtype=bool)
-            return value, none, none
-        m = self.shape[0]
-        flat = cost.reshape(size, -1)
-        # All-zero costs (the metric's first sweep) have optimum 0, and so
-        # do identical marginals with a free diagonal, because costs are
-        # nonnegative.
+            return np.einsum("gij,gi,gj->g", cost, self.mu, self.nu), 0, 0
+        flat = cost.reshape(len(cost), -1)
+        # All-zero costs (the metric's first application) have optimum 0,
+        # and so do identical marginals with a free diagonal, because costs
+        # are nonnegative.
         zero = ~flat.any(axis=1)
         if self.same.any():
             self.diagonal = self.same & (np.einsum("gii,gi->g", np.abs(cost),
                                                    self.mu) == 0.0)
             zero |= self.diagonal
-        uv = np.einsum("gpk,gk->gp", self.potential_map,
-                       np.take_along_axis(flat, self.basis, axis=1))
-        reduced = cost - uv[:, :m, None] - uv[:, None, m:]
-        reused = self.known & ~zero & (reduced.min(axis=(1, 2)) >= -REUSE_TOL)
-        value = np.where(zero, 0.0, np.einsum("gc,gc->g", flat, self.plan))
-        return value, reused, ~(zero | reused)
-
-    def store(self, r, cost, plan, u, v):
-        """Keep problem r's freshly solved plan and, when the plan is a
-        vertex, a spanning-tree basis around its support, completed by the
-        cells the solver's duals price tightest, and the integer map from
-        basic costs to [u; v]."""
-        m, n = self.shape
-        self.plan[r] = plan.ravel()
-        basis = _spanning_basis(plan, cost - u[:, None] - v[None, :])
-        self.known[r] = basis is not None
-        if basis is None:
-            return
-        i, j = np.divmod(basis, n)
-        tree = np.zeros((m + n, m + n))
-        edges = np.arange(m + n - 1)
-        tree[edges, i] = 1.0
-        tree[edges, m + j] = 1.0
-        tree[-1, 0] = 1.0  # normalisation u_0 = 0
-        self.potential_map[r] = np.rint(np.linalg.inv(tree))[:, :-1]
-        self.basis[r] = basis
+        rows = np.nonzero(~zero)[0]
+        kept = self.known[rows]
+        fresh = rows[~kept]
+        if len(fresh):
+            self.basis[fresh], self.potential_map[fresh], self.flow[fresh] = \
+                _northwest_corner(self.mu[fresh], self.nu[fresh])
+        pivots = _simplex(flat, self.basis, self.potential_map, self.flow,
+                          self.shape[0], rows)
+        reused = int(np.count_nonzero(kept & (pivots[rows] == 0)))
+        self.known[rows] = True
+        value = np.einsum("gk,gk->g", np.take_along_axis(flat, self.basis, 1),
+                          self.flow)
+        return np.where(zero, 0.0, value), len(rows) - reused, reused
 
     def coupling(self):
         """The current coupling of every problem, one raveled row each."""
+        m, n = self.shape
+        product = np.einsum("gi,gj->gij", self.mu, self.nu)
+        plan = np.where(self.known[:, None], _scatter(
+            self.basis, self.flow, m * n), product.reshape(-1, m * n))
         if not self.diagonal.any():
-            return self.plan
-        m = self.shape[0]
-        diagonal = np.zeros_like(self.plan)
+            return plan
+        diagonal = np.zeros_like(plan)
         diagonal[:, ::m + 1] = self.mu
-        return np.where(self.diagonal[:, None], diagonal, self.plan)
+        return np.where(self.diagonal[:, None], diagonal, plan)
 
 
-def _spanning_basis(plan, reduced):
-    """Cells (flat indices) of a spanning tree of the m-by-n bipartite
-    graph that contains the plan's support, adding further cells in order
-    of reduced cost; None when the support has a cycle (not a vertex)."""
-    m, n = plan.shape
-    support = plan.ravel() > 0
-    root = list(range(m + n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    basis = []
-    for cell in np.lexsort((reduced.ravel(), ~support)).tolist():
-        a, b = find(cell // n), find(m + cell % n)
-        if a == b:
-            if support[cell]:
-                return None
-            continue
-        root[a] = b
-        basis.append(cell)
-        if len(basis) == m + n - 1:
-            break
-    return np.array(basis)
+def _scatter(basis, flow, cells):
+    """Raveled plans, ``cells`` long, of stacked bases carrying ``flow``."""
+    plan = np.zeros((len(basis), cells))
+    np.put_along_axis(plan, basis, flow, axis=1)
+    return plan
 
 
-def _solve_blocks(blocks):
-    """One block-diagonal LP for independent transportation problems.
+def _northwest_corner(mu, nu):
+    """Northwest-corner starts of stacked problems of one shape: basic
+    cells (raveled indices), potential maps and basic flows.  The staircase
+    from cell (0, 0) to (m-1, n-1), down when a row's supply is used up and
+    right otherwise, is a spanning tree with nonnegative flows."""
+    size, m = mu.shape
+    n = nu.shape[1]
+    supply, demand = mu.copy(), nu.copy()
+    g = np.arange(size)
+    i, j = np.zeros((2, size), dtype=int)
+    basis = np.empty((size, m + n - 1), dtype=int)
+    flow = np.empty((size, m + n - 1))
+    for k in range(m + n - 1):
+        x = np.minimum(supply[g, i], demand[g, j])
+        basis[:, k] = i * n + j
+        flow[:, k] = x
+        supply[g, i] -= x
+        demand[g, j] -= x
+        down = (i < m - 1) & ((supply[g, i] <= 0) | (j == n - 1))
+        i, j = i + down, j + ~down
+    return basis, _potential_map(basis, m, n), flow
 
-    Returns (value, plan, u, v) per block, with the solver's duals.
+
+def _potential_map(basis, m, n):
+    """Integer maps K with [u; v] = K c_B (u_i + v_j equal to the cost on
+    every basic cell (i, j), u_0 = 0) for stacked spanning-tree bases: the
+    rounded inverse of the tree's incidence matrix, with the row u_0 = 0
+    appended, less its last column.  Row i plus row m + j of K is the basic
+    cycle of cell (i, j)."""
+    size = len(basis)
+    i, j = np.divmod(basis, n)
+    tree = np.zeros((size, m + n, m + n))
+    g = np.arange(size)[:, None]
+    edges = np.arange(m + n - 1)
+    tree[g, edges, i] = 1.0
+    tree[g, edges, m + j] = 1.0
+    tree[:, -1, 0] = 1.0
+    return np.rint(np.linalg.inv(tree))[:, :, :-1]
+
+
+def _simplex(cost, basis, potential_map, flow, m, live):
+    """Pivot the problems ``live`` of a stack of one shape to optimality,
+    updating their feasible spanning-tree bases, potential maps and basic
+    flows in place; ``cost`` holds raveled (m, n) costs.
+
+    A problem is optimal when no reduced cost is below -``REUSE_TOL`` times
+    max(1, its largest cost).  Otherwise its most negative cell enters
+    (Dantzig's rule; the lowest such cell after a run of degenerate pivots,
+    Bland's rule), and of the basic cells on its cycle whose flow runs out
+    first the lowest leaves.  Those flows lose exactly their minimum, so
+    plans stay nonnegative.  Returns the pivots each problem made; raises
+    RuntimeError when one needs more than ``PIVOT_CAP``.
     """
-    rows, cols, cvec, bvec = [], [], [], []
-    row0 = col0 = 0
-    spans = []
-    for mu, nu, cost in blocks:
-        m, n = len(mu), len(nu)
-        var = col0 + np.arange(m * n)
-        rows.append(row0 + np.repeat(np.arange(m), n))
-        rows.append(row0 + m + np.tile(np.arange(n), m))
-        cols.append(var)
-        cols.append(var)
-        cvec.append(np.asarray(cost, float).ravel())
-        bvec.append(mu)
-        bvec.append(nu)
-        spans.append((row0, col0, m, n))
-        row0 += m + n
-        col0 += m * n
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    A = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(row0, col0))
-    c = np.concatenate(cvec)
-    res = linprog(c, A_eq=A, b_eq=np.concatenate(bvec), bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"batched transport LP failed: {res.message}")
-    x, duals = res.x, np.asarray(res.eqlin.marginals)
-    out = []
-    for r0, c0, m, n in spans:
-        block = slice(c0, c0 + m * n)
-        out.append((float(c[block] @ x[block]), x[block].reshape(m, n),
-                    duals[r0:r0 + m], duals[r0 + m:r0 + m + n]))
-    return out
+    size, cells = cost.shape
+    n = cells // m
+    tol = REUSE_TOL * np.maximum(1.0, cost.max(axis=1, initial=0.0))
+    pivots, run = np.zeros((2, size), dtype=int)
+    while True:
+        K, B = potential_map[live], basis[live]
+        uv = np.einsum("gpk,gk->gp", K,
+                       np.take_along_axis(cost[live], B, axis=1))
+        reduced = (cost[live].reshape(-1, m, n) - uv[:, :m, None]
+                   - uv[:, None, m:]).reshape(-1, cells)
+        enter = reduced < -tol[live, None]
+        go = enter.any(axis=1)
+        if not go.any():
+            return pivots
+        live, K, B = live[go], K[go], B[go]
+        if pivots[live].max() >= PIVOT_CAP:
+            raise RuntimeError(f"transport simplex did not reach an optimal "
+                               f"basis in {PIVOT_CAP} pivots")
+        g = np.arange(len(live))
+        cell = np.where(run[live] > DEGENERATE_RUN, enter[go].argmax(axis=1),
+                        reduced[go].argmin(axis=1))
+        i, j = np.divmod(cell, n)
+        cycle = K[g, i] + K[g, m + j]
+        x = flow[live]
+        ratio = np.where(cycle > 0, x, np.inf)
+        theta = ratio.min(axis=1)
+        out = np.where(ratio == theta[:, None], B, cells).argmin(axis=1)
+        x -= theta[:, None] * cycle
+        x[g, out] = theta
+        B[g, out] = cell
+        flow[live], basis[live] = x, B
+        # The swap changes one row of the tree matrix, and the cycle is 1 at
+        # the leaving edge: Sherman-Morrison's integral rank-one update.
+        cycle[g, out] -= 1.0
+        potential_map[live] = K - K[g, :, out][:, :, None] * cycle[:, None, :]
+        pivots[live] += 1
+        run[live] = np.where(theta == 0.0, run[live] + 1, 0)

@@ -4,6 +4,8 @@ import math
 from itertools import combinations, product
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            finite_difference_jacobian, induce_chain,
@@ -44,6 +46,45 @@ def brute_force_transport(mu, nu, cost):
     cvec = cost.ravel()
     values = np.einsum("bk,bk->b", cvec[bases[feasible]], sols[feasible])
     return float(values.min())
+
+
+def _solve_blocks(blocks):
+    """One block-diagonal HiGHS LP for independent transportation problems,
+    an oracle for the package's transportation simplex.
+
+    Returns (value, plan, u, v) per block, with the solver's duals.
+    """
+    rows, cols, cvec, bvec = [], [], [], []
+    row0 = col0 = 0
+    spans = []
+    for mu, nu, cost in blocks:
+        m, n = len(mu), len(nu)
+        var = col0 + np.arange(m * n)
+        rows.append(row0 + np.repeat(np.arange(m), n))
+        rows.append(row0 + m + np.tile(np.arange(n), m))
+        cols.append(var)
+        cols.append(var)
+        cvec.append(np.asarray(cost, float).ravel())
+        bvec.append(mu)
+        bvec.append(nu)
+        spans.append((row0, col0, m, n))
+        row0 += m + n
+        col0 += m * n
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    A = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(row0, col0))
+    c = np.concatenate(cvec)
+    res = linprog(c, A_eq=A, b_eq=np.concatenate(bvec), bounds=(0, None),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"batched transport LP failed: {res.message}")
+    x, duals = res.x, np.asarray(res.eqlin.marginals)
+    out = []
+    for r0, c0, m, n in spans:
+        block = slice(c0, c0 + m * n)
+        out.append((float(c[block] @ x[block]), x[block].reshape(m, n),
+                    duals[r0:r0 + m], duals[r0 + m:r0 + m + n]))
+    return out
 
 
 def random_distribution(rng, n, sparse=False):
@@ -122,7 +163,7 @@ def reference_value_iteration(mdp, tol=1e-10):
 def fresh_lp_metric(m1, m2, config):
     """The metric fixed point by plain sweeps from zero, with every
     transport problem solved afresh at every sweep: each ``metric_update``
-    call builds a new LP batch, so no plan is carried over.  Same stopping
+    call builds a new batch, so no basis is carried over.  Same stopping
     rule as ``cross_bisim_metric``, whose strategy iteration this checks;
     returns (dist, sweeps)."""
     dist = np.zeros((m1.n_states, m2.n_states))

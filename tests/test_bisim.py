@@ -383,6 +383,20 @@ class TestHausdorff:
                                      CFG).dist
         assert np.max(np.abs(doubled - 2 * base)) <= 2 * CFG.tolerance
 
+    @pytest.mark.parametrize("b", [1e-6, 1e6, 1e20, 1e25])
+    def test_scaling_both_reward_tables_scales_the_metric(self, b):
+        # The paper's scale argument: d' is positively homogeneous in the
+        # rewards, with the tolerance (a distance) scaled alike.  Transport
+        # costs from 1e20 up lie beyond any absolute solver tolerance.
+        m1, m2 = random_mdp(1), random_mdp(2)
+        config = BisimConfig(0.1, 0.9, tolerance=1e-9)
+        base = cross_bisim_metric(m1, m2, config).dist
+        scaled = cross_bisim_metric(
+            m1.with_rewards(b * m1.reward), m2.with_rewards(b * m2.reward),
+            BisimConfig(0.1, 0.9, tolerance=b * config.tolerance))
+        assert scaled.converged
+        assert np.max(np.abs(scaled.dist - b * base)) <= 1e-12 * b * base.max()
+
 
 class TestAlignment:
     def test_doubled_rewards_align_at_two_thirds(self):

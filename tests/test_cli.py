@@ -18,7 +18,7 @@ from mdp_stability import (BisimConfig, MdpSpec, Perturbation, SafetyQuery,
                            load_embedded, load_mdp, load_toy_policy,
                            mdp_to_document, rate_of_decrease_check,
                            realize_chain, shutdown_probability)
-from mdp_stability import cli, onpolicy
+from mdp_stability import cli, onpolicy, transport
 from mdp_stability.cli import main, render_json
 from mdp_stability.scenarios import random_perturbation
 
@@ -118,7 +118,7 @@ class TestBisimCommand:
         doc = json.loads(outs[0])
         # 3 x 3 non-safe pairs x 2 actions are dense 4-by-4 problems,
         # answered once per application after the first (all costs zero)
-        # by the LP or by a kept plan.
+        # by the simplex or by a kept plan.
         assert doc["blocks_solved"] + doc["blocks_reused"] \
             == 18 * (doc["iterations"] - 1)
         assert doc["blocks_solved"] > 0
@@ -152,17 +152,17 @@ class TestBisimCommand:
         assert out["iterations"] == 1
 
     def test_solver_failure_exits_3_without_an_artifact(self, tmp_path,
-                                                        capsys):
-        # Valid, finite documents whose rewards are too large for HiGHS.
-        paths = []
-        for seed in (1, 2):
-            mdp = random_mdp(seed)
-            paths.append(write_doc(tmp_path / f"{seed}.json", mdp_to_document(
-                mdp.with_rewards(mdp.reward * 1e25))))
+                                                        capsys, monkeypatch):
+        # A transport simplex that may not pivot fails on the first
+        # problem whose starting basis is not optimal.
+        monkeypatch.setattr(transport, "PIVOT_CAP", 0)
+        paths = [write_doc(tmp_path / f"{seed}.json",
+                           mdp_to_document(random_mdp(seed)))
+                 for seed in (1, 2)]
         assert main(["bisim", *paths]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.startswith("numerical failure: transport simplex")
         assert "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1
 

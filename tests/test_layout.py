@@ -1,9 +1,13 @@
 """Layout of the package: every import sits at module level, the modules of
-the package import each other without a cycle, and every exception the
-package raises is one that the command line maps to an exit code."""
+the package import each other without a cycle, the command line loads no
+LP solver, and every exception the package raises is one that the command
+line maps to an exit code."""
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -51,6 +55,19 @@ def test_package_import_graph_is_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle between package modules: {exc.args[1]}")
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # Every command pays the import of the command line; the package's own
+    # transportation simplex needs no LP solver.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mdp_stability.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # Raised exceptions that signal a programming error, not an input or a

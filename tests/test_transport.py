@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_transport, random_distribution
+from helpers import _solve_blocks, brute_force_transport, random_distribution
 from mdp_stability import (BatchedTransport, TransportProblem, kr_lower_bound,
-                           solve_transport)
+                           solve_transport, transport)
+from mdp_stability.mdp import PROB_TOL
+from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, _northwest_corner,
+                                     _potential_map, _simplex)
 
 
 def check_solution(problem, sol, tol=1e-9):
@@ -323,7 +326,7 @@ class TestPlanReuse:
 
     def test_plan_worse_by_a_hair_is_re_solved(self):
         # The kept diagonal plan is 1e-10 worse than the anti-diagonal
-        # under the new costs: far below HiGHS's tolerances, yet the
+        # under the new costs: far below an LP solver's tolerances, yet the
         # reduced-cost test must send it back to the solver.
         half = np.array([0.5, 0.5])
         batch = BatchedTransport([(half, half)])
@@ -344,3 +347,135 @@ class TestPlanReuse:
                                       BatchedTransport(pairs).values(flat))
         with pytest.raises(ValueError, match="cost entries"):
             BatchedTransport(pairs).values(flat[:-1])
+
+
+ORACLE_KINDS = ("generic", "point", "zero-weight", "identical", "tied",
+                "duplicated", "off-sum")
+
+
+def oracle_problem(rng, kind, m, n):
+    """A transport problem of shape (m, n) (square for ``identical``) with
+    the property ``kind`` names."""
+    scale = 10.0 ** rng.integers(-3, 3)
+    mu, nu = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+    cost = rng.random((m, n)) * scale
+    if kind == "point":
+        mu = np.eye(m)[rng.integers(m)]
+        if rng.random() < 0.5:
+            nu = np.eye(n)[rng.integers(n)]
+    elif kind == "zero-weight":
+        mu = random_distribution(rng, m, sparse=True)
+        nu = random_distribution(rng, n, sparse=True)
+    elif kind == "identical":
+        nu, cost = mu, rng.random((m, m)) * scale
+        if rng.random() < 0.5:
+            np.fill_diagonal(cost, 0.0)
+    elif kind == "tied":
+        cost = np.full((m, n), rng.random())
+    elif kind == "duplicated":
+        rows = np.minimum(np.arange(m), max(m - 2, 0))
+        cols = np.minimum(np.arange(n), max(n - 2, 0))
+        cost = cost[np.ix_(rows, cols)]
+        mu, nu = mu[rows] / mu[rows].sum(), nu[cols] / nu[cols].sum()
+    elif kind == "off-sum":
+        mu = mu * (1.0 + rng.uniform(-PROB_TOL, PROB_TOL))
+    return TransportProblem(mu, nu, cost)
+
+
+def assert_matches_oracle(problem, value, plan, u, v):
+    """The simplex's answer against HiGHS: the value, a feasible plan that
+    attains it, and a feasible, tight dual certificate."""
+    mu, nu, cost = problem.mu, problem.nu, problem.cost
+    [(expected, *_)] = _solve_blocks([(mu, nu, cost)])
+    scale = max(1.0, cost.max())
+    assert abs(value - expected) <= 1e-12 * scale
+    assert plan.min() >= 0.0
+    np.testing.assert_allclose(plan.sum(axis=1), mu, rtol=0, atol=PROB_TOL)
+    np.testing.assert_allclose(plan.sum(axis=0), nu, rtol=0, atol=PROB_TOL)
+    assert abs(np.sum(plan * cost) - value) <= 1e-12 * scale
+    assert (u[:, None] + v[None, :] - cost).max() <= REUSE_TOL * scale
+    assert kr_lower_bound(problem, u, -v) == pytest.approx(
+        value, rel=0, abs=1e-12 * scale)
+
+
+class TestSimplexAgainstHighs:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(ORACLE_KINDS), m=st.integers(1, 8),
+           n=st.integers(1, 8))
+    def test_cold_start(self, seed, kind, m, n):
+        problem = oracle_problem(np.random.default_rng(seed), kind, m, n)
+        sol = solve_transport(problem)
+        assert_matches_oracle(problem, sol.value, sol.plan, sol.dual_u,
+                              sol.dual_v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(ORACLE_KINDS), min_size=1,
+                          max_size=8),
+           shape=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+           changes=st.integers(1, 3))
+    def test_warm_start_after_a_cost_change(self, seed, kinds, shape,
+                                            changes):
+        # One shape group, solved once and then re-answered from its kept
+        # bases after each change of some or all of its costs.
+        rng = np.random.default_rng(seed)
+        m, n = shape
+        problems = [oracle_problem(rng, kind, m, n) for kind in kinds
+                    if kind != "identical" or m == n]
+        assume(problems)
+        batch = BatchedTransport([(p.mu, p.nu) for p in problems])
+        costs = [p.cost for p in problems]
+        for _ in range(changes + 1):
+            values = batch.values(costs)
+            flow = np.split(batch.couplings(),
+                            np.cumsum([c.size for c in costs])[:-1])
+            [group] = batch.groups
+            # The potential maps, updated by rank-one terms, are those of
+            # the kept bases, and their potentials certify each value; the
+            # free diagonal's value 0 is certified by zero potentials.
+            known = group.known
+            np.testing.assert_array_equal(
+                group.potential_map[known],
+                _potential_map(group.basis[known], m, n))
+            uv = np.einsum("gpk,gk->gp", group.potential_map,
+                           np.take_along_axis(np.reshape(costs, (-1, m * n)),
+                                              group.basis, axis=1))
+            uv[group.diagonal] = 0.0
+            for p, cost, value, plan, duals in zip(problems, costs, values,
+                                                   flow, uv):
+                assert_matches_oracle(TransportProblem(p.mu, p.nu, cost),
+                                      value, plan.reshape(m, n), duals[:m],
+                                      duals[m:])
+            change = rng.random(len(costs)) < 0.7
+            costs = [c * rng.random(c.shape) * 2.0 if move else c
+                     for c, move in zip(costs, change)]
+
+    def test_bland_switch_on_a_degenerate_family(self, monkeypatch):
+        # Uniform marginals on 20 x 20 with costs on a coarse grid: the
+        # northwest corner leaves 19 zero basic cells, and some problems
+        # make more than DEGENERATE_RUN degenerate pivots in a row.  Pure
+        # Dantzig pricing pivots differently on those, so the switch to
+        # Bland's rule is taken; every problem still ends optimal, far
+        # below the cap.
+        rng = np.random.default_rng(20)
+        size, n = 60, 20
+        uniform = np.full((size, n), 1.0 / n)
+        cost = rng.integers(0, 3, size=(size, n * n)) / 2.0
+
+        def pivots():
+            basis, potential_map, flow = _northwest_corner(uniform, uniform)
+            made = _simplex(cost, basis, potential_map, flow, n,
+                            np.arange(size))
+            return made, basis, flow
+
+        made, basis, flow = pivots()
+        assert made.max() < PIVOT_CAP
+        values = np.einsum("gk,gk->g", np.take_along_axis(cost, basis, 1),
+                           flow)
+        expected = [value for value, *_ in _solve_blocks(
+            [(mu, mu, c.reshape(n, n)) for mu, c in zip(uniform, cost)])]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        monkeypatch.setattr(transport, "DEGENERATE_RUN", 10 ** 9)
+        dantzig, *_ = pivots()
+        assert np.any(made != dantzig)
