@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .mdp import MdpSpec, _frozen, can_reach, policy_iteration, validate
 from .transport import BatchedTransport
@@ -193,20 +191,22 @@ class _PairSweep:
 
     def _evaluate(self, flow, policy):
         """Distances of the pair chain that takes action ``policy[k]`` at
-        pair-state k, from one sparse solve of (I - c_T P) d = r.
+        pair-state k, from one dense solve of (I - c_T P) d = r, where P
+        sums the held flows of the chosen actions' cost cells.
 
         Pair-states that reach no reward gap along the chain are at
         distance 0 exactly (as the diagonal of a within-MDP metric is), so
         the solve's rounding there is dropped."""
         n = len(policy)
         take = (policy[self.cell_pair] == self.cell_action) & (flow > 0)
-        step = sp.csc_matrix((flow[take], (self.cell_pair[take],
-                                           self.cost_index[take])),
-                             shape=(n, n))
-        system = sp.identity(n, format="csc") - self.config.c_T * step
+        system = np.bincount(self.cell_pair[take] * n + self.cost_index[take],
+                             weights=flow[take], minlength=n * n).reshape(n, n)
         reward = self.reward_term.reshape(n, -1)[np.arange(n), policy]
-        dist = np.atleast_1d(spsolve(system, reward))
-        dist[~can_reach(step > 0, reward > 0)] = 0.0
+        no_gap = ~can_reach(system > 0, reward > 0)
+        system *= -self.config.c_T
+        system.flat[::n + 1] += 1.0
+        dist = np.linalg.solve(system, reward)
+        dist[no_gap] = 0.0
         return dist.reshape(self.shape)
 
     def solve_fixed(self, flow: np.ndarray, dist: np.ndarray) -> np.ndarray:

@@ -393,7 +393,7 @@ def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Mask of the states with a path (possibly empty) along the boolean
     adjacency matrix ``adj`` into the states of the mask ``target``.
     Leading axes of ``adj`` (..., n, n) and ``target`` (..., n) index a
-    batch of graphs; a scipy sparse ``adj`` is one graph."""
+    batch of graphs."""
     steps = adj.astype(float)
     reach = np.array(target, dtype=bool)
     while True:

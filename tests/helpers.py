@@ -6,11 +6,13 @@ from itertools import combinations, product
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import spsolve
 
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            finite_difference_jacobian, induce_chain,
                            metric_update, perturbation_size,
                            policy_evaluation, spectral_radius)
+from mdp_stability.bisim import _PairSweep
 from mdp_stability.mdp import ValueFunction, can_reach
 from mdp_stability.onpolicy import ROW_TOL
 
@@ -174,6 +176,40 @@ def fresh_lp_metric(m1, m2, config):
         if residual < config.residual_target:
             break
     return dist, sweeps
+
+
+def reference_pair_evaluate(sweep, flow, policy):
+    """Distances of the pair chain of ``sweep`` that takes action
+    ``policy[k]`` at pair-state k under the held couplings ``flow``, from
+    one SuperLU solve of the sparse system (I - c_T P) d = r, with exact
+    zeros at the pair-states that reach no reward gap.  An oracle for
+    ``_PairSweep._evaluate``'s dense solve."""
+    n = len(policy)
+    take = (policy[sweep.cell_pair] == sweep.cell_action) & (flow > 0)
+    step = sp.csc_matrix((flow[take], (sweep.cell_pair[take],
+                                       sweep.cost_index[take])),
+                         shape=(n, n))
+    system = sp.identity(n, format="csc") - sweep.config.c_T * step
+    reward = sweep.reward_term.reshape(n, -1)[np.arange(n), policy]
+    dist = np.atleast_1d(spsolve(system, reward))
+    dist[~can_reach((step > 0).toarray(), reward > 0)] = 0.0
+    return dist.reshape(sweep.shape)
+
+
+def shift_applications(monkeypatch, offset=1e-14):
+    """Shift the result of every application of the metric update by
+    ``offset``, alternately up and down.  A uniform shift leaves every
+    optimal coupling as it is, but no iterate is then a float fixed point,
+    whatever the summation order: the residual settles near
+    2*offset/(1 + c_T), and a target below it is never met."""
+    apply = _PairSweep.apply
+    sign = [1.0]
+
+    def shifted(self, dist):
+        sign[0] = -sign[0]
+        return apply(self, dist) + sign[0] * offset
+
+    monkeypatch.setattr(_PairSweep, "apply", shifted)
 
 
 # -- the per-policy safety loops, each with its own membership test ----------

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from helpers import fresh_lp_metric, random_mdp
+from helpers import (fresh_lp_metric, random_mdp, reference_pair_evaluate,
+                     shift_applications)
 from mdp_stability import bisim
 from mdp_stability.bisim import _components
 from mdp_stability.mdp import POLICY_ROUNDS
@@ -183,11 +184,11 @@ def edge_mdp(rng, n, n_actions, keep, safe, tied):
 
 
 @st.composite
-def metric_cases(draw):
+def metric_cases(draw, c_T_values=(0.3, 0.6, 0.9, 0.99)):
     """(m1, m2, config, within): cross pairs, within-MDP pairs (m, m) and
     pairs with duplicated states, over point-mass rows, zero-weight
-    support entries, one-state MDPs, MDPs without a safe state and c_T up
-    to 0.99."""
+    support entries, one-state MDPs, MDPs without a safe state and c_T
+    drawn from ``c_T_values``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_actions = draw(st.integers(1, 2))
     keep = draw(st.sampled_from([0.0, 0.4, 1.0]))
@@ -208,7 +209,7 @@ def metric_cases(draw):
         m2 = build_duplicated(m1, draw(st.integers(0, m1.n_states - 1)))
         if kind == "duplicated-within":
             m1 = m2
-    c_T = draw(st.sampled_from([0.3, 0.6, 0.9, 0.99]))
+    c_T = draw(st.sampled_from(c_T_values))
     config = BisimConfig(c_R=draw(st.sampled_from([0.1, 1.0])), c_T=c_T,
                          tolerance=1e-4 if c_T == 0.99 else 1e-6)
     return m1, m2, config, m1 is m2
@@ -287,8 +288,9 @@ class TestStrategyIteration:
                                                           monkeypatch):
         # The couplings settle within a few rounds; after that the budget
         # runs out in plain applications, not in repeated exact solves.
-        # (The pair and coefficients are those of the CLI's exit-3 test: at
-        # c_R = 0.1 exactly this pair does reach a float fixed point.)
+        # (The pair, coefficients and shifted applications are those of
+        # the CLI's exit-3 test.)
+        shift_applications(monkeypatch)
         solve = bisim._PairSweep.solve_fixed
         solves = []
 
@@ -319,6 +321,34 @@ class TestStrategyIteration:
                 metric.residual * CFG.c_T / (1 - CFG.c_T))
             assert np.max(np.abs(metric.dist - exact.dist)) \
                 <= metric.error_bound + tight.tolerance
+
+
+class TestDenseEvaluation:
+    @settings(max_examples=100, deadline=None)
+    @given(case=metric_cases(c_T_values=(0.5, 0.99)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_sparse_oracle(self, case, seed):
+        # Couplings a batch returned for a random cost matrix (symmetric
+        # with a zero diagonal within one MDP, so that diagonal pairs keep
+        # to the diagonal and reach no reward gap), and a random action at
+        # every pair-state.
+        m1, m2, config, within = case
+        rng = np.random.default_rng(seed)
+        sweep = bisim._PairSweep(m1, m2, config)
+        cost = rng.random(sweep.shape)
+        if within:
+            cost = cost + cost.T
+            np.fill_diagonal(cost, 0.0)
+        sweep.apply(cost)
+        flow = sweep.batch.couplings()
+        policy = rng.integers(m1.n_actions, size=cost.size)
+        dist = sweep._evaluate(flow, policy)
+        oracle = reference_pair_evaluate(sweep, flow, policy)
+        assert np.max(np.abs(dist - oracle)) \
+            <= 1e-12 * max(1.0, float(oracle.max()))
+        assert np.all(dist[oracle == 0.0] == 0.0)
+        if within:
+            assert np.all(np.diag(oracle) == 0.0)
 
 
 class TestContraction:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mdp, reference_certify
+from helpers import random_mdp, reference_certify, shift_applications
 from mdp_stability import (BisimConfig, MdpSpec, Perturbation, SafetyQuery,
                            StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
@@ -124,10 +124,12 @@ class TestBisimCommand:
         assert doc["blocks_solved"] > 0
 
     def test_nonconvergence_exits_3_with_partial_artifact(self, tmp_path,
-                                                          capsys):
-        # A residual target below float resolution, on a pair whose fixed
-        # point the update does not reproduce bit for bit: the couplings
+                                                          capsys,
+                                                          monkeypatch):
+        # A residual target below float resolution, with every application
+        # shifted so that no iterate is a float fixed point: the couplings
         # settle, and plain applications run out the budget.
+        shift_applications(monkeypatch)
         p1 = write_doc(tmp_path / "a.json", mdp_to_document(random_mdp(1)))
         p2 = write_doc(tmp_path / "b.json", mdp_to_document(random_mdp(2)))
         code = main(["bisim", p1, p2, "--tol", "1e-300"])

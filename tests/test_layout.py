@@ -1,7 +1,7 @@
 """Layout of the package: every import sits at module level, the modules of
-the package import each other without a cycle, the command line loads no
-LP solver, and every exception the package raises is one that the command
-line maps to an exit code."""
+the package import each other without a cycle, the package and its command
+line load no scipy, and every exception the package raises is one that the
+command line maps to an exit code."""
 
 import ast
 import builtins
@@ -57,17 +57,30 @@ def test_package_import_graph_is_acyclic():
         pytest.fail(f"import cycle between package modules: {exc.args[1]}")
 
 
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_scipy_import(name):
+    # numpy is the package's only runtime dependency; scipy serves the
+    # tests' oracles alone.
+    roots = set()
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    assert "scipy" not in roots
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     # Every command pays the import of the command line; the package's own
-    # transportation simplex needs no LP solver.
+    # transportation simplex and dense pair solve need no scipy module.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mdp_stability.cli; "
-         "print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, mdp_stability.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # Raised exceptions that signal a programming error, not an input or a
