@@ -32,8 +32,8 @@ from .safety import (SafetyQuery, certify_safety, expected_steps,
                      verify_stability_instance)
 from .scenarios import (PlayingDeadParams, build_duplicated,
                         build_playing_dead, build_uniform_shutdown,
-                        random_family, random_family_metadata,
-                        random_perturbation)
+                        perturbation_support, random_family,
+                        random_family_metadata, random_perturbation)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -343,9 +343,11 @@ def cmd_onpolicy_sweep(args):
     start = StartDistribution.uniform_over(emdp.base.n_states,
                                            emdp.base.nonsafe_indices)
     base = analyze_chain(emdp, policy, start)
+    plan = perturbation_support(emdp.base)
     rows = []
     for k, size in enumerate(sizes):
-        pert = random_perturbation(emdp, policy, size, seed=seed + k)
+        pert = random_perturbation(emdp, policy, size, seed=seed + k,
+                                   plan=plan)
         report = _rate_against(base, emdp, policy, pert, start)
         rows.append({"size": size, "kind": "random",
                      **report.to_document()})

@@ -41,9 +41,28 @@ WEIGHT_TOL = 1e-12
 
 
 def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when it already
+    is one that owns its data, as the arrays the package builds and freezes
+    in place are (:func:`_sealed`); otherwise a frozen copy, which later
+    writes to ``a``, or to the base of a view ``a``, cannot reach."""
+    if type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata \
+            and not a.flags.writeable:
+        return a
+    return _sealed(np.array(a, dtype=dtype))
+
+
+def _sealed(a):
+    """``a``, an array just built and held by nothing else, made read-only
+    in place so that :func:`_frozen` passes it on without a copy."""
+    a.setflags(write=False)
+    return a
+
+
+def _where(mask):
+    """``np.argwhere(mask)``, without its full scan when no entry is set."""
+    if mask.any():
+        return np.argwhere(mask)
+    return np.empty((0, mask.ndim), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,7 @@ class MdpSpec:
             raise ValueError(
                 f"rewards_sas shape {reward_sas.shape} does not match "
                 f"transition shape {transition.shape}")
-        reward = np.einsum("sat,sat->sa", transition, reward_sas)
+        reward = _sealed(np.einsum("sat,sat->sa", transition, reward_sas))
         return cls(state_ids, action_ids, transition, reward, discount, safe_set)
 
     @property
@@ -289,7 +308,7 @@ def validate(mdp: MdpSpec) -> ValidationReport:
         found.append(Violation("reward-shape", r.shape, f"expected {(n_s, n_a)}"))
     # Comparisons with NaN are false, so no check below would catch one.
     for name, values in (("transition", P), ("reward", r)):
-        for loc in np.argwhere(~np.isfinite(values))[:20]:
+        for loc in _where(~np.isfinite(values))[:20]:
             loc = tuple(int(x) for x in loc)
             found.append(Violation("non-finite", loc,
                                    f"{name} entry {values[loc]!r}"))
@@ -297,12 +316,12 @@ def validate(mdp: MdpSpec) -> ValidationReport:
         found.append(Violation("non-finite", (), f"discount {mdp.discount!r}"))
     elif not 0.0 < mdp.discount < 1.0:
         found.append(Violation("discount", (), f"{mdp.discount} not in (0,1)"))
-    bad = np.argwhere((P < 0) | (P > 1))
+    bad = _where((P < 0) | (P > 1))
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
     rows = P.sum(axis=2)
-    off = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)
+    off = _where(np.abs(rows - 1.0) > PROB_TOL)
     for s, a in off:
         found.append(Violation("row-sum", (int(s), int(a)),
                                f"sums to {rows[s, a]!r}"))
@@ -447,13 +466,14 @@ def read_document(source) -> dict:
 
 def document_field(doc: dict, key: str, types, dtype=None):
     """``doc[key]``, which must be present and an instance of ``types``
-    (never a boolean); with ``dtype``, as an array of it."""
+    (never a boolean); with ``dtype``, as a read-only array of it."""
     value = doc.get(key)
     if not isinstance(value, types) or isinstance(value, bool):
         raise ValueError(f"document field {key!r} is missing or of type "
                          f"{type(value).__name__}")
     try:
-        return value if dtype is None else np.array(value, dtype=dtype)
+        return value if dtype is None \
+            else _sealed(np.array(value, dtype=dtype))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"document field {key!r}: {exc}") from exc
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (MdpSpec, StartDistribution, _frozen, can_reach,
+from .mdp import (MdpSpec, StartDistribution, _frozen, _sealed, can_reach,
                   document_field, load_mdp, mdp_to_document, read_document,
                   validate)
 
@@ -109,8 +109,8 @@ class Perturbation:
 
     @classmethod
     def zero(cls, emdp: EmbeddedMdp):
-        return cls(np.zeros_like(emdp.embedding),
-                   np.zeros_like(emdp.base.transition))
+        return cls(_sealed(np.zeros_like(emdp.embedding)),
+                   _sealed(np.zeros_like(emdp.base.transition)))
 
     @property
     def state_shift_l1(self):
@@ -155,7 +155,7 @@ def transient_set(P: np.ndarray, safe) -> frozenset:
     target = np.zeros(P.shape[0], dtype=bool)
     target[list(safe)] = True
     reach = can_reach(P > SUPPORT_TOL, target)
-    return frozenset(int(i) for i in np.nonzero(reach)[0] if i not in safe)
+    return frozenset(np.flatnonzero(reach).tolist()) - safe
 
 
 def shutdown_probability(P: np.ndarray, safe,
@@ -337,13 +337,14 @@ def apply_perturbation(emdp: EmbeddedMdp, pert: Perturbation) -> EmbeddedMdp:
         raise ValueError(f"delta_T changes a row sum by {row_drift!r}")
     if np.any(P < -1e-15) or np.any(P > 1.0 + 1e-15):
         raise ValueError("perturbed transition entries escape [0, 1]")
-    base = MdpSpec(emdp.base.state_ids, emdp.base.action_ids,
-                   np.clip(P, 0.0, 1.0), emdp.base.reward,
-                   emdp.base.discount, emdp.base.safe_set)
+    np.clip(P, 0.0, 1.0, out=P)
+    base = MdpSpec(emdp.base.state_ids, emdp.base.action_ids, _sealed(P),
+                   emdp.base.reward, emdp.base.discount, emdp.base.safe_set)
     report = validate(base)
     if not report.ok:
         raise ValueError(f"perturbed MDP invalid: {report}")
-    return EmbeddedMdp(base, emdp.embedding + pert.delta_S, emdp.side_info)
+    return EmbeddedMdp(base, _sealed(emdp.embedding + pert.delta_S),
+                       emdp.side_info)
 
 
 def jacobian_l1_norm(jac: np.ndarray):

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, validate, value_iteration
+from .mdp import MdpSpec, _sealed, validate, value_iteration
 from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation, perturbation_size
 
 __all__ = [
+    "PerturbationSupport",
     "PlayingDeadParams",
     "build_playing_dead",
     "build_uniform_shutdown",
     "build_duplicated",
+    "perturbation_support",
     "random_family",
     "random_family_metadata",
     "random_perturbation",
@@ -237,8 +239,47 @@ def random_family_metadata(seed, shape, sparsity, reward_range,
     }
 
 
+@dataclass(frozen=True)
+class PerturbationSupport:
+    """Where :func:`random_perturbation` puts transition noise on one MDP.
+
+    The cells are the support entries of the non-safe rows that have at
+    least two of them, in flat (state, action, destination) order; one
+    draw of ``n_cells`` normals is the stream of consecutive per-row draws.
+    ``groups`` holds one (positions, cells, caps) triple per support
+    length k, ascending: the (m, k) positions of its rows in that draw,
+    their (m, k) flat cells, and the (m,) cap of each row, half its
+    smallest support entry.  The plan depends on the MDP alone.
+    """
+
+    transition: np.ndarray
+    n_cells: int
+    groups: tuple
+
+
+def perturbation_support(base: MdpSpec) -> PerturbationSupport:
+    """The support plan of :func:`random_perturbation` on ``base``."""
+    P = base.transition
+    support = P > 0
+    support[base.safe_indices] = False
+    lengths = support.sum(axis=2)
+    support &= (lengths >= 2)[:, :, None]
+    cells = np.flatnonzero(support)
+    lengths = lengths[lengths >= 2]
+    starts = np.cumsum(lengths) - lengths
+    groups = []
+    for k in np.unique(lengths):
+        at = starts[lengths == k][:, None] + np.arange(k)
+        rows = cells[at]
+        groups.append((_sealed(at), _sealed(rows),
+                       _sealed(0.5 * P.ravel()[rows].min(axis=1))))
+    return PerturbationSupport(P, len(cells), tuple(groups))
+
+
 def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
-                        seed: int, state_share: float = 0.5) -> Perturbation:
+                        seed: int, state_share: float = 0.5, *,
+                        plan: PerturbationSupport | None = None
+                        ) -> Perturbation:
     """Seeded admissible perturbation of a requested size.
 
     Transition noise lives on existing support only (zero-sum per row,
@@ -247,37 +288,33 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     to coordinate displacement when the policy has a positive derivative
     bound, the rest to transitions.  The result is rescaled so its measured
     size matches ``size`` exactly.
+
+    ``plan`` is ``perturbation_support(emdp.base)``, built once for a
+    ladder of draws on one MDP; by default each call builds its own.  The
+    draw is the same either way, byte for byte.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
     base = emdp.base
-    P = base.transition
+    if plan is None:
+        plan = perturbation_support(base)
+    elif plan.transition is not base.transition:
+        raise ValueError("support plan was built for another MDP")
     rng = np.random.default_rng(seed)
-    # Support entries of the non-safe rows with at least two of them, as
-    # flat indices in (state, action, destination) order: one draw of all
-    # their normals is the stream of consecutive per-row draws.
-    support = P > 0
-    support[base.safe_indices] = False
-    lengths = support.sum(axis=2)
-    support &= (lengths >= 2)[:, :, None]
-    cells = np.flatnonzero(support)
-    lengths = lengths[lengths >= 2]
-    z = rng.standard_normal(len(cells))
-    starts = np.cumsum(lengths) - lengths
-    noise = np.zeros(P.size)
+    z = rng.standard_normal(plan.n_cells)
+    dT = np.zeros(base.transition.shape)
+    noise = dT.reshape(-1)
     # Rows of one length are centred together: the mean along the last
     # axis of an (m, k) array sums each row as the per-row mean does,
     # pairwise blocks included.
-    for k in np.unique(lengths):
-        at = starts[lengths == k][:, None] + np.arange(k)
+    for at, rows, cap in plan.groups:
         zk = z[at]
         zk -= zk.mean(axis=1, keepdims=True)
         peak = np.abs(zk).max(axis=1)
         live = peak != 0.0
-        rows = cells[at[live]]
-        cap = 0.5 * P.ravel()[rows].min(axis=1)
-        noise[rows] = zk[live] * (cap / peak[live])[:, None]
-    dT = noise.reshape(P.shape)
+        if not live.all():
+            zk, rows, cap, peak = zk[live], rows[live], cap[live], peak[live]
+        noise[rows] = zk * (cap / peak)[:, None]
     dS = rng.standard_normal(emdp.embedding.shape)
 
     b = policy.bound_b
@@ -293,7 +330,8 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     pert_scale_T = (1.0 - state_share) / t_mass if t_mass else 0.0
     s_mass = 0.5 * base.n_states * b * float(np.linalg.norm(dS, axis=1).sum())
     pert_scale_S = state_share / s_mass if (s_mass and state_share) else 0.0
-    unit = Perturbation(dS * pert_scale_S, dT * pert_scale_T)
+    dT *= pert_scale_T
+    unit = Perturbation(_sealed(dS * pert_scale_S), _sealed(dT))
     unit_size = perturbation_size(emdp, policy, unit)
     if unit_size == 0.0:
         return Perturbation.zero(emdp)
@@ -302,4 +340,5 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
         raise ValueError(
             f"requested size {size!r} exceeds the admissible transition "
             f"budget for this instance (support entries would be destroyed)")
-    return Perturbation(unit.delta_S * scale, unit.delta_T * scale)
+    return Perturbation(_sealed(unit.delta_S * scale),
+                        _sealed(unit.delta_T * scale))

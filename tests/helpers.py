@@ -13,7 +13,8 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            metric_update, perturbation_size,
                            policy_evaluation, spectral_radius)
 from mdp_stability.bisim import _PairSweep
-from mdp_stability.mdp import ValueFunction, can_reach
+from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
+                               Violation, can_reach)
 from mdp_stability.onpolicy import ROW_TOL
 
 _BASIS_CACHE = {}
@@ -453,3 +454,51 @@ def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
             f"requested size {size!r} exceeds the admissible transition "
             f"budget for this instance (support entries would be destroyed)")
     return Perturbation(unit.delta_S * scale, unit.delta_T * scale)
+
+
+def reference_validate(mdp):
+    """``validate`` with every fault mask scanned by ``np.argwhere``,
+    whether or not it has a true entry."""
+    found = []
+    n_s, n_a = len(mdp.state_ids), len(mdp.action_ids)
+    if len(set(mdp.state_ids)) != n_s:
+        found.append(Violation("duplicate-state-ids", (), "state ids repeat"))
+    if len(set(mdp.action_ids)) != n_a:
+        found.append(Violation("duplicate-action-ids", (), "action ids repeat"))
+    P, r = np.asarray(mdp.transition), np.asarray(mdp.reward)
+    if P.shape != (n_s, n_a, n_s):
+        found.append(Violation("transition-shape", P.shape,
+                               f"expected {(n_s, n_a, n_s)}"))
+        return ValidationReport(tuple(found))
+    if r.shape != (n_s, n_a):
+        found.append(Violation("reward-shape", r.shape, f"expected {(n_s, n_a)}"))
+    # Comparisons with NaN are false, so no check below would catch one.
+    for name, values in (("transition", P), ("reward", r)):
+        for loc in np.argwhere(~np.isfinite(values))[:20]:
+            loc = tuple(int(x) for x in loc)
+            found.append(Violation("non-finite", loc,
+                                   f"{name} entry {values[loc]!r}"))
+    if not math.isfinite(mdp.discount):
+        found.append(Violation("non-finite", (), f"discount {mdp.discount!r}"))
+    elif not 0.0 < mdp.discount < 1.0:
+        found.append(Violation("discount", (), f"{mdp.discount} not in (0,1)"))
+    bad = np.argwhere((P < 0) | (P > 1))
+    for s, a, t in bad[:20]:
+        found.append(Violation("probability-range", (int(s), int(a), int(t)),
+                               f"entry {P[s, a, t]!r} outside [0,1]"))
+    rows = P.sum(axis=2)
+    off = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)
+    for s, a in off:
+        found.append(Violation("row-sum", (int(s), int(a)),
+                               f"sums to {rows[s, a]!r}"))
+    safe = sorted(mdp.safe_set)
+    if any(s < 0 or s >= n_s for s in safe):
+        found.append(Violation("safe-range", tuple(safe), "index out of range"))
+    else:
+        for s in safe:
+            inside = P[s][:, safe].sum(axis=1)  # per action, mass staying safe
+            for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
+                found.append(Violation(
+                    "safe-not-absorbing", (int(s), int(a)),
+                    f"leaks {1.0 - inside[a]!r} outside the safe set"))
+    return ValidationReport(tuple(found))

@@ -18,7 +18,7 @@ from mdp_stability import (BisimConfig, MdpSpec, Perturbation, SafetyQuery,
                            load_embedded, load_mdp, load_toy_policy,
                            mdp_to_document, rate_of_decrease_check,
                            realize_chain, shutdown_probability)
-from mdp_stability import cli, onpolicy, transport
+from mdp_stability import cli, onpolicy, scenarios, transport
 from mdp_stability.cli import main, render_json
 from mdp_stability.scenarios import random_perturbation
 
@@ -420,6 +420,33 @@ class TestOnPolicyCommands:
             assert {k: v for k, v in row.items() if k != "kind"} \
                 == json.loads(render_json(report.to_document()))
 
+    @pytest.mark.parametrize("sizes", ["1e-4", "0,1e-5,1e-4,1e-3,1e-2"])
+    def test_sweep_builds_its_support_plan_once(self, tmp_path, capsys,
+                                                monkeypatch, sizes):
+        mdp_path, policy_path = self.setup_files(tmp_path)
+        plans = []
+        real = scenarios.perturbation_support
+
+        def counting(base):
+            plans.append(real(base))
+            return plans[-1]
+
+        # A draw without a plan builds its own through the module's name.
+        monkeypatch.setattr(scenarios, "perturbation_support", counting)
+        monkeypatch.setattr(cli, "perturbation_support", counting)
+        drawn = []
+        draw = cli.random_perturbation
+        monkeypatch.setattr(cli, "random_perturbation",
+                            lambda *args, **kw: drawn.append(kw["plan"])
+                            or draw(*args, **kw))
+        assert main(["onpolicy-sweep", mdp_path, policy_path,
+                     "--sizes", sizes, "--seed", "5", "--big-n", "20"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == len(sizes.split(",")) + 1
+        assert len(plans) == 1
+        assert len(drawn) == len(rows) - 1
+        assert all(plan is plans[0] for plan in drawn)
+
     def test_sweep_uniform_shutdown_row_jumps_upward(self, tmp_path, capsys):
         # A dead chain never shuts down; the appended uniform-shutdown row
         # lifts the probability to 1 at a small perturbation size.
@@ -444,11 +471,41 @@ class TestOnPolicyCommands:
         assert row["size"] <= 0.1
 
 
+# Runs CLI commands given as a JSON list of argv lists and prints the exit
+# code and the sha256 of the stdout of each, one line per command.
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from mdp_stability.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def single_thread_digests(commands, cwd):
+    """(exit code, stdout sha256) of each command, run in order in one
+    process on one BLAS thread: the last bits of a dense product can
+    depend on how many threads share it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT,
+                           json.dumps(commands)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return [(int(code), digest) for code, digest in
+            (line.split() for line in proc.stdout.splitlines())]
+
+
 class TestOnPolicyArtifactBytes:
     """sha256 of stdout on seeded documents, pinned so that the batched
-    policy path, the array perturbation draw and the once-analysed base
-    keep every on-policy artifact byte for byte.  Document 31 has full
-    supports of 150 entries, past numpy's pairwise summation block."""
+    policy path, the array perturbation draw, the once-analysed base and
+    the once-built support plan keep every on-policy artifact byte for
+    byte.  Document 31 has full supports of 150 entries, past numpy's
+    pairwise summation block.  The digests are those of one BLAS thread,
+    the benchmark's setting; all seven come from one process."""
 
     POLICY = {"weights": [[0.9, -1.3, 0.4, 0.2], [-0.5, 0.8, -1.1, 0.6],
                           [0.3, 0.1, 0.7, -0.9]], "temperature": 0.8}
@@ -468,22 +525,34 @@ class TestOnPolicyArtifactBytes:
                                   "adfe15ecb66469f1640e7c406ee15a1f"),
         ("26", SWEEP, "f954459b4337d1e8002cd1a74e3cd6c5"
                       "a7fa68bfa92573744cc6e5aa8e4395d7"),
-        ("31", SWEEP, "2255e9fcc1263bfa25ca1ebb7378547b"
-                      "5cbe54cb4a54d7a6da84fee0a844cb49"),
+        ("31", SWEEP, "0b5a4e488a49327895081541cfa20918"
+                      "c6bec29ea41143d840908f3672025098"),
     ]
 
+    @pytest.fixture(scope="class")
+    def digests(self, tmp_path_factory):
+        """(exit code, stdout sha256) of each golden's command, in the
+        order of GOLDEN."""
+        directory = tmp_path_factory.mktemp("onpolicy-goldens")
+        policy = write_doc(directory / "p.json", self.POLICY)
+        commands = []
+        for seed, (shape, sparsity) in self.DOCUMENTS.items():
+            commands.append(["random", "--seed", seed, "--shape", shape,
+                             "--sparsity", sparsity,
+                             "--out", str(directory / f"m{seed}.json")])
+        for seed, flags, _ in self.GOLDEN:
+            command = "onpolicy-sweep" if "--sizes" in flags else "onpolicy"
+            commands.append([command, str(directory / f"m{seed}.json"),
+                             policy] + flags)
+        results = single_thread_digests(commands, directory)
+        assert [code for code, _ in results[:len(self.DOCUMENTS)]] \
+            == [0] * len(self.DOCUMENTS)
+        return results[len(self.DOCUMENTS):]
+
     @pytest.mark.parametrize("seed,flags,digest", GOLDEN)
-    def test_stdout_digest(self, tmp_path, capsys, seed, flags, digest):
-        shape, sparsity = self.DOCUMENTS[seed]
-        mdp = str(tmp_path / "m.json")
-        assert main(["random", "--seed", seed, "--shape", shape,
-                     "--sparsity", sparsity, "--out", mdp]) == 0
-        policy = write_doc(tmp_path / "p.json", self.POLICY)
-        command = "onpolicy-sweep" if "--sizes" in flags else "onpolicy"
-        capsys.readouterr()
-        assert main([command, mdp, policy] + flags) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_stdout_digest(self, digests, seed, flags, digest):
+        index = [(s, f) for s, f, _ in self.GOLDEN].index((seed, flags))
+        assert digests[index] == (0, digest)
 
 
 class TestCertifyArtifactBytes:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (best_value_by_enumeration, random_mdp,
-                     reference_value_iteration)
-from mdp_stability import (MdpSpec, PlayingDeadParams, Policy,
+                     reference_validate, reference_value_iteration)
+from mdp_stability import (MdpSpec, Perturbation, PlayingDeadParams, Policy,
                            build_duplicated, build_playing_dead, dump_mdp,
                            greedy_policy, induce_chain, load_mdp,
                            mdp_from_document, mdp_to_document,
@@ -72,6 +72,152 @@ class TestValidate:
                           mdp.reward, discount, mdp.safe_set)
             codes = [v.code for v in validate(bad).violations]
             assert codes == ["non-finite"]
+
+
+@st.composite
+def faulty_mdps(draw):
+    """MDPs with any mix of validate's faults: NaN and infinite entries,
+    more than 20 entries outside [0, 1], rows off a sum of 1 by more or
+    less than PROB_TOL, leaking safe states, repeated ids, wrong shapes,
+    a bad discount and safe states out of range."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, n_a = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    faults = draw(st.sets(st.sampled_from(
+        ["non-finite", "range", "row-sum", "leak", "duplicate", "shape",
+         "discount", "safe-range"])))
+    P = gen.dirichlet(np.ones(n), size=(n, n_a))
+    r = gen.uniform(-1.0, 1.0, size=(n, n_a))
+    safe = set(gen.choice(n, size=draw(st.integers(0, n)),
+                          replace=False).tolist())
+    for s in safe:
+        P[s] = 0.0
+        P[s, :, s] = 1.0
+    if "range" in faults:
+        flat = P.reshape(-1)
+        at = gen.choice(flat.size, size=min(flat.size, draw(
+            st.integers(21, 60))), replace=False)
+        flat[at] = gen.choice([-0.5, -5e-324, 1.0 + 1e-15, 3.0], len(at))
+    if "row-sum" in faults:
+        rows = gen.random((n, n_a)) < 0.5
+        P[rows] *= 1.0 + gen.choice([1e-13, 1e-11, 0.5], (n, n_a, 1))[rows]
+    if "leak" in faults and len(safe) < n:
+        s = next(iter(safe), 0)
+        P[s, 0] = 0.0
+        P[s, 0, [t for t in range(n) if t not in safe][0]] = 1.0
+    if "non-finite" in faults:
+        values = [math.nan, math.inf, -math.inf]
+        for table in (P, r):
+            flat = table.reshape(-1)
+            at = gen.choice(flat.size, size=draw(st.integers(
+                1, flat.size)), replace=False)
+            flat[at] = gen.choice(values, len(at))
+    states = [f"s{i}" for i in range(n)]
+    actions = [f"a{j}" for j in range(n_a)]
+    if "duplicate" in faults:
+        states[-1] = states[0]
+        actions[-1] = actions[0]
+    if "shape" in faults:
+        which = draw(st.sampled_from(["transition", "reward"]))
+        if which == "transition":
+            P = P[:, :, 1:]
+        else:
+            r = r[:, 1:]
+    discount = draw(st.sampled_from(
+        [0.0, 1.0, 1.5, math.nan, math.inf])) if "discount" in faults \
+        else 0.9
+    if "safe-range" in faults:
+        safe.add(draw(st.sampled_from([-1, n])))
+    return MdpSpec(states, actions, P, r, discount, safe)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestValidateMatchesFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(mdp=faulty_mdps())
+    def test_same_report(self, mdp):
+        ours, oracle = validate(mdp), reference_validate(mdp)
+        assert str(ours) == str(oracle)
+        assert ours.violations == oracle.violations
+
+    def test_caps_at_20_per_kind(self):
+        P = np.full((5, 2, 5), math.nan)
+        P[:, 1] = 7.0
+        r = np.full((5, 2), math.inf)
+        mdp = MdpSpec([f"s{i}" for i in range(5)], ["a", "b"], P, r, 0.9,
+                      {4})
+        ours = validate(mdp)
+        assert str(ours) == str(reference_validate(mdp))
+        codes = [v.code for v in ours.violations]
+        assert codes.count("probability-range") == 20
+        assert codes.count("non-finite") == 30
+
+
+class TestFrozenArrays:
+    """Specs and perturbations hold read-only arrays that nothing outside
+    can write: a writeable input, or the writeable base of a read-only
+    view, is copied; an array already frozen is shared."""
+
+    def spec_of(self, P, r):
+        return MdpSpec(("s0", "s1"), ("a0", "a1"), P, r, 0.9, {1})
+
+    def test_writeable_inputs_are_copied(self):
+        mdp = two_state_mdp()
+        P, r = np.array(mdp.transition), np.array(mdp.reward)
+        spec = self.spec_of(P, r)
+        P[0, 0] = [0.5, 0.5]
+        r[:] = 3.0
+        assert spec.transition.tolist() == mdp.transition.tolist()
+        assert spec.reward.tolist() == mdp.reward.tolist()
+        assert not spec.transition.flags.writeable
+
+    def test_read_only_views_of_writeable_bases_are_copied(self):
+        mdp = two_state_mdp()
+        P, r = np.array(mdp.transition), np.array(mdp.reward)
+        views = P.view(), r[:]
+        for view in views:
+            view.setflags(write=False)
+        spec = self.spec_of(*views)
+        P[0, 0] = [0.5, 0.5]
+        r[:] = 3.0
+        assert spec.transition.tolist() == mdp.transition.tolist()
+        assert spec.reward.tolist() == mdp.reward.tolist()
+        assert not np.shares_memory(spec.transition, P)
+
+    def test_perturbation_inputs_are_copied(self):
+        dS, dT = np.ones((2, 1)), np.zeros((2, 2, 2))
+        pert = Perturbation(dS, dT)
+        dS[:] = 5.0
+        dT[:] = 1.0
+        assert pert.delta_S.tolist() == [[1.0], [1.0]]
+        assert not pert.delta_T.any()
+        base = np.zeros((2, 2, 2))
+        view = base[...]
+        view.setflags(write=False)
+        pert = Perturbation(np.ones((2, 1)), view)
+        base[:] = 1.0
+        assert not pert.delta_T.any()
+
+    def test_frozen_arrays_are_shared(self):
+        mdp = two_state_mdp()
+        other = mdp.with_rewards(np.ones((2, 2)))
+        assert np.shares_memory(other.transition, mdp.transition)
+        assert other.transition is mdp.transition
+        again = Perturbation(np.zeros((2, 1)), mdp.transition)
+        assert again.delta_T is mdp.transition
+
+    def test_a_frozen_array_of_another_dtype_is_converted(self):
+        actions = np.array([0, 1])
+        actions.setflags(write=False)
+        assert Policy.deterministic(actions).table is actions
+        table = mdp_module._frozen(actions, dtype=float)
+        assert table.dtype == float and not table.flags.writeable
+
+    def test_loaded_arrays_are_frozen_in_place(self):
+        doc = mdp_to_document(two_state_mdp())
+        field = mdp_module.document_field(doc, "transitions", list, float)
+        assert not field.flags.writeable
+        assert MdpSpec(("s0", "s1"), ("a0", "a1"), field,
+                       np.zeros((2, 2)), 0.9, {1}).transition is field
 
 
 class TestInduceChain:

@@ -13,7 +13,7 @@ from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            embedded_to_document, expected_steps,
                            hausdorff_distance, induce_chain, isolation_check,
                            random_family, tighten_policy_bound, validate)
-from mdp_stability.scenarios import random_perturbation
+from mdp_stability.scenarios import perturbation_support, random_perturbation
 from mdp_stability.onpolicy import EmbeddedMdp, make_toy_policy
 
 from helpers import reference_perturbation
@@ -351,3 +351,114 @@ class TestPerturbationDrawMatchesPerRowLoop:
         ours, oracle = draw_outcomes(emdp, policy, 1e-4, seed, 0.5)
         assert ours == oracle
         assert isinstance(ours[0], tuple)
+
+
+# -- a ladder of draws from one support plan ----------------------------------
+
+def outcome(draw, *args, **kw):
+    """The bytes of both displacements of a draw, or its error message."""
+    try:
+        pert = draw(*args, **kw)
+    except ValueError as exc:
+        return str(exc)
+    return pert.delta_T.tobytes(), pert.delta_S.tobytes()
+
+
+@st.composite
+def ladder_cases(draw):
+    """A ladder from size 0 up on an MDP with point-mass rows among wider
+    ones, under a derivative bound that may be zero."""
+    n = draw(st.integers(2, 40))
+    lengths = [1] + draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    emdp = supported_mdp(gen, n, draw(st.integers(1, 3)), lengths,
+                         n_safe=draw(st.integers(0, 2)),
+                         dim=draw(st.integers(1, 3)),
+                         zero_entries=draw(st.booleans()))
+    weights = gen.standard_normal((emdp.base.n_actions, emdp.dim))
+    if draw(st.booleans()):
+        weights[:] = 0.0
+    sizes = [0.0] + sorted(draw(st.lists(
+        st.sampled_from([1e-9, 1e-5, 1e-3, 1e-1, 1e3]), max_size=5)))
+    return (emdp, make_toy_policy(weights), sizes,
+            draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+class TestPerturbationLadder:
+    """Rungs drawn from one support plan, as ``onpolicy-sweep`` draws
+    them, against the per-row oracle at each rung's seed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ladder_cases())
+    def test_every_rung_matches_the_oracle(self, case):
+        emdp, policy, sizes, seed, share = case
+        plan = perturbation_support(emdp.base)
+        for k, size in enumerate(sizes):
+            assert outcome(random_perturbation, emdp, policy, size, seed + k,
+                           share, plan=plan) \
+                == outcome(reference_perturbation, emdp, policy, size,
+                           seed + k, share)
+
+    @pytest.mark.parametrize("zero_bound", [False, True])
+    def test_point_masses_zero_size_and_zero_bound(self, zero_bound):
+        gen = np.random.default_rng(4)
+        emdp = supported_mdp(gen, 30, 3, [1, 2, 5, 30], n_safe=1, dim=2)
+        lengths = (emdp.base.transition > 0).sum(axis=2)[:-1]
+        assert (lengths == 1).any() and (lengths > 1).any()
+        weights = gen.standard_normal((3, 2))
+        if zero_bound:
+            weights[:] = 0.0
+        policy = make_toy_policy(weights)
+        assert (policy.bound_b == 0.0) == zero_bound
+        plan = perturbation_support(emdp.base)
+        for k, size in enumerate([0.0, 1e-6, 1e-4, 1e-2]):
+            ours = random_perturbation(emdp, policy, size, 11 + k, plan=plan)
+            oracle = reference_perturbation(emdp, policy, size, 11 + k)
+            assert ours.delta_T.tobytes() == oracle.delta_T.tobytes()
+            assert ours.delta_S.tobytes() == oracle.delta_S.tobytes()
+            assert ours.transition_shift_l1 > 0.0 or size == 0.0
+
+    @pytest.mark.parametrize("weights", [[[0.0], [0.0]], [[1.0], [-1.0]]])
+    def test_rows_of_point_masses_only(self, weights):
+        # Every row of the hibernation MDP is a point mass: no transition
+        # noise, and a zero derivative bound leaves nothing to perturb.
+        emdp = EmbeddedMdp(hibernation_base(), [[0.0], [0.5], [1.0]])
+        policy = make_toy_policy(weights)
+        plan = perturbation_support(emdp.base)
+        assert plan.n_cells == 0 and plan.groups == ()
+        for k, size in enumerate([0.0, 1e-4]):
+            assert outcome(random_perturbation, emdp, policy, size, k,
+                           plan=plan) \
+                == outcome(reference_perturbation, emdp, policy, size, k)
+
+    def test_rows_whose_normals_centre_to_zero(self, monkeypatch):
+        # Normals rounded to integers often tie along a short row, which
+        # then centres to zero and gets no noise, beside live rows.
+        real = np.random.default_rng
+
+        class RoundedNormals:
+            def __init__(self, seed):
+                self.gen = real(seed)
+
+            def standard_normal(self, size):
+                return np.round(self.gen.standard_normal(size))
+
+        monkeypatch.setattr(np.random, "default_rng", RoundedNormals)
+        emdp = supported_mdp(real(5), 20, 3, [2, 3], n_safe=1, dim=2)
+        policy = make_toy_policy(real(6).standard_normal((3, 2)))
+        plan = perturbation_support(emdp.base)
+        for k, size in enumerate([0.0, 1e-5, 1e-3]):
+            ours = random_perturbation(emdp, policy, size, k, plan=plan)
+            oracle = reference_perturbation(emdp, policy, size, k)
+            assert ours.delta_T.tobytes() == oracle.delta_T.tobytes()
+            assert ours.delta_S.tobytes() == oracle.delta_S.tobytes()
+            quiet = ~ours.delta_T.any(axis=2)[:-1]
+            assert size == 0.0 or 0 < quiet.sum() < quiet.size
+
+    def test_plan_of_another_mdp_is_rejected(self):
+        emdp, other = random_family(1), random_family(2)
+        policy = make_toy_policy(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="another MDP"):
+            random_perturbation(emdp, policy, 1e-4, 0,
+                                plan=perturbation_support(other.base))
