@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import MdpSpec, _frozen, can_reach, policy_iteration, validate
+from .mdp import (MdpSpec, _frozen, can_reach, policy_iteration,
+                  strong_components, validate)
 from .transport import BatchedTransport
 
 __all__ = [
@@ -372,23 +373,6 @@ class QuotientResult:
         object.__setattr__(self, "lift", _frozen(self.lift, dtype=int))
 
 
-def _components(close: np.ndarray) -> list:
-    """Connected components of the undirected graph with an edge between
-    i and j where ``close[i, j]`` or ``close[j, i]`` holds, as tuples of
-    states sorted by their first member."""
-    close = close | close.T
-    states = np.arange(len(close))
-    classes, assigned = [], np.zeros(len(close), dtype=bool)
-    for s in states:
-        if not assigned[s]:
-            # The class of the lowest unassigned state: the states that
-            # reach it.
-            members = can_reach(close, states == s)
-            assigned |= members
-            classes.append(tuple(np.nonzero(members)[0]))
-    return classes
-
-
 def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     """Collapse states whose within-MDP distance is at most ``merge_tol``.
 
@@ -405,7 +389,10 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     metric = cross_bisim_metric(mdp, mdp, config)
     if not metric.converged:
         raise NonConvergence("within-MDP metric did not converge")
-    classes = _components(metric.dist <= merge_tol)
+    # Undirected components are the strong components of the symmetrised
+    # graph.
+    close = metric.dist <= merge_tol
+    classes = [tuple(c) for c in strong_components(close | close.T)]
     n_classes = len(classes)
     lift = np.empty(mdp.n_states, dtype=int)
     for c, members in enumerate(classes):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,20 +42,25 @@ WEIGHT_TOL = 1e-12
 
 
 def _frozen(a, dtype=float):
-    """``a`` as a read-only array of ``dtype``: ``a`` itself when it already
-    is one that owns its data, as the arrays the package builds and freezes
-    in place are (:func:`_sealed`); otherwise a frozen copy, which later
-    writes to ``a``, or to the base of a view ``a``, cannot reach."""
-    if type(a) is np.ndarray and a.dtype == dtype and a.flags.owndata \
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when
+    :func:`_sealed` froze it and it is still read-only; otherwise a frozen
+    copy, which later writes to ``a``, or through any view of its data,
+    cannot reach."""
+    if _SEALED.get(id(a)) is a and a.dtype == dtype \
             and not a.flags.writeable:
         return a
     return _sealed(np.array(a, dtype=dtype))
+
+
+# The arrays _sealed has frozen, by id; an entry leaves with its array.
+_SEALED = weakref.WeakValueDictionary()
 
 
 def _sealed(a):
     """``a``, an array just built and held by nothing else, made read-only
     in place so that :func:`_frozen` passes it on without a copy."""
     a.setflags(write=False)
+    _SEALED[id(a)] = a
     return a
 
 
@@ -256,6 +262,9 @@ class StartDistribution:
 
     @classmethod
     def uniform_over(cls, n_states, support):
+        if not len(support):
+            raise ValueError("a uniform start needs at least one state, and "
+                             "its support is empty (every state is safe)")
         w = np.zeros(n_states)
         w[list(support)] = 1.0 / len(support)
         return cls(w)
@@ -420,6 +429,21 @@ def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
         if not np.any(grown & ~reach):
             return reach
         reach = grown
+
+
+def strong_components(adj: np.ndarray) -> list:
+    """Strongly connected components of the boolean adjacency matrix
+    ``adj``, as ascending index arrays ordered by their lowest state."""
+    states = np.arange(len(adj))
+    components, assigned = [], np.zeros(len(adj), dtype=bool)
+    for s in states:
+        if not assigned[s]:
+            # The states that reach s and that s reaches.
+            here = states == s
+            members = can_reach(adj, here) & can_reach(adj.T, here)
+            assigned |= members
+            components.append(np.flatnonzero(members))
+    return components
 
 
 def policy_evaluation(mdp: MdpSpec, policy: Policy) -> ValueFunction:

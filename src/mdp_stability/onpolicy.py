@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mdp import (MdpSpec, StartDistribution, _frozen, _sealed, can_reach,
                   document_field, load_mdp, mdp_to_document, read_document,
-                  validate)
+                  strong_components, validate)
 
 __all__ = [
     "EmbeddedMdp",
@@ -54,6 +53,7 @@ __all__ = [
 SUPPORT_TOL = 1e-15          # below this, a transition entry counts as zero
 ROW_TOL = 1e-10
 LINEARIZATION_THRESHOLD = 1e-3
+PERRON_STEPS = 20_000        # cap on the steps of one spectral bracket
 
 
 @dataclass(frozen=True)
@@ -192,81 +192,38 @@ def _shutdown_probability(P: np.ndarray, safe, trans,
     return min(max(value, 0.0), 1.0)
 
 
-def _gelfand_estimates(M: np.ndarray):
-    """(||M^64||^(1/64), ratio estimate) via renormalized squaring.
+def _perron_bracket(B: np.ndarray):
+    """(lo, hi) around the Perron root of an irreducible nonnegative block.
 
-    The plain k-th root carries a bias of order log(C)/k from the constant
-    in ||M^k|| ~ C rho^k; the ratio (||M^128||/||M^64||)^(1/64) cancels it.
+    x <- (x + Bx)/(1 + hi) from x = 1 keeps the Collatz-Wielandt bracket
+    lo = min(Bx/x) <= rho(B) <= hi = max(Bx/x), which holds for any
+    positive x (Horn & Johnson, Matrix Analysis, 8.1) and closes because
+    B + I is primitive.  It stops when hi - lo <= 1e-12 hi, or after
+    PERRON_STEPS steps with a wider bracket.
     """
-    def norm1(A):
-        return float(np.abs(A).sum(axis=0).max())
-
-    s = norm1(M)
-    if s == 0.0:
-        return 0.0, 0.0
-    A = M / s
-    log_norm = math.log(s)          # log ||M^1||
-    k = 1
-    while k < 64:
-        A = A @ A
-        k *= 2
-        s = norm1(A)
-        if s == 0.0:
-            return 0.0, 0.0
-        log_norm = 2.0 * log_norm + math.log(s)
-        A = A / s
-    log64 = log_norm
-    A = A @ A
-    s = norm1(A)
-    if s == 0.0:
-        return math.exp(log64 / 64.0), 0.0
-    log128 = 2.0 * log64 + math.log(s)
-    return math.exp(log64 / 64.0), math.exp((log128 - log64) / 64.0)
+    x = np.ones(len(B))
+    for _ in range(PERRON_STEPS):
+        y = B @ x
+        ratio = y / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if hi - lo <= 1e-12 * hi:
+            break
+        x = (x + y) / (1.0 + hi)
+    return lo, hi
 
 
 def spectral_radius(M: np.ndarray) -> float:
-    """Perron root of a nonnegative matrix by power iteration.
-
-    The iteration runs on M + I so the dominant eigenvalue is simple in
-    modulus (periodic chains would otherwise oscillate).  It stops when
-    the Rayleigh quotient moves by at most 1e-10 (relative), and the result
-    is cross-checked against a Gelfand norm estimate; if power iteration
-    fails to converge within 20,000 steps from each of four starts, the
-    Gelfand estimate is returned with a warning.
-    """
+    """Spectral radius of a nonnegative matrix, certified from above: the
+    largest upper end of the Perron brackets of its strong components."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0.0
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("expected a finite matrix")
     if np.any(M < 0):
         raise ValueError("expected a nonnegative matrix")
-    gelfand64, gelfand_ratio = _gelfand_estimates(M)
-    if gelfand64 == 0.0:
-        return 0.0
-    n = M.shape[0]
-    A = M + np.eye(n)
-    rng = np.random.default_rng(0)
-    for attempt in range(4):
-        x = np.ones(n) / n if attempt == 0 else rng.random(n) + 0.1
-        x /= np.linalg.norm(x)
-        lam_prev = math.inf
-        for _ in range(20_000):
-            y = A @ x
-            lam = float(x @ y)
-            x = y / np.linalg.norm(y)
-            if abs(lam - lam_prev) <= 1e-10 * max(1.0, abs(lam)):
-                rho = max(lam - 1.0, 0.0)
-                # The ratio estimate is essentially exact for diagonalizable
-                # matrices; the plain 64th root covers defective ones.
-                if abs(rho - gelfand_ratio) <= 1e-3 \
-                        or abs(rho - gelfand64) <= 1e-3:
-                    return rho
-                break
-            lam_prev = lam
-    warnings.warn("power iteration did not converge; returning the Gelfand "
-                  "ratio estimate", RuntimeWarning, stacklevel=2)
-    return gelfand_ratio
+    return max((_perron_bracket(M[np.ix_(c, c)])[1]
+                for c in strong_components(M > 0)), default=0.0)
 
 
 def decrease_bound(P: np.ndarray, safe):

@@ -10,8 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from helpers import (fresh_lp_metric, random_mdp, reference_pair_evaluate,
                      shift_applications)
 from mdp_stability import bisim
-from mdp_stability.bisim import _components
-from mdp_stability.mdp import POLICY_ROUNDS
+from mdp_stability.mdp import POLICY_ROUNDS, strong_components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
                            cross_bisim_metric, hausdorff_distance,
@@ -542,6 +541,11 @@ class TestQuotient:
         mdp = dead_and_off_mdp()
         with pytest.raises(ValueError, match="mix safe and non-safe"):
             bisim_quotient(mdp)
+
+
+def _components(close):
+    """The quotient's classes of the thresholded graph ``close``."""
+    return [tuple(c) for c in strong_components(close | close.T)]
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -503,9 +503,10 @@ class TestOnPolicyArtifactBytes:
     """sha256 of stdout on seeded documents, pinned so that the batched
     policy path, the array perturbation draw, the once-analysed base and
     the once-built support plan keep every on-policy artifact byte for
-    byte.  Document 31 has full supports of 150 entries, past numpy's
-    pairwise summation block.  The digests are those of one BLAS thread,
-    the benchmark's setting; all seven come from one process."""
+    byte; ``lambda1`` is the upper end of the certified spectral bracket.
+    Document 31 has full supports of 150 entries, past numpy's pairwise
+    summation block.  The digests are those of one BLAS thread, the
+    benchmark's setting; all seven come from one process."""
 
     POLICY = {"weights": [[0.9, -1.3, 0.4, 0.2], [-0.5, 0.8, -1.1, 0.6],
                           [0.3, 0.1, 0.7, -0.9]], "temperature": 0.8}
@@ -513,20 +514,20 @@ class TestOnPolicyArtifactBytes:
                  "31": ("150,3,4", "1.0")}
     SWEEP = ["--sizes", "1e-5,1e-4,1e-3", "--seed", "3", "--big-n", "20"]
     GOLDEN = [
-        ("22", [], "59dc835ece89aa46baf86b015e651011"
-                   "917cbacc4511ac4a734178a065e89556"),
-        ("22", ["--start", "s0"], "7d3916180c2f2b0ea080e74dc87f8235"
-                                  "a482badc489c93e2d6ddf74e28f00033"),
-        ("22", SWEEP, "2a1b63e1c5f9a5d7900c449bcb0f43fc"
-                      "8166ec6f9e5ca40379fda3abbe96a13c"),
-        ("26", [], "e8539c49044ced0b178a45c1c9b567f3"
-                   "e171963a0f7905e5f01e6ff989190c19"),
-        ("26", ["--start", "s0"], "f1f2a553495669110ca7be1981e48814"
-                                  "adfe15ecb66469f1640e7c406ee15a1f"),
-        ("26", SWEEP, "f954459b4337d1e8002cd1a74e3cd6c5"
-                      "a7fa68bfa92573744cc6e5aa8e4395d7"),
-        ("31", SWEEP, "0b5a4e488a49327895081541cfa20918"
-                      "c6bec29ea41143d840908f3672025098"),
+        ("22", [], "fe32c0edfd115dc9111932e97504ee3b"
+                   "33a61686e379999458eb16fed11bf255"),
+        ("22", ["--start", "s0"], "dc6a62560508893e2ace726b6e0de7df"
+                                  "858da1540bd8e415a4de0b0d5224235e"),
+        ("22", SWEEP, "4d8a50819e2256590d6eec69fb282015"
+                      "db1030df752d2788d6a1ed0995adfa76"),
+        ("26", [], "28301edb2a3cfe8dd69a617d15cf0a9d"
+                   "dc96220792f31d86aefa486c74630964"),
+        ("26", ["--start", "s0"], "b9074982e04543586e1ac417319abb34"
+                                  "c2211b767213e47dee4e5ee9484b58bb"),
+        ("26", SWEEP, "98bd24f6f0b472537972859715339d0f"
+                      "7779a39af7ee9ca2bfec460156912fbe"),
+        ("31", SWEEP, "ecee8fb6f68214db52e2ec54295078da"
+                      "06b32d8c61ffa26c438a8fd4fcd02d11"),
     ]
 
     @pytest.fixture(scope="class")
@@ -749,6 +750,9 @@ BAD_FLAGS = [
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv):
     files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
              "@e": write_doc(tmp_path / "e.json", embedded_doc()),
+             "@e-safe": write_doc(tmp_path / "e-safe.json",
+                                  {**embedded_doc(),
+                                   "safe": ["work", "wrap", "shutdown"]}),
              "@p": write_doc(tmp_path / "p.json", POLICY_DOC)}
     assert main([files.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -867,6 +871,10 @@ UNUSABLE_INPUT = [
      "invalid (3, 3) array for 3 states and 2 actions"),
     (["onpolicy-sweep", "@e", "@p-3actions", "--sizes", "1e-4"],
      "invalid (3, 3) array for 3 states and 2 actions"),
+    # With every state safe, the default start has no state to spread over.
+    (["onpolicy", "@e-safe", "@p"], "every state is safe"),
+    (["onpolicy-sweep", "@e-safe", "@p", "--sizes", "1e-4"],
+     "every state is safe"),
 ]
 
 
@@ -876,6 +884,9 @@ def test_unusable_input_exits_2_with_its_message(tmp_path, capsys, argv,
                                                  message):
     files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
              "@e": write_doc(tmp_path / "e.json", embedded_doc()),
+             "@e-safe": write_doc(tmp_path / "e-safe.json",
+                                  {**embedded_doc(),
+                                   "safe": ["work", "wrap", "shutdown"]}),
              "@p": write_doc(tmp_path / "p.json", POLICY_DOC),
              "@p-dim2": write_doc(tmp_path / "p2.json",
                                   {"weights": [[1.0, 0.0], [-1.0, 0.0]],

@@ -1,7 +1,7 @@
 """Layout of the package: every import sits at module level, the modules of
 the package import each other without a cycle, the package and its command
-line load no scipy, and every exception the package raises is one that the
-command line maps to an exit code."""
+line load no scipy, no module imports warnings, and every exception the
+package raises is one that the command line maps to an exit code."""
 
 import ast
 import builtins
@@ -57,17 +57,30 @@ def test_package_import_graph_is_acyclic():
         pytest.fail(f"import cycle between package modules: {exc.args[1]}")
 
 
-@pytest.mark.parametrize("name", sorted(MODULES))
-def test_no_scipy_import(name):
-    # numpy is the package's only runtime dependency; scipy serves the
-    # tests' oracles alone.
+def imported_roots(tree):
+    """Top-level names of the modules outside the package that ``tree``
+    imports."""
     roots = set()
-    for node in ast.walk(MODULES[name]):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             roots.add(node.module.split(".")[0])
-    assert "scipy" not in roots
+    return roots
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_scipy_import(name):
+    # numpy is the package's only runtime dependency; scipy serves the
+    # tests' oracles alone.
+    assert "scipy" not in imported_roots(MODULES[name])
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_warnings_import(name):
+    # The package issues no warnings: an input it cannot answer for is
+    # rejected, and every numerical answer it returns is certified.
+    assert "warnings" not in imported_roots(MODULES[name])
 
 
 def test_cli_import_leaves_scipy_optimize_out():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helpers import (best_value_by_enumeration, random_mdp,
                      reference_validate, reference_value_iteration)
@@ -16,7 +18,8 @@ from mdp_stability import (MdpSpec, Perturbation, PlayingDeadParams, Policy,
                            mdp_from_document, mdp_to_document,
                            policy_evaluation, validate, value_iteration)
 from mdp_stability import mdp as mdp_module
-from mdp_stability.mdp import can_reach, q_values, read_document
+from mdp_stability.mdp import (can_reach, q_values, read_document,
+                               strong_components)
 
 
 def two_state_mdp():
@@ -154,8 +157,9 @@ class TestValidateMatchesFullScan:
 
 class TestFrozenArrays:
     """Specs and perturbations hold read-only arrays that nothing outside
-    can write: a writeable input, or the writeable base of a read-only
-    view, is copied; an array already frozen is shared."""
+    can write: a writeable input, the writeable base of a read-only view,
+    or an array frozen by the caller is copied; an array the package froze
+    is shared."""
 
     def spec_of(self, P, r):
         return MdpSpec(("s0", "s1"), ("a0", "a1"), P, r, 0.9, {1})
@@ -208,9 +212,19 @@ class TestFrozenArrays:
     def test_a_frozen_array_of_another_dtype_is_converted(self):
         actions = np.array([0, 1])
         actions.setflags(write=False)
-        assert Policy.deterministic(actions).table is actions
+        # Frozen by the caller, not by the package: copied.
+        assert Policy.deterministic(actions).table is not actions
         table = mdp_module._frozen(actions, dtype=float)
         assert table.dtype == float and not table.flags.writeable
+
+    def test_a_view_made_before_freezing_cannot_reach_the_spec(self):
+        mdp = two_state_mdp()
+        P = np.array(mdp.transition)
+        view = P[:]
+        P.setflags(write=False)
+        spec = self.spec_of(P, mdp.reward)
+        view[0, 0] = [0.5, 0.5]
+        assert spec.transition.tolist() == mdp.transition.tolist()
 
     def test_loaded_arrays_are_frozen_in_place(self):
         doc = mdp_to_document(two_state_mdp())
@@ -273,6 +287,25 @@ class TestCanReach:
                             np.stack([target, target]))
         assert stacked.tolist() == [[True, True, True, False],
                                     [False, False, True, False]]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_strong_components_are_scipy_strong_components(seed):
+    # Random directed graphs of 0 to 12 states, with self-loops at random
+    # and some states cut off from every other.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 13))
+    adj = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.4])
+    isolated = rng.random(n) < 0.2
+    adj[isolated, :] = adj[:, isolated] = False
+    adj[np.diag_indices(n)] = rng.random(n) < 0.5
+    n_comp, labels = connected_components(csr_matrix(adj), directed=True,
+                                          connection="strong")
+    expected = sorted((tuple(np.flatnonzero(labels == c))
+                       for c in range(n_comp)), key=lambda m: m[0])
+    found = strong_components(adj)
+    assert [tuple(c) for c in found] == expected
+    assert all(np.all(np.diff(c) > 0) for c in found)
 
 
 class TestValueIteration:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            start_sensitivity, tighten_policy_bound,
                            toy_policy_to_document, transient_set,
                            validate_diff_policy)
+from mdp_stability import onpolicy
+from mdp_stability.mdp import strong_components
 from mdp_stability.scenarios import random_family, random_perturbation
 
 
@@ -173,21 +176,61 @@ class TestShutdownProbability:
         assert value == pytest.approx(series, abs=1e-10)
 
 
+def certified(M):
+    """spectral_radius(M), with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return spectral_radius(M)
+
+
+# Relative rounding of np.linalg.eigvals, which serves as the oracle.
+EIG_ROUNDING = 16 * np.finfo(float).eps
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """Nonnegative matrices of up to 8 states from the families the
+    bracket must handle: dense, zero rows, scaled permutations (periodic),
+    strictly triangular (nilpotent), Jordan-like (defective), block
+    triangular (reducible) under a permutation, and 1x1."""
+    family = draw(st.sampled_from(["dense", "zero-rows", "permutation",
+                                   "triangular", "jordan", "block",
+                                   "scalar"]))
+    n = 1 if family == "scalar" else draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(n)
+    M = rng.random((n, n))
+    if family == "zero-rows":
+        M[rng.permutation(n)[:rng.integers(1, n)]] = 0.0
+    elif family == "permutation":
+        M = np.zeros((n, n))
+        M[np.arange(n), order] = rng.random(n)
+    elif family == "triangular":
+        M = np.triu(M, 1)[np.ix_(order, order)]
+    elif family == "jordan":
+        M = M[0, 0] * np.eye(n) + np.eye(n, k=1)
+    elif family == "block":
+        M *= rng.random((n, n)) < 0.7
+        cut = rng.integers(1, n)
+        M[cut:, :cut] = 0.0
+        M = M[np.ix_(order, order)]
+    return M
+
+
 class TestSpectralRadius:
     def test_scalar(self):
-        assert spectral_radius(np.array([[0.5]])) == pytest.approx(
-            0.5, abs=1e-10)
+        assert certified(np.array([[0.5]])) == 0.5
 
     def test_periodic_swap(self):
         M = np.array([[0.0, 0.5], [0.5, 0.0]])
-        assert spectral_radius(M) == pytest.approx(0.5, abs=1e-10)
+        assert certified(M) == pytest.approx(0.5, abs=1e-10)
 
     def test_nilpotent(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert spectral_radius(M) == 0.0
+        assert certified(M) == 0.0
 
     def test_empty(self):
-        assert spectral_radius(np.zeros((0, 0))) == 0.0
+        assert certified(np.zeros((0, 0))) == 0.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_characteristic_polynomial_roots(self, seed):
@@ -196,11 +239,45 @@ class TestSpectralRadius:
         M = M / (M.sum(axis=1, keepdims=True) + rng.random((5, 1)) + 0.1)
         roots = np.roots(np.poly(M))
         expected = float(np.max(np.abs(roots)))
-        assert spectral_radius(M) == pytest.approx(expected, abs=1e-8)
+        assert certified(M) == pytest.approx(expected, abs=1e-8)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            spectral_radius(np.array([[-0.1]]))
+            certified(np.array([[-0.1]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            certified(np.array([[0.5, bad], [0.0, 0.5]]))
+
+    def test_nilpotent_path_is_exactly_zero(self):
+        assert certified(np.eye(200, k=1)) == 0.0
+
+    def test_defective_block_is_its_diagonal(self):
+        assert certified(np.array([[0.5, 1.0], [0.0, 0.5]])) == 0.5
+
+    def test_slow_cycle_is_bounded_from_above(self):
+        # B + I mixes a 200-cycle too slowly for the bracket to close
+        # within the step cap; its upper end still bounds the Perron root,
+        # the geometric mean of the weights.
+        weights = np.linspace(0.5, 1.0, 200)
+        M = np.zeros((200, 200))
+        M[np.arange(200), (np.arange(200) + 1) % 200] = weights
+        rho = float(np.exp(np.log(weights).mean()))
+        assert rho <= certified(M) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=nonnegative_matrices())
+    def test_bracket_holds_the_eigenvalue_modulus(self, M):
+        true = float(np.max(np.abs(np.linalg.eigvals(M))))
+        brackets = [onpolicy._perron_bracket(M[np.ix_(c, c)])
+                    for c in strong_components(M > 0)]
+        rho = certified(M)
+        assert rho == max((hi for _, hi in brackets), default=0.0)
+        assert rho >= true * (1.0 - EIG_ROUNDING)
+        assert all(lo <= true * (1.0 + EIG_ROUNDING) for lo, _ in brackets)
+        if all(hi - lo <= 1e-12 * hi for lo, hi in brackets):
+            assert rho <= true * (1.0 + 1e-9) + 1e-12
 
 
 class TestPerturbationSize:
