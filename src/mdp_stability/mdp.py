@@ -419,10 +419,10 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
 
 def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Mask of the states with a path (possibly empty) along the boolean
-    adjacency matrix ``adj`` into the states of the mask ``target``.
-    Leading axes of ``adj`` (..., n, n) and ``target`` (..., n) index a
-    batch of graphs."""
-    steps = adj.astype(float)
+    (or 0/1 float) adjacency matrix ``adj`` into the states of the mask
+    ``target``.  Leading axes of ``adj`` (..., n, n) and ``target``
+    (..., n) index a batch of graphs."""
+    steps = np.asarray(adj, dtype=float)
     reach = np.array(target, dtype=bool)
     while True:
         grown = reach | ((steps @ reach[..., None])[..., 0] > 0)
@@ -435,12 +435,17 @@ def strong_components(adj: np.ndarray) -> list:
     """Strongly connected components of the boolean adjacency matrix
     ``adj``, as ascending index arrays ordered by their lowest state."""
     states = np.arange(len(adj))
+    steps = np.asarray(adj, dtype=float)
+    # On a symmetric graph the states s reaches are the states reaching s.
+    symmetric = np.array_equal(adj, adj.T)
     components, assigned = [], np.zeros(len(adj), dtype=bool)
     for s in states:
         if not assigned[s]:
             # The states that reach s and that s reaches.
             here = states == s
-            members = can_reach(adj, here) & can_reach(adj.T, here)
+            members = can_reach(steps, here)
+            if not symmetric:
+                members &= can_reach(steps.T, here)
             assigned |= members
             components.append(np.flatnonzero(members))
     return components

@@ -54,6 +54,7 @@ SUPPORT_TOL = 1e-15          # below this, a transition entry counts as zero
 ROW_TOL = 1e-10
 LINEARIZATION_THRESHOLD = 1e-3
 PERRON_STEPS = 20_000        # cap on the steps of one spectral bracket
+_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -195,11 +196,13 @@ def _shutdown_probability(P: np.ndarray, safe, trans,
 def _perron_bracket(B: np.ndarray):
     """(lo, hi) around the Perron root of an irreducible nonnegative block.
 
-    x <- (x + Bx)/(1 + hi) from x = 1 keeps the Collatz-Wielandt bracket
-    lo = min(Bx/x) <= rho(B) <= hi = max(Bx/x), which holds for any
-    positive x (Horn & Johnson, Matrix Analysis, 8.1) and closes because
-    B + I is primitive.  It stops when hi - lo <= 1e-12 hi, or after
-    PERRON_STEPS steps with a wider bracket.
+    x <- x + Bx from x = 1, rescaled to max(x) = 1, keeps the
+    Collatz-Wielandt bracket lo = min(Bx/x) <= rho(B) <= hi = max(Bx/x),
+    which holds for any positive x (Horn & Johnson, Matrix Analysis, 8.1)
+    and closes because B + I is primitive.  It stops when
+    hi - lo <= 1e-12 hi, after PERRON_STEPS steps with a wider bracket, or
+    before an entry of x leaves the normal range, where Bx/x would lose
+    its relative precision.
     """
     x = np.ones(len(B))
     for _ in range(PERRON_STEPS):
@@ -208,7 +211,11 @@ def _perron_bracket(B: np.ndarray):
         lo, hi = float(ratio.min()), float(ratio.max())
         if hi - lo <= 1e-12 * hi:
             break
-        x = (x + y) / (1.0 + hi)
+        y += x
+        y /= y.max()
+        if y.min() < _NORMAL:
+            break
+        x = y
     return lo, hi
 
 

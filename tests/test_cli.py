@@ -514,20 +514,20 @@ class TestOnPolicyArtifactBytes:
                  "31": ("150,3,4", "1.0")}
     SWEEP = ["--sizes", "1e-5,1e-4,1e-3", "--seed", "3", "--big-n", "20"]
     GOLDEN = [
-        ("22", [], "fe32c0edfd115dc9111932e97504ee3b"
-                   "33a61686e379999458eb16fed11bf255"),
-        ("22", ["--start", "s0"], "dc6a62560508893e2ace726b6e0de7df"
-                                  "858da1540bd8e415a4de0b0d5224235e"),
-        ("22", SWEEP, "4d8a50819e2256590d6eec69fb282015"
-                      "db1030df752d2788d6a1ed0995adfa76"),
-        ("26", [], "28301edb2a3cfe8dd69a617d15cf0a9d"
-                   "dc96220792f31d86aefa486c74630964"),
-        ("26", ["--start", "s0"], "b9074982e04543586e1ac417319abb34"
-                                  "c2211b767213e47dee4e5ee9484b58bb"),
-        ("26", SWEEP, "98bd24f6f0b472537972859715339d0f"
-                      "7779a39af7ee9ca2bfec460156912fbe"),
-        ("31", SWEEP, "ecee8fb6f68214db52e2ec54295078da"
-                      "06b32d8c61ffa26c438a8fd4fcd02d11"),
+        ("22", [], "e377410fea3e65032e7b9e1157f532c5"
+                   "3998fd9cf5f73b12a3598391ea3cf458"),
+        ("22", ["--start", "s0"], "712128077ed9ff43d83bf709ed2dba09"
+                                  "fab813d1ad0cbdb0f21409cbc20fdc68"),
+        ("22", SWEEP, "d7e3e60a7aa46cac6586b753acab2ec3"
+                      "1239393167d0556d24b8264ea7f5fe01"),
+        ("26", [], "78b5764e453d2521a3f7d468a8cecad1"
+                   "0941337d45d62c999b992748671ac8c4"),
+        ("26", ["--start", "s0"], "c6985d35881a3220b5386d4174bde764"
+                                  "10a410c822b89fa122ac2b7593c8c5aa"),
+        ("26", SWEEP, "2a5c7d9d62af25b7192f81927006523c"
+                      "0b2fae22e47a21284e7767924e6e139d"),
+        ("31", SWEEP, "ed8ae8beb065d5bad48f1ab040e42895"
+                      "feab09fec7fa539c2bc2b5014e07f72d"),
     ]
 
     @pytest.fixture(scope="class")

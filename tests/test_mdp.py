@@ -308,6 +308,20 @@ def test_strong_components_are_scipy_strong_components(seed):
     assert all(np.all(np.diff(c) > 0) for c in found)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_components_of_a_symmetric_graph_are_scipy_components(seed):
+    # strong_components runs one closure per component on a symmetric
+    # graph; the result must still be its undirected components.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 13))
+    adj = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.4])
+    adj |= adj.T
+    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
+    expected = sorted((tuple(np.flatnonzero(labels == c))
+                       for c in range(n_comp)), key=lambda m: m[0])
+    assert [tuple(c) for c in strong_components(adj)] == expected
+
+
 class TestValueIteration:
     def test_zero_rewards(self):
         mdp = MdpSpec(("s",), ("a",), [[[1.0]]], [[0.0]], 0.9, {0})

@@ -266,6 +266,34 @@ class TestSpectralRadius:
         rho = float(np.exp(np.log(weights).mean()))
         assert rho <= certified(M) <= 1.0
 
+    def test_long_cycle_keeps_its_iterate_in_range(self):
+        # The Perron vector of this 300-cycle spans 32 decades.  Had the
+        # iterate shrunk by (1 + rho)/(1 + hi) a step, it would have gone
+        # subnormal within a few thousand steps and left the bracket at
+        # [0, 0.502]; rescaled to max 1, it keeps narrowing up to the step
+        # cap.
+        weights = np.linspace(0.1, 1.0, 300)
+        M = np.zeros((300, 300))
+        M[np.arange(300), (np.arange(300) + 1) % 300] = weights
+        rho = float(np.exp(np.log(weights).mean()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = onpolicy._perron_bracket(M)
+        assert 0.0 < lo <= rho <= hi < rho + 0.02
+        assert certified(M) == hi
+
+    def test_bracket_stops_before_its_iterate_underflows(self):
+        # Half of this 250-cycle has weight 1 and half 1e-6, so its Perron
+        # vector spans 375 decades, past the float range: the iteration
+        # stops while x is still normal, with a bracket that holds rho.
+        weights = np.where(np.arange(250) < 125, 1.0, 1e-6)
+        M = np.zeros((250, 250))
+        M[np.arange(250), (np.arange(250) + 1) % 250] = weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = onpolicy._perron_bracket(M)
+        assert 0.0 < lo <= 1e-3 <= hi < 1.0
+
     @settings(max_examples=200, deadline=None)
     @given(M=nonnegative_matrices())
     def test_bracket_holds_the_eigenvalue_modulus(self, M):
