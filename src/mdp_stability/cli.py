@@ -229,10 +229,6 @@ def cmd_frontier(args):
     else:
         top = args.epsilon if args.epsilon is not None else 1.0
         epsilons = [top * (k + 1) / args.grid for k in range(args.grid)]
-    # safety_frontier reports an epsilon that no policy meets as vacuous;
-    # one that no certificate accepts is an input error.
-    for eps in epsilons:
-        SafetyQuery(eps)
     rows = safety_frontier(mdp, epsilons)
     document = {"frontier": [
         {"epsilon": eps,

@@ -39,9 +39,12 @@ __all__ = [
 # Most deterministic policies one certificate or frontier may enumerate,
 # counted before MacQueen's test prunes any.
 POLICY_CAP = 10 ** 6
-# Policies per stacked solve: at 16 states each stacked array of a chunk
-# stays near 64 KB.
-CHUNK = 32
+# Bytes that one block of the policy table may stack, at one n-by-n float
+# matrix per policy: max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
+# states.  On the certify deck 256 KB beat both 64 KB and 1 MB.  Every
+# block size gives the same bits, since LAPACK solves each matrix of a
+# stack on its own.
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,9 @@ def hitting_time(chain: InducedChain, start: StartDistribution):
     return start_charge(chain, start, expected_steps(chain))
 
 
-def start_charge(chain: InducedChain, start: StartDistribution,
-                 steps: np.ndarray):
-    """:func:`hitting_time` of ``start`` from the chain's expected steps
-    ``steps``, as :func:`expected_steps` returns them."""
+def _start_mass(chain: InducedChain, start: StartDistribution):
+    """(chain states with mass, their mass) of ``start``; a start with mass
+    on safe states is rejected."""
     w = start.weights
     if len(w) < int(chain.index_map.max(initial=-1)) + 1:
         raise ValueError("start distribution dimension mismatch")
@@ -127,7 +129,14 @@ def start_charge(chain: InducedChain, start: StartDistribution,
     if w.sum() - on_chain.sum() > WEIGHT_TOL:
         raise ValueError("start places mass on safe states")
     hit = on_chain > 0
-    mass = on_chain[hit]
+    return hit, on_chain[hit]
+
+
+def start_charge(chain: InducedChain, start: StartDistribution,
+                 steps: np.ndarray):
+    """:func:`hitting_time` of ``start`` from the chain's expected steps
+    ``steps``, as :func:`expected_steps` returns them."""
+    hit, mass = _start_mass(chain, start)
     # One dot product of contiguous vectors per chain, as for a single
     # chain: a stacked or strided product may sum in another order.
     charges = [math.inf if np.any(np.isinf(row)) else float(mass @ row)
@@ -137,18 +146,45 @@ def start_charge(chain: InducedChain, start: StartDistribution,
     return np.reshape(charges, steps.shape[:-1])
 
 
-def _member_times(mdp: MdpSpec, actions: np.ndarray, start):
-    """(charged hitting times, expected steps per chain state) of the
-    deterministic policies in the rows of ``actions``; a ``start`` of None
-    charges each policy its slowest non-safe starting state."""
+def _member_steps(mdp: MdpSpec, actions: np.ndarray):
+    """(stacked induced chains, expected steps per chain state) of the
+    deterministic policies in the rows of ``actions``."""
     keep = mdp.nonsafe_indices
     rows = mdp.transition[keep, actions[:, keep]]
     chains = InducedChain(rows[..., keep],
                           rows[..., mdp.safe_indices].sum(axis=-1), keep)
-    t = expected_steps(chains)
-    if start is not None:
-        return start_charge(chains, start, t), t
-    return np.max(t, axis=-1, initial=0.0), t
+    return chains, expected_steps(chains)
+
+
+def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
+    """(index, charge) of the first slowest chain of a stack: the charge is
+    start_charge's of ``start``, bit for bit, or for a ``start`` of None
+    the slowest non-safe starting state."""
+    if start is None:
+        times = np.max(steps, axis=-1, initial=0.0)
+        k = int(np.argmax(times))
+        return k, float(times[k])
+    hit, mass = _start_mass(chains, start)
+    on_hit = steps[:, hit]
+    approx = np.where(np.any(np.isinf(on_hit), axis=-1), math.inf,
+                      on_hit @ mass)
+    # The product sums in another order than start_charge, so only the
+    # chains near its top are charged exactly.  With u = eps/2, both sums
+    # of k nonnegative terms lie within g = (k+1)u / (1 - (k+1)u) of the
+    # exact charge, relative (Higham, Accuracy and Stability of Numerical
+    # Algorithms, section 3.1; every charge is at least about one step, so
+    # underflow in a term cannot matter).  A chain that ties start_charge's
+    # maximum then has a product of at least top ((1-g) / (1+g))^2 >=
+    # top (1 - 4g), where top is the largest product, and 4g <= 8(k+1)u
+    # <= 8k eps: c = 8, with room for the rounding of the cut itself.
+    # Capping top at the largest float keeps every chain whose charge
+    # overflows.
+    top = min(float(np.max(approx)), np.finfo(float).max)
+    cut = top * (1.0 - 8 * len(mass) * np.finfo(float).eps)
+    near = np.nonzero(approx >= cut)[0]
+    exact = start_charge(chains, start, steps[near])
+    k = int(np.argmax(exact))
+    return int(near[k]), float(exact[k])
 
 
 # MacQueen's test (Puterman, Markov Decision Processes, section 6.7) drops
@@ -168,12 +204,12 @@ PRUNE_ROUNDING = 8.0
 
 def _policy_table(mdp: MdpSpec, epsilon: float):
     """The deterministic policies that survive MacQueen's test at
-    ``epsilon``, in chunks of at most CHUNK as (actions, loss): actions is
-    a (policies, states) table, with the actions inside safe states pinned
-    to 0 (they cannot matter), and loss the value loss
-    max_s V*(s) - V^pi(s) of each row.  A policy is eps-optimal exactly
-    when its loss is below eps; every policy left out has a loss of at
-    least epsilon + 10*value_tol.
+    ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
+    (actions, loss): actions is a (policies, states) table, with the
+    actions inside safe states pinned to 0 (they cannot matter), and loss
+    the value loss max_s V*(s) - V^pi(s) of each row.  A policy is
+    eps-optimal exactly when its loss is below eps; every policy left out
+    has a loss of at least epsilon + 10*value_tol.
 
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
@@ -193,8 +229,9 @@ def _policy_table(mdp: MdpSpec, epsilon: float):
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
-    for begin in range(0, total, CHUNK):
-        flat = np.arange(begin, min(begin + CHUNK, total))
+    block = max(1, BLOCK_BYTES // (8 * mdp.n_states ** 2))
+    for begin in range(0, total, block):
+        flat = np.arange(begin, min(begin + block, total))
         picks = np.unravel_index(flat, shape) if shape else ()
         actions = np.zeros((len(flat), mdp.n_states), dtype=int)
         for s, acts, pick in zip(nonsafe, survivors, picks):
@@ -268,14 +305,14 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
         members = actions[loss < query.epsilon]
         if not len(members):
             continue
-        times, t = _member_times(mdp, members, query.start)
+        chains, t = _member_steps(mdp, members)
+        k, time = _first_slowest(chains, t, query.start)
         count += len(members)
         reachability.extend(np.all(np.isfinite(t), axis=-1).tolist())
         # The first slowest policy in grid order wins a tie.
-        k = int(np.argmax(times))
-        if times[k] > worst_time:
-            worst_time, worst_actions, worst_times = (float(times[k]),
-                                                      members[k], t[k].copy())
+        if time > worst_time:
+            worst_time, worst_actions, worst_times = (time, members[k],
+                                                      t[k].copy())
     if not count:
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
@@ -356,10 +393,11 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
     evaluated once, and hitting times are computed for those eps-optimal
     at the largest epsilon; each epsilon then reads off the maximum over
     its membership set, so the frontier is monotone nondecreasing by
-    construction of the sets themselves.  An empty epsilon list, or an
-    epsilon whose membership set is empty, raises ValueError.
+    construction of the sets themselves.  An empty epsilon list, an
+    epsilon that SafetyQuery rejects, or an epsilon whose membership set is
+    empty, raises ValueError.
     """
-    epsilons = sorted(float(e) for e in epsilons)
+    epsilons = sorted(SafetyQuery(float(e)).epsilon for e in epsilons)
     if not epsilons:
         raise ValueError("no epsilon given; an empty frontier would be "
                          "vacuous")
@@ -369,7 +407,8 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
         inside = loss < epsilons[-1]
         if not np.any(inside):
             continue
-        times, _ = _member_times(mdp, actions[inside], None)
+        times = np.max(_member_steps(mdp, actions[inside])[1], axis=-1,
+                       initial=0.0)
         member = loss[inside] < np.array(epsilons)[:, None]
         worst = np.maximum(
             worst, np.where(member, times, -math.inf).max(axis=-1))

@@ -1,7 +1,8 @@
 """Layout of the package: every import sits at module level, the modules of
 the package import each other without a cycle, the package and its command
-line load no scipy, no module imports warnings, and every exception the
-package raises is one that the command line maps to an exit code."""
+line load no scipy, no module imports warnings or reads the environment,
+and every exception the package raises is one that the command line maps
+to an exit code."""
 
 import ast
 import builtins
@@ -81,6 +82,24 @@ def test_no_warnings_import(name):
     # The package issues no warnings: an input it cannot answer for is
     # rejected, and every numerical answer it returns is certified.
     assert "warnings" not in imported_roots(MODULES[name])
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_environment_read(name):
+    # Every setting of the package is an argument or a constant, such as
+    # safety.BLOCK_BYTES; none hides in the environment.
+    tree = MODULES[name]
+    reads = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             and node.attr in ENVIRONMENT_READS]
+    reads += [f"from os import {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in ENVIRONMENT_READS]
+    assert reads == []
 
 
 def test_cli_import_leaves_scipy_optimize_out():

@@ -355,12 +355,24 @@ class TestFrontier:
         times = [t for _, t in rows]
         assert all(a <= b for a, b in zip(times, times[1:]))
 
-    def test_empty_membership_raises(self):
+    def test_empty_membership_raises(self, monkeypatch):
+        # An optimal-value estimate above every policy's value leaves the
+        # smaller epsilon with no member.
         mdp = random_mdp(4, n_states=4)
         assert len(safety_frontier(mdp, [0.1])) == 1
-        for eps in (0.0, -1.0):
-            with pytest.raises(ValueError, match="vacuous"):
-                safety_frontier(mdp, [eps, 0.1])
+        high = ValueFunction(value_iteration(mdp).values + 0.5, "optimal", 0.0)
+        monkeypatch.setattr(safety, "value_iteration", lambda *a: high)
+        assert len(safety_frontier(mdp, [1.0])) == 1
+        with pytest.raises(ValueError, match="vacuous"):
+            safety_frontier(mdp, [1.0, 0.1])
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 1e-12, math.inf, math.nan])
+    def test_epsilon_that_no_query_accepts_raises(self, eps, monkeypatch):
+        # The guard of certify_safety, before any policy is enumerated.
+        monkeypatch.setattr(safety, "value_iteration", None)
+        with pytest.raises(ValueError, match=f"exceed 10 \\* value_tol, "
+                                             f"got {eps!r}"):
+            safety_frontier(random_mdp(4, n_states=4), [0.1, eps])
 
     def test_empty_epsilon_list_raises(self):
         with pytest.raises(ValueError, match="vacuous"):
@@ -487,11 +499,12 @@ def grid_losses(mdp):
 
 @st.composite
 def table_cases(draw):
-    """(mdp, policy index, chunk) with 1-5 non-safe states and 1-3
-    actions.  Rows have one to all states in their support (point masses
-    included), so some policies cycle among non-safe states forever; some
-    actions share another action's dynamics, which ties hitting times;
-    and a state may be duplicated."""
+    """(mdp, policy index, block) with 1-5 non-safe states and 1-3
+    actions, and a block of None for the default size.  Rows have one to
+    all states in their support (point masses included), so some policies
+    cycle among non-safe states forever; some actions share another
+    action's dynamics, which ties hitting times; and a state may be
+    duplicated."""
     n_actions = draw(st.integers(1, 3))
     n = draw(st.integers(2, 6))
     assume(n_actions ** (n - 1) <= 243)
@@ -513,15 +526,125 @@ def table_cases(draw):
     if draw(st.booleans()) and n_actions ** n <= 243:
         mdp = build_duplicated(mdp, draw(st.integers(0, n - 2)), copies=2)
     index = draw(st.integers(0, n_actions ** len(mdp.nonsafe_indices) - 1))
-    return mdp, index, draw(st.sampled_from([1, 3, 7, safety.CHUNK]))
+    return mdp, index, draw(st.sampled_from([1, 3, 7, None]))
 
 
-def table_under_test(chunk):
-    """Patches the table into chunks of ``chunk`` policies that start from
-    the oracle's V*: a policy whose loss sits on epsilon is decided alike
-    by the table and the reference loops only on the same V*."""
-    return mock.patch.multiple(safety, CHUNK=chunk,
+def table_under_test(mdp, block):
+    """Patches the table into blocks of ``block`` policies of ``mdp`` (None
+    keeps BLOCK_BYTES) that start from the oracle's V*: a policy whose loss
+    sits on epsilon is decided alike by the table and the reference loops
+    only on the same V*."""
+    size = (safety.BLOCK_BYTES if block is None
+            else block * 8 * mdp.n_states ** 2)
+    return mock.patch.multiple(safety, BLOCK_BYTES=size,
                                value_iteration=reference_value_iteration)
+
+
+class TestBlockBudget:
+    """Each block of the policy table stacks at most BLOCK_BYTES of n-by-n
+    float matrices, or one policy when a single one is larger."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=table_cases(),
+           budget=st.sampled_from([0, 1, 8 * 49, 8 * 49 * 3 + 7, 1 << 12]))
+    def test_every_block_fits_the_budget(self, case, budget):
+        mdp, _, _ = case
+        with mock.patch.object(safety, "BLOCK_BYTES", budget):
+            sizes = [len(loss) for _, loss in safety._policy_table(mdp, 5.0)]
+        n = mdp.n_states
+        assert all(size * n ** 2 * 8 <= budget or size == 1
+                   for size in sizes)
+        # Every block but the last is full.
+        full = max(1, budget // (8 * n ** 2))
+        assert all(size == full for size in sizes[:-1])
+
+    def test_default_budget_at_thirteen_states(self):
+        mdp = random_mdp(5, n_states=13, n_actions=2)
+        sizes = [len(loss) for _, loss in safety._policy_table(mdp, 1e3)]
+        assert sum(sizes) == 2 ** 12
+        assert sizes[:-1] == [193] * (len(sizes) - 1)
+        assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
+
+
+@st.composite
+def charge_cases(draw):
+    """(chains, steps, start) of every policy of a table case, under a
+    point-mass or a spread start on the non-safe states.  Policies that
+    differ only in an action sharing another's dynamics tie exactly, and
+    policies that cycle among non-safe states have infinite steps."""
+    mdp, _, _ = draw(table_cases())
+    actions = np.array([p.table for p in _reference_grid(mdp)])
+    chains, steps = safety._member_steps(mdp, actions)
+    keep = [int(s) for s in mdp.nonsafe_indices]
+    support = draw(st.lists(st.sampled_from(keep), min_size=1,
+                            max_size=len(keep), unique=True))
+    if draw(st.booleans()):
+        return chains, steps, StartDistribution.uniform_over(mdp.n_states,
+                                                             support)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    w = np.zeros(mdp.n_states)
+    w[support] = rng.dirichlet(np.ones(len(support)))
+    return chains, steps, StartDistribution(w)
+
+
+@st.composite
+def near_tie_stacks(draw):
+    """(chains, steps, start): rows that permute one row of expected steps,
+    or move its entries by an ulp, under a uniform start.  Their charges
+    are equal or an ulp apart, so the stacked product and start_charge's
+    dots may round them into another order; some rows carry an infinite
+    entry."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    base = 1.0 + rng.random(n) * draw(st.sampled_from([1.0, 1e3, 1e9]))
+    steps = np.array([rng.permutation(base)
+                      for _ in range(rng.integers(1, 61))])
+    moved = rng.random(steps.shape) < 0.3
+    steps[moved] = np.nextafter(steps[moved], np.where(
+        rng.random(int(moved.sum())) < 0.5, 0.0, math.inf))
+    steps[rng.random(len(steps)) < 0.1, rng.integers(n)] = math.inf
+    chains = InducedChain(np.zeros((len(steps), n, n)),
+                          np.ones((len(steps), n)), np.arange(n))
+    support = rng.choice(n, rng.integers(1, n + 1), replace=False)
+    return chains, steps, StartDistribution.uniform_over(n, support)
+
+
+class TestStackedStartCharge:
+    """The block's pick by one stacked product against start_charge's
+    first maximum over the whole block."""
+
+    def assert_first_maximum(self, chains, steps, start):
+        charges = safety.start_charge(chains, start, steps)
+        k, time = safety._first_slowest(chains, steps, start)
+        assert k == int(np.argmax(charges))
+        assert time == charges[k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=charge_cases())
+    def test_policy_blocks(self, case):
+        self.assert_first_maximum(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=near_tie_stacks())
+    def test_near_ties(self, case):
+        self.assert_first_maximum(*case)
+
+    def test_exact_ties_and_infinite_rows_pick_the_first(self):
+        steps = np.array([[2.0, 3.0], [3.0, 2.0], [3.0, 2.0], [1.0, 1.0]])
+        chains = InducedChain(np.zeros((4, 2, 2)), np.ones((4, 2)),
+                              np.arange(2))
+        start = StartDistribution.uniform_over(2, [0, 1])
+        assert safety._first_slowest(chains, steps, start) == (0, 2.5)
+        steps[1:3, 1] = math.inf
+        assert safety._first_slowest(chains, steps, start) == (1, math.inf)
+
+    def test_safe_start_raises_before_the_product(self):
+        # Steps of None would fail the product with a TypeError.
+        mdp = random_mdp(2, n_states=4)
+        chains, _ = safety._member_steps(mdp, np.zeros((3, 4), dtype=int))
+        start = StartDistribution.point_mass(4, int(mdp.safe_indices[0]))
+        with pytest.raises(ValueError, match="mass on safe states"):
+            safety._first_slowest(chains, None, start)
 
 
 class TestPrunedStackedTable:
@@ -534,13 +657,13 @@ class TestPrunedStackedTable:
     @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]),
            start=st.booleans())
     def test_certificate_matches_reference(self, case, offset, start):
-        mdp, index, chunk = case
+        mdp, index, block = case
         eps = grid_losses(mdp)[index][1] + offset * TOL
         assume(eps > 10.0 * TOL)
         query = SafetyQuery(eps, StartDistribution.point_mass(mdp.n_states, 0)
                             if start else None)
         ref = reference_certify(mdp, query)
-        with table_under_test(chunk):
+        with table_under_test(mdp, block):
             cert = certify_safety(mdp, query)
             members = enumerate_epsilon_optimal(mdp, query)
         assert cert.worst_time == ref["worst_time"]
@@ -556,12 +679,16 @@ class TestPrunedStackedTable:
     @settings(max_examples=40, deadline=None)
     @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
     def test_frontier_matches_reference(self, case, offset):
-        mdp, index, chunk = case
+        mdp, index, block = case
         eps = grid_losses(mdp)[index][1] + offset * TOL
         epsilons = [eps / 4, eps / 2, eps]
         ref_empty = not any(loss < min(epsilons)
                             for _, loss in grid_losses(mdp))
-        with table_under_test(chunk):
+        with table_under_test(mdp, block):
+            if min(epsilons) <= 10.0 * TOL:
+                with pytest.raises(ValueError, match="exceed 10"):
+                    safety_frontier(mdp, epsilons)
+                return
             if ref_empty:
                 with pytest.raises(ValueError, match="vacuous"):
                     safety_frontier(mdp, epsilons)
@@ -572,10 +699,10 @@ class TestPrunedStackedTable:
     @settings(max_examples=80, deadline=None)
     @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
     def test_every_pruned_policy_is_outside_the_band(self, case, offset):
-        mdp, index, chunk = case
+        mdp, index, block = case
         rows = grid_losses(mdp)
         eps = rows[index][1] + offset * TOL
-        with table_under_test(chunk):
+        with table_under_test(mdp, block):
             table = [(tuple(a), float(loss))
                      for actions, losses in safety._policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
