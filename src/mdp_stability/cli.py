@@ -25,8 +25,8 @@ from .bisim import (BisimConfig, NonConvergence, align_reward_scale,
 from .mdp import (MdpSpec, StartDistribution, greedy_policy, induce_chain,
                   load_mdp, mdp_from_document, mdp_to_document, validate,
                   value_iteration)
-from .onpolicy import (Perturbation, _rate_against, analyze_chain,
-                       embedded_to_document, load_embedded, load_toy_policy)
+from .onpolicy import (Perturbation, analyze_chain, embedded_to_document,
+                       load_embedded, load_toy_policy, rate_of_decrease_check)
 from .safety import (SafetyQuery, certify_safety, expected_steps,
                      safety_frontier, start_charge,
                      verify_stability_instance)
@@ -268,12 +268,10 @@ def cmd_hitting_time(args):
 
 def cmd_playing_dead(args):
     base = load_mdp(args.path)
-    if args.escape_action not in base.action_ids:
-        raise ValueError(f"unknown action id {args.escape_action!r}")
     params = PlayingDeadParams(
         base=base, delta=args.delta,
         escape_state=base.state_index(args.escape_state),
-        escape_action=base.action_ids.index(args.escape_action),
+        escape_action=base.action_index(args.escape_action),
         epsilon=args.epsilon)
     out = build_playing_dead(params)
     _emit(args, mdp_to_document(out))
@@ -344,7 +342,7 @@ def cmd_onpolicy_sweep(args):
     for k, size in enumerate(sizes):
         pert = random_perturbation(emdp, policy, size, seed=seed + k,
                                    plan=plan)
-        report = _rate_against(base, emdp, policy, pert, start)
+        report = rate_of_decrease_check(emdp, policy, pert, start, base)
         rows.append({"size": size, "kind": "random",
                      **report.to_document()})
     if args.big_n is not None:
@@ -353,7 +351,7 @@ def cmd_onpolicy_sweep(args):
         modified = build_uniform_shutdown(emdp.base, args.big_n)
         pert = Perturbation(np.zeros_like(emdp.embedding),
                             modified.transition - emdp.base.transition)
-        report = _rate_against(base, emdp, policy, pert, start)
+        report = rate_of_decrease_check(emdp, policy, pert, start, base)
         rows.append({"size": report.size, "kind": "uniform-shutdown",
                      **report.to_document()})
     document = {"rows": rows, "seed": args.seed}

@@ -16,23 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PROB_TOL",
     "MdpSpec",
     "Policy",
     "ValueFunction",
     "InducedChain",
     "StartDistribution",
     "ValidationReport",
-    "Violation",
     "validate",
     "induce_chain",
     "value_iteration",
-    "policy_evaluation",
     "greedy_policy",
     "load_mdp",
     "mdp_from_document",
     "mdp_to_document",
-    "dump_mdp",
 ]
 
 # Probability bookkeeping tolerance.
@@ -69,6 +65,20 @@ def _where(mask):
     if mask.any():
         return np.argwhere(mask)
     return np.empty((0, mask.ndim), dtype=np.intp)
+
+
+def _index_by_text(ids, name, kind):
+    """Index of the id in ``ids`` whose text form is that of ``name``."""
+    texts = [str(i) for i in ids]
+    if str(name) not in texts:
+        raise ValueError(f"unknown {kind} id {name!r}")
+    return texts.index(str(name))
+
+
+def _repeats(ids):
+    """Whether two ids are equal or share a text form, which the command
+    line and the artifacts' keys could not tell apart."""
+    return len(set(ids)) < len(ids) or len({str(i) for i in ids}) < len(ids)
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,14 @@ class MdpSpec:
                         dtype=int)
 
     def state_index(self, state_id):
-        if state_id not in self.state_ids:
-            raise ValueError(f"unknown state id {state_id!r}")
-        return self.state_ids.index(state_id)
+        """Index of the state whose id has the text form of ``state_id``,
+        so that a command-line string names a numeric id too."""
+        return _index_by_text(self.state_ids, state_id, "state")
+
+    def action_index(self, action_id):
+        """Index of the action whose id has the text form of
+        ``action_id``."""
+        return _index_by_text(self.action_ids, action_id, "action")
 
     def with_rewards(self, reward) -> "MdpSpec":
         """Copy with a replaced reward table (used by reward-scale alignment)."""
@@ -304,9 +319,9 @@ def validate(mdp: MdpSpec) -> ValidationReport:
     """
     found = []
     n_s, n_a = len(mdp.state_ids), len(mdp.action_ids)
-    if len(set(mdp.state_ids)) != n_s:
+    if _repeats(mdp.state_ids):
         found.append(Violation("duplicate-state-ids", (), "state ids repeat"))
-    if len(set(mdp.action_ids)) != n_a:
+    if _repeats(mdp.action_ids):
         found.append(Violation("duplicate-action-ids", (), "action ids repeat"))
     P, r = np.asarray(mdp.transition), np.asarray(mdp.reward)
     if P.shape != (n_s, n_a, n_s):
@@ -384,7 +399,8 @@ def policy_iteration(evaluate, action_values, policy):
 
 def policy_values(mdp: MdpSpec, actions: np.ndarray) -> np.ndarray:
     """Values of the deterministic policies in the rows of ``actions``, by
-    one stacked solve; each equals policy_evaluation's solve bit for bit."""
+    one stacked solve of (I - g P_pi) V = r_pi; LAPACK solves each matrix
+    of the stack on its own, so each row has the bits of a lone solve."""
     states = np.arange(mdp.n_states)
     A = np.eye(mdp.n_states) - mdp.discount * mdp.transition[states, actions]
     return np.linalg.solve(A, mdp.reward[states, actions][..., None])[..., 0]
@@ -451,22 +467,6 @@ def strong_components(adj: np.ndarray) -> list:
     return components
 
 
-def policy_evaluation(mdp: MdpSpec, policy: Policy) -> ValueFunction:
-    """Exact V^pi from the linear system (I - g P_pi) V = r_pi."""
-    if not 0.0 < mdp.discount < 1.0:
-        raise ValueError("policy evaluation requires discount in (0,1)")
-    pi = policy.matrix(mdp.n_actions)
-    if pi.shape[0] != mdp.n_states:
-        raise ValueError("policy/state dimension mismatch")
-    P_pi = np.einsum("sa,sat->st", pi, mdp.transition)
-    r_pi = np.einsum("sa,sa->s", pi, mdp.reward)
-    A = np.eye(mdp.n_states) - mdp.discount * P_pi
-    # Nonsingular for discount < 1 (else LinAlgError, a ValueError).
-    v = np.linalg.solve(A, r_pi)
-    residual = float(np.max(np.abs(A @ v - r_pi)))
-    return ValueFunction(v, "policy", residual)
-
-
 def greedy_policy(mdp: MdpSpec, values: ValueFunction) -> Policy:
     """Deterministic policy that is greedy with respect to the given values."""
     return Policy.deterministic(q_values(mdp, values.values).argmax(axis=1))
@@ -521,13 +521,12 @@ def mdp_from_document(source) -> MdpSpec:
         raise ValueError("exactly one of 'rewards'/'rewards_sas' is required")
     states = document_field(doc, "states", list)
     actions = document_field(doc, "actions", list)
-    if any(isinstance(i, (list, dict)) for i in states + actions):
-        raise ValueError("state and action ids must be strings or numbers")
     safe_ids = document_field(doc, "safe", list)
-    for s in safe_ids:
-        if s not in states:
-            raise ValueError(f"safe state {s!r} not among states")
-    safe = frozenset(states.index(s) for s in safe_ids)
+    if not all(isinstance(i, (str, int, float)) and not isinstance(i, bool)
+               for i in states + actions + safe_ids):
+        raise ValueError("state and action ids must be strings or numbers")
+    safe = frozenset(_index_by_text(states, s, "safe state")
+                     for s in safe_ids)
     discount = float(document_field(doc, "discount", (int, float), float))
     transitions = document_field(doc, "transitions", list, float)
     if "rewards" in doc:
@@ -557,13 +556,3 @@ def mdp_to_document(mdp: MdpSpec) -> dict:
         "discount": mdp.discount,
         "safe": [mdp.state_ids[i] for i in sorted(mdp.safe_set)],
     }
-
-
-def dump_mdp(mdp: MdpSpec, target) -> None:
-    """Write the JSON MDP document to a path or file object."""
-    doc = mdp_to_document(mdp)
-    if hasattr(target, "write"):
-        json.dump(doc, target, indent=2)
-    else:
-        with open(target, "w") as fh:
-            json.dump(doc, fh, indent=2)

@@ -29,25 +29,17 @@ __all__ = [
     "PerturbationBoundReport",
     "RateReport",
     "realize_chain",
-    "transient_set",
     "shutdown_probability",
-    "spectral_radius",
     "perturbation_size",
-    "apply_perturbation",
     "chain_perturbation_bound",
     "rate_of_decrease_check",
-    "start_sensitivity",
-    "decrease_bound",
     "analyze_chain",
     "make_toy_policy",
     "tighten_policy_bound",
-    "jacobian_l1_norm",
     "finite_difference_jacobian",
-    "validate_diff_policy",
     "load_embedded",
     "embedded_to_document",
     "load_toy_policy",
-    "toy_policy_to_document",
 ]
 
 SUPPORT_TOL = 1e-15          # below this, a transition entry counts as zero
@@ -123,13 +115,6 @@ class Perturbation:
         return float(np.abs(self.delta_T).sum())
 
 
-def _row_faults(rows):
-    """(an entry below -1e-12, a sum off 1 by more than ROW_TOL) for each
-    row along the last axis; a NaN entry sets both."""
-    return (~np.all(rows >= -1e-12, axis=-1),
-            ~(np.abs(rows.sum(axis=-1) - 1.0) <= ROW_TOL))
-
-
 def realize_chain(emdp: EmbeddedMdp, policy: DiffPolicy) -> np.ndarray:
     """Combine policy and environment into the full transition matrix
     P[i, j] = sum_a pi(f(s_i))_a P_env[i, a, j]."""
@@ -138,7 +123,9 @@ def realize_chain(emdp: EmbeddedMdp, policy: DiffPolicy) -> np.ndarray:
     if pi.shape != shape:
         raise ValueError(f"policy evaluator returned an invalid {pi.shape} "
                          f"array for {shape[0]} states and {shape[1]} actions")
-    bad = np.flatnonzero(np.logical_or(*_row_faults(pi)))
+    # A row with an entry below -1e-12 or a sum off 1; NaN fails both.
+    bad = np.flatnonzero(~np.all(pi >= -1e-12, axis=1)
+                         | ~(np.abs(pi.sum(axis=1) - 1.0) <= ROW_TOL))
     if len(bad):
         raise ValueError(f"policy evaluator returned an invalid "
                          f"distribution at state {bad[0]}: {pi[bad[0]]}")
@@ -159,21 +146,18 @@ def transient_set(P: np.ndarray, safe) -> frozenset:
     return frozenset(np.flatnonzero(reach).tolist()) - safe
 
 
-def shutdown_probability(P: np.ndarray, safe,
-                         start: StartDistribution) -> float:
+def shutdown_probability(P: np.ndarray, safe, start: StartDistribution,
+                         trans=None) -> float:
     """Probability of eventually entering the safe set.
 
     Closed form of the step-sum: z solves (I - P diag(trans)) z = P v_safe,
     and the answer is start . z.  Mass starting inside the safe set scores
-    1, mass on recurrent non-safe states 0.
+    1, mass on recurrent non-safe states 0.  ``trans`` is the chain's
+    transient set, found from P when not given.
     """
     P = np.asarray(P, dtype=float)
-    return _shutdown_probability(P, safe, transient_set(P, safe), start)
-
-
-def _shutdown_probability(P: np.ndarray, safe, trans,
-                          start: StartDistribution) -> float:
-    """:func:`shutdown_probability` given the chain's transient set."""
+    if trans is None:
+        trans = transient_set(P, safe)
     n = P.shape[0]
     v_safe = np.zeros(n)
     v_safe[sorted(int(s) for s in safe)] = 1.0
@@ -240,12 +224,7 @@ def decrease_bound(P: np.ndarray, safe):
     block's spectral radius; it caps how fast the shutdown probability can
     fall per unit of perturbation size.
     """
-    return _decrease_bound(P, safe, transient_set(P, safe))
-
-
-def _decrease_bound(P: np.ndarray, safe, trans):
-    """:func:`decrease_bound` given the chain's transient set."""
-    trans = sorted(trans)
+    trans = sorted(transient_set(P, safe))
     lam = spectral_radius(np.asarray(P)[np.ix_(trans, trans)]) if trans \
         else 0.0
     if lam >= 1.0:
@@ -272,9 +251,9 @@ def analyze_chain(emdp: EmbeddedMdp, policy: DiffPolicy,
                   start: StartDistribution) -> OnPolicyAnalysis:
     P = realize_chain(emdp, policy)
     safe = emdp.base.safe_set
-    trans, lam, bound = _decrease_bound(P, safe, transient_set(P, safe))
+    trans, lam, bound = decrease_bound(P, safe)
     return OnPolicyAnalysis(trans, lam,
-                            _shutdown_probability(P, safe, trans, start),
+                            shutdown_probability(P, safe, start, trans),
                             bound)
 
 
@@ -346,32 +325,6 @@ def finite_difference_jacobian(policy: DiffPolicy, X):
     return np.stack([(np.asarray(policy.evaluator(X + e))
                       - np.asarray(policy.evaluator(X - e))) / (2.0 * h)
                      for e in h * np.eye(X.shape[-1])], axis=-1)
-
-
-def validate_diff_policy(policy: DiffPolicy, points) -> list:
-    """Check the policy contract at sample coordinates; returns a list of
-    violation descriptions (empty when clean), point by point.  The
-    jacobian must match central differences to a relative 1e-5."""
-    X = np.asarray(points, dtype=float)
-    if len(X) == 0:
-        return []
-    rows = np.asarray(policy.evaluator(X))
-    negative, off_sum = _row_faults(rows)
-    jac = np.asarray(policy.jacobian(X))
-    col_sums = np.abs(jac.sum(axis=-2)).max(axis=-1, initial=0.0)
-    fd = finite_difference_jacobian(policy, X)
-    scale = np.abs(fd).max(axis=(-2, -1), initial=1e-12)
-    checks = (
-        (negative, "negative probability at point {k}"),
-        (off_sum, "probabilities sum to {total!r} at point {k}"),
-        (col_sums > 1e-8, "jacobian columns sum to {col!r} at point {k}"),
-        (np.abs(fd - jac).max(axis=(-2, -1)) / scale > 1e-5,
-         "jacobian disagrees with finite differences at point {k}"),
-        (jacobian_l1_norm(jac) > policy.bound_b + 1e-9,
-         "bound_b violated at point {k}"))
-    faults = np.stack([flags for flags, _ in checks], axis=1)
-    return [checks[j][1].format(k=k, total=rows[k].sum(), col=col_sums[k])
-            for k, j in zip(*np.nonzero(faults))]
 
 
 @dataclass(frozen=True)
@@ -454,48 +407,33 @@ class RateReport:
 
 def rate_of_decrease_check(emdp: EmbeddedMdp, policy: DiffPolicy,
                            pert: Perturbation,
-                           start: StartDistribution | None = None) -> RateReport:
+                           start: StartDistribution | None = None,
+                           base: OnPolicyAnalysis | None = None) -> RateReport:
     """Exact shutdown probabilities before/after the perturbation and the
     observed decrease rate against the bound of the base chain.
 
-    ``start`` defaults to uniform over non-safe states.
+    ``start`` defaults to uniform over non-safe states.  ``base`` is
+    ``analyze_chain(emdp, policy, start)``, computed when not given, so
+    that a ladder of perturbations analyses the base chain once; it needs
+    the ``start`` it was analysed from.
     """
+    if base is not None and start is None:
+        raise ValueError("a given base analysis needs its start distribution")
     if start is None:
         start = StartDistribution.uniform_over(
             emdp.base.n_states, emdp.base.nonsafe_indices)
-    return _rate_against(analyze_chain(emdp, policy, start), emdp, policy,
-                         pert, start)
-
-
-def _rate_against(base: OnPolicyAnalysis, emdp: EmbeddedMdp,
-                  policy: DiffPolicy, pert: Perturbation,
-                  start: StartDistribution) -> RateReport:
-    """:func:`rate_of_decrease_check` given the analysis of the base chain
-    from ``start``, so that a ladder of perturbations analyses it once."""
+    if base is None:
+        base = analyze_chain(emdp, policy, start)
     safe = emdp.base.safe_set
     P_new = realize_chain(apply_perturbation(emdp, pert), policy)
     trans_new = transient_set(P_new, safe)
-    after = _shutdown_probability(P_new, safe, trans_new, start)
+    after = shutdown_probability(P_new, safe, start, trans_new)
     size = perturbation_size(emdp, policy, pert)
     ratio = 0.0 if size == 0.0 else -(after - base.safety) / size
     return RateReport(
         s_pi_before=base.safety, s_pi_after=after, size=size, ratio=ratio,
         bound_B=base.bound_B, within_bound=ratio < base.bound_B,
         trans_preserved=base.s_trans <= trans_new)
-
-
-def start_sensitivity(P: np.ndarray, safe, d1: StartDistribution,
-                      d2: StartDistribution) -> float:
-    """|S_pi(d1) - S_pi(d2)|, asserted against the Euclidean bound
-    ||d1 - d2||_2 on the start distributions."""
-    s1 = shutdown_probability(P, safe, d1)
-    s2 = shutdown_probability(P, safe, d2)
-    diff = abs(s1 - s2)
-    bound = float(np.linalg.norm(d1.weights - d2.weights))
-    if diff > bound + 1e-10:
-        raise RuntimeError(
-            f"start sensitivity {diff!r} exceeds the L2 bound {bound!r}")
-    return diff
 
 
 # -- toy differentiable policies ----------------------------------------------
@@ -565,11 +503,6 @@ def load_embedded(source) -> EmbeddedMdp:
     if side_info is not None and not isinstance(side_info, list):
         raise ValueError("document field 'side_info' must be a list")
     return EmbeddedMdp(load_mdp(doc), embedding, side_info)
-
-
-def toy_policy_to_document(weights, temperature) -> dict:
-    return {"weights": np.asarray(weights, dtype=float).tolist(),
-            "temperature": float(temperature)}
 
 
 def load_toy_policy(source) -> DiffPolicy:

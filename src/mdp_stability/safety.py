@@ -26,14 +26,10 @@ __all__ = [
     "SafetyQuery",
     "SafetyCertificate",
     "StabilityReport",
-    "hitting_time",
     "expected_steps",
-    "start_charge",
-    "enumerate_epsilon_optimal",
     "certify_safety",
     "verify_stability_instance",
     "safety_frontier",
-    "POLICY_CAP",
 ]
 
 # Most deterministic policies one certificate or frontier may enumerate,
@@ -111,14 +107,6 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
     return t.reshape(shape)
 
 
-def hitting_time(chain: InducedChain, start: StartDistribution):
-    """Expected steps to absorption from ``start`` (math.inf if any
-    positive-mass state is not almost surely absorbed), a float for one
-    chain and an array over the leading axes of a stack.  A start with
-    mass on safe states is rejected."""
-    return start_charge(chain, start, expected_steps(chain))
-
-
 def _start_mass(chain: InducedChain, start: StartDistribution):
     """(chain states with mass, their mass) of ``start``; a start with mass
     on safe states is rejected."""
@@ -134,8 +122,11 @@ def _start_mass(chain: InducedChain, start: StartDistribution):
 
 def start_charge(chain: InducedChain, start: StartDistribution,
                  steps: np.ndarray):
-    """:func:`hitting_time` of ``start`` from the chain's expected steps
-    ``steps``, as :func:`expected_steps` returns them."""
+    """Expected steps to absorption from ``start``, from the chain's
+    expected steps ``steps`` as :func:`expected_steps` returns them:
+    math.inf if any state with mass is not almost surely absorbed, a float
+    for one chain and an array over the leading axes of a stack.  A start
+    with mass on safe states is rejected."""
     hit, mass = _start_mass(chain, start)
     # One dot product of contiguous vectors per chain, as for a single
     # chain: a stacked or strided product may sum in another order.
@@ -237,14 +228,6 @@ def _policy_table(mdp: MdpSpec, epsilon: float):
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
         yield actions, np.max(v_star - policy_values(mdp, actions), axis=-1)
-
-
-def enumerate_epsilon_optimal(mdp: MdpSpec, query: SafetyQuery) -> list:
-    """Every deterministic stationary policy whose exact value loss
-    max_s V*(s) - V(s) is below epsilon."""
-    return [Policy.deterministic(row)
-            for actions, loss in _policy_table(mdp, query.epsilon)
-            for row in actions[loss < query.epsilon]]
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,10 @@ from .mdp import MdpSpec, _sealed, validate, value_iteration
 from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation, perturbation_size
 
 __all__ = [
-    "PerturbationSupport",
     "PlayingDeadParams",
     "build_playing_dead",
     "build_uniform_shutdown",
     "build_duplicated",
-    "perturbation_support",
     "random_family",
     "random_family_metadata",
     "random_perturbation",

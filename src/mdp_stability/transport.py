@@ -21,12 +21,9 @@ __all__ = [
     "TransportProblem",
     "TransportSolution",
     "solve_transport",
-    "kr_lower_bound",
-    "BatchedTransport",
 ]
 
 MARGINAL_TOL = 1e-9
-DUAL_TOL = 1e-9
 # A basis is optimal once no reduced cost falls below -REUSE_TOL times
 # max(1, the problem's largest cost); its plan is then within that much of
 # the optimum.
@@ -96,28 +93,6 @@ def solve_transport(problem: TransportProblem) -> TransportSolution:
     return TransportSolution(float(cost[0, basis[0]] @ flow[0]),
                              _scatter(basis, flow, m * n).reshape(m, n),
                              uv[:m], uv[m:])
-
-
-def kr_lower_bound(problem: TransportProblem, f_left, f_right) -> float:
-    """Weak-duality lower bound sum(f_left*mu) - sum(f_right*nu).
-
-    The potential pair must satisfy f_left_i - f_right_j <= cost_ij for all
-    (i, j); violations are rejected naming the worst offending pair.  The
-    returned value never exceeds the optimal transport cost.  A solver
-    certificate (u, v) satisfies u_i + v_j <= cost_ij, so it enters here as
-    (u, -v), where it reproduces the optimum exactly.
-    """
-    f_left = np.asarray(f_left, dtype=float)
-    f_right = np.asarray(f_right, dtype=float)
-    if f_left.shape != problem.mu.shape or f_right.shape != problem.nu.shape:
-        raise ValueError("potential lengths must match the marginals")
-    slack = problem.cost - (f_left[:, None] - f_right[None, :])
-    if slack.min() < -DUAL_TOL:
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        raise ValueError(
-            f"infeasible potentials: f_left[{i}] - f_right[{j}] exceeds "
-            f"cost[{i},{j}] by {-slack[i, j]!r}")
-    return float(f_left @ problem.mu - f_right @ problem.nu)
 
 
 class BatchedTransport:

@@ -9,13 +9,13 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import spsolve
 
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
-                           finite_difference_jacobian, induce_chain,
-                           metric_update, perturbation_size,
-                           policy_evaluation, spectral_radius)
+                           expected_steps, finite_difference_jacobian,
+                           induce_chain, metric_update, perturbation_size)
 from mdp_stability.bisim import _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, can_reach)
-from mdp_stability.onpolicy import ROW_TOL
+from mdp_stability.onpolicy import ROW_TOL, spectral_radius
+from mdp_stability.safety import _policy_table, start_charge
 
 _BASIS_CACHE = {}
 
@@ -116,6 +116,58 @@ def random_mdp(seed, n_states=4, n_actions=2, gamma=0.9, safe_absorbing=True,
     ids = tuple(f"s{i}" for i in range(n_states))
     acts = tuple(f"a{j}" for j in range(n_actions))
     return MdpSpec(ids, acts, P, r, gamma, safe)
+
+
+def policy_evaluation(mdp, policy):
+    """Exact V^pi from the linear system (I - g P_pi) V = r_pi, for a
+    deterministic or a stochastic policy; the residual is the sup-norm of
+    the system's defect.  An oracle for ``mdp.policy_values``."""
+    if not 0.0 < mdp.discount < 1.0:
+        raise ValueError("policy evaluation requires discount in (0,1)")
+    pi = policy.matrix(mdp.n_actions)
+    if pi.shape[0] != mdp.n_states:
+        raise ValueError("policy/state dimension mismatch")
+    P_pi = np.einsum("sa,sat->st", pi, mdp.transition)
+    r_pi = np.einsum("sa,sa->s", pi, mdp.reward)
+    A = np.eye(mdp.n_states) - mdp.discount * P_pi
+    v = np.linalg.solve(A, r_pi)
+    return ValueFunction(v, "policy", float(np.max(np.abs(A @ v - r_pi))))
+
+
+def kr_lower_bound(problem, f_left, f_right):
+    """Weak-duality lower bound sum(f_left*mu) - sum(f_right*nu), which
+    never exceeds the optimal transport cost.
+
+    The potential pair must satisfy f_left_i - f_right_j <= cost_ij + 1e-9
+    for all (i, j); violations are rejected naming the worst offending
+    pair.  A solver certificate (u, v) satisfies u_i + v_j <= cost_ij, so
+    it enters here as (u, -v), where it reproduces the optimum exactly.
+    """
+    f_left = np.asarray(f_left, dtype=float)
+    f_right = np.asarray(f_right, dtype=float)
+    if f_left.shape != problem.mu.shape or f_right.shape != problem.nu.shape:
+        raise ValueError("potential lengths must match the marginals")
+    slack = problem.cost - (f_left[:, None] - f_right[None, :])
+    if slack.min() < -1e-9:
+        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+        raise ValueError(
+            f"infeasible potentials: f_left[{i}] - f_right[{j}] exceeds "
+            f"cost[{i},{j}] by {-slack[i, j]!r}")
+    return float(f_left @ problem.mu - f_right @ problem.nu)
+
+
+def hitting_time(chain, start):
+    """Expected steps to absorption from ``start``, as the package charges
+    a start."""
+    return start_charge(chain, start, expected_steps(chain))
+
+
+def enumerate_epsilon_optimal(mdp, query):
+    """The deterministic policies with a value loss below epsilon, as the
+    package's policy table finds them."""
+    return [Policy.deterministic(row)
+            for actions, loss in _policy_table(mdp, query.epsilon)
+            for row in actions[loss < query.epsilon]]
 
 
 def all_deterministic_policies(mdp):
@@ -364,8 +416,12 @@ def reference_jacobian_l1_norm(jac):
     return best
 
 
-def reference_validate_diff_policy(policy, points):
-    """The policy contract checked one point at a time."""
+def validate_diff_policy(policy, points):
+    """Violations of the differentiable-policy contract at the given
+    coordinates, one point at a time (empty when clean): rows are
+    distributions, jacobian columns sum to zero and match central
+    differences to a relative 1e-5, and bound_b dominates the jacobian's
+    norm."""
     problems = []
     for k, x in enumerate(points):
         x = np.asarray(x, dtype=float)
@@ -461,10 +517,12 @@ def reference_validate(mdp):
     whether or not it has a true entry."""
     found = []
     n_s, n_a = len(mdp.state_ids), len(mdp.action_ids)
-    if len(set(mdp.state_ids)) != n_s:
-        found.append(Violation("duplicate-state-ids", (), "state ids repeat"))
-    if len(set(mdp.action_ids)) != n_a:
-        found.append(Violation("duplicate-action-ids", (), "action ids repeat"))
+    for kind, ids in (("state", mdp.state_ids), ("action", mdp.action_ids)):
+        texts = [str(i) for i in ids]
+        if any(ids.count(i) > 1 or texts.count(t) > 1
+               for i, t in zip(ids, texts)):
+            found.append(Violation(f"duplicate-{kind}-ids", (),
+                                   f"{kind} ids repeat"))
     P, r = np.asarray(mdp.transition), np.asarray(mdp.reward)
     if P.shape != (n_s, n_a, n_s):
         found.append(Violation("transition-shape", P.shape,

@@ -244,6 +244,96 @@ class TestQuotientInputs:
         assert out["quotient"]["states"] == ["0+1", "2"]
 
 
+def numeric_doc():
+    """hibernation_doc with the states named 0, 1, 2 and the actions 0, 1."""
+    return {**hibernation_doc(), "states": [0, 1, 2], "actions": [0, 1],
+            "safe": [2]}
+
+
+class TestNumericIds:
+    """A flag names a numeric id by its text; ids the command line could
+    not tell apart, or that are neither strings nor numbers, are refused."""
+
+    @pytest.mark.parametrize("numeric,named", [
+        (["hitting-time", "@n", "--start", "0"],
+         ["hitting-time", "@h", "--start", "work"]),
+        (["certify", "@n", "--epsilon", "0.5", "--start", "1"],
+         ["certify", "@h", "--epsilon", "0.5", "--start", "wrap"]),
+        (["onpolicy", "@ne", "@p", "--start", "0"],
+         ["onpolicy", "@he", "@p", "--start", "work"]),
+    ])
+    def test_flags_name_numeric_ids(self, tmp_path, capsys, numeric, named):
+        files = {"@n": write_doc(tmp_path / "n.json", numeric_doc()),
+                 "@h": write_doc(tmp_path / "h.json", hibernation_doc()),
+                 "@ne": write_doc(tmp_path / "ne.json",
+                                  {**numeric_doc(),
+                                   "embedding": [[0.0], [0.5], [1.0]]}),
+                 "@he": write_doc(tmp_path / "he.json",
+                                  {**hibernation_doc(),
+                                   "embedding": [[0.0], [0.5], [1.0]]}),
+                 "@p": write_doc(tmp_path / "p.json", POLICY_DOC)}
+        assert main([files.get(a, a) for a in numeric]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert main([files.get(a, a) for a in named]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        if "expected_steps" in out:
+            out["expected_steps"] = list(out["expected_steps"].values())
+            out.pop("start")
+            expected["expected_steps"] = list(
+                expected["expected_steps"].values())
+            expected.pop("start")
+        assert out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["duplicate", "@n", "--state", "1"],
+        ["uniform-shutdown", "@n", "--big-n", "5", "--target", "2"],
+        ["playing-dead", "@n", "--delta", "1e-3", "--epsilon", "0.5",
+         "--escape-state", "0", "--escape-action", "0"],
+    ])
+    def test_generators_take_numeric_ids(self, tmp_path, capsys, argv):
+        path = write_doc(tmp_path / "n.json", numeric_doc())
+        assert main([path if a == "@n" else a for a in argv]) == 0
+        assert load_mdp(json.loads(capsys.readouterr().out))
+
+    @pytest.mark.parametrize("field,ids", [
+        ("states", [None, 1, 2]), ("states", [0, True, 2]),
+        ("actions", [0, False]), ("safe", [True])])
+    def test_null_and_boolean_ids_are_rejected(self, tmp_path, capsys,
+                                               field, ids):
+        path = write_doc(tmp_path / "n.json", {**numeric_doc(), field: ids})
+        assert main(["validate", path]) == 2
+        assert "must be strings or numbers" in capsys.readouterr().err
+
+    def test_safe_ids_resolve_by_text_like_the_flags(self, tmp_path,
+                                                     capsys):
+        path = write_doc(tmp_path / "n.json", numeric_doc())
+        assert main(["hitting-time", path, "--start", "0"]) == 0
+        expected = capsys.readouterr().out
+        text = write_doc(tmp_path / "t.json", {**numeric_doc(),
+                                               "safe": ["2"]})
+        assert main(["hitting-time", text, "--start", "0"]) == 0
+        assert capsys.readouterr().out == expected
+        # 2.0 is equal to 2 but reads "2.0", which --start 2.0 would not
+        # find among the states either.
+        real = write_doc(tmp_path / "r.json", {**numeric_doc(),
+                                               "safe": [2.0]})
+        assert main(["validate", real]) == 2
+        assert "unknown safe state id 2.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,ids,code", [
+        ("states", [0, "0", 2], "duplicate-state-ids"),
+        ("states", [0, 0.0, 2], "duplicate-state-ids"),
+        ("actions", [1, "1"], "duplicate-action-ids")])
+    def test_ids_sharing_a_text_form_repeat(self, tmp_path, capsys, field,
+                                            ids, code):
+        path = write_doc(tmp_path / "n.json", {**numeric_doc(), field: ids})
+        assert main(["validate", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert [v.split("@")[0] for v in out["violations"]] == [code]
+        assert main(["hitting-time", path]) == 2
+        assert code in capsys.readouterr().err
+
+
 class TestHittingTimeCommand:
     def test_greedy_walk(self, tmp_path, capsys):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -814,6 +904,9 @@ UNUSABLE_INPUT = [
       "--escape-state", "work", "--escape-action", "nope"],
      "unknown action id 'nope'"),
     (["onpolicy", "@e", "@p", "--start", "nope"], "unknown state id 'nope'"),
+    (["onpolicy", "@e-tags-text", "@p"],
+     "document field 'side_info' must be a list"),
+    (["onpolicy", "@e-tags-short", "@p"], "side_info length mismatch"),
     (["frontier", "@m", "--grid", "0"], "no epsilon"),
     (["frontier", "@m", "--grid", "-3"], "no epsilon"),
     (["frontier", "@m", "--sizes", ","], "no epsilon"),
@@ -887,6 +980,11 @@ def test_unusable_input_exits_2_with_its_message(tmp_path, capsys, argv,
              "@e-safe": write_doc(tmp_path / "e-safe.json",
                                   {**embedded_doc(),
                                    "safe": ["work", "wrap", "shutdown"]}),
+             "@e-tags-text": write_doc(tmp_path / "e-tags-text.json",
+                                       {**embedded_doc(), "side_info": "abc"}),
+             "@e-tags-short": write_doc(tmp_path / "e-tags-short.json",
+                                        {**embedded_doc(),
+                                         "side_info": ["a", "b"]}),
              "@p": write_doc(tmp_path / "p.json", POLICY_DOC),
              "@p-dim2": write_doc(tmp_path / "p2.json",
                                   {"weights": [[1.0, 0.0], [-1.0, 0.0]],

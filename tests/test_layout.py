@@ -1,8 +1,10 @@
 """Layout of the package: every import sits at module level, the modules of
 the package import each other without a cycle, the package and its command
 line load no scipy, no module imports warnings or reads the environment,
-and every exception the package raises is one that the command line maps
-to an exit code."""
+every exception the package raises is one that the command line maps to an
+exit code, the command line takes no private name from another module, and
+the package exports only what a command, a demo or an acceptance criterion
+uses, with the types those calls return."""
 
 import ast
 import builtins
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdp_stability"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mdp_stability"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -167,3 +170,88 @@ def test_every_raised_exception_maps_to_an_exit_code():
         if not ancestors(name, classes) & handled
         and (module, function, name) not in UNMAPPED_BY_DESIGN)
     assert unmapped == []
+
+
+def package_names(tree):
+    """(module, name) of every name that ``tree`` imports from the package
+    or one of its modules; the module is None for the package itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level:
+            module = parts[0] or None
+        elif parts[0] == "mdp_stability":
+            module = parts[1] if len(parts) > 1 else None
+        else:
+            continue
+        found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+def test_cli_imports_no_private_name():
+    private = sorted(f"{module}.{name}"
+                     for module, name in package_names(MODULES["cli"])
+                     if module and name.startswith("_"))
+    assert private == []
+
+
+# The users of the package's public surface: the command line, the demos,
+# the acceptance criteria and the benchmark driver.
+USERS = [MODULES["cli"]] + [
+    ast.parse(path.read_text(), filename=str(path))
+    for path in sorted((ROOT / "demos").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "run.py"]]
+# Exported names that no user imports, each with its reason.
+UNUSED_BY_DESIGN = {
+    "AlignmentResult": "returned by align_reward_scale",
+    "CrossMetric": "returned by cross_bisim_metric",
+    "IsolationResult": "returned by isolation_check",
+    "QuotientResult": "returned by bisim_quotient",
+    "ValidationReport": "returned by validate",
+    "ValueFunction": "returned by value_iteration",
+    "DiffPolicy": "returned by make_toy_policy",
+    "OnPolicyAnalysis": "returned by analyze_chain",
+    "PerturbationBoundReport": "returned by chain_perturbation_bound",
+    "RateReport": "returned by rate_of_decrease_check",
+    "SafetyCertificate": "returned by certify_safety",
+    "StabilityReport": "returned by verify_stability_instance",
+    "TransportSolution": "returned by solve_transport",
+}
+
+
+def exported():
+    """{name: module} of the names that ``__init__`` re-exports."""
+    return {name: module
+            for module, name in package_names(MODULES["__init__"])}
+
+
+def used():
+    return {name for tree in USERS for _, name in package_names(tree)}
+
+
+def test_every_export_has_a_user():
+    unused = set(exported()) - used()
+    assert sorted(unused - set(UNUSED_BY_DESIGN)) == []
+    # An entry whose name is gone or has found a user goes too.
+    assert sorted(set(UNUSED_BY_DESIGN) - unused) == []
+
+
+@pytest.mark.parametrize("name", sorted(UNUSED_BY_DESIGN))
+def test_an_unused_export_is_returned_by_a_used_one(name):
+    function = UNUSED_BY_DESIGN[name].removeprefix("returned by ")
+    assert function in used() and function in exported()
+    [definition] = [node for node in ast.walk(MODULES[exported()[function]])
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == function]
+    assert ast.unparse(definition.returns) == name
+
+
+@pytest.mark.parametrize("module", sorted(set(exported().values())))
+def test_module_all_lists_what_the_package_exports(module):
+    [listed] = [node.value for node in MODULES[module].body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["__all__"]]
+    assert sorted(ast.literal_eval(listed)) \
+        == sorted(name for name, m in exported().items() if m == module)

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (_reference_grid, random_mdp, reference_certify,
-                     reference_enumerate, reference_expected_steps,
-                     reference_frontier, reference_hitting_time,
-                     reference_value_iteration)
+from helpers import (_reference_grid, enumerate_epsilon_optimal,
+                     hitting_time, policy_evaluation, random_mdp,
+                     reference_certify, reference_enumerate,
+                     reference_expected_steps, reference_frontier,
+                     reference_hitting_time, reference_value_iteration)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            SafetyQuery, StartDistribution, build_duplicated,
-                           certify_safety, enumerate_epsilon_optimal,
-                           expected_steps, greedy_policy, hitting_time,
-                           induce_chain, policy_evaluation, safety,
-                           safety_frontier, value_iteration, ValueFunction,
+                           certify_safety, expected_steps, greedy_policy,
+                           induce_chain, safety, safety_frontier,
+                           value_iteration, ValueFunction,
                            verify_stability_instance)
 
 

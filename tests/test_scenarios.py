@@ -14,7 +14,8 @@ from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            hausdorff_distance, induce_chain, isolation_check,
                            random_family, tighten_policy_bound, validate)
 from mdp_stability.scenarios import perturbation_support, random_perturbation
-from mdp_stability.onpolicy import EmbeddedMdp, make_toy_policy
+from mdp_stability.onpolicy import (EmbeddedMdp, apply_perturbation,
+                                    make_toy_policy, perturbation_size)
 
 from helpers import reference_perturbation
 
@@ -241,7 +242,6 @@ class TestRandomPerturbation:
         rng = np.random.default_rng(seed)
         policy = tighten_policy_bound(
             make_toy_policy(rng.standard_normal((2, 3))), emdp.embedding)
-        from mdp_stability import perturbation_size, apply_perturbation
         size = 10.0 ** rng.uniform(-6, -3)
         pert = random_perturbation(emdp, policy, size, seed)
         assert perturbation_size(emdp, policy, pert) == pytest.approx(

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import _solve_blocks, brute_force_transport, random_distribution
-from mdp_stability import (BatchedTransport, TransportProblem, kr_lower_bound,
-                           solve_transport, transport)
+from helpers import (_solve_blocks, brute_force_transport, kr_lower_bound,
+                     random_distribution)
+from mdp_stability import TransportProblem, solve_transport, transport
 from mdp_stability.mdp import PROB_TOL
-from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, _northwest_corner,
-                                     _potential_map, _simplex)
+from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, BatchedTransport,
+                                     _northwest_corner, _potential_map,
+                                     _simplex)
 
 
 def check_solution(problem, sol, tol=1e-9):
