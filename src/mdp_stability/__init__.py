@@ -17,9 +17,8 @@ from .onpolicy import (DiffPolicy, EmbeddedMdp, OnPolicyAnalysis,
                        analyze_chain, chain_perturbation_bound,
                        embedded_to_document, finite_difference_jacobian,
                        load_embedded, load_toy_policy, make_toy_policy,
-                       perturbation_size, rate_of_decrease_check,
-                       realize_chain, shutdown_probability,
-                       tighten_policy_bound)
+                       rate_of_decrease_check, realize_chain,
+                       shutdown_probability, tighten_policy_bound)
 from .safety import (SafetyCertificate, SafetyQuery, StabilityReport,
                      certify_safety, expected_steps, safety_frontier,
                      verify_stability_instance)

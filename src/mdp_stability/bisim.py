@@ -45,6 +45,10 @@ class NonConvergence(RuntimeError):
     """An iterative computation stopped before reaching its tolerance."""
 
 
+# Most applications of the update that one metric fixed point may make.
+MAX_APPLICATIONS = 10_000
+
+
 @dataclass(frozen=True)
 class BisimConfig:
     """Coefficients and stopping data for the metric fixed point.
@@ -53,14 +57,12 @@ class BisimConfig:
     c_T must stay below 1 for the update to contract.  Iteration stops once
     the residual of an application of the update drops below
     tolerance*(1 - c_T), which bounds the sup-norm distance to the true
-    fixed point by ``tolerance``; ``max_iterations`` caps the
-    applications.
+    fixed point by ``tolerance``; at most ``MAX_APPLICATIONS`` are made.
     """
 
     c_R: float
     c_T: float
     tolerance: float = 1e-6
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < self.c_T < 1.0:
@@ -222,13 +224,16 @@ class _PairSweep:
 
 def metric_update(m1: MdpSpec, m2: MdpSpec, config: BisimConfig,
                   dist: np.ndarray) -> np.ndarray:
-    """Apply the metric update operator once to an arbitrary nonnegative
-    cost matrix.  Exposed so the contraction property is directly testable."""
+    """Apply the metric update operator once to an arbitrary finite,
+    nonnegative cost matrix.  Exposed so the contraction property is
+    directly testable."""
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (m1.n_states, m2.n_states):
         raise ValueError("distance matrix shape mismatch")
-    if np.any(dist < 0):
-        raise ValueError("distance matrix must be nonnegative")
+    # Comparisons with NaN are false, so a NaN entry would pass the sign
+    # test.
+    if not np.all(np.isfinite(dist)) or np.any(dist < 0):
+        raise ValueError("distance matrix must be finite and nonnegative")
     return _PairSweep(m1, m2, config).apply(dist)
 
 
@@ -247,8 +252,8 @@ def cross_bisim_metric(m1: MdpSpec, m2: MdpSpec,
 
     The loop stops when an application's residual certifies a sup-norm
     error below ``config.tolerance``; that application is the returned
-    matrix and ``iterations_used`` counts the applications.  If the
-    budget of applications runs out the partial matrix is returned with
+    matrix and ``iterations_used`` counts the applications.  If
+    ``MAX_APPLICATIONS`` run out the partial matrix is returned with
     ``converged`` False.
     """
     sweep = _PairSweep(m1, m2, config)
@@ -256,7 +261,7 @@ def cross_bisim_metric(m1: MdpSpec, m2: MdpSpec,
     residual = math.inf
     iterations = 0
     held, final = None, False
-    while iterations < config.max_iterations:
+    while iterations < MAX_APPLICATIONS:
         new = sweep.apply(dist)
         residual = float(np.max(np.abs(new - dist)))
         iterations += 1

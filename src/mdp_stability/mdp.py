@@ -157,61 +157,33 @@ class MdpSpec:
 
 @dataclass(frozen=True)
 class Policy:
-    """Stationary policy, deterministic (per-state action index) or
-    stochastic (per-state probability row over actions)."""
+    """Deterministic stationary policy: the action index of each state.
 
-    kind: str                 # "deterministic" | "stochastic"
+    A finite discounted MDP has an optimal policy of this kind (Puterman,
+    Markov Decision Processes, section 6.2), and every certificate is
+    taken over policies of this kind.
+    """
+
     table: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "stochastic"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        dtype = int if self.kind == "deterministic" else float
-        object.__setattr__(self, "table", _frozen(self.table, dtype=dtype))
-        if self.kind == "deterministic":
-            if self.table.ndim != 1:
-                raise ValueError("deterministic policy table must be 1-d")
-            if np.any(self.table < 0):
-                raise ValueError("negative action index")
-        else:
-            if self.table.ndim != 2:
-                raise ValueError("stochastic policy table must be 2-d")
-            rows = self.table.sum(axis=1)
-            if np.any(np.abs(rows - 1.0) > PROB_TOL) or np.any(self.table < 0):
-                raise ValueError("stochastic policy rows must be distributions")
+        object.__setattr__(self, "table", _frozen(self.table, dtype=int))
+        if self.table.ndim != 1:
+            raise ValueError("policy table must be 1-d")
+        if np.any(self.table < 0):
+            raise ValueError("negative action index")
 
     @classmethod
     def deterministic(cls, actions):
-        return cls("deterministic", np.asarray(actions, dtype=int))
-
-    @classmethod
-    def stochastic(cls, table):
-        return cls("stochastic", np.asarray(table, dtype=float))
-
-    def matrix(self, n_actions) -> np.ndarray:
-        """Per-state action-probability rows, regardless of kind."""
-        if self.kind == "stochastic":
-            if self.table.shape[1] != n_actions:
-                raise ValueError("policy/action dimension mismatch")
-            return np.asarray(self.table)
-        if np.any(self.table >= n_actions):
-            raise ValueError("action index out of range")
-        rows = np.zeros((len(self.table), n_actions))
-        rows[np.arange(len(self.table)), self.table] = 1.0
-        return rows
+        return cls(actions)
 
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Per-state values with the solver's residual.
-
-    kind is "optimal" (from value_iteration) or "policy" (from exact policy
-    evaluation); residual is the final Bellman residual or the sup-norm of
-    the linear-system defect respectively.
-    """
+    """Optimal values V* per state, with their Bellman residual
+    max_s |max_a Q(s, a) - V(s)|."""
 
     values: np.ndarray
-    kind: str
     residual: float
 
     def __post_init__(self):
@@ -365,15 +337,22 @@ def validate(mdp: MdpSpec) -> ValidationReport:
 def induce_chain(mdp: MdpSpec, policy: Policy) -> InducedChain:
     """Fix a policy and restrict the resulting Markov chain to non-safe
     states, recording the per-state one-step absorption probability."""
-    pi = policy.matrix(mdp.n_actions)
-    if pi.shape[0] != mdp.n_states:
+    if len(policy.table) != mdp.n_states:
         raise ValueError("policy/state dimension mismatch")
-    P_pi = np.einsum("sa,sat->st", pi, mdp.transition)
+    if np.any(policy.table >= mdp.n_actions):
+        raise ValueError("action index out of range")
+    return _chains(mdp, policy.table)
+
+
+def _chains(mdp: MdpSpec, actions: np.ndarray) -> InducedChain:
+    """The chains that the action tables along the last axis of
+    ``actions`` induce, stacked along its leading axes (one table, one
+    chain): each non-safe state's row of the transition under its action,
+    split into its non-safe part and its mass on the safe set."""
     keep = mdp.nonsafe_indices
-    safe = mdp.safe_indices
-    Q = P_pi[np.ix_(keep, keep)]
-    absorb = P_pi[np.ix_(keep, safe)].sum(axis=1) if len(safe) else np.zeros(len(keep))
-    return InducedChain(Q, absorb, keep)
+    rows = mdp.transition[keep, actions[..., keep]]
+    return InducedChain(rows[..., keep],
+                        rows[..., mdp.safe_indices].sum(axis=-1), keep)
 
 
 # Policy iteration switches a state's action only for a gain above this
@@ -430,7 +409,7 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
                            16 * np.finfo(float).eps * np.abs(q).max()):
         raise ValueError(f"value iteration: Bellman residual {residual!r} "
                          f"does not certify an error below {tol!r}")
-    return ValueFunction(v, "optimal", residual)
+    return ValueFunction(v, residual)
 
 
 def can_reach(adj: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "RateReport",
     "realize_chain",
     "shutdown_probability",
-    "perturbation_size",
     "chain_perturbation_bound",
     "rate_of_decrease_check",
     "analyze_chain",

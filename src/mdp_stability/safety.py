@@ -18,7 +18,7 @@ import numpy as np
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
 from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
-                  StartDistribution, can_reach, policy_values,
+                  StartDistribution, _chains, can_reach, policy_values,
                   q_values, value_iteration)
 from .onpolicy import spectral_radius
 
@@ -140,10 +140,7 @@ def start_charge(chain: InducedChain, start: StartDistribution,
 def _member_steps(mdp: MdpSpec, actions: np.ndarray):
     """(stacked induced chains, expected steps per chain state) of the
     deterministic policies in the rows of ``actions``."""
-    keep = mdp.nonsafe_indices
-    rows = mdp.transition[keep, actions[:, keep]]
-    chains = InducedChain(rows[..., keep],
-                          rows[..., mdp.safe_indices].sum(axis=-1), keep)
+    chains = _chains(mdp, actions)
     return chains, expected_steps(chains)
 
 

@@ -62,10 +62,6 @@ class TransportProblem:
         if not np.all(np.isfinite(cost)) or np.any(cost < 0):
             raise ValueError("cost entries must be finite and nonnegative")
 
-    def to_document(self):
-        return {"mu": self.mu.tolist(), "nu": self.nu.tolist(),
-                "cost": self.cost.tolist()}
-
 
 @dataclass(frozen=True)
 class TransportSolution:
@@ -139,15 +135,11 @@ class BatchedTransport:
         self.solved = 0
         self.reused = 0
 
-    def values(self, costs) -> np.ndarray:
-        """Optimal values for this batch under new costs.
-
-        ``costs`` is one (m, n) matrix per problem, or all of them raveled
-        and concatenated in problem order as a single 1-d array.
-        """
-        if not (isinstance(costs, np.ndarray) and costs.ndim == 1):
-            costs = np.concatenate([np.zeros(0)] + [
-                np.ravel(np.asarray(c, float)) for c in costs])
+    def values(self, costs: np.ndarray) -> np.ndarray:
+        """Optimal values for this batch under new costs: ``costs`` holds
+        each problem's (m, n) cost matrix, raveled and concatenated in
+        problem order as a single 1-d array."""
+        costs = np.asarray(costs, dtype=float)
         if costs.shape != (self.n_costs,):
             raise ValueError(f"expected {self.n_costs} cost entries, "
                              f"got shape {costs.shape}")

@@ -10,11 +10,12 @@ from scipy.sparse.linalg import spsolve
 
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            expected_steps, finite_difference_jacobian,
-                           induce_chain, metric_update, perturbation_size)
+                           induce_chain, metric_update)
+from mdp_stability import bisim
 from mdp_stability.bisim import _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, can_reach)
-from mdp_stability.onpolicy import ROW_TOL, spectral_radius
+from mdp_stability.onpolicy import ROW_TOL, perturbation_size, spectral_radius
 from mdp_stability.safety import _policy_table, start_charge
 
 _BASIS_CACHE = {}
@@ -120,18 +121,17 @@ def random_mdp(seed, n_states=4, n_actions=2, gamma=0.9, safe_absorbing=True,
 
 def policy_evaluation(mdp, policy):
     """Exact V^pi from the linear system (I - g P_pi) V = r_pi, for a
-    deterministic or a stochastic policy; the residual is the sup-norm of
-    the system's defect.  An oracle for ``mdp.policy_values``."""
+    deterministic ``Policy`` or an (S, A) matrix whose rows are each
+    state's action probabilities.  An oracle for ``mdp.policy_values``."""
     if not 0.0 < mdp.discount < 1.0:
         raise ValueError("policy evaluation requires discount in (0,1)")
-    pi = policy.matrix(mdp.n_actions)
-    if pi.shape[0] != mdp.n_states:
-        raise ValueError("policy/state dimension mismatch")
+    pi = (np.eye(mdp.n_actions)[policy.table] if isinstance(policy, Policy)
+          else np.asarray(policy, dtype=float))
+    if pi.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError("policy/MDP dimension mismatch")
     P_pi = np.einsum("sa,sat->st", pi, mdp.transition)
     r_pi = np.einsum("sa,sa->s", pi, mdp.reward)
-    A = np.eye(mdp.n_states) - mdp.discount * P_pi
-    v = np.linalg.solve(A, r_pi)
-    return ValueFunction(v, "policy", float(np.max(np.abs(A @ v - r_pi))))
+    return np.linalg.solve(np.eye(mdp.n_states) - mdp.discount * P_pi, r_pi)
 
 
 def kr_lower_bound(problem, f_left, f_right):
@@ -180,7 +180,7 @@ def best_value_by_enumeration(mdp):
     every deterministic policy (an oracle for value iteration)."""
     best = None
     for policy in all_deterministic_policies(mdp):
-        v = policy_evaluation(mdp, policy).values
+        v = policy_evaluation(mdp, policy)
         best = v if best is None else np.maximum(best, v)
     return best
 
@@ -212,7 +212,7 @@ def reference_value_iteration(mdp, tol=1e-10):
         v = v_new
         if change < threshold:
             break
-    return ValueFunction(v, "optimal", change)
+    return ValueFunction(v, change)
 
 
 def fresh_lp_metric(m1, m2, config):
@@ -222,7 +222,7 @@ def fresh_lp_metric(m1, m2, config):
     rule as ``cross_bisim_metric``, whose strategy iteration this checks;
     returns (dist, sweeps)."""
     dist = np.zeros((m1.n_states, m2.n_states))
-    for sweeps in range(1, config.max_iterations + 1):
+    for sweeps in range(1, bisim.MAX_APPLICATIONS + 1):
         new = metric_update(m1, m2, config, dist)
         residual = float(np.max(np.abs(new - dist)))
         dist = new
@@ -322,7 +322,7 @@ def reference_enumerate(mdp, query):
     v_star = reference_value_iteration(mdp, query.value_tol).values
     members = []
     for policy in _reference_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
+        v = policy_evaluation(mdp, policy)
         if np.all(v > v_star - query.epsilon):
             members.append(policy)
     return members
@@ -334,7 +334,7 @@ def reference_certify(mdp, query):
     v_star = reference_value_iteration(mdp, query.value_tol).values
     members, boundary = [], 0
     for policy in _reference_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
+        v = policy_evaluation(mdp, policy)
         margin = np.min(v - v_star + query.epsilon)
         if abs(margin) < 10.0 * query.value_tol:
             boundary += 1
@@ -363,7 +363,7 @@ def reference_frontier(mdp, epsilons, value_tol=1e-10):
     v_star = reference_value_iteration(mdp, value_tol).values
     evaluated = []
     for policy in _reference_grid(mdp):
-        v = policy_evaluation(mdp, policy).values
+        v = policy_evaluation(mdp, policy)
         t = reference_expected_steps(induce_chain(mdp, policy))
         worst = float(np.max(t)) if len(t) else 0.0
         evaluated.append((float(np.max(v_star - v)), worst))

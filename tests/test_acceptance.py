@@ -18,7 +18,7 @@ from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            cross_bisim_metric, expected_steps,
                            finite_difference_jacobian, hausdorff_distance,
                            induce_chain, isolation_check, iteration_bound,
-                           make_toy_policy, metric_update, perturbation_size,
+                           make_toy_policy, metric_update,
                            rate_of_decrease_check, realize_chain,
                            shutdown_probability, solve_transport,
                            tighten_policy_bound)

@@ -46,11 +46,11 @@ class TestCrossMetric:
         with pytest.raises(ValueError, match="action set"):
             cross_bisim_metric(m1, m2, CFG)
 
-    def test_iteration_budget_flags_partial_result(self):
+    def test_iteration_budget_flags_partial_result(self, monkeypatch):
         # One application from zero moves by the reward gap, far above the
         # target, and the budget allows no second one.
-        config = BisimConfig(c_R=0.3, c_T=0.7, tolerance=1e-9,
-                             max_iterations=1)
+        monkeypatch.setattr(bisim, "MAX_APPLICATIONS", 1)
+        config = BisimConfig(c_R=0.3, c_T=0.7, tolerance=1e-9)
         metric = cross_bisim_metric(one_state_mdp(0.0), one_state_mdp(5.0),
                                     config)
         assert not metric.converged
@@ -298,8 +298,8 @@ class TestStrategyIteration:
             return solve(self, *args)
 
         monkeypatch.setattr(bisim._PairSweep, "solve_fixed", counted)
-        config = BisimConfig(c_R=1.0 - 0.9, c_T=0.9, tolerance=1e-300,
-                             max_iterations=300)
+        monkeypatch.setattr(bisim, "MAX_APPLICATIONS", 300)
+        config = BisimConfig(c_R=1.0 - 0.9, c_T=0.9, tolerance=1e-300)
         metric = cross_bisim_metric(random_mdp(1), random_mdp(2), config)
         assert not metric.converged
         assert metric.iterations_used == 300
@@ -311,9 +311,10 @@ class TestStrategyIteration:
         m1, m2 = oracle_pair(seed)
         tight = BisimConfig(CFG.c_R, CFG.c_T, tolerance=1e-12)
         for tolerance in (1e-2, 1e-4, CFG.tolerance):
-            config = BisimConfig(CFG.c_R, CFG.c_T, tolerance=tolerance,
-                                 max_iterations=2)
-            metric = cross_bisim_metric(m1, m2, config)
+            config = BisimConfig(CFG.c_R, CFG.c_T, tolerance=tolerance)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bisim, "MAX_APPLICATIONS", 2)
+                metric = cross_bisim_metric(m1, m2, config)
             exact = cross_bisim_metric(m1, m2, tight)
             assert exact.converged
             assert metric.error_bound == pytest.approx(
@@ -361,6 +362,16 @@ class TestContraction:
         lhs = np.max(np.abs(metric_update(m1, m2, CFG, d1)
                             - metric_update(m1, m2, CFG, d2)))
         assert lhs <= CFG.c_T * np.max(np.abs(d1 - d2)) + 1e-9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_update_rejects_non_finite_distances(self, bad):
+        # A NaN passes the sign test, and would come back as the answer.
+        m1, m2 = random_mdp(1), random_mdp(2)
+        one = np.zeros((m1.n_states, m2.n_states))
+        one[0, -1] = bad
+        for dist in (np.full(one.shape, bad), one):
+            with pytest.raises(ValueError, match="finite"):
+                metric_update(m1, m2, CFG, dist)
 
 
 class TestHausdorff:

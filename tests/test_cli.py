@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_mdp, reference_certify, shift_applications
-from mdp_stability import (BisimConfig, MdpSpec, Perturbation, SafetyQuery,
+from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
                            StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
                            mdp_to_document, rate_of_decrease_check,
                            realize_chain, shutdown_probability)
-from mdp_stability import cli, onpolicy, scenarios, transport
+from mdp_stability import bisim, cli, onpolicy, scenarios, transport
 from mdp_stability.cli import main, render_json
 from mdp_stability.scenarios import random_perturbation
 
@@ -136,16 +135,14 @@ class TestBisimCommand:
         assert code == 3
         out = json.loads(capsys.readouterr().out)
         assert out["converged"] is False and out["d_H"] is None
-        assert out["iterations"] == BisimConfig(0.1, 0.9).max_iterations
+        assert out["iterations"] == bisim.MAX_APPLICATIONS
         assert 0.0 < out["residual"] < 1e-12
 
     def test_iteration_budget_exits_3_with_partial_artifact(
             self, tmp_path, capsys, monkeypatch):
         # One application from zero never meets the target on a pair whose
         # rewards differ, so this reaches exit 3 without a float accident.
-        config_from = cli._config_from
-        monkeypatch.setattr(cli, "_config_from", lambda args, mdp: replace(
-            config_from(args, mdp), max_iterations=1))
+        monkeypatch.setattr(bisim, "MAX_APPLICATIONS", 1)
         p1 = write_doc(tmp_path / "a.json", mdp_to_document(random_mdp(1)))
         p2 = write_doc(tmp_path / "b.json", mdp_to_document(random_mdp(2)))
         assert main(["bisim", p1, p2]) == 3

@@ -2,9 +2,10 @@
 the package import each other without a cycle, the package and its command
 line load no scipy, no module imports warnings or reads the environment,
 every exception the package raises is one that the command line maps to an
-exit code, the command line takes no private name from another module, and
-the package exports only what a command, a demo or an acceptance criterion
-uses, with the types those calls return."""
+exit code, the command line takes no private name from another module, the
+package exports only what a command, a demo or an acceptance criterion
+uses, with the types those calls return, and only ``mdp`` builds induced
+chains."""
 
 import ast
 import builtins
@@ -227,8 +228,19 @@ def exported():
             for module, name in package_names(MODULES["__init__"])}
 
 
+def referenced(tree):
+    """The names that ``tree`` reads outside its imports, as plain names
+    or as attributes."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
 def used():
-    return {name for tree in USERS for _, name in package_names(tree)}
+    """The names that a user imports from the package and then refers to
+    outside the import."""
+    return {name for tree in USERS for _, name in package_names(tree)
+            if name in referenced(tree)}
 
 
 def test_every_export_has_a_user():
@@ -255,3 +267,14 @@ def test_module_all_lists_what_the_package_exports(module):
                 and [ast.unparse(t) for t in node.targets] == ["__all__"]]
     assert sorted(ast.literal_eval(listed)) \
         == sorted(name for name, m in exported().items() if m == module)
+
+
+def test_only_mdp_constructs_induced_chains():
+    # One chain builder: induce_chain and the certificates' blocks share
+    # mdp._chains.
+    builders = sorted(name for name, tree in MODULES.items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1]
+                      == "InducedChain")
+    assert builders == ["mdp"]

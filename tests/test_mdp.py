@@ -241,26 +241,35 @@ class TestInduceChain:
         assert chain.Q.shape == (1, 1)
         assert chain.Q[0, 0] == 0.0 and chain.absorb[0] == 1.0
 
-    def test_uniform_policy_splits_mass(self):
-        mdp = two_state_mdp()
-        chain = induce_chain(mdp, Policy.stochastic([[0.5, 0.5], [1, 0]]))
-        assert chain.Q[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert chain.absorb[0] == pytest.approx(0.5, abs=1e-12)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_direct_summation(self, seed):
         mdp = random_mdp(seed, n_states=4, n_actions=3)
         rng = np.random.default_rng(1000 + seed)
-        table = rng.dirichlet(np.ones(3), size=4)
-        chain = induce_chain(mdp, Policy.stochastic(table))
+        table = rng.integers(0, 3, size=4)
+        chain = induce_chain(mdp, Policy.deterministic(table))
         keep = mdp.nonsafe_indices
         for ci, i in enumerate(keep):
             for cj, j in enumerate(keep):
-                direct = sum(table[i, a] * mdp.transition[i, a, j]
+                # x * 1 + 0 is exact: a one-hot sum has the row's bits.
+                direct = sum((table[i] == a) * mdp.transition[i, a, j]
                              for a in range(3))
-                assert chain.Q[ci, cj] == pytest.approx(direct, abs=1e-12)
+                assert chain.Q[ci, cj] == direct
             rows = chain.Q[ci].sum() + chain.absorb[ci]
             assert rows == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_a_table_of_another_length(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            induce_chain(two_state_mdp(), Policy.deterministic([0]))
+
+    def test_rejects_an_action_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            induce_chain(two_state_mdp(), Policy.deterministic([0, 2]))
+
+    @pytest.mark.parametrize("table", [[[0, 1]], [0, -1]])
+    def test_policy_rejects_a_table_that_is_not_of_action_indices(self,
+                                                                   table):
+        with pytest.raises(ValueError, match="1-d|negative"):
+            Policy.deterministic(table)
 
 
 class TestCanReach:
@@ -456,7 +465,7 @@ class TestPolicyEvaluation:
         policy = Policy.deterministic(rng.integers(0, 2, size=4))
         exact = policy_values(mdp, policy.table)
         # Iterative oracle: collapse to a single-action MDP and run VI.
-        pi = policy.matrix(2)
+        pi = np.eye(2)[policy.table]
         P = np.einsum("sa,sat->st", pi, mdp.transition)[:, None, :]
         r = np.einsum("sa,sa->s", pi, mdp.reward)[:, None]
         collapsed = MdpSpec(mdp.state_ids, ("only",), P, r, mdp.discount,
@@ -474,7 +483,7 @@ class TestProperties:
         tol = 1e-10
         v_star = value_iteration(mdp, tol)
         v_pi = policy_evaluation(mdp, greedy_policy(mdp, v_star))
-        np.testing.assert_allclose(v_pi.values, v_star.values, atol=10 * tol)
+        np.testing.assert_allclose(v_pi, v_star.values, atol=10 * tol)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_no_policy_beats_optimal(self, seed):
@@ -483,8 +492,8 @@ class TestProperties:
         v_star = value_iteration(mdp, tol).values
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            policy = Policy.stochastic(rng.dirichlet(np.ones(2), size=4))
-            v = policy_evaluation(mdp, policy).values
+            policy = rng.dirichlet(np.ones(2), size=4)
+            v = policy_evaluation(mdp, policy)
             assert np.all(v <= v_star + tol)
 
 

@@ -15,12 +15,12 @@ from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            build_uniform_shutdown, chain_perturbation_bound,
                            embedded_to_document, finite_difference_jacobian,
                            load_embedded, load_toy_policy, make_toy_policy,
-                           perturbation_size, rate_of_decrease_check,
-                           realize_chain, shutdown_probability,
-                           tighten_policy_bound)
+                           rate_of_decrease_check, realize_chain,
+                           shutdown_probability, tighten_policy_bound)
 from mdp_stability import onpolicy
 from mdp_stability.onpolicy import (decrease_bound, jacobian_l1_norm,
-                                    spectral_radius, transient_set)
+                                    perturbation_size, spectral_radius,
+                                    transient_set)
 from mdp_stability.mdp import strong_components
 from mdp_stability.scenarios import random_family, random_perturbation
 

@@ -17,6 +17,7 @@ from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            induce_chain, safety, safety_frontier,
                            value_iteration, ValueFunction,
                            verify_stability_instance)
+from mdp_stability.mdp import _chains
 
 
 def chain_single(p_absorb):
@@ -193,7 +194,7 @@ class TestEnumeration:
             policy = Policy.deterministic(actions)
             # Independent recheck: evaluate through the collapsed chain
             # rather than reusing enumerate's own solve.
-            pi = policy.matrix(2)
+            pi = np.eye(2)[policy.table]
             P = np.einsum("sa,sat->st", pi, mdp.transition)[:, None, :]
             r = np.einsum("sa,sa->s", pi, mdp.reward)[:, None]
             collapsed = MdpSpec(mdp.state_ids, ("only",), P, r,
@@ -262,7 +263,7 @@ class TestCertify:
         # worst time 0 over no policy at all.
         from mdp_stability import safety
         mdp = random_mdp(2, n_states=3)
-        high = ValueFunction(value_iteration(mdp).values + 1.0, "optimal", 0.0)
+        high = ValueFunction(value_iteration(mdp).values + 1.0, 0.0)
         monkeypatch.setattr(safety, "value_iteration", lambda *a: high)
         with pytest.raises(ValueError, match="vacuous"):
             certify_safety(mdp, SafetyQuery(0.5), N_values=(3,))
@@ -360,7 +361,7 @@ class TestFrontier:
         # smaller epsilon with no member.
         mdp = random_mdp(4, n_states=4)
         assert len(safety_frontier(mdp, [0.1])) == 1
-        high = ValueFunction(value_iteration(mdp).values + 0.5, "optimal", 0.0)
+        high = ValueFunction(value_iteration(mdp).values + 0.5, 0.0)
         monkeypatch.setattr(safety, "value_iteration", lambda *a: high)
         assert len(safety_frontier(mdp, [1.0])) == 1
         with pytest.raises(ValueError, match="vacuous"):
@@ -471,7 +472,7 @@ class TestPolicyTableOracle:
         old = {tuple(p.table) for p in reference_enumerate(mdp, query)}
         v_star = value_iteration(mdp, query.value_tol).values
         for table in new ^ old:
-            v = policy_evaluation(mdp, Policy.deterministic(table)).values
+            v = policy_evaluation(mdp, Policy.deterministic(table))
             assert abs(float(np.max(v_star - v)) - eps) \
                 < 10.0 * query.value_tol
 
@@ -493,7 +494,7 @@ def grid_losses(mdp):
     policy_evaluation each, against the oracle's V*."""
     v_star = reference_value_iteration(mdp, TOL).values
     return [(tuple(policy.table),
-             float(np.max(v_star - policy_evaluation(mdp, policy).values)))
+             float(np.max(v_star - policy_evaluation(mdp, policy))))
             for policy in _reference_grid(mdp)]
 
 
@@ -729,10 +730,7 @@ class TestPrunedStackedTable:
         # solved on its own and gets its values.
         mdp = sparse_mdp(2)
         actions = np.array([a for a, _ in grid_losses(mdp)])
-        keep = mdp.nonsafe_indices
-        rows = mdp.transition[keep, actions[:, keep]]
-        chains = InducedChain(rows[..., keep],
-                              rows[..., mdp.safe_indices].sum(axis=-1), keep)
+        chains = _chains(mdp, actions)
         solve = np.linalg.solve
 
         def failing(a, b):
