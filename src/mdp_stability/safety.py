@@ -37,9 +37,13 @@ __all__ = [
 POLICY_CAP = 10 ** 6
 # Bytes that one block of the policy table may stack, at one n-by-n float
 # matrix per policy: max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
-# states.  On the certify deck 256 KB beat both 64 KB and 1 MB.  Every
-# block size gives the same bits, since LAPACK solves each matrix of a
-# stack on its own.
+# states.  What is stacked is a block's hitting-time chains, and the
+# solve of a table of one block; a larger table is evaluated by the
+# elimination tree n/2 blocks at a time, whose values take BLOCK_BYTES / 2
+# (_tree_losses).  On the certify deck 256 KB beat both 64 KB and 1 MB.
+# Hitting times, and every loss taken from policy_values, have the same
+# bits at any block size, since LAPACK solves each matrix of a stack on
+# its own; a loss from the tree may differ in its last bits.
 BLOCK_BYTES = 1 << 18
 
 
@@ -186,11 +190,114 @@ def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
 #       V*'s Bellman residual certifies, or at rounding level);
 #    8  per unit of max_s |V*(s)| (at least 1): rounding in Q*, in the
 #       solved V^pi and in the subtractions.
+# The solved V^pi is policy_values': a pruned policy is never evaluated,
+# and a kept policy's loss meets a threshold only on policy_values' bits
+# (TREE_ROUNDING below), so the tree's own rounding needs no allowance.
 PRUNE_BAND = 12.0
 PRUNE_ROUNDING = 8.0
+# The tree's loss of a policy lies within
+#   w = TREE_ROUNDING n^3 eps (R / (1 - g)^2 + max_t |t|)
+# of policy_values' loss of it, where R = max |r|, eps is the machine
+# epsilon and t runs over the thresholds.  A = I - g P_pi is diagonally
+# dominant by rows, |a_ij| <= 1 and ||A^-1||_inf <= 1 / (1 - g), so
+# ||V^pi||_inf <= R / (1 - g).  Each solve returns V' with
+# (A + dA) V' = r and |dA| <= g_3n |L||U|, g_3n ~ 1.5 n eps (Higham,
+# Accuracy and Stability of Numerical Algorithms, Theorem 9.4).  Past its
+# first solve, which has the stacked solve's bound, the tree eliminates
+# without pivoting, so its growth factor is at most 2 (Wilkinson; Higham,
+# Theorem 9.9), every Schur complement stays diagonally dominant by rows,
+# and the rows of |L||U| = |LD||D^-1 U| sum to at most n * 2 * 2
+# (D = diag(U)).  LAPACK's partial pivoting keeps |l_ij| <= 1, so its
+# rows sum to at most n^2 rho, and its growth rho on these matrices stays
+# below 2 in practice.  Then ||V' - V||_inf <= ||A^-1|| ||dA|| ||V'|| is
+# at most 6 n^2 eps R / (1 - g)^2 for the tree and 3 n^3 rho/2 eps R /
+# (1 - g)^2 for the stacked solve, to first order.  The two losses also
+# round V* - V' (eps |V* - V'| each), and a threshold is rounded within
+# eps |t|: 32 covers all of it, with room for rho up to 16.  A loss
+# farther than w from every threshold is on the same side of each as
+# policy_values' loss, so the comparison decides alike.
+TREE_ROUNDING = 32.0
 
 
-def _policy_table(mdp: MdpSpec, epsilon: float):
+def _tree_window(mdp: MdpSpec, thresholds) -> float:
+    """The window w of TREE_ROUNDING around ``thresholds``."""
+    bound = np.max(np.abs(mdp.reward), initial=0.0) / (1 - mdp.discount) ** 2
+    return float(TREE_ROUNDING * mdp.n_states ** 3 * np.finfo(float).eps
+                 * (bound + np.max(np.abs(thresholds))))
+
+
+def _tree_losses(mdp: MdpSpec, survivors, v_star, block: int):
+    """Losses max_s V*(s) - V^pi(s) of the product of ``survivors`` (the
+    actions kept at each non-safe state), in product order, one array per
+    ``block`` policies, from one elimination tree of (I - g P_pi) V = r_pi.
+
+    The states whose row every policy of the product shares (the safe
+    states and those with one survivor) are eliminated first, by one
+    solve.  The varying states are then eliminated in index order, one
+    level of the tree each: a node of depth d holds the rows of the states
+    after the d-th under each of their survivors, and its child c pivots
+    on the next state's row under that state's c-th survivor, so the
+    leaves come in product order.  Back substitution along each leaf's
+    pivot rows gives V^pi.  Leaves are formed n/2 blocks at a time, with
+    the nodes above them only: a batch holds BLOCK_BYTES / 2 of values.
+    """
+    n, g = mdp.n_states, mdp.discount
+    nonsafe = mdp.nonsafe_indices
+    k = np.array([len(acts) for acts in survivors], dtype=int)
+    vary, k = nonsafe[k > 1], k[k > 1]
+    fixed = np.ones(n, dtype=bool)
+    fixed[vary] = False
+    fixed = np.nonzero(fixed)[0]
+    base = np.zeros(n, dtype=int)
+    base[nonsafe] = [acts[0] for acts in survivors]
+    m = len(vary)
+    # V_fixed = Z[:, :m] V_vary - Z[:, m].
+    P = mdp.transition[fixed, base[fixed]]
+    Z = np.linalg.solve(np.eye(len(fixed)) - g * P[:, fixed],
+                        np.column_stack([g * P[:, vary],
+                                         -mdp.reward[fixed, base[fixed]]]))
+    # The root: the row [(I - g P)[s, vary] | r] of each varying state s
+    # under each of its survivors, with V_fixed substituted.
+    states = np.repeat(vary, k)
+    acts = np.concatenate([acts for acts in survivors if len(acts) > 1])
+    P = mdp.transition[states, acts]
+    root = np.column_stack([-g * P[:, vary], mdp.reward[states, acts]])
+    root[np.arange(len(states)), np.repeat(np.arange(m), k)] += 1.0
+    root = (root - g * P[:, fixed] @ Z)[None]
+    # below[d]: the leaves under one node of depth d.
+    below = np.append(np.cumprod(k[::-1])[::-1], 1)
+    total = int(below[0])
+    step = block * max(1, n // 2)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        rows, first, pivots = root, 0, []
+        for d in range(m):
+            pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
+            rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
+                * pivot[..., 1:]
+            # Keep the children above leaves [lo, hi) only.
+            nodes, _, left, width = rows.shape
+            start, first = first * k[d], lo // below[d + 1]
+            keep = slice(first - start, (hi - 1) // below[d + 1] + 1 - start)
+            rows = rows.reshape(nodes * k[d], left, width)[keep]
+            pivots.append((first, pivot.reshape(-1, width + 1)[keep]))
+        leaves = np.arange(lo, hi)
+        x = np.empty((hi - lo, m))
+        for d in range(m - 1, -1, -1):
+            first, pivot = pivots[d]
+            row = pivot[leaves // below[d + 1] - first]
+            x[:, d] = (row[:, -1] - np.einsum("ij,ij->i", row[:, 1:-1],
+                                              x[:, d + 1:])) / row[:, 0]
+        loss = np.maximum(
+            np.max(v_star[fixed] - (x @ Z[:, :m].T - Z[:, m]), axis=-1,
+                   initial=-math.inf),
+            np.max(np.subtract(v_star[vary], x, out=x), axis=-1,
+                   initial=-math.inf))
+        for begin in range(0, hi - lo, block):
+            yield loss[begin:begin + block]
+
+
+def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     """The deterministic policies that survive MacQueen's test at
     ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
     (actions, loss): actions is a (policies, states) table, with the
@@ -202,6 +309,12 @@ def _policy_table(mdp: MdpSpec, epsilon: float):
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
     policies come in the same order as when every policy is evaluated.
+    A table of one block is one stacked solve of policy_values; a larger
+    one is evaluated by the elimination tree (_tree_losses), and a loss
+    within the window of TREE_ROUNDING of one of ``thresholds`` (what the
+    caller compares losses with; by default ``epsilon``) is evaluated
+    again by policy_values, so that every comparison with a threshold
+    decides as on policy_values' bits.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -218,13 +331,27 @@ def _policy_table(mdp: MdpSpec, epsilon: float):
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
     block = max(1, BLOCK_BYTES // (8 * mdp.n_states ** 2))
+    if total > block:
+        tree = _tree_losses(mdp, survivors, v_star, block)
+        thresholds = np.array((epsilon,) if thresholds is None
+                              else thresholds, dtype=float)
+        window = _tree_window(mdp, thresholds)
     for begin in range(0, total, block):
         flat = np.arange(begin, min(begin + block, total))
         picks = np.unravel_index(flat, shape) if shape else ()
         actions = np.zeros((len(flat), mdp.n_states), dtype=int)
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
-        yield actions, np.max(v_star - policy_values(mdp, actions), axis=-1)
+        if total <= block:
+            yield actions, np.max(v_star - policy_values(mdp, actions),
+                                  axis=-1)
+            continue
+        loss = next(tree)
+        near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
+        if np.any(near):
+            loss[near] = np.max(v_star - policy_values(mdp, actions[near]),
+                                axis=-1)
+        yield actions, loss
 
 
 @dataclass(frozen=True)
@@ -279,9 +406,10 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
         raise ValueError(f"N must be finite, got {tuple(N_values)!r}")
     worst_time, worst_actions, worst_times = -math.inf, None, None
     count, reachability, boundary = 0, [], 0
-    for actions, loss in _policy_table(mdp, query.epsilon):
-        boundary += int(np.count_nonzero(
-            np.abs(query.epsilon - loss) < 10.0 * query.value_tol))
+    band = 10.0 * query.value_tol
+    thresholds = (query.epsilon - band, query.epsilon, query.epsilon + band)
+    for actions, loss in _policy_table(mdp, query.epsilon, thresholds):
+        boundary += int(np.count_nonzero(np.abs(query.epsilon - loss) < band))
         members = actions[loss < query.epsilon]
         if not len(members):
             continue
@@ -383,7 +511,7 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
                          "vacuous")
     # Hitting times are nonnegative, so -inf marks an empty set.
     worst = np.full(len(epsilons), -math.inf)
-    for actions, loss in _policy_table(mdp, epsilons[-1]):
+    for actions, loss in _policy_table(mdp, epsilons[-1], epsilons):
         inside = loss < epsilons[-1]
         if not np.any(inside):
             continue

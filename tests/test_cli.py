@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
                            load_embedded, load_mdp, load_toy_policy,
                            mdp_to_document, rate_of_decrease_check,
                            realize_chain, shutdown_probability)
-from mdp_stability import bisim, cli, onpolicy, scenarios, transport
+from mdp_stability import bisim, cli, onpolicy, safety, scenarios, transport
 from mdp_stability.cli import main, render_json
 from mdp_stability.scenarios import random_perturbation
 
@@ -373,6 +374,21 @@ class TestFrontierCommand:
         times = [float(row.split(",")[1]) for row in lines[1:]
                  if row.split(",")[1]]
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+class TestPolicyCap:
+    @pytest.mark.parametrize("command", ["certify", "frontier"])
+    def test_over_the_cap_exits_2_before_any_optimum(self, tmp_path, capsys,
+                                                     command):
+        # 20 non-safe states with 2 actions: 2^20 > 10^6 policies.
+        mdp = random_mdp(2, n_states=21, n_actions=2)
+        path = write_doc(tmp_path / "m.json", mdp_to_document(mdp))
+        with mock.patch.object(safety, "value_iteration") as optimum, \
+                mock.patch.object(cli, "value_iteration") as cli_optimum:
+            assert main([command, path, "--epsilon", "0.5"]) == 2
+        assert "enumeration cap" in capsys.readouterr().err
+        optimum.assert_not_called()
+        cli_optimum.assert_not_called()
 
 
 class TestStartAndGridFlags:

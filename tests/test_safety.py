@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (_reference_grid, enumerate_epsilon_optimal,
                      hitting_time, policy_evaluation, random_mdp,
                      reference_certify, reference_enumerate,
@@ -530,6 +533,70 @@ def table_cases(draw):
     return mdp, index, draw(st.sampled_from([1, 3, 7, None]))
 
 
+@st.composite
+def wide_table_cases(draw):
+    """(mdp, policy index, block) beyond table_cases: one to three safe
+    states at any index, or every state safe (the one policy then takes
+    action 0 everywhere); discounts up to 0.999; rewards scaled up to 1e6;
+    and three actions, of which one, two or all three are near-optimal at
+    each non-safe state.  The others lose more than any policy of
+    near-optimal actions, and the index names such a policy, so that
+    MacQueen's test keeps one, two or three actions at the states of one
+    table."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if rng.random() < 0.1:
+        safe = list(range(n))
+    else:
+        safe = sorted(rng.choice(n, rng.integers(1, min(3, n - 1) + 1),
+                                 replace=False).tolist())
+    nonsafe = [s for s in range(n) if s not in safe]
+    g = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3, 1e6]))
+    P = np.zeros((n, 3, n))
+    for s in range(n):
+        dests = safe if s in safe else range(n)
+        for a in range(3):
+            targets = rng.choice(dests, size=rng.integers(1, len(dests) + 1),
+                                 replace=False)
+            P[s, a, targets] = rng.dirichlet(np.ones(len(targets)))
+    # Near-optimal rewards lie in [0, scale), so a policy of them loses
+    # less than scale / (1 - g); a far action loses at least twice that.
+    r = rng.random((n, 3)) * scale
+    if nonsafe:
+        # Rewards inside the safe set would only slow the oracle's value
+        # iteration; with every state safe they make the one policy's loss
+        # positive.
+        r[safe] = 0.0
+    good = [rng.choice(3, rng.integers(1, 4), replace=False) for _ in nonsafe]
+    for s, acts in zip(nonsafe, good):
+        far = np.setdiff1d(np.arange(3), acts)
+        r[s, far] = -3.0 * scale / (1.0 - g)
+    mdp = MdpSpec(tuple(f"s{i}" for i in range(n)), ("a0", "a1", "a2"), P, r,
+                  g, set(safe))
+    choice = [int(rng.choice(acts)) for acts in good]
+    index = int(np.ravel_multi_index(choice, (3,) * len(choice))) \
+        if choice else 0
+    return mdp, index, draw(st.sampled_from([1, 3, 7, None]))
+
+
+@contextlib.contextmanager
+def one_optimum(mdp):
+    """Patches every V* of ``mdp`` that the table (under table_under_test)
+    and the reference loops take to one run of the oracle's value
+    iteration, which takes up to a second at discount 0.999."""
+    found = reference_value_iteration(mdp, TOL)
+
+    def solve(other, tol=TOL):
+        if other is mdp and tol == TOL:
+            return found
+        return helpers.reference_value_iteration(other, tol)
+
+    with mock.patch.object(helpers, "reference_value_iteration", solve), \
+            mock.patch.dict(globals(), reference_value_iteration=solve):
+        yield
+
+
 def table_under_test(mdp, block):
     """Patches the table into blocks of ``block`` policies of ``mdp`` (None
     keeps BLOCK_BYTES) that start from the oracle's V*: a policy whose loss
@@ -565,6 +632,22 @@ class TestBlockBudget:
         assert sum(sizes) == 2 ** 12
         assert sizes[:-1] == [193] * (len(sizes) - 1)
         assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
+
+    def test_table_memory_stays_within_a_few_blocks(self):
+        # 2^16 policies over 16 non-safe states: their action tables alone
+        # take 34 times BLOCK_BYTES at once, and their values as much.
+        mdp = random_mdp(1, n_states=17, n_actions=2)
+        assert len(mdp.nonsafe_indices) == 16
+        list(safety._policy_table(mdp, 1e6))
+        tracemalloc.start()
+        try:
+            count = sum(len(loss)
+                        for _, loss in safety._policy_table(mdp, 1e6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 16
+        assert peak < 4 * safety.BLOCK_BYTES
 
 
 @st.composite
@@ -654,15 +737,22 @@ class TestPrunedStackedTable:
     5*value_tol either side of it, so that membership and the boundary
     band are decided by that policy."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]),
-           start=st.booleans())
-    def test_certificate_matches_reference(self, case, offset, start):
+    def check_certificate(self, case, offset, start):
         mdp, index, block = case
         eps = grid_losses(mdp)[index][1] + offset * TOL
         assume(eps > 10.0 * TOL)
         query = SafetyQuery(eps, StartDistribution.point_mass(mdp.n_states, 0)
                             if start else None)
+        if not any(loss < eps for _, loss in grid_losses(mdp)):
+            with table_under_test(mdp, block), pytest.raises(
+                    ValueError, match="vacuous"):
+                certify_safety(mdp, query)
+            return
+        if start and 0 in mdp.safe_set:
+            with table_under_test(mdp, block), pytest.raises(
+                    ValueError, match="mass on safe states"):
+                certify_safety(mdp, query)
+            return
         ref = reference_certify(mdp, query)
         with table_under_test(mdp, block):
             cert = certify_safety(mdp, query)
@@ -677,9 +767,7 @@ class TestPrunedStackedTable:
         assert [tuple(p.table) for p in members] == [
             actions for actions, loss in grid_losses(mdp) if loss < eps]
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
-    def test_frontier_matches_reference(self, case, offset):
+    def check_frontier(self, case, offset):
         mdp, index, block = case
         eps = grid_losses(mdp)[index][1] + offset * TOL
         epsilons = [eps / 4, eps / 2, eps]
@@ -697,23 +785,72 @@ class TestPrunedStackedTable:
             rows = safety_frontier(mdp, epsilons)
         assert rows == reference_frontier(mdp, epsilons)
 
-    @settings(max_examples=80, deadline=None)
-    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
-    def test_every_pruned_policy_is_outside_the_band(self, case, offset):
+    def check_losses_and_pruning(self, case, offset):
+        """Every loss the table yields is policy_values' loss when the
+        table evaluated it again there (always for a loss on epsilon), and
+        lies within the tree's window of it otherwise; every policy left
+        out is outside the band."""
         mdp, index, block = case
         rows = grid_losses(mdp)
         eps = rows[index][1] + offset * TOL
-        with table_under_test(mdp, block):
+        with table_under_test(mdp, block), mock.patch.object(
+                safety, "policy_values",
+                wraps=safety.policy_values) as exact:
             table = [(tuple(a), float(loss))
                      for actions, losses in safety._policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
+        rechecked = {tuple(a) for call in exact.call_args_list
+                     for a in call.args[1]}
+        window = safety._tree_window(mdp, [eps])
         kept = dict(table)
         assert [a for a, _ in table] == [a for a, _ in rows if a in kept]
+        if offset == 0.0:
+            assert rows[index][0] in rechecked
         for actions, loss in rows:
-            if actions in kept:
+            if actions in rechecked:
                 assert kept[actions] == loss
+            elif actions in kept:
+                assert abs(kept[actions] - loss) <= window
             else:
                 assert loss >= eps + 10.0 * TOL
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]),
+           start=st.booleans())
+    def test_certificate_matches_reference(self, case, offset, start):
+        with one_optimum(case[0]):
+            self.check_certificate(case, offset, start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=wide_table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]),
+           start=st.booleans())
+    def test_wide_certificate_matches_reference(self, case, offset, start):
+        with one_optimum(case[0]):
+            self.check_certificate(case, offset, start)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_frontier_matches_reference(self, case, offset):
+        with one_optimum(case[0]):
+            self.check_frontier(case, offset)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=wide_table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_wide_frontier_matches_reference(self, case, offset):
+        with one_optimum(case[0]):
+            self.check_frontier(case, offset)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_every_pruned_policy_is_outside_the_band(self, case, offset):
+        with one_optimum(case[0]):
+            self.check_losses_and_pruning(case, offset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=wide_table_cases(), offset=st.sampled_from([-5.0, 0.0, 5.0]))
+    def test_wide_pruned_policies_are_outside_the_band(self, case, offset):
+        with one_optimum(case[0]):
+            self.check_losses_and_pruning(case, offset)
 
     def test_pruning_leaves_out_policies(self):
         # Dense 9-state MDP at a small epsilon: most of the 256 policies
