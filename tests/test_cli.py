@@ -664,13 +664,16 @@ class TestCertifyArtifactBytes:
     stacked policy table keeps every certificate and frontier byte for
     byte: the eps-optimal set, the order of ``reachability`` and the
     policy that wins a tied worst time.  Documents a to c have an
-    infinite worst time and members of both kinds."""
+    infinite worst time and members of both kinds.  Document e is a
+    table of many blocks whose every policy is absorbed almost surely,
+    so its hitting times come from the elimination tree."""
 
     DOCUMENTS = {  # name: (seed, shape, sparsity, epsilon)
         "a": ("2", "9,3,2", "0.4", "0.3"),
         "b": ("7", "11,2,2", "0.3", "1.0"),
         "c": ("3", "10,2,2", "0.4", "3.0"),
         "d": ("2", "11,2,2", "0.3", "1.0"),
+        "e": ("2", "13,2,2", "0.6", "3.0"),
     }
     BIG_N = ["certify", "--big-n", "12"]
     START = ["certify", "--start", "s0"]
@@ -700,6 +703,12 @@ class TestCertifyArtifactBytes:
                         "2228607c24a2a9bbf2ff75c8e9c20605"),
         ("d", FRONTIER, 0, "f2316ab56d15e08c3240e6ee3e523cb3"
                            "1d0e3f37cf63af22b36e72683b26372c"),
+        ("e", BIG_N, 1, "139df421e8039d417bc5d2f05a3f55b6"
+                        "b5502456540b138a50587b3743fcf98b"),
+        ("e", START, 0, "01bb21fb74d25925b2a9750a4b3559df"
+                        "44aadf382f29b5308188573f46677790"),
+        ("e", FRONTIER, 0, "a3811eb01aaf1974be3de2e3b3265a15"
+                           "2361b2df2e46718fb986de182ddc5f4a"),
     ]
 
     @pytest.mark.parametrize(
@@ -728,7 +737,8 @@ class TestCertifyArtifactBytes:
             finite[name] = doc["worst_time_finite"]
             if not finite[name]:
                 assert any(doc["reachability"])
-        assert finite == {"a": False, "b": False, "c": False, "d": True}
+        assert finite == {"a": False, "b": False, "c": False, "d": True,
+                          "e": True}
 
 
 class TestStabilityExperiment:
