@@ -43,25 +43,38 @@ EXIT_NONCONVERGED = 3
 
 # -- deterministic JSON with 17 significant digits -----------------------------
 
-def render_json(obj, indent=0):
-    pad = "  " * indent
+def _scalar(obj):
+    """The text of a scalar, or None for a container, a non-finite float
+    or another type."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("non-finite float in artifact; sanitize to null")
-        return format(obj, ".17g")
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return format(obj, ".17g") if math.isfinite(obj) else None
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    return None
+
+
+def render_json(obj, indent=0):
+    text = _scalar(obj)
+    if text is not None:
+        return text
+    pad = "  " * indent
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        # A list of scalars, such as a certificate's reachability, is
+        # rendered in one join.
+        items = list(map(_scalar, obj))
+        if None in items:
+            items = [render_json(v, indent + 1) for v in obj]
+        return ("[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n"
+                + pad + "]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -69,8 +82,8 @@ def render_json(obj, indent=0):
             pad + "  " + json.dumps(str(k)) + ": " + render_json(v, indent + 1)
             for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, np.floating):
-        return render_json(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        raise ValueError("non-finite float in artifact; sanitize to null")
     if isinstance(obj, np.ndarray):
         return render_json(obj.tolist(), indent)
     raise TypeError(f"cannot render {type(obj)!r}")

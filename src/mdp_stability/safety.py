@@ -37,13 +37,17 @@ __all__ = [
 POLICY_CAP = 10 ** 6
 # Bytes that one block of the policy table may stack, at one n-by-n float
 # matrix per policy: max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
-# states.  What is stacked is a block's hitting-time chains, and the
-# solve of a table of one block; a larger table is evaluated by the
-# elimination tree n/2 blocks at a time, whose values take BLOCK_BYTES / 2
-# (_tree_losses).  On the certify deck 256 KB beat both 64 KB and 1 MB.
-# Hitting times, and every loss taken from policy_values, have the same
-# bits at any block size, since LAPACK solves each matrix of a stack on
-# its own; a loss from the tree may differ in its last bits.
+# states.  What is stacked is the solve of a table of one block, and the
+# members' hitting-time chains of such a table, of a product that some
+# policy does not leave almost surely (_absorbed), or of a batch with at
+# most a block of members.  A larger table is evaluated by the
+# elimination tree (_tree_solve) n/2 blocks at a time, whose values take
+# BLOCK_BYTES / 2; the tree solves the other batches' members' hitting
+# times too.  On the certify deck 256 KB beat
+# both 64 KB and 1 MB.  Every hitting time and loss that a certificate
+# reports or decides on has the same bits at any block size, since LAPACK
+# solves each matrix of a stack on its own; the tree's own may differ in
+# their last bits.
 BLOCK_BYTES = 1 << 18
 
 
@@ -111,13 +115,13 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
     return t.reshape(shape)
 
 
-def _start_mass(chain: InducedChain, start: StartDistribution):
-    """(chain states with mass, their mass) of ``start``; a start with mass
-    on safe states is rejected."""
+def _start_mass(index_map: np.ndarray, start: StartDistribution):
+    """(chain states with mass, their mass) of ``start`` on the chain
+    states ``index_map``; a start with mass on safe states is rejected."""
     w = start.weights
-    if len(w) < int(chain.index_map.max(initial=-1)) + 1:
+    if len(w) < int(index_map.max(initial=-1)) + 1:
         raise ValueError("start distribution dimension mismatch")
-    on_chain = w[chain.index_map]
+    on_chain = w[index_map]
     if w.sum() - on_chain.sum() > WEIGHT_TOL:
         raise ValueError("start places mass on safe states")
     hit = on_chain > 0
@@ -131,7 +135,7 @@ def start_charge(chain: InducedChain, start: StartDistribution,
     math.inf if any state with mass is not almost surely absorbed, a float
     for one chain and an array over the leading axes of a stack.  A start
     with mass on safe states is rejected."""
-    hit, mass = _start_mass(chain, start)
+    hit, mass = _start_mass(chain.index_map, start)
     # One dot product of contiguous vectors per chain, as for a single
     # chain: a stacked or strided product may sum in another order.
     charges = [math.inf if np.any(np.isinf(row)) else float(mass @ row)
@@ -141,11 +145,39 @@ def start_charge(chain: InducedChain, start: StartDistribution,
     return np.reshape(charges, steps.shape[:-1])
 
 
-def _member_steps(mdp: MdpSpec, actions: np.ndarray):
-    """(stacked induced chains, expected steps per chain state) of the
-    deterministic policies in the rows of ``actions``."""
-    chains = _chains(mdp, actions)
-    return chains, expected_steps(chains)
+def _charges(steps: np.ndarray, start):
+    """Each row's charge by one stacked product: the slowest state of the
+    row for a ``start`` of None, else the (hit, mass) of _start_mass
+    applied to it, math.inf where a state with mass has infinite steps."""
+    if start is None:
+        return np.max(steps, axis=-1, initial=0.0)
+    hit, mass = start
+    on_hit = steps[:, hit]
+    return np.where(np.any(np.isinf(on_hit), axis=-1), math.inf,
+                    on_hit @ mass)
+
+
+def _charge_bounds(charge, window, terms: int):
+    """(lower, upper) bounds on start_charge's exact charge of rows whose
+    _charges are ``charge``, from steps within ``window`` of
+    expected_steps' (0 for expected_steps' own), summed over ``terms``
+    states (0 for the slowest state, which a maximum picks exactly).
+
+    The product sums in another order than start_charge.  With u = eps/2,
+    both sums of k nonnegative terms lie within g = (k+1)u / (1 - (k+1)u)
+    of the exact sum, relative (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1; every charge is at least about one
+    step, so underflow in a term cannot matter), and steps within w of
+    expected_steps' move a sum of mass at most 1 by w.  The exact charge
+    then lies in [c (1 - 2g) - (1 + g) w, c (1 + 2g) + (1 + g) w], which
+    4k eps >= 2g and 2w >= (1 + g) w cover with room for their own
+    rounding.  A window of inf leaves a row unbounded below.
+    """
+    slack = 4 * terms * np.finfo(float).eps
+    bounded = window < math.inf
+    window = np.where(bounded, window, 0.0)
+    return (np.where(bounded, charge * (1 - slack) - 2 * window, -math.inf),
+            np.where(bounded, charge * (1 + slack) + 2 * window, math.inf))
 
 
 def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
@@ -153,27 +185,17 @@ def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
     start_charge's of ``start``, bit for bit, or for a ``start`` of None
     the slowest non-safe starting state."""
     if start is None:
-        times = np.max(steps, axis=-1, initial=0.0)
+        times = _charges(steps, None)
         k = int(np.argmax(times))
         return k, float(times[k])
-    hit, mass = _start_mass(chains, start)
-    on_hit = steps[:, hit]
-    approx = np.where(np.any(np.isinf(on_hit), axis=-1), math.inf,
-                      on_hit @ mass)
-    # The product sums in another order than start_charge, so only the
-    # chains near its top are charged exactly.  With u = eps/2, both sums
-    # of k nonnegative terms lie within g = (k+1)u / (1 - (k+1)u) of the
-    # exact charge, relative (Higham, Accuracy and Stability of Numerical
-    # Algorithms, section 3.1; every charge is at least about one step, so
-    # underflow in a term cannot matter).  A chain that ties start_charge's
-    # maximum then has a product of at least top ((1-g) / (1+g))^2 >=
-    # top (1 - 4g), where top is the largest product, and 4g <= 8(k+1)u
-    # <= 8k eps: c = 8, with room for the rounding of the cut itself.
-    # Capping top at the largest float keeps every chain whose charge
-    # overflows.
-    top = min(float(np.max(approx)), np.finfo(float).max)
-    cut = top * (1.0 - 8 * len(mass) * np.finfo(float).eps)
-    near = np.nonzero(approx >= cut)[0]
+    hit, mass = _start_mass(chains.index_map, start)
+    # Only the chains whose charge may reach the largest lower bound are
+    # charged exactly.  Capping that bound at the largest float keeps
+    # every chain whose product overflows.
+    lower, upper = _charge_bounds(_charges(steps, (hit, mass)), 0.0,
+                                  len(mass))
+    near = np.nonzero(upper >= min(float(np.max(lower)),
+                                   np.finfo(float).max))[0]
     exact = start_charge(chains, start, steps[near])
     k = int(np.argmax(exact))
     return int(near[k]), float(exact[k])
@@ -226,78 +248,164 @@ def _tree_window(mdp: MdpSpec, thresholds) -> float:
                  * (bound + np.max(np.abs(thresholds))))
 
 
-def _tree_losses(mdp: MdpSpec, survivors, v_star, block: int):
-    """Losses max_s V*(s) - V^pi(s) of the product of ``survivors`` (the
-    actions kept at each non-safe state), in product order, one array per
-    ``block`` policies, from one elimination tree of (I - g P_pi) V = r_pi.
+# The tree's expected steps t' of a policy of a product that passes
+# _absorbed lie within
+#   w = d T' / (1 - d)^2,  d = TREE_ROUNDING n^3 eps T'  (when d < 1/2)
+# of expected_steps', where T' = max t'.  A = I - Q_pi is a nonsingular
+# M-matrix, diagonally dominant by rows with |a_ij| <= 1, and A^-1 >= 0
+# gives ||A^-1||_inf = ||A^-1 1||_inf = T, the exact max t.  So
+# TREE_ROUNDING's derivation, with ||A^-1|| = T in place of 1 / (1 - g)
+# and ||t|| = T in place of R / (1 - g), puts the two solves within
+# (d / T') T^2 of each other, to first order.  The tree's share of that
+# gives T <= T' + (d / T') T T', so T <= T' / (1 - d), and (d / T') T^2
+# <= w.  With d >= 1/2 the bound is void, and the window is inf.
+def _steps_window(n: int, steps):
+    """The window w above of each row of the tree's expected steps
+    ``steps``.  A row that no solve of I - Q_pi can give (an entry below
+    1/2, or not finite) shows that rounding broke the elimination down,
+    and gets a window of inf."""
+    top = np.max(steps, axis=-1)
+    d = TREE_ROUNDING * n ** 3 * np.finfo(float).eps * top
+    sound = (d < 0.5) & (np.min(steps, axis=-1) >= 0.5)
+    d, top = np.where(sound, d, 0.0), np.where(sound, top, 0.0)
+    return np.where(sound, d * top / (1 - d) ** 2, math.inf)
 
-    The states whose row every policy of the product shares (the safe
-    states and those with one survivor) are eliminated first, by one
-    solve.  The varying states are then eliminated in index order, one
-    level of the tree each: a node of depth d holds the rows of the states
-    after the d-th under each of their survivors, and its child c pivots
-    on the next state's row under that state's c-th survivor, so the
-    leaves come in product order.  Back substitution along each leaf's
-    pivot rows gives V^pi.  Leaves are formed n/2 blocks at a time, with
-    the nodes above them only: a batch holds BLOCK_BYTES / 2 of values.
+
+def _absorbed(mdp: MdpSpec, survivors) -> bool:
+    """Whether every policy of the product of ``survivors`` (the actions
+    kept at each non-safe state) is absorbed almost surely from every
+    state.
+
+    X, the greatest set of non-safe states in which each state has a
+    surviving action whose support stays inside X, holds every set of
+    non-safe states that some policy of the product never leaves.  A
+    finite chain that leaves every set of non-safe states is absorbed
+    almost surely, so the answer is whether X is empty; then every
+    principal submatrix of each I - Q_pi is a nonsingular M-matrix.
     """
-    n, g = mdp.n_states, mdp.discount
+    nonsafe = mdp.nonsafe_indices
+    if not len(nonsafe):
+        return True
+    k = [len(acts) for acts in survivors]
+    support = mdp.transition[np.repeat(nonsafe, k),
+                             np.concatenate(survivors)] > 0
+    starts = np.cumsum([0] + k[:-1])
+    x = np.ones(len(nonsafe), dtype=bool)
+    inside = np.zeros(mdp.n_states, dtype=bool)
+    while True:
+        inside[nonsafe] = x
+        stays = x & np.logical_or.reduceat(
+            ~np.any(support & ~inside, axis=-1), starts)
+        if np.array_equal(stays, x):
+            return not x.any()
+        x = stays
+
+
+def _tree_root(mdp: MdpSpec, survivors, states, scale: float, rhs):
+    """The elimination tree of (I - scale P_pi) x = rhs_pi over ``states``
+    (ascending state indices, with every non-safe state) for each policy
+    pi of the product of ``survivors``, where rhs is an (S, A) table, as
+    (root, Z, k, places) for _tree_solve.
+
+    The states of ``states`` whose row every policy of the product shares
+    (those that are not non-safe with more than one survivor) are
+    eliminated first, by one solve: x_fixed = Z[:, :m] x_vary - Z[:, m]
+    over the m varying states, whose survivor counts are k.  The root
+    holds the row [(I - scale P)[s, vary] | rhs] of each varying state s
+    under each of its survivors, with x_fixed substituted.  places are the
+    places of the varying and the fixed states in ``states``.
+    """
     nonsafe = mdp.nonsafe_indices
     k = np.array([len(acts) for acts in survivors], dtype=int)
     vary, k = nonsafe[k > 1], k[k > 1]
-    fixed = np.ones(n, dtype=bool)
+    fixed = np.zeros(mdp.n_states, dtype=bool)
+    fixed[states] = True
     fixed[vary] = False
-    fixed = np.nonzero(fixed)[0]
-    base = np.zeros(n, dtype=int)
+    fixed = np.flatnonzero(fixed)
+    base = np.zeros(mdp.n_states, dtype=int)
     base[nonsafe] = [acts[0] for acts in survivors]
     m = len(vary)
-    # V_fixed = Z[:, :m] V_vary - Z[:, m].
     P = mdp.transition[fixed, base[fixed]]
-    Z = np.linalg.solve(np.eye(len(fixed)) - g * P[:, fixed],
-                        np.column_stack([g * P[:, vary],
-                                         -mdp.reward[fixed, base[fixed]]]))
-    # The root: the row [(I - g P)[s, vary] | r] of each varying state s
-    # under each of its survivors, with V_fixed substituted.
-    states = np.repeat(vary, k)
+    Z = np.linalg.solve(np.eye(len(fixed)) - scale * P[:, fixed],
+                        np.column_stack([scale * P[:, vary],
+                                         -rhs[fixed, base[fixed]]]))
+    rows = np.repeat(vary, k)
     acts = np.concatenate([acts for acts in survivors if len(acts) > 1])
-    P = mdp.transition[states, acts]
-    root = np.column_stack([-g * P[:, vary], mdp.reward[states, acts]])
-    root[np.arange(len(states)), np.repeat(np.arange(m), k)] += 1.0
-    root = (root - g * P[:, fixed] @ Z)[None]
-    # below[d]: the leaves under one node of depth d.
-    below = np.append(np.cumprod(k[::-1])[::-1], 1)
-    total = int(below[0])
-    step = block * max(1, n // 2)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        rows, first, pivots = root, 0, []
-        for d in range(m):
+    P = mdp.transition[rows, acts]
+    root = np.column_stack([-scale * P[:, vary], rhs[rows, acts]])
+    root[np.arange(len(rows)), np.repeat(np.arange(m), k)] += 1.0
+    places = np.searchsorted(states, vary), np.searchsorted(states, fixed)
+    return root - scale * P[:, fixed] @ Z, Z, k, places
+
+
+def _tree_solve(tree, leaves) -> np.ndarray:
+    """x over the states of ``tree`` (as _tree_root gives it) of the
+    policies at product indices ``leaves`` (ascending; the last varying
+    state varies fastest), one row each.
+
+    The varying states are eliminated in index order, one level of the
+    tree each: a node of depth d holds the rows of the states after the
+    d-th under each of their survivors, and its child c pivots on the next
+    state's row under that state's c-th survivor, so that the leaves come
+    in product order.  Only the nodes above ``leaves`` are kept.  Back
+    substitution along each leaf's pivot rows gives x_vary, and Z gives
+    x_fixed.
+    """
+    root, Z, k, (vary, fixed) = tree
+    m = len(k)
+    if not len(leaves):
+        return np.empty((0, m + len(fixed)))
+    # ids[d]: the nodes of depth d above the leaves, as product indices of
+    # their first d actions; up[d]: the place of each one's parent among
+    # ids[d - 1].  Above a run of leaves, every level holds a run.
+    run = leaves[-1] - leaves[0] == len(leaves) - 1
+    ids, up = [leaves], [None] * (m + 1)
+    for d in range(m, 0, -1):
+        parent = ids[0] // k[d - 1]
+        if run:
+            up[d] = parent - parent[0]
+            ids.insert(0, np.arange(parent[0], parent[-1] + 1))
+            continue
+        first = np.ones(len(parent), dtype=bool)
+        first[1:] = parent[1:] != parent[:-1]
+        up[d] = np.cumsum(first) - 1
+        ids.insert(0, parent[first])
+    rows, pivots = root[None], []
+    for d in range(m):
+        # Child c of the node at place p is child p k[d] + c of the nodes
+        # of depth d.  A run of children is eliminated for every child of
+        # their parents and kept as a view; other children only are
+        # eliminated, from their parents' rows.
+        parent, child = up[d + 1], ids[d + 1]
+        lo = int(parent[0]) * k[d] + int(child[0]) % k[d]
+        hi = int(parent[-1]) * k[d] + int(child[-1]) % k[d]
+        run = hi - lo == len(child) - 1
+        if run:
             pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
-            rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
-                * pivot[..., 1:]
-            # Keep the children above leaves [lo, hi) only.
-            nodes, _, left, width = rows.shape
-            start, first = first * k[d], lo // below[d + 1]
-            keep = slice(first - start, (hi - 1) // below[d + 1] + 1 - start)
-            rows = rows.reshape(nodes * k[d], left, width)[keep]
-            pivots.append((first, pivot.reshape(-1, width + 1)[keep]))
-        leaves = np.arange(lo, hi)
-        x = np.empty((hi - lo, m))
-        for d in range(m - 1, -1, -1):
-            first, pivot = pivots[d]
-            row = pivot[leaves // below[d + 1] - first]
-            x[:, d] = (row[:, -1] - np.einsum("ij,ij->i", row[:, 1:-1],
-                                              x[:, d + 1:])) / row[:, 0]
-        loss = np.maximum(
-            np.max(v_star[fixed] - (x @ Z[:, :m].T - Z[:, m]), axis=-1,
-                   initial=-math.inf),
-            np.max(np.subtract(v_star[vary], x, out=x), axis=-1,
-                   initial=-math.inf))
-        for begin in range(0, hi - lo, block):
-            yield loss[begin:begin + block]
+        else:
+            c = child % k[d]
+            pivot, rest = rows[parent, c, None], rows[parent, k[d]:]
+        rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
+            * pivot[..., 1:]
+        pivot = pivot.reshape(-1, rows.shape[-1] + 1)
+        rows = rows.reshape(len(pivot), *rows.shape[-2:])
+        if run:
+            rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
+        pivots.append(pivot)
+    x, place = np.empty((len(leaves), m)), np.arange(len(leaves))
+    for d in range(m - 1, -1, -1):
+        row = pivots[d][place]
+        x[:, d] = (row[:, -1] - np.einsum("ij,ij->i", row[:, 1:-1],
+                                          x[:, d + 1:])) / row[:, 0]
+        place = up[d + 1][place]
+    out = np.empty((len(leaves), m + len(fixed)))
+    out[:, vary] = x
+    out[:, fixed] = x @ Z[:, :m].T - Z[:, m]
+    return out
 
 
-def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
+def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
+                  steps: bool = False):
     """The deterministic policies that survive MacQueen's test at
     ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
     (actions, loss): actions is a (policies, states) table, with the
@@ -309,12 +417,21 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
     policies come in the same order as when every policy is evaluated.
-    A table of one block is one stacked solve of policy_values; a larger
-    one is evaluated by the elimination tree (_tree_losses), and a loss
-    within the window of TREE_ROUNDING of one of ``thresholds`` (what the
-    caller compares losses with; by default ``epsilon``) is evaluated
-    again by policy_values, so that every comparison with a threshold
-    decides as on policy_values' bits.
+    A table of one block is one stacked solve of policy_values.  A larger
+    one is evaluated by the elimination tree (_tree_root, _tree_solve) of
+    (I - g P_pi) V = r_pi, n/2 blocks at a time: a batch holds BLOCK_BYTES
+    / 2 of values.  A loss within the window of TREE_ROUNDING of one of
+    ``thresholds`` (what the caller compares losses with; by default
+    ``epsilon``) is evaluated again by policy_values, so that every
+    comparison with a threshold decides as on policy_values' bits.
+
+    With ``steps``, blocks come as (actions, loss, steps): steps holds
+    the expected steps to the safe set (over the non-safe states, in index
+    order) of the rows with loss below epsilon, which the tree of (I -
+    Q_pi) t = 1 solves at those leaves of a batch, within _steps_window of
+    expected_steps'.  It is None, and the caller solves the members'
+    chains, for a table of one block, for a batch with at most a block of
+    members, and for a product that fails _absorbed.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -331,27 +448,100 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
     block = max(1, BLOCK_BYTES // (8 * mdp.n_states ** 2))
-    if total > block:
-        tree = _tree_losses(mdp, survivors, v_star, block)
-        thresholds = np.array((epsilon,) if thresholds is None
-                              else thresholds, dtype=float)
-        window = _tree_window(mdp, thresholds)
-    for begin in range(0, total, block):
-        flat = np.arange(begin, min(begin + block, total))
+
+    def table(flat):
         picks = np.unravel_index(flat, shape) if shape else ()
         actions = np.zeros((len(flat), mdp.n_states), dtype=int)
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
-        if total <= block:
-            yield actions, np.max(v_star - policy_values(mdp, actions),
-                                  axis=-1)
-            continue
-        loss = next(tree)
+        return actions
+
+    if total <= block:
+        actions = table(np.arange(total))
+        loss = np.max(v_star - policy_values(mdp, actions), axis=-1)
+        yield (actions, loss, None) if steps else (actions, loss)
+        return
+    thresholds = np.array((epsilon,) if thresholds is None else thresholds,
+                          dtype=float)
+    window = _tree_window(mdp, thresholds)
+    values = _tree_root(mdp, survivors, np.arange(mdp.n_states),
+                        mdp.discount, mdp.reward)
+    # The tree of (I - Q_pi) t = 1, built for the first batch that needs
+    # it, or False when the product fails _absorbed.
+    hitting = None
+    step = block * max(1, mdp.n_states // 2)
+    for lo in range(0, total, step):
+        leaves = np.arange(lo, min(lo + step, total))
+        loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
         if np.any(near):
-            loss[near] = np.max(v_star - policy_values(mdp, actions[near]),
-                                axis=-1)
-        yield actions, loss
+            loss[near] = np.max(
+                v_star - policy_values(mdp, table(leaves[near])), axis=-1)
+        inside = loss < epsilon
+        t = None
+        # The tree's fixed cost per level beats a block's stacked chains
+        # once a batch holds more members than a block.
+        if steps and np.count_nonzero(inside) > block:
+            if hitting is None:
+                hitting = _absorbed(mdp, survivors) and _tree_root(
+                    mdp, survivors, nonsafe, 1.0, np.ones(mdp.reward.shape))
+            if hitting:
+                # The members' rows, split at the ends of the blocks.
+                # Pivots that rounding drives to 0 show in the rows
+                # (_steps_window).
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    t = _tree_solve(hitting, leaves[inside])
+                t = np.split(t, np.cumsum(inside)[block - 1:-1:block])
+        for begin in range(0, len(leaves), block):
+            part = slice(begin, begin + block)
+            if not steps:
+                yield table(leaves[part]), loss[part]
+            else:
+                yield table(leaves[part]), loss[part], (
+                    None if t is None else t[begin // block])
+
+
+class _NearTop:
+    """The members of a table that may hold the largest exact charge of a
+    set they belong to, from bounds on each member's charge.
+
+    Sets are nested, like the members of ascending epsilons.  A member
+    whose upper bound is below the largest lower bound in a set it belongs
+    to is not the maximum of that set, and is dropped; the members left
+    keep product order, so that the first maximum among them is the first
+    in the table.
+    """
+
+    def __init__(self, n_states: int, sets: int = 1):
+        self.floor = np.full(sets, -math.inf)
+        self.actions = np.empty((0, n_states), dtype=int)
+        self.upper = np.empty(0)
+        self.member = np.empty((sets, 0), dtype=bool)
+
+    def add(self, actions, lower, upper, member):
+        """Add the rows of ``actions`` with charges within [lower, upper],
+        where member[e, j] tells whether row j is in set e."""
+        top = np.where(member, lower, -math.inf).max(axis=1)
+        # Capping the floor at the largest float keeps every row whose
+        # charge overflows.
+        self.floor = np.minimum(np.maximum(self.floor, top),
+                                np.finfo(float).max)
+        actions = np.concatenate([self.actions, actions])
+        upper = np.concatenate([self.upper, upper])
+        member = np.concatenate([self.member, member], axis=1)
+        keep = upper >= np.where(member, self.floor[:, None],
+                                 math.inf).min(axis=0)
+        self.actions, self.upper, self.member = (actions[keep], upper[keep],
+                                                 member[:, keep])
+
+    def take(self):
+        """(actions, member) of the rows kept, which leave; the floor stays,
+        since the exact maxima of the sets are at least their floors."""
+        rows = self.actions, self.member
+        self.actions, self.upper = self.actions[:0], self.upper[:0]
+        self.member = self.member[:, :0]
+        return rows
 
 
 @dataclass(frozen=True)
@@ -408,19 +598,49 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
     count, reachability, boundary = 0, [], 0
     band = 10.0 * query.value_tol
     thresholds = (query.epsilon - band, query.epsilon, query.epsilon + band)
-    for actions, loss in _policy_table(mdp, query.epsilon, thresholds):
+    near = _NearTop(mdp.n_states)
+
+    def settle(rows):
+        """Solve the chains of ``rows``, which come after every row settled
+        before, and keep the first slowest; their expected steps."""
+        nonlocal worst_time, worst_actions, worst_times
+        chains = _chains(mdp, rows)
+        t = expected_steps(chains)
+        k, time = _first_slowest(chains, t, query.start)
+        if time > worst_time:
+            worst_time, worst_actions, worst_times = time, rows[k], t[k].copy()
+        return t
+
+    for actions, loss, tree in _policy_table(mdp, query.epsilon, thresholds,
+                                             steps=True):
         boundary += int(np.count_nonzero(np.abs(query.epsilon - loss) < band))
         members = actions[loss < query.epsilon]
         if not len(members):
             continue
-        chains, t = _member_steps(mdp, members)
-        k, time = _first_slowest(chains, t, query.start)
         count += len(members)
-        reachability.extend(np.all(np.isfinite(t), axis=-1).tolist())
-        # The first slowest policy in grid order wins a tie.
-        if time > worst_time:
-            worst_time, worst_actions, worst_times = (time, members[k],
-                                                      t[k].copy())
+        if tree is None:
+            # Rows kept from earlier blocks come first in product order.
+            if len(near.actions):
+                settle(near.take()[0])
+            reachability.extend(
+                np.all(np.isfinite(settle(members)), axis=-1).tolist())
+            continue
+        # Every member of the tree's product is absorbed almost surely.
+        reachability.extend([True] * len(members))
+        start, terms = None, 0
+        if query.start is not None:
+            start = _start_mass(mdp.nonsafe_indices, query.start)
+            terms = len(start[1])
+        lower, upper = _charge_bounds(_charges(tree, start),
+                                      _steps_window(mdp.n_states, tree),
+                                      terms)
+        near.add(members, lower, upper,
+                 np.ones((1, len(members)), dtype=bool))
+        # Rows the window cannot tell apart are settled a block at a time.
+        if len(near.actions) >= len(actions):
+            settle(near.take()[0])
+    if len(near.actions):
+        settle(near.take()[0])
     if not count:
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
@@ -511,15 +731,32 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
                          "vacuous")
     # Hitting times are nonnegative, so -inf marks an empty set.
     worst = np.full(len(epsilons), -math.inf)
-    for actions, loss in _policy_table(mdp, epsilons[-1], epsilons):
+    near = _NearTop(mdp.n_states, len(epsilons))
+
+    def settle(rows, member):
+        """Take the slowest of ``rows`` into each set that member marks."""
+        nonlocal worst
+        times = np.max(expected_steps(_chains(mdp, rows)), axis=-1,
+                       initial=0.0)
+        worst = np.maximum(
+            worst, np.where(member, times, -math.inf).max(axis=-1))
+
+    for actions, loss, tree in _policy_table(mdp, epsilons[-1], epsilons,
+                                             steps=True):
         inside = loss < epsilons[-1]
         if not np.any(inside):
             continue
-        times = np.max(_member_steps(mdp, actions[inside])[1], axis=-1,
-                       initial=0.0)
         member = loss[inside] < np.array(epsilons)[:, None]
-        worst = np.maximum(
-            worst, np.where(member, times, -math.inf).max(axis=-1))
+        if tree is None:
+            settle(actions[inside], member)
+            continue
+        lower, upper = _charge_bounds(_charges(tree, None),
+                                      _steps_window(mdp.n_states, tree), 0)
+        near.add(actions[inside], lower, upper, member)
+        if len(near.actions) >= len(actions):
+            settle(*near.take())
+    if len(near.actions):
+        settle(*near.take())
     for eps, time in zip(epsilons, worst):
         if time == -math.inf:
             raise ValueError(

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import json
 import math
 from itertools import combinations, product
 
@@ -560,3 +561,39 @@ def reference_validate(mdp):
                     "safe-not-absorbing", (int(s), int(a)),
                     f"leaks {1.0 - inside[a]!r} outside the safe set"))
     return ValidationReport(tuple(found))
+
+
+def reference_render_json(obj, indent=0):
+    """The artifact renderer as one recursive call per value, the oracle of
+    cli.render_json's bytes."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError("non-finite float in artifact; sanitize to null")
+        return format(obj, ".17g")
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(pad + "  " + reference_render_json(v, indent + 1)
+                           for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            pad + "  " + json.dumps(str(k)) + ": "
+            + reference_render_json(v, indent + 1) for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, np.floating):
+        return reference_render_json(float(obj))
+    if isinstance(obj, np.ndarray):
+        return reference_render_json(obj.tolist(), indent)
+    raise TypeError(f"cannot render {type(obj)!r}")

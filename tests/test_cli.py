@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_mdp, reference_certify, shift_applications
+from helpers import (random_mdp, reference_certify, reference_render_json,
+                     shift_applications)
 from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
                            StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
@@ -55,6 +56,34 @@ def hibernation_doc():
     return mdp_to_document(mdp)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), FINITE,
+    st.text(max_size=5), st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8), FINITE.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False)
+    .map(np.float32))
+ARRAYS = st.one_of(
+    st.lists(FINITE, max_size=6).map(np.array),
+    st.lists(st.booleans(), max_size=6).map(np.array),
+    st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+             max_size=3).map(lambda rows: np.array(rows, dtype=int)),
+    FINITE.map(np.array))
+
+
+def documents():
+    """Nested artifacts: lists, tuples and dicts (empty ones included) of
+    scalars, numpy scalars and numpy arrays."""
+    return st.recursive(
+        st.one_of(SCALARS, ARRAYS, st.just([]), st.just({})),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=6),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=30)
+
+
 class TestRenderJson:
     def test_seventeen_significant_digits(self):
         text = render_json({"x": 1.0 / 3.0})
@@ -70,6 +99,21 @@ class TestRenderJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             render_json({"x": math.inf})
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=documents())
+    def test_bytes_match_the_recursive_renderer(self, doc):
+        assert render_json(doc) == reference_render_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [1.0, math.nan], [object(), math.nan], [math.inf, object()],
+        [True, [np.float32(np.inf)]], {"a": [None, np.float64(-np.inf)]},
+        [1, {2}]])
+    def test_errors_match_the_recursive_renderer(self, doc):
+        with pytest.raises(Exception) as expected:
+            reference_render_json(doc)
+        with pytest.raises(expected.type):
+            render_json(doc)
 
 
 class TestValidateCommand:

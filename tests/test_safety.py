@@ -1,6 +1,9 @@
 import contextlib
+import itertools
 import math
+import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,12 +18,13 @@ from helpers import (_reference_grid, enumerate_epsilon_optimal,
                      reference_expected_steps, reference_frontier,
                      reference_hitting_time, reference_value_iteration)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
-                           SafetyQuery, StartDistribution, build_duplicated,
+                           PlayingDeadParams, SafetyQuery, StartDistribution,
+                           build_duplicated, build_playing_dead,
                            certify_safety, expected_steps, greedy_policy,
                            induce_chain, safety, safety_frontier,
                            value_iteration, ValueFunction,
                            verify_stability_instance)
-from mdp_stability.mdp import _chains
+from mdp_stability.mdp import _chains, can_reach
 
 
 def chain_single(p_absorb):
@@ -658,7 +662,8 @@ def charge_cases(draw):
     policies that cycle among non-safe states have infinite steps."""
     mdp, _, _ = draw(table_cases())
     actions = np.array([p.table for p in _reference_grid(mdp)])
-    chains, steps = safety._member_steps(mdp, actions)
+    chains = _chains(mdp, actions)
+    steps = expected_steps(chains)
     keep = [int(s) for s in mdp.nonsafe_indices]
     support = draw(st.lists(st.sampled_from(keep), min_size=1,
                             max_size=len(keep), unique=True))
@@ -725,7 +730,7 @@ class TestStackedStartCharge:
     def test_safe_start_raises_before_the_product(self):
         # Steps of None would fail the product with a TypeError.
         mdp = random_mdp(2, n_states=4)
-        chains, _ = safety._member_steps(mdp, np.zeros((3, 4), dtype=int))
+        chains = _chains(mdp, np.zeros((3, 4), dtype=int))
         start = StartDistribution.point_mass(4, int(mdp.safe_indices[0]))
         with pytest.raises(ValueError, match="mass on safe states"):
             safety._first_slowest(chains, None, start)
@@ -897,6 +902,233 @@ class TestPrunedStackedTable:
             with pytest.raises(RuntimeError, match="spectral radius of the "
                                                    "transient block is 1"):
                 expected_steps(chain)
+
+
+def every_policy_absorbed(mdp, survivors):
+    """Whether each policy of the product of ``survivors`` reaches the safe
+    set from every state, one policy and one closure at a time."""
+    safe = np.zeros(mdp.n_states, dtype=bool)
+    safe[mdp.safe_indices] = True
+    states = np.arange(mdp.n_states)
+    for choice in itertools.product(*survivors):
+        actions = np.zeros(mdp.n_states, dtype=int)
+        actions[mdp.nonsafe_indices] = choice
+        if not np.all(can_reach(mdp.transition[states, actions] > 0, safe)):
+            return False
+    return True
+
+
+def some_survivors(mdp, seed):
+    """Every action at each non-safe state, or a random non-empty subset."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.3:
+        return [np.arange(mdp.n_actions) for _ in mdp.nonsafe_indices]
+    return [np.sort(rng.choice(mdp.n_actions, rng.integers(1, mdp.n_actions
+                                                           + 1),
+                               replace=False))
+            for _ in mdp.nonsafe_indices]
+
+
+def self_loop_mdp():
+    # s0 stays put under "stay" and shuts down under "go"; s1 only drifts.
+    P = np.zeros((3, 2, 3))
+    P[0, 0, 0] = 1.0
+    P[0, 1, 2] = 1.0
+    P[1, :, 0] = 0.5
+    P[1, :, 2] = 0.5
+    P[2, :, 2] = 1.0
+    return MdpSpec(("s0", "s1", "safe"), ("stay", "go"), P,
+                   np.zeros((3, 2)), 0.9, {2})
+
+
+class TestProductAbsorption:
+    """safety._absorbed, one greatest fixed point over the product, against
+    a reachability closure per policy."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=table_cases(), seed=st.integers(0, 2 ** 16))
+    def test_table_cases(self, case, seed):
+        mdp = case[0]
+        survivors = some_survivors(mdp, seed)
+        assert safety._absorbed(mdp, survivors) \
+            == every_policy_absorbed(mdp, survivors)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=wide_table_cases(), seed=st.integers(0, 2 ** 16))
+    def test_wide_table_cases(self, case, seed):
+        mdp = case[0]
+        survivors = some_survivors(mdp, seed)
+        assert safety._absorbed(mdp, survivors) \
+            == every_policy_absorbed(mdp, survivors)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    def test_playing_dead(self, delta):
+        base = MdpSpec(("work", "wrap", "shutdown"), ("go", "stay"),
+                       [[[0, 1, 0], [1, 0, 0]], [[0, 0, 1], [0, 1, 0]],
+                        [[0, 0, 1], [0, 0, 1]]],
+                       [[1.0, 0.0], [0.6, 0.0], [0.0, 0.0]], 0.9, {2})
+        mdp = build_playing_dead(PlayingDeadParams(
+            base=base, delta=delta, escape_state=0, escape_action=0,
+            epsilon=0.5))
+        for survivors in itertools.product([[0], [1], [0, 1]], repeat=3):
+            survivors = [np.array(acts) for acts in survivors]
+            assert safety._absorbed(mdp, survivors) \
+                == every_policy_absorbed(mdp, survivors)
+
+    def test_self_loop(self):
+        mdp = self_loop_mdp()
+        assert not safety._absorbed(mdp, [np.array([0, 1]), np.array([0])])
+        assert safety._absorbed(mdp, [np.array([1]), np.array([0, 1])])
+        assert not every_policy_absorbed(mdp, [[0, 1], [0]])
+        assert every_policy_absorbed(mdp, [[1], [0, 1]])
+
+    def test_all_safe(self):
+        mdp = MdpSpec(("a", "b"), ("x",), [[[1.0, 0.0]], [[0.0, 1.0]]],
+                      [[0.0], [0.0]], 0.9, {0, 1})
+        assert safety._absorbed(mdp, [])
+        assert every_policy_absorbed(mdp, [])
+
+
+def slow_leak_mdp(seed, low, high, n_states=7):
+    """Each action leaks to the safe state with probability 10^low to
+    10^high and spreads the rest over the non-safe states, so that with
+    high <= -6 expected steps run to 1e6 and beyond, and every policy is
+    absorbed almost surely."""
+    rng = np.random.default_rng(seed)
+    n = n_states
+    P = np.zeros((n, 2, n))
+    leak = 10.0 ** rng.uniform(low, high, size=(n - 1, 2))
+    P[:-1, :, :-1] = rng.dirichlet(np.ones(n - 1), size=(n - 1, 2)) \
+        * (1 - leak)[..., None]
+    P[:-1, :, -1] = leak
+    P[-1, :, -1] = 1.0
+    r = rng.random((n, 2))
+    r[-1] = 0.0
+    return MdpSpec(tuple(f"s{i}" for i in range(n)), ("a0", "a1"), P, r,
+                   0.9, {n - 1})
+
+
+class TestTreeHittingTimes:
+    """The expected steps that the elimination tree gives a table's members
+    against expected_steps, and the certificates that take them."""
+
+    def check_window(self, mdp, eps, block):
+        """Every tree row lies within _steps_window of expected_steps';
+        returns the number of rows the tree gave."""
+        with table_under_test(mdp, block):
+            rows = 0
+            for actions, loss, tree in safety._policy_table(mdp, eps,
+                                                            steps=True):
+                members = actions[loss < eps]
+                if tree is None:
+                    continue
+                exact = expected_steps(_chains(mdp, members))
+                window = safety._steps_window(mdp.n_states, tree)
+                assert np.all(np.abs(tree - exact) <= window[:, None])
+                rows += len(tree)
+        return rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=table_cases(), eps=st.sampled_from([0.5, 5.0, 1e3]))
+    def test_rows_lie_within_the_window(self, case, eps):
+        mdp, _, block = case
+        with one_optimum(mdp):
+            self.check_window(mdp, eps, block)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=wide_table_cases())
+    def test_wide_rows_lie_within_the_window(self, case):
+        mdp, _, block = case
+        with one_optimum(mdp):
+            self.check_window(mdp, 1e9, block)
+
+    @pytest.mark.parametrize("seed,leaks", [(0, (-9, -6)), (1, (-9, -6)),
+                                            (2, (-12, -10)), (3, (-12, -10))])
+    def test_slow_leaks_keep_exact_answers(self, seed, leaks):
+        # Below 1e-10 the window takes in every member, and every member
+        # is solved again, a block at a time.
+        mdp = slow_leak_mdp(seed, *leaks)
+        # Batches of 9 policies: the tree solves all but the last one,
+        # whose single member is a stacked chain.
+        assert self.check_window(mdp, 1e3, 3) == 2 ** 6 - 1
+        times = [np.max(expected_steps(induce_chain(mdp, p)))
+                 for p in _reference_grid(mdp)]
+        assert min(times) >= 1e6
+        with table_under_test(mdp, 3), mock.patch.object(
+                safety, "expected_steps",
+                wraps=safety.expected_steps) as solve:
+            certify_safety(mdp, SafetyQuery(1e3))
+        solved = sum(len(call.args[0].Q) for call in solve.call_args_list)
+        assert (solved == 2 ** 6) == (leaks[1] <= -10)
+        losses = sorted(loss for _, loss in grid_losses(mdp))
+        eps = losses[len(losses) // 2]
+        for start in (None, StartDistribution.point_mass(mdp.n_states, 2)):
+            query = SafetyQuery(eps, start)
+            ref = reference_certify(mdp, query)
+            with table_under_test(mdp, 3):
+                cert = certify_safety(mdp, query)
+            assert cert.worst_time == ref["worst_time"]
+            assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+            assert cert.reachability == ref["reachability"]
+            assert np.array_equal(
+                cert.worst_policy_times,
+                expected_steps(induce_chain(mdp, cert.worst_policy)))
+        epsilons = [eps / 2, eps, 2 * eps]
+        with table_under_test(mdp, 3):
+            assert safety_frontier(mdp, epsilons) \
+                == reference_frontier(mdp, epsilons)
+
+    def test_rounded_away_leaks_fail_as_expected_steps_does(self):
+        # Leaks of 1e-320 pass the graph test but round away in I - Q_pi:
+        # the tree's rows show it, and expected_steps names the failure,
+        # with no warning on the way.
+        mdp = slow_leak_mdp(0, -320, -320)
+        assert safety._absorbed(mdp, [np.arange(2)] * 6)
+        with table_under_test(mdp, 3), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: certify_safety(mdp, SafetyQuery(1e3)),
+                        lambda: safety_frontier(mdp, [1e3])):
+                with pytest.raises(RuntimeError,
+                                   match="hitting-time solve failed"):
+                    run()
+
+    def test_tree_rows_reach_the_certificates(self):
+        # A proper product of 2^12 policies: one expected_steps call for
+        # the policies near the top, none per block.
+        mdp = random_mdp(4, n_states=13, n_actions=2)
+        assert self.check_window(mdp, 1e3, None) == 2 ** 12
+        with mock.patch.object(safety, "expected_steps",
+                               wraps=safety.expected_steps) as solve:
+            cert = certify_safety(mdp, SafetyQuery(1e3))
+            safety_frontier(mdp, [1.0, 1e3])
+        assert solve.call_count == 2
+        assert all(cert.reachability) and len(cert.reachability) == 2 ** 12
+        ref = reference_certify(mdp, SafetyQuery(1e3))
+        assert cert.worst_time == ref["worst_time"]
+        assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+
+    def test_hitting_time_memory_stays_within_a_few_blocks(self):
+        # The 2^16 policies of test_table_memory_stays_within_a_few_blocks,
+        # every one a member: apart from the certificate's reachability
+        # tuple and the list it is built from (at most 9/8 of the tuple),
+        # the hitting times of certify and of the frontier take a few
+        # blocks at once.
+        mdp = random_mdp(1, n_states=17, n_actions=2)
+        certify_safety(mdp, SafetyQuery(1e6))
+        for run in ("certify", "frontier"):
+            tracemalloc.start()
+            try:
+                if run == "certify":
+                    cert = certify_safety(mdp, SafetyQuery(1e6))
+                    own = 9 / 4 * sys.getsizeof(cert.reachability)
+                else:
+                    safety_frontier(mdp, [1e5, 1e6])
+                    own = 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - own < 3 * safety.BLOCK_BYTES, run
+        assert len(cert.reachability) == 2 ** 16
 
 
 def test_nan_reward_stops_value_iteration_at_the_first_sweep():
