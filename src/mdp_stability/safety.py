@@ -180,6 +180,19 @@ def _charge_bounds(charge, window, terms: int):
             np.where(bounded, charge * (1 + slack) + 2 * window, math.inf))
 
 
+def _near_top(floor, lower, upper, member):
+    """(floor, keep) for rows with charges within [lower, upper], where
+    member[e, j] tells whether row j is in set e: each set's floor rises
+    to the largest lower bound of its rows, and keep marks the rows whose
+    upper bound reaches the floor of every set they belong to (a row below
+    one is not the maximum of that set).  Capping a floor at the largest
+    float keeps every row whose charge overflows."""
+    top = np.where(member, lower, -math.inf).max(axis=1, initial=-math.inf)
+    floor = np.minimum(np.maximum(floor, top), np.finfo(float).max)
+    keep = upper >= np.where(member, floor[:, None], math.inf).min(axis=0)
+    return floor, keep
+
+
 def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
     """(index, charge) of the first slowest chain of a stack: the charge is
     start_charge's of ``start``, bit for bit, or for a ``start`` of None
@@ -190,12 +203,12 @@ def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
         return k, float(times[k])
     hit, mass = _start_mass(chains.index_map, start)
     # Only the chains whose charge may reach the largest lower bound are
-    # charged exactly.  Capping that bound at the largest float keeps
-    # every chain whose product overflows.
+    # charged exactly.
     lower, upper = _charge_bounds(_charges(steps, (hit, mass)), 0.0,
                                   len(mass))
-    near = np.nonzero(upper >= min(float(np.max(lower)),
-                                   np.finfo(float).max))[0]
+    _, keep = _near_top(-math.inf, lower, upper,
+                        np.ones((1, len(lower)), dtype=bool))
+    near = np.nonzero(keep)[0]
     exact = start_charge(chains, start, steps[near])
     k = int(np.argmax(exact))
     return int(near[k]), float(exact[k])
@@ -404,13 +417,12 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     return out
 
 
-def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
-                  steps: bool = False):
+def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     """The deterministic policies that survive MacQueen's test at
     ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
-    (actions, loss): actions is a (policies, states) table, with the
-    actions inside safe states pinned to 0 (they cannot matter), and loss
-    the value loss max_s V*(s) - V^pi(s) of each row.  A policy is
+    (actions, loss, steps): actions is a (policies, states) table, with
+    the actions inside safe states pinned to 0 (they cannot matter), and
+    loss the value loss max_s V*(s) - V^pi(s) of each row.  A policy is
     eps-optimal exactly when its loss is below eps; every policy left out
     has a loss of at least epsilon + 10*value_tol.
 
@@ -425,13 +437,12 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
     ``epsilon``) is evaluated again by policy_values, so that every
     comparison with a threshold decides as on policy_values' bits.
 
-    With ``steps``, blocks come as (actions, loss, steps): steps holds
-    the expected steps to the safe set (over the non-safe states, in index
-    order) of the rows with loss below epsilon, which the tree of (I -
-    Q_pi) t = 1 solves at those leaves of a batch, within _steps_window of
-    expected_steps'.  It is None, and the caller solves the members'
-    chains, for a table of one block, for a batch with at most a block of
-    members, and for a product that fails _absorbed.
+    steps holds the expected steps to the safe set (over the non-safe
+    states, in index order) of the rows with loss below epsilon, which the
+    tree of (I - Q_pi) t = 1 solves at those leaves of a batch, within
+    _steps_window of expected_steps'.  It is None, and the caller solves
+    the members' chains, for a table of one block, for a batch with at
+    most a block of members, and for a product that fails _absorbed.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -459,7 +470,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
     if total <= block:
         actions = table(np.arange(total))
         loss = np.max(v_star - policy_values(mdp, actions), axis=-1)
-        yield (actions, loss, None) if steps else (actions, loss)
+        yield actions, loss, None
         return
     thresholds = np.array((epsilon,) if thresholds is None else thresholds,
                           dtype=float)
@@ -481,7 +492,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
         t = None
         # The tree's fixed cost per level beats a block's stacked chains
         # once a batch holds more members than a block.
-        if steps and np.count_nonzero(inside) > block:
+        if np.count_nonzero(inside) > block:
             if hitting is None:
                 hitting = _absorbed(mdp, survivors) and _tree_root(
                     mdp, survivors, nonsafe, 1.0, np.ones(mdp.reward.shape))
@@ -495,11 +506,8 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None,
                 t = np.split(t, np.cumsum(inside)[block - 1:-1:block])
         for begin in range(0, len(leaves), block):
             part = slice(begin, begin + block)
-            if not steps:
-                yield table(leaves[part]), loss[part]
-            else:
-                yield table(leaves[part]), loss[part], (
-                    None if t is None else t[begin // block])
+            yield table(leaves[part]), loss[part], (
+                None if t is None else t[begin // block])
 
 
 class _NearTop:
@@ -516,31 +524,26 @@ class _NearTop:
     def __init__(self, n_states: int, sets: int = 1):
         self.floor = np.full(sets, -math.inf)
         self.actions = np.empty((0, n_states), dtype=int)
-        self.upper = np.empty(0)
+        self.lower, self.upper = np.empty(0), np.empty(0)
         self.member = np.empty((sets, 0), dtype=bool)
 
     def add(self, actions, lower, upper, member):
         """Add the rows of ``actions`` with charges within [lower, upper],
         where member[e, j] tells whether row j is in set e."""
-        top = np.where(member, lower, -math.inf).max(axis=1)
-        # Capping the floor at the largest float keeps every row whose
-        # charge overflows.
-        self.floor = np.minimum(np.maximum(self.floor, top),
-                                np.finfo(float).max)
         actions = np.concatenate([self.actions, actions])
+        lower = np.concatenate([self.lower, lower])
         upper = np.concatenate([self.upper, upper])
         member = np.concatenate([self.member, member], axis=1)
-        keep = upper >= np.where(member, self.floor[:, None],
-                                 math.inf).min(axis=0)
-        self.actions, self.upper, self.member = (actions[keep], upper[keep],
-                                                 member[:, keep])
+        self.floor, keep = _near_top(self.floor, lower, upper, member)
+        self.actions, self.lower, self.upper, self.member = (
+            actions[keep], lower[keep], upper[keep], member[:, keep])
 
     def take(self):
         """(actions, member) of the rows kept, which leave; the floor stays,
         since the exact maxima of the sets are at least their floors."""
         rows = self.actions, self.member
-        self.actions, self.upper = self.actions[:0], self.upper[:0]
-        self.member = self.member[:, :0]
+        self.actions, self.member = self.actions[:0], self.member[:, :0]
+        self.lower, self.upper = self.lower[:0], self.upper[:0]
         return rows
 
 
@@ -611,8 +614,8 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
             worst_time, worst_actions, worst_times = time, rows[k], t[k].copy()
         return t
 
-    for actions, loss, tree in _policy_table(mdp, query.epsilon, thresholds,
-                                             steps=True):
+    for actions, loss, tree in _policy_table(mdp, query.epsilon,
+                                             thresholds):
         boundary += int(np.count_nonzero(np.abs(query.epsilon - loss) < band))
         members = actions[loss < query.epsilon]
         if not len(members):
@@ -741,8 +744,7 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
         worst = np.maximum(
             worst, np.where(member, times, -math.inf).max(axis=-1))
 
-    for actions, loss, tree in _policy_table(mdp, epsilons[-1], epsilons,
-                                             steps=True):
+    for actions, loss, tree in _policy_table(mdp, epsilons[-1], epsilons):
         inside = loss < epsilons[-1]
         if not np.any(inside):
             continue

@@ -167,7 +167,7 @@ def enumerate_epsilon_optimal(mdp, query):
     """The deterministic policies with a value loss below epsilon, as the
     package's policy table finds them."""
     return [Policy.deterministic(row)
-            for actions, loss in _policy_table(mdp, query.epsilon)
+            for actions, loss, _ in _policy_table(mdp, query.epsilon)
             for row in actions[loss < query.epsilon]]
 
 

@@ -622,7 +622,8 @@ class TestBlockBudget:
     def test_every_block_fits_the_budget(self, case, budget):
         mdp, _, _ = case
         with mock.patch.object(safety, "BLOCK_BYTES", budget):
-            sizes = [len(loss) for _, loss in safety._policy_table(mdp, 5.0)]
+            sizes = [len(loss)
+                     for _, loss, _ in safety._policy_table(mdp, 5.0)]
         n = mdp.n_states
         assert all(size * n ** 2 * 8 <= budget or size == 1
                    for size in sizes)
@@ -632,7 +633,7 @@ class TestBlockBudget:
 
     def test_default_budget_at_thirteen_states(self):
         mdp = random_mdp(5, n_states=13, n_actions=2)
-        sizes = [len(loss) for _, loss in safety._policy_table(mdp, 1e3)]
+        sizes = [len(loss) for _, loss, _ in safety._policy_table(mdp, 1e3)]
         assert sum(sizes) == 2 ** 12
         assert sizes[:-1] == [193] * (len(sizes) - 1)
         assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
@@ -646,7 +647,7 @@ class TestBlockBudget:
         tracemalloc.start()
         try:
             count = sum(len(loss)
-                        for _, loss in safety._policy_table(mdp, 1e6))
+                        for _, loss, _ in safety._policy_table(mdp, 1e6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -802,7 +803,7 @@ class TestPrunedStackedTable:
                 safety, "policy_values",
                 wraps=safety.policy_values) as exact:
             table = [(tuple(a), float(loss))
-                     for actions, losses in safety._policy_table(mdp, eps)
+                     for actions, losses, _ in safety._policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
         rechecked = {tuple(a) for call in exact.call_args_list
                      for a in call.args[1]}
@@ -861,7 +862,8 @@ class TestPrunedStackedTable:
         # Dense 9-state MDP at a small epsilon: most of the 256 policies
         # take an action that MacQueen's test rules out.
         mdp = random_mdp(3, n_states=9, n_actions=2)
-        kept = sum(len(loss) for _, loss in safety._policy_table(mdp, 0.05))
+        kept = sum(len(loss)
+                   for _, loss, _ in safety._policy_table(mdp, 0.05))
         assert 0 < kept < 2 ** 8 // 4
         assert len(enumerate_epsilon_optimal(mdp, SafetyQuery(0.05))) \
             == sum(loss < 0.05 for _, loss in grid_losses(mdp))
@@ -1017,8 +1019,7 @@ class TestTreeHittingTimes:
         returns the number of rows the tree gave."""
         with table_under_test(mdp, block):
             rows = 0
-            for actions, loss, tree in safety._policy_table(mdp, eps,
-                                                            steps=True):
+            for actions, loss, tree in safety._policy_table(mdp, eps):
                 members = actions[loss < eps]
                 if tree is None:
                     continue
