@@ -395,6 +395,9 @@ def cmd_stability_experiment(args):
         variant = build_playing_dead(PlayingDeadParams(
             base=mdp, delta=args.delta, escape_state=escape,
             escape_action=action, epsilon=args.epsilon))
+    # m is certified once, for every rung.
+    base = certify_safety(mdp, SafetyQuery(args.epsilon),
+                          N_values=(args.big_n,))
     rng = np.random.default_rng(_seed(args))
     rows = []
     largest_holding = None
@@ -402,14 +405,14 @@ def cmd_stability_experiment(args):
         jitter = rng.uniform(-size, size, size=mdp.reward.shape)
         perturbed = mdp.with_rewards(mdp.reward + jitter)
         report = verify_stability_instance(mdp, perturbed, args.big_n,
-                                           args.epsilon, config)
+                                           args.epsilon, config, base)
         rows.append({"size": size, "kind": "reward-jitter",
                      **report.to_document()})
         if report.conclusion_holds:
             largest_holding = size
     if variant is not None:
         report = verify_stability_instance(mdp, variant, args.big_n,
-                                           args.epsilon, config)
+                                           args.epsilon, config, base)
         rows.append({"size": args.delta, "kind": "playing-dead",
                      **report.to_document()})
     document = {"rungs": rows, "largest_size_holding": largest_holding,

@@ -43,7 +43,8 @@ POLICY_CAP = 10 ** 6
 # most a block of members.  A larger table is evaluated by the
 # elimination tree (_tree_solve) n/2 blocks at a time, whose values take
 # BLOCK_BYTES / 2; the tree solves the other batches' members' hitting
-# times too.  On the certify deck 256 KB beat
+# times too.  The member scan (_scan) solves again the tree's rows that
+# it keeps, a block's worth at a time.  On the certify deck 256 KB beat
 # both 64 KB and 1 MB.  Every hitting time and loss that a certificate
 # reports or decides on has the same bits at any block size, since LAPACK
 # solves each matrix of a stack on its own; the tree's own may differ in
@@ -136,13 +137,20 @@ def start_charge(chain: InducedChain, start: StartDistribution,
     for one chain and an array over the leading axes of a stack.  A start
     with mass on safe states is rejected."""
     hit, mass = _start_mass(chain.index_map, start)
-    # One dot product of contiguous vectors per chain, as for a single
-    # chain: a stacked or strided product may sum in another order.
-    charges = [math.inf if np.any(np.isinf(row)) else float(mass @ row)
-               for row in (t[hit] for t in steps.reshape(-1, len(hit)))]
+    charges = _exact_charges(steps.reshape(-1, len(hit)), (hit, mass))
     if steps.ndim == 1:
         return charges[0]
     return np.reshape(charges, steps.shape[:-1])
+
+
+def _exact_charges(steps: np.ndarray, start) -> list:
+    """start_charge's charge of each row of ``steps``, for ``start`` as the
+    (hit, mass) of _start_mass."""
+    hit, mass = start
+    # One dot product of contiguous vectors per chain, as for a single
+    # chain: a stacked or strided product may sum in another order.
+    return [math.inf if np.any(np.isinf(row)) else float(mass @ row)
+            for row in (t[hit] for t in steps)]
 
 
 def _charges(steps: np.ndarray, start):
@@ -180,38 +188,23 @@ def _charge_bounds(charge, window, terms: int):
             np.where(bounded, charge * (1 + slack) + 2 * window, math.inf))
 
 
-def _near_top(floor, lower, upper, member):
-    """(floor, keep) for rows with charges within [lower, upper], where
-    member[e, j] tells whether row j is in set e: each set's floor rises
-    to the largest lower bound of its rows, and keep marks the rows whose
-    upper bound reaches the floor of every set they belong to (a row below
-    one is not the maximum of that set).  Capping a floor at the largest
-    float keeps every row whose charge overflows."""
-    top = np.where(member, lower, -math.inf).max(axis=1, initial=-math.inf)
+def _near_top(floor, rows, start):
+    """(floor, kept) for the pieces ``rows`` of a table's members, each
+    (actions, steps, window, member) with member[j, e] telling whether row
+    j is in set e.  Each row's charge of ``start`` (as _scan holds it) is
+    bounded (_charges, _charge_bounds), each set's floor rises to the
+    largest lower bound of its rows, and kept holds, in order, the rows
+    whose upper bound reaches the floor of some set they belong to (a row
+    below the floor of every such set is the maximum of none).  Capping a
+    floor at the largest float keeps every row whose charge overflows."""
+    actions, steps, window, member = (np.concatenate(c) for c in zip(*rows))
+    lower, upper = _charge_bounds(_charges(steps, start), window,
+                                  0 if start is None else len(start[1]))
+    top = np.where(member, lower[:, None], -math.inf).max(
+        axis=0, initial=-math.inf)
     floor = np.minimum(np.maximum(floor, top), np.finfo(float).max)
-    keep = upper >= np.where(member, floor[:, None], math.inf).min(axis=0)
-    return floor, keep
-
-
-def _first_slowest(chains: InducedChain, steps: np.ndarray, start):
-    """(index, charge) of the first slowest chain of a stack: the charge is
-    start_charge's of ``start``, bit for bit, or for a ``start`` of None
-    the slowest non-safe starting state."""
-    if start is None:
-        times = _charges(steps, None)
-        k = int(np.argmax(times))
-        return k, float(times[k])
-    hit, mass = _start_mass(chains.index_map, start)
-    # Only the chains whose charge may reach the largest lower bound are
-    # charged exactly.
-    lower, upper = _charge_bounds(_charges(steps, (hit, mass)), 0.0,
-                                  len(mass))
-    _, keep = _near_top(-math.inf, lower, upper,
-                        np.ones((1, len(lower)), dtype=bool))
-    near = np.nonzero(keep)[0]
-    exact = start_charge(chains, start, steps[near])
-    k = int(np.argmax(exact))
-    return int(near[k]), float(exact[k])
+    keep = upper >= np.where(member, floor, math.inf).min(axis=1)
+    return floor, (actions[keep], steps[keep], window[keep], member[keep])
 
 
 # MacQueen's test (Puterman, Markov Decision Processes, section 6.7) drops
@@ -314,11 +307,12 @@ def _absorbed(mdp: MdpSpec, survivors) -> bool:
         x = stays
 
 
-def _tree_root(mdp: MdpSpec, survivors, states, scale: float, rhs):
+def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     """The elimination tree of (I - scale P_pi) x = rhs_pi over ``states``
     (ascending state indices, with every non-safe state) for each policy
-    pi of the product of ``survivors``, where rhs is an (S, A) table, as
-    (root, Z, k, places) for _tree_solve.
+    pi of the product of ``survivors`` that takes the actions of ``base``
+    (the product's first policy) elsewhere, where rhs is an (S, A) table,
+    as (root, Z, k, places) for _tree_solve.
 
     The states of ``states`` whose row every policy of the product shares
     (those that are not non-safe with more than one survivor) are
@@ -335,8 +329,6 @@ def _tree_root(mdp: MdpSpec, survivors, states, scale: float, rhs):
     fixed[states] = True
     fixed[vary] = False
     fixed = np.flatnonzero(fixed)
-    base = np.zeros(mdp.n_states, dtype=int)
-    base[nonsafe] = [acts[0] for acts in survivors]
     m = len(vary)
     P = mdp.transition[fixed, base[fixed]]
     Z = np.linalg.solve(np.eye(len(fixed)) - scale * P[:, fixed],
@@ -420,11 +412,11 @@ def _tree_solve(tree, leaves) -> np.ndarray:
 def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     """The deterministic policies that survive MacQueen's test at
     ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
-    (actions, loss, steps): actions is a (policies, states) table, with
-    the actions inside safe states pinned to 0 (they cannot matter), and
-    loss the value loss max_s V*(s) - V^pi(s) of each row.  A policy is
-    eps-optimal exactly when its loss is below eps; every policy left out
-    has a loss of at least epsilon + 10*value_tol.
+    (actions, loss, steps, window): actions is a (policies, states) table
+    that takes V*'s greedy action (the first on ties) at each safe state,
+    and loss the value loss max_s V*(s) - V^pi(s) of each row.  A policy
+    is eps-optimal exactly when its loss is below eps; every policy left
+    out has a loss of at least epsilon + 10*value_tol.
 
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
@@ -438,11 +430,13 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     comparison with a threshold decides as on policy_values' bits.
 
     steps holds the expected steps to the safe set (over the non-safe
-    states, in index order) of the rows with loss below epsilon, which the
-    tree of (I - Q_pi) t = 1 solves at those leaves of a batch, within
-    _steps_window of expected_steps'.  It is None, and the caller solves
-    the members' chains, for a table of one block, for a batch with at
-    most a block of members, and for a product that fails _absorbed.
+    states, in index order) of the rows with loss below epsilon, each row
+    within its entry of window of expected_steps'.  The tree of (I - Q_pi)
+    t = 1 solves them at those leaves of a batch that holds more of them
+    than a block, when the product passes _absorbed, with windows of
+    _steps_window.  Otherwise (a table of one block, a batch with at most
+    a block of members, a product that fails _absorbed) expected_steps
+    solves the members' chains, with windows of 0.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -459,29 +453,52 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
     block = max(1, BLOCK_BYTES // (8 * mdp.n_states ** 2))
+    # The product's first policy.  The safe set is closed, so V*'s greedy
+    # actions there give every table the least loss among those that
+    # agree with it off the safe set, and hitting times ignore them.
+    base = np.argmax(q_star, axis=1)
+    base[nonsafe] = [acts[0] for acts in survivors]
 
     def table(flat):
         picks = np.unravel_index(flat, shape) if shape else ()
-        actions = np.zeros((len(flat), mdp.n_states), dtype=int)
+        actions = np.empty((len(flat), mdp.n_states), dtype=int)
+        actions[:] = base
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
         return actions
 
+    def solved(actions, loss):
+        members = actions[loss < epsilon]
+        steps = (expected_steps(_chains(mdp, members)) if len(members)
+                 else np.empty((0, len(nonsafe))))
+        return actions, loss, steps, np.zeros(len(members))
+
+    def tree_rows(leaves, inside):
+        # The members' rows of the tree of (I - Q_pi) t = 1 with their
+        # windows, a copy per block, so that no block keeps the batch's
+        # rows.  Pivots that rounding drives to 0 show in the rows
+        # (_steps_window).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = _tree_solve(hitting, leaves[inside])
+        return [(part.copy(), _steps_window(mdp.n_states, part)) for part
+                in np.split(t, np.cumsum(inside)[block - 1:-1:block])]
+
     if total <= block:
         actions = table(np.arange(total))
-        loss = np.max(v_star - policy_values(mdp, actions), axis=-1)
-        yield actions, loss, None
+        yield solved(actions,
+                     np.max(v_star - policy_values(mdp, actions), axis=-1))
         return
     thresholds = np.array((epsilon,) if thresholds is None else thresholds,
                           dtype=float)
     window = _tree_window(mdp, thresholds)
-    values = _tree_root(mdp, survivors, np.arange(mdp.n_states),
+    values = _tree_root(mdp, survivors, base, np.arange(mdp.n_states),
                         mdp.discount, mdp.reward)
     # The tree of (I - Q_pi) t = 1, built for the first batch that needs
     # it, or False when the product fails _absorbed.
     hitting = None
     step = block * max(1, mdp.n_states // 2)
     for lo in range(0, total, step):
+        rows = None
         leaves = np.arange(lo, min(lo + step, total))
         loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
@@ -489,62 +506,95 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
             loss[near] = np.max(
                 v_star - policy_values(mdp, table(leaves[near])), axis=-1)
         inside = loss < epsilon
-        t = None
         # The tree's fixed cost per level beats a block's stacked chains
         # once a batch holds more members than a block.
         if np.count_nonzero(inside) > block:
             if hitting is None:
                 hitting = _absorbed(mdp, survivors) and _tree_root(
-                    mdp, survivors, nonsafe, 1.0, np.ones(mdp.reward.shape))
+                    mdp, survivors, base, nonsafe, 1.0,
+                    np.ones(mdp.reward.shape))
             if hitting:
-                # The members' rows, split at the ends of the blocks.
-                # Pivots that rounding drives to 0 show in the rows
-                # (_steps_window).
-                with np.errstate(divide="ignore", invalid="ignore",
-                                 over="ignore"):
-                    t = _tree_solve(hitting, leaves[inside])
-                t = np.split(t, np.cumsum(inside)[block - 1:-1:block])
+                rows = iter(tree_rows(leaves, inside))
         for begin in range(0, len(leaves), block):
             part = slice(begin, begin + block)
-            yield table(leaves[part]), loss[part], (
-                None if t is None else t[begin // block])
+            if rows is None:
+                yield solved(table(leaves[part]), loss[part])
+            else:
+                yield (table(leaves[part]), loss[part], *next(rows))
 
 
-class _NearTop:
-    """The members of a table that may hold the largest exact charge of a
-    set they belong to, from bounds on each member's charge.
+def _scan(mdp: MdpSpec, epsilons, start):
+    """One pass over the policy table at the largest of the ascending
+    ``epsilons``, as (sets, boundary, reachability).  For each eps, sets
+    holds (charge, actions, steps, count): the largest charge among the
+    eps-optimal policies, the action table and expected steps of the
+    first policy in product order that has it (None for an empty set),
+    and the number of such policies.  A policy's charge is start_charge's
+    of ``start``, or for None its slowest state.  boundary counts the
+    losses within 10*value_tol of the largest eps, and reachability tells
+    for each policy eps-optimal there whether it is absorbed almost surely
+    from every state.
 
-    Sets are nested, like the members of ascending epsilons.  A member
-    whose upper bound is below the largest lower bound in a set it belongs
-    to is not the maximum of that set, and is dropped; the members left
-    keep product order, so that the first maximum among them is the first
-    in the table.
+    The members are cut to those that may hold the maximum of a set they
+    belong to (_near_top) whenever they have reached a block's worth
+    before the next block's are added, and those kept are settled
+    (_settle) once they fill a block, and at the end.  A start is taken
+    apart at the first member, so that an empty set is reported as
+    vacuous before a start with mass on safe states.
     """
+    largest, band = epsilons[-1], 10.0 * SafetyQuery.value_tol
+    epsilons = np.asarray(epsilons, dtype=float)
+    count = np.zeros(len(epsilons), dtype=int)
+    boundary, reachability = 0, bytearray()
+    top = np.full(len(epsilons), -math.inf)
+    worst = [(None, None)] * len(epsilons)
+    floor = np.full(len(epsilons), -math.inf)
+    near = []
+    for actions, loss, steps, window in _policy_table(
+            mdp, largest, (*epsilons, largest - band, largest + band)):
+        boundary += int(np.count_nonzero(np.abs(largest - loss) < band))
+        inside = loss < largest
+        if not inside.any():
+            continue
+        if isinstance(start, StartDistribution):
+            start = _start_mass(mdp.nonsafe_indices, start)
+        if sum(len(rows[0]) for rows in near) >= len(actions):
+            floor, kept = _near_top(floor, near, start)
+            near = [kept]
+            if len(kept[0]) >= len(actions):
+                _settle(mdp, kept, start, top, worst)
+                near = []
+        member = loss[inside, None] < epsilons
+        count += member.sum(axis=0)
+        # Every member of a tree's product is absorbed almost surely.
+        reachability += ((window > 0)
+                         | np.isfinite(steps).all(axis=-1)).tobytes()
+        near.append((actions[inside], steps, window, member))
+    if near:
+        _settle(mdp, _near_top(floor, near, start)[1], start, top, worst)
+    sets = [(float(t), *w, int(c)) for t, w, c in zip(top, worst, count)]
+    return sets, boundary, np.frombuffer(reachability, dtype=bool)
 
-    def __init__(self, n_states: int, sets: int = 1):
-        self.floor = np.full(sets, -math.inf)
-        self.actions = np.empty((0, n_states), dtype=int)
-        self.lower, self.upper = np.empty(0), np.empty(0)
-        self.member = np.empty((sets, 0), dtype=bool)
 
-    def add(self, actions, lower, upper, member):
-        """Add the rows of ``actions`` with charges within [lower, upper],
-        where member[e, j] tells whether row j is in set e."""
-        actions = np.concatenate([self.actions, actions])
-        lower = np.concatenate([self.lower, lower])
-        upper = np.concatenate([self.upper, upper])
-        member = np.concatenate([self.member, member], axis=1)
-        self.floor, keep = _near_top(self.floor, lower, upper, member)
-        self.actions, self.lower, self.upper, self.member = (
-            actions[keep], lower[keep], upper[keep], member[:, keep])
-
-    def take(self):
-        """(actions, member) of the rows kept, which leave; the floor stays,
-        since the exact maxima of the sets are at least their floors."""
-        rows = self.actions, self.member
-        self.actions, self.member = self.actions[:0], self.member[:, :0]
-        self.lower, self.upper = self.lower[:0], self.upper[:0]
-        return rows
+def _settle(mdp: MdpSpec, rows, start, top, worst):
+    """Charge the kept ``rows`` of _scan exactly, after every row settled
+    before them in product order, and take the first maximum of each set
+    into its ``top`` and ``worst`` when it is larger.  Only the rows with
+    a window are solved again, by expected_steps."""
+    actions, steps, window, member = rows
+    if not len(actions):
+        return
+    again = window > 0
+    if again.any():
+        steps[again] = expected_steps(_chains(mdp, actions[again]))
+    exact = (steps.max(axis=-1, initial=0.0) if start is None
+             else np.array(_exact_charges(steps, start)))
+    charges = np.where(member, exact[:, None], -math.inf)
+    first = np.argmax(charges, axis=0)
+    for e, k in enumerate(first):
+        if charges[k, e] > top[e]:
+            top[e] = charges[k, e]
+            worst[e] = actions[k].copy(), steps[k].copy()
 
 
 @dataclass(frozen=True)
@@ -597,53 +647,8 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
     """
     if not all(math.isfinite(n) for n in N_values):
         raise ValueError(f"N must be finite, got {tuple(N_values)!r}")
-    worst_time, worst_actions, worst_times = -math.inf, None, None
-    count, reachability, boundary = 0, [], 0
-    band = 10.0 * query.value_tol
-    thresholds = (query.epsilon - band, query.epsilon, query.epsilon + band)
-    near = _NearTop(mdp.n_states)
-
-    def settle(rows):
-        """Solve the chains of ``rows``, which come after every row settled
-        before, and keep the first slowest; their expected steps."""
-        nonlocal worst_time, worst_actions, worst_times
-        chains = _chains(mdp, rows)
-        t = expected_steps(chains)
-        k, time = _first_slowest(chains, t, query.start)
-        if time > worst_time:
-            worst_time, worst_actions, worst_times = time, rows[k], t[k].copy()
-        return t
-
-    for actions, loss, tree in _policy_table(mdp, query.epsilon,
-                                             thresholds):
-        boundary += int(np.count_nonzero(np.abs(query.epsilon - loss) < band))
-        members = actions[loss < query.epsilon]
-        if not len(members):
-            continue
-        count += len(members)
-        if tree is None:
-            # Rows kept from earlier blocks come first in product order.
-            if len(near.actions):
-                settle(near.take()[0])
-            reachability.extend(
-                np.all(np.isfinite(settle(members)), axis=-1).tolist())
-            continue
-        # Every member of the tree's product is absorbed almost surely.
-        reachability.extend([True] * len(members))
-        start, terms = None, 0
-        if query.start is not None:
-            start = _start_mass(mdp.nonsafe_indices, query.start)
-            terms = len(start[1])
-        lower, upper = _charge_bounds(_charges(tree, start),
-                                      _steps_window(mdp.n_states, tree),
-                                      terms)
-        near.add(members, lower, upper,
-                 np.ones((1, len(members)), dtype=bool))
-        # Rows the window cannot tell apart are settled a block at a time.
-        if len(near.actions) >= len(actions):
-            settle(near.take()[0])
-    if len(near.actions):
-        settle(near.take()[0])
+    [(worst_time, actions, times, count)], boundary, reachability = _scan(
+        mdp, [query.epsilon], query.start)
     if not count:
         raise ValueError(
             f"no deterministic policy is {query.epsilon!r}-optimal; a safety "
@@ -651,11 +656,11 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
 
     return SafetyCertificate(
         epsilon=query.epsilon,
-        worst_policy=Policy.deterministic(worst_actions),
+        worst_policy=Policy.deterministic(actions),
         worst_time=worst_time,
-        worst_policy_times=worst_times,
+        worst_policy_times=times,
         epsilon_optimal_count=count,
-        reachability=tuple(reachability),
+        reachability=tuple(reachability.tolist()),
         boundary_count=boundary,
         is_safe_for=tuple((float(n), worst_time <= n) for n in N_values),
     )
@@ -693,26 +698,27 @@ class StabilityReport:
 
 
 def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
-                              epsilon: float,
-                              config: BisimConfig) -> StabilityReport:
+                              epsilon: float, config: BisimConfig,
+                              base: SafetyCertificate) -> StabilityReport:
     """Measure d_H(m, m'), test isolation of the perturbed safe set at
-    threshold sqrt(d_H), certify both MDPs, and report whether the
-    perturbed MDP came out (N+1, eps/2)-safe."""
-    base_query, pert_query = SafetyQuery(epsilon), SafetyQuery(epsilon / 2.0)
+    threshold sqrt(d_H), certify m' at (N+1, eps/2), and report whether it
+    came out safe.  ``base`` is m's certificate at (N, eps), as
+    certify_safety(m, SafetyQuery(epsilon), N_values=(N,)) gives it, so
+    that a ladder over one m certifies it once."""
     metric = cross_bisim_metric(m, m_prime, config)
     d_h = hausdorff_distance(metric)
     isolation = isolation_check(m_prime, m_prime.safe_set, math.sqrt(d_h),
                                 config)
-    cert_base = certify_safety(m, base_query, N_values=(N,))
-    cert_pert = certify_safety(m_prime, pert_query, N_values=(N + 1.0,))
+    cert_pert = certify_safety(m_prime, SafetyQuery(epsilon / 2.0),
+                               N_values=(N + 1.0,))
     return StabilityReport(
         d_h=d_h,
         isolation=isolation,
-        base_certificate=cert_base,
+        base_certificate=base,
         perturbed_certificate=cert_pert,
         N=N,
         epsilon=epsilon,
-        base_safe=cert_base.worst_time <= N,
+        base_safe=base.worst_time <= N,
         conclusion_holds=cert_pert.worst_time <= N + 1.0,
     )
 
@@ -732,36 +738,10 @@ def safety_frontier(mdp: MdpSpec, epsilons) -> list:
     if not epsilons:
         raise ValueError("no epsilon given; an empty frontier would be "
                          "vacuous")
-    # Hitting times are nonnegative, so -inf marks an empty set.
-    worst = np.full(len(epsilons), -math.inf)
-    near = _NearTop(mdp.n_states, len(epsilons))
-
-    def settle(rows, member):
-        """Take the slowest of ``rows`` into each set that member marks."""
-        nonlocal worst
-        times = np.max(expected_steps(_chains(mdp, rows)), axis=-1,
-                       initial=0.0)
-        worst = np.maximum(
-            worst, np.where(member, times, -math.inf).max(axis=-1))
-
-    for actions, loss, tree in _policy_table(mdp, epsilons[-1], epsilons):
-        inside = loss < epsilons[-1]
-        if not np.any(inside):
-            continue
-        member = loss[inside] < np.array(epsilons)[:, None]
-        if tree is None:
-            settle(actions[inside], member)
-            continue
-        lower, upper = _charge_bounds(_charges(tree, None),
-                                      _steps_window(mdp.n_states, tree), 0)
-        near.add(actions[inside], lower, upper, member)
-        if len(near.actions) >= len(actions):
-            settle(*near.take())
-    if len(near.actions):
-        settle(*near.take())
-    for eps, time in zip(epsilons, worst):
-        if time == -math.inf:
+    sets, _, _ = _scan(mdp, epsilons, None)
+    for eps, (_, _, _, count) in zip(epsilons, sets):
+        if not count:
             raise ValueError(
                 f"no deterministic policy is {eps!r}-optimal; a frontier "
                 f"point over an empty set would be vacuous")
-    return [(eps, float(time)) for eps, time in zip(epsilons, worst)]
+    return [(eps, time) for eps, (time, _, _, _) in zip(epsilons, sets)]

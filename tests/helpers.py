@@ -167,7 +167,7 @@ def enumerate_epsilon_optimal(mdp, query):
     """The deterministic policies with a value loss below epsilon, as the
     package's policy table finds them."""
     return [Policy.deterministic(row)
-            for actions, loss, _ in _policy_table(mdp, query.epsilon)
+            for actions, loss, _, _ in _policy_table(mdp, query.epsilon)
             for row in actions[loss < query.epsilon]]
 
 
@@ -311,9 +311,15 @@ def reference_hitting_time(chain, start):
 
 
 def _reference_grid(mdp):
+    """Every action table over the non-safe states, in product order, each
+    taking the greedy action of the oracle's V* (the first on ties) at
+    every safe state."""
+    v_star = reference_value_iteration(mdp, 1e-10).values
+    greedy = np.argmax(mdp.reward + mdp.discount * np.einsum(
+        "sat,t->sa", mdp.transition, v_star), axis=1)
     nonsafe = mdp.nonsafe_indices
     for combo in product(range(mdp.n_actions), repeat=len(nonsafe)):
-        actions = np.zeros(mdp.n_states, dtype=int)
+        actions = greedy.copy()
         actions[nonsafe] = combo
         yield Policy.deterministic(actions)
 
@@ -357,6 +363,19 @@ def reference_certify(mdp, query):
             "epsilon_optimal_count": len(members),
             "boundary_count": boundary,
             "reachability": tuple(reachability)}
+
+
+def reference_classes(mdp, v_star):
+    """{actions at the non-safe states: least value loss} over every whole
+    action table, the safe states' actions included, against ``v_star``:
+    the tables that agree off the safe set share their hitting times, and
+    a class is eps-optimal when one of its tables is."""
+    classes = {}
+    for policy in all_deterministic_policies(mdp):
+        loss = float(np.max(v_star - policy_evaluation(mdp, policy)))
+        key = tuple(policy.table[mdp.nonsafe_indices].tolist())
+        classes[key] = min(loss, classes.get(key, math.inf))
+    return dict(sorted(classes.items()))
 
 
 def reference_frontier(mdp, epsilons, value_tol=1e-10):

@@ -807,6 +807,33 @@ class TestStabilityExperiment:
         assert rung["isolated"] is False
         assert rung["conclusion_holds"] is False
 
+    @pytest.mark.parametrize("extra", [
+        ["--sizes", "1e-4,1e-3", "--seed", "1"],
+        ["--sizes", "1e-4", "--delta", "1e-3"],
+        ["--sizes", "1e-3,1e-2,1e-1", "--seed", "4", "--delta", "1e-5"]])
+    def test_base_is_certified_once(self, tmp_path, capsys, extra):
+        # One certificate of m for the whole ladder, and one of each rung's
+        # m', with the bytes of a ladder that certifies m at every rung.
+        path = write_doc(tmp_path / "m.json", hibernation_doc())
+        argv = ["stability-experiment", path, "--epsilon", "0.5", "--big-n",
+                "2", *extra]
+        certify = mock.Mock(wraps=safety.certify_safety)
+        with mock.patch.object(cli, "certify_safety", certify), \
+                mock.patch.object(safety, "certify_safety", certify):
+            assert main(argv) == 0
+        once = capsys.readouterr().out
+        assert certify.call_count == len(json.loads(once)["rungs"]) + 1
+
+        def every_rung(m, m_prime, N, epsilon, config, base):
+            return safety.verify_stability_instance(
+                m, m_prime, N, epsilon, config,
+                safety.certify_safety(m, SafetyQuery(epsilon),
+                                      N_values=(N,)))
+
+        with mock.patch.object(cli, "verify_stability_instance", every_rung):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == once
+
 
 class TestNonFiniteInput:
     """Every command family rejects a non-finite document with exit 2;

@@ -4,8 +4,8 @@ line load no scipy, no module imports warnings or reads the environment,
 every exception the package raises is one that the command line maps to an
 exit code, the command line takes no private name from another module, the
 package exports only what a command, a demo or an acceptance criterion
-uses, with the types those calls return, and only ``mdp`` builds induced
-chains."""
+uses, with the types those calls return, only ``mdp`` builds induced
+chains, and one scan reads the policy table."""
 
 import ast
 import builtins
@@ -278,3 +278,16 @@ def test_only_mdp_constructs_induced_chains():
                       and ast.unparse(node.func).split(".")[-1]
                       == "InducedChain")
     assert builders == ["mdp"]
+
+
+def test_one_member_scan_reads_the_policy_table():
+    # certify_safety and safety_frontier share safety._scan, the one loop
+    # over the policy table's members.
+    callers = sorted(f"{name}.{func.name}" for name, tree in MODULES.items()
+                     for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func)
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1]
+                     == "_policy_table")
+    assert callers == ["safety._scan"]

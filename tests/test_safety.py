@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -301,33 +302,35 @@ class TestCertify:
 class TestStabilityInstance:
     CFG = BisimConfig(c_R=0.4, c_T=0.6, tolerance=1e-6)
 
+    @staticmethod
+    def base(mdp):
+        """(N, certificate of mdp at (N, 0.3)) with N its worst time."""
+        N = certify_safety(mdp, SafetyQuery(0.3)).worst_time
+        if math.isinf(N):
+            pytest.skip("fixture must be safe")
+        return N, certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
+
     def test_identity_perturbation_holds(self):
         mdp = random_mdp(1, n_states=3)
-        cert = certify_safety(mdp, SafetyQuery(0.3))
-        if math.isinf(cert.worst_time):
-            pytest.skip("fixture must be safe")
-        report = verify_stability_instance(mdp, mdp, cert.worst_time, 0.3,
-                                           self.CFG)
+        N, base = self.base(mdp)
+        report = verify_stability_instance(mdp, mdp, N, 0.3, self.CFG, base)
         assert report.d_h == 0.0
         assert report.base_safe and report.conclusion_holds
 
     def test_small_reward_jitter_holds(self):
         mdp = random_mdp(8, n_states=4)
-        cert = certify_safety(mdp, SafetyQuery(0.3))
-        if math.isinf(cert.worst_time):
-            pytest.skip("fixture must be safe")
+        N, base = self.base(mdp)
         rng = np.random.default_rng(0)
         jitter = rng.uniform(-1e-3, 1e-3, size=mdp.reward.shape)
         perturbed = mdp.with_rewards(mdp.reward + jitter)
-        report = verify_stability_instance(mdp, perturbed, cert.worst_time,
-                                           0.3, self.CFG)
+        report = verify_stability_instance(mdp, perturbed, N, 0.3, self.CFG,
+                                           base)
         assert report.conclusion_holds
 
     def test_document_shape(self):
         mdp = random_mdp(1, n_states=3)
-        cert = certify_safety(mdp, SafetyQuery(0.3))
-        report = verify_stability_instance(mdp, mdp, cert.worst_time, 0.3,
-                                           self.CFG)
+        N, base = self.base(mdp)
+        report = verify_stability_instance(mdp, mdp, N, 0.3, self.CFG, base)
         doc = report.to_document()
         assert {"d_H", "isolated", "conclusion_holds",
                 "base_certificate"} <= set(doc)
@@ -541,12 +544,12 @@ def table_cases(draw):
 def wide_table_cases(draw):
     """(mdp, policy index, block) beyond table_cases: one to three safe
     states at any index, or every state safe (the one policy then takes
-    action 0 everywhere); discounts up to 0.999; rewards scaled up to 1e6;
-    and three actions, of which one, two or all three are near-optimal at
-    each non-safe state.  The others lose more than any policy of
-    near-optimal actions, and the index names such a policy, so that
-    MacQueen's test keeps one, two or three actions at the states of one
-    table."""
+    V*'s greedy action everywhere); discounts up to 0.999; rewards scaled
+    up to 1e6; and three actions, of which one, two or all three are
+    near-optimal at each non-safe state.  The others lose more than any
+    policy of near-optimal actions, and the index names such a policy, so
+    that MacQueen's test keeps one, two or three actions at the states of
+    one table."""
     n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     if rng.random() < 0.1:
@@ -569,8 +572,7 @@ def wide_table_cases(draw):
     r = rng.random((n, 3)) * scale
     if nonsafe:
         # Rewards inside the safe set would only slow the oracle's value
-        # iteration; with every state safe they make the one policy's loss
-        # positive.
+        # iteration; with every state safe they pick the one policy.
         r[safe] = 0.0
     good = [rng.choice(3, rng.integers(1, 4), replace=False) for _ in nonsafe]
     for s, acts in zip(nonsafe, good):
@@ -623,7 +625,7 @@ class TestBlockBudget:
         mdp, _, _ = case
         with mock.patch.object(safety, "BLOCK_BYTES", budget):
             sizes = [len(loss)
-                     for _, loss, _ in safety._policy_table(mdp, 5.0)]
+                     for _, loss, _, _ in safety._policy_table(mdp, 5.0)]
         n = mdp.n_states
         assert all(size * n ** 2 * 8 <= budget or size == 1
                    for size in sizes)
@@ -633,7 +635,7 @@ class TestBlockBudget:
 
     def test_default_budget_at_thirteen_states(self):
         mdp = random_mdp(5, n_states=13, n_actions=2)
-        sizes = [len(loss) for _, loss, _ in safety._policy_table(mdp, 1e3)]
+        sizes = [len(loss) for _, loss, *_ in safety._policy_table(mdp, 1e3)]
         assert sum(sizes) == 2 ** 12
         assert sizes[:-1] == [193] * (len(sizes) - 1)
         assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
@@ -647,7 +649,7 @@ class TestBlockBudget:
         tracemalloc.start()
         try:
             count = sum(len(loss)
-                        for _, loss, _ in safety._policy_table(mdp, 1e6))
+                        for _, loss, _, _ in safety._policy_table(mdp, 1e6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -699,13 +701,25 @@ def near_tie_stacks(draw):
     return chains, steps, StartDistribution.uniform_over(n, support)
 
 
+def scan_pick(chains, steps, start):
+    """(index, charge) of the first slowest row of ``steps``, the members'
+    expected steps of one block, as the member scan picks it."""
+    index = np.arange(len(chains.Q))[:, None]
+    block = index, np.zeros(len(index)), steps, np.zeros(len(index))
+    with mock.patch.object(safety, "_policy_table",
+                           return_value=iter([block])):
+        [(charge, actions, _, _)], _, _ = safety._scan(
+            SimpleNamespace(nonsafe_indices=chains.index_map), [1.0], start)
+    return int(actions[0]), charge
+
+
 class TestStackedStartCharge:
-    """The block's pick by one stacked product against start_charge's
-    first maximum over the whole block."""
+    """The scan's pick by one stacked product and bounds against
+    start_charge's first maximum over the whole block."""
 
     def assert_first_maximum(self, chains, steps, start):
         charges = safety.start_charge(chains, start, steps)
-        k, time = safety._first_slowest(chains, steps, start)
+        k, time = scan_pick(chains, steps, start)
         assert k == int(np.argmax(charges))
         assert time == charges[k]
 
@@ -724,9 +738,9 @@ class TestStackedStartCharge:
         chains = InducedChain(np.zeros((4, 2, 2)), np.ones((4, 2)),
                               np.arange(2))
         start = StartDistribution.uniform_over(2, [0, 1])
-        assert safety._first_slowest(chains, steps, start) == (0, 2.5)
+        assert scan_pick(chains, steps, start) == (0, 2.5)
         steps[1:3, 1] = math.inf
-        assert safety._first_slowest(chains, steps, start) == (1, math.inf)
+        assert scan_pick(chains, steps, start) == (1, math.inf)
 
     def test_safe_start_raises_before_the_product(self):
         # Steps of None would fail the product with a TypeError.
@@ -734,7 +748,101 @@ class TestStackedStartCharge:
         chains = _chains(mdp, np.zeros((3, 4), dtype=int))
         start = StartDistribution.point_mass(4, int(mdp.safe_indices[0]))
         with pytest.raises(ValueError, match="mass on safe states"):
-            safety._first_slowest(chains, None, start)
+            scan_pick(chains, None, start)
+
+
+@st.composite
+def safe_reward_cases(draw):
+    """(mdp, class index, block): two or three safe states, at any index,
+    whose rewards and moves inside the safe set differ by action, beside
+    one to three non-safe states, with two or three actions."""
+    n_actions = draw(st.integers(2, 3))
+    n_safe, n_rest = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n = n_safe + n_rest
+    assume(n_actions ** n <= 243)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    safe = rng.choice(n, n_safe, replace=False).tolist()
+    P = np.zeros((n, n_actions, n))
+    for s in range(n):
+        dests = safe if s in safe else range(n)
+        for a in range(n_actions):
+            targets = rng.choice(dests, size=rng.integers(1, len(dests) + 1),
+                                 replace=False)
+            P[s, a, targets] = rng.dirichlet(np.ones(len(targets)))
+    mdp = MdpSpec(tuple(f"s{i}" for i in range(n)),
+                  tuple(f"a{j}" for j in range(n_actions)), P,
+                  rng.random((n, n_actions)),
+                  draw(st.sampled_from([0.5, 0.9])), set(safe))
+    return (mdp, draw(st.integers(0, n_actions ** n_rest - 1)),
+            draw(st.sampled_from([1, 3, None])))
+
+
+class TestSafeStateActions:
+    """Safe states whose actions matter to the value: the certificate
+    against a brute force over whole action tables, safe actions
+    included, that keeps each class's least loss."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=safe_reward_cases(), offset=st.sampled_from([-5.0, 5.0]))
+    def test_certificate_matches_brute_force(self, case, offset):
+        mdp, index, block = case
+        # V* by enumeration: value iteration needs tens of thousands of
+        # sweeps where rewarding safe states recur at a discount near 1.
+        v_star = helpers.best_value_by_enumeration(mdp)
+        classes = helpers.reference_classes(mdp, v_star)
+        eps = list(classes.values())[index] + offset * TOL
+        assume(eps > 10.0 * TOL)
+        members = [key for key, loss in classes.items() if loss < eps]
+        size = (safety.BLOCK_BYTES if block is None
+                else block * 8 * mdp.n_states ** 2)
+        with mock.patch.multiple(
+                safety, BLOCK_BYTES=size,
+                value_iteration=lambda *_: ValueFunction(v_star, 0.0)):
+            if not members:
+                with pytest.raises(ValueError, match="vacuous"):
+                    certify_safety(mdp, SafetyQuery(eps))
+                return
+            cert = certify_safety(mdp, SafetyQuery(eps))
+        nonsafe = mdp.nonsafe_indices
+        greedy = np.argmax(mdp.reward + mdp.discount * np.einsum(
+            "sat,t->sa", mdp.transition, v_star), axis=1)
+        tables = [greedy.copy() for _ in members]
+        for table, key in zip(tables, members):
+            table[nonsafe] = key
+        times = [np.max(reference_expected_steps(induce_chain(
+            mdp, Policy.deterministic(table))), initial=0.0)
+            for table in tables]
+        k = int(np.argmax(times))
+        assert cert.epsilon_optimal_count == len(members)
+        assert cert.boundary_count == sum(
+            abs(eps - loss) < 10.0 * TOL for loss in classes.values())
+        assert cert.worst_time == times[k]
+        assert np.array_equal(cert.worst_policy.table, tables[k])
+        # V*'s greedy actions at the safe states give the class its least
+        # loss.
+        assert float(np.max(v_star - policy_evaluation(
+            mdp, cert.worst_policy))) == pytest.approx(
+                classes[members[k]], abs=1e-12)
+
+
+    def test_every_state_safe(self):
+        # No non-safe state: the one policy takes V*'s greedy action, 1 at
+        # s0 (10 against 9.47 for action 0), and needs no step.
+        P = np.zeros((2, 2, 2))
+        P[0, 0, 1] = P[0, 1, 0] = P[1, :, 0] = 1.0
+        mdp = MdpSpec(("s0", "s1"), ("a0", "a1"), P,
+                      np.array([[0.0, 1.0], [2.0, 0.5]]), 0.9, {0, 1})
+        cert = certify_safety(mdp, SafetyQuery(0.1))
+        assert cert.epsilon_optimal_count == 1
+        assert cert.boundary_count == 0
+        assert cert.worst_time == 0.0
+        assert cert.worst_policy.table.tolist() == [1, 0]
+        assert cert.worst_policy_times.shape == (0,)
+        assert cert.reachability == (True,)
+        with pytest.raises(ValueError, match="mass on safe states"):
+            certify_safety(mdp, SafetyQuery(
+                0.1, StartDistribution.point_mass(2, 0)))
+        assert safety_frontier(mdp, [0.2, 0.1]) == [(0.1, 0.0), (0.2, 0.0)]
 
 
 class TestPrunedStackedTable:
@@ -743,9 +851,21 @@ class TestPrunedStackedTable:
     5*value_tol either side of it, so that membership and the boundary
     band are decided by that policy."""
 
+    @staticmethod
+    def case_epsilon(mdp, index, offset):
+        """eps on the index-th policy's loss, offset*value_tol either side.
+        With every state safe the one policy's loss is the oracle's
+        rounding of 0, below 0 where its V* falls short, so eps is taken
+        60*value_tol above the larger of that loss and 0: a frontier's
+        eps/4 has to exceed 10*value_tol."""
+        loss = grid_losses(mdp)[index][1]
+        if not len(mdp.nonsafe_indices):
+            return max(loss, 0.0) + (offset + 60.0) * TOL
+        return loss + offset * TOL
+
     def check_certificate(self, case, offset, start):
         mdp, index, block = case
-        eps = grid_losses(mdp)[index][1] + offset * TOL
+        eps = self.case_epsilon(mdp, index, offset)
         assume(eps > 10.0 * TOL)
         query = SafetyQuery(eps, StartDistribution.point_mass(mdp.n_states, 0)
                             if start else None)
@@ -775,7 +895,7 @@ class TestPrunedStackedTable:
 
     def check_frontier(self, case, offset):
         mdp, index, block = case
-        eps = grid_losses(mdp)[index][1] + offset * TOL
+        eps = self.case_epsilon(mdp, index, offset)
         epsilons = [eps / 4, eps / 2, eps]
         ref_empty = not any(loss < min(epsilons)
                             for _, loss in grid_losses(mdp))
@@ -803,7 +923,7 @@ class TestPrunedStackedTable:
                 safety, "policy_values",
                 wraps=safety.policy_values) as exact:
             table = [(tuple(a), float(loss))
-                     for actions, losses, _ in safety._policy_table(mdp, eps)
+                     for actions, losses, *_ in safety._policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
         rechecked = {tuple(a) for call in exact.call_args_list
                      for a in call.args[1]}
@@ -863,7 +983,7 @@ class TestPrunedStackedTable:
         # take an action that MacQueen's test rules out.
         mdp = random_mdp(3, n_states=9, n_actions=2)
         kept = sum(len(loss)
-                   for _, loss, _ in safety._policy_table(mdp, 0.05))
+                   for _, loss, _, _ in safety._policy_table(mdp, 0.05))
         assert 0 < kept < 2 ** 8 // 4
         assert len(enumerate_epsilon_optimal(mdp, SafetyQuery(0.05))) \
             == sum(loss < 0.05 for _, loss in grid_losses(mdp))
@@ -1015,18 +1135,23 @@ class TestTreeHittingTimes:
     against expected_steps, and the certificates that take them."""
 
     def check_window(self, mdp, eps, block):
-        """Every tree row lies within _steps_window of expected_steps';
-        returns the number of rows the tree gave."""
+        """Every member's steps lie within their window of expected_steps':
+        a tree row's window is _steps_window's, and every other row is
+        expected_steps' own, with a window of 0.  Returns the number of
+        rows the tree gave."""
         with table_under_test(mdp, block):
             rows = 0
-            for actions, loss, tree in safety._policy_table(mdp, eps):
-                members = actions[loss < eps]
-                if tree is None:
-                    continue
-                exact = expected_steps(_chains(mdp, members))
-                window = safety._steps_window(mdp.n_states, tree)
-                assert np.all(np.abs(tree - exact) <= window[:, None])
-                rows += len(tree)
+            for actions, loss, steps, window in safety._policy_table(mdp,
+                                                                     eps):
+                exact = expected_steps(_chains(mdp, actions[loss < eps]))
+                tree = window > 0
+                assert np.array_equal(steps[~tree], exact[~tree])
+                if np.any(tree):
+                    assert np.array_equal(window[tree], safety._steps_window(
+                        mdp.n_states, steps[tree]))
+                assert np.all(np.abs(steps[tree] - exact[tree])
+                              <= window[tree, None])
+                rows += np.count_nonzero(tree)
         return rows
 
     @settings(max_examples=60, deadline=None)
@@ -1107,6 +1232,25 @@ class TestTreeHittingTimes:
         ref = reference_certify(mdp, SafetyQuery(1e3))
         assert cert.worst_time == ref["worst_time"]
         assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+
+    @pytest.mark.parametrize("mdp", [random_mdp(4, n_states=6, n_actions=2),
+                                     sparse_mdp(0, n_states=13)],
+                             ids=["one-block", "not-absorbed"])
+    def test_stacked_rows_are_solved_once(self, mdp):
+        # A table of one block, and a product that some policy never
+        # leaves: expected_steps solves each member's chain once, in its
+        # block, and the kept rows are not solved again.
+        n = mdp.n_states
+        assert 2 ** (n - 1) <= safety.BLOCK_BYTES // (8 * n ** 2) \
+            or not safety._absorbed(mdp, [np.arange(2)] * (n - 1))
+        assert self.check_window(mdp, 1e3, None) == 0
+        for run in (lambda: certify_safety(mdp, SafetyQuery(1e3)),
+                    lambda: safety_frontier(mdp, [1.0, 1e3])):
+            with mock.patch.object(safety, "expected_steps",
+                                   wraps=safety.expected_steps) as solve:
+                run()
+            solved = sum(len(call.args[0].Q) for call in solve.call_args_list)
+            assert solved == 2 ** (n - 1)
 
     def test_hitting_time_memory_stays_within_a_few_blocks(self):
         # The 2^16 policies of test_table_memory_stays_within_a_few_blocks,
