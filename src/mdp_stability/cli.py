@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import sys
@@ -60,6 +61,22 @@ def _scalar(obj):
     return None
 
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _scalars(items):
+    """The texts of a list of scalars as _scalar gives them, None in
+    place of a container, a non-finite float or another type.  A list of
+    bools only, such as a certificate's reachability, or of finite floats
+    only, is rendered without a call per item."""
+    kinds = set(map(type, items))
+    if kinds == {bool}:
+        return list(map(_BOOL_TEXT.__getitem__, items))
+    if kinds == {float} and all(map(math.isfinite, items)):
+        return list(map(format, items, itertools.repeat(".17g")))
+    return list(map(_scalar, items))
+
+
 def render_json(obj, indent=0):
     text = _scalar(obj)
     if text is not None:
@@ -68,9 +85,8 @@ def render_json(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # A list of scalars, such as a certificate's reachability, is
-        # rendered in one join.
-        items = list(map(_scalar, obj))
+        # A list of scalars is rendered in one join.
+        items = _scalars(obj)
         if None in items:
             items = [render_json(v, indent + 1) for v in obj]
         return ("[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n"

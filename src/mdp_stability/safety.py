@@ -41,14 +41,14 @@ POLICY_CAP = 10 ** 6
 # members' hitting-time chains of such a table, of a product that some
 # policy does not leave almost surely (_absorbed), or of a batch with at
 # most a block of members.  A larger table is evaluated by the
-# elimination tree (_tree_solve) n/2 blocks at a time, whose values take
-# BLOCK_BYTES / 2; the tree solves the other batches' members' hitting
-# times too.  The member scan (_scan) solves again the tree's rows that
-# it keeps, a block's worth at a time.  On the certify deck 256 KB beat
-# both 64 KB and 1 MB.  Every hitting time and loss that a certificate
-# reports or decides on has the same bits at any block size, since LAPACK
-# solves each matrix of a stack on its own; the tree's own may differ in
-# their last bits.
+# elimination tree (_tree_solve) in batches of whole blocks whose values
+# take at most 3/4 of BLOCK_BYTES (_table_sizes); the tree solves the
+# other batches' members' hitting times too.  The member scan (_scan)
+# solves again the tree's rows that it keeps, a block's worth at a time.
+# On the certify deck 256 KB beat both 64 KB and 1 MB.  Every hitting
+# time and loss that a certificate reports or decides on has the same
+# bits at any block size, since LAPACK solves each matrix of a stack on
+# its own; the tree's own may differ in their last bits.
 BLOCK_BYTES = 1 << 18
 
 
@@ -243,7 +243,9 @@ PRUNE_ROUNDING = 8.0
 # round V* - V' (eps |V* - V'| each), and a threshold is rounded within
 # eps |t|: 32 covers all of it, with room for rho up to 16.  A loss
 # farther than w from every threshold is on the same side of each as
-# policy_values' loss, so the comparison decides alike.
+# policy_values' loss, so the comparison decides alike.  The order in
+# which back substitution sums its products does not enter the bound:
+# Theorem 9.4 holds for any order of summation.
 TREE_ROUNDING = 32.0
 
 
@@ -264,7 +266,9 @@ def _tree_window(mdp: MdpSpec, thresholds) -> float:
 # and ||t|| = T in place of R / (1 - g), puts the two solves within
 # (d / T') T^2 of each other, to first order.  The tree's share of that
 # gives T <= T' + (d / T') T T', so T <= T' / (1 - d), and (d / T') T^2
-# <= w.  With d >= 1/2 the bound is void, and the window is inf.
+# <= w.  With d >= 1/2 the bound is void, and the window is inf.  As for
+# TREE_ROUNDING, the order of summation in back substitution does not
+# enter the bound.
 def _steps_window(n: int, steps):
     """The window w above of each row of the tree's expected steps
     ``steps``.  A row that no solve of I - Q_pi can give (an entry below
@@ -354,7 +358,10 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     state's row under that state's c-th survivor, so that the leaves come
     in product order.  Only the nodes above ``leaves`` are kept.  Back
     substitution along each leaf's pivot rows gives x_vary, and Z gives
-    x_fixed.
+    x_fixed.  When ``leaves`` form a run, as every values batch does, the
+    leaves under each node are contiguous, and each node's pivot row is
+    broadcast over them (_run_back_substitution); scattered leaves, such
+    as a batch's members, gather a copy of their pivot rows per level.
     """
     root, Z, k, (vary, fixed) = tree
     m = len(k)
@@ -362,14 +369,14 @@ def _tree_solve(tree, leaves) -> np.ndarray:
         return np.empty((0, m + len(fixed)))
     # ids[d]: the nodes of depth d above the leaves, as product indices of
     # their first d actions; up[d]: the place of each one's parent among
-    # ids[d - 1].  Above a run of leaves, every level holds a run.
+    # ids[d - 1].  Above a run of leaves, every level holds a run, and
+    # only its ends are kept.
     run = leaves[-1] - leaves[0] == len(leaves) - 1
     ids, up = [leaves], [None] * (m + 1)
     for d in range(m, 0, -1):
         parent = ids[0] // k[d - 1]
         if run:
-            up[d] = parent - parent[0]
-            ids.insert(0, np.arange(parent[0], parent[-1] + 1))
+            ids.insert(0, parent[[0, -1]])
             continue
         first = np.ones(len(parent), dtype=bool)
         first[1:] = parent[1:] != parent[:-1]
@@ -378,14 +385,13 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     rows, pivots = root[None], []
     for d in range(m):
         # Child c of the node at place p is child p k[d] + c of the nodes
-        # of depth d.  A run of children is eliminated for every child of
-        # their parents and kept as a view; other children only are
-        # eliminated, from their parents' rows.
+        # of depth d.  Above a run of leaves, every child of the parents
+        # is eliminated and the run is kept as a view; above scattered
+        # leaves, only the children above them are, from their parents'
+        # rows.
         parent, child = up[d + 1], ids[d + 1]
-        lo = int(parent[0]) * k[d] + int(child[0]) % k[d]
-        hi = int(parent[-1]) * k[d] + int(child[-1]) % k[d]
-        run = hi - lo == len(child) - 1
         if run:
+            lo, hi = child[[0, -1]] - ids[d][0] * k[d]
             pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
         else:
             c = child % k[d]
@@ -397,16 +403,64 @@ def _tree_solve(tree, leaves) -> np.ndarray:
         if run:
             rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
         pivots.append(pivot)
-    x, place = np.empty((len(leaves), m)), np.arange(len(leaves))
-    for d in range(m - 1, -1, -1):
-        row = pivots[d][place]
-        x[:, d] = (row[:, -1] - np.einsum("ij,ij->i", row[:, 1:-1],
-                                          x[:, d + 1:])) / row[:, 0]
-        place = up[d + 1][place]
+    # x[d]: the d-th varying state's x at each leaf.
+    x = np.empty((m, len(leaves)))
+    if run:
+        _run_back_substitution(x, pivots, k, int(leaves[0]))
+    else:
+        place = np.arange(len(leaves))
+        for d in range(m - 1, -1, -1):
+            row = pivots[d][place]
+            x[d] = (row[:, -1] - np.einsum("ij,ji->i", row[:, 1:-1],
+                                           x[d + 1:])) / row[:, 0]
+            place = up[d + 1][place]
     out = np.empty((len(leaves), m + len(fixed)))
-    out[:, vary] = x
-    out[:, fixed] = x @ Z[:, :m].T - Z[:, m]
+    out[:, vary] = x.T
+    out[:, fixed] = x.T @ Z[:, :m].T - Z[:, m]
     return out
+
+
+def _run_back_substitution(x, pivots, k, first):
+    """Fill ``x`` (varying states by leaves) with x_vary of the run of
+    leaves that starts at product index ``first``, by the pivot rows of
+    _tree_solve, one level at a time.
+
+    The leaves under a node of depth d + 1 are contiguous, span of them
+    for a whole node, so the node's pivot row is broadcast over them: the
+    whole nodes of a level through one reshape, and a partial first and
+    last node each on its own, with no per-leaf copy of the pivot rows.
+    """
+    spans = np.cumprod(np.append(k, 1)[::-1])[::-1]
+    leaves = x.shape[1]
+    for d in range(len(k) - 1, -1, -1):
+        pivot, span = pivots[d], int(spans[d + 1])
+        # Leaves in a partial first node, then in whole nodes.
+        head = min(leaves, -first % span)
+        whole = (leaves - head) // span
+        end = head + whole * span
+        parts = [(slice(0, head), pivot[0])] if head else []
+        if end < leaves:
+            parts.append((slice(end, leaves), pivot[-1]))
+        for part, row in parts:
+            x[d, part] = (row[-1] - row[1:-1] @ x[d + 1:, part]) / row[0]
+        if whole:
+            rows = pivot[int(head > 0):][:whole]
+            below = x[d + 1:, head:end].reshape(-1, whole, span)
+            x[d, head:end] = ((rows[:, -1, None] - np.einsum(
+                "jnk,nj->nk", below, rows[:, 1:-1]))
+                / rows[:, :1]).reshape(-1)
+
+
+def _table_sizes(n_states: int):
+    """(block, batch) of _policy_table at ``n_states`` states: the
+    policies of one block, max(1, BLOCK_BYTES // (8 n^2)), and of one batch
+    of the values tree, the most whole blocks whose values, one float per
+    state and policy, take at most 3/4 of BLOCK_BYTES (at least one
+    block).  The tree's solve of a batch holds its values, x_vary and the
+    pivot rows at once, about 2.6 times the values at 17 states, so that
+    a batch holds at most about 2 BLOCK_BYTES."""
+    block = max(1, BLOCK_BYTES // (8 * n_states ** 2))
+    return block, block * max(1, 3 * BLOCK_BYTES // (32 * n_states * block))
 
 
 def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
@@ -421,10 +475,12 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
     policies come in the same order as when every policy is evaluated.
-    A table of one block is one stacked solve of policy_values.  A larger
-    one is evaluated by the elimination tree (_tree_root, _tree_solve) of
-    (I - g P_pi) V = r_pi, n/2 blocks at a time: a batch holds BLOCK_BYTES
-    / 2 of values.  A loss within the window of TREE_ROUNDING of one of
+    Each action table takes the smallest unsigned type that holds every
+    action index.  A table of one block is one stacked solve of
+    policy_values.  A larger one is evaluated by the elimination tree
+    (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, a batch of whole
+    blocks at a time, whose values take at most 3/4 of BLOCK_BYTES
+    (_table_sizes).  A loss within the window of TREE_ROUNDING of one of
     ``thresholds`` (what the caller compares losses with; by default
     ``epsilon``) is evaluated again by policy_values, so that every
     comparison with a threshold decides as on policy_values' bits.
@@ -452,16 +508,18 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
     shape = tuple(len(acts) for acts in survivors)
     total = math.prod(shape)
-    block = max(1, BLOCK_BYTES // (8 * mdp.n_states ** 2))
+    block, batch = _table_sizes(mdp.n_states)
     # The product's first policy.  The safe set is closed, so V*'s greedy
     # actions there give every table the least loss among those that
     # agree with it off the safe set, and hitting times ignore them.
     base = np.argmax(q_star, axis=1)
     base[nonsafe] = [acts[0] for acts in survivors]
 
+    dtype = np.min_scalar_type(mdp.n_actions - 1)
+
     def table(flat):
         picks = np.unravel_index(flat, shape) if shape else ()
-        actions = np.empty((len(flat), mdp.n_states), dtype=int)
+        actions = np.empty((len(flat), mdp.n_states), dtype=dtype)
         actions[:] = base
         for s, acts, pick in zip(nonsafe, survivors, picks):
             actions[:, s] = acts[pick]
@@ -496,11 +554,11 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     # The tree of (I - Q_pi) t = 1, built for the first batch that needs
     # it, or False when the product fails _absorbed.
     hitting = None
-    step = block * max(1, mdp.n_states // 2)
-    for lo in range(0, total, step):
+    for lo in range(0, total, batch):
         rows = None
-        leaves = np.arange(lo, min(lo + step, total))
-        loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
+        leaves = np.arange(lo, min(lo + batch, total))
+        loss = _tree_solve(values, leaves)
+        loss = np.max(np.subtract(v_star, loss, out=loss), axis=-1)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
         if np.any(near):
             loss[near] = np.max(

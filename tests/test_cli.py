@@ -105,6 +105,28 @@ class TestRenderJson:
     def test_bytes_match_the_recursive_renderer(self, doc):
         assert render_json(doc) == reference_render_json(doc)
 
+    @settings(max_examples=300, deadline=None)
+    @given(items=st.one_of(
+        st.lists(st.booleans(), min_size=1, max_size=300),
+        st.lists(FINITE, min_size=1, max_size=60),
+        st.lists(st.one_of(st.booleans(), FINITE, st.integers(0, 1),
+                           st.booleans().map(np.bool_),
+                           FINITE.map(np.float64),
+                           st.sampled_from([math.inf, -math.inf, math.nan]),
+                           st.none()),
+                 min_size=1, max_size=8)))
+    def test_uniform_lists_match_the_generic_path(self, items):
+        # Lists of bools only, or of finite floats only, skip the call per
+        # item; any other list takes it, with the same texts.
+        assert cli._scalars(items) == list(map(cli._scalar, items))
+        try:
+            expected = reference_render_json(items)
+        except ValueError:
+            with pytest.raises(ValueError):
+                render_json(items)
+        else:
+            assert render_json(items) == expected
+
     @pytest.mark.parametrize("doc", [
         [1.0, math.nan], [object(), math.nan], [math.inf, object()],
         [True, [np.float32(np.inf)]], {"a": [None, np.float64(-np.inf)]},

@@ -298,6 +298,16 @@ class TestCanReach:
                                     [False, False, True, False]]
 
 
+def assert_scipy_strong_components(adj):
+    n_comp, labels = connected_components(csr_matrix(adj), directed=True,
+                                          connection="strong")
+    expected = sorted((tuple(np.flatnonzero(labels == c))
+                       for c in range(n_comp)), key=lambda m: m[0])
+    found = strong_components(adj)
+    assert [tuple(c) for c in found] == expected
+    assert all(np.all(np.diff(c) > 0) for c in found)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_strong_components_are_scipy_strong_components(seed):
     # Random directed graphs of 0 to 12 states, with self-loops at random
@@ -308,13 +318,34 @@ def test_strong_components_are_scipy_strong_components(seed):
     isolated = rng.random(n) < 0.2
     adj[isolated, :] = adj[:, isolated] = False
     adj[np.diag_indices(n)] = rng.random(n) < 0.5
-    n_comp, labels = connected_components(csr_matrix(adj), directed=True,
-                                          connection="strong")
-    expected = sorted((tuple(np.flatnonzero(labels == c))
-                       for c in range(n_comp)), key=lambda m: m[0])
-    found = strong_components(adj)
-    assert [tuple(c) for c in found] == expected
-    assert all(np.all(np.diff(c) > 0) for c in found)
+    assert_scipy_strong_components(adj)
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle", "two-cycles", "sparse",
+                                   "one-component", "reversed-path"])
+@pytest.mark.parametrize("n", [1, 2, 57, 200])
+def test_large_graphs_have_scipy_strong_components(shape, n):
+    # Acyclic paths either way, one long cycle, two cycles joined one
+    # way, and random graphs with many components or one, at up to 200
+    # states.
+    rng = np.random.default_rng(n)
+    if shape in ("path", "reversed-path"):
+        adj = np.eye(n, k=1 if shape == "path" else -1, dtype=bool)
+    elif shape == "cycle":
+        adj = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    elif shape == "two-cycles":
+        half = n // 2
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.arange(n), (np.arange(n) + 1) % n] = True
+        adj[half - 1, 0] = True
+        adj[n - 1, half] = half > 0
+        adj[n - 1, 0] = False
+    elif shape == "sparse":
+        adj = rng.random((n, n)) < 1.5 / n
+    else:
+        adj = rng.random((n, n)) < 0.1
+        adj[np.arange(n), (np.arange(n) + 1) % n] = True
+    assert_scipy_strong_components(adj)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -25,7 +26,8 @@ from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            induce_chain, safety, safety_frontier,
                            value_iteration, ValueFunction,
                            verify_stability_instance)
-from mdp_stability.mdp import _chains, can_reach
+from mdp_stability.cli import render_json
+from mdp_stability.mdp import _chains, can_reach, policy_values
 
 
 def chain_single(p_absorb):
@@ -297,6 +299,50 @@ class TestCertify:
             assert t_big == t_small
         else:
             assert t_big == pytest.approx(t_small, abs=1e-8)
+
+
+def many_actions_mdp(n_actions=300):
+    """One non-safe state with ``n_actions`` actions, action a leaking to
+    the safe state with a probability that falls with a, at rewards that
+    keep the values close, so that the slowest policies take the largest
+    action indices."""
+    rng = np.random.default_rng(3)
+    leak = 0.5 * (1 - np.arange(n_actions) / n_actions) + 1e-3
+    P = np.zeros((2, n_actions, 2))
+    P[0, :, 0], P[0, :, 1] = 1 - leak, leak
+    P[1, :, 1] = 1.0
+    r = np.zeros((2, n_actions))
+    r[0] = (1 - 0.9 * (1 - leak)) * (1 + 0.1 * rng.random(n_actions))
+    return MdpSpec(("s0", "safe"), tuple(f"a{a}" for a in range(n_actions)),
+                   P, r, 0.9, {1})
+
+
+class TestManyActions:
+    """Action tables take the smallest unsigned type that holds every
+    action index: two bytes past 256 actions, where one would wrap."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_certificate_matches_the_reference(self, block):
+        mdp = many_actions_mdp()
+        assert mdp.n_actions ** len(mdp.nonsafe_indices) <= safety.POLICY_CAP
+        with table_under_test(mdp, block):
+            [(actions, *_)] = [next(safety._policy_table(mdp, 1.0))]
+        assert actions.dtype == np.uint16
+        for eps in (0.02, 1.0):
+            for start in (None, StartDistribution.point_mass(2, 0)):
+                query = SafetyQuery(eps, start)
+                ref = reference_certify(mdp, query)
+                with table_under_test(mdp, block):
+                    cert = certify_safety(mdp, query)
+                assert cert.worst_time == ref["worst_time"]
+                assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+                assert cert.epsilon_optimal_count \
+                    == ref["epsilon_optimal_count"]
+                assert cert.reachability == ref["reachability"]
+        assert cert.worst_policy.table[0] == mdp.n_actions - 1
+        document = json.loads(render_json(cert.to_document()))
+        assert document["worst_policy_actions"] == [mdp.n_actions - 1, 0]
+        assert all(type(a) is int for a in document["worst_policy_actions"])
 
 
 class TestStabilityInstance:
@@ -1130,6 +1176,71 @@ def slow_leak_mdp(seed, low, high, n_states=7):
                    0.9, {n - 1})
 
 
+@st.composite
+def tree_leaves(draw):
+    """(mdp, survivors, leaves): a table case with some survivors at each
+    non-safe state, three actions at every state in a third of the cases,
+    and leaves of the product that form a run starting and ending
+    anywhere, the whole run under one node, a single leaf, or a scattered
+    set."""
+    if draw(st.integers(0, 2)):
+        mdp = draw(table_cases())[0]
+    else:
+        mdp = random_mdp(draw(st.integers(0, 2 ** 16)),
+                         n_states=draw(st.integers(2, 6)), n_actions=3)
+    survivors = some_survivors(mdp, draw(st.integers(0, 2 ** 16)))
+    # The tree varies at least one state, as every table it evaluates.
+    k = [len(acts) for acts in survivors if len(acts) > 1]
+    assume(k)
+    total = math.prod(k)
+    kind = draw(st.sampled_from(["run", "node", "leaf", "scattered"]))
+    if kind == "run":
+        lo = draw(st.integers(0, total - 1))
+        leaves = np.arange(lo, draw(st.integers(lo, total - 1)) + 1)
+    elif kind == "node":
+        span = math.prod(k[draw(st.integers(0, len(k))):])
+        node = draw(st.integers(0, total // span - 1))
+        leaves = np.arange(node * span, (node + 1) * span)
+    elif kind == "leaf":
+        leaves = np.array([draw(st.integers(0, total - 1))])
+    else:
+        leaves = np.array(sorted(draw(st.sets(
+            st.integers(0, total - 1), min_size=1))))
+    return mdp, survivors, leaves
+
+
+class TestTreeSolve:
+    """_tree_solve at any set of leaves, against policy_values within the
+    window of TREE_ROUNDING and against expected_steps within
+    _steps_window, through either back substitution."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_leaves())
+    def test_leaves_lie_within_their_windows(self, case):
+        mdp, survivors, leaves = case
+        nonsafe = mdp.nonsafe_indices
+        base = np.zeros(mdp.n_states, dtype=int)
+        base[nonsafe] = [acts[0] for acts in survivors]
+        picks = np.unravel_index(leaves, [len(acts) for acts in survivors])
+        actions = np.tile(base, (len(leaves), 1))
+        for s, acts, pick in zip(nonsafe, survivors, picks):
+            actions[:, s] = acts[pick]
+        values = safety._tree_root(mdp, survivors, base,
+                                   np.arange(mdp.n_states), mdp.discount,
+                                   mdp.reward)
+        error = np.abs(safety._tree_solve(values, leaves)
+                       - policy_values(mdp, actions))
+        assert np.all(error <= safety._tree_window(mdp, [0.0]))
+        if not safety._absorbed(mdp, survivors):
+            return
+        hitting = safety._tree_root(mdp, survivors, base, nonsafe, 1.0,
+                                    np.ones(mdp.reward.shape))
+        steps = safety._tree_solve(hitting, leaves)
+        window = safety._steps_window(mdp.n_states, steps)
+        exact = expected_steps(_chains(mdp, actions))
+        assert np.all(np.abs(steps - exact) <= window[:, None])
+
+
 class TestTreeHittingTimes:
     """The expected steps that the elimination tree gives a table's members
     against expected_steps, and the certificates that take them."""
@@ -1168,41 +1279,55 @@ class TestTreeHittingTimes:
         with one_optimum(mdp):
             self.check_window(mdp, 1e9, block)
 
+    @staticmethod
+    def one_left_over(n):
+        """The least BLOCK_BYTES at which _table_sizes puts the 2^(n-1)
+        policies of a product over n - 1 non-safe states into batches of
+        more than a block, with a single policy left to the last batch."""
+        for size in range(8 * n ** 2, 2 ** n * 8 * n ** 2):
+            with mock.patch.object(safety, "BLOCK_BYTES", size):
+                block, batch = safety._table_sizes(n)
+            if batch > block and 2 ** (n - 1) % batch == 1:
+                return size
+        raise AssertionError(f"no budget leaves one policy over at {n}")
+
     @pytest.mark.parametrize("seed,leaks", [(0, (-9, -6)), (1, (-9, -6)),
                                             (2, (-12, -10)), (3, (-12, -10))])
     def test_slow_leaks_keep_exact_answers(self, seed, leaks):
         # Below 1e-10 the window takes in every member, and every member
         # is solved again, a block at a time.
         mdp = slow_leak_mdp(seed, *leaks)
-        # Batches of 9 policies: the tree solves all but the last one,
-        # whose single member is a stacked chain.
-        assert self.check_window(mdp, 1e3, 3) == 2 ** 6 - 1
-        times = [np.max(expected_steps(induce_chain(mdp, p)))
-                 for p in _reference_grid(mdp)]
-        assert min(times) >= 1e6
-        with table_under_test(mdp, 3), mock.patch.object(
-                safety, "expected_steps",
-                wraps=safety.expected_steps) as solve:
-            certify_safety(mdp, SafetyQuery(1e3))
-        solved = sum(len(call.args[0].Q) for call in solve.call_args_list)
-        assert (solved == 2 ** 6) == (leaks[1] <= -10)
-        losses = sorted(loss for _, loss in grid_losses(mdp))
-        eps = losses[len(losses) // 2]
-        for start in (None, StartDistribution.point_mass(mdp.n_states, 2)):
-            query = SafetyQuery(eps, start)
-            ref = reference_certify(mdp, query)
-            with table_under_test(mdp, 3):
-                cert = certify_safety(mdp, query)
-            assert cert.worst_time == ref["worst_time"]
-            assert tuple(cert.worst_policy.table) == ref["worst_policy"]
-            assert cert.reachability == ref["reachability"]
-            assert np.array_equal(
-                cert.worst_policy_times,
-                expected_steps(induce_chain(mdp, cert.worst_policy)))
-        epsilons = [eps / 2, eps, 2 * eps]
-        with table_under_test(mdp, 3):
-            assert safety_frontier(mdp, epsilons) \
-                == reference_frontier(mdp, epsilons)
+        # The tree solves every batch but the last, whose single member
+        # is a stacked chain.
+        with mock.patch.object(safety, "BLOCK_BYTES",
+                               self.one_left_over(mdp.n_states)):
+            assert self.check_window(mdp, 1e3, None) == 2 ** 6 - 1
+            times = [np.max(expected_steps(induce_chain(mdp, p)))
+                     for p in _reference_grid(mdp)]
+            assert min(times) >= 1e6
+            with table_under_test(mdp, None), mock.patch.object(
+                    safety, "expected_steps",
+                    wraps=safety.expected_steps) as solve:
+                certify_safety(mdp, SafetyQuery(1e3))
+            solved = sum(len(call.args[0].Q) for call in solve.call_args_list)
+            assert (solved == 2 ** 6) == (leaks[1] <= -10)
+            losses = sorted(loss for _, loss in grid_losses(mdp))
+            eps = losses[len(losses) // 2]
+            for start in (None, StartDistribution.point_mass(mdp.n_states, 2)):
+                query = SafetyQuery(eps, start)
+                ref = reference_certify(mdp, query)
+                with table_under_test(mdp, None):
+                    cert = certify_safety(mdp, query)
+                assert cert.worst_time == ref["worst_time"]
+                assert tuple(cert.worst_policy.table) == ref["worst_policy"]
+                assert cert.reachability == ref["reachability"]
+                assert np.array_equal(
+                    cert.worst_policy_times,
+                    expected_steps(induce_chain(mdp, cert.worst_policy)))
+            epsilons = [eps / 2, eps, 2 * eps]
+            with table_under_test(mdp, None):
+                assert safety_frontier(mdp, epsilons) \
+                    == reference_frontier(mdp, epsilons)
 
     def test_rounded_away_leaks_fail_as_expected_steps_does(self):
         # Leaks of 1e-320 pass the graph test but round away in I - Q_pi:
