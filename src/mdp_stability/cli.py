@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import itertools
 import json
 import math
 import sys
@@ -67,13 +66,10 @@ _BOOL_TEXT = {True: "true", False: "false"}
 def _scalars(items):
     """The texts of a list of scalars as _scalar gives them, None in
     place of a container, a non-finite float or another type.  A list of
-    bools only, such as a certificate's reachability, or of finite floats
-    only, is rendered without a call per item."""
-    kinds = set(map(type, items))
-    if kinds == {bool}:
+    bools only, such as a certificate's reachability, is rendered without
+    a call per item."""
+    if set(map(type, items)) == {bool}:
         return list(map(_BOOL_TEXT.__getitem__, items))
-    if kinds == {float} and all(map(math.isfinite, items)):
-        return list(map(format, items, itertools.repeat(".17g")))
     return list(map(_scalar, items))
 
 

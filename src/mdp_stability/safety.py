@@ -349,71 +349,44 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
 
 def _tree_solve(tree, leaves) -> np.ndarray:
     """x over the states of ``tree`` (as _tree_root gives it) of the
-    policies at product indices ``leaves`` (ascending; the last varying
-    state varies fastest), one row each.
+    policies at product indices ``leaves`` (a run of consecutive indices;
+    the last varying state varies fastest), one row each.
 
     The varying states are eliminated in index order, one level of the
     tree each: a node of depth d holds the rows of the states after the
     d-th under each of their survivors, and its child c pivots on the next
     state's row under that state's c-th survivor, so that the leaves come
-    in product order.  Only the nodes above ``leaves`` are kept.  Back
-    substitution along each leaf's pivot rows gives x_vary, and Z gives
-    x_fixed.  When ``leaves`` form a run, as every values batch does, the
-    leaves under each node are contiguous, and each node's pivot row is
-    broadcast over them (_run_back_substitution); scattered leaves, such
-    as a batch's members, gather a copy of their pivot rows per level.
+    in product order.  Only the nodes above ``leaves`` are kept: above a
+    run of leaves, each level holds a run of nodes, and the leaves under
+    each node are contiguous.  Back substitution broadcasts each node's
+    pivot row over its leaves (_run_back_substitution), and Z gives
+    x_fixed.
     """
     root, Z, k, (vary, fixed) = tree
     m = len(k)
     if not len(leaves):
         return np.empty((0, m + len(fixed)))
-    # ids[d]: the nodes of depth d above the leaves, as product indices of
-    # their first d actions; up[d]: the place of each one's parent among
-    # ids[d - 1].  Above a run of leaves, every level holds a run, and
-    # only its ends are kept.
-    run = leaves[-1] - leaves[0] == len(leaves) - 1
-    ids, up = [leaves], [None] * (m + 1)
+    # ids[d]: the first and last node of depth d above the leaves, as
+    # product indices of their first d actions.
+    ids = [leaves[[0, -1]]]
     for d in range(m, 0, -1):
-        parent = ids[0] // k[d - 1]
-        if run:
-            ids.insert(0, parent[[0, -1]])
-            continue
-        first = np.ones(len(parent), dtype=bool)
-        first[1:] = parent[1:] != parent[:-1]
-        up[d] = np.cumsum(first) - 1
-        ids.insert(0, parent[first])
+        ids.insert(0, ids[0] // k[d - 1])
     rows, pivots = root[None], []
     for d in range(m):
         # Child c of the node at place p is child p k[d] + c of the nodes
-        # of depth d.  Above a run of leaves, every child of the parents
-        # is eliminated and the run is kept as a view; above scattered
-        # leaves, only the children above them are, from their parents'
-        # rows.
-        parent, child = up[d + 1], ids[d + 1]
-        if run:
-            lo, hi = child[[0, -1]] - ids[d][0] * k[d]
-            pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
-        else:
-            c = child % k[d]
-            pivot, rest = rows[parent, c, None], rows[parent, k[d]:]
+        # of depth d.  Every child of the run's nodes is eliminated, and
+        # the run of children is kept as a view.
+        lo, hi = ids[d + 1] - ids[d][0] * k[d]
+        pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
         rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
             * pivot[..., 1:]
         pivot = pivot.reshape(-1, rows.shape[-1] + 1)
         rows = rows.reshape(len(pivot), *rows.shape[-2:])
-        if run:
-            rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
+        rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
         pivots.append(pivot)
     # x[d]: the d-th varying state's x at each leaf.
     x = np.empty((m, len(leaves)))
-    if run:
-        _run_back_substitution(x, pivots, k, int(leaves[0]))
-    else:
-        place = np.arange(len(leaves))
-        for d in range(m - 1, -1, -1):
-            row = pivots[d][place]
-            x[d] = (row[:, -1] - np.einsum("ij,ji->i", row[:, 1:-1],
-                                           x[d + 1:])) / row[:, 0]
-            place = up[d + 1][place]
+    _run_back_substitution(x, pivots, k, int(leaves[0]))
     out = np.empty((len(leaves), m + len(fixed)))
     out[:, vary] = x.T
     out[:, fixed] = x.T @ Z[:, :m].T - Z[:, m]
@@ -425,10 +398,11 @@ def _run_back_substitution(x, pivots, k, first):
     leaves that starts at product index ``first``, by the pivot rows of
     _tree_solve, one level at a time.
 
-    The leaves under a node of depth d + 1 are contiguous, span of them
-    for a whole node, so the node's pivot row is broadcast over them: the
-    whole nodes of a level through one reshape, and a partial first and
-    last node each on its own, with no per-leaf copy of the pivot rows.
+    A whole node of depth d + 1 covers spans[d + 1] contiguous leaves, and
+    pivots[d][j] is the j-th node from the one that holds leaf ``first``.
+    So each node's pivot row is broadcast over its leaves: the whole nodes
+    of a level through one reshape, and a partial first and last node each
+    on its own, with no per-leaf copy of the pivot rows.
     """
     spans = np.cumprod(np.append(k, 1)[::-1])[::-1]
     leaves = x.shape[1]
@@ -487,12 +461,13 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
 
     steps holds the expected steps to the safe set (over the non-safe
     states, in index order) of the rows with loss below epsilon, each row
-    within its entry of window of expected_steps'.  The tree of (I - Q_pi)
-    t = 1 solves them at those leaves of a batch that holds more of them
-    than a block, when the product passes _absorbed, with windows of
-    _steps_window.  Otherwise (a table of one block, a batch with at most
-    a block of members, a product that fails _absorbed) expected_steps
-    solves the members' chains, with windows of 0.
+    within its entry of window of expected_steps'.  In a batch that holds
+    more of them than a block, when the product passes _absorbed, the tree
+    of (I - Q_pi) t = 1 solves the batch's run of leaves, and the rows of
+    its members are kept, with windows of _steps_window.  Otherwise (a
+    table of one block, a batch with at most a block of members, a product
+    that fails _absorbed) expected_steps solves the members' chains, with
+    windows of 0.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -532,14 +507,15 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
         return actions, loss, steps, np.zeros(len(members))
 
     def tree_rows(leaves, inside):
-        # The members' rows of the tree of (I - Q_pi) t = 1 with their
-        # windows, a copy per block, so that no block keeps the batch's
-        # rows.  Pivots that rounding drives to 0 show in the rows
-        # (_steps_window).
+        # The members' rows of the tree of (I - Q_pi) t = 1 over the
+        # batch's run with their windows, a copy per block, so that no
+        # block keeps the batch's rows.  Pivots that rounding drives to 0
+        # show in the rows (_steps_window).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = _tree_solve(hitting, leaves[inside])
-        return [(part.copy(), _steps_window(mdp.n_states, part)) for part
-                in np.split(t, np.cumsum(inside)[block - 1:-1:block])]
+            t = _tree_solve(hitting, leaves)
+        parts = (t[begin:begin + block][inside[begin:begin + block]]
+                 for begin in range(0, len(leaves), block))
+        return [(part, _steps_window(mdp.n_states, part)) for part in parts]
 
     if total <= block:
         actions = table(np.arange(total))
@@ -557,8 +533,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     for lo in range(0, total, batch):
         rows = None
         leaves = np.arange(lo, min(lo + batch, total))
-        loss = _tree_solve(values, leaves)
-        loss = np.max(np.subtract(v_star, loss, out=loss), axis=-1)
+        loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
         if np.any(near):
             loss[near] = np.max(

@@ -116,8 +116,8 @@ class TestRenderJson:
                            st.none()),
                  min_size=1, max_size=8)))
     def test_uniform_lists_match_the_generic_path(self, items):
-        # Lists of bools only, or of finite floats only, skip the call per
-        # item; any other list takes it, with the same texts.
+        # Lists of bools only skip the call per item; any other list takes
+        # it, with the same texts.
         assert cli._scalars(items) == list(map(cli._scalar, items))
         try:
             expected = reference_render_json(items)

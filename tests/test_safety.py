@@ -1181,8 +1181,7 @@ def tree_leaves(draw):
     """(mdp, survivors, leaves): a table case with some survivors at each
     non-safe state, three actions at every state in a third of the cases,
     and leaves of the product that form a run starting and ending
-    anywhere, the whole run under one node, a single leaf, or a scattered
-    set."""
+    anywhere, the whole run under one node, or a single leaf."""
     if draw(st.integers(0, 2)):
         mdp = draw(table_cases())[0]
     else:
@@ -1193,7 +1192,7 @@ def tree_leaves(draw):
     k = [len(acts) for acts in survivors if len(acts) > 1]
     assume(k)
     total = math.prod(k)
-    kind = draw(st.sampled_from(["run", "node", "leaf", "scattered"]))
+    kind = draw(st.sampled_from(["run", "node", "leaf"]))
     if kind == "run":
         lo = draw(st.integers(0, total - 1))
         leaves = np.arange(lo, draw(st.integers(lo, total - 1)) + 1)
@@ -1201,18 +1200,15 @@ def tree_leaves(draw):
         span = math.prod(k[draw(st.integers(0, len(k))):])
         node = draw(st.integers(0, total // span - 1))
         leaves = np.arange(node * span, (node + 1) * span)
-    elif kind == "leaf":
-        leaves = np.array([draw(st.integers(0, total - 1))])
     else:
-        leaves = np.array(sorted(draw(st.sets(
-            st.integers(0, total - 1), min_size=1))))
+        leaves = np.array([draw(st.integers(0, total - 1))])
     return mdp, survivors, leaves
 
 
 class TestTreeSolve:
-    """_tree_solve at any set of leaves, against policy_values within the
+    """_tree_solve at any run of leaves, against policy_values within the
     window of TREE_ROUNDING and against expected_steps within
-    _steps_window, through either back substitution."""
+    _steps_window."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=tree_leaves())
