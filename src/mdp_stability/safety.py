@@ -35,20 +35,22 @@ __all__ = [
 # Most deterministic policies one certificate or frontier may enumerate,
 # counted before MacQueen's test prunes any.
 POLICY_CAP = 10 ** 6
-# Bytes that one block of the policy table may stack, at one n-by-n float
-# matrix per policy: max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
-# states.  What is stacked is the solve of a table of one block, and the
-# members' hitting-time chains of such a table, of a product that some
-# policy does not leave almost surely (_absorbed), or of a batch with at
-# most a block of members.  A larger table is evaluated by the
-# elimination tree (_tree_solve) in batches of whole blocks whose values
-# take at most 3/4 of BLOCK_BYTES (_table_sizes); the tree solves the
-# other batches' members' hitting times too.  The member scan (_scan)
-# solves again the tree's rows that it keeps, a block's worth at a time.
-# On the certify deck 256 KB beat both 64 KB and 1 MB.  Every hitting
-# time and loss that a certificate reports or decides on has the same
-# bits at any block size, since LAPACK solves each matrix of a stack on
-# its own; the tree's own may differ in their last bits.
+# Bytes that one stacked solve may take, at one n-by-n float matrix per
+# policy: a block of max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
+# states.  A table of one block is one stacked solve of policy_values and
+# one piece of the member scan (_scan).  A larger table is evaluated by
+# the elimination tree (_tree_solve) in batches of whole blocks whose
+# values take at most 3/4 of BLOCK_BYTES (_table_sizes), and comes to the
+# scan one batch at a time.  The members' hitting-time chains that the
+# tree does not solve, and the tree's rows that the scan keeps, go to
+# expected_steps in stacks of half a block (_stacked_steps).  On the
+# certify benchmark (two 30 s pairs each against 256 KB, one piece per
+# batch), 1 MB raised tasks_per_s by 9% but task_s.tail by 28-40%: pool
+# instance 1's 864-policy 9-state table is one stacked solve there, not
+# a tree.  512 KB read 1-4% lower.  Every hitting time and loss that a
+# certificate reports or decides on has the same bits at any block size,
+# since LAPACK solves each matrix of a stack on its own; the tree's own
+# may differ in their last bits.
 BLOCK_BYTES = 1 << 18
 
 
@@ -94,9 +96,12 @@ def expected_steps(chain: InducedChain) -> np.ndarray:
     finite = ~can_reach(adj, ~can_absorb)
     whole = np.all(finite, axis=-1)
     t = np.full(finite.shape, math.inf)
+    # I - Q in place on the one copy Q[whole]: -q + 1 rounds as 1 - q.
+    a = Q[whole]
+    np.negative(a, out=a)
+    a[:, range(n), range(n)] += 1.0
     try:
-        t[whole] = np.linalg.solve(np.eye(n) - Q[whole],
-                                   np.ones((int(whole.sum()), n, 1)))[..., 0]
+        t[whole] = np.linalg.solve(a, np.ones((len(a), n, 1)))[..., 0]
     except np.linalg.LinAlgError:
         # The chain that fails alone is named by its spectral radius.
         whole[:] = False
@@ -147,10 +152,11 @@ def _exact_charges(steps: np.ndarray, start) -> list:
     """start_charge's charge of each row of ``steps``, for ``start`` as the
     (hit, mass) of _start_mass."""
     hit, mass = start
+    infinite = np.isinf(steps[:, hit]).any(axis=-1).tolist()
     # One dot product of contiguous vectors per chain, as for a single
     # chain: a stacked or strided product may sum in another order.
-    return [math.inf if np.any(np.isinf(row)) else float(mass @ row)
-            for row in (t[hit] for t in steps)]
+    return [math.inf if inf else float(mass @ t[hit])
+            for inf, t in zip(infinite, steps)]
 
 
 def _charges(steps: np.ndarray, start):
@@ -189,15 +195,15 @@ def _charge_bounds(charge, window, terms: int):
 
 
 def _near_top(floor, rows, start):
-    """(floor, kept) for the pieces ``rows`` of a table's members, each
-    (actions, steps, window, member) with member[j, e] telling whether row
-    j is in set e.  Each row's charge of ``start`` (as _scan holds it) is
-    bounded (_charges, _charge_bounds), each set's floor rises to the
-    largest lower bound of its rows, and kept holds, in order, the rows
-    whose upper bound reaches the floor of some set they belong to (a row
-    below the floor of every such set is the maximum of none).  Capping a
-    floor at the largest float keeps every row whose charge overflows."""
-    actions, steps, window, member = (np.concatenate(c) for c in zip(*rows))
+    """(floor, kept) for the ``rows`` of a table's members, (actions,
+    steps, window, member) with member[j, e] telling whether row j is in
+    set e.  Each row's charge of ``start`` (as _scan holds it) is bounded
+    (_charges, _charge_bounds), each set's floor rises to the largest
+    lower bound of its rows, and kept holds, in order, the rows whose
+    upper bound reaches the floor of some set they belong to (a row below
+    the floor of every such set is the maximum of none).  Capping a floor
+    at the largest float keeps every row whose charge overflows."""
+    actions, steps, window, member = rows
     lower, upper = _charge_bounds(_charges(steps, start), window,
                                   0 if start is None else len(start[1]))
     top = np.where(member, lower[:, None], -math.inf).max(
@@ -427,24 +433,40 @@ def _run_back_substitution(x, pivots, k, first):
 
 def _table_sizes(n_states: int):
     """(block, batch) of _policy_table at ``n_states`` states: the
-    policies of one block, max(1, BLOCK_BYTES // (8 n^2)), and of one batch
-    of the values tree, the most whole blocks whose values, one float per
-    state and policy, take at most 3/4 of BLOCK_BYTES (at least one
-    block).  The tree's solve of a batch holds its values, x_vary and the
-    pivot rows at once, about 2.6 times the values at 17 states, so that
-    a batch holds at most about 2 BLOCK_BYTES."""
+    policies of one stacked solve, max(1, BLOCK_BYTES // (8 n^2)), and of
+    one piece of the table, a batch of the values tree: the most whole
+    blocks whose values, one float per state and policy, take at most 3/4
+    of BLOCK_BYTES (at least one block).  The tree's solve of a batch
+    holds its values, x_vary and the pivot rows at once, about 2.6 times
+    the values at 17 states, so that a batch holds at most about 2
+    BLOCK_BYTES."""
     block = max(1, BLOCK_BYTES // (8 * n_states ** 2))
     return block, block * max(1, 3 * BLOCK_BYTES // (32 * n_states * block))
 
 
+def _stacked_steps(mdp: MdpSpec, actions) -> np.ndarray:
+    """expected_steps of the chains of the action table ``actions``, one
+    row each, in stacks of half a block (_table_sizes), or of one chain:
+    building a stack of chains holds about three n-by-n matrices per
+    chain at once (_chains' gather, its non-safe part and the frozen
+    copy)."""
+    size = max(1, _table_sizes(mdp.n_states)[0] // 2)
+    steps = np.empty((len(actions), len(mdp.nonsafe_indices)))
+    for begin in range(0, len(actions), size):
+        steps[begin:begin + size] = expected_steps(
+            _chains(mdp, actions[begin:begin + size]))
+    return steps
+
+
 def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     """The deterministic policies that survive MacQueen's test at
-    ``epsilon``, in blocks of at most BLOCK_BYTES (or of one policy) as
-    (actions, loss, steps, window): actions is a (policies, states) table
-    that takes V*'s greedy action (the first on ties) at each safe state,
-    and loss the value loss max_s V*(s) - V^pi(s) of each row.  A policy
-    is eps-optimal exactly when its loss is below eps; every policy left
-    out has a loss of at least epsilon + 10*value_tol.
+    ``epsilon``, in pieces of one batch of _table_sizes (a table of at
+    most a block is one piece) as (actions, loss, steps, window): actions
+    is a (policies, states) table that takes V*'s greedy action (the first
+    on ties) at each safe state, and loss the value loss max_s V*(s) -
+    V^pi(s) of each row.  A policy is eps-optimal exactly when its loss is
+    below eps; every policy left out has a loss of at least epsilon +
+    10*value_tol.
 
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
@@ -452,12 +474,11 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     Each action table takes the smallest unsigned type that holds every
     action index.  A table of one block is one stacked solve of
     policy_values.  A larger one is evaluated by the elimination tree
-    (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, a batch of whole
-    blocks at a time, whose values take at most 3/4 of BLOCK_BYTES
-    (_table_sizes).  A loss within the window of TREE_ROUNDING of one of
-    ``thresholds`` (what the caller compares losses with; by default
-    ``epsilon``) is evaluated again by policy_values, so that every
-    comparison with a threshold decides as on policy_values' bits.
+    (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, a batch at a time.
+    A loss within the window of TREE_ROUNDING of one of ``thresholds``
+    (what the caller compares losses with; by default ``epsilon``) is
+    evaluated again by policy_values, so that every comparison with a
+    threshold decides as on policy_values' bits.
 
     steps holds the expected steps to the safe set (over the non-safe
     states, in index order) of the rows with loss below epsilon, each row
@@ -466,8 +487,10 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     of (I - Q_pi) t = 1 solves the batch's run of leaves, and the rows of
     its members are kept, with windows of _steps_window.  Otherwise (a
     table of one block, a batch with at most a block of members, a product
-    that fails _absorbed) expected_steps solves the members' chains, with
-    windows of 0.
+    that fails _absorbed) expected_steps solves the members' chains
+    (_stacked_steps), with windows of 0.  Each piece is built by
+    a call of its own, so that the generator keeps nothing of the pieces
+    it has yielded.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -501,21 +524,9 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
         return actions
 
     def solved(actions, loss):
-        members = actions[loss < epsilon]
-        steps = (expected_steps(_chains(mdp, members)) if len(members)
-                 else np.empty((0, len(nonsafe))))
-        return actions, loss, steps, np.zeros(len(members))
-
-    def tree_rows(leaves, inside):
-        # The members' rows of the tree of (I - Q_pi) t = 1 over the
-        # batch's run with their windows, a copy per block, so that no
-        # block keeps the batch's rows.  Pivots that rounding drives to 0
-        # show in the rows (_steps_window).
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = _tree_solve(hitting, leaves)
-        parts = (t[begin:begin + block][inside[begin:begin + block]]
-                 for begin in range(0, len(leaves), block))
-        return [(part, _steps_window(mdp.n_states, part)) for part in parts]
+        inside = loss < epsilon
+        return (actions, loss, _stacked_steps(mdp, actions[inside]),
+                np.zeros(np.count_nonzero(inside)))
 
     if total <= block:
         actions = table(np.arange(total))
@@ -530,30 +541,48 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     # The tree of (I - Q_pi) t = 1, built for the first batch that needs
     # it, or False when the product fails _absorbed.
     hitting = None
-    for lo in range(0, total, batch):
-        rows = None
-        leaves = np.arange(lo, min(lo + batch, total))
+
+    def piece(leaves):
+        nonlocal hitting
+        actions = table(leaves)
         loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
         if np.any(near):
             loss[near] = np.max(
-                v_star - policy_values(mdp, table(leaves[near])), axis=-1)
+                v_star - policy_values(mdp, actions[near]), axis=-1)
         inside = loss < epsilon
         # The tree's fixed cost per level beats a block's stacked chains
         # once a batch holds more members than a block.
-        if np.count_nonzero(inside) > block:
-            if hitting is None:
-                hitting = _absorbed(mdp, survivors) and _tree_root(
-                    mdp, survivors, base, nonsafe, 1.0,
-                    np.ones(mdp.reward.shape))
-            if hitting:
-                rows = iter(tree_rows(leaves, inside))
-        for begin in range(0, len(leaves), block):
-            part = slice(begin, begin + block)
-            if rows is None:
-                yield solved(table(leaves[part]), loss[part])
-            else:
-                yield (table(leaves[part]), loss[part], *next(rows))
+        if np.count_nonzero(inside) <= block:
+            return solved(actions, loss)
+        if hitting is None:
+            hitting = _absorbed(mdp, survivors) and _tree_root(
+                mdp, survivors, base, nonsafe, 1.0, np.ones(mdp.reward.shape))
+        if not hitting:
+            return solved(actions, loss)
+        # Pivots that rounding drives to 0 show in the rows
+        # (_steps_window).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            steps = _tree_solve(hitting, leaves)[inside]
+        return actions, loss, steps, _steps_window(mdp.n_states, steps)
+
+    for lo in range(0, total, batch):
+        yield piece(np.arange(lo, min(lo + batch, total)))
+
+
+# Most rows of exact steps that _scan settles at the end without a cut
+# first.  Settling charges a start on each row by a dot product of its
+# own, about 2 us a row, where a cut (_near_top) costs about 40 us; the
+# slowest state is one stacked maximum, so that the worst-case start
+# never needs the cut.
+SETTLE_ROWS = 16
+
+
+def _joined(rows):
+    """One (actions, steps, window, member) of _scan's list of them."""
+    if len(rows) == 1:
+        return rows[0]
+    return tuple(np.concatenate(c) for c in zip(*rows))
 
 
 def _scan(mdp: MdpSpec, epsilons, start):
@@ -568,12 +597,18 @@ def _scan(mdp: MdpSpec, epsilons, start):
     for each policy eps-optimal there whether it is absorbed almost surely
     from every state.
 
-    The members are cut to those that may hold the maximum of a set they
-    belong to (_near_top) whenever they have reached a block's worth
-    before the next block's are added, and those kept are settled
-    (_settle) once they fill a block, and at the end.  A start is taken
-    apart at the first member, so that an empty set is reported as
-    vacuous before a start with mass on safe states.
+    The bookkeeping runs once per piece of the table (a batch of
+    _table_sizes).  A piece's members join those gathered before, and
+    once they exceed a block (_table_sizes, at the actions' number of
+    states) they are cut to those that may hold the maximum of a set they
+    belong to (_near_top) before the next piece is built, so that no
+    name keeps a piece's rows while the next one is built.  The kept rows
+    are settled (_settle) once they exceed a block, and at the end, where
+    they are cut first only when some row has a window or a start is
+    charged on more than SETTLE_ROWS rows: on exact steps _settle takes
+    the same first maximum.  A start is taken apart at the first member,
+    so that an empty set is reported as vacuous before a start with mass
+    on safe states.
     """
     largest, band = epsilons[-1], 10.0 * SafetyQuery.value_tol
     epsilons = np.asarray(epsilons, dtype=float)
@@ -587,24 +622,30 @@ def _scan(mdp: MdpSpec, epsilons, start):
             mdp, largest, (*epsilons, largest - band, largest + band)):
         boundary += int(np.count_nonzero(np.abs(largest - loss) < band))
         inside = loss < largest
-        if not inside.any():
-            continue
-        if isinstance(start, StartDistribution):
-            start = _start_mass(mdp.nonsafe_indices, start)
-        if sum(len(rows[0]) for rows in near) >= len(actions):
-            floor, kept = _near_top(floor, near, start)
-            near = [kept]
-            if len(kept[0]) >= len(actions):
-                _settle(mdp, kept, start, top, worst)
-                near = []
-        member = loss[inside, None] < epsilons
-        count += member.sum(axis=0)
-        # Every member of a tree's product is absorbed almost surely.
-        reachability += ((window > 0)
-                         | np.isfinite(steps).all(axis=-1)).tobytes()
-        near.append((actions[inside], steps, window, member))
+        if inside.any():
+            if isinstance(start, StartDistribution):
+                start = _start_mass(mdp.nonsafe_indices, start)
+            block = _table_sizes(actions.shape[1])[0]
+            member = loss[inside, None] < epsilons
+            count += member.sum(axis=0)
+            # Every member of a tree's product is absorbed almost surely.
+            reachability += ((window > 0)
+                             | np.isfinite(steps).all(axis=-1)).tobytes()
+            near.append((actions[inside], steps, window, member))
+            if sum(len(rows[0]) for rows in near) > block:
+                floor, kept = _near_top(floor, _joined(near), start)
+                near = [kept]
+                if len(kept[0]) > block:
+                    _settle(mdp, kept, start, top, worst)
+                    near = []
+        # No name keeps the piece while the next one is built.
+        del actions, loss, steps, window
     if near:
-        _settle(mdp, _near_top(floor, near, start)[1], start, top, worst)
+        rows = _joined(near)
+        if rows[2].any() or (start is not None
+                             and len(rows[0]) > SETTLE_ROWS):
+            rows = _near_top(floor, rows, start)[1]
+        _settle(mdp, rows, start, top, worst)
     sets = [(float(t), *w, int(c)) for t, w, c in zip(top, worst, count)]
     return sets, boundary, np.frombuffer(reachability, dtype=bool)
 
@@ -613,13 +654,13 @@ def _settle(mdp: MdpSpec, rows, start, top, worst):
     """Charge the kept ``rows`` of _scan exactly, after every row settled
     before them in product order, and take the first maximum of each set
     into its ``top`` and ``worst`` when it is larger.  Only the rows with
-    a window are solved again, by expected_steps."""
+    a window are solved again (_stacked_steps)."""
     actions, steps, window, member = rows
     if not len(actions):
         return
     again = window > 0
     if again.any():
-        steps[again] = expected_steps(_chains(mdp, actions[again]))
+        steps[again] = _stacked_steps(mdp, actions[again])
     exact = (steps.max(axis=-1, initial=0.0) if start is None
              else np.array(_exact_charges(steps, start)))
     charges = np.where(member, exact[:, None], -math.inf)

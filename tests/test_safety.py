@@ -660,30 +660,57 @@ def table_under_test(mdp, block):
                                value_iteration=reference_value_iteration)
 
 
+@contextlib.contextmanager
+def stack_sizes():
+    """Collects the number of policies in every stacked solve of the
+    safety module, by policy_values and by expected_steps, into the list
+    it yields."""
+    sizes = []
+    with mock.patch.object(safety, "policy_values",
+                           wraps=safety.policy_values) as values, \
+            mock.patch.object(safety, "expected_steps",
+                              wraps=safety.expected_steps) as steps:
+        yield sizes
+    sizes += [len(call.args[1]) for call in values.call_args_list]
+    sizes += [len(call.args[0].Q) for call in steps.call_args_list]
+
+
 class TestBlockBudget:
-    """Each block of the policy table stacks at most BLOCK_BYTES of n-by-n
-    float matrices, or one policy when a single one is larger."""
+    """The policy table comes in one piece per batch of _table_sizes (one
+    piece for a table of at most a block), and every stacked solve of the
+    table and of the member scan holds at most BLOCK_BYTES of n-by-n float
+    matrices, or one policy when a single one is larger."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=table_cases(),
            budget=st.sampled_from([0, 1, 8 * 49, 8 * 49 * 3 + 7, 1 << 12]))
     def test_every_block_fits_the_budget(self, case, budget):
         mdp, _, _ = case
-        with mock.patch.object(safety, "BLOCK_BYTES", budget):
+        n = mdp.n_states
+        with mock.patch.object(safety, "BLOCK_BYTES", budget), \
+                stack_sizes() as stacks:
             sizes = [len(loss)
                      for _, loss, _, _ in safety._policy_table(mdp, 5.0)]
-        n = mdp.n_states
-        assert all(size * n ** 2 * 8 <= budget or size == 1
-                   for size in sizes)
-        # Every block but the last is full.
+            certify_safety(mdp, SafetyQuery(5.0))
+            block, batch = safety._table_sizes(n)
         full = max(1, budget // (8 * n ** 2))
-        assert all(size == full for size in sizes[:-1])
+        assert block == full
+        assert all(size <= full for size in stacks)
+        # Every piece but the last is a whole batch, and a table of at
+        # most a block is one piece.
+        assert sizes[:-1] == [batch] * (len(sizes) - 1)
+        assert len(sizes) == 1 or sum(sizes) > block
 
-    def test_default_budget_at_thirteen_states(self):
-        mdp = random_mdp(5, n_states=13, n_actions=2)
-        sizes = [len(loss) for _, loss, *_ in safety._policy_table(mdp, 1e3)]
-        assert sum(sizes) == 2 ** 12
-        assert sizes[:-1] == [193] * (len(sizes) - 1)
+    @pytest.mark.parametrize("mdp", [random_mdp(5, n_states=13, n_actions=2),
+                                     sparse_mdp(0, n_states=13)],
+                             ids=["tree", "not-absorbed"])
+    def test_default_budget_at_thirteen_states(self, mdp):
+        with stack_sizes() as stacks:
+            sizes = [len(loss)
+                     for _, loss, *_ in safety._policy_table(mdp, 1e3)]
+            certify_safety(mdp, SafetyQuery(1e3))
+        assert sizes == [1737, 1737, 622]
+        assert stacks and max(stacks) <= 193
         assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
 
     def test_table_memory_stays_within_a_few_blocks(self):
@@ -1374,26 +1401,34 @@ class TestTreeHittingTimes:
             assert solved == 2 ** (n - 1)
 
     def test_hitting_time_memory_stays_within_a_few_blocks(self):
-        # The 2^16 policies of test_table_memory_stays_within_a_few_blocks,
-        # every one a member: apart from the certificate's reachability
-        # tuple and the list it is built from (at most 9/8 of the tuple),
-        # the hitting times of certify and of the frontier take a few
-        # blocks at once.
+        # The 2^16 policies of test_table_memory_stays_within_a_few_blocks:
+        # apart from the certificate's reachability tuple and the list it
+        # is built from (at most 9/8 of the tuple), the hitting times of
+        # certify and of the frontier take a few blocks at once, with
+        # every policy a member, and over [eps/2, eps] with eps at the 30%
+        # and 60% loss quantiles, where the tree takes some batches and
+        # stacked chains others.
         mdp = random_mdp(1, n_states=17, n_actions=2)
-        certify_safety(mdp, SafetyQuery(1e6))
-        for run in ("certify", "frontier"):
+        losses = np.sort(np.concatenate(
+            [loss for _, loss, _, _ in safety._policy_table(mdp, 1e6)]))
+        runs = {"certify": lambda: certify_safety(mdp, SafetyQuery(1e6)),
+                "frontier": lambda: safety_frontier(mdp, [1e5, 1e6])}
+        for q in (0.3, 0.6):
+            eps = float(losses[int(q * len(losses))])
+            runs[f"frontier at {q}"] = (
+                lambda eps=eps: safety_frontier(mdp, [eps / 2, eps]))
+        for name, run in runs.items():
             tracemalloc.start()
             try:
-                if run == "certify":
-                    cert = certify_safety(mdp, SafetyQuery(1e6))
-                    own = 9 / 4 * sys.getsizeof(cert.reachability)
-                else:
-                    safety_frontier(mdp, [1e5, 1e6])
-                    own = 0
+                result = run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - own < 3 * safety.BLOCK_BYTES, run
+            if name == "certify":
+                cert, own = result, 9 / 4 * sys.getsizeof(result.reachability)
+            else:
+                own = 0
+            assert peak - own < 3 * safety.BLOCK_BYTES, name
         assert len(cert.reachability) == 2 ** 16
 
 
