@@ -149,33 +149,34 @@ class _PairSweep:
         r1, r2 = m1.reward, m2.reward
         self.reward_term = config.c_R * np.abs(r1[:, None, :] - r2[None, :, :])
 
-        def supports(mdp):
-            rows = []
-            for s in range(mdp.n_states):
-                for a in range(mdp.n_actions):
-                    idx = np.nonzero(mdp.transition[s, a] > 0)[0]
-                    rows.append((idx, mdp.transition[s, a, idx]))
-            return rows
-
-        sup1, sup2 = supports(m1), supports(m2)
-        # One transport problem per (s1, s2, a), in that order.
-        pairs, cells = [], []
-        for s1 in range(m1.n_states):
-            for s2 in range(m2.n_states):
-                for a in range(self.n_actions):
-                    I, mu = sup1[s1 * self.n_actions + a]
-                    J, nu = sup2[s2 * self.n_actions + a]
-                    pairs.append((mu, nu))
-                    cells.append((I[:, None] * m2.n_states + J).ravel())
-        self.cost_index = np.concatenate(cells)
-        # cell_problem[c]: the transport problem that owns cost cell c,
-        # which is action cell_action[c] at pair-state cell_pair[c]
-        # (s1 * |S2| + s2).
-        self.cell_problem = np.repeat(np.arange(len(cells)),
-                                      [len(c) for c in cells])
-        self.cell_pair, self.cell_action = np.divmod(self.cell_problem,
-                                                     self.n_actions)
-        self.batch = BatchedTransport(pairs)
+        # The transition rows of both MDPs as one support table, the (s, a)
+        # rows of m1 first; one transport problem per (s1, s2, a), in that
+        # order, from row (s1, a) of m1 to row (s2, a) of m2.
+        n1, n2 = self.shape
+        rows = np.zeros(((n1 + n2) * self.n_actions, max(n1, n2)))
+        rows[:n1 * self.n_actions, :n1] = m1.transition.reshape(-1, n1)
+        rows[n1 * self.n_actions:, :n2] = m2.transition.reshape(-1, n2)
+        index, weight, size = _supports(rows)
+        pairs = np.empty((n1, n2, self.n_actions, 2), dtype=int)
+        pairs[..., 0] = np.arange(n1 * self.n_actions).reshape(n1, 1, -1)
+        pairs[..., 1] = (n1 + np.arange(n2)[:, None]) * self.n_actions \
+            + np.arange(self.n_actions)
+        pairs = pairs.reshape(-1, 2)
+        self.batch = BatchedTransport(weight, size, pairs)
+        # cost_index[c]: the distance-matrix entry of cost cell c, which
+        # belongs to transport problem cell_problem[c], the action
+        # cell_action[c] at pair-state cell_pair[c] (s1 * |S2| + s2).
+        problem = np.arange(len(pairs))
+        cells = size[pairs[:, 0]] * size[pairs[:, 1]]
+        self.cell_problem = np.repeat(problem, cells)
+        self.cell_pair = np.repeat(problem // self.n_actions, cells)
+        self.cell_action = np.repeat(problem % self.n_actions, cells)
+        self.cost_index = np.empty(self.batch.n_costs, dtype=int)
+        for group in self.batch.groups:
+            m, n = group.shape
+            I, J = pairs[group.members].T
+            self.cost_index[group.cells] = (index[I, :m, None] * n2
+                                            + index[J, None, :n])
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
         """One application of the metric update operator to ``dist``."""
@@ -220,6 +221,20 @@ class _PairSweep:
         return policy_iteration(lambda p: self._evaluate(flow, p),
                                 lambda d: self._action_values(flow, d),
                                 self._action_values(flow, dist).argmax(1))[0]
+
+
+def _supports(rows):
+    """(index, weight, size) of the supports of ``rows``: row r's positive
+    entries sit at columns index[r, :size[r]], ascending, with weights
+    weight[r, :size[r]]; later entries of index and weight are 0."""
+    r, j = np.nonzero(rows > 0)
+    size = np.bincount(r, minlength=len(rows))
+    position = np.arange(len(r)) - (np.cumsum(size) - size)[r]
+    index = np.zeros((len(rows), size.max(initial=0)), dtype=int)
+    weight = np.zeros(index.shape)
+    index[r, position] = j
+    weight[r, position] = rows[r, j]
+    return index, weight, size
 
 
 def metric_update(m1: MdpSpec, m2: MdpSpec, config: BisimConfig,

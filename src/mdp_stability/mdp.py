@@ -348,11 +348,15 @@ def _chains(mdp: MdpSpec, actions: np.ndarray) -> InducedChain:
     """The chains that the action tables along the last axis of
     ``actions`` induce, stacked along its leading axes (one table, one
     chain): each non-safe state's row of the transition under its action,
-    split into its non-safe part and its mass on the safe set."""
+    split into its non-safe part and its mass on the safe set.  Each part
+    is gathered from the transition's columns of its own states, so that a
+    stack holds one n-by-n matrix per chain, which the chain keeps without
+    a copy."""
     keep = mdp.nonsafe_indices
-    rows = mdp.transition[keep, actions[..., keep]]
-    return InducedChain(rows[..., keep],
-                        rows[..., mdp.safe_indices].sum(axis=-1), keep)
+    chosen = actions[..., keep]
+    Q = mdp.transition[:, :, keep][keep, chosen]
+    absorb = mdp.transition[:, :, mdp.safe_indices][keep, chosen].sum(axis=-1)
+    return InducedChain(_sealed(Q), absorb, keep)
 
 
 # Policy iteration switches a state's action only for a gain above this

@@ -447,9 +447,8 @@ def _table_sizes(n_states: int):
 def _stacked_steps(mdp: MdpSpec, actions) -> np.ndarray:
     """expected_steps of the chains of the action table ``actions``, one
     row each, in stacks of half a block (_table_sizes), or of one chain:
-    building a stack of chains holds about three n-by-n matrices per
-    chain at once (_chains' gather, its non-safe part and the frozen
-    copy)."""
+    a stack of chains holds one n-by-n matrix per chain, and
+    expected_steps' solve of it about two more."""
     size = max(1, _table_sizes(mdp.n_states)[0] // 2)
     steps = np.empty((len(actions), len(mdp.nonsafe_indices)))
     for begin in range(0, len(actions), size):

@@ -94,11 +94,13 @@ def solve_transport(problem: TransportProblem) -> TransportSolution:
 class BatchedTransport:
     """Many transportation problems with fixed marginals and varying costs.
 
-    Built once from a list of (mu, nu) support pairs, which are stacked by
-    shape; each call to :meth:`values` returns all optimal values under new
-    costs, and :meth:`couplings` the coupling behind each value.  Used by
-    the metric fixed point, where the marginals are transition rows and the
-    cost is the current iterate.
+    Built once from a table of support rows: ``weights[r, :sizes[r]]`` is
+    row r's weight vector (later entries are ignored), and problem k
+    transports row ``pairs[k, 0]`` to row ``pairs[k, 1]``.  The problems
+    are stacked by shape; each call to :meth:`values` returns all optimal
+    values under new costs, and :meth:`couplings` the coupling behind each
+    value.  Used by the metric fixed point, where the rows are transition
+    rows and the cost is the current iterate.
 
     Point-mass problems have a forced coupling, and all-zero costs and
     identical marginals with a free diagonal have value 0, so none of these
@@ -119,19 +121,21 @@ class BatchedTransport:
     Each is feasible, and each attains the last value returned for it.
     """
 
-    def __init__(self, pairs):
-        # pairs: list of (mu, nu) 1-d weight arrays (no zero trimming here;
-        # callers pass trimmed supports alongside index arrays).
-        self.pairs = [(np.asarray(mu, float), np.asarray(nu, float))
-                      for mu, nu in pairs]
-        sizes = [len(mu) * len(nu) for mu, nu in self.pairs]
-        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
-        self.n_costs = int(offsets[-1])
-        by_shape = {}
-        for k, (mu, nu) in enumerate(self.pairs):
-            by_shape.setdefault((len(mu), len(nu)), []).append(k)
-        self.groups = [_ShapeGroup(self.pairs, members, offsets[members])
-                       for members in by_shape.values()]
+    def __init__(self, weights, sizes, pairs):
+        self.pairs = np.asarray(pairs, dtype=int)
+        shape = np.asarray(sizes, dtype=int)[self.pairs]
+        cells = shape[:, 0] * shape[:, 1]
+        offsets = np.cumsum(cells) - cells
+        self.n_costs = int(cells.sum())
+        key = shape[:, 0] * (shape[:, 1].max(initial=0) + 1) + shape[:, 1]
+        keys, group = np.unique(key, return_inverse=True)
+        self.groups = []
+        for g in range(len(keys)):
+            members = np.nonzero(group == g)[0]
+            m, n = shape[members[0]]
+            self.groups.append(_ShapeGroup(
+                members, weights[self.pairs[members, 0], :m],
+                weights[self.pairs[members, 1], :n], offsets[members]))
         self.solved = 0
         self.reused = 0
 
@@ -162,20 +166,22 @@ class BatchedTransport:
 
 
 class _ShapeGroup:
-    """The problems of one (m, n) shape in a batch, stacked, with the basis
-    and basic flows last stored for each."""
+    """The problems ``members`` of one (m, n) shape in a batch, stacked,
+    with the basis and basic flows last stored for each."""
 
-    def __init__(self, pairs, members, offsets):
-        self.members = np.asarray(members)
-        self.mu = np.array([pairs[k][0] for k in members])
-        self.nu = np.array([pairs[k][1] for k in members])
-        size, m = self.mu.shape
-        n = self.nu.shape[1]
+    def __init__(self, members, mu, nu, offsets):
+        self.members = members
+        self.mu, self.nu = mu, nu
+        size, m = mu.shape
+        n = nu.shape[1]
         self.shape = (m, n)
         # cells[g, i, j]: position of problem g's cost (i, j) in the batch.
         self.cells = offsets[:, None, None] + np.arange(m * n).reshape(m, n)
         self.forced = min(m, n) == 1
-        self.same = (np.all(self.mu == self.nu, axis=1) if m == n
+        # A point mass's coupling is the product, which never changes.
+        self.product = (np.einsum("gi,gj->gij", mu, nu).reshape(size, m * n)
+                        if self.forced else None)
+        self.same = (np.all(mu == nu, axis=1) if m == n
                      else np.zeros(size, dtype=bool))
         self.known = np.zeros(size, dtype=bool)
         self.basis = np.zeros((size, m + n - 1), dtype=int)
@@ -191,7 +197,8 @@ class _ShapeGroup:
         if self.forced:
             # A point-mass marginal leaves the product coupling only.
             return np.einsum("gij,gi,gj->g", cost, self.mu, self.nu), 0, 0
-        flat = cost.reshape(len(cost), -1)
+        size = len(cost)
+        flat = cost.reshape(size, -1)
         # All-zero costs (the metric's first application) have optimum 0,
         # and so do identical marginals with a free diagonal, because costs
         # are nonnegative.
@@ -201,6 +208,8 @@ class _ShapeGroup:
                                                    self.mu) == 0.0)
             zero |= self.diagonal
         rows = np.nonzero(~zero)[0]
+        if not len(rows):
+            return np.zeros(size), 0, 0
         kept = self.known[rows]
         fresh = rows[~kept]
         if len(fresh):
@@ -210,27 +219,30 @@ class _ShapeGroup:
                           self.shape[0], rows)
         reused = int(np.count_nonzero(kept & (pivots[rows] == 0)))
         self.known[rows] = True
-        value = np.einsum("gk,gk->g", np.take_along_axis(flat, self.basis, 1),
-                          self.flow)
+        value = np.einsum("gk,gk->g", flat[np.arange(size)[:, None],
+                                           self.basis], self.flow)
         return np.where(zero, 0.0, value), len(rows) - reused, reused
 
     def coupling(self):
         """The current coupling of every problem, one raveled row each."""
+        if self.forced:
+            return self.product
         m, n = self.shape
-        product = np.einsum("gi,gj->gij", self.mu, self.nu)
-        plan = np.where(self.known[:, None], _scatter(
-            self.basis, self.flow, m * n), product.reshape(-1, m * n))
-        if not self.diagonal.any():
-            return plan
-        diagonal = np.zeros_like(plan)
-        diagonal[:, ::m + 1] = self.mu
-        return np.where(self.diagonal[:, None], diagonal, plan)
+        plan = _scatter(self.basis, self.flow, m * n)
+        fresh = ~self.known
+        if fresh.any():
+            plan[fresh] = np.einsum("gi,gj->gij", self.mu[fresh],
+                                    self.nu[fresh]).reshape(-1, m * n)
+        if self.diagonal.any():
+            plan[self.diagonal] = 0.0
+            plan[self.diagonal, ::m + 1] = self.mu[self.diagonal]
+        return plan
 
 
 def _scatter(basis, flow, cells):
     """Raveled plans, ``cells`` long, of stacked bases carrying ``flow``."""
     plan = np.zeros((len(basis), cells))
-    np.put_along_axis(plan, basis, flow, axis=1)
+    plan[np.arange(len(basis))[:, None], basis] = flow
     return plan
 
 
@@ -293,8 +305,7 @@ def _simplex(cost, basis, potential_map, flow, m, live):
     pivots, run = np.zeros((2, size), dtype=int)
     while True:
         K, B = potential_map[live], basis[live]
-        uv = np.einsum("gpk,gk->gp", K,
-                       np.take_along_axis(cost[live], B, axis=1))
+        uv = np.einsum("gpk,gk->gp", K, cost[live[:, None], B])
         reduced = (cost[live].reshape(-1, m, n) - uv[:, :m, None]
                    - uv[:, None, m:]).reshape(-1, cells)
         enter = reduced < -tol[live, None]
@@ -321,6 +332,7 @@ def _simplex(cost, basis, potential_map, flow, m, live):
         # The swap changes one row of the tree matrix, and the cycle is 1 at
         # the leaving edge: Sherman-Morrison's integral rank-one update.
         cycle[g, out] -= 1.0
-        potential_map[live] = K - K[g, :, out][:, :, None] * cycle[:, None, :]
+        K -= K[g, :, out][:, :, None] * cycle[:, None, :]
+        potential_map[live] = K
         pivots[live] += 1
         run[live] = np.where(theta == 0.0, run[live] + 1, 0)

@@ -18,6 +18,7 @@ from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, can_reach)
 from mdp_stability.onpolicy import ROW_TOL, perturbation_size, spectral_radius
 from mdp_stability.safety import _policy_table, start_charge
+from mdp_stability.transport import BatchedTransport
 
 _BASIS_CACHE = {}
 
@@ -250,6 +251,67 @@ def reference_pair_evaluate(sweep, flow, policy):
     return dist.reshape(sweep.shape)
 
 
+def batch_of(pairs):
+    """A ``BatchedTransport`` of the problems ``pairs``, a list of (mu, nu)
+    weight vectors: row k of its support table is mu of problem k, row
+    len(pairs) + k its nu."""
+    rows = [np.asarray(w, float) for w in [mu for mu, _ in pairs]
+            + [nu for _, nu in pairs]]
+    sizes = [len(w) for w in rows]
+    weights = np.zeros((len(rows), max(sizes, default=0)))
+    for r, w in enumerate(rows):
+        weights[r, :len(w)] = w
+    problems = np.arange(len(pairs))
+    return BatchedTransport(weights, sizes,
+                            np.stack([problems, len(pairs) + problems], 1))
+
+
+def loop_built_sweep(m1, m2):
+    """(pairs, cost_index, cell_problem) of the metric sweep over (m1,
+    m2), built one (s1, s2, a) problem at a time: pairs[k] is problem k's
+    (mu, nu), the positive entries of the two transition rows in column
+    order, and its cost cells, raveled in problem order, hold the
+    distance-matrix positions of the rows' supports.  An oracle for
+    ``_PairSweep``'s array build."""
+    n_actions, n2 = m1.n_actions, m2.n_states
+
+    def supports(mdp):
+        return [[(np.nonzero(row > 0)[0], row[row > 0]) for row in state]
+                for state in mdp.transition]
+
+    sup1, sup2 = supports(m1), supports(m2)
+    pairs, cells = [], []
+    for s1 in range(m1.n_states):
+        for s2 in range(n2):
+            for a in range(n_actions):
+                (I, mu), (J, nu) = sup1[s1][a], sup2[s2][a]
+                pairs.append((mu, nu))
+                cells.append((I[:, None] * n2 + J).ravel())
+    cell_problem = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    return pairs, np.concatenate(cells), cell_problem
+
+
+def scattered_couplings(batch):
+    """``batch.couplings()`` as scattered with ``np.put_along_axis``, the
+    product recomputed for every never-solved problem and the diagonal laid
+    over the plan."""
+    flow = np.empty(batch.n_costs)
+    for group in batch.groups:
+        size = len(group.members)
+        m, n = group.shape
+        plan = np.einsum("gi,gj->gij", group.mu, group.nu).reshape(size, -1)
+        if not group.forced:
+            scattered = np.zeros((size, m * n))
+            np.put_along_axis(scattered, group.basis, group.flow, axis=1)
+            plan = np.where(group.known[:, None], scattered, plan)
+        if group.diagonal.any():
+            diagonal = np.zeros_like(plan)
+            diagonal[:, ::m + 1] = group.mu
+            plan = np.where(group.diagonal[:, None], diagonal, plan)
+        flow[group.cells.reshape(size, -1)] = plan
+    return flow
+
+
 def shift_applications(monkeypatch, offset=1e-14):
     """Shift the result of every application of the metric update by
     ``offset``, alternately up and down.  A uniform shift leaves every
@@ -267,6 +329,14 @@ def shift_applications(monkeypatch, offset=1e-14):
 
 
 # -- the per-policy safety loops, each with its own membership test ----------
+
+def gathered_chains(mdp, actions):
+    """(Q, absorb) of the chains of the action tables ``actions``, sliced
+    from the full rows of the non-safe states under their actions."""
+    keep = mdp.nonsafe_indices
+    rows = mdp.transition[keep, actions[..., keep]]
+    return rows[..., keep], rows[..., mdp.safe_indices].sum(axis=-1)
+
 
 def reference_expected_steps(chain: InducedChain) -> np.ndarray:
     """Expected number of steps to absorption from each chain state.

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from helpers import (fresh_lp_metric, random_mdp, reference_pair_evaluate,
+from helpers import (fresh_lp_metric, loop_built_sweep, random_mdp,
+                     reference_pair_evaluate, scattered_couplings,
                      shift_applications)
 from mdp_stability import bisim
 from mdp_stability.mdp import POLICY_ROUNDS, strong_components
@@ -183,13 +184,13 @@ def edge_mdp(rng, n, n_actions, keep, safe, tied):
 
 
 @st.composite
-def metric_cases(draw, c_T_values=(0.3, 0.6, 0.9, 0.99)):
+def metric_cases(draw, c_T_values=(0.3, 0.6, 0.9, 0.99), max_actions=2):
     """(m1, m2, config, within): cross pairs, within-MDP pairs (m, m) and
     pairs with duplicated states, over point-mass rows, zero-weight
-    support entries, one-state MDPs, MDPs without a safe state and c_T
-    drawn from ``c_T_values``."""
+    support entries, one-state MDPs, MDPs without a safe state, 1 to
+    ``max_actions`` actions and c_T drawn from ``c_T_values``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n_actions = draw(st.integers(1, 2))
+    n_actions = draw(st.integers(1, max_actions))
     keep = draw(st.sampled_from([0.0, 0.4, 1.0]))
     tied = draw(st.booleans())
 
@@ -212,6 +213,47 @@ def metric_cases(draw, c_T_values=(0.3, 0.6, 0.9, 0.99)):
     config = BisimConfig(c_R=draw(st.sampled_from([0.1, 1.0])), c_T=c_T,
                          tolerance=1e-4 if c_T == 0.99 else 1e-6)
     return m1, m2, config, m1 is m2
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestArrayBuild:
+    @settings(max_examples=80, deadline=None)
+    @given(case=metric_cases(max_actions=3), applications=st.integers(1, 4))
+    def test_matches_the_loop_build(self, case, applications):
+        # Every index array and every problem's marginals and cost cells
+        # equal those of the problem-by-problem build, and the couplings
+        # after each application equal the put_along_axis scatter.
+        m1, m2, config, _ = case
+        sweep = bisim._PairSweep(m1, m2, config)
+        pairs, cost_index, cell_problem = loop_built_sweep(m1, m2)
+        np.testing.assert_array_equal(sweep.cost_index, cost_index)
+        np.testing.assert_array_equal(sweep.cell_problem, cell_problem)
+        cell_pair, cell_action = np.divmod(cell_problem, m1.n_actions)
+        np.testing.assert_array_equal(sweep.cell_pair, cell_pair)
+        np.testing.assert_array_equal(sweep.cell_action, cell_action)
+        batch = sweep.batch
+        assert len(batch.pairs) == len(pairs)
+        sizes = np.array([len(mu) * len(nu) for mu, nu in pairs])
+        offsets = np.cumsum(sizes) - sizes
+        owner = np.full(len(pairs), -1)
+        for g, group in enumerate(batch.groups):
+            m, n = group.shape
+            for k, mu, nu, cells in zip(group.members, group.mu, group.nu,
+                                        group.cells):
+                np.testing.assert_array_equal(bits(mu), bits(pairs[k][0]))
+                np.testing.assert_array_equal(bits(nu), bits(pairs[k][1]))
+                np.testing.assert_array_equal(
+                    cells, offsets[k] + np.arange(m * n).reshape(m, n))
+                owner[k] = g
+        assert np.all(owner >= 0)
+        dist = np.zeros(sweep.shape)
+        for _ in range(applications):
+            dist = sweep.apply(dist)
+            np.testing.assert_array_equal(bits(batch.couplings()),
+                                          bits(scattered_couplings(batch)))
 
 
 class TestStrategyIteration:

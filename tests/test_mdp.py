@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,16 +11,18 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from helpers import (best_value_by_enumeration, policy_evaluation,
-                     random_mdp, reference_validate, reference_value_iteration)
+from helpers import (best_value_by_enumeration, gathered_chains,
+                     policy_evaluation, random_mdp, reference_validate,
+                     reference_value_iteration)
 from mdp_stability import (MdpSpec, Perturbation, PlayingDeadParams, Policy,
                            build_duplicated, build_playing_dead,
                            greedy_policy, induce_chain, load_mdp,
                            mdp_from_document, mdp_to_document, validate,
                            value_iteration)
 from mdp_stability import mdp as mdp_module
-from mdp_stability.mdp import (can_reach, policy_values, q_values,
+from mdp_stability.mdp import (_chains, can_reach, policy_values, q_values,
                                read_document, strong_components)
+from mdp_stability.safety import _table_sizes
 
 
 def two_state_mdp():
@@ -270,6 +273,55 @@ class TestInduceChain:
                                                                    table):
         with pytest.raises(ValueError, match="1-d|negative"):
             Policy.deterministic(table)
+
+
+def assert_bits_equal(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestChainGather:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           n_actions=st.integers(1, 3), stack=st.sampled_from([(), (5,),
+                                                                (2, 3)]))
+    def test_matches_the_sliced_rows(self, seed, n, n_actions, stack):
+        # Sparse rows and any set of safe states, none to all, so that the
+        # mass on the safe set sums over several columns.
+        rng = np.random.default_rng(seed)
+        P = rng.dirichlet(np.ones(n), size=(n, n_actions))
+        P *= rng.random(P.shape) < 0.6
+        empty = P.sum(axis=2) == 0
+        P[empty] = np.eye(n)[rng.integers(n, size=int(empty.sum()))]
+        P /= P.sum(axis=2, keepdims=True)
+        safe = set(np.nonzero(rng.random(n) < 0.4)[0].tolist())
+        mdp = MdpSpec(tuple(f"s{i}" for i in range(n)),
+                      tuple(f"a{j}" for j in range(n_actions)), P,
+                      np.zeros((n, n_actions)), 0.9, safe)
+        actions = rng.integers(n_actions, size=stack + (n,))
+        chains = _chains(mdp, actions)
+        Q, absorb = gathered_chains(mdp, actions)
+        assert_bits_equal(chains.Q, Q)
+        assert_bits_equal(chains.absorb, absorb)
+
+    def test_a_whole_block_holds_one_matrix_per_chain(self):
+        # The chain keeps the gathered Q without a copy; the indexing and
+        # the row-sum check take the rest of the peak (1.4 times Q here).
+        mdp = random_mdp(1, n_states=17, n_actions=2)
+        block = _table_sizes(mdp.n_states)[0]
+        actions = np.random.default_rng(2).integers(2, size=(block, 17))
+        Q, absorb = gathered_chains(mdp, actions)
+        _chains(mdp, actions[:1])
+        tracemalloc.start()
+        try:
+            chains = _chains(mdp, actions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bits_equal(chains.Q, Q)
+        assert_bits_equal(chains.absorb, absorb)
+        assert peak < 2 * Q.nbytes
+        assert chains.Q.shape == (block, 16, 16)
 
 
 class TestCanReach:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (_solve_blocks, brute_force_transport, kr_lower_bound,
-                     random_distribution)
+from helpers import (_solve_blocks, batch_of, brute_force_transport,
+                     kr_lower_bound, random_distribution)
 from mdp_stability import TransportProblem, solve_transport, transport
 from mdp_stability.mdp import PROB_TOL
-from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, BatchedTransport,
-                                     _northwest_corner, _potential_map,
-                                     _simplex)
+from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, _northwest_corner,
+                                     _potential_map, _simplex)
 
 
 def raveled(costs):
@@ -205,15 +204,33 @@ class TestBatchedTransport:
             costs.append(cost)
             singles.append(solve_transport(
                 TransportProblem(mu, nu, cost)).value)
-        batch = BatchedTransport(pairs)
+        batch = batch_of(pairs)
         np.testing.assert_allclose(batch.values(raveled(costs)), singles,
                                    atol=1e-9)
 
     def test_identical_marginals_zero_diagonal_short_circuit(self):
         mu = np.array([0.25, 0.75])
         cost = np.array([[0.0, 3.0], [4.0, 0.0]])
-        batch = BatchedTransport([(mu, mu)])
+        batch = batch_of([(mu, mu)])
         assert batch.values(cost.ravel())[0] == 0.0
+
+    def test_no_pricing_pass_when_every_answer_is_closed_form(self,
+                                                              monkeypatch):
+        # All-zero costs (the metric's first application) and identical
+        # marginals at zero diagonal cost leave the simplex nothing to do.
+        def priced(*args):
+            raise AssertionError("simplex called")
+
+        monkeypatch.setattr(transport, "_simplex", priced)
+        mu, nu = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        batch = batch_of([(mu, nu), (mu, mu)])
+        assert np.all(batch.values(np.zeros(8)) == 0.0)
+        costs = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 0.0])
+        assert np.all(batch.values(costs) == 0.0)
+        assert (batch.solved, batch.reused) == (0, 0)
+        np.testing.assert_array_equal(
+            batch.couplings(), [0.125, 0.125, 0.375, 0.375,
+                                0.25, 0.0, 0.0, 0.75])
 
 
 def drifting_problem(rng, kind):
@@ -257,7 +274,7 @@ class TestPlanReuse:
                                                 grid):
         rng = np.random.default_rng(seed)
         problems = [drifting_problem(rng, kind) for kind in kinds]
-        batch = BatchedTransport([(mu, nu) for mu, nu, _ in problems])
+        batch = batch_of([(mu, nu) for mu, nu, _ in problems])
         costs = [cost for _, _, cost in problems]
         for step in range(steps):
             got = batch.values(raveled(costs))
@@ -293,7 +310,7 @@ class TestPlanReuse:
                 problems.append((mu, nu, rng.random((len(mu), len(nu)))))
             else:
                 problems.append(drifting_problem(rng, kind))
-        batch = BatchedTransport([(mu, nu) for mu, nu, _ in problems])
+        batch = batch_of([(mu, nu) for mu, nu, _ in problems])
         costs = [cost * (0.0 if zero_start else 1.0)
                  for _, _, cost in problems]
         for _ in range(steps):
@@ -315,7 +332,7 @@ class TestPlanReuse:
         pairs = [(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4)))
                  for _ in range(6)]
         costs = [rng.random((3, 4)) for _ in pairs]
-        batch = BatchedTransport(pairs)
+        batch = batch_of(pairs)
         batch.values(raveled(costs))
         assert (batch.solved, batch.reused) == (6, 0)
         drifted = [c + 1e-9 * rng.random(c.shape) for c in costs]
@@ -330,7 +347,7 @@ class TestPlanReuse:
         # under the new costs: far below an LP solver's tolerances, yet the
         # reduced-cost test must send it back to the solver.
         half = np.array([0.5, 0.5])
-        batch = BatchedTransport([(half, half)])
+        batch = batch_of([(half, half)])
         first = batch.values(np.array([0.1, 1.0, 1.0, 0.1]))[0]
         assert first == pytest.approx(0.1, abs=1e-15)
         value = batch.values(np.array([0.5, 0.5 - 2e-10, 0.5, 0.5]))[0]
@@ -344,7 +361,7 @@ class TestPlanReuse:
         flat = raveled(rng.random((len(mu), len(nu))) for mu, nu in pairs)
         for costs in (flat[:-1], flat[None]):
             with pytest.raises(ValueError, match="cost entries"):
-                BatchedTransport(pairs).values(costs)
+                batch_of(pairs).values(costs)
 
 
 ORACLE_KINDS = ("generic", "point", "zero-weight", "identical", "tied",
@@ -422,7 +439,7 @@ class TestSimplexAgainstHighs:
         problems = [oracle_problem(rng, kind, m, n) for kind in kinds
                     if kind != "identical" or m == n]
         assume(problems)
-        batch = BatchedTransport([(p.mu, p.nu) for p in problems])
+        batch = batch_of([(p.mu, p.nu) for p in problems])
         costs = [p.cost for p in problems]
         for _ in range(changes + 1):
             values = batch.values(raveled(costs))
