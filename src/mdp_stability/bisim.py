@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import (MdpSpec, _frozen, can_reach, policy_iteration,
-                  strong_components, validate)
+from .mdp import (MdpSpec, _frozen, _state_indices, can_reach,
+                  policy_iteration, strong_components, validate)
 from .transport import BatchedTransport
 
 __all__ = [
@@ -364,10 +364,11 @@ def isolation_check(mdp: MdpSpec, subset, delta: float, config: BisimConfig,
     """True iff every state outside ``subset`` is farther than ``delta``
     from every state inside, in the within-MDP metric.
 
-    An empty or full subset is vacuously isolated and flagged as such.  A
-    precomputed within-MDP metric may be supplied to avoid re-solving.
+    An empty or full subset is vacuously isolated and flagged as such, and
+    a state index outside [0, n_states) is rejected.  A precomputed
+    within-MDP metric may be supplied to avoid re-solving.
     """
-    subset = frozenset(int(s) for s in subset)
+    subset = frozenset(_state_indices(mdp.n_states, subset))
     outside = [s for s in range(mdp.n_states) if s not in subset]
     if not subset or not outside:
         return IsolationResult(True, math.inf, vacuous=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -65,6 +66,17 @@ def _where(mask):
     if mask.any():
         return np.argwhere(mask)
     return np.empty((0, mask.ndim), dtype=np.intp)
+
+
+def _state_indices(n_states: int, states) -> list:
+    """``states`` as a list of ints, each a state index in [0, n_states):
+    a negative index would wrap to a state counted from the end."""
+    indices = [operator.index(s) for s in states]
+    outside = [s for s in indices if not 0 <= s < n_states]
+    if outside:
+        raise ValueError(f"state indices {outside} lie outside "
+                         f"[0, {n_states})")
+    return indices
 
 
 def _index_by_text(ids, name, kind):
@@ -244,7 +256,7 @@ class StartDistribution:
     @classmethod
     def point_mass(cls, n_states, state):
         w = np.zeros(n_states)
-        w[state] = 1.0
+        w[_state_indices(n_states, [state])] = 1.0
         return cls(w)
 
     @classmethod
@@ -253,7 +265,7 @@ class StartDistribution:
             raise ValueError("a uniform start needs at least one state, and "
                              "its support is empty (every state is safe)")
         w = np.zeros(n_states)
-        w[list(support)] = 1.0 / len(support)
+        w[_state_indices(n_states, support)] = 1.0 / len(support)
         return cls(w)
 
 

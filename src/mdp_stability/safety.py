@@ -194,23 +194,26 @@ def _charge_bounds(charge, window, terms: int):
             np.where(bounded, charge * (1 + slack) + 2 * window, math.inf))
 
 
-def _near_top(floor, rows, start):
-    """(floor, kept) for the ``rows`` of a table's members, (actions,
-    steps, window, member) with member[j, e] telling whether row j is in
-    set e.  Each row's charge of ``start`` (as _scan holds it) is bounded
-    (_charges, _charge_bounds), each set's floor rises to the largest
-    lower bound of its rows, and kept holds, in order, the rows whose
-    upper bound reaches the floor of some set they belong to (a row below
-    the floor of every such set is the maximum of none).  Capping a floor
-    at the largest float keeps every row whose charge overflows."""
+def _near_top(top, rows, start):
+    """The ``rows`` of a table's members, (actions, steps, window, member)
+    with member[j, e] telling whether row j is in set e, that may hold a
+    set's first maximum after the exact charges ``top`` of the rows
+    settled before them.  Each row's charge of ``start`` (as _scan holds
+    it) is bounded (_charges, _charge_bounds), each set's floor is the
+    larger of its top and the largest lower bound of its rows, and the
+    rows kept, in order, are those whose upper bound reaches the floor of
+    some set they belong to: a row below the floor of every such set is
+    charged less than a top settled before it or a row kept beside it, so
+    it is the first maximum of none.  Capping a floor at the largest float
+    keeps every row whose charge overflows."""
     actions, steps, window, member = rows
     lower, upper = _charge_bounds(_charges(steps, start), window,
                                   0 if start is None else len(start[1]))
-    top = np.where(member, lower[:, None], -math.inf).max(
+    floor = np.where(member, lower[:, None], -math.inf).max(
         axis=0, initial=-math.inf)
-    floor = np.minimum(np.maximum(floor, top), np.finfo(float).max)
+    floor = np.minimum(np.maximum(top, floor), np.finfo(float).max)
     keep = upper >= np.where(member, floor, math.inf).min(axis=1)
-    return floor, (actions[keep], steps[keep], window[keep], member[keep])
+    return actions[keep], steps[keep], window[keep], member[keep]
 
 
 # MacQueen's test (Puterman, Markov Decision Processes, section 6.7) drops
@@ -569,19 +572,12 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
         yield piece(np.arange(lo, min(lo + batch, total)))
 
 
-# Most rows of exact steps that _scan settles at the end without a cut
-# first.  Settling charges a start on each row by a dot product of its
-# own, about 2 us a row, where a cut (_near_top) costs about 40 us; the
-# slowest state is one stacked maximum, so that the worst-case start
-# never needs the cut.
+# Most rows of exact steps that _scan settles without a cut first.
+# Settling charges a start on each row by a dot product of its own, about
+# 2 us a row, where a cut (_near_top) costs about 40 us; the slowest state
+# is one stacked maximum, so that the worst-case start never needs the
+# cut.
 SETTLE_ROWS = 16
-
-
-def _joined(rows):
-    """One (actions, steps, window, member) of _scan's list of them."""
-    if len(rows) == 1:
-        return rows[0]
-    return tuple(np.concatenate(c) for c in zip(*rows))
 
 
 def _scan(mdp: MdpSpec, epsilons, start):
@@ -596,18 +592,14 @@ def _scan(mdp: MdpSpec, epsilons, start):
     for each policy eps-optimal there whether it is absorbed almost surely
     from every state.
 
-    The bookkeeping runs once per piece of the table (a batch of
-    _table_sizes).  A piece's members join those gathered before, and
-    once they exceed a block (_table_sizes, at the actions' number of
-    states) they are cut to those that may hold the maximum of a set they
-    belong to (_near_top) before the next piece is built, so that no
-    name keeps a piece's rows while the next one is built.  The kept rows
-    are settled (_settle) once they exceed a block, and at the end, where
-    they are cut first only when some row has a window or a start is
-    charged on more than SETTLE_ROWS rows: on exact steps _settle takes
-    the same first maximum.  A start is taken apart at the first member,
-    so that an empty set is reported as vacuous before a start with mass
-    on safe states.
+    Each piece of the table (a batch of _table_sizes) is done with before
+    the next one is built.  Its members are cut to those that may hold
+    the first maximum of a set they belong to (_near_top) when some row
+    has a window or a start is charged on more than SETTLE_ROWS rows (on
+    exact steps _settle takes the same first maximum), and settled
+    (_settle).  A start is taken apart at the first member, so that an
+    empty set is reported as vacuous before a start with mass on safe
+    states.
     """
     largest, band = epsilons[-1], 10.0 * SafetyQuery.value_tol
     epsilons = np.asarray(epsilons, dtype=float)
@@ -615,8 +607,6 @@ def _scan(mdp: MdpSpec, epsilons, start):
     boundary, reachability = 0, bytearray()
     top = np.full(len(epsilons), -math.inf)
     worst = [(None, None)] * len(epsilons)
-    floor = np.full(len(epsilons), -math.inf)
-    near = []
     for actions, loss, steps, window in _policy_table(
             mdp, largest, (*epsilons, largest - band, largest + band)):
         boundary += int(np.count_nonzero(np.abs(largest - loss) < band))
@@ -624,27 +614,19 @@ def _scan(mdp: MdpSpec, epsilons, start):
         if inside.any():
             if isinstance(start, StartDistribution):
                 start = _start_mass(mdp.nonsafe_indices, start)
-            block = _table_sizes(actions.shape[1])[0]
             member = loss[inside, None] < epsilons
             count += member.sum(axis=0)
             # Every member of a tree's product is absorbed almost surely.
             reachability += ((window > 0)
                              | np.isfinite(steps).all(axis=-1)).tobytes()
-            near.append((actions[inside], steps, window, member))
-            if sum(len(rows[0]) for rows in near) > block:
-                floor, kept = _near_top(floor, _joined(near), start)
-                near = [kept]
-                if len(kept[0]) > block:
-                    _settle(mdp, kept, start, top, worst)
-                    near = []
+            rows = actions[inside], steps, window, member
+            if window.any() or (start is not None
+                                and len(window) > SETTLE_ROWS):
+                rows = _near_top(top, rows, start)
+            _settle(mdp, rows, start, top, worst)
+            del rows
         # No name keeps the piece while the next one is built.
         del actions, loss, steps, window
-    if near:
-        rows = _joined(near)
-        if rows[2].any() or (start is not None
-                             and len(rows[0]) > SETTLE_ROWS):
-            rows = _near_top(floor, rows, start)[1]
-        _settle(mdp, rows, start, top, worst)
     sets = [(float(t), *w, int(c)) for t, w, c in zip(top, worst, count)]
     return sets, boundary, np.frombuffer(reachability, dtype=bool)
 

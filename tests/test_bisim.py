@@ -518,6 +518,14 @@ class TestIsolation:
         assert isolation_check(mdp, {0}, 0.4, CFG, metric=metric)
         assert not isolation_check(mdp, {0}, 0.6, CFG, metric=metric)
 
+    @pytest.mark.parametrize("subset", [{-1}, {0, -1}, {4}, {1, 7}])
+    def test_state_outside_the_range_is_rejected(self, subset):
+        # Index -1 would wrap to state 3 and be compared with itself at
+        # distance 0; index 7 would fail the metric's indexing.
+        mdp = random_mdp(2, n_states=4)
+        with pytest.raises(ValueError, match="outside"):
+            isolation_check(mdp, subset, 0.0, CFG)
+
     def test_vacuous_subsets_flagged(self):
         mdp = random_mdp(2, n_states=3)
         result = isolation_check(mdp, set(), 0.5, CFG)

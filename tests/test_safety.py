@@ -84,6 +84,17 @@ class TestHittingTime:
         with pytest.raises(ValueError, match="finite"):
             StartDistribution(weights)
 
+    @pytest.mark.parametrize("state", [-1, -4, 4, 7])
+    def test_point_mass_rejects_a_state_outside_the_range(self, state):
+        # Index -1 would put the mass on state 3.
+        with pytest.raises(ValueError, match="outside"):
+            StartDistribution.point_mass(4, state)
+
+    @pytest.mark.parametrize("support", [[-1], [0, -1], [4], [1, 7]])
+    def test_uniform_start_rejects_a_state_outside_the_range(self, support):
+        with pytest.raises(ValueError, match="outside"):
+            StartDistribution.uniform_over(4, support)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_solve_agrees_with_truncated_series(self, seed):
         mdp = random_mdp(seed, n_states=5)
@@ -1264,6 +1275,28 @@ class TestTreeSolve:
         assert np.all(np.abs(steps - exact) <= window[:, None])
 
 
+@contextlib.contextmanager
+def solved_chains():
+    """Collects the action table of every _stacked_steps call into the
+    second list it yields, and for each _settle call, into the first, the
+    actions of its rows with a window and the tables it sent to
+    _stacked_steps."""
+    settles, stacks = [], []
+    settle, stacked = safety._settle, safety._stacked_steps
+
+    def settled(mdp, rows, *args):
+        first, again = len(stacks), rows[0][rows[2] > 0]
+        settle(mdp, rows, *args)
+        settles.append((again, stacks[first:]))
+
+    def stack(mdp, actions):
+        stacks.append(actions.copy())
+        return stacked(mdp, actions)
+
+    with mock.patch.multiple(safety, _settle=settled, _stacked_steps=stack):
+        yield settles, stacks
+
+
 class TestTreeHittingTimes:
     """The expected steps that the elimination tree gives a table's members
     against expected_steps, and the certificates that take them."""
@@ -1317,8 +1350,8 @@ class TestTreeHittingTimes:
     @pytest.mark.parametrize("seed,leaks", [(0, (-9, -6)), (1, (-9, -6)),
                                             (2, (-12, -10)), (3, (-12, -10))])
     def test_slow_leaks_keep_exact_answers(self, seed, leaks):
-        # Below 1e-10 the window takes in every member, and every member
-        # is solved again, a block at a time.
+        # Below 1e-10 the window takes in many members; those that the cut
+        # keeps are solved again, each once.
         mdp = slow_leak_mdp(seed, *leaks)
         # The tree solves every batch but the last, whose single member
         # is a stacked chain.
@@ -1328,12 +1361,19 @@ class TestTreeHittingTimes:
             times = [np.max(expected_steps(induce_chain(mdp, p)))
                      for p in _reference_grid(mdp)]
             assert min(times) >= 1e6
-            with table_under_test(mdp, None), mock.patch.object(
+            with table_under_test(mdp, None), solved_chains() as (
+                    settles, stacks), mock.patch.object(
                     safety, "expected_steps",
                     wraps=safety.expected_steps) as solve:
                 certify_safety(mdp, SafetyQuery(1e3))
-            solved = sum(len(call.args[0].Q) for call in solve.call_args_list)
-            assert (solved == 2 ** 6) == (leaks[1] <= -10)
+            # _settle solves again exactly its kept rows with a window, and
+            # every chain that expected_steps solves is another policy's.
+            for again, sent in settles:
+                assert np.array_equal(again, np.concatenate([again[:0],
+                                                             *sent]))
+            chains = np.concatenate(stacks)
+            assert len(np.unique(chains, axis=0)) == len(chains) == sum(
+                len(call.args[0].Q) for call in solve.call_args_list)
             losses = sorted(loss for _, loss in grid_losses(mdp))
             eps = losses[len(losses) // 2]
             for start in (None, StartDistribution.point_mass(mdp.n_states, 2)):
@@ -1430,6 +1470,48 @@ class TestTreeHittingTimes:
                 own = 0
             assert peak - own < 3 * safety.BLOCK_BYTES, name
         assert len(cert.reachability) == 2 ** 16
+
+
+@contextlib.contextmanager
+def scan_events():
+    """Logs "piece" as the policy table yields each piece and "settle" as
+    _scan settles rows, into the first list it yields, and the number of
+    rows of each _settle call into the second."""
+    events, rows = [], []
+    table, settle = safety._policy_table, safety._settle
+
+    def pieces(*args):
+        for piece in table(*args):
+            events.append("piece")
+            yield piece
+
+    def settled(mdp, kept, *args):
+        events.append("settle")
+        rows.append(len(kept[0]))
+        return settle(mdp, kept, *args)
+
+    with mock.patch.multiple(safety, _policy_table=pieces, _settle=settled):
+        yield events, rows
+
+
+class TestScanOrder:
+    """_scan settles each piece of the table before the next one is
+    built, even when the rows it keeps stay under a block."""
+
+    @pytest.mark.parametrize("run", [
+        lambda mdp: certify_safety(mdp, SafetyQuery(1e3)),
+        lambda mdp: certify_safety(mdp, SafetyQuery(
+            1e3, StartDistribution.point_mass(mdp.n_states, 0))),
+        lambda mdp: safety_frontier(mdp, [1.0, 1e3])],
+        ids=["certify", "certify-start", "frontier"])
+    def test_each_piece_is_settled_before_the_next(self, run):
+        # Blocks of 3 policies put the 64 policies, all members, into
+        # pieces of 15, 15, 15, 15 and 4, each solved by the tree.
+        mdp = random_mdp(4, n_states=7, n_actions=2)
+        with table_under_test(mdp, 3), scan_events() as (events, rows):
+            run(mdp)
+        assert events == ["piece", "settle"] * 5
+        assert max(rows) < 3
 
 
 def test_nan_reward_stops_value_iteration_at_the_first_sweep():
