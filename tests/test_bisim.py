@@ -14,7 +14,7 @@ from mdp_stability import bisim
 from mdp_stability.mdp import POLICY_ROUNDS, strong_components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
-                           cross_bisim_metric, hausdorff_distance,
+                           cross_bisim_metric, random_family, hausdorff_distance,
                            align_reward_scale, induce_chain, isolation_check,
                            iteration_bound, metric_update, Policy)
 
@@ -602,6 +602,43 @@ class TestQuotient:
         mdp = dead_and_off_mdp()
         with pytest.raises(ValueError, match="mix safe and non-safe"):
             bisim_quotient(mdp)
+
+    # The metric scales a reward gap by c_R = 1 - discount = 0.1, so copies
+    # whose rewards differ by up to 1e-8 sit within merge_tol = 1e-9 of
+    # each other, yet they fail the quotient's own checks at merge_tol.
+    @staticmethod
+    def nudged_copies(copies, reward_shifts=(), moved=0.0):
+        """random_family's 5-state base with state 1 split into ``copies``
+        (the copies are states 5 on), the i-th new copy's rewards raised by
+        reward_shifts[i], and ``moved`` of state 5's mass taken from state 0
+        to state 2 under every action."""
+        mdp = build_duplicated(random_family(3, (5, 2, 2), 1.0).base, 1,
+                               copies)
+        P, r = mdp.transition.copy(), mdp.reward.copy()
+        for copy, shift in enumerate(reward_shifts, start=5):
+            r[copy] += shift
+        P[5, :, 0] -= moved
+        P[5, :, 2] += moved
+        return MdpSpec(mdp.state_ids, mdp.action_ids, P, r, mdp.discount,
+                       mdp.safe_set)
+
+    def test_rejects_a_member_off_its_representatives_rewards(self):
+        mdp = self.nudged_copies(2, reward_shifts=(5e-9,))
+        with pytest.raises(ValueError, match="state 5 disagrees with "
+                           "representative 1 on rewards"):
+            bisim_quotient(mdp, 1e-9)
+
+    def test_rejects_a_class_joined_by_chaining(self):
+        mdp = self.nudged_copies(3, reward_shifts=(7.5e-9, 1.5e-8))
+        with pytest.raises(ValueError, match="states 1 and 6 land in one "
+                           "class by chaining"):
+            bisim_quotient(mdp, 1e-9)
+
+    def test_rejects_a_member_off_its_class_sums(self):
+        mdp = self.nudged_copies(2, moved=5e-9)
+        with pytest.raises(ValueError, match="state 5 disagrees with "
+                           "representative 1 on class-summed transitions"):
+            bisim_quotient(mdp, 1e-9)
 
 
 def _components(close):
