@@ -414,7 +414,6 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     # graph.
     close = metric.dist <= merge_tol
     classes = [tuple(c) for c in strong_components(close | close.T)]
-    n_classes = len(classes)
     lift = np.empty(mdp.n_states, dtype=int)
     for c, members in enumerate(classes):
         # A state that never shuts down can sit within merge_tol of a safe
@@ -425,38 +424,34 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
                 f"states {[mdp.state_ids[s] for s in members]} are within "
                 f"{merge_tol!r} of each other but mix safe and non-safe "
                 f"states")
-        for s in members:
-            lift[s] = c
-        for i in members:
-            for j in members:
-                if metric.dist[i, j] > merge_tol:
-                    raise ValueError(
-                        f"states {i} and {j} land in one class by chaining "
-                        f"but are {metric.dist[i, j]!r} apart")
+        lift[list(members)] = c
+        far = np.argwhere(metric.dist[np.ix_(members, members)] > merge_tol)
+        if len(far):
+            i, j = members[far[0, 0]], members[far[0, 1]]
+            raise ValueError(
+                f"states {i} and {j} land in one class by chaining "
+                f"but are {metric.dist[i, j]!r} apart")
 
+    # sums[s, a, m]: state s's row under action a summed over the columns
+    # of class m.  The quotient's rows are its representatives' rows.
     P, r = mdp.transition, mdp.reward
-    n_a = mdp.n_actions
-    P_q = np.zeros((n_classes, n_a, n_classes))
-    r_q = np.zeros((n_classes, n_a))
-    for c, members in enumerate(classes):
-        rep = members[0]
-        for m in range(n_classes):
-            cols = np.asarray(classes[m])
-            P_q[c, :, m] = P[rep][:, cols].sum(axis=1)
-        r_q[c] = r[rep]
+    sums = np.stack([P[:, :, list(members)].sum(axis=2)
+                     for members in classes], axis=2)
+    reps = [members[0] for members in classes]
+    for rep, members in zip(reps, classes):
         for other in members[1:]:
-            for m in range(n_classes):
-                cols = np.asarray(classes[m])
-                gap = np.abs(P[other][:, cols].sum(axis=1) - P_q[c, :, m]).max()
-                if gap > merge_tol:
-                    raise ValueError(
-                        f"state {other} disagrees with representative {rep} "
-                        f"on class-summed transitions by {gap!r}")
-            rgap = np.abs(r[other] - r_q[c]).max()
+            gap = np.abs(sums[other] - sums[rep]).max(axis=0)
+            m = np.argmax(gap > merge_tol)
+            if gap[m] > merge_tol:
+                raise ValueError(
+                    f"state {other} disagrees with representative {rep} "
+                    f"on class-summed transitions by {gap[m]!r}")
+            rgap = np.abs(r[other] - r[rep]).max()
             if rgap > merge_tol:
                 raise ValueError(
                     f"state {other} disagrees with representative {rep} "
                     f"on rewards by {rgap!r}")
+    P_q, r_q = sums[reps], r[reps]
 
     safe_q = frozenset(int(lift[s]) for s in mdp.safe_set)
     ids = tuple("+".join(str(mdp.state_ids[s]) for s in members)

@@ -358,8 +358,8 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
 
 def _tree_solve(tree, leaves) -> np.ndarray:
     """x over the states of ``tree`` (as _tree_root gives it) of the
-    policies at product indices ``leaves`` (a run of consecutive indices;
-    the last varying state varies fastest), one row each.
+    policies at product indices ``leaves`` (a non-empty run of consecutive
+    indices; the last varying state varies fastest), one row each.
 
     The varying states are eliminated in index order, one level of the
     tree each: a node of depth d holds the rows of the states after the
@@ -373,8 +373,6 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     """
     root, Z, k, (vary, fixed) = tree
     m = len(k)
-    if not len(leaves):
-        return np.empty((0, m + len(fixed)))
     # ids[d]: the first and last node of depth d above the leaves, as
     # product indices of their first d actions.
     ids = [leaves[[0, -1]]]

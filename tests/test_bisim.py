@@ -14,9 +14,10 @@ from mdp_stability import bisim
 from mdp_stability.mdp import POLICY_ROUNDS, strong_components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
-                           cross_bisim_metric, random_family, hausdorff_distance,
+                           cross_bisim_metric, hausdorff_distance,
                            align_reward_scale, induce_chain, isolation_check,
-                           iteration_bound, metric_update, Policy)
+                           iteration_bound, metric_update, Policy,
+                           random_family)
 
 
 def one_state_mdp(reward):

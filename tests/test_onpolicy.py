@@ -340,6 +340,39 @@ class TestPerturbationSize:
             expected, abs=1e-15)
 
 
+class TestApplyPerturbation:
+    def shifted(self, emdp, *moves):
+        """A zero-coordinate perturbation that adds each (s, a, j, mass) to
+        the entry P[s, a, j]."""
+        dT = np.zeros_like(emdp.base.transition)
+        for s, a, j, mass in moves:
+            dT[s, a, j] += mass
+        return Perturbation(np.zeros_like(emdp.embedding), dT)
+
+    def test_rejects_a_changed_row_sum(self):
+        emdp = embedded(4)
+        pert = self.shifted(emdp, (0, 0, 0, 1e-9))
+        with pytest.raises(ValueError, match="delta_T changes a row sum"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+    def test_rejects_an_entry_below_zero(self):
+        emdp = embedded(4)
+        P = emdp.base.transition
+        s, a, empty = np.argwhere(P[:-1] == 0.0)[0]
+        full = np.argmax(P[s, a])
+        pert = self.shifted(emdp, (s, a, empty, -1e-3), (s, a, full, 1e-3))
+        with pytest.raises(ValueError, match="escape"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+    def test_rejects_mass_leaving_the_safe_state(self):
+        emdp = embedded(4)
+        [safe] = emdp.base.safe_set
+        pert = self.shifted(emdp, (safe, 0, safe, -0.1), (safe, 0, 0, 0.1))
+        with pytest.raises(ValueError, match="perturbed MDP invalid: "
+                           ".*safe-not-absorbing"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+
 class TestChainPerturbationBound:
     def test_pure_transition_shift_is_exact(self):
         emdp = embedded(1)
