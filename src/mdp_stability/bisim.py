@@ -165,18 +165,18 @@ class _PairSweep:
         self.batch = BatchedTransport(weight, size, pairs)
         # cost_index[c]: the distance-matrix entry of cost cell c, which
         # belongs to transport problem cell_problem[c], the action
-        # cell_action[c] at pair-state cell_pair[c] (s1 * |S2| + s2).
-        problem = np.arange(len(pairs))
-        cells = size[pairs[:, 0]] * size[pairs[:, 1]]
-        self.cell_problem = np.repeat(problem, cells)
-        self.cell_pair = np.repeat(problem // self.n_actions, cells)
-        self.cell_action = np.repeat(problem % self.n_actions, cells)
-        self.cost_index = np.empty(self.batch.n_costs, dtype=int)
-        for group in self.batch.groups:
-            m, n = group.shape
-            I, J = pairs[group.members].T
-            self.cost_index[group.cells] = (index[I, :m, None] * n2
-                                            + index[J, None, :n])
+        # cell_action[c] at pair-state cell_pair[c] (s1 * |S2| + s2).  The
+        # batch lays out each problem's (m, n) costs raveled, in problem
+        # order, so cell c is cell (i, j) of its problem's matrix.
+        m, n = size[pairs.T]
+        cells = m * n
+        self.cell_problem = np.repeat(np.arange(len(pairs)), cells)
+        self.cell_pair, self.cell_action = np.divmod(self.cell_problem,
+                                                     self.n_actions)
+        p = self.cell_problem
+        i, j = np.divmod(np.arange(len(p)) - (np.cumsum(cells) - cells)[p],
+                         n[p])
+        self.cost_index = index[pairs[p, 0], i] * n2 + index[pairs[p, 1], j]
 
     def apply(self, dist: np.ndarray) -> np.ndarray:
         """One application of the metric update operator to ``dist``."""
@@ -399,10 +399,11 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
 
     The distance is the within-MDP metric with c_T = discount.  Classes are
     connected components of the thresholded distance graph.  The collapsed
-    transition rows are class-sums from one representative; every other
-    member must agree with them (and with the representative's rewards)
-    within merge_tol, otherwise the partition is not a valid bisimulation
-    at this tolerance and the call is rejected.
+    transition rows are class-sums from one representative, capped at 1
+    against rounding; every other member must agree with them (and with
+    the representative's rewards) within merge_tol, otherwise the
+    partition is not a valid bisimulation at this tolerance and the call
+    is rejected.
     """
     # A metric tolerance of merge_tol/4 keeps the metric's error from
     # blurring the merge decision.
@@ -451,7 +452,9 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
                 raise ValueError(
                     f"state {other} disagrees with representative {rep} "
                     f"on rewards by {rgap!r}")
-    P_q, r_q = sums[reps], r[reps]
+    # An entry is a partial sum of a row that sums to 1 within PROB_TOL, so
+    # capping it at 1 keeps its row's sum within PROB_TOL.
+    P_q, r_q = np.minimum(sums[reps], 1.0), r[reps]
 
     safe_q = frozenset(int(lift[s]) for s in mdp.safe_set)
     ids = tuple("+".join(str(mdp.state_ids[s]) for s in members)

@@ -105,9 +105,9 @@ class BatchedTransport:
     Point-mass problems have a forced coupling, and all-zero costs and
     identical marginals with a free diagonal have value 0, so none of these
     goes to the simplex.  Every other problem keeps, across calls, the
-    spanning-tree basis and plan of its last solve (a northwest-corner
-    basis before its first).  The basic costs fix dual potentials u, v
-    through the basis's integer potential map.  When every reduced cost
+    spanning-tree basis and plan of its last solve (the northwest-corner
+    basis set up with the batch before its first).  The basic costs fix
+    dual potentials u, v through the basis's integer potential map.  When every reduced cost
     C - u - v is at least -``REUSE_TOL`` times max(1, largest cost), the
     stored plan is reused: it is feasible, and lowering u by that amount
     gives a feasible dual within it of the plan's value.  The problems that
@@ -184,9 +184,9 @@ class _ShapeGroup:
         self.same = (np.all(mu == nu, axis=1) if m == n
                      else np.zeros(size, dtype=bool))
         self.known = np.zeros(size, dtype=bool)
-        self.basis = np.zeros((size, m + n - 1), dtype=int)
-        self.potential_map = np.zeros((size, m + n, m + n - 1))
-        self.flow = np.zeros((size, m + n - 1))
+        if not self.forced:
+            self.basis, self.potential_map, self.flow = \
+                _northwest_corner(mu, nu)
         self.diagonal = np.zeros(size, dtype=bool)
 
     def answer(self, cost):
@@ -211,10 +211,6 @@ class _ShapeGroup:
         if not len(rows):
             return np.zeros(size), 0, 0
         kept = self.known[rows]
-        fresh = rows[~kept]
-        if len(fresh):
-            self.basis[fresh], self.potential_map[fresh], self.flow[fresh] = \
-                _northwest_corner(self.mu[fresh], self.nu[fresh])
         pivots = _simplex(flat, self.basis, self.potential_map, self.flow,
                           self.shape[0], rows)
         reused = int(np.count_nonzero(kept & (pivots[rows] == 0)))
@@ -250,40 +246,35 @@ def _northwest_corner(mu, nu):
     """Northwest-corner starts of stacked problems of one shape: basic
     cells (raveled indices), potential maps and basic flows.  The staircase
     from cell (0, 0) to (m-1, n-1), down when a row's supply is used up and
-    right otherwise, is a spanning tree with nonnegative flows."""
+    right otherwise, is a spanning tree with nonnegative flows.  Its cell
+    k = (i, j) opens row i after a step down (u_i = c_k - v_j) and column
+    j otherwise (v_j = c_k - u_i, with u_0 = 0), so the exact integer map
+    K with [u; v] = K c_B is built one row a cell; row i plus row m + j of
+    K is the basic cycle of cell (i, j)."""
     size, m = mu.shape
     n = nu.shape[1]
-    supply, demand = mu.copy(), nu.copy()
     g = np.arange(size)
     i, j = np.zeros((2, size), dtype=int)
+    down = np.zeros(size, dtype=bool)
+    # The supply left in row i and the demand left in column j.
+    supply, demand = mu[:, 0], nu[:, 0]
     basis = np.empty((size, m + n - 1), dtype=int)
+    potential_map = np.zeros((size, m + n, m + n - 1))
     flow = np.empty((size, m + n - 1))
     for k in range(m + n - 1):
-        x = np.minimum(supply[g, i], demand[g, j])
+        if k:
+            down = (i < m - 1) & ((supply <= 0) | (j == n - 1))
+            i, j = i + down, j + ~down
+            supply = np.where(down, mu[g, i], supply)
+            demand = np.where(down, demand, nu[g, j])
+        x = np.minimum(supply, demand)
         basis[:, k] = i * n + j
         flow[:, k] = x
-        supply[g, i] -= x
-        demand[g, j] -= x
-        down = (i < m - 1) & ((supply[g, i] <= 0) | (j == n - 1))
-        i, j = i + down, j + ~down
-    return basis, _potential_map(basis, m, n), flow
-
-
-def _potential_map(basis, m, n):
-    """Integer maps K with [u; v] = K c_B (u_i + v_j equal to the cost on
-    every basic cell (i, j), u_0 = 0) for stacked spanning-tree bases: the
-    rounded inverse of the tree's incidence matrix, with the row u_0 = 0
-    appended, less its last column.  Row i plus row m + j of K is the basic
-    cycle of cell (i, j)."""
-    size = len(basis)
-    i, j = np.divmod(basis, n)
-    tree = np.zeros((size, m + n, m + n))
-    g = np.arange(size)[:, None]
-    edges = np.arange(m + n - 1)
-    tree[g, edges, i] = 1.0
-    tree[g, edges, m + j] = 1.0
-    tree[:, -1, 0] = 1.0
-    return np.rint(np.linalg.inv(tree))[:, :, :-1]
+        supply, demand = supply - x, demand - x
+        new, old = np.where(down, i, m + j), np.where(down, m + j, i)
+        potential_map[g, new] = 0.0 - potential_map[g, old]
+        potential_map[g, new, k] += 1.0
+    return basis, potential_map, flow
 
 
 def _simplex(cost, basis, potential_map, flow, m, live):

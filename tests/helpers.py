@@ -296,6 +296,45 @@ def loop_built_sweep(m1, m2):
     return pairs, np.concatenate(cells), cell_problem
 
 
+def reference_northwest_corner(mu, nu):
+    """Northwest-corner starts of stacked problems of one shape, by the
+    staircase over copied marginals, with each start's potential map from
+    ``reference_potential_map``.  An oracle for
+    ``transport._northwest_corner``."""
+    size, m = mu.shape
+    n = nu.shape[1]
+    supply, demand = mu.copy(), nu.copy()
+    g = np.arange(size)
+    i, j = np.zeros((2, size), dtype=int)
+    basis = np.empty((size, m + n - 1), dtype=int)
+    flow = np.empty((size, m + n - 1))
+    for k in range(m + n - 1):
+        x = np.minimum(supply[g, i], demand[g, j])
+        basis[:, k] = i * n + j
+        flow[:, k] = x
+        supply[g, i] -= x
+        demand[g, j] -= x
+        down = (i < m - 1) & ((supply[g, i] <= 0) | (j == n - 1))
+        i, j = i + down, j + ~down
+    return basis, reference_potential_map(basis, m, n), flow
+
+
+def reference_potential_map(basis, m, n):
+    """Integer maps K with [u; v] = K c_B (u_i + v_j equal to the cost on
+    every basic cell (i, j), u_0 = 0) for stacked spanning-tree bases: the
+    rounded inverse of the tree's incidence matrix, with the row u_0 = 0
+    appended, less its last column."""
+    size = len(basis)
+    i, j = np.divmod(basis, n)
+    tree = np.zeros((size, m + n, m + n))
+    g = np.arange(size)[:, None]
+    edges = np.arange(m + n - 1)
+    tree[g, edges, i] = 1.0
+    tree[g, edges, m + j] = 1.0
+    tree[:, -1, 0] = 1.0
+    return np.rint(np.linalg.inv(tree))[:, :, :-1]
+
+
 def scattered_couplings(batch):
     """``batch.couplings()`` as scattered with ``np.put_along_axis``, the
     product recomputed for every never-solved problem and the diagonal laid

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import (fresh_lp_metric, loop_built_sweep, random_mdp,
                      reference_pair_evaluate, scattered_couplings,
                      shift_applications)
 from mdp_stability import bisim
-from mdp_stability.mdp import POLICY_ROUNDS, strong_components
+from mdp_stability.mdp import POLICY_ROUNDS, PROB_TOL, strong_components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
                            bisim_quotient, build_duplicated,
                            cross_bisim_metric, hausdorff_distance,
@@ -255,6 +256,19 @@ class TestArrayBuild:
             dist = sweep.apply(dist)
             np.testing.assert_array_equal(bits(batch.couplings()),
                                           bits(scattered_couplings(batch)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop_build_on_mixed_supports(self, seed):
+        # Larger pairs whose rows keep about half their entries, so that
+        # one batch holds problems of many shapes, point masses included.
+        rng = np.random.default_rng(seed)
+        m1, m2 = (edge_mdp(rng, int(rng.integers(5, 10)), 3, 0.5, True,
+                           False) for _ in range(2))
+        sweep = bisim._PairSweep(m1, m2, CFG)
+        assert len(sweep.batch.groups) > 5
+        _, cost_index, cell_problem = loop_built_sweep(m1, m2)
+        np.testing.assert_array_equal(sweep.cost_index, cost_index)
+        np.testing.assert_array_equal(sweep.cell_problem, cell_problem)
 
 
 class TestStrategyIteration:
@@ -603,6 +617,19 @@ class TestQuotient:
         mdp = dead_and_off_mdp()
         with pytest.raises(ValueError, match="mix safe and non-safe"):
             bisim_quotient(mdp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_states_keep_stochastic_rows(self, seed):
+        # The quotient of a state split into 2 to 12 copies has the base's
+        # shape, and every row is a distribution within PROB_TOL.  At seed
+        # 1, the nine ninths of the safe state's (3) self-loop sum to
+        # 1 + 2**-52, which the quotient caps at 1.
+        base = random_family(seed, (4, 2, 2)).base
+        for state, copies in itertools.product((1, 3), range(2, 13)):
+            q = bisim_quotient(build_duplicated(base, state, copies)).quotient
+            assert q.n_states == base.n_states
+            assert 0.0 <= q.transition.min() and q.transition.max() <= 1.0
+            assert np.abs(q.transition.sum(axis=2) - 1.0).max() <= PROB_TOL
 
     # The metric scales a reward gap by c_R = 1 - discount = 0.1, so copies
     # whose rewards differ by up to 1e-8 sit within merge_tol = 1e-9 of

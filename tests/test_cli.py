@@ -280,6 +280,20 @@ class TestQuotientCommand:
         assert len(out["quotient"]["states"]) == 3
         assert ["wrap", "wrap#2"] in out["classes"]
 
+    def test_safe_state_split_into_nine_copies(self, tmp_path, capsys):
+        # Nine copies of the safe state each keep a ninth of its self-loop;
+        # summed back, they round to 1 + 2**-52.
+        base = str(tmp_path / "m.json")
+        split = str(tmp_path / "split.json")
+        assert main(["random", "--seed", "1", "--shape", "4,2,2",
+                     "--out", base]) == 0
+        assert main(["duplicate", base, "--state", "s3", "--copies", "9",
+                     "--out", split]) == 0
+        assert main(["quotient", split]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["classes"][3] == ["s3"] + [f"s3#{k}" for k in range(2, 10)]
+        assert out["quotient"]["transitions"][3] == [[0.0, 0.0, 0.0, 1.0]] * 2
+
 
 class TestQuotientInputs:
     def test_dead_and_safe_states_are_not_merged(self, tmp_path, capsys):
@@ -805,6 +819,72 @@ class TestCertifyArtifactBytes:
                 assert any(doc["reachability"])
         assert finite == {"a": False, "b": False, "c": False, "d": True,
                           "e": True}
+
+
+class TestMetricArtifactBytes:
+    """sha256 of stdout on seeded documents, pinned so that the transport
+    starts, the batch's cost layout and the quotient's class sums keep
+    every metric and quotient artifact byte for byte.  Pair "dense" has
+    full 4-by-4 supports, pair "sparse" 3-point supports and point masses;
+    "within" is a 12-state metric of one MDP against itself, whose
+    identical rows take the free diagonal.  The digests are those of one
+    BLAS thread, the benchmark's setting; all come from one process."""
+
+    DOCUMENTS = {  # name: (seed, shape, sparsity)
+        "d1": ("1", "4,2,2", "1.0"), "d2": ("2", "4,2,2", "1.0"),
+        "s1": ("3", "6,2,2", "0.4"), "s2": ("4", "6,2,2", "0.4"),
+        "w": ("3", "12,2,2", "0.6"), "q1": ("5", "5,2,2", "0.6"),
+        "q2": ("6", "6,2,2", "0.5"),
+    }
+    DUPLICATES = {"q1": ("s1", "3"), "q2": ("s5", "4")}
+    METRIC = ["--c-t", "0.9", "--tol", "1e-6"]
+    SCALED = ["--c-r", "2.5"]
+    GOLDEN = [
+        ("bisim", ("d1", "d2"), METRIC, "b2cdba19c87924aa9e739c5016bde94c"
+                                         "71b7f47d599c1696f489bbd05005ad8b"),
+        ("bisim", ("s1", "s2"), METRIC, "eb1685be06c06dccc6cc5b5738bb4333"
+                                         "5784eb15b6e82442972f1c3e6c681e08"),
+        ("bisim", ("d1", "d2"), SCALED, "dfd1b2e74f039f96fc4b1cdbffe7d08c"
+                                         "14ceb1ba4ccb2ff7ae533208f752039e"),
+        ("bisim", ("w", "w"), [], "5922a3bcba5988d077878ddea804d375"
+                                   "89d8347bedd2a2cb6b0e08f1b59bd704"),
+        ("quotient", ("q1",), [], "63e3806058c1cb3336d460198c81650e"
+                                   "f44529c2499c1770494ec088e04bdd41"),
+        ("quotient", ("q2",), [], "d79dd54de679127738508982ffce115d"
+                                   "dc86df88b34bcfc214f5fc74230515fd"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def digests(self, tmp_path_factory):
+        """(exit code, stdout sha256) of each golden's command, in the
+        order of GOLDEN; a quotient reads the document's duplicate."""
+        directory = tmp_path_factory.mktemp("metric-goldens")
+
+        def path(name):
+            return str(directory / f"{name}.json")
+
+        commands = [["random", "--seed", seed, "--shape", shape,
+                     "--sparsity", sparsity, "--out", path(name)]
+                    for name, (seed, shape, sparsity)
+                    in self.DOCUMENTS.items()]
+        commands += [["duplicate", path(name), "--state", state, "--copies",
+                      copies, "--out", path(name + "x")]
+                     for name, (state, copies) in self.DUPLICATES.items()]
+        setup = len(commands)
+        for command, names, flags, _ in self.GOLDEN:
+            if command == "quotient":
+                names = tuple(name + "x" for name in names)
+            commands.append([command, *map(path, names)] + flags)
+        results = single_thread_digests(commands, directory)
+        assert [code for code, _ in results[:setup]] == [0] * setup
+        return results[setup:]
+
+    @pytest.mark.parametrize(
+        "index", range(len(GOLDEN)),
+        ids=[f"{command}-{'-'.join(names)}-{' '.join(flags)}"
+             for command, names, flags, _ in GOLDEN])
+    def test_stdout_digest(self, digests, index):
+        assert digests[index] == (0, self.GOLDEN[index][3])
 
 
 class TestStabilityExperiment:

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (_solve_blocks, batch_of, brute_force_transport,
-                     kr_lower_bound, random_distribution)
+                     kr_lower_bound, random_distribution,
+                     reference_northwest_corner, reference_potential_map)
 from mdp_stability import TransportProblem, solve_transport, transport
 from mdp_stability.mdp import PROB_TOL
 from mdp_stability.transport import (PIVOT_CAP, REUSE_TOL, _northwest_corner,
-                                     _potential_map, _simplex)
+                                     _simplex)
 
 
 def raveled(costs):
@@ -364,6 +365,54 @@ class TestPlanReuse:
                 batch_of(pairs).values(costs)
 
 
+STAIRCASE_KINDS = ("generic", "zero-weight", "tied", "point")
+
+
+def staircase_marginal(rng, kind, m):
+    """A weight vector of length m: Dirichlet (``generic``), with zero
+    entries (``zero-weight``), in sixteenths, so that a row's and a
+    column's remainders can tie exactly (``tied``), or a point mass."""
+    if kind == "zero-weight":
+        return random_distribution(rng, m, sparse=True)
+    if kind == "tied":
+        return rng.multinomial(16, np.ones(m) / m) / 16.0
+    if kind == "point":
+        return np.eye(m)[rng.integers(m)]
+    return rng.dirichlet(np.ones(m))
+
+
+class TestStaircaseAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.tuples(st.sampled_from(STAIRCASE_KINDS),
+                                    st.sampled_from(STAIRCASE_KINDS)),
+                          min_size=1, max_size=6),
+           m=st.integers(1, 8), n=st.integers(1, 8))
+    def test_matches_the_inverted_tree(self, seed, kinds, m, n):
+        # The staircase's bases, flows and potential maps equal those of
+        # the loop over copied marginals and the rounded inverse of each
+        # tree's incidence matrix, bit for bit, and no map holds -0.0.
+        rng = np.random.default_rng(seed)
+        mu = np.array([staircase_marginal(rng, a, m) for a, _ in kinds])
+        nu = np.array([staircase_marginal(rng, b, n) for _, b in kinds])
+        basis, potential_map, flow = _northwest_corner(mu, nu)
+        expected = reference_northwest_corner(mu, nu)
+        for got, want in zip((basis, potential_map, flow), expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert not np.signbit(potential_map).any(where=potential_map == 0)
+
+    def test_ties_leave_zero_basic_flows(self):
+        # Uniform marginals on 4 x 4 exhaust a row and a column together at
+        # every diagonal cell: three degenerate basic cells carry 0.
+        uniform = np.full((1, 4), 0.25)
+        basis, potential_map, flow = _northwest_corner(uniform, uniform)
+        np.testing.assert_array_equal(basis[0], [0, 4, 5, 9, 10, 14, 15])
+        np.testing.assert_array_equal(flow[0], [0.25, 0.0] * 3 + [0.25])
+        np.testing.assert_array_equal(
+            potential_map, reference_potential_map(basis, 4, 4))
+
+
 ORACLE_KINDS = ("generic", "point", "zero-weight", "identical", "tied",
                 "duplicated", "off-sum")
 
@@ -452,7 +501,7 @@ class TestSimplexAgainstHighs:
             known = group.known
             np.testing.assert_array_equal(
                 group.potential_map[known],
-                _potential_map(group.basis[known], m, n))
+                reference_potential_map(group.basis[known], m, n))
             uv = np.einsum("gpk,gk->gp", group.potential_map,
                            np.take_along_axis(np.reshape(costs, (-1, m * n)),
                                               group.basis, axis=1))
