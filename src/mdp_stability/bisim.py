@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import (MdpSpec, _frozen, _state_indices, can_reach,
-                  policy_iteration, strong_components, validate)
+from .mdp import (MdpSpec, _frozen, _state_indices, can_reach, checked,
+                  policy_iteration, strong_components)
 from .transport import BatchedTransport
 
 __all__ = [
@@ -459,8 +459,6 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     safe_q = frozenset(int(lift[s]) for s in mdp.safe_set)
     ids = tuple("+".join(str(mdp.state_ids[s]) for s in members)
                 for members in classes)
-    quotient = MdpSpec(ids, mdp.action_ids, P_q, r_q, mdp.discount, safe_q)
-    report = validate(quotient)
-    if not report.ok:
-        raise ValueError(f"quotient is not a valid MDP: {report}")
+    quotient = checked(MdpSpec(ids, mdp.action_ids, P_q, r_q, mdp.discount,
+                               safe_q), "quotient is not a valid MDP")
     return QuotientResult(tuple(classes), quotient, lift)

@@ -328,9 +328,11 @@ def cmd_random(args):
         raise ValueError(f"--shape must be three non-negative integers "
                          f"states,actions,dim, got {args.shape!r}")
     reward_range = tuple(_parse_sizes(args.reward_range))
-    if len(reward_range) != 2 or reward_range[0] > reward_range[1]:
+    if len(reward_range) != 2 or reward_range[0] > reward_range[1] \
+            or not math.isfinite(reward_range[1] - reward_range[0]):
         raise ValueError(f"--reward-range must be low,high with low <= "
-                         f"high, got {args.reward_range!r}")
+                         f"high a finite width apart, got "
+                         f"{args.reward_range!r}")
     emdp = random_family(_seed(args), shape, args.sparsity, reward_range,
                          gamma=args.gamma)
     document = embedded_to_document(emdp)
@@ -574,7 +576,9 @@ def main(argv=None) -> int:
     args._t0 = time.monotonic()
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    # A path that cannot be read or written, or an instance too large to
+    # allocate or to draw, is an input error too.
+    except (OSError, OverflowError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

@@ -346,6 +346,15 @@ def validate(mdp: MdpSpec) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
+def checked(mdp: MdpSpec, failure: str) -> MdpSpec:
+    """``mdp`` when :func:`validate` finds nothing wrong with it; otherwise
+    a ValueError that reads ``failure`` and the report."""
+    report = validate(mdp)
+    if not report.ok:
+        raise ValueError(f"{failure}: {report}")
+    return mdp
+
+
 def induce_chain(mdp: MdpSpec, policy: Policy) -> InducedChain:
     """Fix a policy and restrict the resulting Markov chain to non-safe
     states, recording the per-state one-step absorption probability."""
@@ -542,11 +551,7 @@ def mdp_from_document(source) -> MdpSpec:
 
 def load_mdp(source) -> MdpSpec:
     """:func:`mdp_from_document`, which must also validate."""
-    mdp = mdp_from_document(source)
-    report = validate(mdp)
-    if not report.ok:
-        raise ValueError(f"MDP document fails validation: {report}")
-    return mdp
+    return checked(mdp_from_document(source), "MDP document fails validation")
 
 
 def mdp_to_document(mdp: MdpSpec) -> dict:

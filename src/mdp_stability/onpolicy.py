@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (MdpSpec, StartDistribution, _frozen, _sealed, can_reach,
-                  document_field, load_mdp, mdp_to_document, read_document,
-                  strong_components, validate)
+                  checked, document_field, load_mdp, mdp_to_document,
+                  read_document, strong_components)
 
 __all__ = [
     "EmbeddedMdp",
@@ -280,11 +280,9 @@ def apply_perturbation(emdp: EmbeddedMdp, pert: Perturbation) -> EmbeddedMdp:
     if np.any(P < -1e-15) or np.any(P > 1.0 + 1e-15):
         raise ValueError("perturbed transition entries escape [0, 1]")
     np.clip(P, 0.0, 1.0, out=P)
-    base = MdpSpec(emdp.base.state_ids, emdp.base.action_ids, _sealed(P),
-                   emdp.base.reward, emdp.base.discount, emdp.base.safe_set)
-    report = validate(base)
-    if not report.ok:
-        raise ValueError(f"perturbed MDP invalid: {report}")
+    base = checked(MdpSpec(emdp.base.state_ids, emdp.base.action_ids,
+                           _sealed(P), emdp.base.reward, emdp.base.discount,
+                           emdp.base.safe_set), "perturbed MDP invalid")
     return EmbeddedMdp(base, _sealed(emdp.embedding + pert.delta_S),
                        emdp.side_info)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, _sealed, validate, value_iteration
+from .mdp import MdpSpec, _sealed, checked, value_iteration
 from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation, perturbation_size
 
 __all__ = [
@@ -49,10 +49,7 @@ class PlayingDeadParams:
     epsilon: float
 
     def __post_init__(self):
-        base = self.base
-        report = validate(base)
-        if not report.ok:
-            raise ValueError(f"base MDP invalid: {report}")
+        base = checked(self.base, "base MDP invalid")
         if len(base.safe_set) != 1:
             raise ValueError("base must have exactly one terminal safe state")
         term = next(iter(base.safe_set))
@@ -108,11 +105,9 @@ def build_playing_dead(params: PlayingDeadParams) -> MdpSpec:
     pd_id = "s_pd"
     while pd_id in base.state_ids:
         pd_id += "'"
-    out = MdpSpec(base.state_ids + (pd_id,), base.action_ids, P, r,
-                  base.discount, base.safe_set)
-    report = validate(out)
-    assert report.ok, report
-    return out
+    return checked(MdpSpec(base.state_ids + (pd_id,), base.action_ids, P, r,
+                           base.discount, base.safe_set),
+                   "playing-dead MDP invalid")
 
 
 def build_uniform_shutdown(mdp: MdpSpec, N: float,
@@ -134,11 +129,9 @@ def build_uniform_shutdown(mdp: MdpSpec, N: float,
         raise ValueError("target must be a safe state")
     P = (1.0 - 1.0 / N) * mdp.transition.copy()
     P[:, :, target] += 1.0 / N
-    out = MdpSpec(mdp.state_ids, mdp.action_ids, P, mdp.reward,
-                  mdp.discount, mdp.safe_set)
-    report = validate(out)
-    assert report.ok, report
-    return out
+    return checked(MdpSpec(mdp.state_ids, mdp.action_ids, P, mdp.reward,
+                           mdp.discount, mdp.safe_set),
+                   "uniform-shutdown MDP invalid")
 
 
 def build_duplicated(mdp: MdpSpec, state: int, copies: int = 2) -> MdpSpec:
@@ -153,31 +146,24 @@ def build_duplicated(mdp: MdpSpec, state: int, copies: int = 2) -> MdpSpec:
     if not 0 <= state < mdp.n_states:
         raise ValueError("state index out of range")
     n, n_a = mdp.n_states, mdp.n_actions
-    extra = copies - 1
-    group = [state] + list(range(n, n + extra))
-    P = np.zeros((n + extra, n_a, n + extra))
+    m = n + copies - 1
+    P = np.zeros((m, n_a, m))
     P[:n, :, :n] = mdp.transition
     # Divide inbound mass (including the original's own row) evenly.
-    share = P[:n, :, state] / copies
-    for g in group:
-        P[:n, :, g] = share
-    for g in group[1:]:
-        P[g] = P[state]
-    r = np.zeros((n + extra, n_a))
+    P[:n, :, state] /= copies
+    P[:n, :, n:] = P[:n, :, state, None]
+    P[n:] = P[state]
+    r = np.zeros((m, n_a))
     r[:n] = mdp.reward
-    r[group[1:]] = mdp.reward[state]
+    r[n:] = mdp.reward[state]
 
-    ids = list(mdp.state_ids)
-    for k in range(2, copies + 1):
-        ids.append(f"{mdp.state_ids[state]}#{k}")
+    ids = mdp.state_ids + tuple(f"{mdp.state_ids[state]}#{k}"
+                                for k in range(2, copies + 1))
     safe = set(mdp.safe_set)
     if state in mdp.safe_set:
-        safe.update(group[1:])
-    out = MdpSpec(tuple(ids), mdp.action_ids, P, r, mdp.discount,
-                  frozenset(safe))
-    report = validate(out)
-    assert report.ok, report
-    return out
+        safe.update(range(n, m))
+    return checked(MdpSpec(ids, mdp.action_ids, P, r, mdp.discount,
+                           frozenset(safe)), "duplicated MDP invalid")
 
 
 def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
@@ -199,9 +185,11 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
         raise ValueError(f"gamma must lie in (0,1), got {gamma!r}")
     if len(reward_range) != 2 \
             or not all(math.isfinite(x) for x in reward_range) \
-            or reward_range[0] > reward_range[1]:
+            or reward_range[0] > reward_range[1] \
+            or not math.isfinite(reward_range[1] - reward_range[0]):
         raise ValueError(f"reward range must be two finite numbers "
-                         f"low <= high, got {reward_range!r}")
+                         f"low <= high a finite width apart, got "
+                         f"{reward_range!r}")
     lo, hi = reward_range
     rng = np.random.default_rng(seed)
     safe = n_states - 1
@@ -219,9 +207,7 @@ def random_family(seed: int, shape=(5, 2, 3), sparsity: float = 0.6,
     ids = tuple(f"s{i}" for i in range(n_states))
     acts = tuple(f"a{j}" for j in range(n_actions))
     base = MdpSpec(ids, acts, P, r, gamma, frozenset({safe}))
-    report = validate(base)
-    assert report.ok, report
-    return EmbeddedMdp(base, emb)
+    return EmbeddedMdp(checked(base, "random MDP invalid"), emb)
 
 
 def random_family_metadata(seed, shape, sparsity, reward_range,

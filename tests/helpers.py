@@ -730,3 +730,28 @@ def reference_render_json(obj, indent=0):
     if isinstance(obj, np.ndarray):
         return reference_render_json(obj.tolist(), indent)
     raise TypeError(f"cannot render {type(obj)!r}")
+
+
+def reference_duplicated(mdp, state, copies):
+    """``scenarios.build_duplicated``'s arrays built one copy at a time:
+    (state ids, transitions, rewards, safe set), unvalidated."""
+    n, n_a = mdp.n_states, mdp.n_actions
+    extra = copies - 1
+    group = [state] + list(range(n, n + extra))
+    P = np.zeros((n + extra, n_a, n + extra))
+    P[:n, :, :n] = mdp.transition
+    share = P[:n, :, state] / copies
+    for g in group:
+        P[:n, :, g] = share
+    for g in group[1:]:
+        P[g] = P[state]
+    r = np.zeros((n + extra, n_a))
+    r[:n] = mdp.reward
+    r[group[1:]] = mdp.reward[state]
+    ids = list(mdp.state_ids)
+    for k in range(2, copies + 1):
+        ids.append(f"{mdp.state_ids[state]}#{k}")
+    safe = set(mdp.safe_set)
+    if state in mdp.safe_set:
+        safe.update(group[1:])
+    return tuple(ids), P, r, frozenset(safe)

@@ -1045,6 +1045,30 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, argv):
     assert err.startswith("input error") and "Traceback" not in err
 
 
+# A path that cannot be read or written and an instance too large to
+# allocate or to draw are input errors too, on one line.  Each of the two
+# large instances asks numpy for 142 PiB first, which it refuses before
+# allocating anything.
+INPUT_FAILURES = [
+    ["validate", "@dir"],
+    ["certify", "@m", "--epsilon", "0.5", "--out", "@dir"],
+    ["duplicate", "@m", "--state", "wrap", "--copies", "100000000"],
+    ["random", "--seed", "1", "--shape", "100000000,2,2"],
+    ["random", "--seed", "1", "--reward-range=-1e308,1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", INPUT_FAILURES, ids=" ".join)
+def test_input_failure_exits_2_on_one_line(tmp_path, capsys, argv):
+    files = {"@m": write_doc(tmp_path / "m.json", hibernation_doc()),
+             "@dir": str(tmp_path)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_out_of_range_flag_exits_2_from_a_process(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "mdp_stability.cli",
@@ -1129,6 +1153,8 @@ UNUSABLE_INPUT = [
     (["random", "--seed", "1", "--reward-range", ","], "--reward-range"),
     (["random", "--seed", "1", "--reward-range", "0,1,2"], "--reward-range"),
     (["random", "--seed", "1", "--reward-range", "2,1"], "--reward-range"),
+    (["random", "--seed", "1", "--reward-range=-1e308,1e308"],
+     "--reward-range"),
     (["random", "--seed", "1", "--shape", "5,x,3"], "--shape"),
     (["random", "--seed", "1", "--shape", "5,2,-1"], "--shape"),
     # At epsilon 1e6 the delta window reaches far past 1.

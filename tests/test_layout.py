@@ -2,7 +2,8 @@
 the package import each other without a cycle, the package and its command
 line load no scipy, no module imports warnings or reads the environment,
 every exception the package raises is one that the command line maps to an
-exit code, the command line takes no private name from another module, the
+exit code, no module asserts, one check validates what the package builds,
+the command line takes no private name from another module, the
 package exports only what a command, a demo or an acceptance criterion
 uses, with the types those calls return, only ``mdp`` builds induced
 chains, and one scan reads the policy table."""
@@ -171,6 +172,38 @@ def test_every_raised_exception_maps_to_an_exit_code():
         if not ancestors(name, classes) & handled
         and (module, function, name) not in UNMAPPED_BY_DESIGN)
     assert unmapped == []
+
+
+def test_main_maps_unusable_paths_and_instances_to_input_errors():
+    # A path that cannot be read or written (OSError) and an instance too
+    # large to allocate (MemoryError) or to draw (OverflowError).
+    main = next(node for node in ast.walk(MODULES["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = {ast.unparse(name) for handler in ast.walk(main)
+               if isinstance(handler, ast.ExceptHandler)
+               for name in (handler.type.elts
+                            if isinstance(handler.type, ast.Tuple)
+                            else [handler.type])}
+    assert {"OSError", "OverflowError", "MemoryError"} <= handled
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_assert(name):
+    # python -O strips an assert; every check of the package raises.
+    lines = [node.lineno for node in ast.walk(MODULES[name])
+             if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+def test_one_check_validates_what_the_package_builds():
+    # mdp.checked raises with the report; the validate command prints it.
+    callers = sorted(f"{name}.{func.name}" for name, tree in MODULES.items()
+                     for func in ast.walk(tree)
+                     if isinstance(func, ast.FunctionDef)
+                     for node in ast.walk(func)
+                     if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).split(".")[-1] == "validate")
+    assert callers == ["cli.cmd_validate", "mdp.checked"]
 
 
 def package_names(tree):

@@ -1,23 +1,34 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
-                           SafetyQuery, build_duplicated,
+from mdp_stability import (BisimConfig, MdpSpec, Perturbation, Policy,
+                           PlayingDeadParams, SafetyQuery, bisim_quotient,
+                           build_duplicated,
                            build_playing_dead, build_uniform_shutdown,
                            certify_safety, cross_bisim_metric,
                            embedded_to_document, expected_steps,
                            hausdorff_distance, induce_chain, isolation_check,
-                           random_family, tighten_policy_bound, validate)
+                           load_mdp, mdp_to_document, random_family,
+                           tighten_policy_bound, validate)
+from mdp_stability import mdp as mdp_module
+from mdp_stability.mdp import ValidationReport, Violation
 from mdp_stability.scenarios import perturbation_support, random_perturbation
 from mdp_stability.onpolicy import (EmbeddedMdp, apply_perturbation,
                                     make_toy_policy, perturbation_size)
 
-from helpers import reference_perturbation
+from helpers import random_mdp, reference_duplicated, reference_perturbation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def hibernation_base(gamma=0.9):
@@ -205,6 +216,16 @@ class TestDuplicated:
         with pytest.raises(ValueError):
             build_duplicated(hibernation_base(), 0, copies=1)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_copy_by_copy_build(self, seed):
+        mdp = random_mdp(seed, n_states=4)
+        state, copies = seed % 4, 2 + seed % 3
+        out = build_duplicated(mdp, state, copies)
+        ids, P, r, safe = reference_duplicated(mdp, state, copies)
+        assert out.state_ids == ids and out.safe_set == safe
+        np.testing.assert_array_equal(out.transition, P)
+        np.testing.assert_array_equal(out.reward, r)
+
 
 class TestRandomFamily:
     def test_same_seed_same_document(self):
@@ -216,6 +237,11 @@ class TestRandomFamily:
         a = json.dumps(embedded_to_document(random_family(1)))
         b = json.dumps(embedded_to_document(random_family(2)))
         assert a != b
+
+    def test_reward_range_needs_a_finite_width(self):
+        # Each end is finite, but numpy cannot draw across their distance.
+        with pytest.raises(ValueError, match="a finite width apart"):
+            random_family(1, reward_range=(-1e308, 1e308))
 
     def test_validation_over_many_seeds(self):
         for seed in range(1000):
@@ -233,6 +259,62 @@ class TestRandomFamily:
             reach = emdp.base.transition[:, :, -1].sum()
             hits += bool(reach > 0)
         assert hits / trials >= 0.95
+
+
+# -- one check for every MDP the package builds -------------------------------
+
+BROKEN = ValidationReport((Violation("row-sum", (0, 0), "sums to 2.0"),))
+
+
+def checked_constructions():
+    """{failure prefix: call} of every construction that checks the MDP it
+    builds or takes; each call's inputs are built here, unchecked by it."""
+    base, params, emdp = hibernation_base(), pd_params(), random_family(1)
+    still = Perturbation(np.zeros_like(emdp.embedding),
+                         np.zeros_like(emdp.base.transition))
+    document = mdp_to_document(base)
+    return {
+        "MDP document fails validation": lambda: load_mdp(document),
+        "perturbed MDP invalid": lambda: apply_perturbation(emdp, still),
+        "quotient is not a valid MDP": lambda: bisim_quotient(base),
+        "base MDP invalid": lambda: PlayingDeadParams(base, 1e-3, 0, 0, 0.5),
+        "playing-dead MDP invalid": lambda: build_playing_dead(params),
+        "uniform-shutdown MDP invalid":
+            lambda: build_uniform_shutdown(base, 5.0),
+        "duplicated MDP invalid": lambda: build_duplicated(base, 1),
+        "random MDP invalid": lambda: random_family(1),
+    }
+
+
+@pytest.mark.parametrize("failure", sorted(checked_constructions()))
+def test_a_construction_raises_its_failure_with_the_report(monkeypatch,
+                                                           failure):
+    call = checked_constructions()[failure]
+    monkeypatch.setattr(mdp_module, "validate", lambda mdp: BROKEN)
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{failure}: {BROKEN}')}$"):
+        call()
+
+
+O_SCRIPT = """
+import sys
+from mdp_stability import mdp, random_family
+mdp.validate = lambda m: mdp.ValidationReport(
+    (mdp.Violation("row-sum", (0, 0), "sums to 2.0"),))
+try:
+    random_family(1)
+except ValueError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_a_generator_checks_its_mdp_under_python_O(tmp_path):
+    # python -O strips asserts; the check of a built MDP is not one.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", O_SCRIPT],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == f"1 random MDP invalid: {BROKEN}\n"
 
 
 class TestRandomPerturbation:
