@@ -53,8 +53,7 @@ print(f"distance(s_pd, shutdown) = {within.dist[3, 2]:.6f} "
 d_h = hausdorff_distance(cross_bisim_metric(base, variant, config))
 print(f"d_H(base, variant) = {d_h:.6f}")
 
-iso = isolation_check(variant, variant.safe_set, math.sqrt(d_h), config,
-                      metric=within)
+iso = isolation_check(variant, variant.safe_set, math.sqrt(d_h), config)
 print(f"safe set isolated at sqrt(d_H) = {math.sqrt(d_h):.4f}? "
       f"{bool(iso)} (closest outsider at {iso.min_cross_distance:.6f})")
 

@@ -359,25 +359,30 @@ class IsolationResult:
         return self.isolated
 
 
-def isolation_check(mdp: MdpSpec, subset, delta: float, config: BisimConfig,
-                    metric: CrossMetric | None = None) -> IsolationResult:
+def isolation_check(mdp: MdpSpec, subset, delta: float,
+                    config: BisimConfig) -> IsolationResult:
     """True iff every state outside ``subset`` is farther than ``delta``
     from every state inside, in the within-MDP metric.
 
     An empty or full subset is vacuously isolated and flagged as such, and
-    a state index outside [0, n_states) is rejected.  A precomputed
-    within-MDP metric may be supplied to avoid re-solving.
+    a state index outside [0, n_states) is rejected.  Only the rows of the
+    states R reachable from ``subset`` are solved: those pair-states step
+    only among themselves, so they form the metric of the closed part on R
+    against the whole MDP, at |R|*|S| pair-states instead of |S|^2.
     """
-    subset = frozenset(_state_indices(mdp.n_states, subset))
-    outside = [s for s in range(mdp.n_states) if s not in subset]
-    if not subset or not outside:
+    inside = np.zeros(mdp.n_states, dtype=bool)
+    inside[_state_indices(mdp.n_states, subset)] = True
+    if inside.all() or not inside.any():
         return IsolationResult(True, math.inf, vacuous=True)
-    if metric is None:
-        metric = cross_bisim_metric(mdp, mdp, config)
+    keep = np.flatnonzero(can_reach(mdp.transition.any(axis=1).T, inside))
+    safe = np.flatnonzero(np.isin(keep, mdp.safe_indices))
+    part = checked(MdpSpec([mdp.state_ids[s] for s in keep], mdp.action_ids,
+                           mdp.transition[keep][:, :, keep], mdp.reward[keep],
+                           mdp.discount, safe), "closed part invalid")
+    metric = cross_bisim_metric(part, mdp, config)
     if not metric.converged:
         raise NonConvergence("within-MDP metric did not converge")
-    sub = metric.dist[np.ix_(sorted(subset), outside)]
-    closest = float(sub.min())
+    closest = float(metric.dist[np.ix_(inside[keep], ~inside)].min())
     return IsolationResult(closest > delta, closest)
 
 

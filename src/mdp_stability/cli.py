@@ -14,6 +14,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -575,6 +576,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._t0 = time.monotonic()
     try:
+        # An unusable --out fails before the work.  Append mode leaves an
+        # existing file's bytes as they are, and a file this check made is
+        # removed again, so that only _emit writes the artifact.
+        if args.out:
+            existed = os.path.lexists(args.out)
+            open(args.out, "a").close()
+            if not existed:
+                os.remove(args.out)
         return args.func(args)
     # A path that cannot be read or written, or an instance too large to
     # allocate or to draw, is an input error too.

@@ -13,9 +13,9 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            expected_steps, finite_difference_jacobian,
                            induce_chain, metric_update)
 from mdp_stability import bisim
-from mdp_stability.bisim import _PairSweep
+from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
-                               Violation, can_reach)
+                               Violation, _state_indices, can_reach)
 from mdp_stability.onpolicy import ROW_TOL, perturbation_size, spectral_radius
 from mdp_stability.safety import _policy_table, start_charge
 from mdp_stability.transport import BatchedTransport
@@ -755,3 +755,17 @@ def reference_duplicated(mdp, state, copies):
     if state in mdp.safe_set:
         safe.update(group[1:])
     return tuple(ids), P, r, frozenset(safe)
+
+
+def reference_isolation(mdp, subset, delta, config):
+    """``bisim.isolation_check`` read off the whole |S|^2 within-MDP
+    metric: its subset rows and outside columns."""
+    subset = frozenset(_state_indices(mdp.n_states, subset))
+    outside = [s for s in range(mdp.n_states) if s not in subset]
+    if not subset or not outside:
+        return IsolationResult(True, math.inf, vacuous=True)
+    metric = bisim.cross_bisim_metric(mdp, mdp, config)
+    if not metric.converged:
+        raise NonConvergence("within-MDP metric did not converge")
+    closest = float(metric.dist[np.ix_(sorted(subset), outside)].min())
+    return IsolationResult(closest > delta, closest)

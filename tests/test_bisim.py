@@ -9,12 +9,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helpers import (fresh_lp_metric, loop_built_sweep, random_mdp,
-                     reference_pair_evaluate, scattered_couplings,
+                     reference_isolation, reference_pair_evaluate,
+                     reference_value_iteration, scattered_couplings,
                      shift_applications)
 from mdp_stability import bisim
 from mdp_stability.mdp import POLICY_ROUNDS, PROB_TOL, strong_components
 from mdp_stability import (BisimConfig, CrossMetric, MdpSpec, NonConvergence,
-                           bisim_quotient, build_duplicated,
+                           PlayingDeadParams, bisim_quotient,
+                           build_duplicated, build_playing_dead,
                            cross_bisim_metric, hausdorff_distance,
                            align_reward_scale, induce_chain, isolation_check,
                            iteration_bound, metric_update, Policy,
@@ -524,14 +526,98 @@ class TestAlignment:
             align_reward_scale(mdp, mdp, CFG, grid=2)
 
 
+@st.composite
+def isolation_cases(draw):
+    """(mdp, subset, delta, config): random_family bases of 3 to 8 states,
+    their duplicated and playing-dead variants, under a closed subset (the
+    safe set), a drawn one (often not closed, sometimes out of range), the
+    whole state set and the empty one, at c_T 0.5 or 0.9."""
+    n = draw(st.integers(3, 8))
+    n_actions = draw(st.integers(1, 2))
+    mdp = random_family(draw(st.integers(0, 2 ** 16)), (n, n_actions, 1),
+                        sparsity=draw(st.sampled_from([0.3, 0.6, 1.0]))).base
+    kind = draw(st.sampled_from(["base", "duplicated", "playing-dead"]))
+    if kind == "duplicated":
+        mdp = build_duplicated(mdp, draw(st.integers(0, n - 1)),
+                               copies=draw(st.integers(2, 3)))
+    elif kind == "playing-dead":
+        mdp = build_playing_dead(PlayingDeadParams(
+            base=mdp, delta=(1.0 - mdp.discount) * 0.5 / (20.0 * n),
+            escape_state=int(np.argmax(
+                reference_value_iteration(mdp).values)),
+            escape_action=draw(st.integers(0, n_actions - 1)), epsilon=0.5))
+    n = mdp.n_states
+    kind = draw(st.sampled_from(["safe", "safe", "drawn", "drawn", "drawn",
+                                 "whole", "empty"]))
+    if kind == "drawn":
+        subset = draw(st.sets(st.integers(-1, n), min_size=1, max_size=n))
+    else:
+        subset = {"safe": mdp.safe_set, "whole": set(range(n)),
+                  "empty": set()}[kind]
+    c_T = draw(st.sampled_from([0.5, 0.9]))
+    config = BisimConfig(c_R=1.0 - c_T, c_T=c_T, tolerance=1e-6)
+    return mdp, subset, draw(st.floats(0.0, 0.5)), config
+
+
+def outcome(check, *args):
+    """The result of ``check(*args)``, or its ValueError's message."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestIsolation:
+    @settings(max_examples=150, deadline=None)
+    @given(isolation_cases())
+    def test_matches_the_whole_within_metric(self, case):
+        mdp, subset, delta, config = case
+        result = outcome(isolation_check, mdp, subset, delta, config)
+        expected = outcome(reference_isolation, mdp, subset, delta, config)
+        if isinstance(expected, str) or expected.vacuous:
+            assert result == expected
+            return
+        assert not result.vacuous
+        gap = abs(result.min_cross_distance - expected.min_cross_distance)
+        assert gap <= 2 * config.tolerance
+        if abs(expected.min_cross_distance - delta) > 2 * config.tolerance:
+            assert result.isolated == expected.isolated
+        # With every state reachable from the subset the closed part is the
+        # MDP itself, so the answer has the whole metric's bits.
+        reach = np.zeros(mdp.n_states, dtype=bool)
+        reach[list(subset)] = True
+        steps = mdp.transition.any(axis=1)
+        for _ in range(mdp.n_states):
+            reach |= steps[reach].any(axis=0)
+        if reach.all():
+            assert result == expected
+
+    def test_safe_set_solves_one_row(self, monkeypatch):
+        rows = []
+        solve = bisim.cross_bisim_metric
+
+        def recorded(m1, m2, config):
+            rows.append(m1.n_states)
+            return solve(m1, m2, config)
+
+        monkeypatch.setattr(bisim, "cross_bisim_metric", recorded)
+        mdp = random_family(1, (40, 2, 2)).base
+        result = isolation_check(mdp, mdp.safe_set, 0.1, CFG)
+        assert rows == [1] and not result.vacuous
+
     def test_threshold_sides(self):
-        mdp = random_mdp(2, n_states=3)
-        dist = np.full((3, 3), 0.5)
-        np.fill_diagonal(dist, 0.0)
-        metric = CrossMetric(dist, CFG, 1, 0.0)
-        assert isolation_check(mdp, {0}, 0.4, CFG, metric=metric)
-        assert not isolation_check(mdp, {0}, 0.6, CFG, metric=metric)
+        # A zero-reward absorbing safe state and absorbing states earning
+        # r sit at d = c_R*r/(1 - c_T) = r under CFG.
+        rewards = np.array([[0.0], [0.5], [2.0]])
+        P = np.zeros((3, 1, 3))
+        P[[0, 1, 2], 0, [0, 1, 2]] = 1.0
+        mdp = MdpSpec(("safe", "half", "two"), ("a",), P, rewards, 0.9, {0})
+        closest = CFG.c_R * 0.5 / (1.0 - CFG.c_T)
+        assert closest == pytest.approx(0.5)
+        below = isolation_check(mdp, {0}, closest - 1e-3, CFG)
+        assert below and below.min_cross_distance == pytest.approx(
+            closest, abs=CFG.tolerance)
+        assert not isolation_check(mdp, {0}, closest + 1e-3, CFG)
 
     @pytest.mark.parametrize("subset", [{-1}, {0, -1}, {4}, {1, 7}])
     def test_state_outside_the_range_is_rejected(self, subset):

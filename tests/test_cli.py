@@ -1069,6 +1069,36 @@ def test_input_failure_exits_2_on_one_line(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("out", ["", "missing/out.json"],
+                         ids=["directory", "missing parent"])
+def test_unusable_out_fails_before_the_work(tmp_path, capsys, out):
+    path = write_doc(tmp_path / "m.json", hibernation_doc())
+    certify = mock.Mock(wraps=safety.certify_safety)
+    with mock.patch.object(cli, "certify_safety", certify):
+        assert main(["certify", path, "--epsilon", "0.5",
+                     "--out", str(tmp_path / out)]) == 2
+    certify.assert_not_called()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("existing", [b"kept bytes\n", None],
+                         ids=["existing", "new"])
+def test_failed_command_leaves_out_as_it_found_it(tmp_path, existing):
+    # The --out test runs first, then the safe start fails the command.
+    path = write_doc(tmp_path / "m.json", hibernation_doc())
+    out = tmp_path / "out.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(["certify", path, "--epsilon", "0.5", "--start", "shutdown",
+                 "--out", str(out)]) == 2
+    assert (out.read_bytes() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["m.json"] + (["out.json"] if existing is not None else []))
+
+
 def test_out_of_range_flag_exits_2_from_a_process(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "mdp_stability.cli",

@@ -156,16 +156,26 @@ def ancestors(name, classes):
     return {c.__name__ for c in cls.__mro__}
 
 
+def main_handled():
+    """The exception class names that ``cli.main``'s handlers catch, each
+    element of a tuple clause read as its own name."""
+    main = next(node for node in ast.walk(MODULES["cli"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    return {ast.unparse(name).split(".")[-1]
+            for handler in ast.walk(main)
+            if isinstance(handler, ast.ExceptHandler)
+            for name in (handler.type.elts
+                         if isinstance(handler.type, ast.Tuple)
+                         else [handler.type])}
+
+
 def test_every_raised_exception_maps_to_an_exit_code():
     classes = {node.name: [ast.unparse(base) for base in node.bases]
                for tree in MODULES.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
-    main = next(node for node in ast.walk(MODULES["cli"])
-                if isinstance(node, ast.FunctionDef) and node.name == "main")
-    handled = {ast.unparse(handler.type).split(".")[-1]
-               for handler in ast.walk(main)
-               if isinstance(handler, ast.ExceptHandler)}
-    assert {"ValueError", "NonConvergence", "RuntimeError"} <= handled
+    handled = main_handled()
+    assert {"ValueError", "NonConvergence", "RuntimeError",
+            "OSError"} <= handled
     unmapped = sorted(
         (module, function, name)
         for module, function, name in raised_classes()
@@ -177,14 +187,7 @@ def test_every_raised_exception_maps_to_an_exit_code():
 def test_main_maps_unusable_paths_and_instances_to_input_errors():
     # A path that cannot be read or written (OSError) and an instance too
     # large to allocate (MemoryError) or to draw (OverflowError).
-    main = next(node for node in ast.walk(MODULES["cli"])
-                if isinstance(node, ast.FunctionDef) and node.name == "main")
-    handled = {ast.unparse(name) for handler in ast.walk(main)
-               if isinstance(handler, ast.ExceptHandler)
-               for name in (handler.type.elts
-                            if isinstance(handler.type, ast.Tuple)
-                            else [handler.type])}
-    assert {"OSError", "OverflowError", "MemoryError"} <= handled
+    assert {"OSError", "OverflowError", "MemoryError"} <= main_handled()
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
