@@ -47,7 +47,7 @@ print(f"transient states: {sorted(analysis.s_trans)}, spectral radius "
 print("\nperturbation sweep (size -> observed decrease rate vs bound):")
 for k, size in enumerate((1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
     pert = random_perturbation(emdp, policy, size, seed=k, state_share=0.7)
-    r = rate_of_decrease_check(emdp, policy, pert, start)
+    r = rate_of_decrease_check(emdp, policy, pert, analysis)
     print(f"  {size:<8.0e} delta S_pi {r.delta_s_pi:+.2e}  "
           f"ratio {r.ratio:9.4f}  < B(M) {r.bound_B:.2f}: {r.within_bound}")
 
@@ -63,7 +63,8 @@ N = 100.0
 pert = Perturbation(np.zeros((2, 1)),
                     build_uniform_shutdown(dead, N).transition
                     - dead.transition)
-jump = rate_of_decrease_check(dead_e, uniform, pert)
+jump = rate_of_decrease_check(dead_e, uniform, pert, analyze_chain(
+    dead_e, uniform, StartDistribution.uniform_over(2, dead.nonsafe_indices)))
 print(f"\ndead chain + uniform 1/{N:.0f} shutdown blend: size "
       f"{jump.size:.3f}, S_pi jumps {jump.s_pi_before:.0f} -> "
       f"{jump.s_pi_after:.0f} (upward jumps are unbounded)")

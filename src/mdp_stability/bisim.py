@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import (MdpSpec, _frozen, _state_indices, can_reach, checked,
-                  policy_iteration, strong_components)
+from .mdp import (MdpSpec, _fresh_id, _frozen, _state_indices, can_reach,
+                  checked, policy_iteration, strong_components)
 from .transport import BatchedTransport
 
 __all__ = [
@@ -462,8 +462,14 @@ def bisim_quotient(mdp: MdpSpec, merge_tol: float = 1e-9) -> QuotientResult:
     P_q, r_q = np.minimum(sums[reps], 1.0), r[reps]
 
     safe_q = frozenset(int(lift[s]) for s in mdp.safe_set)
-    ids = tuple("+".join(str(mdp.state_ids[s]) for s in members)
-                for members in classes)
+    # A singleton keeps its state's id; a merged class joins its members'
+    # ids, primed past every id already taken.
+    names = ["+".join(str(mdp.state_ids[s]) for s in members)
+             for members in classes]
+    taken = {name for name, members in zip(names, classes)
+             if len(members) == 1}
+    ids = tuple(name if len(members) == 1 else _fresh_id(name, taken)
+                for name, members in zip(names, classes))
     quotient = checked(MdpSpec(ids, mdp.action_ids, P_q, r_q, mdp.discount,
                                safe_q), "quotient is not a valid MDP")
     return QuotientResult(tuple(classes), quotient, lift)

@@ -362,15 +362,14 @@ def cmd_onpolicy_sweep(args):
     policy = load_toy_policy(args.policy)
     sizes = _parse_ladder(args.sizes, "size")
     seed = _seed(args)
-    start = StartDistribution.uniform_over(emdp.base.n_states,
-                                           emdp.base.nonsafe_indices)
-    base = analyze_chain(emdp, policy, start)
+    base = analyze_chain(emdp, policy, StartDistribution.uniform_over(
+        emdp.base.n_states, emdp.base.nonsafe_indices))
     plan = perturbation_support(emdp.base)
     rows = []
     for k, size in enumerate(sizes):
         pert = random_perturbation(emdp, policy, size, seed=seed + k,
                                    plan=plan)
-        report = rate_of_decrease_check(emdp, policy, pert, start, base)
+        report = rate_of_decrease_check(emdp, policy, pert, base)
         rows.append({"size": size, "kind": "random",
                      **report.to_document()})
     if args.big_n is not None:
@@ -379,7 +378,7 @@ def cmd_onpolicy_sweep(args):
         modified = build_uniform_shutdown(emdp.base, args.big_n)
         pert = Perturbation(np.zeros_like(emdp.embedding),
                             modified.transition - emdp.base.transition)
-        report = rate_of_decrease_check(emdp, policy, pert, start, base)
+        report = rate_of_decrease_check(emdp, policy, pert, base)
         rows.append({"size": report.size, "kind": "uniform-shutdown",
                      **report.to_document()})
     document = {"rows": rows, "seed": args.seed}
@@ -419,15 +418,13 @@ def cmd_stability_experiment(args):
     for size in sizes:
         jitter = rng.uniform(-size, size, size=mdp.reward.shape)
         perturbed = mdp.with_rewards(mdp.reward + jitter)
-        report = verify_stability_instance(mdp, perturbed, args.big_n,
-                                           args.epsilon, config, base)
+        report = verify_stability_instance(mdp, perturbed, config, base)
         rows.append({"size": size, "kind": "reward-jitter",
                      **report.to_document()})
         if report.conclusion_holds:
             largest_holding = size
     if variant is not None:
-        report = verify_stability_instance(mdp, variant, args.big_n,
-                                           args.epsilon, config, base)
+        report = verify_stability_instance(mdp, variant, config, base)
         rows.append({"size": args.delta, "kind": "playing-dead",
                      **report.to_document()})
     document = {"rungs": rows, "largest_size_holding": largest_holding,

@@ -87,6 +87,15 @@ def _index_by_text(ids, name, kind):
     return texts.index(str(name))
 
 
+def _fresh_id(name: str, taken: set) -> str:
+    """``name`` with ' appended until its text form is none of ``taken``
+    (a set of text forms), which then holds it too."""
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
 def _repeats(ids):
     """Whether two ids are equal or share a text form, which the command
     line and the artifacts' keys could not tell apart."""
@@ -162,9 +171,11 @@ class MdpSpec:
         return _index_by_text(self.action_ids, action_id, "action")
 
     def with_rewards(self, reward) -> "MdpSpec":
-        """Copy with a replaced reward table (used by reward-scale alignment)."""
-        return MdpSpec(self.state_ids, self.action_ids, self.transition,
-                       reward, self.discount, self.safe_set)
+        """Checked copy with a replaced reward table (reward-scale alignment
+        and reward jitter)."""
+        return checked(MdpSpec(self.state_ids, self.action_ids,
+                               self.transition, reward, self.discount,
+                               self.safe_set), "reward variant invalid")
 
 
 @dataclass(frozen=True)
@@ -224,7 +235,8 @@ class InducedChain:
         object.__setattr__(self, "absorb", _frozen(self.absorb))
         object.__setattr__(self, "index_map", _frozen(self.index_map, dtype=int))
         rows = self.Q.sum(axis=-1) + self.absorb
-        if self.Q.size and np.max(np.abs(rows - 1.0)) > PROB_TOL:
+        # A NaN row fails the test; its maximum would compare false.
+        if self.Q.size and not np.all(np.abs(rows - 1.0) <= PROB_TOL):
             raise ValueError("chain rows + absorption must sum to 1")
 
     @property
@@ -251,7 +263,8 @@ class StartDistribution:
         if np.any(w < 0):
             raise ValueError("start weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"start weights must sum to 1, got {w.sum()!r}")
+            raise ValueError(f"start weights must sum to 1, "
+                             f"got {float(w.sum())!r}")
 
     @classmethod
     def point_mass(cls, n_states, state):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,12 +234,14 @@ def decrease_bound(P: np.ndarray, safe):
 
 @dataclass(frozen=True)
 class OnPolicyAnalysis:
-    """Shutdown probability and decrease bound of one (MDP, policy) pair."""
+    """Shutdown probability and decrease bound of one (MDP, policy) pair,
+    with the start distribution the probability was taken from."""
 
     s_trans: frozenset
     lambda1: float
     safety: float
     bound_B: float
+    start: StartDistribution = field(compare=False)
 
     def to_document(self):
         return {"s_trans": sorted(self.s_trans), "lambda1": self.lambda1,
@@ -253,7 +255,7 @@ def analyze_chain(emdp: EmbeddedMdp, policy: DiffPolicy,
     trans, lam, bound = decrease_bound(P, safe)
     return OnPolicyAnalysis(trans, lam,
                             shutdown_probability(P, safe, start, trans),
-                            bound)
+                            bound, start)
 
 
 def perturbation_size(emdp: EmbeddedMdp, policy: DiffPolicy,
@@ -404,27 +406,18 @@ class RateReport:
 
 def rate_of_decrease_check(emdp: EmbeddedMdp, policy: DiffPolicy,
                            pert: Perturbation,
-                           start: StartDistribution | None = None,
-                           base: OnPolicyAnalysis | None = None) -> RateReport:
+                           base: OnPolicyAnalysis) -> RateReport:
     """Exact shutdown probabilities before/after the perturbation and the
     observed decrease rate against the bound of the base chain.
 
-    ``start`` defaults to uniform over non-safe states.  ``base`` is
-    ``analyze_chain(emdp, policy, start)``, computed when not given, so
-    that a ladder of perturbations analyses the base chain once; it needs
-    the ``start`` it was analysed from.
+    ``base`` is ``analyze_chain(emdp, policy, start)``; the perturbed chain
+    is read from the same start, so that a ladder of perturbations
+    analyses the base chain once.
     """
-    if base is not None and start is None:
-        raise ValueError("a given base analysis needs its start distribution")
-    if start is None:
-        start = StartDistribution.uniform_over(
-            emdp.base.n_states, emdp.base.nonsafe_indices)
-    if base is None:
-        base = analyze_chain(emdp, policy, start)
     safe = emdp.base.safe_set
     P_new = realize_chain(apply_perturbation(emdp, pert), policy)
     trans_new = transient_set(P_new, safe)
-    after = shutdown_probability(P_new, safe, start, trans_new)
+    after = shutdown_probability(P_new, safe, base.start, trans_new)
     size = perturbation_size(emdp, policy, pert)
     ratio = 0.0 if size == 0.0 else -(after - base.safety) / size
     return RateReport(

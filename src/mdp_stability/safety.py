@@ -750,19 +750,24 @@ class StabilityReport:
         }
 
 
-def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
-                              epsilon: float, config: BisimConfig,
+def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec,
+                              config: BisimConfig,
                               base: SafetyCertificate) -> StabilityReport:
     """Measure d_H(m, m'), test isolation of the perturbed safe set at
     threshold sqrt(d_H), certify m' at (N+1, eps/2), and report whether it
     came out safe.  ``base`` is m's certificate at (N, eps), as
-    certify_safety(m, SafetyQuery(epsilon), N_values=(N,)) gives it, so
-    that a ladder over one m certifies it once."""
+    certify_safety(m, SafetyQuery(eps), N_values=(N,)) gives it, so that a
+    ladder over one m certifies it once; N and eps are read from it, and a
+    base taken at no N or at several is rejected."""
+    if len(base.is_safe_for) != 1:
+        raise ValueError(f"the base certificate must be taken at one N, got "
+                         f"{len(base.is_safe_for)}")
+    [(N, base_safe)] = base.is_safe_for
     metric = cross_bisim_metric(m, m_prime, config)
     d_h = hausdorff_distance(metric)
     isolation = isolation_check(m_prime, m_prime.safe_set, math.sqrt(d_h),
                                 config)
-    cert_pert = certify_safety(m_prime, SafetyQuery(epsilon / 2.0),
+    cert_pert = certify_safety(m_prime, SafetyQuery(base.epsilon / 2.0),
                                N_values=(N + 1.0,))
     return StabilityReport(
         d_h=d_h,
@@ -770,8 +775,8 @@ def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec, N: float,
         base_certificate=base,
         perturbed_certificate=cert_pert,
         N=N,
-        epsilon=epsilon,
-        base_safe=base.worst_time <= N,
+        epsilon=base.epsilon,
+        base_safe=base_safe,
         conclusion_holds=cert_pert.worst_time <= N + 1.0,
     )
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import MdpSpec, _sealed, checked, value_iteration
+from .mdp import (MdpSpec, _fresh_id, _sealed, _state_indices, checked,
+                  value_iteration)
 from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation, perturbation_size
 
 __all__ = [
@@ -63,8 +64,7 @@ class PlayingDeadParams:
         if not 0.0 < self.delta < limit or self.delta > 1.0:
             raise ValueError(f"delta must lie in (0, {limit!r}) and be at "
                              f"most 1, got {self.delta!r}")
-        if not 0 <= self.escape_state < base.n_states:
-            raise ValueError("escape_state out of range")
+        _state_indices(base.n_states, [self.escape_state])
         if not 0 <= self.escape_action < base.n_actions:
             raise ValueError("escape_action out of range")
         v_star = value_iteration(base, 1e-10).values
@@ -102,9 +102,7 @@ def build_playing_dead(params: PlayingDeadParams) -> MdpSpec:
     r[:n] = base.reward
     r[pd, params.escape_action] = delta
 
-    pd_id = "s_pd"
-    while pd_id in base.state_ids:
-        pd_id += "'"
+    pd_id = _fresh_id("s_pd", {str(i) for i in base.state_ids})
     return checked(MdpSpec(base.state_ids + (pd_id,), base.action_ids, P, r,
                            base.discount, base.safe_set),
                    "playing-dead MDP invalid")
@@ -143,8 +141,7 @@ def build_duplicated(mdp: MdpSpec, state: int, copies: int = 2) -> MdpSpec:
     """
     if copies < 2:
         raise ValueError("need at least 2 copies")
-    if not 0 <= state < mdp.n_states:
-        raise ValueError("state index out of range")
+    _state_indices(mdp.n_states, [state])
     n, n_a = mdp.n_states, mdp.n_actions
     m = n + copies - 1
     P = np.zeros((m, n_a, m))
@@ -157,8 +154,10 @@ def build_duplicated(mdp: MdpSpec, state: int, copies: int = 2) -> MdpSpec:
     r[:n] = mdp.reward
     r[n:] = mdp.reward[state]
 
-    ids = mdp.state_ids + tuple(f"{mdp.state_ids[state]}#{k}"
-                                for k in range(2, copies + 1))
+    taken = {str(i) for i in mdp.state_ids}
+    ids = mdp.state_ids + tuple(
+        _fresh_id(f"{mdp.state_ids[state]}#{k}", taken)
+        for k in range(2, copies + 1))
     safe = set(mdp.safe_set)
     if state in mdp.safe_set:
         safe.update(range(n, m))

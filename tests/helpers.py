@@ -10,8 +10,9 @@ from scipy.optimize import linprog
 from scipy.sparse.linalg import spsolve
 
 from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
-                           expected_steps, finite_difference_jacobian,
-                           induce_chain, metric_update)
+                           StartDistribution, analyze_chain, expected_steps,
+                           finite_difference_jacobian, induce_chain,
+                           metric_update)
 from mdp_stability import bisim
 from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
@@ -96,6 +97,13 @@ def _solve_blocks(blocks):
         out.append((float(c[block] @ x[block]), x[block].reshape(m, n),
                     duals[r0:r0 + m], duals[r0 + m:r0 + m + n]))
     return out
+
+
+def uniform_base(emdp, policy):
+    """The on-policy analysis from the uniform start over non-safe
+    states, the base that ``onpolicy-sweep`` checks its ladder against."""
+    return analyze_chain(emdp, policy, StartDistribution.uniform_over(
+        emdp.base.n_states, emdp.base.nonsafe_indices))
 
 
 def random_distribution(rng, n, sparse=False):

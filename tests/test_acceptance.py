@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from helpers import brute_force_transport, random_mdp
+from helpers import brute_force_transport, random_mdp, uniform_base
 from mdp_stability import (BisimConfig, MdpSpec, Policy, PlayingDeadParams,
                            SafetyQuery, StartDistribution, TransportProblem,
                            bisim_quotient, build_duplicated,
@@ -225,7 +225,8 @@ def test_criterion_7_on_policy_bound_ledger():
         pert = random_perturbation(emdp, policy, size, seed)
         bound_report = chain_perturbation_bound(emdp, policy, pert)
         ok &= bound_report.aggregate_ok
-        rate = rate_of_decrease_check(emdp, policy, pert)
+        rate = rate_of_decrease_check(emdp, policy, pert,
+                                      uniform_base(emdp, policy))
         ok &= rate.within_bound
         ok &= rate.trans_preserved
     report(7, "on-policy ledger over 100 seeded instances: |dP|_1 within "
@@ -247,7 +248,8 @@ def test_criterion_8_semicontinuity_witnesses():
     modified = build_uniform_shutdown(base, N)
     pert = Perturbation(np.zeros((2, 1)),
                         modified.transition - base.transition)
-    jump = rate_of_decrease_check(emdp, policy, pert)
+    jump = rate_of_decrease_check(emdp, policy, pert,
+                                  uniform_base(emdp, policy))
     ok = jump.size <= 0.1 and jump.delta_s_pi >= 0.99
 
     # Lower-semicontinuity witness: sub-threshold rungs never drop the
@@ -256,9 +258,10 @@ def test_criterion_8_semicontinuity_witnesses():
     rng = np.random.default_rng(2)
     policy2 = tighten_policy_bound(
         make_toy_policy(rng.standard_normal((2, 3))), emdp2.embedding)
+    base2 = uniform_base(emdp2, policy2)
     for k, size in enumerate((1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
         pert2 = random_perturbation(emdp2, policy2, size, seed=k)
-        r = rate_of_decrease_check(emdp2, policy2, pert2)
+        r = rate_of_decrease_check(emdp2, policy2, pert2, base2)
         ok &= bool(r.s_pi_after > r.s_pi_before - r.bound_B * r.size)
     report(8, "semicontinuity: uniform shutdown jumps S_pi by >= 0.99 at "
               "size <= 0.1; sweep stays above the linear envelope", ok)

@@ -62,6 +62,16 @@ class TestCrossMetric:
         with pytest.raises(NonConvergence):
             hausdorff_distance(metric)
 
+    @pytest.mark.parametrize("call", [
+        lambda mdp: isolation_check(mdp, mdp.safe_set, 0.1, CFG),
+        bisim_quotient], ids=["isolation", "quotient"])
+    def test_a_spent_budget_stops_isolation_and_the_quotient(
+            self, monkeypatch, call):
+        monkeypatch.setattr(bisim, "MAX_APPLICATIONS", 1)
+        with pytest.raises(NonConvergence, match="within-MDP metric did not "
+                           "converge"):
+            call(random_mdp(1))
+
     def test_document_keys(self):
         metric = cross_bisim_metric(one_state_mdp(1.0), one_state_mdp(2.0),
                                     CFG)
@@ -421,6 +431,12 @@ class TestContraction:
         lhs = np.max(np.abs(metric_update(m1, m2, CFG, d1)
                             - metric_update(m1, m2, CFG, d2)))
         assert lhs <= CFG.c_T * np.max(np.abs(d1 - d2)) + 1e-9
+
+    def test_update_rejects_a_distance_matrix_of_another_shape(self):
+        m1, m2 = random_mdp(1), random_mdp(2, n_states=5)
+        for shape in [(4, 4), (5, 4), (4, 5, 1)]:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                metric_update(m1, m2, CFG, np.zeros(shape))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_update_rejects_non_finite_distances(self, bad):

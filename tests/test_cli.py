@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (random_mdp, reference_certify, reference_render_json,
-                     shift_applications)
+                     shift_applications, uniform_base)
 from mdp_stability import (MdpSpec, Perturbation, SafetyQuery,
                            StartDistribution, build_uniform_shutdown,
                            load_embedded, load_mdp, load_toy_policy,
@@ -321,6 +321,21 @@ class TestQuotientInputs:
         assert out["classes"] == [[0, 1], [2]]
         assert out["quotient"]["states"] == ["0+1", "2"]
 
+    def test_a_merged_class_is_primed_past_a_kept_id(self, tmp_path,
+                                                     capsys):
+        # a and b merge; the class name "a+b" is already the id of the
+        # state that stays alone, which keeps it.
+        doc = {"states": ["a", "b", "a+b", "safe"], "actions": ["x"],
+               "transitions": [[[0, 0, 0, 1]], [[0, 0, 0, 1]],
+                               [[0.5, 0, 0, 0.5]], [[0, 0, 0, 1]]],
+               "rewards": [[1.0], [1.0], [0.3], [0.0]], "discount": 0.9,
+               "safe": ["safe"]}
+        path = write_doc(tmp_path / "m.json", doc)
+        assert main(["quotient", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["classes"] == [["a", "b"], ["a+b"], ["safe"]]
+        assert out["quotient"]["states"] == ["a+b'", "a+b", "safe"]
+
 
 def numeric_doc():
     """hibernation_doc with the states named 0, 1, 2 and the actions 0, 1."""
@@ -520,6 +535,21 @@ class TestGenerators:
         assert len(doc["states"]) == 5
         load_mdp(doc)
 
+    def test_duplicate_primes_a_copy_id_already_taken(self, tmp_path,
+                                                      capsys):
+        doc = {"states": ["s1", "s1#2", "safe"], "actions": ["a"],
+               "transitions": [[[0.5, 0, 0.5]], [[0, 0.5, 0.5]],
+                               [[0, 0, 1]]],
+               "rewards": [[1.0], [0.5], [0.0]], "discount": 0.9,
+               "safe": ["safe"]}
+        path = write_doc(tmp_path / "m.json", doc)
+        for copies, added in [(2, ["s1#2'"]), (3, ["s1#2'", "s1#3"])]:
+            assert main(["duplicate", path, "--state", "s1",
+                         "--copies", str(copies)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["states"] == doc["states"] + added
+            load_mdp(out)
+
     def test_random_is_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -598,8 +628,9 @@ class TestOnPolicyCommands:
                 modified.transition - emdp.base.transition))
         monkeypatch.undo()
         assert len(rows) == len(perts)
+        base = uniform_base(emdp, policy)
         for row, pert in zip(rows, perts):
-            report = rate_of_decrease_check(emdp, policy, pert)
+            report = rate_of_decrease_check(emdp, policy, pert, base)
             assert {k: v for k, v in row.items() if k != "kind"} \
                 == json.loads(render_json(report.to_document()))
 
@@ -926,11 +957,12 @@ class TestStabilityExperiment:
         once = capsys.readouterr().out
         assert certify.call_count == len(json.loads(once)["rungs"]) + 1
 
-        def every_rung(m, m_prime, N, epsilon, config, base):
+        def every_rung(m, m_prime, config, base):
             return safety.verify_stability_instance(
-                m, m_prime, N, epsilon, config,
-                safety.certify_safety(m, SafetyQuery(epsilon),
-                                      N_values=(N,)))
+                m, m_prime, config,
+                safety.certify_safety(m, SafetyQuery(base.epsilon),
+                                      N_values=[n for n, _ in
+                                                base.is_safe_for]))
 
         with mock.patch.object(cli, "verify_stability_instance", every_rung):
             assert main(argv) == 0
@@ -1147,6 +1179,14 @@ UNUSABLE_INPUT = [
     (["duplicate", "@m", "--state", "nope"], "unknown state id 'nope'"),
     (["uniform-shutdown", "@m", "--big-n", "5", "--target", "nope"],
      "unknown state id 'nope'"),
+    (["uniform-shutdown", "@m", "--big-n", "5", "--target", "work"],
+     "target must be a safe state"),
+    # Only tables have a CSV projection; documents and generated MDPs
+    # do not.
+    (["onpolicy", "@e", "@p", "--format", "csv"],
+     "this command has no CSV projection"),
+    (["duplicate", "@m", "--state", "wrap", "--format", "csv"],
+     "this command has no CSV projection"),
     (["playing-dead", "@m", "--delta", "1e-3", "--epsilon", "0.5",
       "--escape-state", "nope", "--escape-action", "go"],
      "unknown state id 'nope'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,8 @@ from scipy.sparse.csgraph import connected_components
 from helpers import (best_value_by_enumeration, gathered_chains,
                      policy_evaluation, random_mdp, reference_validate,
                      reference_value_iteration)
-from mdp_stability import (MdpSpec, Perturbation, PlayingDeadParams, Policy,
+from mdp_stability import (InducedChain, MdpSpec, Perturbation,
+                           PlayingDeadParams, Policy, ValueFunction,
                            build_duplicated, build_playing_dead,
                            greedy_policy, induce_chain, load_mdp,
                            mdp_from_document, mdp_to_document, validate,
@@ -134,6 +136,16 @@ def faulty_mdps(draw):
     if "safe-range" in faults:
         safe.add(draw(st.sampled_from([-1, n])))
     return MdpSpec(states, actions, P, r, discount, safe)
+
+
+@pytest.mark.parametrize("reward,code", [
+    ([[math.inf, 0.0], [0.0, 0.0]], "non-finite"),
+    ([[0.0, math.nan], [0.0, 0.0]], "non-finite"),
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "reward-shape"),
+    ([0.0, 0.0], "reward-shape")])
+def test_reward_variants_are_checked(reward, code):
+    with pytest.raises(ValueError, match=f"reward variant invalid: {code}"):
+        two_state_mdp().with_rewards(np.array(reward))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -259,6 +271,11 @@ class TestInduceChain:
                 assert chain.Q[ci, cj] == direct
             rows = chain.Q[ci].sum() + chain.absorb[ci]
             assert rows == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("absorb", [[0.4], [0.6], [math.nan]])
+    def test_chain_rows_must_sum_to_one(self, absorb):
+        with pytest.raises(ValueError, match="absorption must sum to 1"):
+            InducedChain([[0.5]], absorb, [0])
 
     def test_rejects_a_table_of_another_length(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -435,6 +452,15 @@ class TestValueIteration:
         mdp = MdpSpec(("s",), ("a",), [[[1.0]]], [[1.0]], 1.0, set())
         with pytest.raises(ValueError):
             value_iteration(mdp)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_rejects_a_tolerance_not_above_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            value_iteration(two_state_mdp(), tol)
+
+    def test_rejects_a_negative_residual(self):
+        with pytest.raises(ValueError, match="residual must be nonnegative"):
+            ValueFunction(np.zeros(2), -1e-12)
 
 
 @st.composite
@@ -659,7 +685,7 @@ class TestJsonDocuments:
         reward = mdp.reward.copy()
         reward[0, 0] = math.inf
         with pytest.raises(ValueError, match="non-finite"):
-            value_iteration(mdp.with_rewards(reward))
+            value_iteration(dataclasses.replace(mdp, reward=reward))
 
     def test_unknown_safe_state_rejected(self):
         doc = mdp_to_document(two_state_mdp())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (reference_bound_and_slack, reference_jacobian_l1_norm,
                      reference_realize_chain, reference_toy_policy,
-                     validate_diff_policy)
+                     uniform_base, validate_diff_policy)
 from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            StartDistribution, analyze_chain,
                            build_uniform_shutdown, chain_perturbation_bound,
@@ -18,9 +19,9 @@ from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            rate_of_decrease_check, realize_chain,
                            shutdown_probability, tighten_policy_bound)
 from mdp_stability import onpolicy
-from mdp_stability.onpolicy import (decrease_bound, jacobian_l1_norm,
-                                    perturbation_size, spectral_radius,
-                                    transient_set)
+from mdp_stability.onpolicy import (apply_perturbation, decrease_bound,
+                                    jacobian_l1_norm, perturbation_size,
+                                    spectral_radius, transient_set)
 from mdp_stability.mdp import strong_components
 from mdp_stability.scenarios import random_family, random_perturbation
 
@@ -73,6 +74,18 @@ class TestRealizeChain:
                          lambda x: np.zeros((2, emdp.dim)), 0.0)
         with pytest.raises(ValueError, match="invalid"):
             realize_chain(emdp, bad)
+
+    def test_rejects_a_non_stochastic_environment(self):
+        # MdpSpec takes the 0.9-mass rows unchecked; the chain refuses them.
+        emdp = embedded(2)
+        base = emdp.base
+        short = EmbeddedMdp(MdpSpec(base.state_ids, base.action_ids,
+                                    0.9 * base.transition, base.reward,
+                                    base.discount, base.safe_set),
+                            emdp.embedding)
+        with pytest.raises(ValueError, match="realized chain rows are not "
+                           "stochastic"):
+            realize_chain(short, uniform_policy(2, emdp.dim))
 
     def test_names_the_first_invalid_row(self):
         emdp = embedded(2)
@@ -244,6 +257,11 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             certified(np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            spectral_radius(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -305,6 +323,20 @@ class TestSpectralRadius:
         assert all(lo <= true * (1.0 + EIG_ROUNDING) for lo, _ in brackets)
         if all(hi - lo <= 1e-12 * hi for lo, hi in brackets):
             assert rho <= true * (1.0 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("check", [
+    lambda emdp, pert: perturbation_size(emdp, uniform_policy(2, emdp.dim),
+                                         pert),
+    apply_perturbation], ids=["size", "apply"])
+@pytest.mark.parametrize("moved", ["delta_S", "delta_T"])
+def test_perturbation_shape_must_match_the_mdp(check, moved):
+    emdp = embedded(4)
+    zero = Perturbation.zero(emdp)
+    grown = {"delta_S": zero.delta_S, "delta_T": zero.delta_T,
+             moved: np.zeros(getattr(zero, moved).shape[:-1] + (1,))}
+    with pytest.raises(ValueError, match="perturbation shape mismatch"):
+        check(emdp, Perturbation(**grown))
 
 
 class TestPerturbationSize:
@@ -414,7 +446,8 @@ class TestRateOfDecrease:
         emdp = embedded(3)
         policy = uniform_policy(2, emdp.dim)
         report = rate_of_decrease_check(emdp, policy,
-                                        Perturbation.zero(emdp))
+                                        Perturbation.zero(emdp),
+                                        uniform_base(emdp, policy))
         assert report.ratio == 0.0
         assert report.within_bound and report.trans_preserved
         assert report.delta_s_pi == 0.0
@@ -433,7 +466,8 @@ class TestRateOfDecrease:
         modified = build_uniform_shutdown(base, N)
         pert = Perturbation(np.zeros((2, 1)),
                             modified.transition - base.transition)
-        report = rate_of_decrease_check(emdp, policy, pert)
+        report = rate_of_decrease_check(emdp, policy, pert,
+                                        uniform_base(emdp, policy))
         assert report.s_pi_before == 0.0
         assert report.s_pi_after == pytest.approx(1.0, abs=1e-12)
         assert report.size == pytest.approx(4.0 / N, abs=1e-12)
@@ -446,23 +480,37 @@ class TestRateOfDecrease:
         rng = np.random.default_rng(9)
         policy = make_toy_policy(rng.standard_normal((2, emdp.dim)))
         pert = random_perturbation(emdp, policy, size, seed=17)
-        report = rate_of_decrease_check(emdp, policy, pert)
+        report = rate_of_decrease_check(emdp, policy, pert,
+                                        uniform_base(emdp, policy))
         assert report.within_bound
         assert report.s_pi_after > report.s_pi_before \
             - report.bound_B * report.size
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_a_given_base_analysis_changes_no_answer(self, seed):
+    def test_the_perturbed_chain_is_read_from_the_base_start(self, seed):
         emdp = embedded(seed, n_states=6)
         policy = make_toy_policy(np.random.default_rng(seed)
                                  .standard_normal((2, emdp.dim)))
         pert = random_perturbation(emdp, policy, 1e-3, seed=seed)
         start = StartDistribution.point_mass(6, emdp.base.nonsafe_indices[0])
         base = analyze_chain(emdp, policy, start)
-        assert rate_of_decrease_check(emdp, policy, pert, start, base) \
-            == rate_of_decrease_check(emdp, policy, pert, start)
-        with pytest.raises(ValueError, match="start distribution"):
-            rate_of_decrease_check(emdp, policy, pert, base=base)
+        report = rate_of_decrease_check(emdp, policy, pert, base)
+        assert report.s_pi_before == base.safety
+        assert report.s_pi_after == shutdown_probability(
+            realize_chain(apply_perturbation(emdp, pert), policy),
+            emdp.base.safe_set, start)
+
+    def test_the_analysis_start_is_outside_its_equality_and_document(self):
+        emdp = embedded(1, n_states=6)
+        policy = uniform_policy(2, emdp.dim)
+        start = StartDistribution.uniform_over(6, emdp.base.nonsafe_indices)
+        base = analyze_chain(emdp, policy, start)
+        assert base.start is start
+        other = dataclasses.replace(
+            base, start=StartDistribution.point_mass(6, 0))
+        assert other == base
+        assert other.to_document() == base.to_document()
+        assert "start" not in base.to_document()
 
 
 class TestToyPolicies:
@@ -472,6 +520,12 @@ class TestToyPolicies:
                                    np.ones(3) / 3)
         np.testing.assert_allclose(policy.jacobian([0.4, -0.2]), 0.0)
         assert policy.bound_b == 0.0
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [[[1.0]]], 0.5])
+    def test_rejects_weights_that_are_not_two_dimensional(self, weights):
+        with pytest.raises(ValueError, match=r"weights must be \(n_actions, "
+                           r"d\)"):
+            make_toy_policy(weights)
 
     def test_single_action_is_constant(self):
         policy = make_toy_policy([[1.0, 2.0]])
@@ -602,6 +656,13 @@ class TestAnalysisAndBound:
 
 
 class TestDocuments:
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5,)])
+    def test_embedding_needs_one_row_per_state(self, shape):
+        emdp = embedded(7)
+        with pytest.raises(ValueError, match=r"embedding must be "
+                           r"\(n_states, d\)"):
+            EmbeddedMdp(emdp.base, np.zeros(shape))
+
     def test_embedded_round_trip(self):
         emdp = embedded(7)
         doc = embedded_to_document(emdp)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -83,6 +84,22 @@ class TestHittingTime:
         # time would skip it as zero mass.
         with pytest.raises(ValueError, match="finite"):
             StartDistribution(weights)
+
+    @pytest.mark.parametrize("weights,message", [
+        ([-0.5, 1.5, 0.0], "nonnegative"),
+        ([0.5, 0.4, 0.0], "must sum to 1, got 0.9"),
+        ([0.5, 0.5, 0.5], "must sum to 1, got 1.5")])
+    def test_negative_or_off_sum_start_weights_are_rejected(self, weights,
+                                                            message):
+        with pytest.raises(ValueError, match=message):
+            StartDistribution(weights)
+
+    def test_certify_rejects_a_start_of_another_length(self):
+        mdp = random_mdp(0, n_states=4)
+        start = StartDistribution([0.5, 0.5])
+        with pytest.raises(ValueError, match="start distribution dimension "
+                           "mismatch"):
+            certify_safety(mdp, SafetyQuery(0.5, start))
 
     @pytest.mark.parametrize("state", [-1, -4, 4, 7])
     def test_point_mass_rejects_a_state_outside_the_range(self, state):
@@ -361,36 +378,52 @@ class TestStabilityInstance:
 
     @staticmethod
     def base(mdp):
-        """(N, certificate of mdp at (N, 0.3)) with N its worst time."""
+        """The certificate of mdp at (N, 0.3), with N its worst time."""
         N = certify_safety(mdp, SafetyQuery(0.3)).worst_time
         if math.isinf(N):
             pytest.skip("fixture must be safe")
-        return N, certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
+        return certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
 
     def test_identity_perturbation_holds(self):
         mdp = random_mdp(1, n_states=3)
-        N, base = self.base(mdp)
-        report = verify_stability_instance(mdp, mdp, N, 0.3, self.CFG, base)
+        base = self.base(mdp)
+        report = verify_stability_instance(mdp, mdp, self.CFG, base)
         assert report.d_h == 0.0
         assert report.base_safe and report.conclusion_holds
 
     def test_small_reward_jitter_holds(self):
         mdp = random_mdp(8, n_states=4)
-        N, base = self.base(mdp)
+        base = self.base(mdp)
         rng = np.random.default_rng(0)
         jitter = rng.uniform(-1e-3, 1e-3, size=mdp.reward.shape)
         perturbed = mdp.with_rewards(mdp.reward + jitter)
-        report = verify_stability_instance(mdp, perturbed, N, 0.3, self.CFG,
-                                           base)
+        report = verify_stability_instance(mdp, perturbed, self.CFG, base)
         assert report.conclusion_holds
 
     def test_document_shape(self):
         mdp = random_mdp(1, n_states=3)
-        N, base = self.base(mdp)
-        report = verify_stability_instance(mdp, mdp, N, 0.3, self.CFG, base)
+        base = self.base(mdp)
+        report = verify_stability_instance(mdp, mdp, self.CFG, base)
         doc = report.to_document()
         assert {"d_H", "isolated", "conclusion_holds",
                 "base_certificate"} <= set(doc)
+
+    @pytest.mark.parametrize("N,safe", [(0.5, False), (1e6, True)])
+    def test_n_and_epsilon_are_read_from_the_base(self, N, safe):
+        mdp = random_mdp(1, n_states=3)
+        base = certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
+        report = verify_stability_instance(mdp, mdp, self.CFG, base)
+        assert (report.N, report.epsilon, report.base_safe) == (N, 0.3, safe)
+        assert report.perturbed_certificate.epsilon == 0.15
+        assert report.perturbed_certificate.is_safe_for[0][0] == N + 1.0
+
+    @pytest.mark.parametrize("N_values", [(), (3.0, 4.0)])
+    def test_rejects_a_base_not_taken_at_one_n(self, N_values):
+        mdp = random_mdp(1, n_states=3)
+        base = certify_safety(mdp, SafetyQuery(0.3), N_values=N_values)
+        with pytest.raises(ValueError, match="at one N, got "
+                           f"{len(N_values)}"):
+            verify_stability_instance(mdp, mdp, self.CFG, base)
 
 
 def two_path_mdp(slow_reward=0.7):
@@ -1519,4 +1552,5 @@ def test_nan_reward_stops_value_iteration_at_the_first_sweep():
     reward = mdp.reward.copy()
     reward[0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        certify_safety(mdp.with_rewards(reward), SafetyQuery(0.5))
+        certify_safety(dataclasses.replace(mdp, reward=reward),
+                       SafetyQuery(0.5))

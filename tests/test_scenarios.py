@@ -72,6 +72,34 @@ class TestPlayingDeadParams:
         with pytest.raises(ValueError, match="zero reward"):
             PlayingDeadParams(bad.with_rewards(r), 1e-3, 0, 0, 0.5)
 
+    @staticmethod
+    def leaking_terminal():
+        # The terminal state leaks 1.5e-12 under "stay": within the
+        # validation's absorption tolerance, outside the self-loop's.
+        base = hibernation_base()
+        P = base.transition.copy()
+        P[2, 1, 2] = 1.0 - 0.8e-12
+        P[2, 1, 0] = 1.5e-12
+        return MdpSpec(base.state_ids, base.action_ids, P, base.reward,
+                       base.discount, base.safe_set)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: (build_duplicated(hibernation_base(), 2), 0, 0),
+         "exactly one terminal safe state"),
+        (lambda: (TestPlayingDeadParams.leaking_terminal(), 0, 0),
+         "must self-loop under every action"),
+        (lambda: (hibernation_base(), 3, 0), r"state indices \[3\] lie "
+         "outside"),
+        (lambda: (hibernation_base(), -1, 0), r"state indices \[-1\] lie "
+         "outside"),
+        (lambda: (hibernation_base(), 0, 2), "escape_action out of range")],
+        ids=["two-safe", "leak", "escape-state-3", "escape-state-neg",
+             "escape-action"])
+    def test_rejections(self, make, message):
+        base, escape_state, escape_action = make()
+        with pytest.raises(ValueError, match=message):
+            PlayingDeadParams(base, 1e-3, escape_state, escape_action, 0.5)
+
     def test_escape_state_needs_positive_value(self):
         base = hibernation_base().with_rewards(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="positive optimal value"):
@@ -194,6 +222,8 @@ class TestUniformShutdown:
         no_safe = MdpSpec(("s",), ("a",), [[[1.0]]], [[0.0]], 0.9, set())
         with pytest.raises(ValueError, match="safe"):
             build_uniform_shutdown(no_safe, 10.0)
+        with pytest.raises(ValueError, match="target must be a safe state"):
+            build_uniform_shutdown(self.never_absorbing(), 10.0, target=0)
 
 
 class TestDuplicated:
@@ -216,6 +246,12 @@ class TestDuplicated:
         with pytest.raises(ValueError):
             build_duplicated(hibernation_base(), 0, copies=1)
 
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_rejects_a_state_out_of_range(self, state):
+        with pytest.raises(ValueError, match=rf"state indices \[{state}\] "
+                           "lie outside"):
+            build_duplicated(hibernation_base(), state)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_copy_by_copy_build(self, seed):
         mdp = random_mdp(seed, n_states=4)
@@ -237,6 +273,11 @@ class TestRandomFamily:
         a = json.dumps(embedded_to_document(random_family(1)))
         b = json.dumps(embedded_to_document(random_family(2)))
         assert a != b
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_states(self, n):
+        with pytest.raises(ValueError, match="need at least 2 states"):
+            random_family(1, (n, 2, 2))
 
     def test_reward_range_needs_a_finite_width(self):
         # Each end is finite, but numpy cannot draw across their distance.
@@ -283,6 +324,7 @@ def checked_constructions():
             lambda: build_uniform_shutdown(base, 5.0),
         "duplicated MDP invalid": lambda: build_duplicated(base, 1),
         "random MDP invalid": lambda: random_family(1),
+        "reward variant invalid": lambda: base.with_rewards(base.reward),
     }
 
 
@@ -318,6 +360,12 @@ def test_a_generator_checks_its_mdp_under_python_O(tmp_path):
 
 
 class TestRandomPerturbation:
+    def test_rejects_a_negative_size(self):
+        emdp = random_family(1, (5, 2, 3))
+        policy = make_toy_policy(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            random_perturbation(emdp, policy, -1e-6, 0)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_requested_size_is_exact_and_support_preserved(self, seed):
         emdp = random_family(seed, (5, 2, 3))

@@ -82,6 +82,17 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="sum to 1"):
             TransportProblem([0.5, 0.4], [1.0, 0.0], [[0, 1], [1, 0]])
 
+    def test_rejects_a_cost_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"cost shape \(2, 3\) does "
+                           "not match"):
+            TransportProblem([0.5, 0.5], [0.5, 0.5], np.zeros((2, 3)))
+
+    def test_rejects_negative_marginals(self):
+        for mu, nu in [([1.5, -0.5], [0.5, 0.5]), ([0.5, 0.5], [-0.5, 1.5])]:
+            with pytest.raises(ValueError, match="marginals must be "
+                               "nonnegative"):
+                TransportProblem(mu, nu, [[0, 1], [1, 0]])
+
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError, match="nonnegative"):
             TransportProblem([0.5, 0.5], [0.5, 0.5], [[0, -1], [1, 0]])
