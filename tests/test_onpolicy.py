@@ -19,9 +19,9 @@ from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            rate_of_decrease_check, realize_chain,
                            shutdown_probability, tighten_policy_bound)
 from mdp_stability import onpolicy
-from mdp_stability.onpolicy import (apply_perturbation, decrease_bound,
-                                    jacobian_l1_norm, perturbation_size,
-                                    spectral_radius, transient_set)
+from mdp_stability.onpolicy import (decrease_bound, jacobian_l1_norm,
+                                    perturbation_size, spectral_radius,
+                                    transient_set)
 from mdp_stability.mdp import strong_components
 from mdp_stability.scenarios import random_family, random_perturbation
 
@@ -328,15 +328,15 @@ class TestSpectralRadius:
 @pytest.mark.parametrize("check", [
     lambda emdp, pert: perturbation_size(emdp, uniform_policy(2, emdp.dim),
                                          pert),
-    apply_perturbation], ids=["size", "apply"])
+    onpolicy.apply_perturbation], ids=["size", "apply"])
 @pytest.mark.parametrize("moved", ["delta_S", "delta_T"])
 def test_perturbation_shape_must_match_the_mdp(check, moved):
     emdp = embedded(4)
     zero = Perturbation.zero(emdp)
-    grown = {"delta_S": zero.delta_S, "delta_T": zero.delta_T,
-             moved: np.zeros(getattr(zero, moved).shape[:-1] + (1,))}
+    resized = {"delta_S": zero.delta_S, "delta_T": zero.delta_T,
+               moved: np.zeros(getattr(zero, moved).shape[:-1] + (1,))}
     with pytest.raises(ValueError, match="perturbation shape mismatch"):
-        check(emdp, Perturbation(**grown))
+        check(emdp, Perturbation(**resized))
 
 
 class TestPerturbationSize:
@@ -497,7 +497,7 @@ class TestRateOfDecrease:
         report = rate_of_decrease_check(emdp, policy, pert, base)
         assert report.s_pi_before == base.safety
         assert report.s_pi_after == shutdown_probability(
-            realize_chain(apply_perturbation(emdp, pert), policy),
+            realize_chain(onpolicy.apply_perturbation(emdp, pert), policy),
             emdp.base.safe_set, start)
 
     def test_the_analysis_start_is_outside_its_equality_and_document(self):
