@@ -40,14 +40,18 @@ POLICY_CAP = 10 ** 6
 # states.  A table of one block is one stacked solve of policy_values and
 # one piece of the member scan (_scan).  A larger table is evaluated by
 # the elimination tree (_tree_solve) in batches of whole blocks whose
-# values take at most 3/4 of BLOCK_BYTES (_table_sizes), and comes to the
-# scan one batch at a time.  The members' hitting-time chains that the
-# tree does not solve, and the tree's rows that the scan keeps, go to
-# expected_steps in stacks of half a block (_stacked_steps).  On the
-# certify benchmark (two 30 s pairs each against 256 KB, one piece per
-# batch), 1 MB raised tasks_per_s by 9% but task_s.tail by 28-40%: pool
-# instance 1's 864-policy 9-state table is one stacked solve there, not
-# a tree.  512 KB read 1-4% lower.  Every hitting time and loss that a
+# values take at most 2 BLOCK_BYTES (_table_sizes): the tree holds O(n)
+# floats per policy where a block holds O(n^2), so every table of the
+# certify benchmark (at most 4,096 surviving policies, at 13 to 15
+# states) is one batch, and comes to the scan as one piece.  The
+# members' hitting times come from the tree or from expected_steps in
+# stacks of half a block (_stacked_steps), whichever _tree_pays
+# estimates to cost less, and the tree's rows that the scan keeps go to
+# _stacked_steps.  On the certify benchmark (two 30 s pairs each against
+# 256 KB, one piece per batch of 3/4 of BLOCK_BYTES), 1 MB raised
+# tasks_per_s by 9% but task_s.tail by 28-40%: pool instance 1's
+# 864-policy 9-state table is one stacked solve there, not a tree.
+# 512 KB read 1-4% lower.  Every hitting time and loss that a
 # certificate reports or decides on has the same bits at any block size,
 # since LAPACK solves each matrix of a stack on its own; the tree's own
 # may differ in their last bits.
@@ -325,15 +329,16 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     (ascending state indices, with every non-safe state) for each policy
     pi of the product of ``survivors`` that takes the actions of ``base``
     (the product's first policy) elsewhere, where rhs is an (S, A) table,
-    as (root, Z, k, places) for _tree_solve.
+    as (root, Z, k, order) for _tree_solve.
 
     The states of ``states`` whose row every policy of the product shares
     (those that are not non-safe with more than one survivor) are
     eliminated first, by one solve: x_fixed = Z[:, :m] x_vary - Z[:, m]
     over the m varying states, whose survivor counts are k.  The root
     holds the row [(I - scale P)[s, vary] | rhs] of each varying state s
-    under each of its survivors, with x_fixed substituted.  places are the
-    places of the varying and the fixed states in ``states``.
+    under each of its survivors, with x_fixed substituted.  order holds
+    the place in ``states`` of each row of _tree_solve's output: the
+    varying states, then the fixed ones.
     """
     nonsafe = mdp.nonsafe_indices
     k = np.array([len(acts) for acts in survivors], dtype=int)
@@ -352,14 +357,15 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     P = mdp.transition[rows, acts]
     root = np.column_stack([-scale * P[:, vary], rhs[rows, acts]])
     root[np.arange(len(rows)), np.repeat(np.arange(m), k)] += 1.0
-    places = np.searchsorted(states, vary), np.searchsorted(states, fixed)
-    return root - scale * P[:, fixed] @ Z, Z, k, places
+    order = np.searchsorted(states, np.concatenate([vary, fixed]))
+    return root - scale * P[:, fixed] @ Z, Z, k, order
 
 
 def _tree_solve(tree, leaves) -> np.ndarray:
     """x over the states of ``tree`` (as _tree_root gives it) of the
     policies at product indices ``leaves`` (a non-empty run of consecutive
-    indices; the last varying state varies fastest), one row each.
+    indices; the last varying state varies fastest), states-major: one row
+    per state, in the tree's order, and one column per leaf.
 
     The varying states are eliminated in index order, one level of the
     tree each: a node of depth d holds the rows of the states after the
@@ -368,10 +374,13 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     in product order.  Only the nodes above ``leaves`` are kept: above a
     run of leaves, each level holds a run of nodes, and the leaves under
     each node are contiguous.  Back substitution broadcasts each node's
-    pivot row over its leaves (_run_back_substitution), and Z gives
-    x_fixed.
+    pivot row over its leaves (_run_back_substitution), in place into the
+    output's first rows, the varying states' (the tree orders them first
+    for that), and one product with Z fills the fixed states' rows from
+    them.  A caller reads the rows in place: a values loss is one maximum
+    over the rows, and the members' hitting times one gather.
     """
-    root, Z, k, (vary, fixed) = tree
+    root, Z, k, order = tree
     m = len(k)
     # ids[d]: the first and last node of depth d above the leaves, as
     # product indices of their first d actions.
@@ -391,12 +400,10 @@ def _tree_solve(tree, leaves) -> np.ndarray:
         rows = rows.reshape(len(pivot), *rows.shape[-2:])
         rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
         pivots.append(pivot)
-    # x[d]: the d-th varying state's x at each leaf.
-    x = np.empty((m, len(leaves)))
-    _run_back_substitution(x, pivots, k, int(leaves[0]))
-    out = np.empty((len(leaves), m + len(fixed)))
-    out[:, vary] = x.T
-    out[:, fixed] = x.T @ Z[:, :m].T - Z[:, m]
+    out = np.empty((len(order), len(leaves)))
+    _run_back_substitution(out[:m], pivots, k, int(leaves[0]))
+    np.matmul(Z[:, :m], out[:m], out=out[m:])
+    out[m:] -= Z[:, m, None]
     return out
 
 
@@ -436,13 +443,47 @@ def _table_sizes(n_states: int):
     """(block, batch) of _policy_table at ``n_states`` states: the
     policies of one stacked solve, max(1, BLOCK_BYTES // (8 n^2)), and of
     one piece of the table, a batch of the values tree: the most whole
-    blocks whose values, one float per state and policy, take at most 3/4
-    of BLOCK_BYTES (at least one block).  The tree's solve of a batch
-    holds its values, x_vary and the pivot rows at once, about 2.6 times
-    the values at 17 states, so that a batch holds at most about 2
-    BLOCK_BYTES."""
+    blocks whose values, one float per state and policy, take at most 2
+    BLOCK_BYTES (at least one block).  That is 26 blocks, 5,018 policies,
+    at 13 states and 30 blocks, 4,350 policies, at 15.
+
+    The budget bounds the memory of a piece, which the size of the table
+    does not enter: the tree holds O(n) floats per policy where a stacked
+    solve holds O(n^2).  The tree's solve of a batch holds its values (n
+    floats per policy), the pivot rows (about 6 floats per policy at two
+    survivors a state) and the work of one level at once: about 27 floats
+    per policy at 17 states, 1.6 times the values.  After it, the
+    hitting-time tree's output and the members' rows gathered from it
+    hold up to 2 (n - 1) floats per policy at once.  A whole batch is
+    thus built within about 2.5 times its values, 5 BLOCK_BYTES (measured
+    at 13 and 17 states), and within 6 BLOCK_BYTES while the reader still
+    holds the piece before it."""
     block = max(1, BLOCK_BYTES // (8 * n_states ** 2))
-    return block, block * max(1, 3 * BLOCK_BYTES // (32 * n_states * block))
+    return block, block * max(1, BLOCK_BYTES // (4 * n_states * block))
+
+
+# Estimated costs of a piece's hitting times, in us, measured at 9 to 15
+# states over the certify pool and over all-absorbed random products
+# (median of 9 runs, one core):
+#   the tree: its solve of the piece's leaves, the gather of its members'
+#     rows, _steps_window, the cut and the solve again of the rows kept,
+#     about 300 + 0.2 per leaf (1.1 ms for 4,096 leaves at 13 states);
+#   _stacked_steps over the members: about n^2 / 50 per member chain
+#     (3.4 at 13 states, 4.5 at 15), including a call of expected_steps
+#     per half block.
+# At 13 states the tree pays from about 330 members of a 4,096-leaf
+# piece.  On the pool, instance 2's 2,155 members of 4,096 leaves are
+# 6.6 ms faster by the tree, and instance 5's 149 (15 states) 0.75 ms
+# slower; instances 1 (137 of 864 at 9 states) and 7 (114 of 2,048),
+# which a per-leaf rule alone sends to the tree, are 0.4 ms slower there.
+TREE_US, TREE_LEAF_US = 300.0, 0.2
+
+
+def _tree_pays(n_states: int, leaves: int, members: int) -> bool:
+    """Whether the hitting-time tree over a piece's ``leaves`` is
+    estimated to cost less than _stacked_steps over its ``members``
+    (TREE_US); the tree also needs a product that passes _absorbed."""
+    return TREE_US + TREE_LEAF_US * leaves < n_states ** 2 / 50 * members
 
 
 def _stacked_steps(mdp: MdpSpec, actions) -> np.ndarray:
@@ -482,15 +523,15 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
 
     steps holds the expected steps to the safe set (over the non-safe
     states, in index order) of the rows with loss below epsilon, each row
-    within its entry of window of expected_steps'.  In a batch that holds
-    more of them than a block, when the product passes _absorbed, the tree
-    of (I - Q_pi) t = 1 solves the batch's run of leaves, and the rows of
-    its members are kept, with windows of _steps_window.  Otherwise (a
-    table of one block, a batch with at most a block of members, a product
-    that fails _absorbed) expected_steps solves the members' chains
-    (_stacked_steps), with windows of 0.  Each piece is built by
-    a call of its own, so that the generator keeps nothing of the pieces
-    it has yielded.
+    within its entry of window of expected_steps'.  In a batch where
+    _tree_pays, when the product passes _absorbed, the tree of
+    (I - Q_pi) t = 1 solves the batch's run of leaves, and the rows of its
+    members are gathered, with windows of _steps_window.  Otherwise (a
+    table of one block, a batch with too few members for the tree to pay,
+    a product that fails _absorbed) expected_steps solves the members'
+    chains (_stacked_steps), with windows of 0.  Each piece is built by a
+    call of its own, so that the generator keeps nothing of the pieces it
+    has yielded.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -538,32 +579,35 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     window = _tree_window(mdp, thresholds)
     values = _tree_root(mdp, survivors, base, np.arange(mdp.n_states),
                         mdp.discount, mdp.reward)
-    # The tree of (I - Q_pi) t = 1, built for the first batch that needs
+    # V* in the order of the values tree's rows.
+    v_rows = v_star[values[3], None]
+    # The tree of (I - Q_pi) t = 1, built for the first piece that takes
     # it, or False when the product fails _absorbed.
     hitting = None
 
     def piece(leaves):
         nonlocal hitting
         actions = table(leaves)
-        loss = np.max(v_star - _tree_solve(values, leaves), axis=-1)
+        loss = _tree_solve(values, leaves)
+        loss = np.subtract(v_rows, loss, out=loss).max(axis=0)
         near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
         if np.any(near):
             loss[near] = np.max(
                 v_star - policy_values(mdp, actions[near]), axis=-1)
         inside = loss < epsilon
-        # The tree's fixed cost per level beats a block's stacked chains
-        # once a batch holds more members than a block.
-        if np.count_nonzero(inside) <= block:
+        if not _tree_pays(mdp.n_states, len(leaves),
+                          np.count_nonzero(inside)):
             return solved(actions, loss)
         if hitting is None:
             hitting = _absorbed(mdp, survivors) and _tree_root(
                 mdp, survivors, base, nonsafe, 1.0, np.ones(mdp.reward.shape))
         if not hitting:
             return solved(actions, loss)
-        # Pivots that rounding drives to 0 show in the rows
-        # (_steps_window).
+        # The members' rows, each in non-safe state order.  Pivots that
+        # rounding drives to 0 show in them (_steps_window).
+        rows = np.flatnonzero(inside), np.argsort(hitting[3])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            steps = _tree_solve(hitting, leaves)[inside]
+            steps = _tree_solve(hitting, leaves).T[np.ix_(*rows)]
         return actions, loss, steps, _steps_window(mdp.n_states, steps)
 
     for lo in range(0, total, batch):
@@ -588,7 +632,8 @@ def _scan(mdp: MdpSpec, epsilons, start):
     of ``start``, or for None its slowest state.  boundary counts the
     losses within 10*value_tol of the largest eps, and reachability tells
     for each policy eps-optimal there whether it is absorbed almost surely
-    from every state.
+    from every state.  A start whose length is not the MDP's number of
+    states is rejected before any policy is evaluated.
 
     Each piece of the table (a batch of _table_sizes) is done with before
     the next one is built.  Its members are cut to those that may hold
@@ -599,6 +644,8 @@ def _scan(mdp: MdpSpec, epsilons, start):
     empty set is reported as vacuous before a start with mass on safe
     states.
     """
+    if start is not None and len(start.weights) != mdp.n_states:
+        raise ValueError("start distribution dimension mismatch")
     largest, band = epsilons[-1], 10.0 * SafetyQuery.value_tol
     epsilons = np.asarray(epsilons, dtype=float)
     count = np.zeros(len(epsilons), dtype=int)

@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import importlib.util
 import json
 import math
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            StartDistribution, analyze_chain, expected_steps,
                            finite_difference_jacobian, induce_chain,
                            metric_update)
-from mdp_stability import bisim
+from mdp_stability import bisim, safety
 from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, _state_indices, can_reach)
@@ -183,6 +185,27 @@ def enumerate_epsilon_optimal(mdp, query):
     return [Policy.deterministic(row)
             for actions, loss, _, _ in _policy_table(mdp, query.epsilon)
             for row in actions[loss < query.epsilon]]
+
+
+def reference_table_sizes(n_states):
+    """(block, batch) of the policy table as earlier sized: blocks of
+    max(1, BLOCK_BYTES // (8 n^2)) policies, and batches of the most whole
+    blocks whose values take at most 3/4 of BLOCK_BYTES (1,737 policies at
+    13 states, so that a 4,096-policy table comes in 3 pieces)."""
+    budget = safety.BLOCK_BYTES
+    block = max(1, budget // (8 * n_states ** 2))
+    return block, block * max(1, 3 * budget // (32 * n_states * block))
+
+
+def certify_pool():
+    """(documents, tasks) of each of the 16 instances of the benchmark's
+    certify pool, from perfbench/fixtures.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures.py"
+    spec = importlib.util.spec_from_file_location("perfbench_fixtures", path)
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    return [fixtures.instance("certify", i)
+            for i in range(fixtures.POOL["certify"])]
 
 
 def all_deterministic_policies(mdp):

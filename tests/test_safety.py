@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import math
@@ -27,7 +29,7 @@ from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            induce_chain, safety, safety_frontier,
                            value_iteration, ValueFunction,
                            verify_stability_instance)
-from mdp_stability.cli import render_json
+from mdp_stability.cli import main, render_json
 from mdp_stability.mdp import _chains, can_reach, policy_values
 
 
@@ -97,6 +99,18 @@ class TestHittingTime:
     def test_certify_rejects_a_start_of_another_length(self):
         mdp = random_mdp(0, n_states=4)
         start = StartDistribution([0.5, 0.5])
+        with pytest.raises(ValueError, match="start distribution dimension "
+                           "mismatch"):
+            certify_safety(mdp, SafetyQuery(0.5, start))
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0, 0, 0],
+                                         [0.5, 0, 0, 0, 0.5]],
+                             ids=["on-states", "on-no-state"])
+    def test_certify_rejects_a_start_longer_than_the_mdp(self, weights):
+        # Once certified a worst time of 24.17, and once reported mass on
+        # safe states, though the fifth entry is no state.
+        mdp = random_mdp(0, n_states=4)
+        start = StartDistribution(weights)
         with pytest.raises(ValueError, match="start distribution dimension "
                            "mismatch"):
             certify_safety(mdp, SafetyQuery(0.5, start))
@@ -693,14 +707,24 @@ def one_optimum(mdp):
         yield
 
 
+def small_blocks(mdp, block):
+    """The safety settings that put the table of ``mdp`` into blocks of
+    ``block`` policies (None keeps BLOCK_BYTES and the path rule).  A small
+    block stands for a large table: a piece's hitting times go to the tree
+    when it holds more members than a block, so that small tables take
+    both paths, as the tables where the tree pays do."""
+    if block is None:
+        return {"BLOCK_BYTES": safety.BLOCK_BYTES}
+    return {"BLOCK_BYTES": block * 8 * mdp.n_states ** 2,
+            "_tree_pays": lambda n, leaves, members: members > block}
+
+
 def table_under_test(mdp, block):
-    """Patches the table into blocks of ``block`` policies of ``mdp`` (None
-    keeps BLOCK_BYTES) that start from the oracle's V*: a policy whose loss
+    """Patches the table into blocks of ``block`` policies of ``mdp``
+    (small_blocks) that start from the oracle's V*: a policy whose loss
     sits on epsilon is decided alike by the table and the reference loops
     only on the same V*."""
-    size = (safety.BLOCK_BYTES if block is None
-            else block * 8 * mdp.n_states ** 2)
-    return mock.patch.multiple(safety, BLOCK_BYTES=size,
+    return mock.patch.multiple(safety, **small_blocks(mdp, block),
                                value_iteration=reference_value_iteration)
 
 
@@ -753,7 +777,9 @@ class TestBlockBudget:
             sizes = [len(loss)
                      for _, loss, *_ in safety._policy_table(mdp, 1e3)]
             certify_safety(mdp, SafetyQuery(1e3))
-        assert sizes == [1737, 1737, 622]
+        # One piece: its values take 13 * 4096 floats, under 2
+        # BLOCK_BYTES.
+        assert sizes == [4096]
         assert stacks and max(stacks) <= 193
         assert 193 * 13 ** 2 * 8 <= safety.BLOCK_BYTES
 
@@ -771,7 +797,9 @@ class TestBlockBudget:
         finally:
             tracemalloc.stop()
         assert count == 2 ** 16
-        assert peak < 4 * safety.BLOCK_BYTES
+        # The peak of a piece that _table_sizes derives, the piece before
+        # it still held.
+        assert peak < 6 * safety.BLOCK_BYTES
 
 
 @st.composite
@@ -825,8 +853,10 @@ def scan_pick(chains, steps, start):
     block = index, np.zeros(len(index)), steps, np.zeros(len(index))
     with mock.patch.object(safety, "_policy_table",
                            return_value=iter([block])):
+        # The chains' MDP has the start's length.
         [(charge, actions, _, _)], _, _ = safety._scan(
-            SimpleNamespace(nonsafe_indices=chains.index_map), [1.0], start)
+            SimpleNamespace(nonsafe_indices=chains.index_map,
+                            n_states=len(start.weights)), [1.0], start)
     return int(actions[0]), charge
 
 
@@ -910,10 +940,8 @@ class TestSafeStateActions:
         eps = list(classes.values())[index] + offset * TOL
         assume(eps > 10.0 * TOL)
         members = [key for key, loss in classes.items() if loss < eps]
-        size = (safety.BLOCK_BYTES if block is None
-                else block * 8 * mdp.n_states ** 2)
         with mock.patch.multiple(
-                safety, BLOCK_BYTES=size,
+                safety, **small_blocks(mdp, block),
                 value_iteration=lambda *_: ValueFunction(v_star, 0.0)):
             if not members:
                 with pytest.raises(ValueError, match="vacuous"):
@@ -1295,14 +1323,17 @@ class TestTreeSolve:
         values = safety._tree_root(mdp, survivors, base,
                                    np.arange(mdp.n_states), mdp.discount,
                                    mdp.reward)
-        error = np.abs(safety._tree_solve(values, leaves)
+        # One row per state in the tree's order, one column per leaf.
+        out = safety._tree_solve(values, leaves)
+        assert out.shape == (mdp.n_states, len(leaves))
+        error = np.abs(out[np.argsort(values[3])].T
                        - policy_values(mdp, actions))
         assert np.all(error <= safety._tree_window(mdp, [0.0]))
         if not safety._absorbed(mdp, survivors):
             return
         hitting = safety._tree_root(mdp, survivors, base, nonsafe, 1.0,
                                     np.ones(mdp.reward.shape))
-        steps = safety._tree_solve(hitting, leaves)
+        steps = safety._tree_solve(hitting, leaves)[np.argsort(hitting[3])].T
         window = safety._steps_window(mdp.n_states, steps)
         exact = expected_steps(_chains(mdp, actions))
         assert np.all(np.abs(steps - exact) <= window[:, None])
@@ -1386,10 +1417,11 @@ class TestTreeHittingTimes:
         # Below 1e-10 the window takes in many members; those that the cut
         # keeps are solved again, each once.
         mdp = slow_leak_mdp(seed, *leaks)
-        # The tree solves every batch but the last, whose single member
-        # is a stacked chain.
-        with mock.patch.object(safety, "BLOCK_BYTES",
-                               self.one_left_over(mdp.n_states)):
+        # The tree, taken for every piece of more than one member, solves
+        # every batch but the last, whose single member is a stacked chain.
+        with mock.patch.multiple(
+                safety, BLOCK_BYTES=self.one_left_over(mdp.n_states),
+                _tree_pays=lambda n, leaves, members: members > 1):
             assert self.check_window(mdp, 1e3, None) == 2 ** 6 - 1
             times = [np.max(expected_steps(induce_chain(mdp, p)))
                      for p in _reference_grid(mdp)]
@@ -1424,6 +1456,16 @@ class TestTreeHittingTimes:
             with table_under_test(mdp, None):
                 assert safety_frontier(mdp, epsilons) \
                     == reference_frontier(mdp, epsilons)
+
+    def test_fixed_state_rows_come_back_in_state_order(self):
+        # MacQueen's test leaves state 0 one action, so the tree puts its
+        # row after those of the varying states 1 to 5, and the members'
+        # rows gather it back to the front.
+        mdp = random_mdp(4, n_states=7, n_actions=2)
+        reward = mdp.reward.copy()
+        reward[0, 1] = -1e3
+        mdp = dataclasses.replace(mdp, reward=reward)
+        assert self.check_window(mdp, 50.0, 3) == 2 ** 5
 
     def test_rounded_away_leaks_fail_as_expected_steps_does(self):
         # Leaks of 1e-320 pass the graph test but round away in I - Q_pi:
@@ -1501,7 +1543,8 @@ class TestTreeHittingTimes:
                 cert, own = result, 9 / 4 * sys.getsizeof(result.reachability)
             else:
                 own = 0
-            assert peak - own < 3 * safety.BLOCK_BYTES, name
+            # The peak of a piece that _table_sizes derives.
+            assert peak - own < 6 * safety.BLOCK_BYTES, name
         assert len(cert.reachability) == 2 ** 16
 
 
@@ -1539,12 +1582,132 @@ class TestScanOrder:
         ids=["certify", "certify-start", "frontier"])
     def test_each_piece_is_settled_before_the_next(self, run):
         # Blocks of 3 policies put the 64 policies, all members, into
-        # pieces of 15, 15, 15, 15 and 4, each solved by the tree.
+        # pieces of 42 and 22, each solved by the tree.
         mdp = random_mdp(4, n_states=7, n_actions=2)
         with table_under_test(mdp, 3), scan_events() as (events, rows):
+            assert safety._table_sizes(mdp.n_states) == (3, 42)
             run(mdp)
-        assert events == ["piece", "settle"] * 5
+        assert events == ["piece", "settle"] * 2
         assert max(rows) < 3
+
+
+@functools.lru_cache(maxsize=None)
+def certify_pool():
+    return helpers.certify_pool()
+
+
+def pool_outputs(index, directory):
+    """(exit code, stdout) of each task of certify pool instance
+    ``index``, its documents written to ``directory``."""
+    docs, tasks = certify_pool()[index]
+    for name, doc in docs.items():
+        (directory / name).write_text(json.dumps(doc))
+    outputs = []
+    for task in tasks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(task.resolve(str(directory)))
+        outputs.append((code, out.getvalue()))
+    return outputs
+
+
+class TestPieceSizes:
+    """Tables cut into the pieces of _table_sizes and into the earlier,
+    smaller ones of helpers.reference_table_sizes give the same answers
+    bit for bit; and the peak memory of the table follows the size of a
+    piece, not of the table."""
+
+    @staticmethod
+    def answers(mdp, eps):
+        """Certificates (worst-case and point-mass starts) and frontier
+        rows of ``mdp`` at ``eps``, or the error each raises."""
+        answers = []
+        for start in (None, StartDistribution.point_mass(
+                mdp.n_states, int(mdp.nonsafe_indices[0]))):
+            try:
+                answers.append(render_json(certify_safety(
+                    mdp, SafetyQuery(eps, start)).to_document()))
+            except ValueError as exc:
+                answers.append(str(exc))
+        try:
+            answers.append(repr(safety_frontier(mdp, [eps / 4, eps / 2,
+                                                      eps])))
+        except ValueError as exc:
+            answers.append(str(exc))
+        return answers
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=table_cases(), eps=st.sampled_from([0.5, 5.0, 1e3]))
+    def test_table_cases_match_the_earlier_pieces(self, case, eps):
+        mdp, _, block = case
+        with mock.patch.multiple(safety, **small_blocks(mdp, block)):
+            answers = self.answers(mdp, eps)
+            with mock.patch.object(safety, "_table_sizes",
+                                   helpers.reference_table_sizes):
+                assert self.answers(mdp, eps) == answers
+
+    @pytest.mark.parametrize("index", range(16))
+    def test_pool_matches_the_earlier_pieces(self, index, tmp_path):
+        outputs = pool_outputs(index, tmp_path)
+        with mock.patch.object(safety, "_table_sizes",
+                               helpers.reference_table_sizes):
+            assert pool_outputs(index, tmp_path) == outputs
+
+    def test_memory_does_not_grow_with_the_table(self):
+        # 2^16 policies over 16 non-safe states, and the 2^15 left at the
+        # same 17 states when MacQueen's test drops an action of state 0:
+        # both tables come in several whole pieces.
+        large = random_mdp(1, n_states=17, n_actions=2)
+        reward = large.reward.copy()
+        reward[0, 1] = -1e5
+        small = dataclasses.replace(large, reward=reward)
+        peaks = []
+        for mdp, size in ((small, 2 ** 15), (large, 2 ** 16)):
+            list(safety._policy_table(mdp, 1e3))
+            tracemalloc.start()
+            try:
+                count = sum(len(loss) for _, loss, _, _
+                            in safety._policy_table(mdp, 1e3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert count == size
+            assert size >= 8 * safety._table_sizes(mdp.n_states)[1]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestPathRule:
+    """_tree_pays on the certify pool, each table in one piece: instance
+    5's 149 members of 4,096 leaves take _stacked_steps and instance 2's
+    2,155 the tree; so do instance 7's 114 of 2,048 and instance 1's 137
+    of 864 (9 states), for which the tree's fixed cost does not pay.
+    Either path forced gives the same bytes."""
+
+    @pytest.mark.parametrize("index,leaves,members,tree", [
+        (5, 4096, 149, False), (2, 4096, 2155, True), (7, 2048, 114, False),
+        (1, 864, 137, False)])
+    def test_path_and_its_bytes(self, index, leaves, members, tree,
+                                tmp_path):
+        rule, decisions = safety._tree_pays, []
+
+        def pays(*args):
+            decisions.append((*args[1:], rule(*args)))
+            return decisions[-1][-1]
+
+        with mock.patch.object(safety, "_tree_pays", pays), \
+                mock.patch.object(safety, "_tree_solve",
+                                  wraps=safety._tree_solve) as solve:
+            outputs = pool_outputs(index, tmp_path)
+        tasks = len(outputs)
+        assert decisions == [(leaves, members, tree)] * tasks
+        # The values tree in each task, and the hitting-time tree with it.
+        assert solve.call_count == tasks * (1 + tree)
+        with mock.patch.object(safety, "_tree_pays",
+                               return_value=not tree), \
+                mock.patch.object(safety, "_tree_solve",
+                                  wraps=safety._tree_solve) as solve:
+            assert pool_outputs(index, tmp_path) == outputs
+        assert solve.call_count == tasks * (2 - tree)
 
 
 def test_nan_reward_stops_value_iteration_at_the_first_sweep():
