@@ -283,13 +283,14 @@ def _tree_window(mdp: MdpSpec, thresholds) -> float:
 # TREE_ROUNDING, the order of summation in back substitution does not
 # enter the bound.
 def _steps_window(n: int, steps):
-    """The window w above of each row of the tree's expected steps
-    ``steps``.  A row that no solve of I - Q_pi can give (an entry below
+    """The window w above of each policy of the tree's expected steps
+    ``steps``, states-major (one column per policy, as _tree_solve gives
+    them).  A policy that no solve of I - Q_pi can give (an entry below
     1/2, or not finite) shows that rounding broke the elimination down,
     and gets a window of inf."""
-    top = np.max(steps, axis=-1)
+    top = np.max(steps, axis=0)
     d = TREE_ROUNDING * n ** 3 * np.finfo(float).eps * top
-    sound = (d < 0.5) & (np.min(steps, axis=-1) >= 0.5)
+    sound = (d < 0.5) & (np.min(steps, axis=0) >= 0.5)
     d, top = np.where(sound, d, 0.0), np.where(sound, top, 0.0)
     return np.where(sound, d * top / (1 - d) ** 2, math.inf)
 
@@ -358,7 +359,7 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     root = np.column_stack([-scale * P[:, vary], rhs[rows, acts]])
     root[np.arange(len(rows)), np.repeat(np.arange(m), k)] += 1.0
     order = np.searchsorted(states, np.concatenate([vary, fixed]))
-    return root - scale * P[:, fixed] @ Z, Z, k, order
+    return root - scale * P[:, fixed] @ Z, Z, tuple(k.tolist()), order
 
 
 def _tree_solve(tree, leaves) -> np.ndarray:
@@ -371,37 +372,46 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     tree each: a node of depth d holds the rows of the states after the
     d-th under each of their survivors, and its child c pivots on the next
     state's row under that state's c-th survivor, so that the leaves come
-    in product order.  Only the nodes above ``leaves`` are kept: above a
-    run of leaves, each level holds a run of nodes, and the leaves under
-    each node are contiguous.  Back substitution broadcasts each node's
-    pivot row over its leaves (_run_back_substitution), in place into the
-    output's first rows, the varying states' (the tree orders them first
-    for that), and one product with Z fills the fixed states' rows from
-    them.  A caller reads the rows in place: a values loss is one maximum
-    over the rows, and the members' hitting times one gather.
+    in product order.  A level is stored nodes-last, as (rows, width,
+    nodes), so that every step runs along the node axis.  Only the nodes
+    above ``leaves`` are kept: above a run of leaves, each level holds a
+    run of nodes, and the leaves under each node are contiguous.  Back
+    substitution broadcasts each node's pivot row over its leaves
+    (_run_back_substitution), in place into the output's first rows, the
+    varying states' (the tree orders them first for that), and one
+    product with Z fills the fixed states' rows from them.  A caller reads
+    the rows in place: a values loss is one maximum over the rows, and the
+    members' hitting times one gather.
     """
     root, Z, k, order = tree
     m = len(k)
     # ids[d]: the first and last node of depth d above the leaves, as
     # product indices of their first d actions.
-    ids = [leaves[[0, -1]]]
-    for d in range(m, 0, -1):
-        ids.insert(0, ids[0] // k[d - 1])
-    rows, pivots = root[None], []
-    for d in range(m):
-        # Child c of the node at place p is child p k[d] + c of the nodes
-        # of depth d.  Every child of the run's nodes is eliminated, and
-        # the run of children is kept as a view.
-        lo, hi = ids[d + 1] - ids[d][0] * k[d]
-        pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
-        rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
-            * pivot[..., 1:]
-        pivot = pivot.reshape(-1, rows.shape[-1] + 1)
-        rows = rows.reshape(len(pivot), *rows.shape[-2:])
-        rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
-        pivots.append(pivot)
+    ids = [(int(leaves[0]), int(leaves[-1]))]
+    for kd in k[::-1]:
+        ids.insert(0, (ids[0][0] // kd, ids[0][1] // kd))
+    rows, pivots = root[..., None], []
+    for d, kd in enumerate(k):
+        # Child c of the node at place p is child p kd + c of the nodes of
+        # depth d.  step eliminates each child's rows along the nodes,
+        # held as (child, rows, width, nodes); the children are then laid
+        # out parent-major, and the run of them above the leaves is kept
+        # as a view.
+        pivot, rest = rows[:kd, None], rows[None, kd:]
+        step = rest[..., :1, :] / pivot[..., :1, :] * pivot[..., 1:, :]
+        np.subtract(rest[..., 1:, :], step, out=step)
+        _, r, width, nodes = rest.shape
+        rows = np.empty((r, width - 1, nodes, kd))
+        pivot_rows = np.empty((width, nodes, kd))
+        for c in range(kd):
+            rows[..., c] = step[c]
+            pivot_rows[..., c] = pivot[c, 0]
+        lo, hi = (ids[d + 1][0] - ids[d][0] * kd,
+                  ids[d + 1][1] - ids[d][0] * kd + 1)
+        rows = rows.reshape(r, width - 1, nodes * kd)[..., lo:hi]
+        pivots.append(pivot_rows.reshape(width, nodes * kd)[:, lo:hi])
     out = np.empty((len(order), len(leaves)))
-    _run_back_substitution(out[:m], pivots, k, int(leaves[0]))
+    _run_back_substitution(out[:m], pivots, k, ids[-1][0])
     np.matmul(Z[:, :m], out[:m], out=out[m:])
     out[m:] -= Z[:, m, None]
     return out
@@ -410,33 +420,63 @@ def _tree_solve(tree, leaves) -> np.ndarray:
 def _run_back_substitution(x, pivots, k, first):
     """Fill ``x`` (varying states by leaves) with x_vary of the run of
     leaves that starts at product index ``first``, by the pivot rows of
-    _tree_solve, one level at a time.
+    _tree_solve (one column per node), one level at a time.
 
-    A whole node of depth d + 1 covers spans[d + 1] contiguous leaves, and
-    pivots[d][j] is the j-th node from the one that holds leaf ``first``.
-    So each node's pivot row is broadcast over its leaves: the whole nodes
-    of a level through one reshape, and a partial first and last node each
-    on its own, with no per-leaf copy of the pivot rows.
+    A whole node of depth d + 1 covers span contiguous leaves, and column
+    j of pivots[d] is the j-th node from the one that holds leaf
+    ``first``.  So each node's pivot row is broadcast over its leaves: the
+    whole nodes of a level through one reshape, and a partial first and
+    last node each on its own, with no per-leaf copy of the pivot rows.
     """
-    spans = np.cumprod(np.append(k, 1)[::-1])[::-1]
-    leaves = x.shape[1]
+    leaves, span = x.shape[1], 1
     for d in range(len(k) - 1, -1, -1):
-        pivot, span = pivots[d], int(spans[d + 1])
+        pivot = pivots[d]
         # Leaves in a partial first node, then in whole nodes.
         head = min(leaves, -first % span)
         whole = (leaves - head) // span
         end = head + whole * span
-        parts = [(slice(0, head), pivot[0])] if head else []
+        parts = [(slice(0, head), pivot[:, 0])] if head else []
         if end < leaves:
-            parts.append((slice(end, leaves), pivot[-1]))
+            parts.append((slice(end, leaves), pivot[:, -1]))
         for part, row in parts:
+            # A contiguous copy of the column sums the product in the
+            # order of a stored row.
+            row = np.ascontiguousarray(row)
             x[d, part] = (row[-1] - row[1:-1] @ x[d + 1:, part]) / row[0]
         if whole:
-            rows = pivot[int(head > 0):][:whole]
-            below = x[d + 1:, head:end].reshape(-1, whole, span)
-            x[d, head:end] = ((rows[:, -1, None] - np.einsum(
-                "jnk,nj->nk", below, rows[:, 1:-1]))
-                / rows[:, :1]).reshape(-1)
+            rows = pivot[:, int(head > 0):][:, :whole]
+            this = x[d, head:end].reshape(whole, span)
+            np.einsum("jnk,jn->nk", x[d + 1:, head:end].reshape(
+                -1, whole, span), rows[1:-1], out=this)
+            np.subtract(rows[-1, :, None], this, out=this)
+            np.divide(this, rows[0, :, None], out=this)
+        span *= k[d]
+
+
+def _action_table(base, nonsafe, survivors, first: int, count: int):
+    """The ``count`` policies of the product of ``survivors`` (the actions
+    kept at the non-safe states ``nonsafe``) from product index ``first``
+    on, one row each, that take the actions of ``base`` elsewhere, in the
+    type of ``base``.
+
+    A state's survivors repeat over its stride, the product of the
+    survivor counts after it, so its column is one survivor per stride
+    that the run meets, cyclically, each repeated over the run's indices
+    in that stride; no product index is unravelled."""
+    actions = np.empty((count, len(base)), dtype=base.dtype)
+    actions[:] = base
+    stride = math.prod(len(acts) for acts in survivors)
+    for s, acts in zip(nonsafe, survivors):
+        stride //= len(acts)
+        if len(acts) == 1:
+            continue
+        lo, hi = first // stride, (first + count - 1) // stride
+        counts = np.full(hi - lo + 1, stride)
+        counts[0] -= first - lo * stride
+        counts[-1] -= (hi + 1) * stride - first - count
+        actions[:, s] = np.repeat(acts[np.arange(lo, hi + 1) % len(acts)],
+                                  counts)
+    return actions
 
 
 def _table_sizes(n_states: int):
@@ -449,15 +489,20 @@ def _table_sizes(n_states: int):
 
     The budget bounds the memory of a piece, which the size of the table
     does not enter: the tree holds O(n) floats per policy where a stacked
-    solve holds O(n^2).  The tree's solve of a batch holds its values (n
-    floats per policy), the pivot rows (about 6 floats per policy at two
-    survivors a state) and the work of one level at once: about 27 floats
-    per policy at 17 states, 1.6 times the values.  After it, the
-    hitting-time tree's output and the members' rows gathered from it
-    hold up to 2 (n - 1) floats per policy at once.  A whole batch is
-    thus built within about 2.5 times its values, 5 BLOCK_BYTES (measured
-    at 13 and 17 states), and within 6 BLOCK_BYTES while the reader still
-    holds the piece before it."""
+    solve holds O(n^2).  The tree's solve of a batch stores each level
+    nodes-last, (rows, width, nodes); a level with j varying states still
+    to go holds 2 j (j + 1) / 2^j floats per policy at two survivors a
+    state, at most 3.  Eliminating a level holds three such arrays at
+    once (the parents, the children child-major and their parent-major
+    copy), at most about 9 floats per policy beside the pivot rows kept
+    so far (about 6 in all).  The peak comes after that, in back
+    substitution: the values (n floats per policy), the pivot rows and
+    the last level, about 27 floats per policy at 17 states and 22 at 13,
+    1.6 times the values.  After it, the hitting-time tree's output and
+    the members' columns gathered from it hold up to 2 (n - 1) floats per
+    policy at once.  A whole batch is thus built within about 2.5 times
+    its values, 5 BLOCK_BYTES (measured at 13 and 17 states), and within
+    6 BLOCK_BYTES while the reader still holds the piece before it."""
     block = max(1, BLOCK_BYTES // (8 * n_states ** 2))
     return block, block * max(1, BLOCK_BYTES // (4 * n_states * block))
 
@@ -467,15 +512,17 @@ def _table_sizes(n_states: int):
 # (median of 9 runs, one core):
 #   the tree: its solve of the piece's leaves, the gather of its members'
 #     rows, _steps_window, the cut and the solve again of the rows kept,
-#     about 300 + 0.2 per leaf (1.1 ms for 4,096 leaves at 13 states);
+#     about 300 + 0.2 per leaf (1.0-1.25 ms for 4,096 leaves at 13
+#     states);
 #   _stacked_steps over the members: about n^2 / 50 per member chain
 #     (3.4 at 13 states, 4.5 at 15), including a call of expected_steps
 #     per half block.
 # At 13 states the tree pays from about 330 members of a 4,096-leaf
 # piece.  On the pool, instance 2's 2,155 members of 4,096 leaves are
-# 6.6 ms faster by the tree, and instance 5's 149 (15 states) 0.75 ms
-# slower; instances 1 (137 of 864 at 9 states) and 7 (114 of 2,048),
-# which a per-leaf rule alone sends to the tree, are 0.4 ms slower there.
+# 7.3-7.7 ms faster by the tree, and instance 5's 149 (15 states)
+# 0.15-0.17 ms slower; instances 1 (137 of 864 at 9 states) and 7 (114
+# of 2,048), which a per-leaf rule alone sends to the tree, are 0.1-0.5
+# and 0.1-0.25 ms slower there (three runs on a shared host).
 TREE_US, TREE_LEAF_US = 300.0, 0.2
 
 
@@ -545,24 +592,15 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     scale = max(1.0, float(np.max(np.abs(v_star), initial=0.0)))
     cut = epsilon + tol * (PRUNE_BAND + PRUNE_ROUNDING * scale)
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
-    shape = tuple(len(acts) for acts in survivors)
-    total = math.prod(shape)
+    total = math.prod(len(acts) for acts in survivors)
     block, batch = _table_sizes(mdp.n_states)
     # The product's first policy.  The safe set is closed, so V*'s greedy
     # actions there give every table the least loss among those that
     # agree with it off the safe set, and hitting times ignore them.
     base = np.argmax(q_star, axis=1)
     base[nonsafe] = [acts[0] for acts in survivors]
-
-    dtype = np.min_scalar_type(mdp.n_actions - 1)
-
-    def table(flat):
-        picks = np.unravel_index(flat, shape) if shape else ()
-        actions = np.empty((len(flat), mdp.n_states), dtype=dtype)
-        actions[:] = base
-        for s, acts, pick in zip(nonsafe, survivors, picks):
-            actions[:, s] = acts[pick]
-        return actions
+    # The first policy in the action tables' type.
+    row = base.astype(np.min_scalar_type(mdp.n_actions - 1))
 
     def solved(actions, loss):
         inside = loss < epsilon
@@ -570,7 +608,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
                 np.zeros(np.count_nonzero(inside)))
 
     if total <= block:
-        actions = table(np.arange(total))
+        actions = _action_table(row, nonsafe, survivors, 0, total)
         yield solved(actions,
                      np.max(v_star - policy_values(mdp, actions), axis=-1))
         return
@@ -587,10 +625,11 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
 
     def piece(leaves):
         nonlocal hitting
-        actions = table(leaves)
+        actions = _action_table(row, nonsafe, survivors, int(leaves[0]),
+                                len(leaves))
         loss = _tree_solve(values, leaves)
         loss = np.subtract(v_rows, loss, out=loss).max(axis=0)
-        near = np.any(np.abs(loss[:, None] - thresholds) <= window, axis=-1)
+        near = np.any(np.abs(thresholds[:, None] - loss) <= window, axis=0)
         if np.any(near):
             loss[near] = np.max(
                 v_star - policy_values(mdp, actions[near]), axis=-1)
@@ -603,12 +642,16 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
                 mdp, survivors, base, nonsafe, 1.0, np.ones(mdp.reward.shape))
         if not hitting:
             return solved(actions, loss)
-        # The members' rows, each in non-safe state order.  Pivots that
-        # rounding drives to 0 show in them (_steps_window).
-        rows = np.flatnonzero(inside), np.argsort(hitting[3])
+        # Each leaf's window is taken along its column of the states-major
+        # output; then the members' columns are gathered, and their rows
+        # put in non-safe state order.  Pivots that rounding drives to 0
+        # show in the windows (_steps_window).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            steps = _tree_solve(hitting, leaves).T[np.ix_(*rows)]
-        return actions, loss, steps, _steps_window(mdp.n_states, steps)
+            steps = _tree_solve(hitting, leaves)
+            spread = _steps_window(mdp.n_states, steps)
+        members = np.flatnonzero(inside)
+        steps = steps[:, members]
+        return actions, loss, steps[np.argsort(hitting[3])].T, spread[members]
 
     for lo in range(0, total, batch):
         yield piece(np.arange(lo, min(lo + batch, total)))

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -1334,9 +1334,86 @@ class TestTreeSolve:
         hitting = safety._tree_root(mdp, survivors, base, nonsafe, 1.0,
                                     np.ones(mdp.reward.shape))
         steps = safety._tree_solve(hitting, leaves)[np.argsort(hitting[3])].T
-        window = safety._steps_window(mdp.n_states, steps)
+        window = safety._steps_window(mdp.n_states, steps.T)
         exact = expected_steps(_chains(mdp, actions))
         assert np.all(np.abs(steps - exact) <= window[:, None])
+
+
+@st.composite
+def tree_products(draw):
+    """(mdp, survivors, leaves): one to three survivors among three
+    actions at each non-safe state, one to ten of them varying, on a dense
+    MDP (every product absorbed) or a sparse one (some products not), and
+    leaves of the product that form the whole product, a run that starts
+    and ends inside it, or a single leaf."""
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    counts = rng.permutation(np.concatenate([
+        rng.integers(2, 4, size=draw(st.integers(1, 10))),
+        np.ones(draw(st.integers(0, 2)), dtype=int)]))
+    build = draw(st.sampled_from([random_mdp, sparse_mdp]))
+    mdp = build(seed, n_states=len(counts) + 1, n_actions=3)
+    survivors = [np.sort(rng.choice(3, k, replace=False)) for k in counts]
+    total = math.prod(counts)
+    kind = draw(st.sampled_from(["whole", "inside", "leaf"]))
+    if kind == "whole":
+        leaves = np.arange(total)
+    elif kind == "inside":
+        lo = draw(st.integers(0, total - 1))
+        leaves = np.arange(lo, draw(st.integers(lo, total - 1)) + 1)
+    else:
+        leaves = np.array([draw(st.integers(0, total - 1))])
+    return mdp, survivors, leaves
+
+
+class TestTreeAgainstReference:
+    """The nodes-last tree against helpers.reference_tree_solve, the
+    leaves-major one: values within the window of TREE_ROUNDING, and
+    hitting times within _steps_window, of the reference's; and the tiled
+    action tables equal to helpers.reference_table's.  Whether the leaves
+    are bit-equal is reported as a Hypothesis event."""
+
+    @staticmethod
+    def base(mdp, survivors):
+        base = np.zeros(mdp.n_states, dtype=int)
+        base[mdp.nonsafe_indices] = [acts[0] for acts in survivors]
+        return base
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_products())
+    def test_leaves_lie_within_their_windows(self, case):
+        mdp, survivors, leaves = case
+        base = self.base(mdp, survivors)
+        values = safety._tree_root(mdp, survivors, base,
+                                   np.arange(mdp.n_states), mdp.discount,
+                                   mdp.reward)
+        out = safety._tree_solve(values, leaves)
+        ref = helpers.reference_tree_solve(values, leaves)
+        assert out.shape == ref.shape == (mdp.n_states, len(leaves))
+        assert np.all(np.abs(out - ref) <= safety._tree_window(mdp, [0.0]))
+        event(f"values bit-equal: {np.array_equal(out, ref)}")
+        if not safety._absorbed(mdp, survivors):
+            return
+        hitting = safety._tree_root(mdp, survivors, base,
+                                    mdp.nonsafe_indices, 1.0,
+                                    np.ones(mdp.reward.shape))
+        steps = safety._tree_solve(hitting, leaves)
+        ref = helpers.reference_tree_solve(hitting, leaves)
+        window = safety._steps_window(mdp.n_states, steps)
+        assert np.all(np.abs(steps - ref) <= window)
+        event(f"times bit-equal: {np.array_equal(steps, ref)}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_products())
+    def test_tables_equal_the_reference(self, case):
+        mdp, survivors, leaves = case
+        base = self.base(mdp, survivors).astype(np.uint8)
+        table = safety._action_table(base, mdp.nonsafe_indices, survivors,
+                                     int(leaves[0]), len(leaves))
+        ref = helpers.reference_table(base, mdp.nonsafe_indices, survivors,
+                                      leaves)
+        assert table.dtype == ref.dtype
+        assert np.array_equal(table, ref)
 
 
 @contextlib.contextmanager
@@ -1379,7 +1456,7 @@ class TestTreeHittingTimes:
                 assert np.array_equal(steps[~tree], exact[~tree])
                 if np.any(tree):
                     assert np.array_equal(window[tree], safety._steps_window(
-                        mdp.n_states, steps[tree]))
+                        mdp.n_states, steps[tree].T))
                 assert np.all(np.abs(steps[tree] - exact[tree])
                               <= window[tree, None])
                 rows += np.count_nonzero(tree)
