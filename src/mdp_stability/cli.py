@@ -528,14 +528,13 @@ def build_parser():
     p.set_defaults(func=cmd_duplicate)
 
     p = sub.add_parser("random", help="seeded random embedded MDP")
+    common(p, ())
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shape", default="5,2,3", help="states,actions,dim")
     p.add_argument("--sparsity", type=float, default=0.6)
     p.add_argument("--reward-range", default="0,1")
     p.add_argument("--gamma", type=float, default=0.9,
                    help="discount of the generated MDP")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("onpolicy", help="shutdown probability and bound")

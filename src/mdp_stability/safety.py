@@ -38,17 +38,18 @@ POLICY_CAP = 10 ** 6
 # Bytes that one stacked solve may take, at one n-by-n float matrix per
 # policy: a block of max(1, BLOCK_BYTES // (8 n^2)) policies, 193 at 13
 # states.  A table of one block is one stacked solve of policy_values and
-# one piece of the member scan (_scan).  A larger table is evaluated by
-# the elimination tree (_tree_solve) in batches of whole blocks whose
-# values take at most 2 BLOCK_BYTES (_table_sizes): the tree holds O(n)
-# floats per policy where a block holds O(n^2), so every table of the
-# certify benchmark (at most 4,096 surviving policies, at 13 to 15
-# states) is one batch, and comes to the scan as one piece.  The
+# one piece of the member scan (_scan).  A larger table is cut into
+# pieces that are products of their own (_pieces), of at most a batch of
+# whole blocks whose values take at most 2 BLOCK_BYTES (_table_sizes), and
+# the elimination tree (_tree_solve) solves each piece whole: the tree
+# holds O(n) floats per policy where a block holds O(n^2), so every table
+# of the certify benchmark (at most 4,096 surviving policies, at 13 to 15
+# states) is within a batch, and comes to the scan as one piece.  The
 # members' hitting times come from the tree or from expected_steps in
 # stacks of half a block (_stacked_steps), whichever _tree_pays
 # estimates to cost less, and the tree's rows that the scan keeps go to
 # _stacked_steps.  On the certify benchmark (two 30 s pairs each against
-# 256 KB, one piece per batch of 3/4 of BLOCK_BYTES), 1 MB raised
+# 256 KB, with batches of 3/4 of BLOCK_BYTES), 1 MB raised
 # tasks_per_s by 9% but task_s.tail by 28-40%: pool instance 1's
 # 864-policy 9-state table is one stacked solve there, not a tree.
 # 512 KB read 1-4% lower.  Every hitting time and loss that a
@@ -243,8 +244,11 @@ PRUNE_ROUNDING = 8.0
 # dominant by rows, |a_ij| <= 1 and ||A^-1||_inf <= 1 / (1 - g), so
 # ||V^pi||_inf <= R / (1 - g).  Each solve returns V' with
 # (A + dA) V' = r and |dA| <= g_3n |L||U|, g_3n ~ 1.5 n eps (Higham,
-# Accuracy and Stability of Numerical Algorithms, Theorem 9.4).  Past its
-# first solve, which has the stacked solve's bound, the tree eliminates
+# Accuracy and Stability of Numerical Algorithms, Theorem 9.4).  The
+# tree's first solve is LAPACK's, with the stacked solve's bound; it
+# eliminates every state whose row all policies of the piece share, the
+# states before a piece's split state (_pieces) among them, so the bound
+# does not depend on how a table is cut.  Past it the tree eliminates
 # without pivoting, so its growth factor is at most 2 (Wilkinson; Higham,
 # Theorem 9.9), every Schur complement stays diagonally dominant by rows,
 # and the rows of |L||U| = |LD||D^-1 U| sum to at most n * 2 * 2
@@ -280,8 +284,9 @@ def _tree_window(mdp: MdpSpec, thresholds) -> float:
 # (d / T') T^2 of each other, to first order.  The tree's share of that
 # gives T <= T' + (d / T') T T', so T <= T' / (1 - d), and (d / T') T^2
 # <= w.  With d >= 1/2 the bound is void, and the window is inf.  As for
-# TREE_ROUNDING, the order of summation in back substitution does not
-# enter the bound.
+# TREE_ROUNDING, the states that a piece fixes (_pieces) are eliminated
+# in the first, LAPACK solve, and the order of summation in back
+# substitution does not enter the bound.
 def _steps_window(n: int, steps):
     """The window w above of each policy of the tree's expected steps
     ``steps``, states-major (one column per policy, as _tree_solve gives
@@ -337,12 +342,14 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     eliminated first, by one solve: x_fixed = Z[:, :m] x_vary - Z[:, m]
     over the m varying states, whose survivor counts are k.  The root
     holds the row [(I - scale P)[s, vary] | rhs] of each varying state s
-    under each of its survivors, with x_fixed substituted.  order holds
-    the place in ``states`` of each row of _tree_solve's output: the
-    varying states, then the fixed ones.
+    under each of its survivors, with x_fixed substituted; it has no rows
+    for a product of one policy (m = 0).  order holds the place in
+    ``states`` of each row of _tree_solve's output: the varying states,
+    then the fixed ones.
     """
     nonsafe = mdp.nonsafe_indices
     k = np.array([len(acts) for acts in survivors], dtype=int)
+    acts = np.concatenate(survivors)[np.repeat(k > 1, k)]
     vary, k = nonsafe[k > 1], k[k > 1]
     fixed = np.zeros(mdp.n_states, dtype=bool)
     fixed[states] = True
@@ -354,7 +361,6 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
                         np.column_stack([scale * P[:, vary],
                                          -rhs[fixed, base[fixed]]]))
     rows = np.repeat(vary, k)
-    acts = np.concatenate([acts for acts in survivors if len(acts) > 1])
     P = mdp.transition[rows, acts]
     root = np.column_stack([-scale * P[:, vary], rhs[rows, acts]])
     root[np.arange(len(rows)), np.repeat(np.arange(m), k)] += 1.0
@@ -362,20 +368,18 @@ def _tree_root(mdp: MdpSpec, survivors, base, states, scale: float, rhs):
     return root - scale * P[:, fixed] @ Z, Z, tuple(k.tolist()), order
 
 
-def _tree_solve(tree, leaves) -> np.ndarray:
-    """x over the states of ``tree`` (as _tree_root gives it) of the
-    policies at product indices ``leaves`` (a non-empty run of consecutive
-    indices; the last varying state varies fastest), states-major: one row
-    per state, in the tree's order, and one column per leaf.
+def _tree_solve(tree) -> np.ndarray:
+    """x over the states of ``tree`` (as _tree_root gives it) of every
+    policy of its product, states-major: one row per state, in the tree's
+    order, and one column per policy, in product order (the last varying
+    state varies fastest).
 
     The varying states are eliminated in index order, one level of the
     tree each: a node of depth d holds the rows of the states after the
     d-th under each of their survivors, and its child c pivots on the next
     state's row under that state's c-th survivor, so that the leaves come
     in product order.  A level is stored nodes-last, as (rows, width,
-    nodes), so that every step runs along the node axis.  Only the nodes
-    above ``leaves`` are kept: above a run of leaves, each level holds a
-    run of nodes, and the leaves under each node are contiguous.  Back
+    nodes), so that every step runs along the node axis.  Back
     substitution broadcasts each node's pivot row over its leaves
     (_run_back_substitution), in place into the output's first rows, the
     varying states' (the tree orders them first for that), and one
@@ -385,18 +389,12 @@ def _tree_solve(tree, leaves) -> np.ndarray:
     """
     root, Z, k, order = tree
     m = len(k)
-    # ids[d]: the first and last node of depth d above the leaves, as
-    # product indices of their first d actions.
-    ids = [(int(leaves[0]), int(leaves[-1]))]
-    for kd in k[::-1]:
-        ids.insert(0, (ids[0][0] // kd, ids[0][1] // kd))
     rows, pivots = root[..., None], []
-    for d, kd in enumerate(k):
+    for kd in k:
         # Child c of the node at place p is child p kd + c of the nodes of
         # depth d.  step eliminates each child's rows along the nodes,
         # held as (child, rows, width, nodes); the children are then laid
-        # out parent-major, and the run of them above the leaves is kept
-        # as a view.
+        # out parent-major.
         pivot, rest = rows[:kd, None], rows[None, kd:]
         step = rest[..., :1, :] / pivot[..., :1, :] * pivot[..., 1:, :]
         np.subtract(rest[..., 1:, :], step, out=step)
@@ -406,90 +404,84 @@ def _tree_solve(tree, leaves) -> np.ndarray:
         for c in range(kd):
             rows[..., c] = step[c]
             pivot_rows[..., c] = pivot[c, 0]
-        lo, hi = (ids[d + 1][0] - ids[d][0] * kd,
-                  ids[d + 1][1] - ids[d][0] * kd + 1)
-        rows = rows.reshape(r, width - 1, nodes * kd)[..., lo:hi]
-        pivots.append(pivot_rows.reshape(width, nodes * kd)[:, lo:hi])
-    out = np.empty((len(order), len(leaves)))
-    _run_back_substitution(out[:m], pivots, k, ids[-1][0])
+        rows = rows.reshape(r, width - 1, nodes * kd)
+        pivots.append(pivot_rows.reshape(width, nodes * kd))
+    out = np.empty((len(order), math.prod(k)))
+    _run_back_substitution(out[:m], pivots, k)
     np.matmul(Z[:, :m], out[:m], out=out[m:])
     out[m:] -= Z[:, m, None]
     return out
 
 
-def _run_back_substitution(x, pivots, k, first):
-    """Fill ``x`` (varying states by leaves) with x_vary of the run of
-    leaves that starts at product index ``first``, by the pivot rows of
-    _tree_solve (one column per node), one level at a time.
+def _run_back_substitution(x, pivots, k):
+    """Fill ``x`` (varying states by leaves) with x_vary of every leaf of
+    the product, by the pivot rows of _tree_solve (one column per node),
+    one level at a time.
 
-    A whole node of depth d + 1 covers span contiguous leaves, and column
-    j of pivots[d] is the j-th node from the one that holds leaf
-    ``first``.  So each node's pivot row is broadcast over its leaves: the
-    whole nodes of a level through one reshape, and a partial first and
-    last node each on its own, with no per-leaf copy of the pivot rows.
+    A node of depth d + 1 covers span contiguous leaves, and column j of
+    pivots[d] is its j-th node, so each node's pivot row is broadcast over
+    its leaves through one reshape, with no per-leaf copy of the pivot
+    rows.
     """
     leaves, span = x.shape[1], 1
     for d in range(len(k) - 1, -1, -1):
-        pivot = pivots[d]
-        # Leaves in a partial first node, then in whole nodes.
-        head = min(leaves, -first % span)
-        whole = (leaves - head) // span
-        end = head + whole * span
-        parts = [(slice(0, head), pivot[:, 0])] if head else []
-        if end < leaves:
-            parts.append((slice(end, leaves), pivot[:, -1]))
-        for part, row in parts:
-            # A contiguous copy of the column sums the product in the
-            # order of a stored row.
-            row = np.ascontiguousarray(row)
-            x[d, part] = (row[-1] - row[1:-1] @ x[d + 1:, part]) / row[0]
-        if whole:
-            rows = pivot[:, int(head > 0):][:, :whole]
-            this = x[d, head:end].reshape(whole, span)
-            np.einsum("jnk,jn->nk", x[d + 1:, head:end].reshape(
-                -1, whole, span), rows[1:-1], out=this)
-            np.subtract(rows[-1, :, None], this, out=this)
-            np.divide(this, rows[0, :, None], out=this)
+        rows, this = pivots[d], x[d].reshape(-1, span)
+        np.einsum("jnk,jn->nk", x[d + 1:].reshape(-1, leaves // span, span),
+                  rows[1:-1], out=this)
+        np.subtract(rows[-1, :, None], this, out=this)
+        np.divide(this, rows[0, :, None], out=this)
         span *= k[d]
 
 
-def _action_table(base, nonsafe, survivors, first: int, count: int):
-    """The ``count`` policies of the product of ``survivors`` (the actions
-    kept at the non-safe states ``nonsafe``) from product index ``first``
-    on, one row each, that take the actions of ``base`` elsewhere, in the
-    type of ``base``.
+def _action_table(base, nonsafe, survivors):
+    """The policies of the product of ``survivors`` (the actions kept at
+    the non-safe states ``nonsafe``), one row each in product order, that
+    take the actions of ``base`` elsewhere, in the type of ``base``.
 
     A state's survivors repeat over its stride, the product of the
-    survivor counts after it, so its column is one survivor per stride
-    that the run meets, cyclically, each repeated over the run's indices
-    in that stride; no product index is unravelled."""
-    actions = np.empty((count, len(base)), dtype=base.dtype)
+    survivor counts after it, and that run repeats over the product; no
+    product index is unravelled."""
+    total = math.prod(len(acts) for acts in survivors)
+    actions = np.empty((total, len(base)), dtype=base.dtype)
     actions[:] = base
-    stride = math.prod(len(acts) for acts in survivors)
+    stride = total
     for s, acts in zip(nonsafe, survivors):
         stride //= len(acts)
-        if len(acts) == 1:
-            continue
-        lo, hi = first // stride, (first + count - 1) // stride
-        counts = np.full(hi - lo + 1, stride)
-        counts[0] -= first - lo * stride
-        counts[-1] -= (hi + 1) * stride - first - count
-        actions[:, s] = np.repeat(acts[np.arange(lo, hi + 1) % len(acts)],
-                                  counts)
+        actions[:, s] = np.tile(np.repeat(acts, stride),
+                                total // (stride * len(acts)))
     return actions
+
+
+def _pieces(survivors, batch: int):
+    """The product of ``survivors`` (the actions kept at each non-safe
+    state) in products of at most ``batch`` policies, in product order,
+    each as its own survivors.  The split state is the last whose suffix
+    product (its survivor count times those after it) exceeds ``batch``,
+    or the first if none does: each state before it takes one survivor at
+    a time, and its own come in runs of batch // span, where span, the
+    product of the counts after it, is at most ``batch``."""
+    k = [len(acts) for acts in survivors]
+    split = max((i for i in range(len(k)) if math.prod(k[i:]) > batch),
+                default=0)
+    run, after = batch // math.prod(k[split + 1:]), survivors[split + 1:]
+    for prefix in np.ndindex(*k[:split]):
+        head = [acts[c:c + 1] for acts, c in zip(survivors, prefix)]
+        for lo in range(0, k[split], run):
+            yield head + [survivors[split][lo:lo + run]] + after
 
 
 def _table_sizes(n_states: int):
     """(block, batch) of _policy_table at ``n_states`` states: the
-    policies of one stacked solve, max(1, BLOCK_BYTES // (8 n^2)), and of
-    one piece of the table, a batch of the values tree: the most whole
-    blocks whose values, one float per state and policy, take at most 2
-    BLOCK_BYTES (at least one block).  That is 26 blocks, 5,018 policies,
-    at 13 states and 30 blocks, 4,350 policies, at 15.
+    policies of one stacked solve, max(1, BLOCK_BYTES // (8 n^2)), and
+    the most of one piece of the table (_pieces), a product that the
+    values tree solves whole: the most whole blocks whose values, one
+    float per state and policy, take at most 2 BLOCK_BYTES (at least one
+    block).  That is 26 blocks, 5,018 policies, at 13 states and 30
+    blocks, 4,350 policies, at 15.
 
     The budget bounds the memory of a piece, which the size of the table
     does not enter: the tree holds O(n) floats per policy where a stacked
-    solve holds O(n^2).  The tree's solve of a batch stores each level
+    solve holds O(n^2).  The tree's solve of a piece stores each level
     nodes-last, (rows, width, nodes); a level with j varying states still
     to go holds 2 j (j + 1) / 2^j floats per policy at two survivors a
     state, at most 3.  Eliminating a level holds three such arrays at
@@ -500,9 +492,10 @@ def _table_sizes(n_states: int):
     the last level, about 27 floats per policy at 17 states and 22 at 13,
     1.6 times the values.  After it, the hitting-time tree's output and
     the members' columns gathered from it hold up to 2 (n - 1) floats per
-    policy at once.  A whole batch is thus built within about 2.5 times
-    its values, 5 BLOCK_BYTES (measured at 13 and 17 states), and within
-    6 BLOCK_BYTES while the reader still holds the piece before it."""
+    policy at once.  A piece of a whole batch is thus built within about
+    2.5 times its values, 5 BLOCK_BYTES (measured at 13 and 17 states),
+    and within 6 BLOCK_BYTES while the reader still holds the piece before
+    it."""
     block = max(1, BLOCK_BYTES // (8 * n_states ** 2))
     return block, block * max(1, BLOCK_BYTES // (4 * n_states * block))
 
@@ -548,8 +541,9 @@ def _stacked_steps(mdp: MdpSpec, actions) -> np.ndarray:
 
 def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     """The deterministic policies that survive MacQueen's test at
-    ``epsilon``, in pieces of one batch of _table_sizes (a table of at
-    most a block is one piece) as (actions, loss, steps, window): actions
+    ``epsilon``, in pieces of at most a batch of _table_sizes, each a
+    product of its own (_pieces; a table of at most a batch is one piece),
+    as (actions, loss, steps, window): actions
     is a (policies, states) table that takes V*'s greedy action (the first
     on ties) at each safe state, and loss the value loss max_s V*(s) -
     V^pi(s) of each row.  A policy is eps-optimal exactly when its loss is
@@ -562,7 +556,8 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     Each action table takes the smallest unsigned type that holds every
     action index.  A table of one block is one stacked solve of
     policy_values.  A larger one is evaluated by the elimination tree
-    (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, a batch at a time.
+    (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, one whole piece at
+    a time.
     A loss within the window of TREE_ROUNDING of one of ``thresholds``
     (what the caller compares losses with; by default ``epsilon``) is
     evaluated again by policy_values, so that every comparison with a
@@ -570,15 +565,15 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
 
     steps holds the expected steps to the safe set (over the non-safe
     states, in index order) of the rows with loss below epsilon, each row
-    within its entry of window of expected_steps'.  In a batch where
-    _tree_pays, when the product passes _absorbed, the tree of
-    (I - Q_pi) t = 1 solves the batch's run of leaves, and the rows of its
-    members are gathered, with windows of _steps_window.  Otherwise (a
-    table of one block, a batch with too few members for the tree to pay,
-    a product that fails _absorbed) expected_steps solves the members'
-    chains (_stacked_steps), with windows of 0.  Each piece is built by a
-    call of its own, so that the generator keeps nothing of the pieces it
-    has yielded.
+    within its entry of window of expected_steps'.  In a piece where
+    _tree_pays, when the table's product passes _absorbed (tested once,
+    for every piece), the piece's tree of (I - Q_pi) t = 1 solves it, and
+    the rows of its members are gathered, with windows of _steps_window.
+    Otherwise (a table of one block, a piece with too few members for the
+    tree to pay, a product that fails _absorbed) expected_steps solves the
+    members' chains (_stacked_steps), with windows of 0.  Each piece is
+    built by a call of its own, so that the generator keeps nothing of the
+    pieces it has yielded.
     """
     nonsafe = mdp.nonsafe_indices
     size = mdp.n_actions ** len(nonsafe)
@@ -594,13 +589,12 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
     total = math.prod(len(acts) for acts in survivors)
     block, batch = _table_sizes(mdp.n_states)
-    # The product's first policy.  The safe set is closed, so V*'s greedy
-    # actions there give every table the least loss among those that
-    # agree with it off the safe set, and hitting times ignore them.
-    base = np.argmax(q_star, axis=1)
-    base[nonsafe] = [acts[0] for acts in survivors]
-    # The first policy in the action tables' type.
-    row = base.astype(np.min_scalar_type(mdp.n_actions - 1))
+    # V*'s greedy actions, in the action tables' type.  The safe set is
+    # closed, so at its states they give every table the least loss among
+    # those that agree with it off the safe set, and hitting times ignore
+    # them.
+    row = np.argmax(q_star, axis=1).astype(
+        np.min_scalar_type(mdp.n_actions - 1))
 
     def solved(actions, loss):
         inside = loss < epsilon
@@ -608,53 +602,51 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
                 np.zeros(np.count_nonzero(inside)))
 
     if total <= block:
-        actions = _action_table(row, nonsafe, survivors, 0, total)
+        actions = _action_table(row, nonsafe, survivors)
         yield solved(actions,
                      np.max(v_star - policy_values(mdp, actions), axis=-1))
         return
     thresholds = np.array((epsilon,) if thresholds is None else thresholds,
                           dtype=float)
     window = _tree_window(mdp, thresholds)
-    values = _tree_root(mdp, survivors, base, np.arange(mdp.n_states),
-                        mdp.discount, mdp.reward)
-    # V* in the order of the values tree's rows.
-    v_rows = v_star[values[3], None]
-    # The tree of (I - Q_pi) t = 1, built for the first piece that takes
-    # it, or False when the product fails _absorbed.
-    hitting = None
+    # Whether the whole product, and so each piece, passes _absorbed, found
+    # at the first piece where the hitting-time tree pays.
+    absorbed = None
 
-    def piece(leaves):
-        nonlocal hitting
-        actions = _action_table(row, nonsafe, survivors, int(leaves[0]),
-                                len(leaves))
-        loss = _tree_solve(values, leaves)
-        loss = np.subtract(v_rows, loss, out=loss).max(axis=0)
+    def piece(part):
+        nonlocal absorbed
+        actions = _action_table(row, nonsafe, part)
+        values = _tree_root(mdp, part, actions[0], np.arange(mdp.n_states),
+                            mdp.discount, mdp.reward)
+        loss = _tree_solve(values)
+        loss = np.subtract(v_star[values[3], None], loss, out=loss).max(axis=0)
         near = np.any(np.abs(thresholds[:, None] - loss) <= window, axis=0)
         if np.any(near):
             loss[near] = np.max(
                 v_star - policy_values(mdp, actions[near]), axis=-1)
         inside = loss < epsilon
-        if not _tree_pays(mdp.n_states, len(leaves),
+        if not _tree_pays(mdp.n_states, len(actions),
                           np.count_nonzero(inside)):
             return solved(actions, loss)
-        if hitting is None:
-            hitting = _absorbed(mdp, survivors) and _tree_root(
-                mdp, survivors, base, nonsafe, 1.0, np.ones(mdp.reward.shape))
-        if not hitting:
+        if absorbed is None:
+            absorbed = _absorbed(mdp, survivors)
+        if not absorbed:
             return solved(actions, loss)
+        hitting = _tree_root(mdp, part, actions[0], nonsafe, 1.0,
+                             np.ones(mdp.reward.shape))
         # Each leaf's window is taken along its column of the states-major
         # output; then the members' columns are gathered, and their rows
         # put in non-safe state order.  Pivots that rounding drives to 0
         # show in the windows (_steps_window).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            steps = _tree_solve(hitting, leaves)
+            steps = _tree_solve(hitting)
             spread = _steps_window(mdp.n_states, steps)
         members = np.flatnonzero(inside)
         steps = steps[:, members]
         return actions, loss, steps[np.argsort(hitting[3])].T, spread[members]
 
-    for lo in range(0, total, batch):
-        yield piece(np.arange(lo, min(lo + batch, total)))
+    for part in _pieces(survivors, batch):
+        yield piece(part)
 
 
 # Most rows of exact steps that _scan settles without a cut first.
@@ -678,12 +670,11 @@ def _scan(mdp: MdpSpec, epsilons, start):
     from every state.  A start whose length is not the MDP's number of
     states is rejected before any policy is evaluated.
 
-    Each piece of the table (a batch of _table_sizes) is done with before
-    the next one is built.  Its members are cut to those that may hold
-    the first maximum of a set they belong to (_near_top) when some row
-    has a window or a start is charged on more than SETTLE_ROWS rows (on
-    exact steps _settle takes the same first maximum), and settled
-    (_settle).  A start is taken apart at the first member, so that an
+    Each piece of the table (_policy_table's) is done with before the
+    next one is built.  Its members are cut to those that may hold the
+    first maximum of a set they belong to (_near_top) when some row has a
+    window or a start is charged on more than SETTLE_ROWS rows (on exact
+    steps _settle takes the same first maximum), and settled (_settle).  A start is taken apart at the first member, so that an
     empty set is reported as vacuous before a start with mass on safe
     states.
     """

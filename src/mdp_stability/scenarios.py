@@ -67,7 +67,7 @@ class PlayingDeadParams:
         _state_indices(base.n_states, [self.escape_state])
         if not 0 <= self.escape_action < base.n_actions:
             raise ValueError("escape_action out of range")
-        v_star = value_iteration(base, 1e-10).values
+        v_star = value_iteration(base).values
         if v_star[self.escape_state] <= 1e-9:
             raise ValueError("escape state must have positive optimal value")
 

@@ -197,54 +197,32 @@ def reference_table_sizes(n_states):
     return block, block * max(1, 3 * budget // (32 * n_states * block))
 
 
-def reference_tree_solve(tree, leaves):
+def reference_tree_solve(tree):
     """safety._tree_solve with every level stored leaves-major, one node
     at a time (nodes, rows, width), as the tree was first built: x over
-    the tree's states of the policies at the run of product indices
-    ``leaves``, one row per state in the tree's order."""
+    the tree's states of every policy of its product, one row per state
+    in the tree's order."""
     root, Z, k, order = tree
     m = len(k)
-    ids = [leaves[[0, -1]]]
-    for d in range(m, 0, -1):
-        ids.insert(0, ids[0] // k[d - 1])
     rows, pivots = root[None], []
     for d in range(m):
-        lo, hi = ids[d + 1] - ids[d][0] * k[d]
         pivot, rest = rows[:, :k[d], None], rows[:, None, k[d]:]
         rows = rest[..., 1:] - rest[..., :1] / pivot[..., :1] \
             * pivot[..., 1:]
-        pivot = pivot.reshape(-1, rows.shape[-1] + 1)
-        rows = rows.reshape(len(pivot), *rows.shape[-2:])
-        rows, pivot = rows[lo:hi + 1], pivot[lo:hi + 1]
-        pivots.append(pivot)
-    out = np.empty((len(order), len(leaves)))
-    _reference_back_substitution(out[:m], pivots, k, int(leaves[0]))
+        pivots.append(pivot.reshape(-1, rows.shape[-1] + 1))
+        rows = rows.reshape(len(pivots[-1]), *rows.shape[-2:])
+    out = np.empty((len(order), int(np.prod(k))))
+    x, span = out[:m], 1
+    for d in range(m - 1, -1, -1):
+        rows = pivots[d]
+        below = x[d + 1:].reshape(-1, len(rows), span)
+        x[d] = ((rows[:, -1, None] - np.einsum("jnk,nj->nk", below,
+                                               rows[:, 1:-1]))
+                / rows[:, :1]).reshape(-1)
+        span *= k[d]
     np.matmul(Z[:, :m], out[:m], out=out[m:])
     out[m:] -= Z[:, m, None]
     return out
-
-
-def _reference_back_substitution(x, pivots, k, first):
-    """x_vary of reference_tree_solve's run of leaves from product index
-    ``first``, from pivot rows stored one node a row."""
-    spans = np.cumprod(np.append(k, 1)[::-1])[::-1]
-    leaves = x.shape[1]
-    for d in range(len(k) - 1, -1, -1):
-        pivot, span = pivots[d], int(spans[d + 1])
-        head = min(leaves, -first % span)
-        whole = (leaves - head) // span
-        end = head + whole * span
-        parts = [(slice(0, head), pivot[0])] if head else []
-        if end < leaves:
-            parts.append((slice(end, leaves), pivot[-1]))
-        for part, row in parts:
-            x[d, part] = (row[-1] - row[1:-1] @ x[d + 1:, part]) / row[0]
-        if whole:
-            rows = pivot[int(head > 0):][:whole]
-            below = x[d + 1:, head:end].reshape(-1, whole, span)
-            x[d, head:end] = ((rows[:, -1, None] - np.einsum(
-                "jnk,nj->nk", below, rows[:, 1:-1]))
-                / rows[:, :1]).reshape(-1)
 
 
 def reference_table(base, nonsafe, survivors, leaves):

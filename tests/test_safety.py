@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -744,10 +744,10 @@ def stack_sizes():
 
 
 class TestBlockBudget:
-    """The policy table comes in one piece per batch of _table_sizes (one
-    piece for a table of at most a block), and every stacked solve of the
-    table and of the member scan holds at most BLOCK_BYTES of n-by-n float
-    matrices, or one policy when a single one is larger."""
+    """The policy table comes in pieces of at most a batch of _table_sizes
+    (one piece for a table of at most a batch), and every stacked solve of
+    the table and of the member scan holds at most BLOCK_BYTES of n-by-n
+    float matrices, or one policy when a single one is larger."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=table_cases(),
@@ -764,10 +764,10 @@ class TestBlockBudget:
         full = max(1, budget // (8 * n ** 2))
         assert block == full
         assert all(size <= full for size in stacks)
-        # Every piece but the last is a whole batch, and a table of at
-        # most a block is one piece.
-        assert sizes[:-1] == [batch] * (len(sizes) - 1)
-        assert len(sizes) == 1 or sum(sizes) > block
+        # Every piece holds at most a batch, and a table of at most a
+        # batch is one piece.
+        assert all(size <= batch for size in sizes)
+        assert len(sizes) == 1 or sum(sizes) > batch
 
     @pytest.mark.parametrize("mdp", [random_mdp(5, n_states=13, n_actions=2),
                                      sparse_mdp(0, n_states=13)],
@@ -1275,57 +1275,66 @@ def slow_leak_mdp(seed, low, high, n_states=7):
                    0.9, {n - 1})
 
 
+def first_policy(mdp, survivors):
+    """The first policy of the product of ``survivors``, action 0 at each
+    safe state."""
+    base = np.zeros(mdp.n_states, dtype=int)
+    base[mdp.nonsafe_indices] = [acts[0] for acts in survivors]
+    return base
+
+
+def product_table(mdp, survivors, dtype=int):
+    """helpers.reference_table of every policy of the product of
+    ``survivors``, in product order, in the type ``dtype``."""
+    return helpers.reference_table(
+        first_policy(mdp, survivors).astype(dtype), mdp.nonsafe_indices,
+        survivors, np.arange(math.prod(len(acts) for acts in survivors)))
+
+
 @st.composite
-def tree_leaves(draw):
-    """(mdp, survivors, leaves): a table case with some survivors at each
-    non-safe state, three actions at every state in a third of the cases,
-    and leaves of the product that form a run starting and ending
-    anywhere, the whole run under one node, or a single leaf."""
+def sub_products(draw, survivors):
+    """A product inside that of ``survivors``: the whole of it, a node of
+    its tree (the states up to some one take one survivor each), or a
+    single policy, whose tree varies no state."""
+    fixed = draw(st.one_of(st.just(0), st.just(len(survivors)),
+                           st.integers(0, len(survivors))))
+    picks = [draw(st.integers(0, len(acts) - 1))
+             for acts in survivors[:fixed]]
+    return ([acts[c:c + 1] for acts, c in zip(survivors, picks)]
+            + survivors[fixed:])
+
+
+@st.composite
+def tree_cases(draw):
+    """(mdp, survivors): a table case with some survivors at each non-safe
+    state, three actions at every state in a third of the cases, cut to a
+    product inside theirs (sub_products)."""
     if draw(st.integers(0, 2)):
         mdp = draw(table_cases())[0]
     else:
         mdp = random_mdp(draw(st.integers(0, 2 ** 16)),
                          n_states=draw(st.integers(2, 6)), n_actions=3)
     survivors = some_survivors(mdp, draw(st.integers(0, 2 ** 16)))
-    # The tree varies at least one state, as every table it evaluates.
-    k = [len(acts) for acts in survivors if len(acts) > 1]
-    assume(k)
-    total = math.prod(k)
-    kind = draw(st.sampled_from(["run", "node", "leaf"]))
-    if kind == "run":
-        lo = draw(st.integers(0, total - 1))
-        leaves = np.arange(lo, draw(st.integers(lo, total - 1)) + 1)
-    elif kind == "node":
-        span = math.prod(k[draw(st.integers(0, len(k))):])
-        node = draw(st.integers(0, total // span - 1))
-        leaves = np.arange(node * span, (node + 1) * span)
-    else:
-        leaves = np.array([draw(st.integers(0, total - 1))])
-    return mdp, survivors, leaves
+    return mdp, draw(sub_products(survivors))
 
 
 class TestTreeSolve:
-    """_tree_solve at any run of leaves, against policy_values within the
-    window of TREE_ROUNDING and against expected_steps within
-    _steps_window."""
+    """_tree_solve of a product, against policy_values within the window
+    of TREE_ROUNDING and against expected_steps within _steps_window."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=tree_leaves())
+    @given(case=tree_cases())
     def test_leaves_lie_within_their_windows(self, case):
-        mdp, survivors, leaves = case
+        mdp, survivors = case
         nonsafe = mdp.nonsafe_indices
-        base = np.zeros(mdp.n_states, dtype=int)
-        base[nonsafe] = [acts[0] for acts in survivors]
-        picks = np.unravel_index(leaves, [len(acts) for acts in survivors])
-        actions = np.tile(base, (len(leaves), 1))
-        for s, acts, pick in zip(nonsafe, survivors, picks):
-            actions[:, s] = acts[pick]
+        base = first_policy(mdp, survivors)
+        actions = product_table(mdp, survivors)
         values = safety._tree_root(mdp, survivors, base,
                                    np.arange(mdp.n_states), mdp.discount,
                                    mdp.reward)
         # One row per state in the tree's order, one column per leaf.
-        out = safety._tree_solve(values, leaves)
-        assert out.shape == (mdp.n_states, len(leaves))
+        out = safety._tree_solve(values)
+        assert out.shape == (mdp.n_states, len(actions))
         error = np.abs(out[np.argsort(values[3])].T
                        - policy_values(mdp, actions))
         assert np.all(error <= safety._tree_window(mdp, [0.0]))
@@ -1333,7 +1342,7 @@ class TestTreeSolve:
             return
         hitting = safety._tree_root(mdp, survivors, base, nonsafe, 1.0,
                                     np.ones(mdp.reward.shape))
-        steps = safety._tree_solve(hitting, leaves)[np.argsort(hitting[3])].T
+        steps = safety._tree_solve(hitting)[np.argsort(hitting[3])].T
         window = safety._steps_window(mdp.n_states, steps.T)
         exact = expected_steps(_chains(mdp, actions))
         assert np.all(np.abs(steps - exact) <= window[:, None])
@@ -1341,11 +1350,10 @@ class TestTreeSolve:
 
 @st.composite
 def tree_products(draw):
-    """(mdp, survivors, leaves): one to three survivors among three
-    actions at each non-safe state, one to ten of them varying, on a dense
-    MDP (every product absorbed) or a sparse one (some products not), and
-    leaves of the product that form the whole product, a run that starts
-    and ends inside it, or a single leaf."""
+    """(mdp, survivors): one to three survivors among three actions at
+    each non-safe state, one to ten of them varying, on a dense MDP (every
+    product absorbed) or a sparse one (some products not), cut to a
+    product inside theirs (sub_products)."""
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     counts = rng.permutation(np.concatenate([
@@ -1354,16 +1362,7 @@ def tree_products(draw):
     build = draw(st.sampled_from([random_mdp, sparse_mdp]))
     mdp = build(seed, n_states=len(counts) + 1, n_actions=3)
     survivors = [np.sort(rng.choice(3, k, replace=False)) for k in counts]
-    total = math.prod(counts)
-    kind = draw(st.sampled_from(["whole", "inside", "leaf"]))
-    if kind == "whole":
-        leaves = np.arange(total)
-    elif kind == "inside":
-        lo = draw(st.integers(0, total - 1))
-        leaves = np.arange(lo, draw(st.integers(lo, total - 1)) + 1)
-    else:
-        leaves = np.array([draw(st.integers(0, total - 1))])
-    return mdp, survivors, leaves
+    return mdp, draw(sub_products(survivors))
 
 
 class TestTreeAgainstReference:
@@ -1373,23 +1372,18 @@ class TestTreeAgainstReference:
     action tables equal to helpers.reference_table's.  Whether the leaves
     are bit-equal is reported as a Hypothesis event."""
 
-    @staticmethod
-    def base(mdp, survivors):
-        base = np.zeros(mdp.n_states, dtype=int)
-        base[mdp.nonsafe_indices] = [acts[0] for acts in survivors]
-        return base
-
     @settings(max_examples=100, deadline=None)
     @given(case=tree_products())
     def test_leaves_lie_within_their_windows(self, case):
-        mdp, survivors, leaves = case
-        base = self.base(mdp, survivors)
+        mdp, survivors = case
+        base = first_policy(mdp, survivors)
+        total = math.prod(len(acts) for acts in survivors)
         values = safety._tree_root(mdp, survivors, base,
                                    np.arange(mdp.n_states), mdp.discount,
                                    mdp.reward)
-        out = safety._tree_solve(values, leaves)
-        ref = helpers.reference_tree_solve(values, leaves)
-        assert out.shape == ref.shape == (mdp.n_states, len(leaves))
+        out = safety._tree_solve(values)
+        ref = helpers.reference_tree_solve(values)
+        assert out.shape == ref.shape == (mdp.n_states, total)
         assert np.all(np.abs(out - ref) <= safety._tree_window(mdp, [0.0]))
         event(f"values bit-equal: {np.array_equal(out, ref)}")
         if not safety._absorbed(mdp, survivors):
@@ -1397,8 +1391,8 @@ class TestTreeAgainstReference:
         hitting = safety._tree_root(mdp, survivors, base,
                                     mdp.nonsafe_indices, 1.0,
                                     np.ones(mdp.reward.shape))
-        steps = safety._tree_solve(hitting, leaves)
-        ref = helpers.reference_tree_solve(hitting, leaves)
+        steps = safety._tree_solve(hitting)
+        ref = helpers.reference_tree_solve(hitting)
         window = safety._steps_window(mdp.n_states, steps)
         assert np.all(np.abs(steps - ref) <= window)
         event(f"times bit-equal: {np.array_equal(steps, ref)}")
@@ -1406,14 +1400,58 @@ class TestTreeAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(case=tree_products())
     def test_tables_equal_the_reference(self, case):
-        mdp, survivors, leaves = case
-        base = self.base(mdp, survivors).astype(np.uint8)
-        table = safety._action_table(base, mdp.nonsafe_indices, survivors,
-                                     int(leaves[0]), len(leaves))
-        ref = helpers.reference_table(base, mdp.nonsafe_indices, survivors,
-                                      leaves)
+        mdp, survivors = case
+        base = first_policy(mdp, survivors).astype(np.uint8)
+        table = safety._action_table(base, mdp.nonsafe_indices, survivors)
+        ref = product_table(mdp, survivors, np.uint8)
         assert table.dtype == ref.dtype
         assert np.array_equal(table, ref)
+
+
+@st.composite
+def piece_cases(draw):
+    """(mdp, survivors, batch): one to four survivors among four actions
+    at each of one to ten non-safe states, at most 1,024 policies in all,
+    on a dense or a sparse MDP, and a batch from 1 to the product's size
+    plus 1."""
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    counts, total = [], 1
+    for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=10)):
+        counts.append(max(1, min(k, 1024 // total)))
+        total *= counts[-1]
+    build = draw(st.sampled_from([random_mdp, sparse_mdp]))
+    mdp = build(seed, n_states=len(counts) + 1, n_actions=4)
+    survivors = [np.sort(rng.choice(4, k, replace=False)) for k in counts]
+    return mdp, survivors, draw(st.integers(1, total + 1))
+
+
+class TestProductPieces:
+    """_pieces cuts a product into products of at most a batch, whose
+    action tables, in order, are the product's, and whose trees give each
+    policy's values within the window of TREE_ROUNDING of policy_values'.
+    The number of pieces is reported as a Hypothesis event."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=piece_cases())
+    def test_pieces_are_the_product_in_order(self, case):
+        mdp, survivors, batch = case
+        window = safety._tree_window(mdp, [0.0])
+        tables = []
+        for part in safety._pieces(survivors, batch):
+            first = first_policy(mdp, part)
+            actions = safety._action_table(first, mdp.nonsafe_indices, part)
+            assert len(actions) <= batch
+            values = safety._tree_root(mdp, part, first,
+                                       np.arange(mdp.n_states),
+                                       mdp.discount, mdp.reward)
+            out = safety._tree_solve(values)[np.argsort(values[3])].T
+            assert np.all(np.abs(out - policy_values(mdp, actions))
+                          <= window)
+            tables.append(actions)
+        event(f"pieces: {min(len(tables), 10)}{'+' * (len(tables) > 10)}")
+        assert np.array_equal(np.concatenate(tables),
+                              product_table(mdp, survivors))
 
 
 @contextlib.contextmanager
@@ -1480,7 +1518,8 @@ class TestTreeHittingTimes:
     def one_left_over(n):
         """The least BLOCK_BYTES at which _table_sizes puts the 2^(n-1)
         policies of a product over n - 1 non-safe states into batches of
-        more than a block, with a single policy left to the last batch."""
+        more than a block that leave one policy over (64 = 3 * 21 + 1 at 7
+        states), so that the table comes in several pieces (four of 16)."""
         for size in range(8 * n ** 2, 2 ** n * 8 * n ** 2):
             with mock.patch.object(safety, "BLOCK_BYTES", size):
                 block, batch = safety._table_sizes(n)
@@ -1494,12 +1533,20 @@ class TestTreeHittingTimes:
         # Below 1e-10 the window takes in many members; those that the cut
         # keeps are solved again, each once.
         mdp = slow_leak_mdp(seed, *leaks)
+        budget = self.one_left_over(mdp.n_states)
         # The tree, taken for every piece of more than one member, solves
-        # every batch but the last, whose single member is a stacked chain.
+        # all four pieces, every policy a member.
         with mock.patch.multiple(
-                safety, BLOCK_BYTES=self.one_left_over(mdp.n_states),
+                safety, BLOCK_BYTES=budget,
                 _tree_pays=lambda n, leaves, members: members > 1):
-            assert self.check_window(mdp, 1e3, None) == 2 ** 6 - 1
+            assert self.check_window(mdp, 1e3, None) == 2 ** 6
+        # Taken for every other piece, it solves half of them, and stacked
+        # chains the rest, in every table of several pieces from here on.
+        turns = itertools.count()
+        with mock.patch.multiple(
+                safety, BLOCK_BYTES=budget,
+                _tree_pays=lambda *args: next(turns) % 2 == 0):
+            assert self.check_window(mdp, 1e3, None) == 2 ** 5
             times = [np.max(expected_steps(induce_chain(mdp, p)))
                      for p in _reference_grid(mdp)]
             assert min(times) >= 1e6
@@ -1658,8 +1705,8 @@ class TestScanOrder:
         lambda mdp: safety_frontier(mdp, [1.0, 1e3])],
         ids=["certify", "certify-start", "frontier"])
     def test_each_piece_is_settled_before_the_next(self, run):
-        # Blocks of 3 policies put the 64 policies, all members, into
-        # pieces of 42 and 22, each solved by the tree.
+        # Blocks of 3 policies and batches of 42 put the 64 policies, all
+        # members, into two pieces of 32, each solved by the tree.
         mdp = random_mdp(4, n_states=7, n_actions=2)
         with table_under_test(mdp, 3), scan_events() as (events, rows):
             assert safety._table_sizes(mdp.n_states) == (3, 42)
@@ -1689,10 +1736,10 @@ def pool_outputs(index, directory):
 
 
 class TestPieceSizes:
-    """Tables cut into the pieces of _table_sizes and into the earlier,
-    smaller ones of helpers.reference_table_sizes give the same answers
-    bit for bit; and the peak memory of the table follows the size of a
-    piece, not of the table."""
+    """Tables cut into the pieces of _table_sizes, into the earlier,
+    smaller ones of helpers.reference_table_sizes and into pieces of one
+    policy each give the same answers bit for bit; and the peak memory of
+    the table follows the size of a piece, not of the table."""
 
     @staticmethod
     def answers(mdp, eps):
@@ -1715,13 +1762,20 @@ class TestPieceSizes:
 
     @settings(max_examples=60, deadline=None)
     @given(case=table_cases(), eps=st.sampled_from([0.5, 5.0, 1e3]))
+    # A tree that varies no state: the three policies of a 2-state table,
+    # one piece at blocks of one, and three of one policy each at the
+    # earlier sizes.
+    @example(case=(random_mdp(0, n_states=2, n_actions=3), 0, 1), eps=1e3)
     def test_table_cases_match_the_earlier_pieces(self, case, eps):
         mdp, _, block = case
         with mock.patch.multiple(safety, **small_blocks(mdp, block)):
             answers = self.answers(mdp, eps)
-            with mock.patch.object(safety, "_table_sizes",
-                                   helpers.reference_table_sizes):
-                assert self.answers(mdp, eps) == answers
+            # Pieces of one policy fix every non-safe state, so that their
+            # trees vary none, and every leaf is a LAPACK solve's.
+            for sizes in (helpers.reference_table_sizes, lambda n: (1, 1)):
+                with mock.patch.object(safety, "_table_sizes", sizes):
+                    assert self.answers(mdp, eps) == answers
+
 
     @pytest.mark.parametrize("index", range(16))
     def test_pool_matches_the_earlier_pieces(self, index, tmp_path):
