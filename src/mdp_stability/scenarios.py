@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-PCG64"
+# The farthest random_perturbation moves a state: twice over, the square of
+# a row norm stays finite, so norms and squared shifts can be taken.
+MAX_STATE_SHIFT = math.sqrt(np.finfo(float).max) / 2
 
 
 @dataclass(frozen=True)
@@ -268,9 +271,11 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     Transition noise lives on existing support only (zero-sum per row,
     capped at half the smallest support entry) so that no reachability is
     destroyed; coordinate noise is isotropic.  state_share of the size goes
-    to coordinate displacement when the policy has a positive derivative
-    bound, the rest to transitions.  The result is rescaled so its measured
-    size matches ``size`` exactly.
+    to coordinate displacement when the policy's derivative bound is
+    large enough for a unit of size to move no state further than
+    ``MAX_STATE_SHIFT``, the rest to transitions.  The result is rescaled
+    so its measured size matches ``size`` exactly; a size that would move a
+    state further than ``MAX_STATE_SHIFT`` is refused.
 
     ``plan`` is ``perturbation_support(emdp.base)``, built once for a
     ladder of draws on one MDP; by default each call builds its own.  The
@@ -301,7 +306,12 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     dS = rng.standard_normal(emdp.embedding.shape)
 
     b = policy.bound_b
-    if b <= 0:
+    shifts = np.linalg.norm(dS, axis=1)
+    s_mass = 0.5 * base.n_states * b * float(shifts.sum())
+    peak = float(shifts.max())
+    # A bound too small for one unit of size to keep every state within
+    # MAX_STATE_SHIFT counts as zero, as does a bound that is not positive.
+    if not peak <= MAX_STATE_SHIFT * s_mass:
         state_share = 0.0
     t_mass = float(np.abs(dT).sum())
     if t_mass == 0.0 and state_share == 0.0:
@@ -311,7 +321,6 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     # Scale the two components to their shares of a unit-size perturbation,
     # then scale jointly down to the requested size.
     pert_scale_T = (1.0 - state_share) / t_mass if t_mass else 0.0
-    s_mass = 0.5 * base.n_states * b * float(np.linalg.norm(dS, axis=1).sum())
     pert_scale_S = state_share / s_mass if (s_mass and state_share) else 0.0
     dT *= pert_scale_T
     unit = Perturbation(_sealed(dS * pert_scale_S), _sealed(dT))
@@ -323,5 +332,9 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
         raise ValueError(
             f"requested size {size!r} exceeds the admissible transition "
             f"budget for this instance (support entries would be destroyed)")
+    if pert_scale_S * scale * peak > MAX_STATE_SHIFT:
+        raise ValueError(
+            f"requested size {size!r} moves a state further than "
+            f"{MAX_STATE_SHIFT:.3g} under derivative bound {b!r}")
     return Perturbation(_sealed(unit.delta_S * scale),
                         _sealed(unit.delta_T * scale))

@@ -21,6 +21,7 @@ from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, _state_indices, can_reach)
 from mdp_stability.onpolicy import ROW_TOL, perturbation_size, spectral_radius
 from mdp_stability.safety import _policy_table, start_charge
+from mdp_stability.scenarios import MAX_STATE_SHIFT
 from mdp_stability.transport import BatchedTransport
 
 _BASIS_CACHE = {}
@@ -695,7 +696,9 @@ def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
     dS = rng.standard_normal(emdp.embedding.shape)
 
     b = policy.bound_b
-    if b <= 0:
+    shifts = [float(np.linalg.norm(row)) for row in dS]
+    s_mass = 0.5 * base.n_states * b * float(np.linalg.norm(dS, axis=1).sum())
+    if b <= 0 or max(shifts) > MAX_STATE_SHIFT * s_mass:
         state_share = 0.0
     t_mass = float(np.abs(dT).sum())
     if t_mass == 0.0 and state_share == 0.0:
@@ -703,7 +706,6 @@ def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
     if t_mass == 0.0:
         state_share = 1.0
     pert_scale_T = (1.0 - state_share) / t_mass if t_mass else 0.0
-    s_mass = 0.5 * base.n_states * b * float(np.linalg.norm(dS, axis=1).sum())
     pert_scale_S = state_share / s_mass if (s_mass and state_share) else 0.0
     unit = Perturbation(dS * pert_scale_S, dT * pert_scale_T)
     unit_size = perturbation_size(emdp, policy, unit)
@@ -714,6 +716,10 @@ def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
         raise ValueError(
             f"requested size {size!r} exceeds the admissible transition "
             f"budget for this instance (support entries would be destroyed)")
+    if max(shifts) * pert_scale_S * scale > MAX_STATE_SHIFT:
+        raise ValueError(
+            f"requested size {size!r} moves a state further than "
+            f"{MAX_STATE_SHIFT:.3g} under derivative bound {b!r}")
     return Perturbation(unit.delta_S * scale, unit.delta_T * scale)
 
 

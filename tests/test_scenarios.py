@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,8 @@ from mdp_stability import (BisimConfig, MdpSpec, Perturbation, Policy,
                            tighten_policy_bound, validate)
 from mdp_stability import mdp as mdp_module
 from mdp_stability.mdp import ValidationReport, Violation
-from mdp_stability.scenarios import perturbation_support, random_perturbation
+from mdp_stability.scenarios import (MAX_STATE_SHIFT, perturbation_support,
+                                      random_perturbation)
 from mdp_stability.onpolicy import (EmbeddedMdp, apply_perturbation,
                                     make_toy_policy, perturbation_size)
 
@@ -379,6 +381,29 @@ class TestRandomPerturbation:
         shifted = apply_perturbation(emdp, pert)
         base_support = emdp.base.transition > 0
         assert np.all(shifted.base.transition[base_support] > 0)
+
+    @pytest.mark.parametrize("bound", [1.3e-157, 1e-300, 5e-324])
+    def test_a_vanishing_derivative_bound_moves_no_state(self, bound):
+        # A unit of size would move some state past MAX_STATE_SHIFT, so
+        # the bound counts as zero and the size goes to transitions.
+        emdp = random_family(1, (5, 2, 3))
+        zero = make_toy_policy(np.zeros((2, 3)))
+        policy = dataclasses.replace(zero, bound_b=bound)
+        pert = random_perturbation(emdp, policy, 1e-4, 7)
+        assert not pert.delta_S.any()
+        assert pert.delta_T.tobytes() \
+            == random_perturbation(emdp, zero, 1e-4, 7).delta_T.tobytes()
+
+    def test_a_size_that_moves_a_state_too_far_is_refused(self):
+        emdp = random_family(1, (5, 2, 3))
+        policy = make_toy_policy(np.full((2, 3), 1e-153))
+        pert = random_perturbation(emdp, policy, 1e-4, 7, state_share=1.0)
+        assert perturbation_size(emdp, policy, pert) == pytest.approx(
+            1e-4, rel=1e-12)
+        assert 0 < np.linalg.norm(pert.delta_S, axis=1).max() \
+            <= MAX_STATE_SHIFT
+        with pytest.raises(ValueError, match="moves a state further"):
+            random_perturbation(emdp, policy, 1e6, 7, state_share=1.0)
 
     def test_zero_size(self):
         emdp = random_family(1)
