@@ -161,8 +161,12 @@ def shutdown_probability(P: np.ndarray, safe, start: StartDistribution,
     v_safe = np.zeros(n)
     v_safe[sorted(int(s) for s in safe)] = 1.0
     trans = sorted(trans)
+    # I - P diag(held): a held column subtracts P's bits, the others
+    # subtract P * 0 and keep I's.
+    held = np.zeros(n)
+    held[trans] = 1.0
     A = np.eye(n)
-    A[:, trans] -= P[:, trans]
+    A -= P * held
     try:
         z = np.linalg.solve(A, P @ v_safe)
     except np.linalg.LinAlgError as exc:
@@ -279,9 +283,13 @@ def apply_perturbation(emdp: EmbeddedMdp, pert: Perturbation) -> EmbeddedMdp:
     row_drift = np.abs(pert.delta_T.sum(axis=2)).max() if pert.delta_T.size else 0.0
     if row_drift > 1e-12:
         raise ValueError(f"delta_T changes a row sum by {row_drift!r}")
-    if np.any(P < -1e-15) or np.any(P > 1.0 + 1e-15):
+    # fmin and fmax skip NaN, as comparisons do; checked reports it.
+    lo = np.fmin.reduce(P, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(P, axis=None, initial=-np.inf)
+    if lo < -1e-15 or hi > 1.0 + 1e-15:
         raise ValueError("perturbed transition entries escape [0, 1]")
-    np.clip(P, 0.0, 1.0, out=P)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(P, 0.0, 1.0, out=P)
     base = checked(MdpSpec(emdp.base.state_ids, emdp.base.action_ids,
                            _sealed(P), emdp.base.reward, emdp.base.discount,
                            emdp.base.safe_set), "perturbed MDP invalid")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .mdp import (MdpSpec, _fresh_id, _sealed, _state_indices, checked,
                   value_iteration)
-from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation, perturbation_size
+from .onpolicy import DiffPolicy, EmbeddedMdp, Perturbation
 
 __all__ = [
     "PlayingDeadParams",
@@ -128,7 +128,7 @@ def build_uniform_shutdown(mdp: MdpSpec, N: float,
         target = min(mdp.safe_set)
     if target not in mdp.safe_set:
         raise ValueError("target must be a safe state")
-    P = (1.0 - 1.0 / N) * mdp.transition.copy()
+    P = (1.0 - 1.0 / N) * mdp.transition
     P[:, :, target] += 1.0 / N
     return checked(MdpSpec(mdp.state_ids, mdp.action_ids, P, mdp.reward,
                            mdp.discount, mdp.safe_set),
@@ -270,19 +270,24 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
 
     Transition noise lives on existing support only (zero-sum per row,
     capped at half the smallest support entry) so that no reachability is
-    destroyed; coordinate noise is isotropic.  state_share of the size goes
-    to coordinate displacement when the policy's derivative bound is
-    large enough for a unit of size to move no state further than
+    destroyed; coordinate noise is isotropic.  state_share (in [0, 1]) of
+    the size goes to coordinate displacement when the policy's derivative
+    bound is large enough for a unit of size to move no state further than
     ``MAX_STATE_SHIFT``, the rest to transitions.  The result is rescaled
-    so its measured size matches ``size`` exactly; a size that would move a
-    state further than ``MAX_STATE_SHIFT`` is refused.
+    to the requested size; its measured size matches ``size`` to within a
+    relative 1e-12, not exactly, since the rescaled sums round again.  A
+    size that would move a state further than ``MAX_STATE_SHIFT`` is
+    refused.
 
     ``plan`` is ``perturbation_support(emdp.base)``, built once for a
     ladder of draws on one MDP; by default each call builds its own.  The
     draw is the same either way, byte for byte.
     """
-    if size < 0:
+    if not size >= 0:
         raise ValueError("size must be nonnegative")
+    if not 0.0 <= state_share <= 1.0:
+        raise ValueError(f"state_share must lie in [0, 1], got "
+                         f"{state_share!r}")
     base = emdp.base
     if plan is None:
         plan = perturbation_support(base)
@@ -290,11 +295,11 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
         raise ValueError("support plan was built for another MDP")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(plan.n_cells)
-    dT = np.zeros(base.transition.shape)
-    noise = dT.reshape(-1)
+    # The noise stays on the plan's cells, one flat cell and value each.
     # Rows of one length are centred together: the mean along the last
     # axis of an (m, k) array sums each row as the per-row mean does,
     # pairwise blocks included.
+    cells, noise = [np.empty(0, np.intp)], [np.empty(0)]
     for at, rows, cap in plan.groups:
         zk = z[at]
         zk -= zk.mean(axis=1, keepdims=True)
@@ -302,7 +307,9 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
         live = peak != 0.0
         if not live.all():
             zk, rows, cap, peak = zk[live], rows[live], cap[live], peak[live]
-        noise[rows] = zk * (cap / peak)[:, None]
+        cells.append(rows.ravel())
+        noise.append((zk * (cap / peak)[:, None]).ravel())
+    cells, noise = np.concatenate(cells), np.concatenate(noise)
     dS = rng.standard_normal(emdp.embedding.shape)
 
     b = policy.bound_b
@@ -313,7 +320,13 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     # MAX_STATE_SHIFT counts as zero, as does a bound that is not positive.
     if not peak <= MAX_STATE_SHIFT * s_mass:
         state_share = 0.0
-    t_mass = float(np.abs(dT).sum())
+    # Each L1 mass of the transition noise is the sum of the whole tensor
+    # with the noise's absolute values on its cells, and so has the bits
+    # of np.abs(dT).sum() on the dense noise.
+    dT = np.zeros(base.transition.shape)
+    flat = dT.reshape(-1)
+    flat[cells] = np.abs(noise)
+    t_mass = float(dT.sum())
     if t_mass == 0.0 and state_share == 0.0:
         return Perturbation.zero(emdp)
     if t_mass == 0.0:
@@ -322,9 +335,12 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
     # then scale jointly down to the requested size.
     pert_scale_T = (1.0 - state_share) / t_mass if t_mass else 0.0
     pert_scale_S = state_share / s_mass if (s_mass and state_share) else 0.0
-    dT *= pert_scale_T
-    unit = Perturbation(_sealed(dS * pert_scale_S), _sealed(dT))
-    unit_size = perturbation_size(emdp, policy, unit)
+    noise *= pert_scale_T
+    dS *= pert_scale_S
+    flat[cells] = np.abs(noise)
+    # The unit's size, as perturbation_size measures it.
+    unit_size = (0.5 * base.n_states * b
+                 * float(np.linalg.norm(dS, axis=1).sum()) + float(dT.sum()))
     if unit_size == 0.0:
         return Perturbation.zero(emdp)
     scale = size / unit_size
@@ -336,5 +352,7 @@ def random_perturbation(emdp: EmbeddedMdp, policy: DiffPolicy, size: float,
         raise ValueError(
             f"requested size {size!r} moves a state further than "
             f"{MAX_STATE_SHIFT:.3g} under derivative bound {b!r}")
-    return Perturbation(_sealed(unit.delta_S * scale),
-                        _sealed(unit.delta_T * scale))
+    noise *= scale
+    dS *= scale
+    flat[cells] = noise
+    return Perturbation(_sealed(dS), _sealed(dT))

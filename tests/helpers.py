@@ -19,7 +19,8 @@ from mdp_stability import bisim, safety
 from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
 from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
                                Violation, _state_indices, can_reach)
-from mdp_stability.onpolicy import ROW_TOL, perturbation_size, spectral_radius
+from mdp_stability.onpolicy import (ROW_TOL, perturbation_size, spectral_radius,
+                                    transient_set)
 from mdp_stability.safety import _policy_table, start_charge
 from mdp_stability.scenarios import MAX_STATE_SHIFT
 from mdp_stability.transport import BatchedTransport
@@ -667,6 +668,22 @@ def reference_bound_and_slack(emdp, policy, pert):
         kappa = reference_jacobian_l1_norm(jac_there - jac_here) / shift[i]
         slack[i] = kappa * shift[i] ** 2
     return bound, slack
+
+
+def reference_shutdown_probability(P, safe, start, trans=None):
+    """``shutdown_probability`` with I - P diag(trans) built by gathering
+    P's transient columns and subtracting them from I's in place."""
+    P = np.asarray(P, dtype=float)
+    if trans is None:
+        trans = transient_set(P, safe)
+    n = P.shape[0]
+    v_safe = np.zeros(n)
+    v_safe[sorted(int(s) for s in safe)] = 1.0
+    trans = sorted(trans)
+    A = np.eye(n)
+    A[:, trans] -= P[:, trans]
+    value = float(start.weights @ np.linalg.solve(A, P @ v_safe))
+    return min(max(value, 0.0), 1.0)
 
 
 def reference_perturbation(emdp, policy, size, seed, state_share=0.5):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (reference_bound_and_slack, reference_jacobian_l1_norm,
-                     reference_realize_chain, reference_toy_policy,
-                     uniform_base, validate_diff_policy)
+                     reference_realize_chain, reference_shutdown_probability,
+                     reference_toy_policy, uniform_base,
+                     validate_diff_policy)
 from mdp_stability import (DiffPolicy, EmbeddedMdp, MdpSpec, Perturbation,
                            StartDistribution, analyze_chain,
                            build_uniform_shutdown, chain_perturbation_bound,
@@ -186,6 +187,70 @@ class TestShutdownProbability:
             if np.abs(vec).max() < 1e-12:
                 break
         assert value == pytest.approx(series, abs=1e-10)
+
+
+@st.composite
+def shutdown_chains(draw):
+    """(P, safe, starts): one to three absorbing safe states at any index,
+    closed non-safe classes that never reach them, and free states that
+    may or may not; every non-safe state may be closed, which leaves no
+    transient state.  Rows have supports of any length, point masses
+    included.  The starts are a random distribution, uniform ones over
+    the safe and the non-safe states, and every point mass."""
+    n = draw(st.integers(1, 12))
+    n_safe = draw(st.integers(1, min(3, n)))
+    n_closed = n - n_safe if draw(st.booleans()) \
+        else draw(st.integers(0, n - n_safe))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(n)
+    safe = order[:n_safe]
+    closed = order[n_safe:n_safe + n_closed]
+    P = np.zeros((n, n))
+    for rows, dests in ((safe, safe), (closed, closed),
+                        (order[n_safe + n_closed:], order)):
+        for row in rows:
+            k = rng.integers(1, len(dests) + 1)
+            P[row, rng.choice(dests, size=k, replace=False)] = \
+                rng.dirichlet(np.ones(k))
+    nonsafe = order[n_safe:]
+    starts = [StartDistribution(rng.dirichlet(np.ones(n))),
+              StartDistribution.uniform_over(n, safe)]
+    if len(nonsafe):
+        starts.append(StartDistribution.uniform_over(n, nonsafe))
+    starts += [StartDistribution.point_mass(n, s) for s in range(n)]
+    return P, frozenset(safe.tolist()), starts
+
+
+class TestShutdownAgainstReference:
+    """I - P diag(held) against the column gather and scatter it replaced
+    (helpers.reference_shutdown_probability), bit for bit: a point mass
+    reads one entry of the solution."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=shutdown_chains())
+    def test_same_bits_as_the_column_gather(self, case):
+        P, safe, starts = case
+        trans = transient_set(P, safe)
+        for start in starts:
+            ours = shutdown_probability(P, safe, start, trans)
+            assert ours.hex() == reference_shutdown_probability(
+                P, safe, start, trans).hex()
+            assert shutdown_probability(P, safe, start).hex() == ours.hex()
+
+    def test_a_chain_without_transient_states(self):
+        # A non-safe two-cycle and a non-safe absorbing state beside two
+        # safe states: nothing is held, so the system is I itself.
+        P = np.array([[0.0, 1.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.5, 0.5],
+                      [0.0, 0.0, 0.0, 0.25, 0.75]])
+        safe = {3, 4}
+        assert transient_set(P, safe) == frozenset()
+        for s, expected in enumerate([0.0, 0.0, 0.0, 1.0, 1.0]):
+            start = StartDistribution.point_mass(5, s)
+            assert shutdown_probability(P, safe, start) == expected \
+                == reference_shutdown_probability(P, safe, start)
 
 
 def certified(M):
@@ -381,6 +446,16 @@ class TestApplyPerturbation:
             dT[s, a, j] += mass
         return Perturbation(np.zeros_like(emdp.embedding), dT)
 
+    def point_mass_mdp(self):
+        """s0 moves to s1 surely; s1 splits its mass between s0 and the
+        safe s2."""
+        P = np.array([[[0.0, 1.0, 0.0]],
+                      [[0.5, 0.0, 0.5]],
+                      [[0.0, 0.0, 1.0]]])
+        base = MdpSpec(("s0", "s1", "s2"), ("a",), P, np.zeros((3, 1)),
+                       0.9, {2})
+        return EmbeddedMdp(base, [[0.0], [1.0], [2.0]])
+
     def test_rejects_a_changed_row_sum(self):
         emdp = embedded(4)
         pert = self.shifted(emdp, (0, 0, 0, 1e-9))
@@ -394,6 +469,44 @@ class TestApplyPerturbation:
         full = np.argmax(P[s, a])
         pert = self.shifted(emdp, (s, a, empty, -1e-3), (s, a, full, 1e-3))
         with pytest.raises(ValueError, match="escape"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+    def test_rejects_an_entry_above_one(self):
+        emdp = self.point_mass_mdp()
+        pert = self.shifted(emdp, (0, 0, 1, 1e-3), (0, 0, 2, -1e-3))
+        with pytest.raises(ValueError, match="escape"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+    @pytest.mark.parametrize("move, at, clipped", [
+        ((1, 0, 1, -5e-16), (1, 0, 1), 0.0),
+        ((0, 0, 1, 5e-16), (0, 0, 1), 1.0)], ids=["below-0", "above-1"])
+    def test_a_rounding_step_outside_the_range_is_clipped(self, move, at,
+                                                           clipped):
+        emdp = self.point_mass_mdp()
+        pert = self.shifted(emdp, move)
+        moved = emdp.base.transition + pert.delta_T
+        assert not 0.0 <= moved[at] <= 1.0
+        P = onpolicy.apply_perturbation(emdp, pert).base.transition
+        assert P[at] == clipped and not np.signbit(P[at])
+        moved[at] = clipped
+        assert P.tobytes() == moved.tobytes()
+
+    def test_a_nan_beside_an_escaping_entry_still_escapes(self):
+        # A plain min or max would be NaN here and let -0.5 through.
+        emdp = embedded(4)
+        P = emdp.base.transition
+        s, a, empty = np.argwhere(P[:-1] == 0.0)[0]
+        full = np.argmax(P[s, a])
+        pert = self.shifted(emdp, (s, a, empty, -0.5), (s, a, full, 0.5),
+                            (s + 1, a, full, np.nan))
+        with pytest.raises(ValueError, match="escape"):
+            onpolicy.apply_perturbation(emdp, pert)
+
+    def test_a_nan_alone_is_reported_as_non_finite(self):
+        emdp = embedded(4)
+        pert = self.shifted(emdp, (0, 0, 0, np.nan))
+        with pytest.raises(ValueError, match="perturbed MDP invalid: "
+                           ".*non-finite"):
             onpolicy.apply_perturbation(emdp, pert)
 
     def test_rejects_mass_leaving_the_safe_state(self):

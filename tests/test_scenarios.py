@@ -368,6 +368,19 @@ class TestRandomPerturbation:
         with pytest.raises(ValueError, match="size must be nonnegative"):
             random_perturbation(emdp, policy, -1e-6, 0)
 
+    def test_rejects_a_nan_size(self):
+        emdp = random_family(1, (5, 2, 3))
+        policy = make_toy_policy(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            random_perturbation(emdp, policy, math.nan, 0)
+
+    @pytest.mark.parametrize("share", [-0.5, 1.5, math.nan])
+    def test_rejects_a_state_share_outside_the_unit_interval(self, share):
+        emdp = random_family(1, (5, 2, 3))
+        policy = make_toy_policy(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"state_share must lie in"):
+            random_perturbation(emdp, policy, 1e-4, 0, state_share=share)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_requested_size_is_exact_and_support_preserved(self, seed):
         emdp = random_family(seed, (5, 2, 3))
