@@ -234,16 +234,14 @@ def cmd_certify(args):
     if args.start is not None:
         start = StartDistribution.point_mass(mdp.n_states,
                                              mdp.state_index(args.start))
-    query = SafetyQuery(args.epsilon, start)
-    n_values = (args.big_n,) if args.big_n is not None else ()
-    cert = certify_safety(mdp, query, N_values=n_values)
+    cert = certify_safety(mdp, SafetyQuery(args.epsilon, start, args.big_n))
     document = cert.to_document()
     rows = [[cert.epsilon,
              None if not math.isfinite(cert.worst_time) else cert.worst_time,
              cert.epsilon_optimal_count]]
     _emit(args, document,
           (["epsilon", "worst_time", "epsilon_optimal_count"], rows))
-    if args.big_n is not None and not cert.is_safe(args.big_n):
+    if cert.safe is False:
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -410,8 +408,7 @@ def cmd_stability_experiment(args):
             base=mdp, delta=args.delta, escape_state=escape,
             escape_action=action, epsilon=args.epsilon))
     # m is certified once, for every rung.
-    base = certify_safety(mdp, SafetyQuery(args.epsilon),
-                          N_values=(args.big_n,))
+    base = certify_safety(mdp, SafetyQuery(args.epsilon, N=args.big_n))
     rng = np.random.default_rng(_seed(args))
     rows = []
     largest_holding = None

@@ -36,6 +36,8 @@ __all__ = [
 PROB_TOL = 1e-12
 # Start-distribution weight tolerance.
 WEIGHT_TOL = 1e-12
+# The error on V* that value_iteration certifies.
+VALUE_TOL = 1e-10
 
 
 def _frozen(a, dtype=float):
@@ -196,10 +198,6 @@ class Policy:
         if np.any(self.table < 0):
             raise ValueError("negative action index")
 
-    @classmethod
-    def deterministic(cls, actions):
-        return cls(actions)
-
 
 @dataclass(frozen=True)
 class ValueFunction:
@@ -327,8 +325,13 @@ def validate(mdp: MdpSpec) -> ValidationReport:
         return ValidationReport(tuple(found))
     if r.shape != (n_s, n_a):
         found.append(Violation("reward-shape", r.shape, f"expected {(n_s, n_a)}"))
+    # Two reductions tell whether P has an entry outside [0, 1], NaN
+    # included (it carries through both); only then are its masks built.
+    in_range = P.min(initial=0.0) >= 0.0 and P.max(initial=1.0) <= 1.0
     # Comparisons with NaN are false, so no check below would catch one.
-    for name, values in (("transition", P), ("reward", r)):
+    tables = [("reward", r)] if in_range else [("transition", P),
+                                                ("reward", r)]
+    for name, values in tables:
         for loc in _where(~np.isfinite(values))[:20]:
             loc = tuple(int(x) for x in loc)
             found.append(Violation("non-finite", loc,
@@ -337,7 +340,7 @@ def validate(mdp: MdpSpec) -> ValidationReport:
         found.append(Violation("non-finite", (), f"discount {mdp.discount!r}"))
     elif not 0.0 < mdp.discount < 1.0:
         found.append(Violation("discount", (), f"{mdp.discount} not in (0,1)"))
-    bad = _where((P < 0) | (P > 1))
+    bad = () if in_range else _where((P < 0) | (P > 1))
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
@@ -429,13 +432,11 @@ def q_values(mdp: MdpSpec, values: np.ndarray) -> np.ndarray:
                                                  mdp.transition, values)
 
 
-def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
+def value_iteration(mdp: MdpSpec) -> ValueFunction:
     """V* by policy iteration; ValueError unless P and r are finite and the
-    Bellman residual is within tol*(1-g) or 16 ulps of max |Q|."""
+    Bellman residual is within VALUE_TOL*(1-g) or 16 ulps of max |Q|."""
     if not 0.0 < mdp.discount < 1.0:
         raise ValueError("value iteration requires discount in (0,1)")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not all(np.isfinite(a).all() for a in (mdp.transition, mdp.reward)):
         raise ValueError("value iteration: non-finite transition or reward")
     v, q = policy_iteration(lambda pi: policy_values(mdp, pi),
@@ -443,10 +444,10 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-10) -> ValueFunction:
                             mdp.reward.argmax(axis=1))
     residual = float(np.max(np.abs(q.max(axis=1) - v)))
     # Float arithmetic shows no residual below a few ulps of max |Q|.
-    if not residual <= max(tol * (1.0 - mdp.discount),
+    if not residual <= max(VALUE_TOL * (1.0 - mdp.discount),
                            16 * np.finfo(float).eps * np.abs(q).max()):
         raise ValueError(f"value iteration: Bellman residual {residual!r} "
-                         f"does not certify an error below {tol!r}")
+                         f"does not certify an error below {VALUE_TOL!r}")
     return ValueFunction(v, residual)
 
 
@@ -493,7 +494,7 @@ def strong_components(adj: np.ndarray) -> list:
 
 def greedy_policy(mdp: MdpSpec, values: ValueFunction) -> Policy:
     """Deterministic policy that is greedy with respect to the given values."""
-    return Policy.deterministic(q_values(mdp, values.values).argmax(axis=1))
+    return Policy(q_values(mdp, values.values).argmax(axis=1))
 
 
 # -- JSON document interface -------------------------------------------------

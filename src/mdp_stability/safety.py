@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .bisim import (BisimConfig, IsolationResult, cross_bisim_metric,
                     hausdorff_distance, isolation_check)
-from .mdp import (WEIGHT_TOL, InducedChain, MdpSpec, Policy,
+from .mdp import (VALUE_TOL, WEIGHT_TOL, InducedChain, MdpSpec, Policy,
                   StartDistribution, _chains, can_reach, policy_values,
                   q_values, value_iteration)
 from .onpolicy import spectral_radius
@@ -64,19 +63,25 @@ class SafetyQuery:
     """Parameters of one (N, eps)-safety question.
 
     ``start`` of None means the worst case: each policy is charged its
-    slowest starting state.  epsilon must exceed ten times ``value_tol``,
-    the certified error on V*, so membership decisions are meaningful.
+    slowest starting state.  epsilon must exceed ten times VALUE_TOL, the
+    certified error on V*, so membership decisions are meaningful.  N of
+    None asks for no verdict; a given N must be finite, and is kept as the
+    float that the documents write.
     """
 
     epsilon: float
     start: StartDistribution | None = None
-    value_tol: ClassVar[float] = 1e-10
+    N: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon)
-                and self.epsilon > 10.0 * self.value_tol):
+                and self.epsilon > 10.0 * VALUE_TOL):
             raise ValueError(f"epsilon must be finite and exceed "
                              f"10 * value_tol, got {self.epsilon!r}")
+        if self.N is not None:
+            if not math.isfinite(self.N):
+                raise ValueError(f"N must be finite, got {self.N!r}")
+            object.__setattr__(self, "N", float(self.N))
 
 
 def expected_steps(chain: InducedChain) -> np.ndarray:
@@ -225,10 +230,10 @@ def _near_top(top, rows, start):
 # action a at a non-safe state s when V*(s) - Q*(s, a) >= eps + margin.
 # Every policy pi that takes a at s has V^pi(s) <= Q*(s, a), so its loss
 # max_s V*(s) - V^pi(s) is at least V*(s) - Q*(s, a), up to the errors
-# that the margin covers, in units of value_tol:
+# that the margin covers, in units of VALUE_TOL:
 #   10  the boundary band, so that a pruned policy is neither a member nor
 #       counted in boundary_count;
-#    2  the error on V* and on Q* = r + g P V* (each at most value_tol, as
+#    2  the error on V* and on Q* = r + g P V* (each at most VALUE_TOL, as
 #       V*'s Bellman residual certifies, or at rounding level);
 #    8  per unit of max_s |V*(s)| (at least 1): rounding in Q*, in the
 #       solved V^pi and in the subtractions.
@@ -539,7 +544,7 @@ def _stacked_steps(mdp: MdpSpec, actions) -> np.ndarray:
     return steps
 
 
-def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
+def _policy_table(mdp: MdpSpec, epsilon: float, thresholds):
     """The deterministic policies that survive MacQueen's test at
     ``epsilon``, in pieces of at most a batch of _table_sizes, each a
     product of its own (_pieces; a table of at most a batch is one piece),
@@ -548,7 +553,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     on ties) at each safe state, and loss the value loss max_s V*(s) -
     V^pi(s) of each row.  A policy is eps-optimal exactly when its loss is
     below eps; every policy left out has a loss of at least epsilon +
-    10*value_tol.
+    10*VALUE_TOL.
 
     The survivors come in the order of the product of actions over the
     non-safe states (the last one varying fastest), so the eps-optimal
@@ -559,9 +564,9 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
     (_tree_root, _tree_solve) of (I - g P_pi) V = r_pi, one whole piece at
     a time.
     A loss within the window of TREE_ROUNDING of one of ``thresholds``
-    (what the caller compares losses with; by default ``epsilon``) is
-    evaluated again by policy_values, so that every comparison with a
-    threshold decides as on policy_values' bits.
+    (what the caller compares losses with) is evaluated again by
+    policy_values, so that every comparison with a threshold decides as
+    on policy_values' bits.
 
     steps holds the expected steps to the safe set (over the non-safe
     states, in index order) of the rows with loss below epsilon, each row
@@ -581,11 +586,10 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
         raise ValueError(f"{size} deterministic policies exceed the "
                          f"enumeration cap {POLICY_CAP}; use a smaller "
                          f"instance")
-    tol = SafetyQuery.value_tol
-    v_star = value_iteration(mdp, tol).values
+    v_star = value_iteration(mdp).values
     q_star = q_values(mdp, v_star)
     scale = max(1.0, float(np.max(np.abs(v_star), initial=0.0)))
-    cut = epsilon + tol * (PRUNE_BAND + PRUNE_ROUNDING * scale)
+    cut = epsilon + VALUE_TOL * (PRUNE_BAND + PRUNE_ROUNDING * scale)
     survivors = [np.nonzero(v_star[s] - q_star[s] < cut)[0] for s in nonsafe]
     total = math.prod(len(acts) for acts in survivors)
     block, batch = _table_sizes(mdp.n_states)
@@ -606,8 +610,7 @@ def _policy_table(mdp: MdpSpec, epsilon: float, thresholds=None):
         yield solved(actions,
                      np.max(v_star - policy_values(mdp, actions), axis=-1))
         return
-    thresholds = np.array((epsilon,) if thresholds is None else thresholds,
-                          dtype=float)
+    thresholds = np.array(thresholds, dtype=float)
     window = _tree_window(mdp, thresholds)
     # Whether the whole product, and so each piece, passes _absorbed, found
     # at the first piece where the hitting-time tree pays.
@@ -665,7 +668,7 @@ def _scan(mdp: MdpSpec, epsilons, start):
     first policy in product order that has it (None for an empty set),
     and the number of such policies.  A policy's charge is start_charge's
     of ``start``, or for None its slowest state.  boundary counts the
-    losses within 10*value_tol of the largest eps, and reachability tells
+    losses within 10*VALUE_TOL of the largest eps, and reachability tells
     for each policy eps-optimal there whether it is absorbed almost surely
     from every state.  A start whose length is not the MDP's number of
     states is rejected before any policy is evaluated.
@@ -674,13 +677,13 @@ def _scan(mdp: MdpSpec, epsilons, start):
     next one is built.  Its members are cut to those that may hold the
     first maximum of a set they belong to (_near_top) when some row has a
     window or a start is charged on more than SETTLE_ROWS rows (on exact
-    steps _settle takes the same first maximum), and settled (_settle).  A start is taken apart at the first member, so that an
-    empty set is reported as vacuous before a start with mass on safe
-    states.
+    steps _settle takes the same first maximum), and settled (_settle).
+    A start is taken apart at the first member, so that an empty set is
+    reported as vacuous before a start with mass on safe states.
     """
     if start is not None and len(start.weights) != mdp.n_states:
         raise ValueError("start distribution dimension mismatch")
-    largest, band = epsilons[-1], 10.0 * SafetyQuery.value_tol
+    largest, band = epsilons[-1], 10.0 * VALUE_TOL
     epsilons = np.asarray(epsilons, dtype=float)
     count = np.zeros(len(epsilons), dtype=int)
     boundary, reachability = 0, bytearray()
@@ -733,25 +736,31 @@ def _settle(mdp: MdpSpec, rows, start, top, worst):
 
 @dataclass(frozen=True)
 class SafetyCertificate:
-    """Worst case over the enumerated eps-optimal policies.
+    """Worst case over the enumerated eps-optimal policies of ``query``.
 
     worst_time is finite exactly when every such policy is absorbed almost
     surely from the queried starts.  boundary_count reports policies whose
-    membership decision sat within 10*value_tol of the epsilon threshold
+    membership decision sat within 10*VALUE_TOL of the epsilon threshold
     (they are flagged, not silently classified).
     """
 
-    epsilon: float
+    query: SafetyQuery
     worst_policy: Policy
     worst_time: float
     worst_policy_times: np.ndarray
     epsilon_optimal_count: int
     reachability: tuple
     boundary_count: int
-    is_safe_for: tuple = ()
 
-    def is_safe(self, N: float) -> bool:
-        return self.worst_time <= N
+    @property
+    def epsilon(self) -> float:
+        return self.query.epsilon
+
+    @property
+    def safe(self) -> bool | None:
+        """Whether worst_time is at most the query's N; None without one."""
+        N = self.query.N
+        return None if N is None else self.worst_time <= N
 
     def to_document(self):
         finite = math.isfinite(self.worst_time)
@@ -766,21 +775,19 @@ class SafetyCertificate:
             "epsilon_optimal_count": self.epsilon_optimal_count,
             "reachability": list(self.reachability),
             "boundary_count": self.boundary_count,
-            "is_safe_for": [{"N": n, "safe": ok} for n, ok in self.is_safe_for],
+            "is_safe_for": ([] if self.safe is None
+                            else [{"N": self.query.N, "safe": self.safe}]),
         }
 
 
-def certify_safety(mdp: MdpSpec, query: SafetyQuery,
-                   N_values=()) -> SafetyCertificate:
+def certify_safety(mdp: MdpSpec, query: SafetyQuery) -> SafetyCertificate:
     """Certify (N, eps)-safety by exhausting deterministic policies.
 
     With the worst-case start convention (query.start None) each policy is
     charged the maximum expected hitting time over point-mass starts on
     non-safe states.  When no policy is eps-optimal, a ValueError is raised
-    rather than a vacuous "safe"; so is a non-finite N.
+    rather than a vacuous "safe".
     """
-    if not all(math.isfinite(n) for n in N_values):
-        raise ValueError(f"N must be finite, got {tuple(N_values)!r}")
     [(worst_time, actions, times, count)], boundary, reachability = _scan(
         mdp, [query.epsilon], query.start)
     if not count:
@@ -789,31 +796,29 @@ def certify_safety(mdp: MdpSpec, query: SafetyQuery,
             f"verdict over an empty set would be vacuous")
 
     return SafetyCertificate(
-        epsilon=query.epsilon,
-        worst_policy=Policy.deterministic(actions),
+        query=query,
+        worst_policy=Policy(actions),
         worst_time=worst_time,
         worst_policy_times=times,
         epsilon_optimal_count=count,
         reachability=tuple(reachability.tolist()),
         boundary_count=boundary,
-        is_safe_for=tuple((float(n), worst_time <= n) for n in N_values),
     )
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """One empirical instance of the perturbation-stability guarantee."""
+    """One empirical instance of the perturbation-stability guarantee:
+    N, eps and m's verdict are those of the base certificate's query."""
 
     d_h: float
     isolation: IsolationResult
     base_certificate: SafetyCertificate
     perturbed_certificate: SafetyCertificate
-    N: float
-    epsilon: float
-    base_safe: bool
     conclusion_holds: bool
 
     def to_document(self):
+        base = self.base_certificate
         return {
             "d_H": self.d_h,
             "isolation_threshold": math.sqrt(self.d_h),
@@ -822,11 +827,11 @@ class StabilityReport:
                                   if math.isfinite(
                                       self.isolation.min_cross_distance)
                                   else None),
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "base_safe": self.base_safe,
+            "N": base.query.N,
+            "epsilon": base.epsilon,
+            "base_safe": base.safe,
             "conclusion_holds": self.conclusion_holds,
-            "base_certificate": self.base_certificate.to_document(),
+            "base_certificate": base.to_document(),
             "perturbed_certificate": self.perturbed_certificate.to_document(),
         }
 
@@ -837,28 +842,24 @@ def verify_stability_instance(m: MdpSpec, m_prime: MdpSpec,
     """Measure d_H(m, m'), test isolation of the perturbed safe set at
     threshold sqrt(d_H), certify m' at (N+1, eps/2), and report whether it
     came out safe.  ``base`` is m's certificate at (N, eps), as
-    certify_safety(m, SafetyQuery(eps), N_values=(N,)) gives it, so that a
-    ladder over one m certifies it once; N and eps are read from it, and a
-    base taken at no N or at several is rejected."""
-    if len(base.is_safe_for) != 1:
-        raise ValueError(f"the base certificate must be taken at one N, got "
-                         f"{len(base.is_safe_for)}")
-    [(N, base_safe)] = base.is_safe_for
+    certify_safety(m, SafetyQuery(eps, N=N)) gives it, so that a ladder
+    over one m certifies it once; N and eps are read from its query, and a
+    query without an N is rejected."""
+    N = base.query.N
+    if N is None:
+        raise ValueError("the base certificate's query must hold an N")
     metric = cross_bisim_metric(m, m_prime, config)
     d_h = hausdorff_distance(metric)
     isolation = isolation_check(m_prime, m_prime.safe_set, math.sqrt(d_h),
                                 config)
-    cert_pert = certify_safety(m_prime, SafetyQuery(base.epsilon / 2.0),
-                               N_values=(N + 1.0,))
+    cert_pert = certify_safety(m_prime,
+                               SafetyQuery(base.epsilon / 2.0, N=N + 1.0))
     return StabilityReport(
         d_h=d_h,
         isolation=isolation,
         base_certificate=base,
         perturbed_certificate=cert_pert,
-        N=N,
-        epsilon=base.epsilon,
-        base_safe=base_safe,
-        conclusion_holds=cert_pert.worst_time <= N + 1.0,
+        conclusion_holds=cert_pert.safe,
     )
 
 

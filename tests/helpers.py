@@ -17,11 +17,12 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
                            metric_update)
 from mdp_stability import bisim, safety
 from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
-from mdp_stability.mdp import (PROB_TOL, ValidationReport, ValueFunction,
-                               Violation, _state_indices, can_reach)
+from mdp_stability.mdp import (PROB_TOL, VALUE_TOL, ValidationReport,
+                               ValueFunction, Violation, _repeats,
+                               _state_indices, can_reach)
 from mdp_stability.onpolicy import (ROW_TOL, perturbation_size, spectral_radius,
                                     transient_set)
-from mdp_stability.safety import _policy_table, start_charge
+from mdp_stability.safety import start_charge
 from mdp_stability.scenarios import MAX_STATE_SHIFT
 from mdp_stability.transport import BatchedTransport
 
@@ -181,11 +182,16 @@ def hitting_time(chain, start):
     return start_charge(chain, start, expected_steps(chain))
 
 
+def policy_table(mdp, epsilon):
+    """The package's policy table at ``epsilon``, its one threshold."""
+    return safety._policy_table(mdp, epsilon, (epsilon,))
+
+
 def enumerate_epsilon_optimal(mdp, query):
     """The deterministic policies with a value loss below epsilon, as the
     package's policy table finds them."""
-    return [Policy.deterministic(row)
-            for actions, loss, _, _ in _policy_table(mdp, query.epsilon)
+    return [Policy(row)
+            for actions, loss, _, _ in policy_table(mdp, query.epsilon)
             for row in actions[loss < query.epsilon]]
 
 
@@ -252,7 +258,7 @@ def certify_pool():
 
 def all_deterministic_policies(mdp):
     for combo in product(range(mdp.n_actions), repeat=mdp.n_states):
-        yield Policy.deterministic(np.array(combo))
+        yield Policy(np.array(combo))
 
 
 def best_value_by_enumeration(mdp):
@@ -508,12 +514,12 @@ def _reference_grid(mdp):
     for combo in product(range(mdp.n_actions), repeat=len(nonsafe)):
         actions = greedy.copy()
         actions[nonsafe] = combo
-        yield Policy.deterministic(actions)
+        yield Policy(actions)
 
 
 def reference_enumerate(mdp, query):
     """Members by the per-state test V(s) > V*(s) - eps."""
-    v_star = reference_value_iteration(mdp, query.value_tol).values
+    v_star = reference_value_iteration(mdp, VALUE_TOL).values
     members = []
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy)
@@ -525,12 +531,12 @@ def reference_enumerate(mdp, query):
 def reference_certify(mdp, query):
     """Certificate fields from a membership margin min_s(V - V* + eps) > 0,
     then one hitting-time pass over the members."""
-    v_star = reference_value_iteration(mdp, query.value_tol).values
+    v_star = reference_value_iteration(mdp, VALUE_TOL).values
     members, boundary = [], 0
     for policy in _reference_grid(mdp):
         v = policy_evaluation(mdp, policy)
         margin = np.min(v - v_star + query.epsilon)
-        if abs(margin) < 10.0 * query.value_tol:
+        if abs(margin) < 10.0 * VALUE_TOL:
             boundary += 1
         if margin > 0:
             members.append(policy)
@@ -741,7 +747,8 @@ def reference_perturbation(emdp, policy, size, seed, state_share=0.5):
 
 
 def reference_validate(mdp):
-    """``validate`` with every fault mask scanned by ``np.argwhere``,
+    """``validate`` with the non-finite and probability-range masks built
+    for every tensor, and every fault mask scanned by ``np.argwhere``,
     whether or not it has a true entry."""
     found = []
     n_s, n_a = len(mdp.state_ids), len(mdp.action_ids)

@@ -121,7 +121,7 @@ def test_criterion_4_hitting_time_identities():
         modified = build_uniform_shutdown(base, N)
         for a in range(base.n_actions):
             c = induce_chain(modified,
-                             Policy.deterministic([a] * base.n_states))
+                             Policy([a] * base.n_states))
             ok &= bool(np.max(np.abs(expected_steps(c) - N)) <= 1e-6)
     report(4, "hitting times: geometric case 4 +- 1e-8; uniform shutdown "
               "equals N +- 1e-6 for N in {5, 20, 100}", ok)
@@ -188,8 +188,8 @@ def test_criterion_6_quotient_invariance():
 
         # Collapsed k-step transition identity, k <= 6, policy constant on
         # the copy class.
-        policy_big = Policy.deterministic(np.zeros(doubled.n_states, int))
-        policy_small = Policy.deterministic(
+        policy_big = Policy(np.zeros(doubled.n_states, int))
+        policy_small = Policy(
             np.zeros(result.quotient.n_states, int))
         chain_big = induce_chain(doubled, policy_big)
         chain_small = induce_chain(result.quotient, policy_small)

@@ -693,8 +693,8 @@ class TestQuotient:
         mdp = random_mdp(21, n_states=4, gamma=0.5)
         doubled = build_duplicated(mdp, 1, copies=2)
         result = bisim_quotient(doubled, 1e-9)
-        policy_big = Policy.deterministic(np.zeros(doubled.n_states, int))
-        policy_small = Policy.deterministic(
+        policy_big = Policy(np.zeros(doubled.n_states, int))
+        policy_small = Policy(
             np.zeros(result.quotient.n_states, int))
         chain_big = induce_chain(doubled, policy_big)
         chain_small = induce_chain(result.quotient, policy_small)

@@ -918,6 +918,54 @@ class TestMetricArtifactBytes:
         assert digests[index] == (0, self.GOLDEN[index][3])
 
 
+class TestStabilityArtifactBytes:
+    """sha256 of stdout on seeded documents, pinned so that the base
+    certificate's query, its N verdict and each rung's (N + 1, eps/2)
+    certificate keep every stability-experiment artifact byte for byte.
+    Document 3 is safe at N = 50 and has a rung that is not isolated;
+    document 1 is not safe there, so no rung holds (exit 1).  The digests
+    are those of one BLAS thread, the benchmark's setting; all come from
+    one process."""
+
+    DOCUMENTS = {"3": "5,2,3", "1": "8,2,3"}  # seed: shape
+    LADDER = ["--sizes", "0,1e-3,1e-2,1e-1", "--epsilon", "0.5",
+              "--big-n", "50"]
+    DELTA = LADDER + ["--delta", "1e-5"]
+    GOLDEN = [
+        ("3", LADDER, 0, "ca3a764d55a5cee150ef1f6044e7af5c"
+                         "5580116d85789456e82446871da1170a"),
+        ("3", DELTA, 0, "b0c350fa900bea2acd48a8c044450009"
+                        "d147f73b20ee5002d335b38e595aa69d"),
+        ("1", LADDER, 1, "31e3af9839e9a0ee4c650f519cf67955"
+                         "453322326b13d4358ffefaa9ccbb1792"),
+        ("1", DELTA, 1, "6a6358ba516490ac1f5acbcf5c7feaa9"
+                        "895390d64b35f247fc450ad1e2e458bc"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def digests(self, tmp_path_factory):
+        """(exit code, stdout sha256) of each golden's command, in the
+        order of GOLDEN."""
+        directory = tmp_path_factory.mktemp("stability-goldens")
+        commands = [["random", "--seed", seed, "--shape", shape,
+                     "--out", str(directory / f"m{seed}.json")]
+                    for seed, shape in self.DOCUMENTS.items()]
+        commands += [["stability-experiment", str(directory / f"m{seed}.json"),
+                      *flags] for seed, flags, _, _ in self.GOLDEN]
+        results = single_thread_digests(commands, directory)
+        setup = len(self.DOCUMENTS)
+        assert [code for code, _ in results[:setup]] == [0] * setup
+        return results[setup:]
+
+    @pytest.mark.parametrize(
+        "index", range(len(GOLDEN)),
+        ids=[f"{seed}-{' '.join(flags[6:]) or 'ladder'}"
+             for seed, flags, _, _ in GOLDEN])
+    def test_stdout_digest(self, digests, index):
+        _, _, code, digest = self.GOLDEN[index]
+        assert digests[index] == (code, digest)
+
+
 class TestStabilityExperiment:
     def test_ladder_reports_largest_holding_rung(self, tmp_path, capsys):
         path = write_doc(tmp_path / "m.json", hibernation_doc())
@@ -959,10 +1007,7 @@ class TestStabilityExperiment:
 
         def every_rung(m, m_prime, config, base):
             return safety.verify_stability_instance(
-                m, m_prime, config,
-                safety.certify_safety(m, SafetyQuery(base.epsilon),
-                                      N_values=[n for n, _ in
-                                                base.is_safe_for]))
+                m, m_prime, config, safety.certify_safety(m, base.query))
 
         with mock.patch.object(cli, "verify_stability_instance", every_rung):
             assert main(argv) == 0

@@ -22,8 +22,8 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation,
                            mdp_from_document, mdp_to_document, validate,
                            value_iteration)
 from mdp_stability import mdp as mdp_module
-from mdp_stability.mdp import (_chains, can_reach, policy_values, q_values,
-                               read_document, strong_components)
+from mdp_stability.mdp import (VALUE_TOL, _chains, can_reach, policy_values,
+                               q_values, read_document, strong_components)
 from mdp_stability.safety import _table_sizes
 
 
@@ -170,6 +170,82 @@ class TestValidateMatchesFullScan:
         assert codes.count("non-finite") == 30
 
 
+@st.composite
+def nearly_valid_mdps(draw):
+    """Valid MDPs, some with no state or no action, with up to three
+    faults each: one entry of NaN, +-inf, -1e-300 or 1 + 1e-15, a row off
+    a sum of 1, a safe row that leaks, a non-finite reward and a wrong
+    shape.  validate's masks are built only when its two reductions show
+    a fault, so a lone bad entry is the case that tests the reductions."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, n_a = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    P = gen.dirichlet(np.ones(n), size=(n, n_a)) if n \
+        else np.zeros((0, n_a, 0))
+    r = gen.uniform(-1.0, 1.0, size=(n, n_a))
+    safe = set(draw(st.sets(st.integers(0, n - 1)))) if n else set()
+    for s in safe:
+        P[s] = 0.0
+        P[s, :, s] = 1.0
+    for fault in draw(st.lists(st.sampled_from(
+            ["entry", "row-sum", "leak", "reward", "shape"]), max_size=3)):
+        if P.size:
+            s, a, t = (int(gen.integers(k)) for k in P.shape)
+        elif fault in ("entry", "row-sum", "leak"):
+            continue
+        if fault == "entry":
+            P[s, a, t] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 1e-15]))
+        elif fault == "row-sum":
+            P[s, a] *= draw(st.sampled_from([1.0 + 1e-13, 1.0 + 1e-11,
+                                             0.5]))
+        elif fault == "leak" and safe and len(safe) < n:
+            s = min(safe)
+            P[s, a] = 0.0
+            P[s, a, min(set(range(n)) - safe)] = 1.0
+        elif fault == "reward" and r.size:
+            r.reshape(-1)[gen.integers(r.size)] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf]))
+        elif fault == "shape":
+            if draw(st.booleans()):
+                P = np.concatenate([P, np.zeros((n, n_a, 1))], axis=2)
+            else:
+                r = np.zeros((n, n_a + 1))
+    return MdpSpec([f"s{i}" for i in range(n)], [f"a{j}" for j in range(n_a)],
+                   P, r, 0.9, safe)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestValidateAgainstReference:
+    """validate against the body it replaced (helpers.reference_validate),
+    which builds the non-finite and range masks of every tensor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mdp=nearly_valid_mdps())
+    def test_same_report(self, mdp):
+        ours, oracle = validate(mdp), reference_validate(mdp)
+        assert str(ours) == str(oracle)
+        assert ours.violations == oracle.violations
+
+    @pytest.mark.parametrize("t,entry,codes", [
+        (0, math.inf, ["non-finite", "probability-range", "row-sum"]),
+        (0, math.nan, ["non-finite"]),
+        (0, -1e-300, ["probability-range"]),
+        (1, 1.0 + 1e-15, ["probability-range"])])
+    def test_one_bad_entry(self, t, entry, codes):
+        P = np.array(two_state_mdp().transition)
+        P[0, 0, t] = entry
+        mdp = dataclasses.replace(two_state_mdp(), transition=P)
+        assert [v.code for v in validate(mdp).violations] == codes
+        assert str(validate(mdp)) == str(reference_validate(mdp))
+
+    @pytest.mark.parametrize("n,n_a", [(0, 0), (0, 2), (3, 0)])
+    def test_empty_tensors(self, n, n_a):
+        mdp = MdpSpec([f"s{i}" for i in range(n)],
+                      [f"a{j}" for j in range(n_a)], np.zeros((n, n_a, n)),
+                      np.zeros((n, n_a)), 0.9, set())
+        assert str(validate(mdp)) == str(reference_validate(mdp)) == "ok"
+
+
 class TestFrozenArrays:
     """Specs and perturbations hold read-only arrays that nothing outside
     can write: a writeable input, the writeable base of a read-only view,
@@ -228,7 +304,7 @@ class TestFrozenArrays:
         actions = np.array([0, 1])
         actions.setflags(write=False)
         # Frozen by the caller, not by the package: copied.
-        assert Policy.deterministic(actions).table is not actions
+        assert Policy(actions).table is not actions
         table = mdp_module._frozen(actions, dtype=float)
         assert table.dtype == float and not table.flags.writeable
 
@@ -252,7 +328,7 @@ class TestFrozenArrays:
 class TestInduceChain:
     def test_deterministic_matches_edges(self):
         mdp = two_state_mdp()
-        chain = induce_chain(mdp, Policy.deterministic([0, 0]))
+        chain = induce_chain(mdp, Policy([0, 0]))
         assert chain.Q.shape == (1, 1)
         assert chain.Q[0, 0] == 0.0 and chain.absorb[0] == 1.0
 
@@ -261,7 +337,7 @@ class TestInduceChain:
         mdp = random_mdp(seed, n_states=4, n_actions=3)
         rng = np.random.default_rng(1000 + seed)
         table = rng.integers(0, 3, size=4)
-        chain = induce_chain(mdp, Policy.deterministic(table))
+        chain = induce_chain(mdp, Policy(table))
         keep = mdp.nonsafe_indices
         for ci, i in enumerate(keep):
             for cj, j in enumerate(keep):
@@ -279,17 +355,17 @@ class TestInduceChain:
 
     def test_rejects_a_table_of_another_length(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            induce_chain(two_state_mdp(), Policy.deterministic([0]))
+            induce_chain(two_state_mdp(), Policy([0]))
 
     def test_rejects_an_action_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            induce_chain(two_state_mdp(), Policy.deterministic([0, 2]))
+            induce_chain(two_state_mdp(), Policy([0, 2]))
 
     @pytest.mark.parametrize("table", [[[0, 1]], [0, -1]])
     def test_policy_rejects_a_table_that_is_not_of_action_indices(self,
                                                                    table):
         with pytest.raises(ValueError, match="1-d|negative"):
-            Policy.deterministic(table)
+            Policy(table)
 
 
 def assert_bits_equal(got, expected):
@@ -443,20 +519,14 @@ class TestValueIteration:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_policy_enumeration(self, seed):
         mdp = random_mdp(seed, n_states=5, n_actions=2, gamma=0.8)
-        tol = 1e-9
-        v = value_iteration(mdp, tol).values
+        v = value_iteration(mdp).values
         np.testing.assert_allclose(v, best_value_by_enumeration(mdp),
-                                   atol=tol)
+                                   atol=VALUE_TOL)
 
     def test_rejects_bad_discount(self):
         mdp = MdpSpec(("s",), ("a",), [[[1.0]]], [[1.0]], 1.0, set())
         with pytest.raises(ValueError):
             value_iteration(mdp)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-9])
-    def test_rejects_a_tolerance_not_above_zero(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            value_iteration(two_state_mdp(), tol)
 
     def test_rejects_a_negative_residual(self):
         with pytest.raises(ValueError, match="residual must be nonnegative"):
@@ -465,7 +535,7 @@ class TestValueIteration:
 
 @st.composite
 def optimum_cases(draw):
-    """(mdp, tol) for V*: random sparse rows with some actions copying
+    """MDPs for V*: random sparse rows with some actions copying
     another action's column (exact ties), duplicated states, playing-dead
     variants and one-state MDPs, at discount 0.5 or 0.99."""
     gamma = draw(st.sampled_from([0.5, 0.99]))
@@ -507,30 +577,29 @@ def optimum_cases(draw):
                 escape_action=int(rng.integers(n_actions)),
                 epsilon=epsilon))
     assert validate(mdp).ok
-    return mdp, draw(st.sampled_from([1e-10, 1e-8]))
+    return mdp
 
 
 class TestPolicyIterationOptimum:
     @settings(max_examples=150, deadline=None)
     @given(optimum_cases())
-    def test_matches_value_iteration_with_a_bellman_certificate(self, case):
-        mdp, tol = case
+    def test_matches_value_iteration_with_a_bellman_certificate(self, mdp):
         with mock.patch.object(mdp_module, "policy_values",
                                wraps=mdp_module.policy_values) as solve:
-            v_star = value_iteration(mdp, tol)
+            v_star = value_iteration(mdp)
         # Ties switch no action, so the loop ends well before its cap.
         assert 1 <= solve.call_count < mdp_module.POLICY_ROUNDS
-        reference = reference_value_iteration(mdp, tol).values
+        reference = reference_value_iteration(mdp, VALUE_TOL).values
         np.testing.assert_allclose(v_star.values, reference, rtol=0,
-                                   atol=tol)
+                                   atol=VALUE_TOL)
         q = q_values(mdp, v_star.values)
         assert v_star.residual \
             == float(np.max(np.abs(q.max(axis=1) - v_star.values)))
-        assert v_star.residual <= tol * (1.0 - mdp.discount)
+        assert v_star.residual <= VALUE_TOL * (1.0 - mdp.discount)
 
     @pytest.mark.parametrize("scale", [1e4, 1e6, 1e12])
     def test_large_values_are_certified_at_rounding_level(self, scale):
-        # tol*(1-g) is below the values' rounding here; value iteration
+        # VALUE_TOL*(1-g) is below the values' rounding here; value iteration
         # reaches a float fixed point, and policy iteration must not fail.
         for seed in range(10):
             mdp = random_mdp(seed, n_states=6, n_actions=3,
@@ -571,7 +640,7 @@ class TestPolicyEvaluation:
     def test_matches_value_iteration_on_fixed_policy(self, seed):
         mdp = random_mdp(seed, n_states=4, n_actions=2, gamma=0.85)
         rng = np.random.default_rng(seed)
-        policy = Policy.deterministic(rng.integers(0, 2, size=4))
+        policy = Policy(rng.integers(0, 2, size=4))
         exact = policy_values(mdp, policy.table)
         # Iterative oracle: collapse to a single-action MDP and run VI.
         pi = np.eye(2)[policy.table]
@@ -589,21 +658,19 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         mdp = random_mdp(seed, n_states=n, n_actions=2, gamma=0.8)
-        tol = 1e-10
-        v_star = value_iteration(mdp, tol)
+        v_star = value_iteration(mdp)
         v_pi = policy_evaluation(mdp, greedy_policy(mdp, v_star))
-        np.testing.assert_allclose(v_pi, v_star.values, atol=10 * tol)
+        np.testing.assert_allclose(v_pi, v_star.values, atol=10 * VALUE_TOL)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_no_policy_beats_optimal(self, seed):
         mdp = random_mdp(seed, n_states=4, n_actions=2)
-        tol = 1e-10
-        v_star = value_iteration(mdp, tol).values
+        v_star = value_iteration(mdp).values
         rng = np.random.default_rng(seed)
         for _ in range(5):
             policy = rng.dirichlet(np.ones(2), size=4)
             v = policy_evaluation(mdp, policy)
-            assert np.all(v <= v_star + tol)
+            assert np.all(v <= v_star + VALUE_TOL)
 
 
 class TestJsonDocuments:

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import (_reference_grid, enumerate_epsilon_optimal,
-                     hitting_time, policy_evaluation, random_mdp,
-                     reference_certify, reference_enumerate,
+                     hitting_time, policy_evaluation, policy_table,
+                     random_mdp, reference_certify, reference_enumerate,
                      reference_expected_steps, reference_frontier,
                      reference_hitting_time, reference_value_iteration)
 from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
@@ -30,7 +30,7 @@ from mdp_stability import (BisimConfig, InducedChain, MdpSpec, Policy,
                            value_iteration, ValueFunction,
                            verify_stability_instance)
 from mdp_stability.cli import main, render_json
-from mdp_stability.mdp import _chains, can_reach, policy_values
+from mdp_stability.mdp import VALUE_TOL, _chains, can_reach, policy_values
 
 
 def chain_single(p_absorb):
@@ -73,7 +73,7 @@ class TestHittingTime:
 
     def test_mass_on_safe_states_is_rejected(self):
         mdp = random_mdp(0, n_states=3)
-        chain = induce_chain(mdp, Policy.deterministic([0, 0, 0]))
+        chain = induce_chain(mdp, Policy([0, 0, 0]))
         w = np.zeros(3)
         w[2] = 1.0  # the safe state
         with pytest.raises(ValueError, match="safe"):
@@ -129,7 +129,7 @@ class TestHittingTime:
     @pytest.mark.parametrize("seed", range(10))
     def test_solve_agrees_with_truncated_series(self, seed):
         mdp = random_mdp(seed, n_states=5)
-        chain = induce_chain(mdp, Policy.deterministic([0] * 5))
+        chain = induce_chain(mdp, Policy([0] * 5))
         t = expected_steps(chain)
         if not np.all(np.isfinite(t)):
             pytest.skip("needs an almost-surely absorbed chain")
@@ -147,7 +147,7 @@ class TestHittingTime:
     @pytest.mark.parametrize("seed", range(10))
     def test_linear_in_start(self, seed):
         mdp = random_mdp(seed + 40, n_states=4)
-        chain = induce_chain(mdp, Policy.deterministic([0] * 4))
+        chain = induce_chain(mdp, Policy([0] * 4))
         t = expected_steps(chain)
         if not np.all(np.isfinite(t)):
             pytest.skip("needs an almost-surely absorbed chain")
@@ -237,13 +237,13 @@ class TestEnumeration:
         mdp = random_mdp(seed, n_states=3, n_actions=2)
         query = SafetyQuery(0.2)
         members = enumerate_epsilon_optimal(mdp, query)
-        v_star = value_iteration(mdp, query.value_tol).values
+        v_star = value_iteration(mdp).values
         member_keys = {tuple(p.table) for p in members}
         from itertools import product
         for combo in product(range(2), repeat=2):
             actions = np.zeros(3, dtype=int)
             actions[mdp.nonsafe_indices] = combo
-            policy = Policy.deterministic(actions)
+            policy = Policy(actions)
             # Independent recheck: evaluate through the collapsed chain
             # rather than reusing enumerate's own solve.
             pi = np.eye(2)[policy.table]
@@ -260,9 +260,15 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap"):
             enumerate_epsilon_optimal(mdp, SafetyQuery(0.1))
 
-    def test_query_guards_epsilon_against_value_tolerance(self):
-        with pytest.raises(ValueError, match="value_tol"):
-            SafetyQuery(1e-10)
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"epsilon": 1e-10}, "value_tol"),
+        ({"epsilon": 0.5, "N": math.nan}, "N must be finite, got nan"),
+        ({"epsilon": 0.5, "N": math.inf}, "N must be finite, got inf"),
+        ({"epsilon": 0.5, "N": -math.inf}, "N must be finite, got -inf")])
+    def test_query_guards_epsilon_against_value_tolerance(self, kwargs,
+                                                          message):
+        with pytest.raises(ValueError, match=message):
+            SafetyQuery(**kwargs)
 
     def test_query_rejects_nan_epsilon(self):
         with pytest.raises(ValueError, match="value_tol"):
@@ -276,9 +282,9 @@ class TestCertify:
                        [[0.0, 1.0], [0.0, 1.0]]],
                       [[0.0, 0.0], [0.0, 0.0]], 0.9, {1})
         for eps in (0.1, 1.0, 10.0):
-            cert = certify_safety(mdp, SafetyQuery(eps), N_values=(1,))
+            cert = certify_safety(mdp, SafetyQuery(eps, N=1))
             assert cert.worst_time == pytest.approx(1.0, abs=1e-12)
-            assert cert.is_safe(1.0) and cert.is_safe_for[0][1]
+            assert cert.safe and cert.query.N == 1.0
 
     def test_optimal_policy_is_always_a_member(self):
         mdp = random_mdp(5, n_states=4)
@@ -318,16 +324,7 @@ class TestCertify:
         high = ValueFunction(value_iteration(mdp).values + 1.0, 0.0)
         monkeypatch.setattr(safety, "value_iteration", lambda *a: high)
         with pytest.raises(ValueError, match="vacuous"):
-            certify_safety(mdp, SafetyQuery(0.5), N_values=(3,))
-
-    @pytest.mark.parametrize("big_n", [math.nan, math.inf, -math.inf])
-    def test_non_finite_n_is_rejected_before_enumerating(self, big_n,
-                                                         monkeypatch):
-        from mdp_stability import safety
-        monkeypatch.setattr(safety, "value_iteration", None)
-        with pytest.raises(ValueError, match="N must be finite"):
-            certify_safety(random_mdp(2, n_states=3), SafetyQuery(0.5),
-                           N_values=(3.0, big_n))
+            certify_safety(mdp, SafetyQuery(0.5, N=3))
 
     def test_quotient_invariance_of_worst_time(self):
         from mdp_stability import bisim_quotient
@@ -368,7 +365,7 @@ class TestManyActions:
         mdp = many_actions_mdp()
         assert mdp.n_actions ** len(mdp.nonsafe_indices) <= safety.POLICY_CAP
         with table_under_test(mdp, block):
-            [(actions, *_)] = [next(safety._policy_table(mdp, 1.0))]
+            [(actions, *_)] = [next(policy_table(mdp, 1.0))]
         assert actions.dtype == np.uint16
         for eps in (0.02, 1.0):
             for start in (None, StartDistribution.point_mass(2, 0)):
@@ -396,14 +393,14 @@ class TestStabilityInstance:
         N = certify_safety(mdp, SafetyQuery(0.3)).worst_time
         if math.isinf(N):
             pytest.skip("fixture must be safe")
-        return certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
+        return certify_safety(mdp, SafetyQuery(0.3, N=N))
 
     def test_identity_perturbation_holds(self):
         mdp = random_mdp(1, n_states=3)
         base = self.base(mdp)
         report = verify_stability_instance(mdp, mdp, self.CFG, base)
         assert report.d_h == 0.0
-        assert report.base_safe and report.conclusion_holds
+        assert report.base_certificate.safe and report.conclusion_holds
 
     def test_small_reward_jitter_holds(self):
         mdp = random_mdp(8, n_states=4)
@@ -425,18 +422,17 @@ class TestStabilityInstance:
     @pytest.mark.parametrize("N,safe", [(0.5, False), (1e6, True)])
     def test_n_and_epsilon_are_read_from_the_base(self, N, safe):
         mdp = random_mdp(1, n_states=3)
-        base = certify_safety(mdp, SafetyQuery(0.3), N_values=(N,))
+        base = certify_safety(mdp, SafetyQuery(0.3, N=N))
         report = verify_stability_instance(mdp, mdp, self.CFG, base)
-        assert (report.N, report.epsilon, report.base_safe) == (N, 0.3, safe)
-        assert report.perturbed_certificate.epsilon == 0.15
-        assert report.perturbed_certificate.is_safe_for[0][0] == N + 1.0
+        doc = report.to_document()
+        assert (doc["N"], doc["epsilon"], doc["base_safe"]) == (N, 0.3, safe)
+        assert report.perturbed_certificate.query == SafetyQuery(0.15,
+                                                                 N=N + 1.0)
 
-    @pytest.mark.parametrize("N_values", [(), (3.0, 4.0)])
-    def test_rejects_a_base_not_taken_at_one_n(self, N_values):
+    def test_rejects_a_base_query_without_n(self):
         mdp = random_mdp(1, n_states=3)
-        base = certify_safety(mdp, SafetyQuery(0.3), N_values=N_values)
-        with pytest.raises(ValueError, match="at one N, got "
-                           f"{len(N_values)}"):
+        base = certify_safety(mdp, SafetyQuery(0.3))
+        with pytest.raises(ValueError, match="query must hold an N"):
             verify_stability_instance(mdp, mdp, self.CFG, base)
 
 
@@ -584,11 +580,11 @@ class TestPolicyTableOracle:
         query = SafetyQuery(eps)
         new = {tuple(p.table) for p in enumerate_epsilon_optimal(mdp, query)}
         old = {tuple(p.table) for p in reference_enumerate(mdp, query)}
-        v_star = value_iteration(mdp, query.value_tol).values
+        v_star = value_iteration(mdp).values
         for table in new ^ old:
-            v = policy_evaluation(mdp, Policy.deterministic(table))
+            v = policy_evaluation(mdp, Policy(table))
             assert abs(float(np.max(v_star - v)) - eps) \
-                < 10.0 * query.value_tol
+                < 10.0 * VALUE_TOL
 
     def test_cases_cover_infinite_times_and_the_boundary_band(self):
         certs = [certify_safety(mdp, SafetyQuery(eps))
@@ -600,7 +596,7 @@ class TestPolicyTableOracle:
         assert sum(c.boundary_count for c in certs) >= 3
 
 
-TOL = SafetyQuery.value_tol
+TOL = VALUE_TOL
 
 
 def grid_losses(mdp):
@@ -758,7 +754,7 @@ class TestBlockBudget:
         with mock.patch.object(safety, "BLOCK_BYTES", budget), \
                 stack_sizes() as stacks:
             sizes = [len(loss)
-                     for _, loss, _, _ in safety._policy_table(mdp, 5.0)]
+                     for _, loss, _, _ in policy_table(mdp, 5.0)]
             certify_safety(mdp, SafetyQuery(5.0))
             block, batch = safety._table_sizes(n)
         full = max(1, budget // (8 * n ** 2))
@@ -775,7 +771,7 @@ class TestBlockBudget:
     def test_default_budget_at_thirteen_states(self, mdp):
         with stack_sizes() as stacks:
             sizes = [len(loss)
-                     for _, loss, *_ in safety._policy_table(mdp, 1e3)]
+                     for _, loss, *_ in policy_table(mdp, 1e3)]
             certify_safety(mdp, SafetyQuery(1e3))
         # One piece: its values take 13 * 4096 floats, under 2
         # BLOCK_BYTES.
@@ -788,11 +784,11 @@ class TestBlockBudget:
         # take 34 times BLOCK_BYTES at once, and their values as much.
         mdp = random_mdp(1, n_states=17, n_actions=2)
         assert len(mdp.nonsafe_indices) == 16
-        list(safety._policy_table(mdp, 1e6))
+        list(policy_table(mdp, 1e6))
         tracemalloc.start()
         try:
             count = sum(len(loss)
-                        for _, loss, _, _ in safety._policy_table(mdp, 1e6))
+                        for _, loss, _, _ in policy_table(mdp, 1e6))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -955,7 +951,7 @@ class TestSafeStateActions:
         for table, key in zip(tables, members):
             table[nonsafe] = key
         times = [np.max(reference_expected_steps(induce_chain(
-            mdp, Policy.deterministic(table))), initial=0.0)
+            mdp, Policy(table))), initial=0.0)
             for table in tables]
         k = int(np.argmax(times))
         assert cert.epsilon_optimal_count == len(members)
@@ -1068,7 +1064,7 @@ class TestPrunedStackedTable:
                 safety, "policy_values",
                 wraps=safety.policy_values) as exact:
             table = [(tuple(a), float(loss))
-                     for actions, losses, *_ in safety._policy_table(mdp, eps)
+                     for actions, losses, *_ in policy_table(mdp, eps)
                      for a, loss in zip(actions, losses)]
         rechecked = {tuple(a) for call in exact.call_args_list
                      for a in call.args[1]}
@@ -1128,7 +1124,7 @@ class TestPrunedStackedTable:
         # take an action that MacQueen's test rules out.
         mdp = random_mdp(3, n_states=9, n_actions=2)
         kept = sum(len(loss)
-                   for _, loss, _, _ in safety._policy_table(mdp, 0.05))
+                   for _, loss, _, _ in policy_table(mdp, 0.05))
         assert 0 < kept < 2 ** 8 // 4
         assert len(enumerate_epsilon_optimal(mdp, SafetyQuery(0.05))) \
             == sum(loss < 0.05 for _, loss in grid_losses(mdp))
@@ -1151,7 +1147,7 @@ class TestPrunedStackedTable:
         with mock.patch.object(np.linalg, "solve", failing):
             fallback = expected_steps(chains)
         for row, steps, back in zip(actions, t, fallback):
-            chain = induce_chain(mdp, Policy.deterministic(row))
+            chain = induce_chain(mdp, Policy(row))
             assert np.array_equal(steps, expected_steps(chain))
             assert np.array_equal(back, expected_steps(chain))
             assert np.array_equal(back, reference_expected_steps(chain))
@@ -1487,8 +1483,7 @@ class TestTreeHittingTimes:
         rows the tree gave."""
         with table_under_test(mdp, block):
             rows = 0
-            for actions, loss, steps, window in safety._policy_table(mdp,
-                                                                     eps):
+            for actions, loss, steps, window in policy_table(mdp, eps):
                 exact = expected_steps(_chains(mdp, actions[loss < eps]))
                 tree = window > 0
                 assert np.array_equal(steps[~tree], exact[~tree])
@@ -1649,7 +1644,7 @@ class TestTreeHittingTimes:
         # stacked chains others.
         mdp = random_mdp(1, n_states=17, n_actions=2)
         losses = np.sort(np.concatenate(
-            [loss for _, loss, _, _ in safety._policy_table(mdp, 1e6)]))
+            [loss for _, loss, _, _ in policy_table(mdp, 1e6)]))
         runs = {"certify": lambda: certify_safety(mdp, SafetyQuery(1e6)),
                 "frontier": lambda: safety_frontier(mdp, [1e5, 1e6])}
         for q in (0.3, 0.6):
@@ -1794,11 +1789,11 @@ class TestPieceSizes:
         small = dataclasses.replace(large, reward=reward)
         peaks = []
         for mdp, size in ((small, 2 ** 15), (large, 2 ** 16)):
-            list(safety._policy_table(mdp, 1e3))
+            list(policy_table(mdp, 1e3))
             tracemalloc.start()
             try:
                 count = sum(len(loss) for _, loss, _, _
-                            in safety._policy_table(mdp, 1e3))
+                            in policy_table(mdp, 1e3))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -199,7 +199,7 @@ class TestUniformShutdown:
     @pytest.mark.parametrize("N", [10.0, 37.5])
     def test_hitting_time_equals_n(self, N):
         out = build_uniform_shutdown(self.never_absorbing(), N)
-        chain = induce_chain(out, Policy.deterministic([0, 0, 0]))
+        chain = induce_chain(out, Policy([0, 0, 0]))
         t = expected_steps(chain)
         np.testing.assert_allclose(t, N, atol=1e-6)
 
