@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import os
+import re
 import weakref
 from dataclasses import dataclass, field
 
@@ -305,6 +306,19 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _row_sums(a, in_range):
+    """``a.sum(axis=-1)``.  Unless ``in_range`` tells that every entry of
+    ``a`` lies in [0, 1], a row that holds both +inf and -inf reads NaN,
+    as its sum does, without the warning numpy gives of that sum."""
+    if not in_range:
+        mixed = (a == np.inf).any(axis=-1) & (a == -np.inf).any(axis=-1)
+        if mixed.any():
+            rows = np.where(mixed[..., None], 0.0, a).sum(axis=-1)
+            rows[mixed] = np.nan
+            return rows
+    return a.sum(axis=-1)
+
+
 def validate(mdp: MdpSpec) -> ValidationReport:
     """Check every structural invariant of an MDP spec.
 
@@ -344,7 +358,7 @@ def validate(mdp: MdpSpec) -> ValidationReport:
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
-    rows = P.sum(axis=2)
+    rows = _row_sums(P, in_range)
     off = _where(np.abs(rows - 1.0) > PROB_TOL)
     for s, a in off:
         found.append(Violation("row-sum", (int(s), int(a)),
@@ -354,7 +368,8 @@ def validate(mdp: MdpSpec) -> ValidationReport:
         found.append(Violation("safe-range", tuple(safe), "index out of range"))
     else:
         for s in safe:
-            inside = P[s][:, safe].sum(axis=1)  # per action, mass staying safe
+            # per action, mass staying safe
+            inside = _row_sums(P[s][:, safe], in_range)
             for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
                 found.append(Violation(
                     "safe-not-absorbing", (int(s), int(a)),
@@ -503,15 +518,165 @@ def _reject_literal(name):
     raise ValueError(f"non-finite literal {name} in JSON document")
 
 
+# A document of at least this many characters has its (S, A, S) tensor
+# fields read by _read_tensor when at least two thirds of the first
+# _PROBE_CHARS of a tensor are zeros "0.0": json alone reads a smaller
+# document, or a tensor with fewer zeros, faster (README, "MDP document
+# format").
+VECTOR_MIN_CHARS = 1 << 14
+_PROBE_CHARS = 1 << 12
+# A block of _read_tensor holds the whole rows up to the first "]" past
+# this many characters.
+_BLOCK_CHARS = 1 << 16
+_TENSOR_FIELDS = ("transitions", "rewards_sas")
+_NUMBER_BYTES = b"+-.0123456789Ee"
+# Number bytes stay; every other byte reads as a space.
+_BLANK = bytes(c if c in _NUMBER_BYTES else 32 for c in range(256))
+_PAD = bytes(4)
+_OPEN, _COMMA, _CLOSE, _SPACE = b"[,] "
+# A token "0.0" and its leading space, and four spaces, each as the
+# little-endian uint32 of its four bytes.
+_SPACED_ZERO = int.from_bytes(b" 0.0", "little")
+_SPACES = int.from_bytes(b"    ", "little")
+_WS = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder(parse_constant=_reject_literal)
+
+
+def _decode(text):
+    """``json.loads(text)`` with the NaN and Infinity literals rejected.
+    The tensor fields of a large ASCII text are read by :func:`_read_tensor`
+    into frozen arrays; any text that path does not take, and any error on
+    it, goes to json whole, so that an error keeps json's type and text."""
+    if isinstance(text, str) and len(text) >= VECTOR_MIN_CHARS \
+            and text.isascii():
+        try:
+            return _read_object(text)
+        except Exception:
+            pass
+    return json.loads(text, parse_constant=_reject_literal)
+
+
+def _past(text, pos, char):
+    """The position after ``char``, which must stand at ``pos``, and the
+    whitespace that follows it."""
+    if text[pos] != char:
+        raise ValueError(f"expected {char!r} at {pos}")
+    return _WS.match(text, pos + 1).end()
+
+
+def _read_object(text):
+    """The object of a text that holds one, walked key by key as json's
+    object grammar has it (the last of repeated keys wins): a tensor field
+    that opens with "[" is read by :func:`_read_tensor`, and json decodes
+    every key and every other value."""
+    doc, pos = {}, _past(text, _WS.match(text).end(), "{")
+    end = text[pos] == "}"
+    while not end:
+        if text[pos] != '"':
+            raise ValueError(f"expected a key at {pos}")
+        key, pos = _DECODER.raw_decode(text, pos)
+        pos = _past(text, _WS.match(text, pos).end(), ":")
+        if key in _TENSOR_FIELDS and text[pos] == "[":
+            doc[key], pos = _read_tensor(text, pos)
+        else:
+            doc[key], pos = _DECODER.raw_decode(text, pos)
+        pos = _WS.match(text, pos).end()
+        end = text[pos] == "}"
+        if not end:
+            pos = _past(text, pos, ",")
+    if _WS.match(text, pos + 1).end() != len(text):
+        raise ValueError(f"extra data after {pos}")
+    return doc
+
+
+def _tensor_shape(skeleton):
+    """(S, A, T) of the nonempty rectangular 3-d array whose brackets and
+    commas, in order, are the bytes ``skeleton``."""
+    n_t = skeleton.index(b"]") - 2
+    n_a = skeleton.count(b"],[", 0, skeleton.index(b"]]")) + 1
+    n_s = skeleton.count(b"]],[[") + 1
+    row = b"[" + b"," * (n_t - 1) + b"]"
+    matrix = b"[" + b",".join([row] * n_a) + b"]"
+    if n_t < 1 or skeleton != b"[" + b",".join([matrix] * n_s) + b"]":
+        raise ValueError("not a rectangular 3-d array")
+    return n_s, n_a, n_t
+
+
+def _quads(buffer):
+    """The four bytes from each position of ``buffer`` on, each read as
+    one little-endian uint32: a view, writable when ``buffer`` is."""
+    return np.ndarray((len(buffer) - 3,), "<u4", buffer, strides=(1,))
+
+
+def _read_tensor(text, start):
+    """The frozen array that ``np.array(json.loads(...), float)`` makes of
+    the rectangular 3-d array of numbers, without whitespace, at
+    ``text[start]``, and the position after it.
+
+    The text is read in blocks of whole rows, and the array ends at the
+    first "]]]".  Its bracket and comma skeleton must be that of its
+    shape, with a token between each "[" or "," and the "," or "]" that
+    follows, and none elsewhere.  A token "0.0" is a zero; json decodes
+    the other tokens of a block in one call, so that it alone judges
+    their grammar and whether each is an int or a float."""
+    sample = text[start:start + _PROBE_CHARS]
+    if 3 * sample.count("0.0,") < 2 * sample.count(","):
+        raise ValueError("too few zeros to pay for the vectorised read")
+    pieces, spots, parts, tail, n_tokens = [], [], [], b"", 0
+    while True:
+        stop = text.find("]", start + _BLOCK_CHARS) + 1 or len(text)
+        raw = text[start:stop].encode("ascii")
+        # Brackets and commas read as spaces; the padding lets _quads read
+        # from every position of the block.
+        chars = raw.translate(_BLANK) + _PAD
+        at = np.flatnonzero(np.frombuffer(chars, np.uint8) == _SPACE)
+        skeleton = np.frombuffer(raw, np.uint8)[at].tobytes()
+        closed = (tail + skeleton).find(b"]]]")
+        if closed >= 0:
+            at = at[:closed + 3 - len(tail)]
+            skeleton = skeleton[:len(at)]
+            chars = chars[:at[-1] + 1] + _PAD
+        elif stop == len(text):
+            raise ValueError("the tensor is not closed")
+        # The block opens with a bracket or comma, and a token stands
+        # between each "[" or "," and the "," or "]" after it, and nowhere
+        # else.
+        code = np.frombuffer(skeleton, np.uint8)
+        held = np.diff(at) > 1
+        if at[0] != 0 or not np.array_equal(
+                held, (code[:-1] != _CLOSE) & (code[1:] != _OPEN)):
+            raise ValueError("a token missing or out of place")
+        lead = at[:-1][held]
+        zero = (_quads(chars)[lead] == _SPACED_ZERO) \
+            & (np.frombuffer(chars, np.uint8)[lead + 4] == _SPACE)
+        nonzero = np.flatnonzero(~zero)
+        if len(nonzero):
+            spaced = bytearray(chars[:-len(_PAD)])
+            _quads(spaced)[lead[zero]] = _SPACES
+            np.frombuffer(spaced, np.uint8)[lead[nonzero]] = _COMMA
+            values = json.loads("[0" + spaced.decode("ascii") + "]")
+            spots.append(n_tokens + nonzero)
+            parts.append(np.array(values, dtype=float)[1:])
+        pieces.append(skeleton)
+        n_tokens += len(lead)
+        if closed >= 0:
+            break
+        tail, start = (tail + skeleton)[-2:], stop
+    out = np.zeros(_tensor_shape(b"".join(pieces)))
+    if spots:
+        out.reshape(-1)[np.concatenate(spots)] = np.concatenate(parts)
+    return _sealed(out), start + at[-1] + 1
+
+
 def read_document(source) -> dict:
     """A JSON object from a path, a file object, or an already parsed
     document.  The NaN and Infinity literals, which Python's json module
     accepts, are rejected."""
     if hasattr(source, "read"):
-        source = json.load(source, parse_constant=_reject_literal)
+        source = _decode(source.read())
     elif isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
-            source = json.load(fh, parse_constant=_reject_literal)
+            source = _decode(fh.read())
     if not isinstance(source, dict):
         raise ValueError(f"a JSON document must be an object at top level, "
                          f"not {type(source).__name__}")
@@ -520,8 +685,13 @@ def read_document(source) -> dict:
 
 def document_field(doc: dict, key: str, types, dtype=None):
     """``doc[key]``, which must be present and an instance of ``types``
-    (never a boolean); with ``dtype``, as a read-only array of it."""
+    (never a boolean); with ``dtype``, as a read-only array of it.  A
+    tensor that :func:`read_document` decoded into a frozen array stands
+    for its list and is passed on without a copy."""
     value = doc.get(key)
+    if types is list and isinstance(value, np.ndarray) \
+            and _SEALED.get(id(value)) is value:
+        return value if dtype is None else _frozen(value, dtype)
     if not isinstance(value, types) or isinstance(value, bool):
         raise ValueError(f"document field {key!r} is missing or of type "
                          f"{type(value).__name__}")

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 from itertools import combinations, product
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from mdp_stability import (InducedChain, MdpSpec, Perturbation, Policy,
 from mdp_stability import bisim, safety
 from mdp_stability.bisim import IsolationResult, NonConvergence, _PairSweep
 from mdp_stability.mdp import (PROB_TOL, VALUE_TOL, ValidationReport,
-                               ValueFunction, Violation, _repeats,
-                               _state_indices, can_reach)
+                               ValueFunction, Violation, _reject_literal,
+                               _repeats, _state_indices, can_reach)
 from mdp_stability.onpolicy import (ROW_TOL, perturbation_size, spectral_radius,
                                     transient_set)
 from mdp_stability.safety import start_charge
@@ -779,7 +780,9 @@ def reference_validate(mdp):
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
-    rows = P.sum(axis=2)
+    # A row with both +inf and -inf sums to NaN, of which numpy warns.
+    with np.errstate(invalid="ignore"):
+        rows = P.sum(axis=2)
     off = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)
     for s, a in off:
         found.append(Violation("row-sum", (int(s), int(a)),
@@ -789,12 +792,28 @@ def reference_validate(mdp):
         found.append(Violation("safe-range", tuple(safe), "index out of range"))
     else:
         for s in safe:
-            inside = P[s][:, safe].sum(axis=1)  # per action, mass staying safe
+            # per action, mass staying safe
+            with np.errstate(invalid="ignore"):
+                inside = P[s][:, safe].sum(axis=1)
             for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
                 found.append(Violation(
                     "safe-not-absorbing", (int(s), int(a)),
                     f"leaks {1.0 - inside[a]!r} outside the safe set"))
     return ValidationReport(tuple(found))
+
+
+def reference_read_document(source):
+    """``mdp.read_document`` as json alone reads a document: every tensor
+    a nested list, NaN and Infinity rejected."""
+    if hasattr(source, "read"):
+        source = json.load(source, parse_constant=_reject_literal)
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            source = json.load(fh, parse_constant=_reject_literal)
+    if not isinstance(source, dict):
+        raise ValueError(f"a JSON document must be an object at top level, "
+                         f"not {type(source).__name__}")
+    return source
 
 
 def reference_render_json(obj, indent=0):

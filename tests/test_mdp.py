@@ -2,19 +2,20 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helpers import (best_value_by_enumeration, gathered_chains,
-                     policy_evaluation, random_mdp, reference_validate,
-                     reference_value_iteration)
+                     policy_evaluation, random_mdp, reference_read_document,
+                     reference_validate, reference_value_iteration)
 from mdp_stability import (InducedChain, MdpSpec, Perturbation,
                            PlayingDeadParams, Policy, ValueFunction,
                            build_duplicated, build_playing_dead,
@@ -148,7 +149,6 @@ def test_reward_variants_are_checked(reward, code):
         two_state_mdp().with_rewards(np.array(reward))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestValidateMatchesFullScan:
     @settings(max_examples=200, deadline=None)
     @given(mdp=faulty_mdps())
@@ -214,7 +214,6 @@ def nearly_valid_mdps(draw):
                    P, r, 0.9, safe)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestValidateAgainstReference:
     """validate against the body it replaced (helpers.reference_validate),
     which builds the non-finite and range masks of every tensor."""
@@ -236,6 +235,22 @@ class TestValidateAgainstReference:
         P[0, 0, t] = entry
         mdp = dataclasses.replace(two_state_mdp(), transition=P)
         assert [v.code for v in validate(mdp).violations] == codes
+        assert str(validate(mdp)) == str(reference_validate(mdp))
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_row_with_both_infinities(self, s):
+        # States 1 and 2 are safe, so the row of state 1 is summed twice:
+        # whole, and over the safe states.  Neither sum warns (the test
+        # settings make a RuntimeWarning an error), and each reads NaN,
+        # which is neither a row-sum nor a leak.
+        P = np.zeros((3, 1, 3))
+        P[[0, 1, 2], 0, [1, 1, 2]] = 1.0
+        P[s, 0] = [0.0, math.inf, -math.inf]
+        mdp = MdpSpec(("s0", "s1", "s2"), ("a",), P, np.zeros((3, 1)), 0.9,
+                      {1, 2})
+        assert [v.code for v in validate(mdp).violations] == [
+            "non-finite", "non-finite", "probability-range",
+            "probability-range"]
         assert str(validate(mdp)) == str(reference_validate(mdp))
 
     @pytest.mark.parametrize("n,n_a", [(0, 0), (0, 2), (3, 0)])
@@ -317,12 +332,21 @@ class TestFrozenArrays:
         view[0, 0] = [0.5, 0.5]
         assert spec.transition.tolist() == mdp.transition.tolist()
 
-    def test_loaded_arrays_are_frozen_in_place(self):
+    def test_loaded_arrays_are_frozen_in_place(self, tmp_path):
         doc = mdp_to_document(two_state_mdp())
         field = mdp_module.document_field(doc, "transitions", list, float)
         assert not field.flags.writeable
         assert MdpSpec(("s0", "s1"), ("a0", "a1"), field,
                        np.zeros((2, 2)), 0.9, {1}).transition is field
+        # A large document's tensor is decoded into the spec's array.
+        path = tmp_path / "large.json"
+        path.write_text(sparse_document_text(60))
+        doc = read_document(path)
+        field = doc["transitions"]
+        assert isinstance(field, np.ndarray) and not field.flags.writeable
+        assert mdp_module.document_field(doc, "transitions", list,
+                                         float) is field
+        assert mdp_from_document(doc).transition is field
 
 
 class TestInduceChain:
@@ -759,3 +783,239 @@ class TestJsonDocuments:
         doc["safe"] = ["nope"]
         with pytest.raises(ValueError, match="nope"):
             load_mdp(doc)
+
+
+def sparse_document_text(n, n_actions=3, sparsity=0.03, seed=0):
+    """The compact JSON text of an MDP document whose rows each move to
+    ceil(sparsity * n) states, as the benchmark's embedded MDPs do."""
+    gen = np.random.default_rng(seed)
+    k = math.ceil(sparsity * n)
+    P = np.zeros((n, n_actions, n))
+    for s in range(n):
+        for a in range(n_actions):
+            P[s, a, gen.choice(n, size=k, replace=False)] = \
+                gen.dirichlet(np.ones(k))
+    doc = {"states": [f"s{i}" for i in range(n)],
+           "actions": [f"a{j}" for j in range(n_actions)],
+           "transitions": P.tolist(),
+           "rewards": gen.random((n, n_actions)).tolist(),
+           "discount": 0.9, "safe": []}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+# Texts of a tensor entry: json numbers of every form, and texts that json
+# rejects or reads as something other than a number.
+READER_TOKENS = (
+    "0.0", "-0.0", "0", "-0", "3", "0.5", "0.125", "1.0", "10.0", "0.00",
+    "00.0", "0.0e0", "1e-3", "2E+5", "1e400", "-1e400", "1e-400",
+    "1" + "0" * 400, "-" + "9" * 400, "00", "01", "1.", "+1", ".5", "-",
+    "1e", "0.0.0", "", "NaN", "Infinity", "-Infinity", "true", "null",
+    '"0.0"', "[]", "[0.5]")
+
+
+def tensor_text(value, layout, indent=1):
+    """The text of a nested list whose leaves are entry texts: compact,
+    with a space after each comma, or pretty-printed as ``random`` writes
+    a document."""
+    if isinstance(value, str):
+        return value
+    items = [tensor_text(v, layout, indent + 1) for v in value]
+    if layout != "pretty" or not items:
+        return "[" + (", " if layout == "spaced" else ",").join(items) + "]"
+    pad = "  " * indent
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" \
+        + pad + "]"
+
+
+# The ways reader_document departs from a compact, rectangular ASCII text.
+QUIRKS = ("short row", "long row", "empty row", "short matrix", "pretty",
+          "spaced", "one space", "stray number", "non-ASCII id",
+          "escaped key", "repeated key", "early key", "nested key",
+          "rewards_sas", "outer whitespace", "trailing data",
+          "byte-order mark", "bytes")
+
+
+def reader_document(seed, shape, density, entries=(), quirks=()):
+    """The JSON text, or its UTF-8 bytes, of an MDP document whose tensor
+    of ``shape`` holds zeros "0.0" and a ``density`` share of other
+    numbers, the texts ``entries`` (flat index, text) and the ``quirks``."""
+    gen = np.random.default_rng(seed)
+    n_s, n_a, n_t = shape
+    values = np.where(gen.random(shape) < density, gen.random(shape), 0.0)
+    tensor = [[[repr(float(v)) for v in row] for row in matrix]
+              for matrix in values]
+    for spot, token in entries:
+        s, a, t = np.unravel_index(spot % values.size, shape)
+        tensor[s][a][t] = token
+    matrix = tensor[gen.integers(n_s)]
+    row = matrix[gen.integers(n_a)]
+    if "short row" in quirks:
+        row.pop()
+    if "long row" in quirks:
+        row.append("0.0")
+    if "empty row" in quirks:
+        row.clear()
+    if "short matrix" in quirks:
+        matrix.pop()
+    layout = next((q for q in ("pretty", "spaced") if q in quirks), "compact")
+    text = tensor_text(tensor, layout)
+    if "one space" in quirks:
+        at = text.index(",", int(gen.integers(len(text) - 8)))
+        text = text[:at + 1] + " " + text[at + 1:]
+    if "stray number" in quirks:
+        # After a row that another follows, which a small block ends:
+        # json reads "[0.5" as one number, so the reader must see it.
+        row_end = re.compile(r"\d\],")
+        at = (row_end.search(text, int(gen.integers(len(text))))
+              or row_end.search(text)).start() + 2
+        text = text[:at] + ".5" + text[at:]
+    ids = [f"s{i}" for i in range(n_s)]
+    if "non-ASCII id" in quirks:
+        ids[-1] = "\u00e9tat"
+    fields = [("states", json.dumps(ids)),
+              ("actions", json.dumps([f"a{j}" for j in range(n_a)])),
+              ("transitions", text),
+              ("rewards", json.dumps(gen.random((n_s, n_a)).tolist())),
+              ("discount", "0.9"), ("safe", json.dumps(ids[-1:]))]
+    fields = [(json.dumps(key), value) for key, value in fields]
+    if "escaped key" in quirks:
+        fields[2] = ('"transiti\\u006fns"', text)
+    if "repeated key" in quirks:
+        fields.append(('"transitions"', tensor_text(
+            [[["0.0"] * n_t] * n_a] * n_s, "compact")))
+    if "early key" in quirks:
+        fields.insert(0, ('"transitions"', "[[[1.0]]]"))
+    if "nested key" in quirks:
+        fields.append(('"meta"', '{"transitions":' + text + "}"))
+    if "rewards_sas" in quirks:
+        fields.append(('"rewards_sas"', text))
+    compact = layout == "compact"
+    text = "{" + ("," if compact else ",\n  ").join(
+        key + (":" if compact else ": ") + value for key, value in fields) \
+        + "}"
+    if "outer whitespace" in quirks:
+        text = "\n " + text + " \n"
+    if "trailing data" in quirks:
+        text += str(gen.choice([" x", ",", "}", "{}"]))
+    if "byte-order mark" in quirks:
+        text = "\ufeff" + text
+    return text.encode() if "bytes" in quirks else text
+
+
+@st.composite
+def reader_documents(draw):
+    """reader_document texts whose tensors cross the reader's size
+    constant, with up to three entries of READER_TOKENS and up to three
+    quirks."""
+    n_s = draw(st.integers(46, 56))
+    shape = (n_s, draw(st.integers(2, 3)),
+             n_s + draw(st.sampled_from([0, 0, -1, 1])))
+    entries = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                      st.sampled_from(READER_TOKENS)),
+                            max_size=3))
+    return reader_document(
+        draw(st.integers(0, 2 ** 32 - 1)), shape,
+        draw(st.sampled_from([0.03, 0.2, 0.0, 0.03, 0.2, 0.5])), entries,
+        draw(st.lists(st.sampled_from(QUIRKS), max_size=3, unique=True)))
+
+
+def read_with(reader, text):
+    """(document, None) that ``reader`` reads from a file object of
+    ``text``, or (None, the exception it raises)."""
+    source = io.BytesIO(text) if isinstance(text, bytes) \
+        else io.StringIO(text)
+    try:
+        return reader(source), None
+    except Exception as exc:
+        return None, exc
+
+
+def assert_same_document(ours, oracle):
+    """Equal documents: each tensor that ``ours`` holds as an array is a
+    frozen float array with the bits of the oracle's nested list, and
+    every other value has the oracle's text (so -0.0, 0 and 0.0 differ)."""
+    assert list(ours) == list(oracle)
+    for key, value in oracle.items():
+        if isinstance(ours[key], np.ndarray):
+            assert key in ("transitions", "rewards_sas")
+            expected = np.array(value, dtype=float)
+            assert ours[key].dtype == float and ours[key].shape == \
+                expected.shape and not ours[key].flags.writeable
+            assert np.array_equal(ours[key].view(np.uint64),
+                                  expected.view(np.uint64))
+        else:
+            assert repr(ours[key]) == repr(value)
+
+
+def assert_reads_as_json(text, block):
+    """read_document, with tensors read in blocks of ``block`` characters,
+    reads ``text`` as json alone does, or raises what json raises; the
+    document read, or None."""
+    assert len(text) >= mdp_module.VECTOR_MIN_CHARS
+    with mock.patch.object(mdp_module, "_BLOCK_CHARS", block):
+        ours, error = read_with(read_document, text)
+    oracle, oracle_error = read_with(reference_read_document, text)
+    if oracle_error is not None:
+        assert type(error) is type(oracle_error)
+        assert str(error) == str(oracle_error)
+    else:
+        assert error is None
+        assert_same_document(ours, oracle)
+    return ours
+
+
+class TestReaderAgainstReference:
+    """read_document against the json reader it replaced
+    (helpers.reference_read_document): the same document, with its
+    tensors bit for bit, or the same exception and message.  A block of
+    64 characters cuts a tensor at every row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=reader_documents(),
+           block=st.sampled_from([mdp_module._BLOCK_CHARS, 64, 1000]))
+    def test_same_document_or_error(self, text, block):
+        doc = assert_reads_as_json(text, block)
+        event("error" if doc is None else "vectorised" if isinstance(
+            doc.get("transitions"), np.ndarray) else "json")
+
+    @pytest.mark.parametrize("block", [mdp_module._BLOCK_CHARS, 64])
+    @pytest.mark.parametrize("quirk", QUIRKS)
+    def test_each_quirk(self, quirk, block):
+        assert_reads_as_json(reader_document(1, (48, 2, 48), 0.03,
+                                             quirks=[quirk]), block)
+
+    @pytest.mark.parametrize("token", READER_TOKENS)
+    def test_each_token_first_inside_and_last(self, token):
+        assert_reads_as_json(reader_document(
+            1, (48, 2, 48), 0.03, [(0, token), (2000, token), (-1, token)]),
+            64)
+
+    @pytest.mark.parametrize("n,vectorised", [(20, False), (60, True),
+                                              (200, True)])
+    def test_a_large_sparse_tensor_is_decoded_to_an_array(self, n,
+                                                          vectorised):
+        text = sparse_document_text(n)
+        assert (len(text) >= mdp_module.VECTOR_MIN_CHARS) == vectorised
+        ours = read_document(io.StringIO(text))
+        assert isinstance(ours["transitions"], np.ndarray) == vectorised
+        assert_same_document(ours, json.loads(text))
+
+    def test_a_tensor_with_few_zeros_is_left_to_json(self):
+        text = sparse_document_text(40, sparsity=0.5)
+        assert len(text) >= mdp_module.VECTOR_MIN_CHARS
+        assert isinstance(read_document(io.StringIO(text))["transitions"],
+                          list)
+
+    def test_reading_peaks_lower_than_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(sparse_document_text(200))
+        peaks = []
+        for reader in (read_document, reference_read_document):
+            tracemalloc.start()
+            try:
+                doc = reader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del doc
+        assert peaks[0] < peaks[1]
