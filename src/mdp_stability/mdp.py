@@ -306,19 +306,6 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _row_sums(a, in_range):
-    """``a.sum(axis=-1)``.  Unless ``in_range`` tells that every entry of
-    ``a`` lies in [0, 1], a row that holds both +inf and -inf reads NaN,
-    as its sum does, without the warning numpy gives of that sum."""
-    if not in_range:
-        mixed = (a == np.inf).any(axis=-1) & (a == -np.inf).any(axis=-1)
-        if mixed.any():
-            rows = np.where(mixed[..., None], 0.0, a).sum(axis=-1)
-            rows[mixed] = np.nan
-            return rows
-    return a.sum(axis=-1)
-
-
 def validate(mdp: MdpSpec) -> ValidationReport:
     """Check every structural invariant of an MDP spec.
 
@@ -358,22 +345,27 @@ def validate(mdp: MdpSpec) -> ValidationReport:
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
-    rows = _row_sums(P, in_range)
-    off = _where(np.abs(rows - 1.0) > PROB_TOL)
-    for s, a in off:
-        found.append(Violation("row-sum", (int(s), int(a)),
-                               f"sums to {rows[s, a]!r}"))
-    safe = sorted(mdp.safe_set)
-    if any(s < 0 or s >= n_s for s in safe):
-        found.append(Violation("safe-range", tuple(safe), "index out of range"))
-    else:
-        for s in safe:
-            # per action, mass staying safe
-            inside = _row_sums(P[s][:, safe], in_range)
-            for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
-                found.append(Violation(
-                    "safe-not-absorbing", (int(s), int(a)),
-                    f"leaks {1.0 - inside[a]!r} outside the safe set"))
+    # Outside [0, 1], a row holding both +inf and -inf sums to NaN and one
+    # of large finite entries can overflow to inf; numpy would warn of
+    # either.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = P.sum(axis=2)
+        off = _where(np.abs(rows - 1.0) > PROB_TOL)
+        for s, a in off:
+            found.append(Violation("row-sum", (int(s), int(a)),
+                                   f"sums to {rows[s, a]!r}"))
+        safe = sorted(mdp.safe_set)
+        if any(s < 0 or s >= n_s for s in safe):
+            found.append(Violation("safe-range", tuple(safe),
+                                   "index out of range"))
+        else:
+            for s in safe:
+                # per action, mass staying safe
+                inside = P[s][:, safe].sum(axis=1)
+                for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
+                    found.append(Violation(
+                        "safe-not-absorbing", (int(s), int(a)),
+                        f"leaks {1.0 - inside[a]!r} outside the safe set"))
     return ValidationReport(tuple(found))
 
 
@@ -519,12 +511,9 @@ def _reject_literal(name):
 
 
 # A document of at least this many characters has its (S, A, S) tensor
-# fields read by _read_tensor when at least two thirds of the first
-# _PROBE_CHARS of a tensor are zeros "0.0": json alone reads a smaller
-# document, or a tensor with fewer zeros, faster (README, "MDP document
-# format").
+# fields read by _read_tensor: json alone reads a smaller one faster
+# (README, "MDP document format").
 VECTOR_MIN_CHARS = 1 << 14
-_PROBE_CHARS = 1 << 12
 # A block of _read_tensor holds the whole rows up to the first "]" past
 # this many characters.
 _BLOCK_CHARS = 1 << 16
@@ -619,9 +608,6 @@ def _read_tensor(text, start):
     follows, and none elsewhere.  A token "0.0" is a zero; json decodes
     the other tokens of a block in one call, so that it alone judges
     their grammar and whether each is an int or a float."""
-    sample = text[start:start + _PROBE_CHARS]
-    if 3 * sample.count("0.0,") < 2 * sample.count(","):
-        raise ValueError("too few zeros to pay for the vectorised read")
     pieces, spots, parts, tail, n_tokens = [], [], [], b"", 0
     while True:
         stop = text.find("]", start + _BLOCK_CHARS) + 1 or len(text)
@@ -671,7 +657,11 @@ def _read_tensor(text, start):
 def read_document(source) -> dict:
     """A JSON object from a path, a file object, or an already parsed
     document.  The NaN and Infinity literals, which Python's json module
-    accepts, are rejected."""
+    accepts, are rejected.  In a text of at least ``VECTOR_MIN_CHARS``
+    characters, a ``"transitions"`` or ``"rewards_sas"`` value may come
+    back as a sealed float array that stands for its nested list: the
+    bits of ``np.array(value, float)``, not the list (see
+    :func:`document_field`)."""
     if hasattr(source, "read"):
         source = _decode(source.read())
     elif isinstance(source, (str, os.PathLike)):

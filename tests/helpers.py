@@ -780,8 +780,9 @@ def reference_validate(mdp):
     for s, a, t in bad[:20]:
         found.append(Violation("probability-range", (int(s), int(a), int(t)),
                                f"entry {P[s, a, t]!r} outside [0,1]"))
-    # A row with both +inf and -inf sums to NaN, of which numpy warns.
-    with np.errstate(invalid="ignore"):
+    # A row with both +inf and -inf sums to NaN, and one of large finite
+    # entries can overflow to inf; numpy warns of either.
+    with np.errstate(invalid="ignore", over="ignore"):
         rows = P.sum(axis=2)
     off = np.argwhere(np.abs(rows - 1.0) > PROB_TOL)
     for s, a in off:
@@ -793,7 +794,7 @@ def reference_validate(mdp):
     else:
         for s in safe:
             # per action, mass staying safe
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 inside = P[s][:, safe].sum(axis=1)
             for a in np.nonzero(np.abs(inside - 1.0) > PROB_TOL)[0]:
                 found.append(Violation(

@@ -1186,25 +1186,42 @@ def test_out_of_range_flag_exits_2_from_a_process(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_validate_a_row_with_both_infinities_without_a_warning(tmp_path):
-    # json reads 1e400 as inf; a warning would be an error, and the row's
-    # NaN sum is reported as it was: not as a row-sum.
+@pytest.mark.parametrize("transitions,safe,violations", [
+    # json reads 1e400 as inf: the row's NaN sum is no row-sum.
+    ("[[[1e400, -1e400]], [[0.0, 1.0]]]", '["s1"]', [
+        "non-finite@(0,0,0): transition entry np.float64(inf)",
+        "non-finite@(0,0,1): transition entry np.float64(-inf)",
+        "probability-range@(0,0,0): entry np.float64(inf) outside [0,1]",
+        "probability-range@(0,0,1): entry np.float64(-inf) outside [0,1]"]),
+    # Finite entries whose row sums, whole and over the safe set,
+    # overflow to inf.
+    ("[[[1e308, 1e308]], [[1e308, 1e308]]]", '["s0", "s1"]', [
+        "probability-range@(0,0,0): entry np.float64(1e+308) outside [0,1]",
+        "probability-range@(0,0,1): entry np.float64(1e+308) outside [0,1]",
+        "probability-range@(1,0,0): entry np.float64(1e+308) outside [0,1]",
+        "probability-range@(1,0,1): entry np.float64(1e+308) outside [0,1]",
+        "row-sum@(0,0): sums to np.float64(inf)",
+        "row-sum@(1,0): sums to np.float64(inf)",
+        "safe-not-absorbing@(0,0): leaks np.float64(-inf) outside the "
+        "safe set",
+        "safe-not-absorbing@(1,0): leaks np.float64(-inf) outside the "
+        "safe set"])])
+def test_validate_a_row_whose_sum_warns_in_numpy(tmp_path, transitions,
+                                                  safe, violations):
+    # A warning would be an error, and the report reads as it did.
     path = tmp_path / "m.json"
     path.write_text('{"states": ["s0", "s1"], "actions": ["a"], '
-                    '"transitions": [[[1e400, -1e400]], [[0.0, 1.0]]], '
+                    f'"transitions": {transitions}, '
                     '"rewards": [[0.0], [0.0]], "discount": 0.9, '
-                    '"safe": ["s1"]}')
+                    f'"safe": {safe}}}')
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                            "-m", "mdp_stability.cli", "validate", str(path)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert json.loads(proc.stdout) == {"valid": False, "violations": [
-        "non-finite@(0,0,0): transition entry np.float64(inf)",
-        "non-finite@(0,0,1): transition entry np.float64(-inf)",
-        "probability-range@(0,0,0): entry np.float64(inf) outside [0,1]",
-        "probability-range@(0,0,1): entry np.float64(-inf) outside [0,1]"]}
+    assert json.loads(proc.stdout) == {"valid": False,
+                                       "violations": violations}
 
 
 def test_parser_is_built_once_and_survives_an_argparse_failure(
